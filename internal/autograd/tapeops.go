@@ -478,10 +478,17 @@ func (t *Tape) BatchNorm(x, gamma, beta *Var, eps float32) *Var {
 	// when gamma ~ 0; recompute from x instead.
 	n, f := x.Value.Dim(0), x.Value.Dim(1)
 	xhat := tensor.New(n, f)
+	// One divisor per column, computed once; each element is still divided
+	// by it (not multiplied by a reciprocal), so xhat keeps its bits.
+	mu := mean.Data()
+	div := make([]float32, f)
+	for j, v := range variance.Data() {
+		div[j] = sqrtf(v + eps)
+	}
 	for i := 0; i < n; i++ {
 		xr, hr := x.Value.Row(i), xhat.Row(i)
 		for j := 0; j < f; j++ {
-			hr[j] = (xr[j] - mean.At(j)) / sqrtf(variance.At(j)+eps)
+			hr[j] = (xr[j] - mu[j]) / div[j]
 		}
 	}
 	return t.node(out, x.needGrad || gamma.needGrad || beta.needGrad, func(dy *tensor.Tensor) {

@@ -280,3 +280,24 @@ func TestIndexSelectRowsGradient(t *testing.T) {
 		return tp.IndexSelectRows(v, idx)
 	})
 }
+
+// TestBatchNormForwardAllocations: rebuilding xhat must not allocate per
+// element. It did (a variadic At call for the mean and the variance of every
+// element: 97 % of DGCN's allocations); now the count is independent of the
+// batch size.
+func TestBatchNormForwardAllocations(t *testing.T) {
+	e := ops.New(nil)
+	rng := rand.New(rand.NewSource(12))
+	gamma, beta := tensor.Full(1.5, 32), tensor.Rand(rng, 0.5, 32)
+	allocs := func(rows int) float64 {
+		x := tensor.Rand(rng, 1, rows, 32)
+		return testing.AllocsPerRun(5, func() {
+			tp := NewTape(e)
+			tp.BatchNorm(tp.Const(x), tp.Const(gamma), tp.Const(beta), 1e-5)
+		})
+	}
+	small, large := allocs(8), allocs(256)
+	if large > small+8 {
+		t.Fatalf("BatchNorm allocations grow with the batch: %.0f at 8 rows, %.0f at 256", small, large)
+	}
+}

@@ -657,3 +657,430 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("Default() = %q, want serial", got)
 	}
 }
+
+// --- dense kernel family vs the loop nests it replaced ---
+//
+// The six functions below are the loop nests that were the production GEMM
+// and convolution kernels before gemm.go and conv.go, kept verbatim as
+// oracles: the blocked kernels must reproduce their output bit for bit
+// (math.Float32bits, not a tolerance), on both backends, because every
+// golden digest in the repository was recorded through them.
+
+// naiveMatMulRange accumulates rows [lo,hi) of a (·,k) @ b (k,n) into out.
+func naiveMatMulRange(a, b, out []float32, n, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := out[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
+			}
+			brow := b[p*n : (p+1)*n]
+			for j := 0; j < n; j++ {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+// naiveMatMulTARange accumulates output rows [lo,hi) of aᵀ @ b for a stored
+// (k,m). Accumulation order over p matches the serial original.
+func naiveMatMulTARange(a, b, out []float32, m, n, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		orow := out[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := a[p*m+i]
+			if av == 0 {
+				continue
+			}
+			brow := b[p*n : (p+1)*n]
+			for j := 0; j < n; j++ {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+// naiveMatMulTBRange writes output rows [lo,hi) of a @ bᵀ for b stored (n,k).
+func naiveMatMulTBRange(a, b, out []float32, n, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := out[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := b[j*k : (j+1)*k]
+			var s float32
+			for p := 0; p < k; p++ {
+				s += arow[p] * brow[p]
+			}
+			orow[j] = s
+		}
+	}
+}
+
+// naiveConv2DRange computes output (batch, out-channel) pairs [lo,hi) — flat
+// index b*Cout+oc — of the forward convolution.
+func naiveConv2DRange(x, w, out []float32, p ConvParams, lo, hi int) {
+	for bc := lo; bc < hi; bc++ {
+		b, oc := bc/p.Cout, bc%p.Cout
+		for oy := 0; oy < p.OH; oy++ {
+			for ox := 0; ox < p.OW; ox++ {
+				var s float32
+				iy0 := oy*p.StrideH - p.PadH
+				ix0 := ox*p.StrideW - p.PadW
+				for ic := 0; ic < p.Cin; ic++ {
+					for ky := 0; ky < p.KH; ky++ {
+						iy := iy0 + ky
+						if iy < 0 || iy >= p.H {
+							continue
+						}
+						xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
+						wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
+						for kx := 0; kx < p.KW; kx++ {
+							ix := ix0 + kx
+							if ix < 0 || ix >= p.W {
+								continue
+							}
+							s += x[xBase+ix] * w[wBase+kx]
+						}
+					}
+				}
+				out[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox] = s
+			}
+		}
+	}
+}
+
+// naiveConv2DGradInputRange accumulates dx for (batch, in-channel) pairs [lo,hi)
+// — flat index b*Cin+ic. For a fixed (b,ic), contributions arrive in
+// (oc,oy,ox,ky,kx) order, exactly as in the serial loop nest.
+func naiveConv2DGradInputRange(dy, w, dx []float32, p ConvParams, lo, hi int) {
+	for bi := lo; bi < hi; bi++ {
+		b, ic := bi/p.Cin, bi%p.Cin
+		for oc := 0; oc < p.Cout; oc++ {
+			for oy := 0; oy < p.OH; oy++ {
+				for ox := 0; ox < p.OW; ox++ {
+					g := dy[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox]
+					if g == 0 {
+						continue
+					}
+					iy0 := oy*p.StrideH - p.PadH
+					ix0 := ox*p.StrideW - p.PadW
+					for ky := 0; ky < p.KH; ky++ {
+						iy := iy0 + ky
+						if iy < 0 || iy >= p.H {
+							continue
+						}
+						xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
+						wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
+						for kx := 0; kx < p.KW; kx++ {
+							ix := ix0 + kx
+							if ix < 0 || ix >= p.W {
+								continue
+							}
+							dx[xBase+ix] += g * w[wBase+kx]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// naiveConv2DGradWeightRange accumulates dw for output channels [lo,hi): each
+// channel owns a disjoint filter slab, with contributions in (b,oy,ox)
+// order as in the serial loop nest.
+func naiveConv2DGradWeightRange(x, dy, dw []float32, p ConvParams, lo, hi int) {
+	for oc := lo; oc < hi; oc++ {
+		for b := 0; b < p.N; b++ {
+			for oy := 0; oy < p.OH; oy++ {
+				for ox := 0; ox < p.OW; ox++ {
+					g := dy[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox]
+					if g == 0 {
+						continue
+					}
+					iy0 := oy*p.StrideH - p.PadH
+					ix0 := ox*p.StrideW - p.PadW
+					for ic := 0; ic < p.Cin; ic++ {
+						for ky := 0; ky < p.KH; ky++ {
+							iy := iy0 + ky
+							if iy < 0 || iy >= p.H {
+								continue
+							}
+							xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
+							wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
+							for kx := 0; kx < p.KW; kx++ {
+								ix := ix0 + kx
+								if ix < 0 || ix >= p.W {
+									continue
+								}
+								dw[wBase+kx] += g * x[xBase+ix]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// bitsEqual fails the test unless got and want hold the same float32 bit
+// patterns.
+func bitsEqual(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: index %d: got %v (%#08x), oracle %v (%#08x)", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// rndSparse is rnd with each element zeroed with probability zeroFrac.
+func rndSparse(rng *rand.Rand, n int, zeroFrac float64) []float32 {
+	s := rnd(rng, n)
+	for i := range s {
+		if rng.Float64() < zeroFrac {
+			s[i] = 0
+		}
+	}
+	return s
+}
+
+var bothBackends = []Backend{NewSerial(), NewParallel()}
+
+// TestGEMMMatchesLoopNests sweeps m, n, k around the tile edges (2 rows, 4 k
+// steps, 4 TB columns), including m = 1, k < 4 and n < 4, with A at the
+// zero densities the suite sees: dense weights, post-ReLU activations and
+// cora's bag-of-words features. The last shapes clear the parallel cutoff.
+func TestGEMMMatchesLoopNests(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var shapes [][3]int
+	for _, m := range []int{1, 2, 3, 5} {
+		for _, n := range []int{1, 3, 4, 5, 9} {
+			for _, k := range []int{1, 3, 4, 5, 7, 8, 13} {
+				shapes = append(shapes, [3]int{m, n, k})
+			}
+		}
+	}
+	shapes = append(shapes, [3]int{64, 64, 64}, [3]int{65, 33, 127}, [3]int{33, 130, 31})
+	for _, sh := range shapes {
+		m, n, k := sh[0], sh[1], sh[2]
+		for _, zeros := range []float64{0, 0.5, 0.95} {
+			a := rndSparse(rng, m*k, zeros)
+			at := rndSparse(rng, k*m, zeros) // MatMulTA operand, stored (k,m)
+			// -0 must be skipped like +0, Inf and NaN must not be.
+			if zeros > 0 {
+				for i, v := range []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.NaN())} {
+					a[(7*i+3)%len(a)] = v
+					at[(5*i+1)%len(at)] = v
+				}
+			}
+			b := rnd(rng, k*n)
+			bt := rnd(rng, n*k) // MatMulTB operand, stored (n,k)
+			base := rnd(rng, m*n)
+
+			want := clone(base)
+			naiveMatMulRange(a, b, want, n, k, 0, m)
+			wantTA := clone(base)
+			naiveMatMulTARange(at, b, wantTA, m, n, k, 0, m)
+			wantTB := clone(base)
+			naiveMatMulTBRange(a, bt, wantTB, n, k, 0, m)
+
+			for _, be := range bothBackends {
+				got := clone(base)
+				be.MatMul(a, b, got, m, n, k)
+				bitsEqual(t, be.Name()+"/MatMul", got, want)
+				got = clone(base)
+				be.MatMulTA(at, b, got, m, n, k)
+				bitsEqual(t, be.Name()+"/MatMulTA", got, wantTA)
+				got = clone(base)
+				be.MatMulTB(a, bt, got, m, n, k)
+				bitsEqual(t, be.Name()+"/MatMulTB", got, wantTB)
+			}
+		}
+	}
+}
+
+// convCase fills in the output dimensions of a convolution geometry.
+func convCase(n, cin, h, w, cout, kh, kw, sh, sw, ph, pw int) ConvParams {
+	return ConvParams{
+		N: n, Cin: cin, H: h, W: w, Cout: cout, KH: kh, KW: kw,
+		StrideH: sh, StrideW: sw, PadH: ph, PadW: pw,
+		OH: (h+2*ph-kh)/sh + 1, OW: (w+2*pw-kw)/sw + 1,
+	}
+}
+
+// checkConvMatchesLoopNests compares the three convolution kernels of both
+// backends against the loop nests for one geometry. Forward output starts
+// from garbage (the kernel overwrites); dx and dw start from a non-zero
+// base (the kernels accumulate); dy carries zeros, which the nests skipped.
+func checkConvMatchesLoopNests(t *testing.T, rng *rand.Rand, cp ConvParams, dyZeros float64) {
+	t.Helper()
+	x := rnd(rng, cp.N*cp.Cin*cp.H*cp.W)
+	w := rnd(rng, cp.Cout*cp.Cin*cp.KH*cp.KW)
+	dy := rndSparse(rng, cp.N*cp.Cout*cp.OH*cp.OW, dyZeros)
+	outBase := rnd(rng, len(dy))
+	dxBase := rnd(rng, len(x))
+	dwBase := rnd(rng, len(w))
+
+	wantOut := clone(outBase)
+	naiveConv2DRange(x, w, wantOut, cp, 0, cp.N*cp.Cout)
+	wantDx := clone(dxBase)
+	naiveConv2DGradInputRange(dy, w, wantDx, cp, 0, cp.N*cp.Cin)
+	wantDw := clone(dwBase)
+	naiveConv2DGradWeightRange(x, dy, wantDw, cp, 0, cp.Cout)
+
+	for _, be := range bothBackends {
+		got := clone(outBase)
+		be.Conv2D(x, w, got, cp)
+		bitsEqual(t, be.Name()+"/Conv2D", got, wantOut)
+		got = clone(dxBase)
+		be.Conv2DGradInput(dy, w, got, cp)
+		bitsEqual(t, be.Name()+"/Conv2DGradInput", got, wantDx)
+		got = clone(dwBase)
+		be.Conv2DGradWeight(x, dy, got, cp)
+		bitsEqual(t, be.Name()+"/Conv2DGradWeight", got, wantDw)
+	}
+}
+
+// TestConvMatchesLoopNests draws geometries over stride 1-2, pad 0-2,
+// kernel 1-4 and Cin from 1, and adds the shapes the suite runs: STGCN's
+// four temporal convolutions at batch 8 and the DNN baseline's padded 3x3
+// at stride 1 and 2.
+func TestConvMatchesLoopNests(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 150; i++ {
+		kh, kw := 1+rng.Intn(4), 1+rng.Intn(4)
+		ph, pw := rng.Intn(3), rng.Intn(3)
+		// Keep the image at least as large as the unpadded kernel.
+		h, w := kh+rng.Intn(6), kw+rng.Intn(6)
+		cp := convCase(1+rng.Intn(3), 1+rng.Intn(3), h, w, 1+rng.Intn(5),
+			kh, kw, 1+rng.Intn(2), 1+rng.Intn(2), ph, pw)
+		checkConvMatchesLoopNests(t, rng, cp, 0.4)
+	}
+	for _, cp := range []ConvParams{
+		convCase(8, 1, 100, 12, 48, 1, 3, 1, 1, 0, 0),  // stgcn.b1.t1
+		convCase(8, 24, 100, 10, 48, 1, 3, 1, 1, 0, 0), // stgcn.b1.t2
+		convCase(8, 24, 100, 8, 48, 1, 3, 1, 1, 0, 0),  // stgcn.b2.t1
+		convCase(8, 24, 100, 6, 48, 1, 3, 1, 1, 0, 0),  // stgcn.b2.t2
+		convCase(4, 3, 16, 16, 8, 3, 3, 1, 1, 1, 1),    // dnn stage 0
+		convCase(4, 8, 8, 8, 16, 3, 3, 2, 2, 1, 1),     // dnn strided stage
+	} {
+		checkConvMatchesLoopNests(t, rng, cp, 0.4)
+	}
+}
+
+// TestZeroSkipEdge pins the one deliberate difference from the loop nests.
+// The nests skipped zero *gradients* and out-of-image taps; the dense
+// kernels store those as zeros and multiply them through, and skip zero
+// *left operands* (filter values) instead. A skipped term and a ±0 product
+// leave the same bits in the accumulator unless
+//
+//   - the other factor is non-finite: Inf*0 is NaN where the nest had
+//     nothing to add; or
+//   - the accumulator holds -0: -0 + +0 is +0 where the nest kept -0.
+//
+// Neither occurs in training (a non-finite weight or activation has already
+// failed the run's finite-loss checks, and accumulators start from the +0 of
+// a fresh tensor, which no sum of finite products turns into -0), so the
+// golden digests do not move. MatMul and MatMulTA keep the nests' own skip
+// (left operand zero) and have no such edge.
+func TestZeroSkipEdge(t *testing.T) {
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	// 1x1 image, 3x3 filter, pad 1: eight of the nine taps are padding.
+	cp := convCase(1, 1, 1, 1, 1, 3, 3, 1, 1, 1, 1)
+	x := []float32{2}
+	w := []float32{inf, 1, 1, 1, 3, 1, 1, 1, 1}
+	for _, be := range bothBackends {
+		want := []float32{0}
+		naiveConv2DRange(x, w, want, cp, 0, 1)
+		if want[0] != 6 {
+			t.Fatalf("loop nest: padded tap under an Inf weight gave %v, want 6", want[0])
+		}
+		got := []float32{0}
+		be.Conv2D(x, w, got, cp)
+		if !math.IsNaN(float64(got[0])) {
+			t.Fatalf("%s: Inf weight over a padded tap gave %v, want NaN (Inf*0)", be.Name(), got[0])
+		}
+
+		// A zero gradient: the nest leaves a -0 accumulator alone, the dense
+		// kernel adds w*0 = +0 to it.
+		dy := []float32{0}
+		wf := []float32{1, 1, 1, 1, 1, 1, 1, 1, 1}
+		wantDx := []float32{negZero}
+		naiveConv2DGradInputRange(dy, wf, wantDx, cp, 0, 1)
+		if math.Float32bits(wantDx[0]) != math.Float32bits(negZero) {
+			t.Fatalf("loop nest: zero gradient moved a -0 accumulator to %v", wantDx[0])
+		}
+		gotDx := []float32{negZero}
+		be.Conv2DGradInput(dy, wf, gotDx, cp)
+		if math.Float32bits(gotDx[0]) != 0 {
+			t.Fatalf("%s: -0 + w*0 gave %#08x, want +0", be.Name(), math.Float32bits(gotDx[0]))
+		}
+	}
+}
+
+// TestConvConcurrentScratch drives the convolution kernels from several
+// goroutines at once: tiles and callers draw patch buffers from one pool,
+// so under -race this is the check that no two ever share one.
+func TestConvConcurrentScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cp := convCase(4, 8, 16, 16, 8, 3, 3, 1, 1, 1, 1)
+	x := rnd(rng, cp.N*cp.Cin*cp.H*cp.W)
+	w := rnd(rng, cp.Cout*cp.Cin*cp.KH*cp.KW)
+	dy := rnd(rng, cp.N*cp.Cout*cp.OH*cp.OW)
+	wantOut := make([]float32, len(dy))
+	naiveConv2DRange(x, w, wantOut, cp, 0, cp.N*cp.Cout)
+	wantDx := make([]float32, len(x))
+	naiveConv2DGradInputRange(dy, w, wantDx, cp, 0, cp.N*cp.Cin)
+	wantDw := make([]float32, len(w))
+	naiveConv2DGradWeightRange(x, dy, wantDw, cp, 0, cp.Cout)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		be := bothBackends[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 5; iter++ {
+				out := make([]float32, len(dy))
+				dx := make([]float32, len(x))
+				dw := make([]float32, len(w))
+				be.Conv2D(x, w, out, cp)
+				be.Conv2DGradInput(dy, w, dx, cp)
+				be.Conv2DGradWeight(x, dy, dw, cp)
+				// t.Fatal may not be called off the test goroutine.
+				for name, pair := range map[string][2][]float32{
+					"Conv2D": {out, wantOut}, "Conv2DGradInput": {dx, wantDx}, "Conv2DGradWeight": {dw, wantDw},
+				} {
+					for i, v := range pair[0] {
+						if v != pair[1][i] {
+							t.Errorf("concurrent %s diverged at %d", name, i)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzConvEquivalence lets the fuzzer pick the geometry and the data seed;
+// any shape it finds where a kernel leaves the loop nests' bits is a bug.
+func FuzzConvEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(0), uint8(4), uint8(4), uint8(1), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(1), uint8(40))
+	f.Add(int64(2), uint8(2), uint8(2), uint8(5), uint8(3), uint8(4), uint8(0), uint8(3), uint8(1), uint8(1), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(0), uint8(1), uint8(0), uint8(5), uint8(2), uint8(3), uint8(0), uint8(1), uint8(0), uint8(0), uint8(2), uint8(95))
+	f.Fuzz(func(t *testing.T, seed int64, n, cin, dh, dw, cout, kh, kw, sh, sw, ph, pw, zeros uint8) {
+		khv, kwv := 1+int(kh%4), 1+int(kw%4)
+		cp := convCase(1+int(n%3), 1+int(cin%4), khv+int(dh%8), kwv+int(dw%8), 1+int(cout%6),
+			khv, kwv, 1+int(sh%2), 1+int(sw%2), int(ph%3), int(pw%3))
+		checkConvMatchesLoopNests(t, rand.New(rand.NewSource(seed)), cp, float64(zeros%101)/100)
+	})
+}

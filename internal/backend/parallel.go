@@ -19,26 +19,26 @@ func (parallelBackend) Name() string { return "parallel" }
 
 func (parallelBackend) MatMul(a, b, out []float32, m, n, k int) {
 	if m*n*k < minParallelWork {
-		matMulRange(a, b, out, n, k, 0, m)
+		gemmRange(a, b, out, n, k, k, 1, 0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) { matMulRange(a, b, out, n, k, lo, hi) })
+	parallelFor(m, func(lo, hi int) { gemmRange(a, b, out, n, k, k, 1, lo, hi) })
 }
 
 func (parallelBackend) MatMulTA(a, b, out []float32, m, n, k int) {
 	if m*n*k < minParallelWork {
-		matMulTARange(a, b, out, m, n, k, 0, m)
+		gemmRange(a, b, out, n, k, 1, m, 0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) { matMulTARange(a, b, out, m, n, k, lo, hi) })
+	parallelFor(m, func(lo, hi int) { gemmRange(a, b, out, n, k, 1, m, lo, hi) })
 }
 
 func (parallelBackend) MatMulTB(a, b, out []float32, m, n, k int) {
 	if m*n*k < minParallelWork {
-		matMulTBRange(a, b, out, n, k, 0, m)
+		gemmTBRange(a, b, out, n, k, false, 0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) { matMulTBRange(a, b, out, n, k, lo, hi) })
+	parallelFor(m, func(lo, hi int) { gemmTBRange(a, b, out, n, k, false, lo, hi) })
 }
 
 // --- sparse (destination-row tiles) ---

@@ -16,68 +16,16 @@ func (serialBackend) Name() string { return "serial" }
 
 // --- dense matrix products ---
 
-// matMulRange accumulates rows [lo,hi) of a (·,k) @ b (k,n) into out.
-func matMulRange(a, b, out []float32, n, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// matMulTARange accumulates output rows [lo,hi) of aᵀ @ b for a stored
-// (k,m). Accumulation order over p matches the serial original.
-func matMulTARange(a, b, out []float32, m, n, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := out[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := a[p*m+i]
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// matMulTBRange writes output rows [lo,hi) of a @ bᵀ for b stored (n,k).
-func matMulTBRange(a, b, out []float32, n, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s float32
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s
-		}
-	}
-}
-
 func (serialBackend) MatMul(a, b, out []float32, m, n, k int) {
-	matMulRange(a, b, out, n, k, 0, m)
+	gemmRange(a, b, out, n, k, k, 1, 0, m)
 }
 
 func (serialBackend) MatMulTA(a, b, out []float32, m, n, k int) {
-	matMulTARange(a, b, out, m, n, k, 0, m)
+	gemmRange(a, b, out, n, k, 1, m, 0, m)
 }
 
 func (serialBackend) MatMulTB(a, b, out []float32, m, n, k int) {
-	matMulTBRange(a, b, out, n, k, 0, m)
+	gemmTBRange(a, b, out, n, k, false, 0, m)
 }
 
 // --- sparse ---
@@ -112,112 +60,6 @@ func (serialBackend) SpMM(rowPtr, colIdx []int32, vals []float32, x, out []float
 }
 
 // --- convolution ---
-
-// conv2DRange computes output (batch, out-channel) pairs [lo,hi) — flat
-// index b*Cout+oc — of the forward convolution.
-func conv2DRange(x, w, out []float32, p ConvParams, lo, hi int) {
-	for bc := lo; bc < hi; bc++ {
-		b, oc := bc/p.Cout, bc%p.Cout
-		for oy := 0; oy < p.OH; oy++ {
-			for ox := 0; ox < p.OW; ox++ {
-				var s float32
-				iy0 := oy*p.StrideH - p.PadH
-				ix0 := ox*p.StrideW - p.PadW
-				for ic := 0; ic < p.Cin; ic++ {
-					for ky := 0; ky < p.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= p.H {
-							continue
-						}
-						xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
-						wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
-						for kx := 0; kx < p.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= p.W {
-								continue
-							}
-							s += x[xBase+ix] * w[wBase+kx]
-						}
-					}
-				}
-				out[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox] = s
-			}
-		}
-	}
-}
-
-// conv2DGradInputRange accumulates dx for (batch, in-channel) pairs [lo,hi)
-// — flat index b*Cin+ic. For a fixed (b,ic), contributions arrive in
-// (oc,oy,ox,ky,kx) order, exactly as in the serial loop nest.
-func conv2DGradInputRange(dy, w, dx []float32, p ConvParams, lo, hi int) {
-	for bi := lo; bi < hi; bi++ {
-		b, ic := bi/p.Cin, bi%p.Cin
-		for oc := 0; oc < p.Cout; oc++ {
-			for oy := 0; oy < p.OH; oy++ {
-				for ox := 0; ox < p.OW; ox++ {
-					g := dy[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox]
-					if g == 0 {
-						continue
-					}
-					iy0 := oy*p.StrideH - p.PadH
-					ix0 := ox*p.StrideW - p.PadW
-					for ky := 0; ky < p.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= p.H {
-							continue
-						}
-						xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
-						wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
-						for kx := 0; kx < p.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= p.W {
-								continue
-							}
-							dx[xBase+ix] += g * w[wBase+kx]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// conv2DGradWeightRange accumulates dw for output channels [lo,hi): each
-// channel owns a disjoint filter slab, with contributions in (b,oy,ox)
-// order as in the serial loop nest.
-func conv2DGradWeightRange(x, dy, dw []float32, p ConvParams, lo, hi int) {
-	for oc := lo; oc < hi; oc++ {
-		for b := 0; b < p.N; b++ {
-			for oy := 0; oy < p.OH; oy++ {
-				for ox := 0; ox < p.OW; ox++ {
-					g := dy[((b*p.Cout+oc)*p.OH+oy)*p.OW+ox]
-					if g == 0 {
-						continue
-					}
-					iy0 := oy*p.StrideH - p.PadH
-					ix0 := ox*p.StrideW - p.PadW
-					for ic := 0; ic < p.Cin; ic++ {
-						for ky := 0; ky < p.KH; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= p.H {
-								continue
-							}
-							xBase := ((b*p.Cin+ic)*p.H + iy) * p.W
-							wBase := ((oc*p.Cin+ic)*p.KH + ky) * p.KW
-							for kx := 0; kx < p.KW; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= p.W {
-									continue
-								}
-								dw[wBase+kx] += g * x[xBase+ix]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 func (serialBackend) Conv2D(x, w, out []float32, p ConvParams) {
 	conv2DRange(x, w, out, p, 0, p.N*p.Cout)

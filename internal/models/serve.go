@@ -33,6 +33,10 @@ type Servable interface {
 	NumItems() int
 	// EmbedDim returns the embedding width (columns of ServeEmbed rows).
 	EmbedDim() int
+	// MarkHostBoundary restarts the engine's per-op host-time attribution;
+	// the serving plane calls it when a replica picks up a batch, so time
+	// spent waiting for requests is not charged to the next kernel.
+	MarkHostBoundary()
 }
 
 // serveSeed derives the per-item sampling seed: a fixed odd multiplier
@@ -47,6 +51,9 @@ func (m *PSAGE) NumItems() int { return m.ds.Items }
 
 // EmbedDim implements Servable.
 func (m *PSAGE) EmbedDim() int { return m.hidden }
+
+// MarkHostBoundary implements Servable.
+func (m *PSAGE) MarkHostBoundary() { m.env.E.MarkHostBoundary() }
 
 // serveBlock is one request's sampled two-hop neighborhood, position-offset
 // ready for concatenation into a micro-batch.
@@ -164,6 +171,9 @@ func (a *ARGA) NumItems() int { return a.adj.Rows }
 
 // EmbedDim implements Servable.
 func (a *ARGA) EmbedDim() int { return a.embed }
+
+// MarkHostBoundary implements Servable.
+func (a *ARGA) MarkHostBoundary() { a.env.E.MarkHostBoundary() }
 
 // ServeEmbed implements Servable for ARGA: the full-graph GCN encoder runs
 // once per micro-batch (full-graph models have no per-request sampling) and

@@ -26,6 +26,7 @@ import (
 // (ops.class.<name>.host_nanos) and the Figure 2 breakdown.
 const (
 	OpGEMM        = "GEMM"
+	OpConv        = "Conv"
 	OpSpMM        = "SpMM"
 	OpGather      = "Gather"
 	OpScatter     = "Scatter"
@@ -98,8 +99,13 @@ func skewedCSR(rng *rand.Rand, rows, nnz int) (rowPtr, colIdx []int32) {
 	return rowPtr, colIdx
 }
 
-// gemmCase builds a dense (m,k) @ (k,n) product case.
-func gemmCase(label string, m, n, k int, smoke bool) Case {
+// gemmCase builds an (m,k) @ (k,n) product case. trans selects the kernel:
+// "" is MatMul, "TA" MatMulTA (A stored (k,m): a layer's weight gradient),
+// "TB" MatMulTB (B stored (n,k): its input gradient, ARGA's decoder). zeros
+// is the share of A's entries set to zero — the dense kernels skip them, so
+// the case measures what a bag-of-words or post-ReLU operand really costs;
+// Flops stays the nominal 2mnk.
+func gemmCase(label, trans string, m, n, k int, zeros float64, smoke bool) Case {
 	return Case{
 		Op:    OpGEMM,
 		Shape: fmt.Sprintf("%s:m%d.n%d.k%d", label, m, n, k),
@@ -108,11 +114,78 @@ func gemmCase(label string, m, n, k int, smoke bool) Case {
 		Smoke: smoke,
 		setup: func(rng *rand.Rand) func(be backend.Backend) {
 			a := randSlice(rng, m*k)
+			for i := range a {
+				if rng.Float64() < zeros {
+					a[i] = 0
+				}
+			}
 			b := randSlice(rng, k*n)
 			out := make([]float32, m*n)
-			return func(be backend.Backend) {
-				clear(out) // MatMul accumulates
-				be.MatMul(a, b, out, m, n, k)
+			switch trans {
+			case "":
+				return func(be backend.Backend) {
+					clear(out) // MatMul accumulates
+					be.MatMul(a, b, out, m, n, k)
+				}
+			case "TA":
+				return func(be backend.Backend) {
+					clear(out) // MatMulTA accumulates
+					be.MatMulTA(a, b, out, m, n, k)
+				}
+			case "TB":
+				return func(be backend.Backend) {
+					be.MatMulTB(a, b, out, m, n, k)
+				}
+			default:
+				panic("opbench: unknown GEMM variant " + trans)
+			}
+		},
+	}
+}
+
+// convCase builds one convolution kernel case over geometry p: kind "fwd"
+// is Conv2D, "dx" Conv2DGradInput, "dw" Conv2DGradWeight. The gradient dy
+// carries 40 % zeros, as it does behind a ReLU or a GLU gate.
+func convCase(label, kind string, p backend.ConvParams, smoke bool) Case {
+	p.OH = (p.H+2*p.PadH-p.KH)/p.StrideH + 1
+	p.OW = (p.W+2*p.PadW-p.KW)/p.StrideW + 1
+	xN, wN, yN := p.N*p.Cin*p.H*p.W, p.Cout*p.Cin*p.KH*p.KW, p.N*p.Cout*p.OH*p.OW
+	return Case{
+		Op: OpConv,
+		Shape: fmt.Sprintf("%s:%s.n%d.c%d.h%d.w%d.o%d.k%dx%d.s%d.p%d", label, kind,
+			p.N, p.Cin, p.H, p.W, p.Cout, p.KH, p.KW, p.StrideH, p.PadH),
+		Bytes: 4 * int64(xN+wN+yN),
+		Flops: 2 * int64(yN) * int64(p.Cin*p.KH*p.KW),
+		Smoke: smoke,
+		setup: func(rng *rand.Rand) func(be backend.Backend) {
+			x := randSlice(rng, xN)
+			w := randSlice(rng, wN)
+			dy := randSlice(rng, yN)
+			for i := range dy {
+				if rng.Float64() < 0.4 {
+					dy[i] = 0
+				}
+			}
+			switch kind {
+			case "fwd":
+				out := make([]float32, yN)
+				return func(be backend.Backend) {
+					be.Conv2D(x, w, out, p)
+				}
+			case "dx":
+				dx := make([]float32, xN)
+				return func(be backend.Backend) {
+					clear(dx) // Conv2DGradInput accumulates
+					be.Conv2DGradInput(dy, w, dx, p)
+				}
+			case "dw":
+				dw := make([]float32, wN)
+				return func(be backend.Backend) {
+					clear(dw) // Conv2DGradWeight accumulates
+					be.Conv2DGradWeight(x, dy, dw, p)
+				}
+			default:
+				panic("opbench: unknown convolution kind " + kind)
 			}
 		},
 	}
@@ -269,7 +342,16 @@ func ewCase(label, kind string, n int, smoke bool) Case {
 //     hidden), GraphWriter's vocabulary projection (600-token vocab, width
 //     192), Tree-LSTM's fused gate GEMM (the small-launch shape that must
 //     take the parallel backend's serial fallback), and the square-512
-//     acceptance shape of the parallel backend.
+//     acceptance shape of the parallel backend; then the same encoder
+//     layer with the 95 %-zero features the real workload feeds it, a
+//     DeepGCN layer's GEMM on a MolHIV batch with the half-zero operand a
+//     ReLU leaves (3200 nodes, width 64), the encoder's weight gradient
+//     through the transposed-A kernel that really computes it, and ARGA's
+//     inner-product decoder through the transposed-B one.
+//   - Conv: STGCN's second temporal convolution of block 1 (batch 8, 24
+//     to 48 channels, a 1x3 kernel over 100 sensors x 10 steps) and the
+//     DNN baseline's first strided 3x3 (batch 16, 48 to 96 channels, 16x16
+//     to 8x8), each forward, input gradient and filter gradient.
 //   - SpMM: the three citation graphs at their synthetic scales (~4
 //     directed edges per node) and a batched-molecule block at MolHIV
 //     scale.
@@ -284,11 +366,23 @@ func ewCase(label, kind string, n int, smoke bool) Case {
 func Cases() []Case {
 	return []Case{
 		// GEMM — m,n,k from actual layer dims.
-		gemmCase("arga.enc1", 2400, 32, 358, true),
-		gemmCase("arga.dW", 358, 32, 2400, false),
-		gemmCase("gw.proj", 64, 600, 192, false),
-		gemmCase("tlstm.gates", 32, 96, 48, true),
-		gemmCase("square512", 512, 512, 512, false),
+		gemmCase("arga.enc1", "", 2400, 32, 358, 0, true),
+		gemmCase("arga.dW", "", 358, 32, 2400, 0, false),
+		gemmCase("gw.proj", "", 64, 600, 192, 0, false),
+		gemmCase("tlstm.gates", "", 32, 96, 48, 0, true),
+		gemmCase("square512", "", 512, 512, 512, 0, false),
+		gemmCase("arga.enc1.z95", "", 2400, 32, 358, 0.95, false),
+		gemmCase("dgcn.conv.relu", "", 3200, 64, 64, 0.5, false),
+		gemmCase("arga.dW.TA", "TA", 358, 32, 2400, 0, false),
+		gemmCase("arga.dec.TB", "TB", 2400, 2400, 16, 0, false),
+
+		// Conv — the three kernels at a unit-stride and a strided geometry.
+		convCase("stgcn.b1.t2", "fwd", stgcnB1T2, true),
+		convCase("stgcn.b1.t2", "dx", stgcnB1T2, false),
+		convCase("stgcn.b1.t2", "dw", stgcnB1T2, false),
+		convCase("dnn.s2", "fwd", dnnStride2, false),
+		convCase("dnn.s2", "dx", dnnStride2, false),
+		convCase("dnn.s2", "dw", dnnStride2, false),
 
 		// SpMM — CSR shapes at dataset scales.
 		spmmCase("cora", 2400, 9600, 32, true),
@@ -318,6 +412,12 @@ func Cases() []Case {
 		ewCase("tlstm.small", "axpy", 4096, true),
 	}
 }
+
+// The convolution geometries of the sweep (output dimensions are derived).
+var (
+	stgcnB1T2  = backend.ConvParams{N: 8, Cin: 24, H: 100, W: 10, Cout: 48, KH: 1, KW: 3, StrideH: 1, StrideW: 1}
+	dnnStride2 = backend.ConvParams{N: 16, Cin: 48, H: 16, W: 16, Cout: 96, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
+)
 
 // SmokeCases returns the reduced CI sweep: the Smoke-marked subset of
 // Cases, in the same order. It covers every op class.

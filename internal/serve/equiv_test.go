@@ -9,6 +9,7 @@ import (
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
+	"gnnmark/internal/obs"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/tensor"
 )
@@ -198,5 +199,45 @@ func TestCacheReducesDeviceTime(t *testing.T) {
 	if warm.MeanDeviceSeconds >= cold.MeanDeviceSeconds {
 		t.Fatalf("cache did not reduce mean device time: %v vs %v",
 			warm.MeanDeviceSeconds, cold.MeanDeviceSeconds)
+	}
+}
+
+// TestServingOpClassTimeWithinWall: the event loop runs one batch at a time,
+// so the host time attributed to op classes across all replicas cannot
+// exceed the run's wall. It did before Replica.serveOne marked a host
+// boundary: each replica's wait for its next batch — most of the run, with
+// three replicas taking turns — was charged to that batch's first kernel.
+func TestServingOpClassTimeWithinWall(t *testing.T) {
+	obs.Enable()
+	defer func() {
+		obs.Reset()
+		obs.Disable()
+	}()
+	obs.Reset()
+
+	frozen, _ := buildServable("PSAGE", backend.NewSerial(), 42)
+	w := FreezeParams(frozen.Params())
+	reps := newPSAGEReplicas(t, 3, w) // engines built while enabled carry a track
+	defer closeReplicas(reps)
+	_, d1, err := reps[0].Serve([]int32{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := OpenArrivals(LoadConfig{Seed: 5, QPS: 2 / d1, Duration: 60 * d1, Items: frozen.NumItems()})
+
+	before := ops.CaptureOpClasses()
+	start := obs.Nanos()
+	s := New(Config{Endpoint: "opclass", MaxBatch: 2, MaxWaitSeconds: d1 / 2, QueueCap: 64}, reps)
+	st, err := s.Run(NewSliceSource(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := obs.Nanos() - start
+	attributed := ops.CaptureOpClasses().Delta(before).Total()
+	if st.Completed == 0 || attributed <= 0 {
+		t.Fatalf("nothing served or attributed: completed %d, attributed %d ns", st.Completed, attributed)
+	}
+	if attributed > wall {
+		t.Fatalf("op classes were charged %d ns over a %d ns run: idle replica time is being attributed", attributed, wall)
 	}
 }

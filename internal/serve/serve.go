@@ -40,6 +40,9 @@ type Model interface {
 	ServeEmbed(ids []int32) *tensor.Tensor
 	NumItems() int
 	EmbedDim() int
+	// MarkHostBoundary restarts the model engine's per-op host-time
+	// attribution (ops.Engine.MarkHostBoundary).
+	MarkHostBoundary()
 }
 
 // Request is one inference query: embed item Item, arriving at sim time
@@ -102,6 +105,9 @@ func (r *Replica) serveOne(ids []int32) (res replicaResult) {
 			res = replicaResult{err: fmt.Errorf("serve: replica %d panicked: %v", r.rank, p)}
 		}
 	}()
+	// The replica sat idle on its channel since the last batch; without the
+	// boundary that wait would be charged to this batch's first kernel.
+	r.model.MarkHostBoundary()
 	before := r.clock()
 	emb := r.model.ServeEmbed(ids)
 	return replicaResult{emb: emb, device: r.clock() - before}
