@@ -20,10 +20,7 @@ import (
 	"sort"
 
 	"gnnmark/internal/core"
-	"gnnmark/internal/datasets"
 	"gnnmark/internal/gpu"
-	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/stream"
 	"gnnmark/internal/trace"
 )
@@ -85,45 +82,25 @@ func partitionedTrace(key string, gpus, epochs, warps int, seed int64, overlap b
 
 // kernelBreakdown is the classic single-device calibration mode.
 func kernelBreakdown(key string, warps int, seed int64) {
-	cfg := gpu.V100()
-	cfg.MaxSampledWarps = warps
-	dev := gpu.New(cfg)
+	rep, err := core.NewReplica(core.RunConfig{Workload: key, SampledWarps: warps, Seed: seed}, 0, 0, 1)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gnnmark-trace:", err)
+		os.Exit(2)
+	}
+	defer rep.Env.Close()
+	// Subscribing after construction leaves its kernels out: the breakdown
+	// is one training epoch.
 	times := map[string]float64{}
 	counts := map[string]int{}
-	dev.Subscribe(func(ks gpu.KernelStats) {
+	rep.Dev.Subscribe(func(ks gpu.KernelStats) {
 		k := fmt.Sprintf("%-12s %s", ks.Class, ks.Name)
 		times[k] += ks.Seconds
 		counts[k]++
 	})
-	env := models.NewEnv(ops.New(dev), seed)
-	var w models.Workload
-	switch key {
-	case "STGCN":
-		w = models.NewSTGCN(env, datasets.METRLA(env.RNG), models.STGCNConfig{})
-	case "PSAGE":
-		w = models.NewPSAGE(env, datasets.MovieLens(env.RNG), models.PSAGEConfig{})
-	case "GW":
-		w = models.NewGW(env, datasets.AGENDA(env.RNG), models.GWConfig{})
-	case "KGNNL":
-		w = models.NewKGNN(env, datasets.Proteins(env.RNG), models.KGNNConfig{K: 2})
-	case "KGNNH":
-		w = models.NewKGNN(env, datasets.Proteins(env.RNG), models.KGNNConfig{K: 3})
-	case "ARGA":
-		w = models.NewARGA(env, datasets.NewCitation(env.RNG, "cora"), models.ARGAConfig{})
-	case "DGCN":
-		w = models.NewDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{})
-	case "TLSTM":
-		w = models.NewTLSTM(env, datasets.SST(env.RNG), models.TLSTMConfig{})
-	default:
-		fmt.Fprintln(os.Stderr, "gnnmark-trace: unknown workload", key)
-		os.Exit(2)
+	if _, err := rep.Epoch(); err != nil {
+		fmt.Fprintln(os.Stderr, "gnnmark-trace:", err)
+		os.Exit(1)
 	}
-	// Ignore construction-time kernels; trace one training epoch.
-	for k := range times {
-		delete(times, k)
-		delete(counts, k)
-	}
-	w.TrainEpoch()
 
 	type kv struct {
 		k string

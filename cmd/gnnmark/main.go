@@ -4,15 +4,19 @@
 //
 // Usage:
 //
+//	gnnmark <command> [flags]
+//
+// Run gnnmark with no arguments for the command list (usage, below, is the
+// one place it is kept). The most used:
+//
 //	gnnmark table1
-//	gnnmark fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9 [flags]
-//	gnnmark run -workload PSAGE -dataset NWP [flags]
+//	gnnmark fig2 ... fig9, figm, figp, figpart, figf [flags]
+//	gnnmark run -workload PSAGE -dataset NWP [-gpus N [-parallelism partitioned]] [flags]
 //	gnnmark all [flags]
-//	gnnmark ablate-fp16 [flags]
-//	gnnmark opbench -out BENCH_opbench.json [-smoke]
-//	gnnmark benchdiff [-warn-only] OLD.json NEW.json
 //	gnnmark serve-bench [-replicas N -batches 1,4,16 -cache-rows 0,1024] [-smoke]
 //	gnnmark scenario run|check FILE...
+//	gnnmark opbench -out BENCH_opbench.json [-smoke]
+//	gnnmark benchdiff [-warn-only] OLD.json NEW.json
 //
 // Flags: -epochs N, -seed N, -warps N (cache-replay sampling budget; lower
 // is faster), -workload KEY, -dataset NAME; -pipeline-depth N enables the
@@ -28,11 +32,9 @@ import (
 	"strconv"
 	"strings"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/bench"
 	"gnnmark/internal/core"
 	"gnnmark/internal/gpu"
-	"gnnmark/internal/models"
 	"gnnmark/internal/obs"
 	"gnnmark/internal/opbench"
 	"gnnmark/internal/ops"
@@ -204,7 +206,9 @@ func main() {
 		fmt.Print(bench.FormatInference(*workload, train, inf))
 	case "dnn-contrast":
 		s := characterize(cfg)
-		fmt.Print(bench.FormatContrast(s, bench.DNNBaseline(cfg)))
+		dnn, err := bench.DNNBaseline(cfg)
+		fail(err)
+		fmt.Print(bench.FormatContrast(s, dnn))
 	case "gpucompare":
 		cfg.Workload = *workload
 		reports, err := bench.GPUCompare(cfg)
@@ -227,10 +231,6 @@ func main() {
 		defer f.Close()
 		fail(report.WriteHTML(f, s, res))
 		fmt.Println("wrote", out)
-	case "partitioned":
-		res, err := bench.PartitionedARGA(cfg)
-		fail(err)
-		fmt.Print(bench.FormatPartitioned(res))
 	case "figpart":
 		if cfg.GPUs <= 1 {
 			cfg.GPUs = 4
@@ -328,10 +328,6 @@ func main() {
 		fmt.Printf("%s time-to-train(loss<=%.3f): %d epochs, %.3f ms simulated GPU time (%s)\n",
 			res.Workload, res.TargetLoss, res.Epochs, 1e3*res.SimSeconds, status)
 		fmt.Printf("loss curve: %.4v\n", res.LossCurve)
-	case "weakscale":
-		res, err := bench.WeakScaling(*workload, cfg)
-		fail(err)
-		fmt.Print(bench.FormatWeakScaling(*workload, res))
 	default:
 		usage()
 		os.Exit(2)
@@ -356,41 +352,20 @@ func ablateL1Bypass(cfg core.RunConfig) {
 // runWithTrace characterizes one workload while recording the kernel
 // timeline, then writes it in the Chrome trace-event format.
 func runWithTrace(cfg core.RunConfig, path string) {
-	spec, err := core.Lookup(cfg.Workload)
+	var rec *trace.Recorder
+	cfg.OnDevice = func(dev *gpu.Device) { rec = trace.Attach(dev, 0) }
+	rep, err := core.NewReplica(cfg, 0, 0, 1)
 	fail(err)
-	devCfg, err := gpu.Preset(cfg.GPU)
-	fail(err)
-	if cfg.SampledWarps > 0 {
-		devCfg.MaxSampledWarps = cfg.SampledWarps
-	}
-	be, err := backend.New(cfg.Backend)
-	fail(err)
-	dev := gpu.New(devCfg)
-	rec := trace.Attach(dev, 0)
-	env := models.NewEnv(ops.NewWith(dev, be), cfg.Seed)
-	env.Pipeline = models.PipelineConfig{
-		Depth:       cfg.PipelineDepth,
-		Workers:     cfg.LoaderWorkers,
-		CompressH2D: cfg.CompressH2D,
-	}
+	env := rep.Env
 	defer env.Close()
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	w := spec.Build(env, dataset, 1)
-	// Construction kernels stay on the classic serialized path; the
-	// overlapped timeline starts where training starts, so lane slices
-	// are shifted by the construction offset to line up with the device
-	// rows above them.
-	pipeOrigin := dev.ElapsedSeconds()
-	env.E.EnablePipeline(cfg.PipelineDepth, cfg.CompressH2D)
-	epochs := cfg.Epochs
-	if epochs == 0 {
-		epochs = 1
-	}
-	for e := 0; e < epochs; e++ {
-		w.TrainEpoch()
+	// The replica is not rebased, so the trace shows construction too. The
+	// overlapped timeline starts where training starts: lane slices are
+	// shifted by the construction offset to line up with the device rows
+	// above them.
+	pipeOrigin := rep.Dev.ElapsedSeconds()
+	for e := 0; e < max(1, cfg.Epochs); e++ {
+		_, err := rep.Epoch()
+		fail(err)
 	}
 	f, err := os.Create(path)
 	fail(err)
@@ -409,7 +384,7 @@ func runWithTrace(cfg core.RunConfig, path string) {
 	}
 	fail(trace.WriteEvents(f, events))
 	fmt.Printf("%s: wrote %d timeline events to %s (open in chrome://tracing)\n",
-		spec.Key, len(events), path)
+		rep.Spec.Key, len(events), path)
 }
 
 // runOpbench executes the per-op microbenchmark sweep and writes the
@@ -613,7 +588,7 @@ commands:
   all              the full reproduction: Table I plus every figure
   table1           print the suite inventory (Table I)
   fig2..fig8       regenerate one figure of the paper
-  fig9             multi-GPU strong-scaling study
+  fig9             multi-GPU strong-scaling study on the executed DDP engine (1/2/4 GPUs)
   figm             per-workload device-memory footprint table
   figp             asynchronous-input-pipeline study: sync vs overlapped epoch time (-pipeline-depth, -compress-h2d)
   figpart          executed DDP vs executed graph-partitioned training: scaling, comm volume, edge-cut sweep (-gpus)
@@ -628,14 +603,12 @@ commands:
   benchdiff        noise-aware comparison of two opbench reports (-budget, -mad-k, -warn-only, then OLD.json NEW.json)
   infer            training-vs-inference op-mix contrast (-workload)
   dnn-contrast     GNN suite vs conventional-CNN baseline
-  weakscale        fixed-per-GPU-batch scaling study (-workload)
   ablate-fp16      half-precision storage ablation
   ablate-l1bypass  L1 cache bypass ablation
   gpucompare       characterize one workload on P100/V100/A100 (-workload)
   ttt              MLPerf-style time-to-train (-workload, -target, -max-epochs)
   roofline         per-operation roofline placement (-workload, -gpu)
   sweep            hyperparameter sweep (-sweep WORKLOAD/param -values a,b,c)
-  partitioned      ROC-style partitioned full-graph ARGA scaling what-if (analytical)
   report           write the full characterization as an HTML page (-trace sets the path)
   datasets         structural statistics of every synthetic dataset
   params           per-workload parameter and iteration counts

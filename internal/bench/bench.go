@@ -8,13 +8,11 @@ import (
 	"fmt"
 	"strings"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 )
 
@@ -326,29 +324,29 @@ var Fig9Workloads = []string{"PSAGE", "STGCN", "DGCN", "GW", "KGNNL", "KGNNH", "
 // large global batches over few iterations, so per-iteration compute
 // dominates launch overhead as it does at the paper's production scale.
 // Small-batch configs would make every workload look launch-bound.
-func fig9Build(key string, env *models.Env, div int) models.Workload {
+func fig9Build(key string, env *models.Env) models.Workload {
 	switch key {
 	case "PSAGE":
 		return models.NewPSAGE(env, datasets.MovieLens(env.RNG),
-			models.PSAGEConfig{BatchSize: 64, Batches: 2, BatchDivisor: div})
+			models.PSAGEConfig{BatchSize: 64, Batches: 2})
 	case "STGCN":
 		return models.NewSTGCN(env, datasets.METRLA(env.RNG),
-			models.STGCNConfig{Channels: 32, BatchSize: 48, Batches: 1, BatchDivisor: div})
+			models.STGCNConfig{Channels: 32, BatchSize: 48, Batches: 1})
 	case "DGCN":
 		return models.NewDGCN(env, datasets.MolHIV(env.RNG),
-			models.DGCNConfig{BatchSize: 160, Layers: 7, Hidden: 128, BatchDivisor: div})
+			models.DGCNConfig{BatchSize: 160, Layers: 7, Hidden: 128})
 	case "GW":
 		return models.NewGW(env, datasets.AGENDA(env.RNG),
-			models.GWConfig{BatchSize: 48, Dim: 192, MaxDecode: 16, BatchDivisor: div})
+			models.GWConfig{BatchSize: 48, Dim: 192, MaxDecode: 16})
 	case "KGNNL":
 		return models.NewKGNN(env, datasets.Proteins(env.RNG),
-			models.KGNNConfig{K: 2, BatchSize: 120, Hidden: 64, BatchDivisor: div})
+			models.KGNNConfig{K: 2, BatchSize: 120, Hidden: 64})
 	case "KGNNH":
 		return models.NewKGNN(env, datasets.Proteins(env.RNG),
-			models.KGNNConfig{K: 3, BatchSize: 120, Hidden: 48, BatchDivisor: div})
+			models.KGNNConfig{K: 3, BatchSize: 120, Hidden: 48})
 	case "TLSTM":
 		return models.NewTLSTM(env, datasets.SST(env.RNG),
-			models.TLSTMConfig{BatchSize: 100, BatchDivisor: div})
+			models.TLSTMConfig{BatchSize: 100})
 	}
 	panic("bench: unknown fig9 workload " + key)
 }
@@ -358,26 +356,21 @@ func fig9Build(key string, env *models.Env, div int) models.Workload {
 // sharded batches and really ring-allreduces their gradient buckets, so the
 // reported timeline breaks communication into exposed and overlapped parts.
 func Fig9(cfg core.RunConfig) ([]ScalingResult, error) {
-	be, err := backend.New(cfg.Backend)
-	if err != nil {
+	// ddp.ReplicaFactory has no error return: resolve the config once here,
+	// so the factory's identical NewEnv calls cannot fail.
+	if _, err := cfg.NewEnv(0); err != nil {
 		return nil, err
 	}
 	var out []ScalingResult
 	for _, key := range Fig9Workloads {
 		key := key
 		factory := func(rank, world int) (models.Workload, *models.Env) {
-			devCfg := gpu.V100()
-			if cfg.SampledWarps > 0 {
-				devCfg.MaxSampledWarps = cfg.SampledWarps
+			env, err := cfg.NewEnv(0)
+			if err != nil {
+				panic(err)
 			}
-			dev := gpu.New(devCfg)
-			seed := cfg.Seed
-			if seed == 0 {
-				seed = 1
-			}
-			env := models.NewEnv(ops.NewWith(dev, be), seed)
 			env.Rank, env.World = rank, world
-			return fig9Build(key, env, 1), env
+			return fig9Build(key, env), env
 		}
 		res, err := ddp.ExecutedStrongScaling(factory, []int{1, 2, 4}, ddp.ClusterConfig{})
 		if err != nil {
@@ -388,40 +381,12 @@ func Fig9(cfg core.RunConfig) ([]ScalingResult, error) {
 	return out, nil
 }
 
-// Fig9Analytical runs the scaling study on the closed-form timeline
-// estimate (one shard timed, allreduce cost added analytically) — kept as
-// the executed engine's sanity baseline; EXPERIMENTS.md compares both.
-func Fig9Analytical(cfg core.RunConfig) ([]ScalingResult, error) {
-	var out []ScalingResult
-	for _, key := range Fig9Workloads {
-		key := key
-		factory := func(div int) (models.Workload, *gpu.Device) {
-			devCfg := gpu.V100()
-			if cfg.SampledWarps > 0 {
-				devCfg.MaxSampledWarps = cfg.SampledWarps
-			}
-			dev := gpu.New(devCfg)
-			seed := cfg.Seed
-			if seed == 0 {
-				seed = 1
-			}
-			env := models.NewEnv(ops.New(dev), seed)
-			return fig9Build(key, env, div), dev
-		}
-		res := ddp.StrongScaling(factory, []int{1, 2, 4}, ddp.DefaultComm())
-		out = append(out, ScalingResult{Workload: key, Results: res})
-	}
-	return out, nil
-}
-
-// FormatFig9 renders the scaling study: the speedup table, and — for
-// executed results — the per-workload compute/comm/overlap breakdown at the
-// largest world size.
+// FormatFig9 renders the scaling study: the speedup table, and the
+// per-workload compute/comm/overlap breakdown at the largest world size.
 func FormatFig9(results []ScalingResult) string {
 	var b strings.Builder
 	b.WriteString("Figure 9: multi-GPU strong scaling (speedup vs 1 GPU)\n")
 	fmt.Fprintf(&b, "%-10s %8s %8s %8s %s\n", "workload", "1 GPU", "2 GPU", "4 GPU", "note")
-	executed := false
 	for _, sr := range results {
 		note := ""
 		if len(sr.Results) > 1 && sr.Results[1].Replicated {
@@ -429,20 +394,15 @@ func FormatFig9(results []ScalingResult) string {
 		}
 		fmt.Fprintf(&b, "%-10s %8.2f %8.2f %8.2f %s\n", sr.Workload,
 			sr.Results[0].Speedup, sr.Results[1].Speedup, sr.Results[2].Speedup, note)
-		for _, r := range sr.Results {
-			executed = executed || r.Executed
-		}
 	}
-	if executed {
-		b.WriteString("\nExecuted-engine timeline at 4 GPUs (per epoch, ms)\n")
-		fmt.Fprintf(&b, "%-10s %9s %9s %9s %9s %8s\n",
-			"workload", "compute", "comm", "exposed", "hidden", "buckets")
-		for _, sr := range results {
-			r := sr.Results[len(sr.Results)-1]
-			fmt.Fprintf(&b, "%-10s %9.3f %9.3f %9.3f %9.3f %8d\n", sr.Workload,
-				1e3*r.ComputeSeconds, 1e3*r.CommSeconds,
-				1e3*r.ExposedCommSeconds, 1e3*r.OverlappedCommSeconds, r.Buckets)
-		}
+	b.WriteString("\nExecuted-engine timeline at 4 GPUs (per epoch, ms)\n")
+	fmt.Fprintf(&b, "%-10s %9s %9s %9s %9s %8s\n",
+		"workload", "compute", "comm", "exposed", "hidden", "buckets")
+	for _, sr := range results {
+		r := sr.Results[len(sr.Results)-1]
+		fmt.Fprintf(&b, "%-10s %9.3f %9.3f %9.3f %9.3f %8d\n", sr.Workload,
+			1e3*r.ComputeSeconds, 1e3*r.CommSeconds,
+			1e3*r.ExposedCommSeconds, 1e3*r.OverlappedCommSeconds, r.Buckets)
 	}
 	b.WriteString("(ARGA excluded: full-graph training does not shard, as in the paper)\n")
 	return b.String()

@@ -5,29 +5,21 @@ import (
 	"strings"
 
 	"gnnmark/internal/core"
-	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 )
 
 // DNNBaseline trains the conventional-CNN comparator under the same
 // profiler and returns its report: the DNN side of the paper's "GNN
 // training differs greatly from a typical DNN" contrast.
-func DNNBaseline(cfg core.RunConfig) profiler.Report {
-	devCfg := gpu.V100()
-	if cfg.SampledWarps > 0 {
-		devCfg.MaxSampledWarps = cfg.SampledWarps
+func DNNBaseline(cfg core.RunConfig) (profiler.Report, error) {
+	env, err := cfg.NewEnv(0)
+	if err != nil {
+		return profiler.Report{}, err
 	}
-	dev := gpu.New(devCfg)
-	prof := profiler.Attach(dev)
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	env := models.NewEnv(ops.New(dev), seed)
+	prof := profiler.Attach(env.E.Device())
 	env.OnIteration = prof.NextIteration
 	m := models.NewDNN(env, models.DNNConfig{})
 	prof.Reset()
@@ -38,7 +30,7 @@ func DNNBaseline(cfg core.RunConfig) profiler.Report {
 	for e := 0; e < epochs; e++ {
 		m.TrainEpoch()
 	}
-	return prof.Snapshot()
+	return prof.Snapshot(), nil
 }
 
 // FormatContrast renders the GNN-suite-vs-DNN operation-mix comparison.
@@ -121,30 +113,6 @@ func L1BypassAblation(cfg core.RunConfig) (normal, bypassed float64, err error) 
 	return rn.Report.KernelSeconds, rb.Report.KernelSeconds, nil
 }
 
-// WeakScaling runs the paper's future-work weak-scaling study (fixed
-// per-GPU batch) for one scalable workload.
-func WeakScaling(workload string, cfg core.RunConfig) ([]ddp.Result, error) {
-	factory := func(div int) (models.Workload, *gpu.Device) {
-		devCfg := gpu.V100()
-		if cfg.SampledWarps > 0 {
-			devCfg.MaxSampledWarps = cfg.SampledWarps
-		}
-		dev := gpu.New(devCfg)
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		env := models.NewEnv(ops.New(dev), seed)
-		return fig9Build(workload, env, div), dev
-	}
-	for _, key := range Fig9Workloads {
-		if key == workload {
-			return ddp.WeakScaling(factory, []int{1, 2, 4}, ddp.DefaultComm()), nil
-		}
-	}
-	return nil, fmt.Errorf("bench: workload %q not in the scaling study set %v", workload, Fig9Workloads)
-}
-
 // FormatStrongScaling renders an executed strong-scaling series for one
 // workload (the `run -gpus N` view): per world size, the epoch timeline
 // split into compute and exposed/hidden communication.
@@ -159,17 +127,6 @@ func FormatStrongScaling(workload string, results []ddp.Result) string {
 		fmt.Fprintf(&b, "  %d GPU: epoch %.3f ms = compute %.3f + exposed comm %.3f (%.3f hidden, %d buckets)  speedup %.2fx%s\n",
 			r.GPUs, 1e3*r.EpochSeconds, 1e3*r.ComputeSeconds,
 			1e3*r.ExposedCommSeconds, 1e3*r.OverlappedCommSeconds, r.Buckets, r.Speedup, note)
-	}
-	return b.String()
-}
-
-// FormatWeakScaling renders a weak-scaling result series.
-func FormatWeakScaling(workload string, results []ddp.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s weak scaling (fixed per-GPU batch; ideal efficiency 1.0)\n", workload)
-	for _, r := range results {
-		fmt.Fprintf(&b, "  %d GPU: epoch %.3f ms (compute %.3f + comm %.3f)  efficiency %.2f\n",
-			r.GPUs, 1e3*r.EpochSeconds, 1e3*r.ComputeSeconds, 1e3*r.CommSeconds, r.Speedup)
 	}
 	return b.String()
 }
@@ -200,49 +157,6 @@ func FormatGPUCompare(workload string, reports map[string]profiler.Report) strin
 		r := reports[g]
 		fmt.Fprintf(&b, "%-8s %12.4f %10.0f %7.1f%% %7.1f%%\n",
 			g, 1e3*r.KernelSeconds, r.GFLOPS, 100*r.L1HitRate, 100*r.L2HitRate)
-	}
-	return b.String()
-}
-
-// PartitionedARGA contrasts naive DDP (cannot shard full-graph training)
-// with ROC-style partitioned full-graph training for ARGA: the what-if
-// behind the paper's Section V-E takeaway.
-func PartitionedARGA(cfg core.RunConfig) ([]ddp.PartitionedResult, error) {
-	c := cfg
-	c.Workload = "ARGA"
-	res, err := core.Run(c)
-	if err != nil {
-		return nil, err
-	}
-	epoch := res.Report.KernelSeconds + res.Report.LaunchSeconds
-	epochs := c.Epochs
-	if epochs == 0 {
-		epochs = 3
-	}
-	epoch /= float64(epochs)
-
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	env := models.NewEnv(ops.New(gpu.New(gpu.V100())), seed)
-	ds := datasets.NewCitation(env.RNG, "cora")
-	// Two GCN layers propagate features; one iteration per epoch.
-	return ddp.PartitionedFullGraphAnalytical(ds.Adj, ds.Features.Dim(1), 2,
-		epoch, 1, ddp.DefaultComm(), []int{1, 2, 4}), nil
-}
-
-// FormatPartitioned renders the partitioned full-graph study.
-func FormatPartitioned(results []ddp.PartitionedResult) string {
-	var b strings.Builder
-	b.WriteString("ARGA full-graph training with ROC-style graph partitioning\n")
-	b.WriteString("(naive DDP cannot shard it at all; partitioning can)\n")
-	fmt.Fprintf(&b, "%4s %12s %12s %12s %10s %8s\n",
-		"gpus", "epoch ms", "compute ms", "halo ms", "edge cut", "speedup")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%4d %12.4f %12.4f %12.4f %10d %7.2fx\n",
-			r.GPUs, 1e3*r.EpochSeconds, 1e3*r.ComputeSeconds, 1e3*r.HaloSeconds,
-			r.EdgeCut, r.Speedup)
 	}
 	return b.String()
 }

@@ -15,7 +15,10 @@ func extCfg() core.RunConfig {
 func TestDNNBaselineIsDenseMathDominated(t *testing.T) {
 	// The paper's central contrast: a conventional DNN's execution is
 	// dominated by convolution and GEMM, unlike every GNN workload.
-	rep := DNNBaseline(extCfg())
+	rep, err := DNNBaseline(extCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
 	dense := rep.TimeShare[gpu.OpGEMM] + rep.TimeShare[gpu.OpConv]
 	if dense < 0.50 {
 		t.Fatalf("DNN GEMM+Conv share = %.1f%%, want dominant (>= 50%%)", 100*dense)
@@ -41,7 +44,11 @@ func TestDNNBaselineIsDenseMathDominated(t *testing.T) {
 }
 
 func TestDNNContrastFormat(t *testing.T) {
-	out := FormatContrast(characterizedSuite(t), DNNBaseline(extCfg()))
+	dnn, err := DNNBaseline(extCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := FormatContrast(characterizedSuite(t), dnn)
 	for _, frag := range []string{"GNN suite", "DNN", "int32"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("contrast output missing %q", frag)
@@ -91,32 +98,6 @@ func TestL1BypassAblation(t *testing.T) {
 	ratio := bypassed / normal
 	if ratio < 0.6 || ratio > 1.4 {
 		t.Fatalf("bypass ratio %.2f implausible for a low-L1-hit workload", ratio)
-	}
-}
-
-func TestWeakScalingStudy(t *testing.T) {
-	res, err := WeakScaling("DGCN", extCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 || res[0].GPUs != 1 || res[2].GPUs != 4 {
-		t.Fatalf("unexpected series %+v", res)
-	}
-	// Compute stays constant (fixed per-GPU batch); efficiency decays
-	// through communication only.
-	ratio := res[2].ComputeSeconds / res[0].ComputeSeconds
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("weak-scaling compute not constant: ratio %.2f", ratio)
-	}
-	if res[2].Speedup >= 1 || res[2].Speedup <= 0.3 {
-		t.Fatalf("weak-scaling efficiency %.2f out of plausible range", res[2].Speedup)
-	}
-	out := FormatWeakScaling("DGCN", res)
-	if !strings.Contains(out, "efficiency") {
-		t.Fatal("weak scaling format broken")
-	}
-	if _, err := WeakScaling("ARGA", extCfg()); err == nil {
-		t.Fatal("ARGA must not be in the scaling study")
 	}
 }
 
@@ -225,31 +206,6 @@ func TestSweepRejectsUnknownKey(t *testing.T) {
 	}
 	if len(SweepParams()) < 5 {
 		t.Fatal("sweep registry too small")
-	}
-}
-
-func TestPartitionedARGAScalesWherePlainDDPCannot(t *testing.T) {
-	res, err := PartitionedARGA(extCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
-	}
-	// The whole point: partitioned full-graph training gains from extra
-	// GPUs, unlike naive DDP which excludes ARGA entirely.
-	if res[2].Speedup <= 1.3 {
-		t.Fatalf("partitioned 4-GPU speedup = %.2f, want gains", res[2].Speedup)
-	}
-	if res[1].EdgeCut <= 0 || res[2].EdgeCut < res[1].EdgeCut {
-		t.Fatalf("edge cuts implausible: %d then %d", res[1].EdgeCut, res[2].EdgeCut)
-	}
-	if res[2].HaloSeconds <= 0 {
-		t.Fatal("multi-GPU partitioned training must pay halo exchange")
-	}
-	out := FormatPartitioned(res)
-	if !strings.Contains(out, "edge cut") {
-		t.Fatal("format broken")
 	}
 }
 

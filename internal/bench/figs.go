@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
-	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/serve"
 )
 
@@ -77,45 +74,23 @@ type FigSResult struct {
 }
 
 // buildServeModel constructs one instance of the workload on its own fresh
-// device and backend; identical configs build identical models. The caller
-// owns the returned env (close it when the replica retires).
-func buildServeModel(run core.RunConfig) (models.Servable, *models.Env, error) {
-	spec, err := core.Lookup(run.Workload)
+// device; identical configs build identical models. The caller owns the
+// replica's env (close it when the replica retires).
+func buildServeModel(run core.RunConfig) (models.Servable, *core.Replica, error) {
+	// Serving replicas are forward-only, and the trainer they are frozen
+	// from must match them: no input pipeline on either.
+	run.PipelineDepth = 0
+	rep, err := core.NewReplica(run, 0, 0, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	dataset := run.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	found := false
-	for _, d := range spec.Datasets {
-		if d == dataset {
-			found = true
-		}
-	}
-	if !found {
-		return nil, nil, fmt.Errorf("serve-bench: workload %s has no dataset %q (have %v)",
-			spec.Key, dataset, spec.Datasets)
-	}
-	devCfg, err := gpu.Preset(run.GPU)
-	if err != nil {
-		return nil, nil, err
-	}
-	devCfg.MaxSampledWarps = run.SampledWarps
-	be, err := backend.New(run.Backend)
-	if err != nil {
-		return nil, nil, err
-	}
-	env := models.NewEnv(ops.NewWith(gpu.New(devCfg), be), run.Seed)
-	w := spec.Build(env, dataset, 1)
-	sv, ok := w.(models.Servable)
+	sv, ok := rep.W.(models.Servable)
 	if !ok {
-		env.Close()
+		rep.Env.Close()
 		return nil, nil, fmt.Errorf("serve-bench: workload %s does not serve embeddings (servable workloads: PSAGE, ARGA)",
-			spec.Key)
+			rep.Spec.Key)
 	}
-	return sv, env, nil
+	return sv, rep, nil
 }
 
 // newFrozenReplicas builds n replicas of the workload, each on its own
@@ -124,13 +99,14 @@ func newFrozenReplicas(run core.RunConfig, n int, w *serve.Weights) ([]*serve.Re
 	reps := make([]*serve.Replica, 0, n)
 	envs := make([]*models.Env, 0, n)
 	for r := 0; r < n; r++ {
-		m, env, err := buildServeModel(run)
+		m, rep, err := buildServeModel(run)
 		if err != nil {
 			for _, e := range envs {
 				e.Close()
 			}
 			return nil, nil, err
 		}
+		env := rep.Env
 		if err := w.LoadInto(m.Params()); err != nil {
 			env.Close()
 			for _, e := range envs {
@@ -192,12 +168,16 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 
 	// Train one instance, then freeze through the checkpoint stream — the
 	// same bytes a training run would leave on disk.
-	trainer, trainerEnv, err := buildServeModel(cfg.Run)
+	trainer, trainerRep, err := buildServeModel(cfg.Run)
 	if err != nil {
 		return nil, err
 	}
+	trainerEnv := trainerRep.Env
 	for e := 0; e < cfg.Run.Epochs; e++ {
-		trainer.TrainEpoch()
+		if _, err := trainerRep.Epoch(); err != nil {
+			trainerEnv.Close()
+			return nil, err
+		}
 	}
 	var w *serve.Weights
 	if ck, ok := trainer.(models.Checkpointable); ok {
@@ -244,17 +224,12 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 	}
 
 	res := &FigSResult{
-		Workload: cfg.Run.Workload, Dataset: cfg.Run.Dataset,
+		Workload: cfg.Run.Workload, Dataset: trainerRep.Dataset,
 		Seed: cfg.Run.Seed, TrainEpochs: cfg.Run.Epochs,
 		Replicas: cfg.Replicas, BatchOneSeconds: d1,
 		QPS: cfg.QPS, Duration: cfg.Duration,
 		MaxWaitSeconds: cfg.MaxWaitSeconds, QueueCap: cfg.QueueCap,
 		Arrived: len(reqs),
-	}
-	if res.Dataset == "" {
-		if spec, err := core.Lookup(res.Workload); err == nil {
-			res.Dataset = spec.Datasets[0]
-		}
 	}
 	for _, cache := range cfg.CacheRows {
 		for _, b := range cfg.Batches {

@@ -8,7 +8,6 @@ import (
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 )
 
@@ -63,17 +62,12 @@ func Sweep(key string, values []int, cfg core.RunConfig) ([]SweepPoint, error) {
 	}
 	var out []SweepPoint
 	for _, v := range values {
-		devCfg := gpu.V100()
-		if cfg.SampledWarps > 0 {
-			devCfg.MaxSampledWarps = cfg.SampledWarps
+		env, err := cfg.NewEnv(0)
+		if err != nil {
+			return nil, err
 		}
-		dev := gpu.New(devCfg)
+		dev := env.E.Device()
 		prof := profiler.Attach(dev)
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		env := models.NewEnv(ops.New(dev), seed)
 		env.OnIteration = prof.NextIteration
 		w := build(env, v)
 		prof.Reset()
@@ -86,6 +80,7 @@ func Sweep(key string, values []int, cfg core.RunConfig) ([]SweepPoint, error) {
 		for e := 0; e < epochs; e++ {
 			loss = w.TrainEpoch()
 		}
+		env.Close()
 		out = append(out, SweepPoint{
 			Value:        v,
 			Report:       prof.Snapshot(),

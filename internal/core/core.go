@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
@@ -37,9 +36,11 @@ type Spec struct {
 	GraphKind string
 	// Datasets lists usable dataset keys; the first is the default.
 	Datasets []string
-	// Build constructs the workload on the given dataset with the given
-	// DDP batch divisor.
-	Build func(env *models.Env, dataset string, batchDivisor int) models.Workload
+	// Build constructs the workload on the given dataset. The third
+	// parameter is unused (it was the analytical DDP estimator's batch
+	// divisor; batches shard through env.Rank/env.World and Env.Shard); it
+	// stays in the signature only because e2ebench/ calls Build(env, ds, 1).
+	Build func(env *models.Env, dataset string, _ int) models.Workload
 }
 
 // registry holds the suite in paper order.
@@ -48,7 +49,7 @@ var registry = []Spec{
 		Key: "PSAGE", Model: "PinSAGE", Framework: "DGL",
 		Domain: "Recommendation systems", GraphKind: "heterogeneous bipartite",
 		Datasets: []string{"MVL", "NWP"},
-		Build: func(env *models.Env, dataset string, div int) models.Workload {
+		Build: func(env *models.Env, dataset string, _ int) models.Workload {
 			var ds *datasets.Bipartite
 			switch dataset {
 			case "MVL":
@@ -58,54 +59,54 @@ var registry = []Spec{
 			default:
 				panic("core: PSAGE dataset must be MVL or NWP, got " + dataset)
 			}
-			return models.NewPSAGE(env, ds, models.PSAGEConfig{BatchDivisor: div})
+			return models.NewPSAGE(env, ds, models.PSAGEConfig{})
 		},
 	},
 	{
 		Key: "STGCN", Model: "Spatio-Temporal GCN", Framework: "PyTorch",
 		Domain: "Traffic forecasting", GraphKind: "dynamic (spatio-temporal)",
 		Datasets: []string{"METR-LA"},
-		Build: func(env *models.Env, dataset string, div int) models.Workload {
-			return models.NewSTGCN(env, datasets.METRLA(env.RNG), models.STGCNConfig{BatchDivisor: div})
+		Build: func(env *models.Env, dataset string, _ int) models.Workload {
+			return models.NewSTGCN(env, datasets.METRLA(env.RNG), models.STGCNConfig{})
 		},
 	},
 	{
 		Key: "DGCN", Model: "DeepGCN", Framework: "PyG",
 		Domain: "Molecular property prediction", GraphKind: "batched molecule graphs",
 		Datasets: []string{"ogbg-molhiv"},
-		Build: func(env *models.Env, dataset string, div int) models.Workload {
-			return models.NewDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{BatchDivisor: div})
+		Build: func(env *models.Env, dataset string, _ int) models.Workload {
+			return models.NewDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{})
 		},
 	},
 	{
 		Key: "GW", Model: "GraphWriter", Framework: "PyTorch",
 		Domain: "Text generation from knowledge graphs", GraphKind: "knowledge graphs",
 		Datasets: []string{"AGENDA"},
-		Build: func(env *models.Env, dataset string, div int) models.Workload {
-			return models.NewGW(env, datasets.AGENDA(env.RNG), models.GWConfig{BatchDivisor: div})
+		Build: func(env *models.Env, dataset string, _ int) models.Workload {
+			return models.NewGW(env, datasets.AGENDA(env.RNG), models.GWConfig{})
 		},
 	},
 	{
 		Key: "KGNNL", Model: "k-GNN (1-2-GNN)", Framework: "PyG",
 		Domain: "Protein classification", GraphKind: "batched small graphs",
 		Datasets: []string{"PROTEINS"},
-		Build: func(env *models.Env, dataset string, div int) models.Workload {
-			return models.NewKGNN(env, datasets.Proteins(env.RNG), models.KGNNConfig{K: 2, BatchDivisor: div})
+		Build: func(env *models.Env, dataset string, _ int) models.Workload {
+			return models.NewKGNN(env, datasets.Proteins(env.RNG), models.KGNNConfig{K: 2})
 		},
 	},
 	{
 		Key: "KGNNH", Model: "k-GNN (1-2-3-GNN)", Framework: "PyG",
 		Domain: "Protein classification", GraphKind: "batched small graphs",
 		Datasets: []string{"PROTEINS"},
-		Build: func(env *models.Env, dataset string, div int) models.Workload {
-			return models.NewKGNN(env, datasets.Proteins(env.RNG), models.KGNNConfig{K: 3, BatchDivisor: div})
+		Build: func(env *models.Env, dataset string, _ int) models.Workload {
+			return models.NewKGNN(env, datasets.Proteins(env.RNG), models.KGNNConfig{K: 3})
 		},
 	},
 	{
 		Key: "ARGA", Model: "Adversarially Regularized Graph Autoencoder", Framework: "PyG",
 		Domain: "Node clustering / graph embedding", GraphKind: "homogeneous citation graphs",
 		Datasets: []string{"cora", "citeseer", "pubmed"},
-		Build: func(env *models.Env, dataset string, div int) models.Workload {
+		Build: func(env *models.Env, dataset string, _ int) models.Workload {
 			return models.NewARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{})
 		},
 	},
@@ -113,8 +114,8 @@ var registry = []Spec{
 		Key: "TLSTM", Model: "Child-Sum Tree-LSTM", Framework: "DGL",
 		Domain: "Sentiment classification", GraphKind: "batched trees",
 		Datasets: []string{"SST"},
-		Build: func(env *models.Env, dataset string, div int) models.Workload {
-			return models.NewTLSTM(env, datasets.SST(env.RNG), models.TLSTMConfig{BatchDivisor: div})
+		Build: func(env *models.Env, dataset string, _ int) models.Workload {
+			return models.NewTLSTM(env, datasets.SST(env.RNG), models.TLSTMConfig{})
 		},
 	},
 }
@@ -167,9 +168,6 @@ type RunConfig struct {
 	// GPU selects the device preset: "v100" (default, the paper's GPU),
 	// "p100", or "a100" for cross-generation sensitivity studies.
 	GPU string
-	// BatchDivisor shards the per-iteration batch (used by the analytical
-	// DDP estimate).
-	BatchDivisor int
 	// GPUs selects executed multi-GPU DDP training (RunDDP): the number of
 	// simulated devices, each training a replica on its batch shard with
 	// bucketed ring-allreduce gradient averaging. 0 or 1 = single device.
@@ -226,9 +224,6 @@ func (c *RunConfig) defaults() {
 	if c.SampledWarps == 0 {
 		c.SampledWarps = 4096
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // RunResult is the outcome of one characterization run.
@@ -265,90 +260,39 @@ type RunResult struct {
 	StreamLanes []stream.Lane
 }
 
-// Run executes one characterization run: build device + profiler + model,
-// train, snapshot. A workload whose footprint exceeds the device-memory
-// budget returns a *vmem.OOMError (the simulated-OOM report) as err.
-func Run(cfg RunConfig) (res RunResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if oom, ok := r.(*vmem.OOMError); ok {
-				err = oom
-				return
-			}
-			panic(r)
-		}
-	}()
+// Run executes one characterization run: build the replica, attach the
+// profiler, train, snapshot. A workload whose footprint exceeds the
+// device-memory budget returns a *vmem.OOMError (the simulated-OOM report).
+func Run(cfg RunConfig) (RunResult, error) {
 	cfg.defaults()
-	spec, err := Lookup(cfg.Workload)
+	rep, err := NewReplica(cfg, 0, 0, 1)
 	if err != nil {
 		return RunResult{}, err
 	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	found := false
-	for _, d := range spec.Datasets {
-		if d == dataset {
-			found = true
-		}
-	}
-	if !found {
-		return RunResult{}, fmt.Errorf("core: workload %s has no dataset %q (have %v)",
-			spec.Key, dataset, spec.Datasets)
-	}
-
-	devCfg, err := cfg.DeviceConfig(0)
-	if err != nil {
-		return RunResult{}, err
-	}
-	be, err := backend.New(cfg.Backend)
-	if err != nil {
-		return RunResult{}, err
-	}
-	dev := gpu.New(devCfg)
-	if cfg.OnDevice != nil {
-		cfg.OnDevice(dev)
-	}
+	defer rep.Env.Close()
+	// Construction may launch preprocessing kernels; measure training only.
+	// The profiler attaches after construction for the same reason.
+	rep.Rebase()
+	env, dev := rep.Env, rep.Dev
 	prof := profiler.Attach(dev)
-	env := models.NewEnv(ops.NewWith(dev, be), cfg.Seed)
 	env.OnIteration = prof.NextIteration
-	env.Training = !cfg.ForwardOnly
-	// The pipeline config must be set before Build: workload constructors
-	// create their input loaders from it.
-	env.Pipeline = models.PipelineConfig{
-		Depth:       cfg.PipelineDepth,
-		Workers:     cfg.LoaderWorkers,
-		CompressH2D: cfg.CompressH2D,
-	}
-	defer env.Close()
-
-	w := spec.Build(env, dataset, cfg.BatchDivisor)
-	// Construction may launch preprocessing kernels; measure training only
-	// (memory peaks rebase to the still-live construction footprint).
-	prof.Reset()
-	dev.ResetClock()
-	dev.Mem().ResetPeak()
 	if obs.Enabled() {
 		obs.Reset()
 	}
-	// Enable the stream timeline after construction and the clock reset, so
-	// construction kernels stay on the classic path and the overlapped
-	// timeline starts at t = 0 alongside the serialized clock.
-	env.E.EnablePipeline(cfg.PipelineDepth, cfg.CompressH2D)
 
-	res = RunResult{
-		Workload:   spec.Key,
-		Dataset:    dataset,
-		ParamCount: nn.NumParams(w.Params()),
+	res := RunResult{
+		Workload:   rep.Spec.Key,
+		Dataset:    rep.Dataset,
+		ParamCount: nn.NumParams(rep.W.Params()),
 	}
 	lastCap := obs.CapturePhases()
 	lastOpCap := ops.CaptureOpClasses()
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		epochScope := env.E.Track().Begin("epoch", obs.CatPhase)
-		res.Losses = append(res.Losses, w.TrainEpoch())
-		env.FinishPhase()
-		epochScope.End()
+		loss, err := rep.Epoch()
+		if err != nil {
+			return RunResult{}, err
+		}
+		res.Losses = append(res.Losses, loss)
 		if obs.Enabled() {
 			cap1 := obs.CapturePhases()
 			res.HostPhases = append(res.HostPhases, lastCap.Delta(cap1))
@@ -361,9 +305,6 @@ func Run(cfg RunConfig) (res RunResult, err error) {
 		if pe, ok := env.E.EpochPipeStats(); ok {
 			res.Pipe = append(res.Pipe, pe)
 		}
-		// Drop dead per-tensor address bookkeeping between epochs so the
-		// engine's maps track live tensors, not every activation ever seen.
-		env.E.Reset()
 	}
 	res.StreamLanes = env.E.StreamLanes()
 	res.Report = prof.Snapshot()
@@ -416,60 +357,23 @@ func (c *RunConfig) DeviceConfig(slot int) (gpu.Config, error) {
 type SlotReplicaFactory func(slot, rank, world int) (models.Workload, *models.Env)
 
 // DDPSlotFactory returns the slot-aware replica builder for cfg's
-// workload: the heterogeneous-fleet generalization of DDPFactory. Every
-// device config the fleet can reach is validated up front, so the factory
-// itself never fails.
+// workload: the heterogeneous-fleet generalization of DDPFactory. The
+// configuration is validated up front, so the factory itself fails only
+// on a slot outside the declared fleet or a construction-time device
+// failure, and then by panicking with that error (ddp.ReplicaFactory has
+// no error return). Replicas are not rebased: the cluster resets each
+// device clock itself and counts construction in its peak memory.
 func DDPSlotFactory(cfg RunConfig) (SlotReplicaFactory, error) {
 	cfg.defaults()
-	spec, err := Lookup(cfg.Workload)
-	if err != nil {
+	if _, _, err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	be, err := backend.New(cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve every reachable device config now: one per declared slot, or
-	// the single shared preset.
-	slots := len(cfg.Devices)
-	if slots == 0 {
-		slots = 1
-	}
-	devCfgs := make([]gpu.Config, slots)
-	for i := range devCfgs {
-		if devCfgs[i], err = cfg.DeviceConfig(i); err != nil {
-			return nil, err
-		}
-	}
-
 	return func(slot, rank, world int) (models.Workload, *models.Env) {
-		devCfg := devCfgs[0]
-		if len(cfg.Devices) > 0 {
-			if slot < 0 || slot >= len(devCfgs) {
-				panic(fmt.Sprintf("core: fleet slot %d outside the %d declared devices", slot, len(devCfgs)))
-			}
-			devCfg = devCfgs[slot]
+		rep, err := NewReplica(cfg, slot, rank, world)
+		if err != nil {
+			panic(err)
 		}
-		dev := gpu.New(devCfg)
-		if cfg.OnDevice != nil {
-			cfg.OnDevice(dev)
-		}
-		env := models.NewEnv(ops.NewWith(dev, be), cfg.Seed)
-		env.Rank, env.World = rank, world
-		env.Pipeline = models.PipelineConfig{
-			Depth:       cfg.PipelineDepth,
-			Workers:     cfg.LoaderWorkers,
-			CompressH2D: cfg.CompressH2D,
-		}
-		w := spec.Build(env, dataset, 1)
-		// Construction kernels stay on the classic path; the cluster resets
-		// the device clock before training, and the timeline starts at 0.
-		env.E.EnablePipeline(cfg.PipelineDepth, cfg.CompressH2D)
-		return w, env
+		return rep.W, rep.Env
 	}, nil
 }
 

@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/graph"
 	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/partitioned"
 )
 
@@ -23,64 +22,34 @@ func PartitionedWorkloads() []string { return []string{"ARGA", "DGCN"} }
 // graph.PartitionBFS); it must be deterministic — every rank runs it.
 func PartitionedFactory(cfg RunConfig, partition func(g *graph.CSR, k int) ([]int32, int)) (partitioned.Factory, error) {
 	cfg.defaults()
-	spec, err := Lookup(cfg.Workload)
+	spec, dataset, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	// Resolve every reachable device config up front: one per declared
-	// fleet slot (rank = slot under the partitioned plane), or the single
-	// shared preset.
-	slots := len(cfg.Devices)
-	if slots == 0 {
-		slots = 1
-	}
-	devCfgs := make([]gpu.Config, slots)
-	for i := range devCfgs {
-		var err error
-		if devCfgs[i], err = cfg.DeviceConfig(i); err != nil {
-			return nil, err
-		}
-	}
-	be, err := backend.New(cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-
-	switch spec.Key {
-	case "ARGA", "DGCN":
-	default:
+	if !slices.Contains(PartitionedWorkloads(), spec.Key) {
 		return nil, fmt.Errorf("core: workload %s does not support partitioned training (have %v)",
 			spec.Key, PartitionedWorkloads())
 	}
+	// The partitioned plane never pipelines its input: its own two-stream
+	// timeline owns the overlap model, so the Env's clock must stay the
+	// serialized device clock.
+	cfg.PipelineDepth = 0
 
+	// Rank = fleet slot under this plane. Partition workloads are not
+	// registry builds, so the factory starts from NewEnv; like the DDP
+	// factory it can only fail on a rank outside the declared fleet.
 	return func(rank, world int) (models.PartWorkload, *models.Env, *gpu.Device) {
-		devCfg := devCfgs[0]
-		if len(cfg.Devices) > 0 {
-			if rank >= len(devCfgs) {
-				panic(fmt.Sprintf("core: partitioned rank %d outside the %d declared devices", rank, len(devCfgs)))
-			}
-			devCfg = devCfgs[rank]
+		env, err := cfg.NewEnv(rank)
+		if err != nil {
+			panic(err)
 		}
-		dev := gpu.New(devCfg)
-		if cfg.OnDevice != nil {
-			cfg.OnDevice(dev)
+		var w models.PartWorkload
+		if spec.Key == "ARGA" {
+			w = models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition)
+		} else { // DGCN
+			w = models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition)
 		}
-		// The partitioned plane never enables the pipeline: its own
-		// two-stream timeline owns the overlap model, so the Env's clock
-		// must stay the serialized device clock.
-		env := models.NewEnv(ops.NewWith(dev, be), cfg.Seed)
-		switch spec.Key {
-		case "ARGA":
-			ds := datasets.NewCitation(env.RNG, dataset)
-			return models.NewPartitionedARGA(env, ds, models.ARGAConfig{}, rank, world, partition), env, dev
-		default: // DGCN
-			ds := datasets.MolHIV(env.RNG)
-			return models.NewPartitionedDGCN(env, ds, models.DGCNConfig{}, rank, world, partition), env, dev
-		}
+		return w, env, env.E.Device()
 	}, nil
 }
 

@@ -1,0 +1,182 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"gnnmark/internal/backend"
+	"gnnmark/internal/fault"
+	"gnnmark/internal/gpu"
+	"gnnmark/internal/models"
+	"gnnmark/internal/obs"
+	"gnnmark/internal/ops"
+	"gnnmark/internal/vmem"
+)
+
+// Replica is one workload constructed on its own simulated device. Every
+// execution path — single-device runs, DDP and elastic replicas, scenario
+// segments, serving replicas, the trace tools — builds it through
+// NewReplica, so a workload is the same object whichever plane trains it.
+type Replica struct {
+	Spec    Spec
+	Dataset string
+	W       models.Workload
+	Env     *models.Env
+	Dev     *gpu.Device
+}
+
+// resolve returns c's workload spec and dataset (empty = the spec's
+// default), rejecting a dataset the workload does not have.
+func (c *RunConfig) resolve() (Spec, string, error) {
+	spec, err := Lookup(c.Workload)
+	if err != nil {
+		return Spec{}, "", err
+	}
+	dataset := c.Dataset
+	if dataset == "" {
+		dataset = spec.Datasets[0]
+	}
+	if !slices.Contains(spec.Datasets, dataset) {
+		return Spec{}, "", fmt.Errorf("core: workload %s has no dataset %q (have %v)",
+			spec.Key, dataset, spec.Datasets)
+	}
+	return spec, dataset, nil
+}
+
+// validate resolves everything a factory closed over c can reach — spec,
+// dataset, backend, the device model of every declared fleet slot — so
+// the factory's own calls cannot fail on configuration.
+func (c *RunConfig) validate() (Spec, string, error) {
+	spec, dataset, err := c.resolve()
+	if err != nil {
+		return Spec{}, "", err
+	}
+	if _, err := backend.New(c.Backend); err != nil {
+		return Spec{}, "", err
+	}
+	for slot := 0; slot < max(1, len(c.Devices)); slot++ {
+		if _, err := c.DeviceConfig(slot); err != nil {
+			return Spec{}, "", err
+		}
+	}
+	return spec, dataset, nil
+}
+
+// NewEnv builds the device-attached Env of fleet slot `slot`, in this
+// order: device model (DeviceConfig), numerics backend, simulated device
+// (OnDevice fires before any kernel launches), op engine, seeded Env
+// (seed 0 reads as 1), training mode, input-pipeline config — which must be
+// set before a workload is built, because constructors create their
+// loaders from it. Callers that build something other than a registry
+// workload (hyperparameter sweeps, the DNN baseline, partition workloads)
+// start here; everything else goes through NewReplica. The device is
+// env.E.Device().
+func (c *RunConfig) NewEnv(slot int) (*models.Env, error) {
+	devCfg, err := c.DeviceConfig(slot)
+	if err != nil {
+		return nil, err
+	}
+	be, err := backend.New(c.Backend)
+	if err != nil {
+		return nil, err
+	}
+	dev := gpu.New(devCfg)
+	if c.OnDevice != nil {
+		c.OnDevice(dev)
+	}
+	seed := c.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	env := models.NewEnv(ops.NewWith(dev, be), seed)
+	env.Training = !c.ForwardOnly
+	env.Pipeline = models.PipelineConfig{
+		Depth:       c.PipelineDepth,
+		Workers:     c.LoaderWorkers,
+		CompressH2D: c.CompressH2D,
+	}
+	return env, nil
+}
+
+// NewReplica constructs replica `rank` of a `world`-replica run of cfg's
+// workload on the device model of fleet slot `slot` (single-device callers
+// pass 0, 0, 1): resolve the spec and dataset, NewEnv, set the replica's
+// rank and world (batches shard at construction time), build the workload,
+// then enable the stream timeline — after construction, so construction
+// kernels stay on the classic serialized path. A construction-time device
+// failure (the footprint includes preprocessing, so a build can OOM) is
+// returned as the error.
+//
+// The replica is NOT rebased: its clock and peak memory still include
+// construction. Planes that measure training only call Rebase next.
+func NewReplica(cfg RunConfig, slot, rank, world int) (*Replica, error) {
+	cfg.defaults()
+	spec, dataset, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	env, err := cfg.NewEnv(slot)
+	if err != nil {
+		return nil, err
+	}
+	env.Rank, env.World = rank, world
+	rep := &Replica{Spec: spec, Dataset: dataset, Env: env, Dev: env.E.Device()}
+	if err := guard(func() { rep.W = spec.Build(env, dataset, 1) }); err != nil {
+		env.Close()
+		return nil, err
+	}
+	env.E.EnablePipeline(cfg.PipelineDepth, cfg.CompressH2D)
+	return rep, nil
+}
+
+// Rebase makes construction invisible to what follows: the device clock
+// restarts at zero, the allocator's peaks rebase to the still-live
+// construction footprint, and the stream timeline (which keeps a cursor
+// into the serialized clock) is re-armed beside the reset clock. The
+// single-device planes rebase because they report training time and the
+// per-iteration footprint. The DDP cluster resets each replica's clock
+// itself and counts construction in its peak memory, and the partitioned
+// plane counts construction in PeakBytes and offsets its monitors by the
+// construction time instead; neither calls this, and the golden digests
+// pin the difference.
+func (r *Replica) Rebase() {
+	r.Dev.ResetClock()
+	r.Dev.Mem().ResetPeak()
+	r.Env.E.EnablePipeline(r.Env.Pipeline.Depth, r.Env.Pipeline.CompressH2D)
+}
+
+// Epoch trains one epoch, closes its trailing host phase, and drops the
+// engine's dead per-tensor bookkeeping. A simulated OOM or a fatal health
+// event during the epoch is returned as the error; the replica is then
+// dead and must not be trained further.
+func (r *Replica) Epoch() (loss float64, err error) {
+	err = guard(func() {
+		scope := r.Env.E.Track().Begin("epoch", obs.CatPhase)
+		loss = r.W.TrainEpoch()
+		r.Env.FinishPhase()
+		scope.End()
+		r.Env.E.Reset()
+	})
+	return loss, err
+}
+
+// guard runs f and returns the failure a simulated device raised in it.
+// gpu.Device.Launch reports a parked *vmem.OOMError and a fatal health
+// event's *fault.FatalError by panicking (a kernel launch has no error
+// return); this is the one place the single-device planes turn that back
+// into an error. Any other panic is a bug and keeps unwinding.
+func guard(f func()) (err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *vmem.OOMError:
+			err = r
+		case *fault.FatalError:
+			err = r
+		default:
+			panic(r)
+		}
+	}()
+	f()
+	return nil
+}

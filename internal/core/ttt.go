@@ -1,15 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"gnnmark/internal/backend"
-	"gnnmark/internal/gpu"
-	"gnnmark/internal/models"
-	"gnnmark/internal/nn"
-	"gnnmark/internal/ops"
-	"gnnmark/internal/profiler"
-)
+import "fmt"
 
 // TTTResult is the outcome of a time-to-train run: the MLPerf-style metric
 // the paper planned to adopt ("we plan to update our suite using the
@@ -35,46 +26,26 @@ type TTTResult struct {
 // TimeToTrain trains the configured workload until its epoch loss falls to
 // targetLoss or maxEpochs elapse, and reports the simulated time consumed.
 func TimeToTrain(cfg RunConfig, targetLoss float64, maxEpochs int) (TTTResult, error) {
-	cfg.defaults()
 	if maxEpochs <= 0 {
 		return TTTResult{}, fmt.Errorf("core: TimeToTrain requires positive maxEpochs, got %d", maxEpochs)
 	}
-	spec, err := Lookup(cfg.Workload)
+	rep, err := NewReplica(cfg, 0, 0, 1)
 	if err != nil {
 		return TTTResult{}, err
 	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-
-	devCfg, err := gpu.Preset(cfg.GPU)
-	if err != nil {
-		return TTTResult{}, err
-	}
-	devCfg.MaxSampledWarps = cfg.SampledWarps
-	devCfg.HalfPrecision = cfg.HalfPrecision
-	be, err := backend.New(cfg.Backend)
-	if err != nil {
-		return TTTResult{}, err
-	}
-	dev := gpu.New(devCfg)
-	prof := profiler.Attach(dev)
-	env := models.NewEnv(ops.NewWith(dev, be), cfg.Seed)
-	env.OnIteration = prof.NextIteration
-
-	w := spec.Build(env, dataset, cfg.BatchDivisor)
-	dev.ResetClock()
+	defer rep.Env.Close()
+	rep.Rebase()
 
 	res := TTTResult{
-		Workload:   spec.Key,
-		Dataset:    dataset,
+		Workload:   rep.Spec.Key,
+		Dataset:    rep.Dataset,
 		TargetLoss: targetLoss,
 	}
-	_ = nn.NumParams(w.Params()) // touch params so misconfigured builds fail fast
 	for ep := 0; ep < maxEpochs; ep++ {
-		loss := w.TrainEpoch()
-		env.E.Reset()
+		loss, err := rep.Epoch()
+		if err != nil {
+			return TTTResult{}, err
+		}
 		res.LossCurve = append(res.LossCurve, loss)
 		res.Epochs = ep + 1
 		res.FinalLoss = loss
@@ -83,6 +54,6 @@ func TimeToTrain(cfg RunConfig, targetLoss float64, maxEpochs int) (TTTResult, e
 			break
 		}
 	}
-	res.SimSeconds = dev.ElapsedSeconds()
+	res.SimSeconds = rep.Env.SimClock()
 	return res, nil
 }

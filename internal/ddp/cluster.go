@@ -24,8 +24,7 @@ var (
 	obsAllreduceBytes  = obs.GetCounter("ddp.allreduce_bytes_total")
 )
 
-// This file is the executed replication engine: instead of timing one shard
-// and adding a closed-form allreduce term (ddp.go, kept for comparison), a
+// This file is the executed replication engine: a
 // Cluster really trains G replicas of the workload on G simulated devices —
 // one goroutine each — and really averages their gradients through a
 // bucketed ring-allreduce, so the multi-GPU result is a trained model whose

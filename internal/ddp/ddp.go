@@ -1,13 +1,16 @@
-// Package ddp simulates PyTorch DistributedDataParallel training of the
-// GNNMark workloads on a multi-GPU NVLink node (the paper's 4xV100 EC2
-// instance, §V-E / Figure 9).
+// Package ddp executes PyTorch DistributedDataParallel training of the
+// GNNMark workloads on a simulated multi-GPU NVLink node (the paper's
+// 4xV100 EC2 instance, §V-E / Figure 9).
 //
-// The model is a timeline composition: per-GPU compute time comes from
-// actually running the workload on a simulated device with its per-device
-// batch shard (BatchDivisor = world size), and gradient synchronization adds
-// a ring-allreduce term per iteration:
+// A Cluster trains one replica per simulated device, each on its rank's
+// shard of every global batch (models.Env.Shard, driven by env.Rank and
+// env.World — the only way a batch is split), and averages their gradients
+// through a bucketed ring allreduce whose modeled cost per bucket is
 //
-//	t_comm = 2 (G-1)/G * gradBytes / BW  +  2 (G-1) * latency  +  hook
+//	t_comm = 2 (G-1)/G * bytes / BW  +  2 (G-1) * latency  +  hook
+//
+// overlapped against the remaining backward compute (cluster.go). This
+// file holds the interconnect model and the per-world-size result row.
 //
 // Two pathologies the paper observes are reproduced structurally:
 //
@@ -18,14 +21,7 @@
 //     per-epoch time, so extra GPUs buy nothing.
 package ddp
 
-import (
-	"fmt"
-
-	"gnnmark/internal/gpu"
-	"gnnmark/internal/models"
-	"gnnmark/internal/nn"
-	"gnnmark/internal/obs"
-)
+import "gnnmark/internal/obs"
 
 // CommConfig parameterizes the interconnect and framework overhead.
 type CommConfig struct {
@@ -48,15 +44,7 @@ func DefaultComm() CommConfig {
 	}
 }
 
-// WorkloadFactory builds a fresh workload (and the device it runs on) with
-// the given per-device batch divisor. Each call must return an independent
-// instance: the simulator measures devices in isolation.
-type WorkloadFactory func(batchDivisor int) (models.Workload, *gpu.Device)
-
-// Result is the simulated outcome for one world size. The analytical
-// estimators (StrongScaling/WeakScaling) fill the first block; the executed
-// engine (ExecutedStrongScaling) additionally reports the overlap split and
-// sets Executed.
+// Result is the outcome for one world size of ExecutedStrongScaling.
 type Result struct {
 	GPUs           int
 	EpochSeconds   float64
@@ -67,7 +55,6 @@ type Result struct {
 	Iterations     int
 	GradBytesPerIt uint64
 
-	// Executed-engine extras (zero for analytical results).
 	Executed              bool
 	Buckets               int     // reducer buckets per iteration
 	ExposedCommSeconds    float64 // comm left on the critical path
@@ -96,94 +83,4 @@ func allreduceSeconds(cfg CommConfig, gpus int, gradBytes uint64) float64 {
 	latency := 2 * (g - 1) * cfg.NVLinkLatencyUS * 1e-6
 	hook := cfg.HookOverheadUS * 1e-6
 	return transfer + latency + hook
-}
-
-// StrongScaling measures epoch time for each world size with the global
-// batch fixed (per-GPU shard = batch / G). The workload trains warmup+1
-// epochs; the last epoch is measured, matching the paper's average-epoch
-// methodology (they report time-per-epoch over five epochs with stable
-// variance).
-func StrongScaling(factory WorkloadFactory, gpuCounts []int, cfg CommConfig) []Result {
-	results := make([]Result, 0, len(gpuCounts))
-	var base float64
-	for _, g := range gpuCounts {
-		if g < 1 {
-			panic(fmt.Sprintf("ddp: invalid GPU count %d", g))
-		}
-		w, dev := factory(g)
-		replicated := false
-		if g > 1 && !w.DDPCompatible() {
-			// Sampler cannot shard: rebuild with the full batch per GPU.
-			w, dev = factory(1)
-			replicated = true
-		}
-		gradBytes := uint64(nn.ParamBytes(w.Params()))
-
-		dev.ResetClock()
-		w.TrainEpoch()
-		compute := dev.ElapsedSeconds()
-
-		iters := w.IterationsPerEpoch()
-		comm := float64(iters) * allreduceSeconds(cfg, g, gradBytes)
-		if replicated {
-			// Every replica pulls the same batches over the shared host
-			// link: H2D time multiplies with world size (the "unnecessary
-			// communication" of the paper's PSAGE observation).
-			comm += float64(g-1) * dev.TransferSeconds()
-		}
-		epoch := compute + comm
-
-		r := Result{
-			GPUs:           g,
-			EpochSeconds:   epoch,
-			ComputeSeconds: compute,
-			CommSeconds:    comm,
-			Replicated:     replicated,
-			Iterations:     iters,
-		}
-		r.GradBytesPerIt = gradBytes
-		if g == 1 {
-			base = epoch
-		}
-		if base > 0 {
-			r.Speedup = base / epoch
-		}
-		results = append(results, r)
-	}
-	return results
-}
-
-// WeakScaling measures epoch time with a fixed per-GPU batch (divisor 1 for
-// every world size): the paper's future-work study. Compute stays constant;
-// only communication grows.
-func WeakScaling(factory WorkloadFactory, gpuCounts []int, cfg CommConfig) []Result {
-	results := make([]Result, 0, len(gpuCounts))
-	var base float64
-	for _, g := range gpuCounts {
-		w, dev := factory(1)
-		gradBytes := uint64(nn.ParamBytes(w.Params()))
-		dev.ResetClock()
-		w.TrainEpoch()
-		compute := dev.ElapsedSeconds()
-		iters := w.IterationsPerEpoch()
-		comm := float64(iters) * allreduceSeconds(cfg, g, gradBytes)
-		epoch := compute + comm
-		r := Result{
-			GPUs:           g,
-			EpochSeconds:   epoch,
-			ComputeSeconds: compute,
-			CommSeconds:    comm,
-			Iterations:     iters,
-		}
-		r.GradBytesPerIt = gradBytes
-		if g == 1 {
-			base = epoch
-		}
-		if base > 0 {
-			// Weak-scaling efficiency: ideal is 1.0 (flat epoch time).
-			r.Speedup = base / epoch
-		}
-		results = append(results, r)
-	}
-	return results
 }

@@ -1,42 +1,6 @@
 package ddp
 
-import (
-	"math"
-	"testing"
-
-	"gnnmark/internal/datasets"
-	"gnnmark/internal/gpu"
-	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
-)
-
-func factoryFor(name string) WorkloadFactory {
-	return func(div int) (models.Workload, *gpu.Device) {
-		cfg := gpu.V100()
-		cfg.MaxSampledWarps = 512
-		dev := gpu.New(cfg)
-		env := models.NewEnv(ops.New(dev), 21)
-		switch name {
-		case "DGCN":
-			ds := datasets.MolHIV(env.RNG)
-			ds.Graphs = ds.Graphs[:64]
-			ds.Features = ds.Features[:64]
-			ds.Labels = ds.Labels[:64]
-			return models.NewDGCN(env, ds, models.DGCNConfig{Layers: 8, Hidden: 48, BatchSize: 64, BatchDivisor: div}), dev
-		case "STGCN":
-			return models.NewSTGCN(env, datasets.METRLA(env.RNG),
-				models.STGCNConfig{Channels: 32, BatchSize: 48, Batches: 1, BatchDivisor: div}), dev
-		case "TLSTM":
-			ds := datasets.SST(env.RNG)
-			ds.Trees = ds.Trees[:32]
-			return models.NewTLSTM(env, ds, models.TLSTMConfig{EmbedDim: 16, Hidden: 16, BatchSize: 16, BatchDivisor: div}), dev
-		case "PSAGE":
-			return models.NewPSAGE(env, datasets.MovieLens(env.RNG),
-				models.PSAGEConfig{Hidden: 16, BatchSize: 16, Batches: 3, BatchDivisor: div}), dev
-		}
-		panic("unknown " + name)
-	}
-}
+import "testing"
 
 func TestAllreduceCost(t *testing.T) {
 	cfg := DefaultComm()
@@ -52,81 +16,4 @@ func TestAllreduceCost(t *testing.T) {
 	if allreduceSeconds(cfg, 4, 1<<24) <= c4 {
 		t.Fatal("comm must grow with payload")
 	}
-}
-
-func TestStrongScalingComputeHeavyWorkloadScales(t *testing.T) {
-	res := StrongScaling(factoryFor("STGCN"), []int{1, 2, 4}, DefaultComm())
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
-	}
-	if res[0].Speedup != 1 {
-		t.Fatalf("baseline speedup = %g", res[0].Speedup)
-	}
-	if res[2].Speedup <= 1.2 {
-		t.Fatalf("STGCN 4-GPU speedup = %.2f, want > 1.2", res[2].Speedup)
-	}
-	if res[1].CommSeconds <= 0 {
-		t.Fatal("multi-GPU must pay communication")
-	}
-	for _, r := range res {
-		if r.Replicated {
-			t.Fatal("STGCN must not replicate")
-		}
-	}
-}
-
-func TestStrongScalingPSAGEDegrades(t *testing.T) {
-	res := StrongScaling(factoryFor("PSAGE"), []int{1, 2, 4}, DefaultComm())
-	if !res[1].Replicated || !res[2].Replicated {
-		t.Fatal("PSAGE must be marked replicated beyond 1 GPU")
-	}
-	if res[2].Speedup >= 1.0 {
-		t.Fatalf("PSAGE 4-GPU speedup = %.2f, want < 1 (degradation)", res[2].Speedup)
-	}
-	// Degradation worsens with more GPUs.
-	if res[2].Speedup > res[1].Speedup {
-		t.Fatalf("PSAGE should degrade monotonically: %v", res)
-	}
-}
-
-func TestStrongScalingTLSTMFlat(t *testing.T) {
-	res := StrongScaling(factoryFor("TLSTM"), []int{1, 4}, DefaultComm())
-	if res[1].Speedup > 1.3 {
-		t.Fatalf("TLSTM 4-GPU speedup = %.2f, want near-flat (launch-bound)", res[1].Speedup)
-	}
-}
-
-func TestStrongScalingOrdering(t *testing.T) {
-	// The Figure 9 shape: compute-heavy workloads scale better than the
-	// launch-bound one, which beats the replicated one.
-	stgcn := StrongScaling(factoryFor("STGCN"), []int{1, 4}, DefaultComm())[1].Speedup
-	tlstm := StrongScaling(factoryFor("TLSTM"), []int{1, 4}, DefaultComm())[1].Speedup
-	psage := StrongScaling(factoryFor("PSAGE"), []int{1, 4}, DefaultComm())[1].Speedup
-	if !(stgcn > tlstm && tlstm > psage) {
-		t.Fatalf("scaling order wrong: STGCN %.2f, TLSTM %.2f, PSAGE %.2f", stgcn, tlstm, psage)
-	}
-}
-
-func TestWeakScalingEfficiency(t *testing.T) {
-	res := WeakScaling(factoryFor("DGCN"), []int{1, 2, 4}, DefaultComm())
-	if math.Abs(res[0].Speedup-1) > 1e-9 {
-		t.Fatalf("baseline efficiency = %g", res[0].Speedup)
-	}
-	// Efficiency decays but stays positive; compute stays constant.
-	if res[2].Speedup >= 1 || res[2].Speedup <= 0 {
-		t.Fatalf("weak-scaling efficiency = %g", res[2].Speedup)
-	}
-	ratio := res[2].ComputeSeconds / res[0].ComputeSeconds
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("weak scaling compute should be constant, ratio %g", ratio)
-	}
-}
-
-func TestStrongScalingPanicsOnBadGPUs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	StrongScaling(factoryFor("DGCN"), []int{0}, DefaultComm())
 }

@@ -3,6 +3,7 @@ package ddp
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"gnnmark/internal/fault"
@@ -259,6 +260,11 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 		// Consume the fatal events that fired: a restarted round must not
 		// re-latch them (the replaced or dropped device is gone).
 		schedule = dropEvents(schedule, ff.Events)
+		// The failed round's replicas are dead and the largest objects in
+		// the process. Collect them before the next round builds theirs, so
+		// a recovery's host footprint is one fleet, not two, whatever the
+		// collector's pacing happened to be when the round died.
+		runtime.GC()
 
 		if opts.FailStop {
 			// Fail-stop baseline: wait out replacement, rebuild at full

@@ -26,7 +26,6 @@ type DGCN struct {
 	hidden int
 
 	globalBatch int
-	shardBatch  int
 	batches     []dgcnBatch
 
 	staging *loader.Loader // per-batch feature uploads, staged ahead
@@ -46,8 +45,6 @@ type DGCNConfig struct {
 	Hidden    int // hidden width (default 48)
 	BatchSize int // molecules per batch (default 32)
 	LR        float32
-	// BatchDivisor shrinks the per-device batch for DDP strong-scaling runs.
-	BatchDivisor int
 }
 
 func (c *DGCNConfig) defaults() {
@@ -63,9 +60,6 @@ func (c *DGCNConfig) defaults() {
 	if c.LR == 0 {
 		c.LR = 0.003
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // NewDGCN builds DeepGCN on a molecule dataset.
@@ -78,7 +72,6 @@ func NewDGCN(env *Env, ds *datasets.MoleculeSet, cfg DGCNConfig) *DGCN {
 		head:        nn.NewLinear(env.RNG, "dgcn.head", cfg.Hidden, 2, true),
 		hidden:      cfg.Hidden,
 		globalBatch: cfg.BatchSize,
-		shardBatch:  max(1, cfg.BatchSize/cfg.BatchDivisor),
 	}
 	for l := 0; l < cfg.Layers; l++ {
 		m.convs = append(m.convs, nn.NewLinear(env.RNG, "dgcn.conv", cfg.Hidden, cfg.Hidden, false))
@@ -104,11 +97,10 @@ func NewDGCN(env *Env, ds *datasets.MoleculeSet, cfg DGCNConfig) *DGCN {
 func (m *DGCN) prepareBatches() {
 	// Batches are scheduled over the global batch size; under DDP each
 	// device materializes only its shard of every global batch, keeping the
-	// iteration count constant (strong scaling). The analytical path shards
-	// via BatchDivisor (shardBatch), the executed path via Env.Shard.
+	// iteration count constant (strong scaling).
 	n := len(m.ds.Graphs)
 	for gstart := 0; gstart < n; gstart += m.globalBatch {
-		start, end := m.env.Shard(gstart, min(gstart+m.shardBatch, n))
+		start, end := m.env.Shard(gstart, min(gstart+m.globalBatch, n))
 		gs := m.ds.Graphs[start:end]
 		b := graph.NewBatch(gs)
 		norm := b.Adj.NormalizeGCN()

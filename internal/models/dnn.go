@@ -29,7 +29,6 @@ type DNN struct {
 	batch     int
 	batches   int
 	classes   int
-	shardDiv  int
 	flatWidth int
 }
 
@@ -42,8 +41,6 @@ type DNNConfig struct {
 	Batches   int   // batches per epoch (default 4)
 	Images    int   // synthetic dataset size (default BatchSize*Batches)
 	LR        float32
-	// BatchDivisor shrinks the per-device batch for DDP runs.
-	BatchDivisor int
 }
 
 func (c *DNNConfig) defaults() {
@@ -68,9 +65,6 @@ func (c *DNNConfig) defaults() {
 	if c.LR == 0 {
 		c.LR = 0.003
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // NewDNN builds the baseline CNN with a seeded synthetic image set whose
@@ -84,7 +78,6 @@ func NewDNN(env *Env, cfg DNNConfig) *DNN {
 		batch:    cfg.BatchSize,
 		batches:  cfg.Batches,
 		classes:  cfg.Classes,
-		shardDiv: cfg.BatchDivisor,
 	}
 	in := 3
 	for i, ch := range cfg.Channels {
@@ -155,14 +148,13 @@ func (m *DNN) Params() []*autograd.Param {
 // TrainEpoch implements Workload.
 func (m *DNN) TrainEpoch() float64 {
 	var total float64
-	shard := max(1, m.batch/m.shardDiv)
 	plane := 3 * m.imgSize * m.imgSize
 	for it := 0; it < m.batches; it++ {
 		m.env.iter()
 		e := m.env.E
 
 		start := (it * m.batch) % m.images.Dim(0)
-		n := min(shard, m.images.Dim(0)-start)
+		n := min(m.batch, m.images.Dim(0)-start)
 		x := tensor.New(n, 3, m.imgSize, m.imgSize)
 		copy(x.Data(), m.images.Data()[start*plane:(start+n)*plane])
 		labels := m.labels[start : start+n]

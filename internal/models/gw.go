@@ -26,7 +26,6 @@ type GW struct {
 
 	dim          int
 	globalBatch  int
-	shardBatch   int
 	cfgMaxDecode int
 }
 
@@ -40,8 +39,6 @@ type GWConfig struct {
 	// WarmupSteps configures the transformer LR warmup (default 16).
 	WarmupSteps int
 	LR          float32
-	// BatchDivisor shrinks the per-device batch for DDP runs.
-	BatchDivisor int
 }
 
 func (c *GWConfig) defaults() {
@@ -66,9 +63,6 @@ func (c *GWConfig) defaults() {
 	if c.LR == 0 {
 		c.LR = 0.004
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // NewGW builds the workload on a knowledge-graph-to-text dataset.
@@ -84,7 +78,6 @@ func NewGW(env *Env, ds *datasets.KGText, cfg GWConfig) *GW {
 		proj:        nn.NewLinear(env.RNG, "gw.proj", cfg.Dim, ds.Vocab, true),
 		dim:         cfg.Dim,
 		globalBatch: cfg.BatchSize,
-		shardBatch:  max(1, cfg.BatchSize/cfg.BatchDivisor),
 	}
 	for l := 0; l < cfg.EncLayers; l++ {
 		m.enc = append(m.enc, nn.NewTransformerBlock(env.RNG, "gw.enc", cfg.Dim, cfg.Heads, 2*cfg.Dim))
@@ -134,10 +127,8 @@ func (m *GW) TrainEpoch() float64 {
 	for it := 0; it < iters; it++ {
 		m.env.iter()
 		e := m.env.E
-		start := it * m.globalBatch
-		end := min(start+m.shardBatch, len(m.ds.Examples))
-		// Executed DDP further splits the batch across replica ranks.
-		start, end = m.env.Shard(start, end)
+		// DDP splits the global batch across replica ranks.
+		start, end := m.env.Shard(it*m.globalBatch, min((it+1)*m.globalBatch, len(m.ds.Examples)))
 		bsz := end - start
 
 		t := autograd.NewTape(e)

@@ -30,7 +30,6 @@ type KGNN struct {
 	hidden int
 
 	globalBatch int
-	shardBatch  int
 	batches     []kgnnBatch
 
 	staging *loader.Loader // per-batch feature uploads, staged ahead
@@ -61,8 +60,6 @@ type KGNNConfig struct {
 	Layers    int // layers per level (default 2)
 	BatchSize int // graphs per batch (default 32)
 	LR        float32
-	// BatchDivisor shrinks the per-device batch for DDP runs.
-	BatchDivisor int
 }
 
 func (c *KGNNConfig) defaults() {
@@ -81,9 +78,6 @@ func (c *KGNNConfig) defaults() {
 	if c.LR == 0 {
 		c.LR = 0.005
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // NewKGNN builds the workload on a protein dataset.
@@ -100,7 +94,6 @@ func NewKGNN(env *Env, ds *datasets.MoleculeSet, cfg KGNNConfig) *KGNN {
 		head:        nn.NewLinear(env.RNG, "kgnn.head", cfg.Hidden*cfg.K, 2, true),
 		hidden:      cfg.Hidden,
 		globalBatch: cfg.BatchSize,
-		shardBatch:  max(1, cfg.BatchSize/cfg.BatchDivisor),
 	}
 	for l := 0; l < cfg.Layers; l++ {
 		m.conv1 = append(m.conv1, nn.NewLinear(env.RNG, "kgnn.c1", cfg.Hidden, cfg.Hidden, false))
@@ -128,8 +121,7 @@ func NewKGNN(env *Env, ds *datasets.MoleculeSet, cfg KGNNConfig) *KGNN {
 func (m *KGNN) prepareBatches() {
 	n := len(m.ds.Graphs)
 	for gstart := 0; gstart < n; gstart += m.globalBatch {
-		// Analytical DDP shards via BatchDivisor, executed DDP via Env.Shard.
-		start, end := m.env.Shard(gstart, min(gstart+m.shardBatch, n))
+		start, end := m.env.Shard(gstart, min(gstart+m.globalBatch, n))
 		gs := m.ds.Graphs[start:end]
 		bb := graph.NewBatch(gs)
 		norm := bb.Adj.NormalizeGCN()

@@ -147,13 +147,15 @@ func TestDDPCompatibilityFlags(t *testing.T) {
 	}
 }
 
-func TestBatchDivisorShrinksWork(t *testing.T) {
-	// Strong-scaling support: halving the batch must reduce per-epoch
-	// simulated time for a compute-heavy workload.
-	run := func(div int) float64 {
+func TestShardShrinksWork(t *testing.T) {
+	// Strong-scaling support: a replica of a two-replica world trains half
+	// of every global batch, which must reduce per-epoch simulated time for
+	// a compute-heavy workload.
+	run := func(world int) float64 {
 		env, _ := testEnv(10)
+		env.Rank, env.World = 0, world
 		ds := datasets.METRLA(env.RNG)
-		w := NewSTGCN(env, ds, STGCNConfig{Channels: 12, BatchSize: 8, Batches: 2, BatchDivisor: div})
+		w := NewSTGCN(env, ds, STGCNConfig{Channels: 12, BatchSize: 8, Batches: 2})
 		env.E.Device().ResetClock()
 		w.TrainEpoch()
 		return env.E.Device().ElapsedSeconds()
@@ -161,7 +163,7 @@ func TestBatchDivisorShrinksWork(t *testing.T) {
 	full := run(1)
 	half := run(2)
 	if half >= full {
-		t.Fatalf("batch divisor did not shrink epoch time: %g vs %g", half, full)
+		t.Fatalf("sharding across 2 replicas did not shrink epoch time: %g vs %g", half, full)
 	}
 }
 

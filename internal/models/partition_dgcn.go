@@ -47,7 +47,6 @@ func NewPartitionedDGCN(env *Env, ds *datasets.MoleculeSet, cfg DGCNConfig, rank
 	if partition == nil {
 		partition = graph.PartitionBFS
 	}
-	cfg.BatchDivisor = 1 // every rank materializes the full global batches
 	inner := NewDGCN(env, ds, cfg)
 	w := &PartitionedDGCN{inner: inner, env: env, rank: rank, world: world}
 	for bi := range inner.batches {

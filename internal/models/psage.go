@@ -59,10 +59,6 @@ type PSAGEConfig struct {
 	WalkLength int // item-hops per walk (default 2)
 	TopK       int // neighbors kept per seed (default 5)
 	LR         float32
-	// BatchDivisor shrinks the per-device batch for DDP runs. Note PSAGE's
-	// sampler replicates data under DDP (DDPCompatible() == false), so the
-	// divisor is ignored by the DDP simulator for this workload.
-	BatchDivisor int
 }
 
 func (c *PSAGEConfig) defaults() {
@@ -87,9 +83,6 @@ func (c *PSAGEConfig) defaults() {
 	if c.LR == 0 {
 		c.LR = 0.003
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // NewPSAGE builds the workload on a bipartite dataset (MVL or NWP).
@@ -103,7 +96,7 @@ func NewPSAGE(env *Env, ds *datasets.Bipartite, cfg PSAGEConfig) *PSAGE {
 		layer1:    newSageLayer(env, "psage.l1", f, cfg.Hidden),
 		layer2:    newSageLayer(env, "psage.l2", cfg.Hidden, cfg.Hidden),
 		hidden:    cfg.Hidden,
-		batchSize: max(1, cfg.BatchSize/cfg.BatchDivisor),
+		batchSize: cfg.BatchSize,
 		batches:   cfg.Batches,
 		epochSeed: env.RNG.Int63(),
 	}

@@ -47,8 +47,6 @@ type STGCNConfig struct {
 	BatchSize int // windows per batch (default 8)
 	Batches   int // batches per epoch (default 8)
 	LR        float32
-	// BatchDivisor shrinks the per-device batch for DDP runs.
-	BatchDivisor int
 }
 
 func (c *STGCNConfig) defaults() {
@@ -73,9 +71,6 @@ func (c *STGCNConfig) defaults() {
 	if c.LR == 0 {
 		c.LR = 0.002
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // NewSTGCN builds the workload on a traffic dataset.
@@ -89,7 +84,7 @@ func NewSTGCN(env *Env, ds *datasets.Traffic, cfg STGCNConfig) *STGCN {
 		adjT:      norm.Transpose(),
 		window:    cfg.Window,
 		horizon:   cfg.Horizon,
-		batchSize: max(1, cfg.BatchSize/cfg.BatchDivisor),
+		batchSize: cfg.BatchSize,
 	}
 	ch := cfg.Channels
 	m.blocks = []*stBlock{

@@ -25,7 +25,6 @@ type TLSTM struct {
 
 	hidden      int
 	globalBatch int
-	shardBatch  int
 }
 
 // TLSTMConfig holds Tree-LSTM hyperparameters.
@@ -34,8 +33,6 @@ type TLSTMConfig struct {
 	Hidden    int // LSTM hidden width (default 24)
 	BatchSize int // trees per batch (default 16)
 	LR        float32
-	// BatchDivisor shrinks the per-device batch for DDP runs.
-	BatchDivisor int
 }
 
 func (c *TLSTMConfig) defaults() {
@@ -51,9 +48,6 @@ func (c *TLSTMConfig) defaults() {
 	if c.LR == 0 {
 		c.LR = 0.01
 	}
-	if c.BatchDivisor == 0 {
-		c.BatchDivisor = 1
-	}
 }
 
 // NewTLSTM builds the workload on a sentiment treebank.
@@ -67,7 +61,6 @@ func NewTLSTM(env *Env, ds *datasets.Sentiment, cfg TLSTMConfig) *TLSTM {
 		head:        nn.NewLinear(env.RNG, "tlstm.head", cfg.Hidden, ds.Classes, true),
 		hidden:      cfg.Hidden,
 		globalBatch: cfg.BatchSize,
-		shardBatch:  max(1, cfg.BatchSize/cfg.BatchDivisor),
 	}
 	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
 	return m
@@ -231,10 +224,8 @@ func (m *TLSTM) TrainEpoch() float64 {
 	iters := m.IterationsPerEpoch()
 	for it := 0; it < iters; it++ {
 		m.env.iter()
-		start := it * m.globalBatch
-		end := min(start+m.shardBatch, len(m.ds.Trees))
-		// Executed DDP further splits the batch across replica ranks.
-		start, end = m.env.Shard(start, end)
+		// DDP splits the global batch across replica ranks.
+		start, end := m.env.Shard(it*m.globalBatch, min((it+1)*m.globalBatch, len(m.ds.Trees)))
 		t, logits, labels := m.forward(start, end)
 		loss := t.CrossEntropy(logits, labels)
 		m.env.Step(t, loss, m.Params(), m.opt, 5)
@@ -253,9 +244,7 @@ func (m *TLSTM) Evaluate() float64 {
 	correct, total := 0, 0
 	iters := m.IterationsPerEpoch()
 	for it := 0; it < iters; it++ {
-		start := it * m.globalBatch
-		end := min(start+m.shardBatch, len(m.ds.Trees))
-		start, end = m.env.Shard(start, end)
+		start, end := m.env.Shard(it*m.globalBatch, min((it+1)*m.globalBatch, len(m.ds.Trees)))
 		_, logits, labels := m.forward(start, end)
 		_, arg := m.env.E.MaxCols(logits.Value)
 		for i, lab := range labels {

@@ -2,10 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/fault"
@@ -13,7 +13,6 @@ import (
 	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
 	"gnnmark/internal/obs"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/partitioned"
 	"gnnmark/internal/vmem"
 )
@@ -134,29 +133,13 @@ func Execute(sc *Scenario) (*Outcome, error) {
 			return nil, err
 		}
 	}
+	// Only the serving phase reads the trained replica; an Outcome a caller
+	// keeps must not pin its model, dataset and device state with it.
+	out.trained = nil
 
 	out.Metrics = obs.Default().Snapshot()
 	out.Digest = out.ComputeDigest()
 	return out, nil
-}
-
-// guard runs f, converting the two recognized failure panics — simulated
-// OOM and fatal health events — into errors. Anything else keeps panicking.
-func guard(f func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch e := r.(type) {
-			case *vmem.OOMError:
-				err = e
-			case *fault.FatalError:
-				err = e
-			default:
-				panic(r)
-			}
-		}
-	}()
-	f()
-	return nil
 }
 
 // failOutcome records a recognized failure on the outcome.
@@ -174,23 +157,6 @@ func failOutcome(out *Outcome, err error) {
 // epoch boundary, tear the pipeline down, and rebuild it with one fewer
 // loader worker — the degraded-input-pipeline arm of the chaos matrix.
 func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
-	spec, err := core.Lookup(cfg.Workload)
-	if err != nil {
-		return err
-	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	be, err := backend.New(cfg.Backend)
-	if err != nil {
-		return err
-	}
-	devCfg, err := cfg.DeviceConfig(0)
-	if err != nil {
-		return err
-	}
-
 	health := sc.trainSchedule()
 	var kills []EventSpec
 	for _, ev := range sc.Events {
@@ -202,100 +168,78 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 
 	// Resolve the live worker count so a kill can decrement it (the loader
 	// defaults to min(depth, 4) workers when unset).
-	workers := cfg.LoaderWorkers
-	if workers == 0 && cfg.PipelineDepth > 0 {
-		workers = cfg.PipelineDepth
-		if workers > 4 {
-			workers = 4
+	if cfg.LoaderWorkers == 0 && cfg.PipelineDepth > 0 {
+		cfg.LoaderWorkers = min(cfg.PipelineDepth, 4)
+	}
+
+	// build constructs one training segment: a fresh replica measuring
+	// training only, with the health monitor attached training-relative at
+	// fleet time `origin`. A segment the device could not hold (construction
+	// can OOM: the footprint includes preprocessing) ends the run with a
+	// recorded outcome and a nil replica; anything else is a scenario error.
+	build := func(origin float64) (*core.Replica, error) {
+		rep, err := core.NewReplica(cfg, 0, 0, 1)
+		var oom *vmem.OOMError
+		if errors.As(err, &oom) {
+			failOutcome(out, oom)
+			return nil, nil
 		}
+		if err != nil {
+			return nil, err
+		}
+		rep.Rebase()
+		m := fault.NewMonitor(fault.SlotEvents(health, 0), false)
+		m.SetOrigin(origin)
+		rep.Dev.AttachHealth(m)
+		return rep, nil
 	}
 
-	// build constructs one training segment: fresh device + engine +
-	// workload, health monitor attached training-relative at fleet time
-	// `origin`. Construction can OOM (the footprint includes preprocessing),
-	// so it runs guarded.
-	var wl models.Workload
-	var env *models.Env
-	var dev *gpu.Device
-	build := func(workers int, origin float64) error {
-		return guard(func() {
-			dev = gpu.New(devCfg)
-			env = models.NewEnv(ops.NewWith(dev, be), cfg.Seed)
-			env.Pipeline = models.PipelineConfig{
-				Depth:       cfg.PipelineDepth,
-				Workers:     workers,
-				CompressH2D: cfg.CompressH2D,
-			}
-			wl = spec.Build(env, dataset, 1)
-			// Measure training only: clock and memory peaks rebase after
-			// construction, the overlapped timeline starts at zero, and the
-			// health plane sees a training-relative clock.
-			dev.ResetClock()
-			dev.Mem().ResetPeak()
-			env.E.EnablePipeline(cfg.PipelineDepth, cfg.CompressH2D)
-			m := fault.NewMonitor(fault.SlotEvents(health, 0), false)
-			m.SetOrigin(origin)
-			dev.AttachHealth(m)
-		})
+	rep, err := build(0)
+	if rep == nil {
+		return err
 	}
-
-	if err := build(workers, 0); err != nil {
-		failOutcome(out, err)
-		return nil
-	}
-	defer func() { env.Close() }()
+	defer func() { rep.Env.Close() }()
 
 	cum := 0.0      // training-relative fleet time across segments
 	segClock := 0.0 // current segment's clock at the last epoch boundary
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		var loss float64
-		if err := guard(func() { loss = wl.TrainEpoch() }); err != nil {
-			if dev != nil {
-				if p := dev.MemStats().PeakLive; p > out.PeakBytes {
-					out.PeakBytes = p
-				}
-			}
+		loss, err := rep.Epoch()
+		out.PeakBytes = max(out.PeakBytes, rep.Dev.MemStats().PeakLive)
+		if err != nil {
 			failOutcome(out, err)
 			return nil
 		}
-		now := env.E.SimClock()
+		now := rep.Env.SimClock()
 		epochSec := now - segClock
 		segClock = now
 		cum += epochSec
 		out.Losses = append(out.Losses, loss)
 		out.EpochSeconds = append(out.EpochSeconds, epochSec)
 		out.CompletedEpochs++
-		if p := dev.MemStats().PeakLive; p > out.PeakBytes {
-			out.PeakBytes = p
-		}
-		env.E.Reset()
 
 		// A due loader kill rebuilds the pipeline at this epoch boundary
 		// with one fewer worker: checkpoint, tear down, rebuild, restore.
 		if len(kills) > 0 && cum >= kills[0].At && ep+1 < cfg.Epochs {
 			kills = kills[1:]
-			cp, ok := wl.(models.Checkpointable)
+			cp, ok := rep.W.(models.Checkpointable)
 			if !ok {
-				return fmt.Errorf("scenario: workload %s is not checkpointable; loader-kill cannot restore it", wl.Name())
+				return fmt.Errorf("scenario: workload %s is not checkpointable; loader-kill cannot restore it", rep.W.Name())
 			}
 			var buf bytes.Buffer
 			if err := nn.SaveTraining(&buf, cp.Optimizer()); err != nil {
 				return fmt.Errorf("scenario: loader-kill checkpoint: %w", err)
 			}
-			env.Close()
-			if workers > 1 {
-				workers--
+			rep.Env.Close()
+			if cfg.LoaderWorkers > 1 {
+				cfg.LoaderWorkers--
 			}
-			if err := build(workers, cum); err != nil {
-				failOutcome(out, err)
-				return nil
+			next, err := build(cum)
+			if next == nil {
+				return err
 			}
-			segClock = 0
-			cp, ok = wl.(models.Checkpointable)
-			if !ok {
-				return fmt.Errorf("scenario: rebuilt workload %s is not checkpointable", wl.Name())
-			}
-			if err := nn.LoadTraining(bytes.NewReader(buf.Bytes()), cp.Optimizer()); err != nil {
+			rep, segClock = next, 0
+			// Same spec, so the rebuilt workload is checkpointable too.
+			if err := nn.LoadTraining(bytes.NewReader(buf.Bytes()), rep.W.(models.Checkpointable).Optimizer()); err != nil {
 				return fmt.Errorf("scenario: loader-kill restore: %w", err)
 			}
 		}
@@ -303,7 +247,7 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 	out.TotalSeconds = cum
 	out.UsefulSeconds = cum
 	out.Goodput = 1
-	out.trained = wl
+	out.trained = rep.W
 	return nil
 }
 

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"sort"
 
-	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
 	"gnnmark/internal/fault"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
-	"gnnmark/internal/ops"
 	"gnnmark/internal/serve"
 )
 
@@ -68,47 +66,39 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 	items := sv.NumItems()
 	spec := sc.Serve.resolved()
 
-	be, err := backend.New(cfg.Backend)
-	if err != nil {
-		return err
-	}
-	buildReplica := func(r int) (models.Servable, *models.Env, *gpu.Device, error) {
-		devCfg, err := cfg.DeviceConfig(r % len(slots))
+	// Serving replicas are forward-only: there is no input loader to
+	// pipeline, so they build synchronous whatever the training phase used.
+	cfg.PipelineDepth = 0
+	buildReplica := func(r int) (models.Servable, *core.Replica, error) {
+		rep, err := core.NewReplica(cfg, r%len(slots), 0, 1)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		dev := gpu.New(devCfg)
-		env := models.NewEnv(ops.NewWith(dev, be), cfg.Seed)
-		wl, err := buildGuarded(cfg, env)
-		if err != nil {
-			env.Close()
-			return nil, nil, nil, err
-		}
-		m, ok := wl.(models.Servable)
+		m, ok := rep.W.(models.Servable)
 		if !ok {
-			env.Close()
-			return nil, nil, nil, fmt.Errorf("scenario: workload %s does not serve embeddings", wl.Name())
+			rep.Env.Close()
+			return nil, nil, fmt.Errorf("scenario: workload %s does not serve embeddings", rep.W.Name())
 		}
 		if err := weights.LoadInto(m.Params()); err != nil {
-			env.Close()
-			return nil, nil, nil, err
+			rep.Env.Close()
+			return nil, nil, err
 		}
 		// Serving measures the forward passes only: rebase the clock past
 		// construction so burst windows and throttle events are phase-
 		// relative.
-		dev.ResetClock()
-		return m, env, dev, nil
+		rep.Rebase()
+		return m, rep, nil
 	}
 
 	// Calibration: one cold replica, one batch-1 request.
-	calM, calEnv, _, err := buildReplica(0)
+	calM, calRep, err := buildReplica(0)
 	if err != nil {
 		return err
 	}
-	cal := serve.NewReplica(0, calM, calEnv.E.SimClock)
+	cal := serve.NewReplica(0, calM, calRep.Env.SimClock)
 	_, d1, serveErr := cal.Serve([]int32{0})
 	cal.Close()
-	calEnv.Close()
+	calRep.Env.Close()
 	if serveErr != nil {
 		return serveErr
 	}
@@ -158,7 +148,7 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 		}
 	}()
 	for r := 0; r < spec.Replicas; r++ {
-		m, env, dev, err := buildReplica(r)
+		m, rep, err := buildReplica(r)
 		if err != nil {
 			return err
 		}
@@ -169,10 +159,10 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 			}
 		}
 		if len(throttles) > 0 {
-			dev.AttachHealth(fault.NewMonitor(throttles, true))
+			rep.Dev.AttachHealth(fault.NewMonitor(throttles, true))
 		}
-		reps = append(reps, serve.NewReplica(r, m, env.E.SimClock))
-		envs = append(envs, env)
+		reps = append(reps, serve.NewReplica(r, m, rep.Env.SimClock))
+		envs = append(envs, rep.Env)
 	}
 
 	stats, err := serve.New(serve.Config{
@@ -187,19 +177,4 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 	}
 	out.Serve = &stats
 	return nil
-}
-
-// buildGuarded constructs cfg's workload on the given env, converting an
-// OOM panic into an error.
-func buildGuarded(cfg core.RunConfig, env *models.Env) (wl models.Workload, err error) {
-	spec, err := core.Lookup(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
-	dataset := cfg.Dataset
-	if dataset == "" {
-		dataset = spec.Datasets[0]
-	}
-	err = guard(func() { wl = spec.Build(env, dataset, 1) })
-	return wl, err
 }
