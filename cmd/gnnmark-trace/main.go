@@ -21,7 +21,6 @@ import (
 
 	"gnnmark/internal/core"
 	"gnnmark/internal/gpu"
-	"gnnmark/internal/stream"
 	"gnnmark/internal/trace"
 )
 
@@ -52,28 +51,13 @@ func partitionedTrace(key string, gpus, epochs, warps int, seed int64, overlap b
 		Workload: key, GPUs: gpus, Epochs: epochs,
 		SampledWarps: warps, Seed: seed, Overlap: overlap,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gnnmark-trace:", err)
-		os.Exit(1)
-	}
-	var lanes []stream.Lane
-	for r, ls := range res.Lanes {
-		for _, l := range ls {
-			l.Name = fmt.Sprintf("gpu%d %s", r, l.Name)
-			lanes = append(lanes, l)
-		}
-	}
+	fail(err)
+	lanes := trace.RankLanes(res.Lanes)
 	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gnnmark-trace:", err)
-		os.Exit(1)
-	}
+	fail(err)
 	defer f.Close()
 	events := trace.StreamLaneEvents(lanes)
-	if err := trace.WriteEvents(f, events); err != nil {
-		fmt.Fprintln(os.Stderr, "gnnmark-trace:", err)
-		os.Exit(1)
-	}
+	fail(trace.WriteEvents(f, events))
 	fmt.Printf("%s x%d partitioned: wrote %d lane events (%d lanes) to %s (open in chrome://tracing)\n",
 		key, gpus, len(events), len(lanes), out)
 	fmt.Printf("epoch seconds %v, halo exposed %.3f ms / hidden %.3f ms\n",
@@ -97,10 +81,8 @@ func kernelBreakdown(key string, warps int, seed int64) {
 		times[k] += ks.Seconds
 		counts[k]++
 	})
-	if _, err := rep.Epoch(); err != nil {
-		fmt.Fprintln(os.Stderr, "gnnmark-trace:", err)
-		os.Exit(1)
-	}
+	_, err = rep.Epoch()
+	fail(err)
 
 	type kv struct {
 		k string
@@ -115,5 +97,13 @@ func kernelBreakdown(key string, warps int, seed int64) {
 	sort.Slice(list, func(i, j int) bool { return list[i].v > list[j].v })
 	for _, e := range list {
 		fmt.Printf("%7.2f%% %9.1fus n=%-5d %s\n", 100*e.v/tot, 1e6*e.v, counts[e.k], e.k)
+	}
+}
+
+// fail reports err, if any, and exits 1.
+func fail(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gnnmark-trace:", err)
+		os.Exit(1)
 	}
 }

@@ -143,7 +143,7 @@ func main() {
 			fmt.Print(bench.FormatPartitionedRun(*workload, res))
 			// Halo-exchange lanes render as named threads beside the host
 			// spans: one "gpuN compute" / "gpuN halo" pair per rank.
-			writeObsOutputs(*metricsOut, *hostTrace, nil, rankLanes(res.Lanes))
+			writeObsOutputs(*metricsOut, *hostTrace, nil, trace.RankLanes(res.Lanes))
 			return
 		}
 		if cfg.GPUs > 1 {
@@ -489,20 +489,6 @@ func writeObsOutputs(metricsPath, tracePath string, rec *trace.Recorder, lanes [
 			fmt.Printf("note: %d device events dropped at the recorder limit\n", dropped)
 		}
 	}
-}
-
-// rankLanes flattens per-rank stream lanes into one list with rank-prefixed
-// names, so every simulated GPU's compute and halo streams appear as their
-// own named threads in the Chrome trace.
-func rankLanes(lanes [][]stream.Lane) []stream.Lane {
-	var out []stream.Lane
-	for r, ls := range lanes {
-		for _, l := range ls {
-			l.Name = fmt.Sprintf("gpu%d %s", r, l.Name)
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // parseInts parses a comma-separated integer list (sweep arms and the like).

@@ -10,7 +10,8 @@ import (
 )
 
 // TestCLI builds the binary once and pins exit code and output for the
-// subcommands whose failure paths run through core.Replica.
+// subcommands whose failure paths run through gpu.Guard: whichever plane
+// hits the simulated OOM, the report is one line and the exit code 1.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "gnnmark")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -33,6 +34,16 @@ func TestCLI(t *testing.T) {
 			stderr: []string{"has no dataset"}, notStderr: "goroutine"},
 		{args: "ttt -workload TLSTM -hbm-gb 0.00001 -max-epochs 1 -warps 64", exit: 1,
 			stderr: []string{"simulated device OOM"}, notStderr: "goroutine"},
+		// Crashed with a goroutine dump before failures became errors on
+		// every plane (DDP, Fig9's own factory, partitioned, sweeps).
+		{args: "run -workload TLSTM -gpus 2 -hbm-gb 0.00001 -warps 64", exit: 1,
+			stderr: []string{"simulated device OOM in kernel"}, notStderr: "goroutine"},
+		{args: "fig9 -hbm-gb 0.00001 -warps 64", exit: 1,
+			stderr: []string{"simulated device OOM in kernel"}, notStderr: "goroutine"},
+		{args: "figpart -gpus 2 -epochs 1 -hbm-gb 0.00001 -warps 64", exit: 1,
+			stderr: []string{"simulated device OOM in kernel"}, notStderr: "goroutine"},
+		{args: "sweep -values 4 -hbm-gb 0.00001 -warps 64", exit: 1,
+			stderr: []string{"simulated device OOM in kernel"}, notStderr: "goroutine"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			cmd := exec.Command(bin, strings.Fields(tc.args)...)

@@ -20,22 +20,26 @@ import (
 
 // factory builds replica `rank` of `world`: a fresh device, engine and
 // workload from the same seed at every rank. Setting env.Rank and
-// env.World before construction is what shards the batches.
+// env.World before construction is what shards the batches. The first
+// parameter is the replica's fleet slot, for fleets that mix device models;
+// this node is four identical V100s. A factory reports failure by returning
+// an error; a simulated OOM during construction needs no handling here —
+// the cluster builds replicas under gpu.Guard and returns it from Run.
 func factory(workload string) ddp.ReplicaFactory {
-	return func(rank, world int) (models.Workload, *models.Env) {
+	return func(_, rank, world int) (models.Workload, *models.Env, error) {
 		env := models.NewEnv(ops.New(gpu.New(gpu.V100())), 3)
 		env.Rank, env.World = rank, world
 		switch workload {
 		case "STGCN":
 			return models.NewSTGCN(env, datasets.METRLA(env.RNG), models.STGCNConfig{
 				Channels: 32, BatchSize: 48, Batches: 1,
-			}), env
+			}), env, nil
 		case "PSAGE":
 			return models.NewPSAGE(env, datasets.MovieLens(env.RNG), models.PSAGEConfig{
 				BatchSize: 64, Batches: 2,
-			}), env
+			}), env, nil
 		}
-		panic("unknown workload")
+		return nil, nil, fmt.Errorf("unknown workload %q", workload)
 	}
 }
 

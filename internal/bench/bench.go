@@ -356,21 +356,17 @@ func fig9Build(key string, env *models.Env) models.Workload {
 // sharded batches and really ring-allreduces their gradient buckets, so the
 // reported timeline breaks communication into exposed and overlapped parts.
 func Fig9(cfg core.RunConfig) ([]ScalingResult, error) {
-	// ddp.ReplicaFactory has no error return: resolve the config once here,
-	// so the factory's identical NewEnv calls cannot fail.
-	if _, err := cfg.NewEnv(0); err != nil {
-		return nil, err
-	}
 	var out []ScalingResult
 	for _, key := range Fig9Workloads {
-		key := key
-		factory := func(rank, world int) (models.Workload, *models.Env) {
+		// Every replica runs on slot 0's device model: the study scales the
+		// paper's homogeneous node.
+		factory := func(_, rank, world int) (models.Workload, *models.Env, error) {
 			env, err := cfg.NewEnv(0)
 			if err != nil {
-				panic(err)
+				return nil, nil, err
 			}
 			env.Rank, env.World = rank, world
-			return fig9Build(key, env), env
+			return fig9Build(key, env), env, nil
 		}
 		res, err := ddp.ExecutedStrongScaling(factory, []int{1, 2, 4}, ddp.ClusterConfig{})
 		if err != nil {

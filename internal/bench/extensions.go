@@ -19,16 +19,21 @@ func DNNBaseline(cfg core.RunConfig) (profiler.Report, error) {
 	if err != nil {
 		return profiler.Report{}, err
 	}
+	defer env.Close()
 	prof := profiler.Attach(env.E.Device())
 	env.OnIteration = prof.NextIteration
-	m := models.NewDNN(env, models.DNNConfig{})
+	var m *models.DNN
+	err = gpu.Guard(func() { m = models.NewDNN(env, models.DNNConfig{}) })
 	prof.Reset()
 	epochs := cfg.Epochs
 	if epochs == 0 {
 		epochs = 2
 	}
-	for e := 0; e < epochs; e++ {
-		m.TrainEpoch()
+	for e := 0; e < epochs && err == nil; e++ {
+		_, err = env.Epoch(m)
+	}
+	if err != nil {
+		return profiler.Report{}, err
 	}
 	return prof.Snapshot(), nil
 }

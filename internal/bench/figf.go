@@ -88,10 +88,7 @@ func FigF(cfg core.RunConfig) (*FigFResult, error) {
 		c := cfg
 		c.Workload = key
 		c.Dataset = ""
-		factory, err := core.DDPFactory(c)
-		if err != nil {
-			return nil, err
-		}
+		factory := core.DDPFactory(c)
 		// Event timestamps compare against barrier-time device clocks, which
 		// advance with compute; probe one healthy epoch's critical path so
 		// the churn horizon spans the whole run.

@@ -41,18 +41,6 @@ type FigPartResult struct {
 	CutEpochs int
 }
 
-// figPartWorlds mirrors RunDDP's doubling series up to max.
-func figPartWorlds(max int) []int {
-	worlds := []int{1}
-	for g := 2; g < max; g *= 2 {
-		worlds = append(worlds, g)
-	}
-	if max > 1 {
-		worlds = append(worlds, max)
-	}
-	return worlds
-}
-
 // FigPart runs the partitioned-execution study: for DGCN (batched graphs,
 // DDP-compatible) and ARGA (full-graph, DDP must replicate), train with the
 // executed DDP plane and the executed partitioned plane at each world size,
@@ -69,7 +57,7 @@ func FigPart(cfg core.RunConfig) (*FigPartResult, error) {
 			return nil, fmt.Errorf("figpart: DDP %s: %w", key, err)
 		}
 		wl := FigPartWorkload{Workload: key, DDP: ddpRes}
-		for _, world := range figPartWorlds(cfg.GPUs) {
+		for _, world := range core.ScalingWorlds(cfg.GPUs) {
 			pc := c
 			pc.GPUs = world
 			pc.Overlap = true

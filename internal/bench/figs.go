@@ -73,60 +73,30 @@ type FigSResult struct {
 	Rows            []FigSRow
 }
 
-// buildServeModel constructs one instance of the workload on its own fresh
-// device; identical configs build identical models. The caller owns the
-// replica's env (close it when the replica retires).
-func buildServeModel(run core.RunConfig) (models.Servable, *core.Replica, error) {
-	// Serving replicas are forward-only, and the trainer they are frozen
-	// from must match them: no input pipeline on either.
-	run.PipelineDepth = 0
-	rep, err := core.NewReplica(run, 0, 0, 1)
+// trainAndFreeze trains one instance and freezes it through the checkpoint
+// stream — the same bytes a training run would leave on disk. Only the
+// snapshot, item count and resolved dataset name outlive the trainer.
+func trainAndFreeze(run core.RunConfig) (w *serve.Weights, items int, dataset string, err error) {
+	trainer, rep, err := core.NewServable(run, 0, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, "", err
 	}
-	sv, ok := rep.W.(models.Servable)
-	if !ok {
-		rep.Env.Close()
-		return nil, nil, fmt.Errorf("serve-bench: workload %s does not serve embeddings (servable workloads: PSAGE, ARGA)",
-			rep.Spec.Key)
-	}
-	return sv, rep, nil
-}
-
-// newFrozenReplicas builds n replicas of the workload, each on its own
-// device, all initialized from the same frozen snapshot.
-func newFrozenReplicas(run core.RunConfig, n int, w *serve.Weights) ([]*serve.Replica, []*models.Env, error) {
-	reps := make([]*serve.Replica, 0, n)
-	envs := make([]*models.Env, 0, n)
-	for r := 0; r < n; r++ {
-		m, rep, err := buildServeModel(run)
-		if err != nil {
-			for _, e := range envs {
-				e.Close()
-			}
-			return nil, nil, err
+	defer rep.Env.Close()
+	for e := 0; e < run.Epochs; e++ {
+		if _, err := rep.Epoch(); err != nil {
+			return nil, 0, "", err
 		}
-		env := rep.Env
-		if err := w.LoadInto(m.Params()); err != nil {
-			env.Close()
-			for _, e := range envs {
-				e.Close()
-			}
-			return nil, nil, err
+	}
+	if ck, ok := trainer.(models.Checkpointable); ok {
+		var buf bytes.Buffer
+		if err := nn.SaveTraining(&buf, ck.Optimizer()); err != nil {
+			return nil, 0, "", err
 		}
-		reps = append(reps, serve.NewReplica(r, m, env.E.SimClock))
-		envs = append(envs, env)
+		w, err = serve.Freeze(bytes.NewReader(buf.Bytes()))
+	} else {
+		w = serve.FreezeParams(trainer.Params())
 	}
-	return reps, envs, nil
-}
-
-func closeAll(reps []*serve.Replica, envs []*models.Env) {
-	for _, r := range reps {
-		r.Close()
-	}
-	for _, e := range envs {
-		e.Close()
-	}
+	return w, trainer.NumItems(), rep.Dataset, err
 }
 
 // FigS runs the serving study: train the workload for Run.Epochs epochs,
@@ -166,44 +136,18 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 		cfg.CacheRows = []int{0, 1024}
 	}
 
-	// Train one instance, then freeze through the checkpoint stream — the
-	// same bytes a training run would leave on disk.
-	trainer, trainerRep, err := buildServeModel(cfg.Run)
+	w, items, dataset, err := trainAndFreeze(cfg.Run)
 	if err != nil {
 		return nil, err
 	}
-	trainerEnv := trainerRep.Env
-	for e := 0; e < cfg.Run.Epochs; e++ {
-		if _, err := trainerRep.Epoch(); err != nil {
-			trainerEnv.Close()
-			return nil, err
-		}
-	}
-	var w *serve.Weights
-	if ck, ok := trainer.(models.Checkpointable); ok {
-		var buf bytes.Buffer
-		if err := nn.SaveTraining(&buf, ck.Optimizer()); err != nil {
-			trainerEnv.Close()
-			return nil, err
-		}
-		w, err = serve.Freeze(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			trainerEnv.Close()
-			return nil, err
-		}
-	} else {
-		w = serve.FreezeParams(trainer.Params())
-	}
-	items := trainer.NumItems()
-	trainerEnv.Close()
 
 	// Calibrate defaults against one measured batch-of-1 service time.
-	cal, calEnvs, err := newFrozenReplicas(cfg.Run, 1, w)
+	cal, err := core.NewServingPool(cfg.Run, 1, 1, w)
 	if err != nil {
 		return nil, err
 	}
-	_, d1, err := cal[0].Serve([]int32{0})
-	closeAll(cal, calEnvs)
+	_, d1, err := cal.Serving[0].Serve([]int32{0})
+	cal.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +168,7 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 	}
 
 	res := &FigSResult{
-		Workload: cfg.Run.Workload, Dataset: trainerRep.Dataset,
+		Workload: cfg.Run.Workload, Dataset: dataset,
 		Seed: cfg.Run.Seed, TrainEpochs: cfg.Run.Epochs,
 		Replicas: cfg.Replicas, BatchOneSeconds: d1,
 		QPS: cfg.QPS, Duration: cfg.Duration,
@@ -233,7 +177,7 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 	}
 	for _, cache := range cfg.CacheRows {
 		for _, b := range cfg.Batches {
-			reps, envs, err := newFrozenReplicas(cfg.Run, cfg.Replicas, w)
+			pool, err := core.NewServingPool(cfg.Run, cfg.Replicas, 1, w)
 			if err != nil {
 				return nil, err
 			}
@@ -243,9 +187,9 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 				MaxWaitSeconds: cfg.MaxWaitSeconds,
 				QueueCap:       cfg.QueueCap,
 				CacheRows:      cache,
-			}, reps)
+			}, pool.Serving)
 			st, err := s.Run(serve.NewSliceSource(reqs))
-			closeAll(reps, envs)
+			pool.Close()
 			if err != nil {
 				return nil, err
 			}

@@ -69,7 +69,8 @@ func Sweep(key string, values []int, cfg core.RunConfig) ([]SweepPoint, error) {
 		dev := env.E.Device()
 		prof := profiler.Attach(dev)
 		env.OnIteration = prof.NextIteration
-		w := build(env, v)
+		var w models.Workload
+		err = gpu.Guard(func() { w = build(env, v) })
 		prof.Reset()
 		dev.ResetClock()
 		epochs := cfg.Epochs
@@ -77,10 +78,13 @@ func Sweep(key string, values []int, cfg core.RunConfig) ([]SweepPoint, error) {
 			epochs = 1
 		}
 		var loss float64
-		for e := 0; e < epochs; e++ {
-			loss = w.TrainEpoch()
+		for e := 0; e < epochs && err == nil; e++ {
+			loss, err = env.Epoch(w)
 		}
 		env.Close()
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, SweepPoint{
 			Value:        v,
 			Report:       prof.Snapshot(),

@@ -83,10 +83,7 @@ func chaosPartitioned(t *testing.T, sched []fault.Event) (*partitioned.Result, e
 // chaosElastic runs the 2-way elastic DDP arm under sched (nil = healthy).
 func chaosElastic(t *testing.T, sched []fault.Event) ddp.ElasticResult {
 	t.Helper()
-	factory, err := DDPFactory(chaosCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := DDPFactory(chaosCfg())
 	res, err := ddp.RunElastic(factory, 2, chaosCfg().Epochs, ddp.ElasticOptions{Schedule: sched})
 	if err != nil {
 		t.Fatalf("elastic run failed: %v", err)
@@ -115,10 +112,7 @@ func TestChaosMatrix(t *testing.T) {
 	// Fatal-event timestamps compare against barrier-time device clocks,
 	// which advance with compute only (allreduce time is modeled on top),
 	// so probe one healthy epoch's critical-path compute.
-	probeFactory, err := DDPFactory(chaosCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	probeFactory := DDPFactory(chaosCfg())
 	probe, err := ddp.NewCluster(2, ddp.ClusterConfig{}).Run(probeFactory, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -350,64 +350,41 @@ func (c *RunConfig) DeviceConfig(slot int) (gpu.Config, error) {
 	return devCfg, nil
 }
 
-// SlotReplicaFactory builds replica `rank` of a `world`-replica cluster on
-// the device model of fleet slot `slot`. Under plain DDP slot == rank; the
-// elastic plane keeps slot stable across re-sharding so a surviving
-// replica stays on its own (possibly heterogeneous) device model.
-type SlotReplicaFactory func(slot, rank, world int) (models.Workload, *models.Env)
-
-// DDPSlotFactory returns the slot-aware replica builder for cfg's
-// workload: the heterogeneous-fleet generalization of DDPFactory. The
-// configuration is validated up front, so the factory itself fails only
-// on a slot outside the declared fleet or a construction-time device
-// failure, and then by panicking with that error (ddp.ReplicaFactory has
-// no error return). Replicas are not rebased: the cluster resets each
+// DDPFactory returns the replica builder for cfg's workload — the factory
+// RunDDP, the elastic fault harness (ddp.RunElastic), the scenario plane and
+// the goodput-under-churn study all share: NewReplica on the device model of
+// fleet slot `slot`. Replicas are not rebased: the cluster resets each
 // device clock itself and counts construction in its peak memory.
-func DDPSlotFactory(cfg RunConfig) (SlotReplicaFactory, error) {
+func DDPFactory(cfg RunConfig) ddp.ReplicaFactory {
 	cfg.defaults()
-	if _, _, err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return func(slot, rank, world int) (models.Workload, *models.Env) {
+	return func(slot, rank, world int) (models.Workload, *models.Env, error) {
 		rep, err := NewReplica(cfg, slot, rank, world)
 		if err != nil {
-			panic(err)
+			return nil, nil, err
 		}
-		return rep.W, rep.Env
-	}, nil
+		return rep.W, rep.Env, nil
+	}
 }
 
-// DDPFactory returns the per-rank replica builder for cfg's workload —
-// the factory RunDDP, the elastic fault harness (ddp.RunElastic), and the
-// goodput-under-churn study all share. Ranks map to fleet slots
-// one-to-one (slot = rank).
-func DDPFactory(cfg RunConfig) (ddp.ReplicaFactory, error) {
-	slotFactory, err := DDPSlotFactory(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return func(rank, world int) (models.Workload, *models.Env) {
-		return slotFactory(rank, rank, world)
-	}, nil
-}
-
-// RunDDP trains cfg.Workload with the executed DDP engine at world sizes
-// 1, 2, 4, ... up to cfg.GPUs (always including cfg.GPUs itself) and
-// returns the per-world-size timeline with speedups against the 1-GPU run.
-func RunDDP(cfg RunConfig) ([]ddp.Result, error) {
-	cfg.defaults()
-	factory, err := DDPFactory(cfg)
-	if err != nil {
-		return nil, err
-	}
+// ScalingWorlds returns the world sizes a strong-scaling series runs at:
+// 1, 2, 4, ... below maxGPUs, then maxGPUs itself.
+func ScalingWorlds(maxGPUs int) []int {
 	worlds := []int{1}
-	for g := 2; g < cfg.GPUs; g *= 2 {
+	for g := 2; g < maxGPUs; g *= 2 {
 		worlds = append(worlds, g)
 	}
-	if cfg.GPUs > 1 {
-		worlds = append(worlds, cfg.GPUs)
+	if maxGPUs > 1 {
+		worlds = append(worlds, maxGPUs)
 	}
-	return ddp.ExecutedStrongScaling(factory, worlds, ddp.ClusterConfig{})
+	return worlds
+}
+
+// RunDDP trains cfg.Workload with the executed DDP engine at every
+// ScalingWorlds(cfg.GPUs) size and returns the per-world-size timeline with
+// speedups against the 1-GPU run.
+func RunDDP(cfg RunConfig) ([]ddp.Result, error) {
+	cfg.defaults()
+	return ddp.ExecutedStrongScaling(DDPFactory(cfg), ScalingWorlds(cfg.GPUs), ddp.ClusterConfig{})
 }
 
 // SuiteRun pairs a workload key with a dataset for suite-wide sweeps.

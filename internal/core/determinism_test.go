@@ -82,10 +82,7 @@ func TestSuiteGoldenDeterminism(t *testing.T) {
 	chaosRun := func(backendName string) string {
 		cfg := chaosCfg()
 		cfg.Backend = backendName
-		factory, err := DDPFactory(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		factory := DDPFactory(cfg)
 		probe, err := ddp.NewCluster(2, ddp.ClusterConfig{}).Run(factory, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -12,6 +12,8 @@ import (
 
 	"gnnmark/internal/bench"
 	"gnnmark/internal/core"
+	"gnnmark/internal/ddp"
+	"gnnmark/internal/exec"
 	"gnnmark/internal/vmem"
 )
 
@@ -49,21 +51,60 @@ func TestTimeToTrainHonoursHBMBudget(t *testing.T) {
 	}
 }
 
-// TestOneConstructionPath keeps the hand-rolled build sites from growing
-// back: outside internal/core no non-test file under cmd/ or internal/ may
-// construct a device (gpu.New), and the scenario executor may not recover —
-// core.Replica owns the single-device failure path.
+// TestOOMIsAnErrorOnEveryPlane pins the one failure path: a budget that
+// cannot hold the first training kernel is the same *vmem.OOMError, naming
+// that kernel, from every plane — bare from a single device, behind an
+// exec.RankError from a DDP or partitioned worker — and never a panic.
+func TestOOMIsAnErrorOnEveryPlane(t *testing.T) {
+	cfg := core.RunConfig{Workload: "ARGA", Epochs: 1, SampledWarps: 64, GPUs: 2, HBMGB: 0.001}
+	for name, tc := range map[string]struct {
+		run    func() error
+		ranked bool
+	}{
+		"Run":            {func() error { _, err := core.Run(cfg); return err }, false},
+		"TimeToTrain":    {func() error { _, err := core.TimeToTrain(cfg, 0.1, 1); return err }, false},
+		"RunDDP":         {func() error { _, err := core.RunDDP(cfg); return err }, true},
+		"RunPartitioned": {func() error { _, err := core.RunPartitioned(cfg); return err }, true},
+		"Cluster(2)": {func() error {
+			_, err := ddp.NewCluster(2, ddp.ClusterConfig{}).Run(core.DDPFactory(cfg), 1)
+			return err
+		}, true},
+	} {
+		err := tc.run()
+		var oom *vmem.OOMError
+		if !errors.As(err, &oom) || oom.Kernel == "" {
+			t.Errorf("%s: got %v, want a *vmem.OOMError naming a kernel", name, err)
+		}
+		var re *exec.RankError
+		if got := errors.As(err, &re); got != tc.ranked || got && re.Rank != 0 {
+			t.Errorf("%s: rank attribution %v (%v), want ranked=%v at rank 0", name, got, err, tc.ranked)
+		}
+	}
+}
+
+// TestOneConstructionPath keeps the hand-rolled copies from growing back.
+// Non-test files under cmd/ and internal/ may not: construct a device
+// (gpu.New) outside internal/core; call recover() outside internal/gpu
+// (Guard, the one recover for a device failure), internal/exec (the worker
+// crash barrier) and internal/serve (request-input safety); or call a
+// workload's TrainEpoch() directly outside internal/models — every plane
+// trains through models.Env.Epoch, which returns device failures as errors.
 func TestOneConstructionPath(t *testing.T) {
 	root := filepath.Join("..", "..")
+	under := func(rel string, dirs ...string) bool {
+		for _, d := range dirs {
+			if strings.HasPrefix(rel, "internal/"+d+"/") {
+				return true
+			}
+		}
+		return false
+	}
 	for _, dir := range []string{"cmd", "internal"} {
 		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
 			}
 			rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
-			if strings.HasPrefix(rel, "internal/core/") {
-				return nil
-			}
 			file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 			if err != nil {
 				return err
@@ -75,12 +116,15 @@ func TestOneConstructionPath(t *testing.T) {
 				}
 				switch fun := call.Fun.(type) {
 				case *ast.SelectorExpr:
-					if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "gpu" && fun.Sel.Name == "New" {
+					if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "gpu" && fun.Sel.Name == "New" && !under(rel, "core") {
 						t.Errorf("%s calls gpu.New: build through core.NewReplica or RunConfig.NewEnv", rel)
 					}
+					if fun.Sel.Name == "TrainEpoch" && len(call.Args) == 0 && !under(rel, "models") {
+						t.Errorf("%s calls .TrainEpoch() directly: train through models.Env.Epoch", rel)
+					}
 				case *ast.Ident:
-					if fun.Name == "recover" && strings.HasPrefix(rel, "internal/scenario/") {
-						t.Errorf("%s calls recover(): core.Replica.Epoch returns device failures as errors", rel)
+					if fun.Name == "recover" && !under(rel, "gpu", "exec", "serve") {
+						t.Errorf("%s calls recover(): a device failure is the error gpu.Guard returns", rel)
 					}
 				}
 				return true

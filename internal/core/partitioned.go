@@ -6,7 +6,6 @@ import (
 
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
-	"gnnmark/internal/gpu"
 	"gnnmark/internal/graph"
 	"gnnmark/internal/models"
 	"gnnmark/internal/partitioned"
@@ -22,7 +21,7 @@ func PartitionedWorkloads() []string { return []string{"ARGA", "DGCN"} }
 // graph.PartitionBFS); it must be deterministic — every rank runs it.
 func PartitionedFactory(cfg RunConfig, partition func(g *graph.CSR, k int) ([]int32, int)) (partitioned.Factory, error) {
 	cfg.defaults()
-	spec, dataset, err := cfg.validate()
+	spec, dataset, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -36,20 +35,17 @@ func PartitionedFactory(cfg RunConfig, partition func(g *graph.CSR, k int) ([]in
 	cfg.PipelineDepth = 0
 
 	// Rank = fleet slot under this plane. Partition workloads are not
-	// registry builds, so the factory starts from NewEnv; like the DDP
-	// factory it can only fail on a rank outside the declared fleet.
-	return func(rank, world int) (models.PartWorkload, *models.Env, *gpu.Device) {
+	// registry builds, so the factory starts from NewEnv; partitioned.Train
+	// guards the construction kernels.
+	return func(rank, world int) (models.PartWorkload, *models.Env, error) {
 		env, err := cfg.NewEnv(rank)
 		if err != nil {
-			panic(err)
+			return nil, nil, err
 		}
-		var w models.PartWorkload
 		if spec.Key == "ARGA" {
-			w = models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition)
-		} else { // DGCN
-			w = models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition)
+			return models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition), env, nil
 		}
-		return w, env, env.E.Device()
+		return models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition), env, nil
 	}, nil
 }
 

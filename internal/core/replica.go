@@ -1,16 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	"gnnmark/internal/backend"
-	"gnnmark/internal/fault"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
-	"gnnmark/internal/obs"
 	"gnnmark/internal/ops"
-	"gnnmark/internal/vmem"
 )
 
 // Replica is one workload constructed on its own simulated device. Every
@@ -43,25 +41,6 @@ func (c *RunConfig) resolve() (Spec, string, error) {
 	return spec, dataset, nil
 }
 
-// validate resolves everything a factory closed over c can reach — spec,
-// dataset, backend, the device model of every declared fleet slot — so
-// the factory's own calls cannot fail on configuration.
-func (c *RunConfig) validate() (Spec, string, error) {
-	spec, dataset, err := c.resolve()
-	if err != nil {
-		return Spec{}, "", err
-	}
-	if _, err := backend.New(c.Backend); err != nil {
-		return Spec{}, "", err
-	}
-	for slot := 0; slot < max(1, len(c.Devices)); slot++ {
-		if _, err := c.DeviceConfig(slot); err != nil {
-			return Spec{}, "", err
-		}
-	}
-	return spec, dataset, nil
-}
-
 // NewEnv builds the device-attached Env of fleet slot `slot`, in this
 // order: device model (DeviceConfig), numerics backend, simulated device
 // (OnDevice fires before any kernel launches), op engine, seeded Env
@@ -84,11 +63,7 @@ func (c *RunConfig) NewEnv(slot int) (*models.Env, error) {
 	if c.OnDevice != nil {
 		c.OnDevice(dev)
 	}
-	seed := c.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	env := models.NewEnv(ops.NewWith(dev, be), seed)
+	env := models.NewEnv(ops.NewWith(dev, be), cmp.Or(c.Seed, 1))
 	env.Training = !c.ForwardOnly
 	env.Pipeline = models.PipelineConfig{
 		Depth:       c.PipelineDepth,
@@ -121,7 +96,7 @@ func NewReplica(cfg RunConfig, slot, rank, world int) (*Replica, error) {
 	}
 	env.Rank, env.World = rank, world
 	rep := &Replica{Spec: spec, Dataset: dataset, Env: env, Dev: env.E.Device()}
-	if err := guard(func() { rep.W = spec.Build(env, dataset, 1) }); err != nil {
+	if err := gpu.Guard(func() { rep.W = spec.Build(env, dataset, 1) }); err != nil {
 		env.Close()
 		return nil, err
 	}
@@ -145,38 +120,14 @@ func (r *Replica) Rebase() {
 	r.Env.E.EnablePipeline(r.Env.Pipeline.Depth, r.Env.Pipeline.CompressH2D)
 }
 
-// Epoch trains one epoch, closes its trailing host phase, and drops the
-// engine's dead per-tensor bookkeeping. A simulated OOM or a fatal health
-// event during the epoch is returned as the error; the replica is then
-// dead and must not be trained further.
-func (r *Replica) Epoch() (loss float64, err error) {
-	err = guard(func() {
-		scope := r.Env.E.Track().Begin("epoch", obs.CatPhase)
-		loss = r.W.TrainEpoch()
-		r.Env.FinishPhase()
-		scope.End()
+// Epoch trains one epoch through the shared epoch step (models.Env.Epoch)
+// and drops the engine's dead per-tensor bookkeeping. A simulated OOM or a
+// fatal health event during the epoch is returned as the error; the replica
+// is then dead and must not be trained further.
+func (r *Replica) Epoch() (float64, error) {
+	loss, err := r.Env.Epoch(r.W)
+	if err == nil {
 		r.Env.E.Reset()
-	})
+	}
 	return loss, err
-}
-
-// guard runs f and returns the failure a simulated device raised in it.
-// gpu.Device.Launch reports a parked *vmem.OOMError and a fatal health
-// event's *fault.FatalError by panicking (a kernel launch has no error
-// return); this is the one place the single-device planes turn that back
-// into an error. Any other panic is a bug and keeps unwinding.
-func guard(f func()) (err error) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case *vmem.OOMError:
-			err = r
-		case *fault.FatalError:
-			err = r
-		default:
-			panic(r)
-		}
-	}()
-	f()
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/exec"
 	"gnnmark/internal/fault"
+	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
 	"gnnmark/internal/obs"
@@ -86,12 +87,18 @@ func (c *ClusterConfig) defaults() {
 	}
 }
 
-// ReplicaFactory builds replica `rank` of a `world`-replica cluster: a fresh
-// workload on a fresh device/engine, constructed from the same seed at every
-// rank, with env.Rank/env.World set to the given values *before* the
-// workload is built (batch sharding can happen at construction time). Every
-// call must return fully independent instances.
-type ReplicaFactory func(rank, world int) (models.Workload, *models.Env)
+// ReplicaFactory builds replica `rank` of a `world`-replica cluster on the
+// device model of fleet slot `slot`: a fresh workload on a fresh
+// device/engine, constructed from the same seed at every rank, with
+// env.Rank/env.World set to the given values *before* the workload is built
+// (batch sharding can happen at construction time). Every call must return
+// fully independent instances. A plain cluster passes slot == rank; the
+// elastic controller keeps a survivor's slot stable while its rank is
+// renumbered, so heterogeneous fleets stay on their own device models.
+// The cluster calls it under gpu.Guard: a construction that fails may
+// return the error or let the device raise it, and either way Run returns
+// it unwrapped.
+type ReplicaFactory func(slot, rank, world int) (models.Workload, *models.Env, error)
 
 // ClusterResult is the outcome of one executed multi-replica run.
 type ClusterResult struct {
@@ -186,22 +193,18 @@ type run struct {
 
 	// Fault-plane state (leader-written under the group mutex).
 	epochsDone int
-	failure    *FleetFailure
 }
 
 // checkFatal is the leader's fatal-event sweep at a gradient barrier: it
 // queries every rank's monitor, in rank order, at the rank's own simulated
 // clock (its fleet origin plus the clock recorded entering this barrier).
 // Both inputs are deterministic at a barrier, so reruns latch identical
-// failures. Returns true when the round must abort.
-func (st *run) checkFatal() bool {
-	mons := st.c.cfg.Monitors
-	if mons == nil || st.failure != nil {
-		return st.failure != nil
-	}
+// failures. A non-nil *FleetFailure means the round must abort; the barrier
+// latches it, so no later leader runs.
+func (st *run) checkFatal() error {
 	var dead []int
 	var events []fault.Event
-	for r, m := range mons {
+	for r, m := range st.c.cfg.Monitors {
 		if m == nil {
 			continue
 		}
@@ -211,7 +214,7 @@ func (st *run) checkFatal() bool {
 		}
 	}
 	if dead == nil {
-		return false
+		return nil
 	}
 	// The failed iteration's work is wasted: everything the epoch had
 	// accumulated plus this iteration's critical-path compute. All inputs
@@ -222,7 +225,7 @@ func (st *run) checkFatal() bool {
 			maxCompute = st.compute[r]
 		}
 	}
-	st.failure = &FleetFailure{
+	return &FleetFailure{
 		DeadRanks:       dead,
 		Events:          events,
 		CompletedEpochs: st.epochsDone,
@@ -230,7 +233,6 @@ func (st *run) checkFatal() bool {
 		Losses:          append([]float64(nil), st.losses...),
 		LostSeconds:     st.epochCompute + maxCompute + st.epochExposed,
 	}
-	return true
 }
 
 // linkDeratedBandwidth derates the ring-allreduce bandwidth by the worst
@@ -264,17 +266,6 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 	if c.cfg.Monitors != nil && len(c.cfg.Monitors) != c.world {
 		return ClusterResult{}, fmt.Errorf("ddp: %d monitors for %d ranks", len(c.cfg.Monitors), c.world)
 	}
-	w0, env0 := factory(0, c.world)
-	replicated := false
-	if c.world > 1 && !w0.DDPCompatible() {
-		// The sampler cannot shard (paper §V-E, PSAGE): rebuild every
-		// replica with the full batch. Gradients still synchronize — all
-		// cost, no compute reduction.
-		replicated = true
-		env0.Close() // stop the discarded replica's loader workers
-		w0, env0 = factory(0, 1)
-	}
-
 	reps := make([]*replica, c.world)
 	// Stop every replica's loader workers once the run is over.
 	defer func() {
@@ -284,32 +275,52 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 			}
 		}
 	}()
-	newRep := func(rank int, w models.Workload, env *models.Env) *replica {
-		rep := &replica{w: w, env: env}
+	// build constructs one replica under gpu.Guard (the footprint includes
+	// preprocessing, so a build can OOM) and wires its reducer buckets.
+	build := func(rank, world int) (*replica, error) {
+		rep := &replica{}
+		var ferr error
+		if err := gpu.Guard(func() { rep.w, rep.env, ferr = factory(rank, rank, world) }); err != nil {
+			return nil, err
+		}
+		if ferr != nil {
+			return nil, ferr
+		}
 		rep.Rank = rank
 		// SimClock is the overlapped timeline makespan when the input
 		// pipeline is active, the device's serialized clock otherwise.
-		rep.ClockFn = env.SimClock
-		if dev := env.E.Device(); dev != nil {
+		rep.ClockFn = rep.env.SimClock
+		if dev := rep.env.E.Device(); dev != nil {
 			rep.TransferFn = dev.TransferSeconds
 		}
-		rep.buckets = nn.BuildGradBuckets(w.Params(), c.cfg.BucketCapBytes)
+		rep.buckets = nn.BuildGradBuckets(rep.w.Params(), c.cfg.BucketCapBytes)
 		rep.flat = make([][]float32, len(rep.buckets))
 		for i, b := range rep.buckets {
 			rep.flat[i] = make([]float32, b.Elems)
 		}
-		return rep
+		return rep, nil
 	}
-	reps[0] = newRep(0, w0, env0)
-	for r := 1; r < c.world; r++ {
-		var w models.Workload
-		var env *models.Env
-		if replicated {
-			w, env = factory(r, 1)
-		} else {
-			w, env = factory(r, c.world)
+	var err error
+	if reps[0], err = build(0, c.world); err != nil {
+		return ClusterResult{}, err
+	}
+	replicated := c.world > 1 && !reps[0].w.DDPCompatible()
+	shard := c.world
+	if replicated {
+		// The sampler cannot shard (paper §V-E, PSAGE): rebuild every
+		// replica with the full batch. Gradients still synchronize — all
+		// cost, no compute reduction.
+		shard = 1
+		reps[0].env.Close() // stop the discarded replica's loader workers
+		reps[0] = nil
+	}
+	for r := range reps {
+		if reps[r] != nil {
+			continue
 		}
-		reps[r] = newRep(r, w, env)
+		if reps[r], err = build(r, shard); err != nil {
+			return ClusterResult{}, err
+		}
 	}
 	for r := 1; r < c.world; r++ {
 		if got, want := reps[r].w.IterationsPerEpoch(), reps[0].w.IterationsPerEpoch(); got != want {
@@ -318,6 +329,22 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 		if got, want := len(reps[r].buckets), len(reps[0].buckets); got != want {
 			return ClusterResult{}, fmt.Errorf("ddp: replica %d has %d buckets, rank 0 has %d", r, got, want)
 		}
+	}
+
+	for _, rep := range reps {
+		if dev := rep.env.E.Device(); dev != nil {
+			// Construction may launch preprocessing kernels; measure
+			// training only.
+			dev.ResetClock()
+			if c.cfg.Monitors != nil {
+				// Deferred monitors only throttle; fatality is decided at
+				// deterministic points (checkFatal, runSingle's epoch ends).
+				dev.AttachHealth(c.cfg.Monitors[rep.Rank])
+			}
+		}
+	}
+	if c.world == 1 {
+		return c.runSingle(reps[0], epochs)
 	}
 
 	st := &run{
@@ -336,23 +363,9 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 	}
 	st.scratch = make([]float32, maxElems)
 
-	if c.world == 1 {
-		return c.runSingle(reps[0], epochs)
-	}
-
 	st.phases = exec.NewPhaseMeter()
 	for _, rep := range reps {
 		rep := rep
-		if dev := rep.env.E.Device(); dev != nil {
-			// Construction may launch preprocessing kernels; measure
-			// training only.
-			dev.ResetClock()
-			if c.cfg.Monitors != nil {
-				// Deferred monitors only throttle; fatality is the
-				// leader's barrier-time decision (checkFatal).
-				dev.AttachHealth(c.cfg.Monitors[rep.Rank])
-			}
-		}
 		rep.env.OnGradients = func(params []*autograd.Param, backwardSecs float64) {
 			for i := range rep.buckets {
 				rep.buckets[i].FlattenGrads(rep.flat[i])
@@ -362,26 +375,20 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 				st.backward[rep.Rank] = backwardSecs
 				st.compute[rep.Rank] = iterCompute
 			})
-			if err := st.g.Barrier(func() { st.reduceIteration(replicated) }); err != nil {
+			// A *FleetFailure the leader returns is latched by the barrier
+			// itself; every rank gets it here and unwinds out of the hook.
+			if err := st.g.Barrier(st.reduceIteration); err != nil {
 				exec.Abort(err)
-			}
-			// The leader cannot latch from inside the barrier closure (the
-			// group mutex is already held), so it records the failure and
-			// every worker promotes it after release — same object, first
-			// Fail wins, all ranks unwind through the abort machinery.
-			var failed *FleetFailure
-			st.g.Do(func() { failed = st.failure })
-			if failed != nil {
-				st.g.Fail(failed)
-				exec.Abort(failed)
 			}
 		}
 		st.g.Go(rep.Rank, func() error {
 			for e := 0; e < epochs; e++ {
-				loss := rep.w.TrainEpoch()
-				rep.env.FinishPhase()
+				loss, err := rep.env.Epoch(rep.w)
+				if err != nil {
+					return err
+				}
 				rep.epochLosses = append(rep.epochLosses, loss)
-				if err := st.g.Barrier(func() { st.finishEpoch(replicated) }); err != nil {
+				if err := st.g.Barrier(func() error { st.finishEpoch(replicated); return nil }); err != nil {
 					return nil // already latched
 				}
 				rep.env.E.Reset()
@@ -430,16 +437,9 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 // degraded events throttle through the attached monitor, and fatal events
 // are checked at epoch boundaries against the simulated clock.
 func (c *Cluster) runSingle(rep *replica, epochs int) (ClusterResult, error) {
-	dev := rep.env.E.Device()
 	var mon *fault.Monitor
 	if c.cfg.Monitors != nil {
 		mon = c.cfg.Monitors[0]
-	}
-	if dev != nil {
-		dev.ResetClock()
-		if mon != nil {
-			dev.AttachHealth(mon)
-		}
 	}
 	res := ClusterResult{
 		GPUs:           1,
@@ -451,8 +451,10 @@ func (c *Cluster) runSingle(rep *replica, epochs int) (ClusterResult, error) {
 	phases := exec.NewPhaseMeter()
 	last := 0.0
 	for e := 0; e < epochs; e++ {
-		loss := rep.w.TrainEpoch()
-		rep.env.FinishPhase()
+		loss, err := rep.env.Epoch(rep.w)
+		if err != nil {
+			return ClusterResult{}, &exec.RankError{Rank: 0, Err: err}
+		}
 		now := rep.Clock()
 		if mon != nil {
 			if ev := mon.FatalBy(mon.Origin() + now); ev != nil {
@@ -479,7 +481,7 @@ func (c *Cluster) runSingle(rep *replica, epochs int) (ClusterResult, error) {
 	}
 	res.ComputeSeconds = last
 	res.TotalSeconds = last
-	if dev != nil {
+	if dev := rep.env.E.Device(); dev != nil {
 		res.PeakMemBytes = dev.MemStats().PeakLive
 	}
 	return res, nil
@@ -489,11 +491,11 @@ func (c *Cluster) runSingle(rep *replica, epochs int) (ClusterResult, error) {
 // gradients and entered the barrier: average every bucket across replicas
 // with a fixed-association ring reduction, write the averages back into all
 // replicas' gradient tensors, and advance the overlap timeline.
-func (st *run) reduceIteration(replicated bool) {
-	if st.checkFatal() {
+func (st *run) reduceIteration() error {
+	if err := st.checkFatal(); err != nil {
 		// A rank died this iteration: skip the reduction (its result would
-		// be discarded) and let the workers promote the recorded failure.
-		return
+		// be discarded) and fail the round.
+		return err
 	}
 	reps := st.reps
 	world := len(reps)
@@ -582,7 +584,7 @@ func (st *run) reduceIteration(replicated bool) {
 		st.track.Record("reduce_iteration", "comm", hostStart, now-hostStart)
 		obsReduceHostNanos.Observe(now - hostStart)
 	}
-	_ = replicated
+	return nil
 }
 
 // ringReduce fills dst with the element-wise sum of every rank's buffer,
@@ -677,7 +679,6 @@ func ExecutedStrongScaling(factory ReplicaFactory, gpuCounts []int, cfg ClusterC
 			Iterations:            cr.Iterations,
 			Buckets:               cr.Buckets,
 			GradBytesPerIt:        cr.GradBytesPerIt,
-			Executed:              true,
 			HostPhases:            cr.HostPhases,
 		}
 		if g == 1 {

@@ -1,28 +1,38 @@
 package ddp
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/backend"
 	"gnnmark/internal/datasets"
+	"gnnmark/internal/exec"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/ops"
+	"gnnmark/internal/vmem"
 )
 
 // clusterFactory builds seed-identical replicas for the executed engine.
 // Every call constructs a fresh device, engine, and dataset from seed 21, so
 // replicas differ only in their (rank, world) shard assignment.
 func clusterFactory(name, backendName string) ReplicaFactory {
-	return func(rank, world int) (models.Workload, *models.Env) {
+	return clusterFactoryHBM(name, backendName, 0)
+}
+
+// clusterFactoryHBM is clusterFactory on devices with an hbmBytes memory
+// budget (0 = the V100's own).
+func clusterFactoryHBM(name, backendName string, hbmBytes int64) ReplicaFactory {
+	return func(_, rank, world int) (models.Workload, *models.Env, error) {
 		cfg := gpu.V100()
 		cfg.MaxSampledWarps = 256
+		cfg.HBMBytes = hbmBytes
 		dev := gpu.New(cfg)
 		be, err := backend.New(backendName)
 		if err != nil {
-			panic(err)
+			return nil, nil, err
 		}
 		env := models.NewEnv(ops.NewWith(dev, be), 21)
 		env.Rank, env.World = rank, world
@@ -30,16 +40,16 @@ func clusterFactory(name, backendName string) ReplicaFactory {
 		case "TLSTM":
 			ds := datasets.SST(env.RNG)
 			ds.Trees = ds.Trees[:32]
-			return models.NewTLSTM(env, ds, models.TLSTMConfig{EmbedDim: 16, Hidden: 16, BatchSize: 16}), env
+			return models.NewTLSTM(env, ds, models.TLSTMConfig{EmbedDim: 16, Hidden: 16, BatchSize: 16}), env, nil
 		case "KGNNL":
 			ds := datasets.Proteins(env.RNG)
 			ds.Graphs = ds.Graphs[:32]
 			ds.Features = ds.Features[:32]
 			ds.Labels = ds.Labels[:32]
-			return models.NewKGNN(env, ds, models.KGNNConfig{K: 2, Hidden: 16, BatchSize: 16}), env
+			return models.NewKGNN(env, ds, models.KGNNConfig{K: 2, Hidden: 16, BatchSize: 16}), env, nil
 		case "PSAGE":
 			return models.NewPSAGE(env, datasets.MovieLens(env.RNG),
-				models.PSAGEConfig{Hidden: 16, BatchSize: 16, Batches: 2}), env
+				models.PSAGEConfig{Hidden: 16, BatchSize: 16, Batches: 2}), env, nil
 		}
 		panic("unknown " + name)
 	}
@@ -208,9 +218,6 @@ func TestExecutedTimelineAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res[1]
-	if !r.Executed {
-		t.Fatal("executed result must be flagged")
-	}
 	if r.Buckets < 2 {
 		t.Fatalf("8 KiB cap must split TLSTM grads into several buckets, got %d", r.Buckets)
 	}
@@ -248,6 +255,44 @@ func TestRingReduceMatchesSum(t *testing.T) {
 		for i := range dst {
 			if math.Abs(float64(dst[i])-want[i]) > 1e-4 {
 				t.Fatalf("world %d: dst[%d] = %v, want %v", world, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+// TestClusterFailuresAreErrors: nothing a replica can do wrong reaches the
+// caller as a panic. A factory's own error comes back unwrapped; a
+// simulated OOM that every replica hits at the same kernel of the same
+// iteration comes back as the lowest rank's *exec.RankError around the
+// *vmem.OOMError, identically on every rerun, at world 1 and world 2.
+func TestClusterFailuresAreErrors(t *testing.T) {
+	boom := errors.New("no device in slot 1")
+	healthy := clusterFactory("TLSTM", "serial")
+	_, err := NewCluster(2, ClusterConfig{}).Run(func(slot, rank, world int) (models.Workload, *models.Env, error) {
+		if slot == 1 {
+			return nil, nil, boom
+		}
+		return healthy(slot, rank, world)
+	}, 1)
+	if err != boom {
+		t.Fatalf("factory error came back as %v, want it unwrapped", err)
+	}
+
+	// 1 MiB cannot hold the allocator's first 2 MiB segment: construction
+	// (host-only for TLSTM) passes, the first training kernel cannot run.
+	for _, world := range []int{1, 2} {
+		var first string
+		for rerun := 0; rerun < 3; rerun++ {
+			_, err := NewCluster(world, ClusterConfig{}).Run(clusterFactoryHBM("TLSTM", "serial", 1<<20), 1)
+			var re *exec.RankError
+			var oom *vmem.OOMError
+			if !errors.As(err, &re) || re.Rank != 0 || !errors.As(err, &oom) || oom.Kernel == "" {
+				t.Fatalf("world %d: got %v, want rank 0's *vmem.OOMError naming a kernel", world, err)
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("world %d: rerun reported %q, first run %q", world, err, first)
 			}
 		}
 	}

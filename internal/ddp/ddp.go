@@ -12,6 +12,11 @@
 // overlapped against the remaining backward compute (cluster.go). This
 // file holds the interconnect model and the per-world-size result row.
 //
+// Failure is a returned error throughout: a ReplicaFactory's own, a
+// simulated device failure from construction or from a worker's epoch step
+// (gpu.Guard; the exec core names the rank), or the *FleetFailure the
+// gradient-barrier leader returns, which RunElastic recovers from.
+//
 // Two pathologies the paper observes are reproduced structurally:
 //
 //   - PSAGE's batch sampler is DDP-incompatible, so every GPU processes the
@@ -55,7 +60,6 @@ type Result struct {
 	Iterations     int
 	GradBytesPerIt uint64
 
-	Executed              bool
 	Buckets               int     // reducer buckets per iteration
 	ExposedCommSeconds    float64 // comm left on the critical path
 	OverlappedCommSeconds float64 // comm hidden under backward compute
@@ -69,11 +73,6 @@ type Result struct {
 // plus the reducer hook overhead. Exported so other execution strategies
 // (the partitioned plane's gradient synchronization) share one comm model.
 func AllreduceSeconds(cfg CommConfig, gpus int, gradBytes uint64) float64 {
-	return allreduceSeconds(cfg, gpus, gradBytes)
-}
-
-// allreduceSeconds returns the per-iteration gradient synchronization cost.
-func allreduceSeconds(cfg CommConfig, gpus int, gradBytes uint64) float64 {
 	if gpus <= 1 {
 		return 0
 	}

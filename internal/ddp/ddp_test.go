@@ -4,16 +4,16 @@ import "testing"
 
 func TestAllreduceCost(t *testing.T) {
 	cfg := DefaultComm()
-	if allreduceSeconds(cfg, 1, 1<<20) != 0 {
+	if AllreduceSeconds(cfg, 1, 1<<20) != 0 {
 		t.Fatal("single GPU must have zero comm")
 	}
-	c2 := allreduceSeconds(cfg, 2, 1<<20)
-	c4 := allreduceSeconds(cfg, 4, 1<<20)
+	c2 := AllreduceSeconds(cfg, 2, 1<<20)
+	c4 := AllreduceSeconds(cfg, 4, 1<<20)
 	if c2 <= 0 || c4 <= c2 {
 		t.Fatalf("comm must grow with world size: %g %g", c2, c4)
 	}
 	// Bigger payload costs more.
-	if allreduceSeconds(cfg, 4, 1<<24) <= c4 {
+	if AllreduceSeconds(cfg, 4, 1<<24) <= c4 {
 		t.Fatal("comm must grow with payload")
 	}
 }

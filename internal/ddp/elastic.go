@@ -2,6 +2,8 @@ package ddp
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -63,13 +65,6 @@ type ElasticOptions struct {
 	// ReplacementDelaySeconds is the fleet-time cost of one fail-stop
 	// recovery (provisioning a replacement node). 0 = default.
 	ReplacementDelaySeconds float64
-	// SlotFactory, when non-nil, supersedes the plain factory for replica
-	// construction: it receives the replica's fleet SLOT (the original
-	// device index, stable across re-sharding) alongside its round-local
-	// rank and world. Heterogeneous fleets use it to keep every surviving
-	// replica on its own device model no matter how ranks are renumbered
-	// after a recovery.
-	SlotFactory func(slot, rank, world int) (models.Workload, *models.Env)
 	// CheckpointPath, when set, persists epoch checkpoints through the
 	// crash-safe nn.SaveTrainingFile path instead of keeping them in
 	// memory only.
@@ -127,7 +122,10 @@ type ElasticResult struct {
 // optimizer state from the last epoch checkpoint, re-shard batches across
 // the new world, and resume. Every decision — which ranks die, when, what
 // survives — is a pure function of (factory seeds, schedule), so a rerun
-// with identical inputs reproduces surviving-rank weights bitwise.
+// with identical inputs reproduces surviving-rank weights bitwise. The
+// factory receives each replica's fleet SLOT (the original device index)
+// beside its round-local rank, so a survivor keeps its own device model no
+// matter how ranks are renumbered after a recovery.
 func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) (ElasticResult, error) {
 	if world < 1 {
 		return ElasticResult{}, fmt.Errorf("ddp: invalid world size %d", world)
@@ -138,18 +136,9 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 	if opts.Cluster.Monitors != nil || opts.Cluster.OnEpochEnd != nil {
 		return ElasticResult{}, fmt.Errorf("ddp: ElasticOptions.Cluster must leave Monitors/OnEpochEnd nil")
 	}
-	restart := opts.RestartOverheadSeconds
-	if restart == 0 {
-		restart = DefaultRestartOverheadSeconds
-	}
-	replacement := opts.ReplacementDelaySeconds
-	if replacement == 0 {
-		replacement = DefaultReplacementDelaySeconds
-	}
-	maxRecoveries := opts.MaxRecoveries
-	if maxRecoveries == 0 {
-		maxRecoveries = 2 * world
-	}
+	restart := cmp.Or(opts.RestartOverheadSeconds, DefaultRestartOverheadSeconds)
+	replacement := cmp.Or(opts.ReplacementDelaySeconds, DefaultReplacementDelaySeconds)
+	maxRecoveries := cmp.Or(opts.MaxRecoveries, 2*world)
 
 	alive := make([]int, world)
 	for i := range alive {
@@ -172,31 +161,26 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 
 		// The wrapped factory restores every new replica from the last
 		// checkpoint, so all ranks resume from identical optimizer state.
-		var roundReps []models.Workload
 		roundWorld := len(alive)
-		roundSlots := append([]int(nil), alive...)
-		wrapped := func(rank, w int) (models.Workload, *models.Env) {
-			var wl models.Workload
-			var env *models.Env
-			if opts.SlotFactory != nil {
-				wl, env = opts.SlotFactory(roundSlots[rank], rank, w)
-			} else {
-				wl, env = factory(rank, w)
+		roundReps := make([]models.Workload, roundWorld)
+		wrapped := func(_, rank, w int) (models.Workload, *models.Env, error) {
+			wl, env, err := factory(alive[rank], rank, w)
+			if err != nil {
+				return nil, nil, err
 			}
 			if ckpt != nil {
 				cp, ok := wl.(models.Checkpointable)
 				if !ok {
-					panic(fmt.Sprintf("ddp: workload %s is not checkpointable", wl.Name()))
+					env.Close()
+					return nil, nil, fmt.Errorf("ddp: workload %s is not checkpointable", wl.Name())
 				}
 				if err := nn.LoadTraining(bytes.NewReader(ckpt), cp.Optimizer()); err != nil {
-					panic(fmt.Sprintf("ddp: restoring replica %d: %v", rank, err))
+					env.Close()
+					return nil, nil, fmt.Errorf("ddp: restoring replica %d: %w", rank, err)
 				}
 			}
-			for len(roundReps) <= rank {
-				roundReps = append(roundReps, nil)
-			}
 			roundReps[rank] = wl
-			return wl, env
+			return wl, env, nil
 		}
 
 		// Checkpoint at every epoch barrier: the leader runs this with all
@@ -236,8 +220,8 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 			res.Replicas = cr.Replicas
 			break
 		}
-		ff, ok := err.(*FleetFailure)
-		if !ok {
+		var ff *FleetFailure
+		if !errors.As(err, &ff) {
 			return res, err // not a health failure: surface unchanged
 		}
 

@@ -11,13 +11,14 @@
 // mutex orders every cross-worker access. Workers record their per-rank
 // state under Do, enter Barrier, and the last arriver runs the leader
 // closure while everyone else is blocked — so the leader may freely read
-// and write any worker's buffers. Repeated runs stay byte-identical as
-// long as leader closures compute results as a pure function of the
-// gathered inputs in a fixed (rank or bucket) order, never of which
-// goroutine happened to arrive last.
+// and write any worker's buffers, and fails the run by returning an error.
+// Repeated runs stay byte-identical as long as leader closures compute
+// results as a pure function of the gathered inputs in a fixed (rank or
+// bucket) order, never of which goroutine happened to arrive last.
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -48,9 +49,6 @@ func NewGroup(world int) *Group {
 	return g
 }
 
-// World returns the number of workers in the group.
-func (g *Group) World() int { return g.world }
-
 // Do runs f under the group mutex. Workers use it to publish per-rank
 // state (timings, gradient buffers) that a later Barrier leader will read.
 func (g *Group) Do(f func()) {
@@ -60,10 +58,12 @@ func (g *Group) Do(f func()) {
 }
 
 // Barrier blocks until all workers arrive; the last arriver runs leader()
-// (when non-nil) under the lock before releasing the others. Returns the
-// first recorded error — and once a worker has failed, leaders stop
-// running and every waiter is released immediately.
-func (g *Group) Barrier(leader func()) error {
+// (when non-nil) under the lock before releasing the others, and an error
+// the leader returns is latched as the run's failure then and there — every
+// worker, the leader included, gets it back from this very call. Returns the
+// first recorded error — and once a worker has failed, leaders stop running
+// and every waiter is released immediately.
+func (g *Group) Barrier(leader func() error) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.err != nil {
@@ -72,7 +72,7 @@ func (g *Group) Barrier(leader func()) error {
 	g.arrived++
 	if g.arrived == g.world {
 		if leader != nil {
-			leader()
+			g.err = leader()
 		}
 		g.arrived = 0
 		g.gen++
@@ -86,16 +86,6 @@ func (g *Group) Barrier(leader func()) error {
 	return g.err
 }
 
-// Fail latches the run's first error and wakes every barrier waiter.
-func (g *Group) Fail(err error) {
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = err
-	}
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
 // Err returns the latched run error, if any.
 func (g *Group) Err() error {
 	g.mu.Lock()
@@ -105,8 +95,8 @@ func (g *Group) Err() error {
 
 // RankError wraps an error with the rank it originated on, so strategies
 // above the latch (elastic DDP, the chaos harness) can attribute a failure
-// to a specific worker. Unwrap exposes the cause to errors.As — e.g. a
-// *fault.FatalError surfaced by a device health panic stays reachable.
+// to a specific worker. Unwrap exposes the cause to errors.As — e.g. the
+// *fault.FatalError a worker's epoch step returned stays reachable.
 type RankError struct {
 	Rank int
 	Err  error
@@ -132,37 +122,51 @@ func Abort(err error) {
 	panic(abortPanic{err})
 }
 
-// Go spawns one worker goroutine. A controlled Abort unwinds silently;
-// any other panic is converted into a run failure so the remaining
-// workers' barriers release. A panic whose value is an error (the parked
-// vmem.OOMError and fault.FatalError protocols both panic with one) is
-// promoted into a *RankError wrapping it, keeping the cause reachable
-// through errors.As; other panic values are formatted. Errors returned by
-// body are latched via Fail, also rank-wrapped.
+// fail latches worker `rank`'s failure, wrapped in a *RankError, and wakes
+// every barrier waiter. Replicas of one model can hit the same simulated OOM
+// at the same kernel of the same lockstep interval, and which goroutine
+// reports first is scheduling — so among workers' own failures the lowest
+// rank's is the one kept, and the run's error is a pure function of the run.
+// An error that already names a rank is a peer's latched failure handed back
+// through a barrier, not this worker's own, and is dropped.
+func (g *Group) fail(rank int, err error) {
+	var named *RankError
+	if errors.As(err, &named) {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if cur, ok := g.err.(*RankError); g.err == nil || ok && rank < cur.Rank {
+		g.err = &RankError{Rank: rank, Err: err}
+	}
+	g.cond.Broadcast()
+}
+
+// Go spawns one worker goroutine. An error body returns — a simulated
+// device failure arrives this way, never as a panic: the worker trains
+// through models.Env.Epoch (gpu.Guard inside) — is latched by fail. A
+// controlled Abort unwinds silently. Any other panic is a bug; it is latched
+// too, formatted and rank-attributed, so the remaining workers' barriers
+// release instead of deadlocking behind the crashed one.
 func (g *Group) Go(rank int, body func() error) {
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(abortPanic); ok {
-					return
+				if _, ok := r.(abortPanic); !ok {
+					g.fail(rank, fmt.Errorf("panic: %v", r))
 				}
-				if err, ok := r.(error); ok {
-					g.Fail(&RankError{Rank: rank, Err: err})
-					return
-				}
-				g.Fail(&RankError{Rank: rank, Err: fmt.Errorf("panic: %v", r)})
 			}
 		}()
 		if err := body(); err != nil {
-			g.Fail(&RankError{Rank: rank, Err: err})
+			g.fail(rank, err)
 		}
 	}()
 }
 
 // Wait blocks until every spawned worker has exited and returns the
-// run's first error, if any.
+// run's latched error, if any.
 func (g *Group) Wait() error {
 	g.wg.Wait()
 	return g.Err()

@@ -17,7 +17,7 @@ func TestBarrierLeaderElection(t *testing.T) {
 	for rank := 0; rank < world; rank++ {
 		g.Go(rank, func() error {
 			for r := 0; r < rounds; r++ {
-				if err := g.Barrier(func() { leaders++; shared = r + 1 }); err != nil {
+				if err := g.Barrier(func() error { leaders++; shared = r + 1; return nil }); err != nil {
 					return err
 				}
 				var seen int
@@ -126,10 +126,10 @@ func TestPeerDeltas(t *testing.T) {
 	}
 }
 
-// TestRankErrorPromotion: a worker panic whose value is an error is
-// promoted into a *RankError that keeps the cause reachable through
-// errors.As / errors.Is — the path a device health fatal travels from
-// Launch panic to the group latch.
+// TestRankErrorPromotion: the error a worker returns is latched as a
+// *RankError that keeps the cause reachable through errors.As / errors.Is —
+// the path a device health fatal travels from the worker's guarded epoch
+// step to the group latch.
 func TestRankErrorPromotion(t *testing.T) {
 	cause := errors.New("xid 79: GPU has fallen off the bus")
 
@@ -138,7 +138,7 @@ func TestRankErrorPromotion(t *testing.T) {
 		rank := rank
 		g.Go(rank, func() error {
 			if rank == 1 {
-				panic(cause) // device-style fatal: panics with an error value
+				return cause // device-style fatal: returned by the epoch step
 			}
 			for {
 				if err := g.Barrier(nil); err != nil {
@@ -166,11 +166,66 @@ func TestRankErrorPromotion(t *testing.T) {
 		t.Fatalf("returned error lost cause: %v", err)
 	}
 
-	// Non-error panic values still produce an attributed failure.
-	g3 := NewGroup(1)
-	g3.Go(0, func() error { panic("boom") })
-	var re3 *RankError
-	if err := g3.Wait(); !errors.As(err, &re3) || re3.Rank != 0 {
-		t.Fatalf("non-error panic not rank-wrapped: %v", err)
+	// A crash still produces an attributed failure — formatted, never
+	// promoted: even an error-valued panic is a bug, not a device failure.
+	for _, val := range []any{"boom", cause} {
+		g3 := NewGroup(1)
+		g3.Go(0, func() error { panic(val) })
+		var re3 *RankError
+		if err := g3.Wait(); !errors.As(err, &re3) || re3.Rank != 0 || errors.Is(err, cause) {
+			t.Fatalf("panic(%v) not a formatted, rank-wrapped crash: %v", val, err)
+		}
+	}
+}
+
+// TestLeaderErrorLatches: what a barrier leader returns is the run's
+// failure — every worker gets it back from that same Barrier call, and
+// later leaders never run.
+func TestLeaderErrorLatches(t *testing.T) {
+	const world = 3
+	g := NewGroup(world)
+	boom := errors.New("leader says no")
+	var sawIt atomic.Int32
+	for rank := 0; rank < world; rank++ {
+		g.Go(rank, func() error {
+			if err := g.Barrier(func() error { return boom }); err == boom {
+				sawIt.Add(1)
+			}
+			if err := g.Barrier(func() error { panic("leader ran after the latch") }); err != boom {
+				return fmt.Errorf("rank %d: second barrier returned %v", rank, err)
+			}
+			return nil
+		})
+	}
+	if err := g.Wait(); err != boom {
+		t.Fatalf("latched error = %v, want the leader's own error, unwrapped", err)
+	}
+	if sawIt.Load() != world {
+		t.Fatalf("%d workers got the leader's error from the failing barrier, want %d", sawIt.Load(), world)
+	}
+}
+
+// TestLowestRankFailureWins: when several workers fail on their own in the
+// same interval, the reported rank does not depend on who got to the latch
+// first — and a peer handing the latched failure back is not a new failure.
+func TestLowestRankFailureWins(t *testing.T) {
+	g := NewGroup(3)
+	g.Go(2, func() error { return errors.New("oom on 2") })
+	g.Go(1, func() error {
+		for g.Err() == nil { // let rank 2 latch first
+		}
+		return errors.New("oom on 1")
+	})
+	g.Go(0, func() error {
+		for {
+			var re *RankError
+			if errors.As(g.Err(), &re) && re.Rank == 1 {
+				return g.Err() // handed back, must not become rank 0's failure
+			}
+		}
+	})
+	var re *RankError
+	if err := g.Wait(); !errors.As(err, &re) || re.Rank != 1 || re.Err.Error() != "oom on 1" {
+		t.Fatalf("latched %v, want rank 1's own failure", err)
 	}
 }

@@ -14,9 +14,6 @@ type Injector struct {
 	events []Event
 }
 
-// NewInjector returns an empty injector.
-func NewInjector() *Injector { return &Injector{} }
-
 // InjectXIDAt schedules a fatal XID error against slot at fleet time t.
 func (in *Injector) InjectXIDAt(slot, code int, msg string, t float64) {
 	in.add(Event{Slot: slot, Type: XID, Code: code, Msg: msg, At: t})

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"time"
 
 	"gnnmark/internal/vmem"
 )
@@ -19,7 +18,6 @@ type Device struct {
 	mem        *vmem.Allocator
 	pendingOOM *vmem.OOMError
 	oomCursor  uint64
-	allocTotal uint64
 
 	seconds      float64
 	kernelCount  uint64
@@ -38,8 +36,8 @@ type Device struct {
 // before every kernel launch and host-device copy; it answers with the
 // slowdown multipliers currently active (1 = healthy) and, when the plane
 // runs in immediate mode, the first due fatal event as a non-nil error. The
-// device panics with that error at the Launch — mirroring the parked
-// vmem.OOMError protocol — so a fatal health event surfaces as a clean,
+// device raises that error at the Launch — as it does a parked
+// vmem.OOMError — so a fatal health event surfaces from Guard as a clean,
 // named abort at a deterministic point in the kernel stream.
 type Health interface {
 	Poll(nowSeconds float64) (kernelMult, transferMult float64, fatal error)
@@ -89,8 +87,8 @@ func (d *Device) AttachHealth(h Health) {
 }
 
 // pollHealth refreshes the cached slowdown multipliers from the health
-// plane at the current device clock and panics with the fatal error when
-// the plane surfaces one (immediate mode).
+// plane at the current device clock and raises the fatal error when the
+// plane surfaces one (immediate mode).
 func (d *Device) pollHealth() {
 	if d.health == nil {
 		return
@@ -104,7 +102,7 @@ func (d *Device) pollHealth() {
 	}
 	d.kernelMult, d.transferMult = k, x
 	if fatal != nil {
-		panic(fatal)
+		raise(fatal)
 	}
 }
 
@@ -135,7 +133,7 @@ func (d *Device) FpElemBytes() int {
 // the shared L2 sees cross-kernel reuse exactly as it does under PyTorch's
 // allocator. On a simulated OOM the error is parked and a detached
 // placeholder block is returned: kernel lowering proceeds harmlessly to the
-// next Launch, which panics with the kernel's name attached to the report.
+// next Launch, which raises it with the kernel's name attached to the report.
 func (d *Device) AllocBlock(bytes int, tag string) *vmem.Block {
 	if bytes < 0 {
 		panic("gpu: negative allocation")
@@ -151,7 +149,6 @@ func (d *Device) AllocBlock(bytes int, tag string) *vmem.Block {
 		d.oomCursor += uint64(vmem.RoundSize(int64(bytes)))
 		return vmem.Placeholder(addr, vmem.RoundSize(int64(bytes)))
 	}
-	d.allocTotal += uint64(b.Size())
 	return b
 }
 
@@ -171,11 +168,6 @@ func (d *Device) Alloc(bytes int) uint64 {
 	return d.AllocBlock(bytes, "scratch").Addr()
 }
 
-// AllocatedBytes returns the cumulative bytes allocated on the device (the
-// footprint a non-recycling allocator would need; the paper observes input
-// graphs can occupy up to 90% of GPU memory).
-func (d *Device) AllocatedBytes() uint64 { return d.allocTotal }
-
 // Subscribe registers a callback invoked with the stats of every kernel
 // launch. The profiler uses this as its nvprof attach point.
 func (d *Device) Subscribe(fn func(KernelStats)) { d.kernelListeners = append(d.kernelListeners, fn) }
@@ -185,13 +177,8 @@ func (d *Device) SubscribeTransfers(fn func(TransferStats)) {
 	d.transferListeners = append(d.transferListeners, fn)
 }
 
-// Elapsed returns total simulated time (kernels + launch overheads +
-// transfers) since construction or the last ResetClock.
-func (d *Device) Elapsed() time.Duration {
-	return time.Duration((d.seconds + d.transferSecs) * float64(time.Second))
-}
-
-// ElapsedSeconds returns Elapsed as a float64 second count.
+// ElapsedSeconds returns total simulated time in seconds (kernels + launch
+// overheads + transfers) since construction or the last ResetClock.
 func (d *Device) ElapsedSeconds() float64 { return d.seconds + d.transferSecs }
 
 // KernelCount returns the number of kernels launched.
@@ -251,7 +238,7 @@ func (d *Device) Launch(k *Kernel) KernelStats {
 	if oom := d.pendingOOM; oom != nil {
 		d.pendingOOM = nil
 		oom.Kernel = k.Name
-		panic(oom)
+		raise(oom)
 	}
 	d.pollHealth()
 	if k.Threads <= 0 {
@@ -538,13 +525,6 @@ func (d *Device) timeKernel(k *Kernel, mem memResult, st *KernelStats) {
 	// resident warps).
 	warpInstr := float64(k.Mix.Total()) / 32
 	st.IPC = warpInstr / (cycles * fa)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func maxf(vs ...float64) float64 {

@@ -80,7 +80,7 @@ func TestResetClockClearsTransferSeconds(t *testing.T) {
 }
 
 // TestAllocBlockOOMPanicsAtLaunch: an over-budget allocation parks the OOM
-// and hands back a placeholder; the next Launch panics with the kernel's
+// and hands back a placeholder; the next Launch raises it with the kernel's
 // name in the report, and the placeholder's Free is a no-op.
 func TestAllocBlockOOMPanicsAtLaunch(t *testing.T) {
 	cfg := testConfig()
@@ -91,18 +91,17 @@ func TestAllocBlockOOMPanicsAtLaunch(t *testing.T) {
 		t.Fatal("AllocBlock must return a placeholder on OOM")
 	}
 	d.Free(b) // placeholder: no-op
-	defer func() {
-		r := recover()
-		oom, ok := r.(*vmem.OOMError)
-		if !ok {
-			t.Fatalf("Launch must panic with *vmem.OOMError, got %v", r)
-		}
-		if oom.Kernel != "doomed_kernel" {
-			t.Fatalf("OOM names kernel %q, want doomed_kernel", oom.Kernel)
-		}
-		if !strings.Contains(oom.Error(), "huge.tensor") {
-			t.Fatalf("OOM report missing failing tag:\n%s", oom.Error())
-		}
-	}()
-	d.Launch(&Kernel{Name: "doomed_kernel", Class: OpOther, Threads: 32, Mix: InstrMix{Int32: 32}})
+	err := Guard(func() {
+		d.Launch(&Kernel{Name: "doomed_kernel", Class: OpOther, Threads: 32, Mix: InstrMix{Int32: 32}})
+	})
+	oom, ok := err.(*vmem.OOMError)
+	if !ok {
+		t.Fatalf("Launch must raise a *vmem.OOMError, got %v", err)
+	}
+	if oom.Kernel != "doomed_kernel" {
+		t.Fatalf("OOM names kernel %q, want doomed_kernel", oom.Kernel)
+	}
+	if !strings.Contains(oom.Error(), "huge.tensor") {
+		t.Fatalf("OOM report missing failing tag:\n%s", oom.Error())
+	}
 }

@@ -116,33 +116,26 @@ func TestThrottleActivatesMidRun(t *testing.T) {
 	}
 }
 
-// TestFatalEventPanicsAtLaunch: in immediate mode a due fatal event panics
-// the next Launch with a *fault.FatalError naming the event — the parked
-// OOM protocol, reused for health.
+// TestFatalEventPanicsAtLaunch: in immediate mode a due fatal event is
+// raised at the next Launch as a *fault.FatalError naming the event — the
+// parked OOM protocol, reused for health.
 func TestFatalEventPanicsAtLaunch(t *testing.T) {
 	dev := New(V100())
 	dev.AttachHealth(fault.NewMonitor([]fault.Event{
 		{Slot: 3, Type: fault.XID, Code: 79, Msg: "GPU has fallen off the bus", At: 0},
 	}, false))
 
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Launch did not panic on a due fatal event")
-		}
-		err, ok := r.(error)
-		if !ok {
-			t.Fatalf("panic value %T is not an error", r)
-		}
-		var fe *fault.FatalError
-		if !errors.As(err, &fe) {
-			t.Fatalf("panic error %v is not a *fault.FatalError", err)
-		}
-		if fe.Event.Type != fault.XID || fe.Event.Code != 79 || fe.Event.Slot != 3 {
-			t.Fatalf("fatal error lost event identity: %+v", fe.Event)
-		}
-	}()
-	dev.Launch(healthKernel("doomed", 256))
+	err := Guard(func() { dev.Launch(healthKernel("doomed", 256)) })
+	if err == nil {
+		t.Fatal("Launch did not raise a due fatal event")
+	}
+	var fe *fault.FatalError
+	if !errors.As(err, &fe) {
+		t.Fatalf("raised error %v is not a *fault.FatalError", err)
+	}
+	if fe.Event.Type != fault.XID || fe.Event.Code != 79 || fe.Event.Slot != 3 {
+		t.Fatalf("fatal error lost event identity: %+v", fe.Event)
+	}
 }
 
 // TestDetachHealthRestoresHealthy: detaching the plane resets multipliers.

@@ -197,17 +197,6 @@ func (plan *PartitionPlan) TotalHaloBytes(featDim int) uint64 {
 	return total
 }
 
-// MaxPartSize returns the largest owned set (load-imbalance driver).
-func (plan *PartitionPlan) MaxPartSize() int {
-	m := 0
-	for _, lp := range plan.Local {
-		if len(lp.Owned) > m {
-			m = len(lp.Owned)
-		}
-	}
-	return m
-}
-
 func sortInt32s(a []int32) {
 	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }

@@ -26,11 +26,10 @@ type ARGA struct {
 	disc1      *nn.Linear
 	disc2      *nn.Linear
 
-	opt     nn.Optimizer
-	hidden  int
-	embed   int
-	recon   *tensor.Tensor // dense target adjacency (cached)
-	recones []int32
+	opt    nn.Optimizer
+	hidden int
+	embed  int
+	recon  *tensor.Tensor // dense target adjacency (cached)
 
 	batches *loader.Loader // full-graph inputs, staged ahead when pipelined
 }

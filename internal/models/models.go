@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"gnnmark/internal/autograd"
+	"gnnmark/internal/gpu"
 	"gnnmark/internal/loader"
 	"gnnmark/internal/nn"
 	"gnnmark/internal/obs"
@@ -127,9 +128,8 @@ func (env *Env) beginPhase(name string, ctr *obs.Counter) {
 }
 
 // FinishPhase closes the currently open host phase, crediting its wall
-// time. Training loops (core.Run, ddp.Cluster) call it at epoch
-// boundaries to close the trailing data_load window; it is a no-op when
-// no phase is open.
+// time. Epoch calls it at epoch boundaries to close the trailing data_load
+// window; it is a no-op when no phase is open.
 func (env *Env) FinishPhase() {
 	if env.phaseCtr == nil {
 		return
@@ -138,6 +138,23 @@ func (env *Env) FinishPhase() {
 	env.phaseScope.End()
 	env.phaseCtr = nil
 	env.phaseScope = obs.Scope{}
+}
+
+// Epoch is the one epoch step every execution plane trains through: an
+// "epoch" span on the engine's track, w.TrainEpoch, and the trailing host
+// phase closed, all under gpu.Guard. A simulated OOM or a fatal health event
+// inside the epoch is returned as the error — the very *vmem.OOMError or
+// *fault.FatalError the device raised — and the Env's device is then dead.
+// E.Reset stays with the caller, because the planes place it differently (a
+// DDP worker resets after its epoch barrier, a sweep never does).
+func (env *Env) Epoch(w interface{ TrainEpoch() float64 }) (loss float64, err error) {
+	err = gpu.Guard(func() {
+		scope := env.E.Track().Begin("epoch", obs.CatPhase)
+		loss = w.TrainEpoch()
+		env.FinishPhase()
+		scope.End()
+	})
+	return loss, err
 }
 
 // Step finishes one iteration: in training mode it zeroes gradients,
@@ -153,14 +170,14 @@ func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, params []*autograd.Pa
 	}
 	nn.ZeroGrads(params)
 	env.beginPhase(obs.PhaseBackward, phaseBackwardC)
-	before := env.clock()
+	before := env.SimClock()
 	t.Backward(loss)
 	if env.OnGradients != nil {
 		// Under ddp.Cluster the hook flattens gradients, waits at the
 		// lockstep barrier, and receives the averaged buckets — the host
 		// analogue of the allreduce.
 		env.beginPhase(obs.PhaseAllreduce, phaseAllreduceC)
-		env.OnGradients(params, env.clock()-before)
+		env.OnGradients(params, env.SimClock()-before)
 	}
 	env.beginPhase(obs.PhaseOptimizer, phaseOptimizerC)
 	if clipNorm > 0 {
@@ -175,18 +192,15 @@ func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, params []*autograd.Pa
 	env.beginPhase(obs.PhaseDataLoad, phaseDataC)
 }
 
-// clock returns the engine's simulated elapsed seconds — the overlapped
+// SimClock returns the engine's simulated elapsed seconds — the overlapped
 // timeline makespan under the input pipeline, the device's serialized
 // clock otherwise (0 when the engine runs deviceless).
-func (env *Env) clock() float64 {
+func (env *Env) SimClock() float64 {
 	if env.E == nil {
 		return 0
 	}
 	return env.E.SimClock()
 }
-
-// SimClock exposes clock for replica accounting (ddp.Cluster).
-func (env *Env) SimClock() float64 { return env.clock() }
 
 // NewLoader builds an unbounded input loader with this Env's pipeline
 // configuration and registers it for Close. Workloads call it at

@@ -129,13 +129,3 @@ func DurationBuckets() []int64 {
 	}
 	return out
 }
-
-// ByteBuckets returns the default histogram bounds for byte sizes:
-// powers of four from 1 KiB to 16 GiB.
-func ByteBuckets() []int64 {
-	var out []int64
-	for b := int64(1 << 10); b <= 1<<34; b <<= 2 {
-		out = append(out, b)
-	}
-	return out
-}

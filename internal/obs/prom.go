@@ -51,9 +51,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// WritePrometheusText writes the default registry in Prometheus format.
-func WritePrometheusText(w io.Writer) error { return defaultRegistry.WritePrometheus(w) }
-
 // promName maps a registry metric name onto the Prometheus grammar:
 // [a-zA-Z_:][a-zA-Z0-9_:]*, with every other rune replaced by '_'.
 func promName(name string) string {

@@ -80,19 +80,6 @@ func (e *Engine) Device() *gpu.Device { return e.dev }
 // Backend returns the numerics backend the engine computes on.
 func (e *Engine) Backend() backend.Backend { return e.be }
 
-// Release returns t's device block to the caching allocator. Call it when a
-// tensor's lifetime ends; the freed range coalesces with free neighbors and
-// its address is reissued to later allocations.
-func (e *Engine) Release(t *tensor.Tensor) {
-	b, ok := e.blocks[t]
-	if !ok {
-		return
-	}
-	e.dev.Free(b)
-	e.noteRelease(int64(t.Size()) * 4)
-	delete(e.blocks, t)
-}
-
 // Reset returns every tracked device block to the caching allocator and
 // clears the per-tensor, per-CSR, and per-index-buffer bookkeeping.
 // Training loops call it between epochs; still-live tensors are

@@ -133,9 +133,6 @@ func (e *Engine) EnablePipeline(depth int, compress bool) {
 	}
 }
 
-// PipelineEnabled reports whether the input pipeline is active.
-func (e *Engine) PipelineEnabled() bool { return e.pipe != nil }
-
 // MarkStaged tags the next iteration's inputs as pipeline-staged: its
 // copies may start as soon as their staging slot frees (depth iterations
 // back), rather than serializing with compute. The loader hand-off

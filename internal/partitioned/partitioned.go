@@ -30,7 +30,6 @@ import (
 	"gnnmark/internal/nn"
 	"gnnmark/internal/obs"
 	"gnnmark/internal/stream"
-	"gnnmark/internal/vmem"
 )
 
 // Halo-traffic metrics (no-ops until obs.Enable).
@@ -49,18 +48,20 @@ type Config struct {
 	Overlap bool
 	// Monitors, when non-nil, attaches one health-event monitor per rank
 	// (len must equal world). Monitors should be in immediate mode: a due
-	// fatal event panics at the rank's next kernel launch and surfaces from
-	// Train as a rank-attributed error (exec.RankError wrapping
+	// fatal event is raised at the rank's next kernel launch and surfaces
+	// from Train as a rank-attributed error (exec.RankError wrapping
 	// fault.FatalError); degraded events stretch kernel and halo times.
 	// Event timestamps are training-relative: Train rebases each monitor's
 	// origin so construction-time kernels cannot trip the schedule.
 	Monitors []*fault.Monitor
 }
 
-// Factory builds one rank's partition workload, its Env, and the simulated
-// device the Env's engine is attached to. Every rank must be constructed
-// from the same seed so the replicated model state agrees.
-type Factory func(rank, world int) (models.PartWorkload, *models.Env, *gpu.Device)
+// Factory builds one rank's partition workload and its Env (the simulated
+// device is env.E.Device()). Every rank must be constructed from the same
+// seed so the replicated model state agrees. Train calls it under gpu.Guard:
+// a construction that fails may return the error or let the device raise
+// it, and either way Train returns it unwrapped.
+type Factory func(rank, world int) (models.PartWorkload, *models.Env, error)
 
 // Result is the outcome of an executed partitioned training run.
 type Result struct {
@@ -279,27 +280,20 @@ func snapshot(src []float32) []float32 {
 	return out
 }
 
-// runEpochs is one worker goroutine's body. A device OOM is converted into
-// a run error (the acceptance demo trains a graph that fits partitioned but
-// not on one device); other panics propagate to the exec core.
-func (wk *worker) runEpochs(epochs int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if oe, ok := r.(*vmem.OOMError); ok {
-				err = fmt.Errorf("partitioned: rank %d: %w", wk.rank, oe)
-				return
-			}
-			panic(r)
-		}
-	}()
+// runEpochs is one worker goroutine's body. A device failure comes back
+// from the epoch step as an error (the acceptance demo trains a graph that
+// fits partitioned but not on one device) and the exec core names the rank.
+func (wk *worker) runEpochs(epochs int) error {
 	for ep := 0; ep < epochs; ep++ {
-		loss := wk.w.TrainEpoch()
-		wk.env.FinishPhase()
+		loss, err := wk.env.Epoch(wk.w)
+		if err != nil {
+			return err
+		}
 		wk.closeComputeSpan("epoch.tail")
 
-		msgs, gerr := wk.eng.gather.Run(wk.rank, epochMsg{loss: loss, at: wk.tl.Sync()})
-		if gerr != nil {
-			return gerr
+		msgs, err := wk.eng.gather.Run(wk.rank, epochMsg{loss: loss, at: wk.tl.Sync()})
+		if err != nil {
+			return err
 		}
 		combined, maxAt := 0.0, 0.0
 		for r, m := range msgs {
@@ -334,8 +328,23 @@ func Train(factory Factory, world, epochs int, cfg Config) (*Result, error) {
 	}
 	g := exec.NewGroup(world)
 	eng := &engine{g: g, gather: exec.NewGather(g), cfg: cfg, world: world}
+	// Stop every rank's loader workers once the run is over.
+	defer func() {
+		for _, wk := range eng.workers {
+			wk.env.Close()
+		}
+	}()
 	for rank := 0; rank < world; rank++ {
-		w, env, dev := factory(rank, world)
+		var w models.PartWorkload
+		var env *models.Env
+		var ferr error
+		if err := gpu.Guard(func() { w, env, ferr = factory(rank, world) }); err != nil {
+			return nil, err
+		}
+		if ferr != nil {
+			return nil, ferr
+		}
+		dev := env.E.Device()
 		if cfg.Monitors != nil {
 			// Rebase the schedule to training time: the device clock already
 			// holds construction kernels, so map clock-now to fleet time 0.
@@ -363,11 +372,7 @@ func Train(factory Factory, world, epochs int, cfg Config) (*Result, error) {
 		wk := wk
 		g.Go(wk.rank, func() error { return wk.runEpochs(epochs) })
 	}
-	err := g.Wait()
-	for _, wk := range eng.workers {
-		wk.env.Close()
-	}
-	if err != nil {
+	if err := g.Wait(); err != nil {
 		return nil, err
 	}
 

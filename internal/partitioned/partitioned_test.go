@@ -16,7 +16,7 @@ import (
 )
 
 // newEnv builds a fresh seed-21 env on a fast V100 (coarse cache replay).
-func newEnv(hbmBytes int64) (*models.Env, *gpu.Device) {
+func newEnv(hbmBytes int64) *models.Env {
 	cfg := gpu.V100()
 	cfg.MaxSampledWarps = 256
 	if hbmBytes > 0 {
@@ -27,14 +27,14 @@ func newEnv(hbmBytes int64) (*models.Env, *gpu.Device) {
 	if err != nil {
 		panic(err)
 	}
-	return models.NewEnv(ops.NewWith(dev, be), 21), dev
+	return models.NewEnv(ops.NewWith(dev, be), 21)
 }
 
 func argaFactory(hbmBytes int64) Factory {
-	return func(rank, world int) (models.PartWorkload, *models.Env, *gpu.Device) {
-		env, dev := newEnv(hbmBytes)
+	return func(rank, world int) (models.PartWorkload, *models.Env, error) {
+		env := newEnv(hbmBytes)
 		ds := datasets.NewCitation(env.RNG, "cora")
-		return models.NewPartitionedARGA(env, ds, models.ARGAConfig{}, rank, world, nil), env, dev
+		return models.NewPartitionedARGA(env, ds, models.ARGAConfig{}, rank, world, nil), env, nil
 	}
 }
 
@@ -48,10 +48,10 @@ func smallMolHIV(env *models.Env) *datasets.MoleculeSet {
 }
 
 func dgcnFactory() Factory {
-	return func(rank, world int) (models.PartWorkload, *models.Env, *gpu.Device) {
-		env, dev := newEnv(0)
+	return func(rank, world int) (models.PartWorkload, *models.Env, error) {
+		env := newEnv(0)
 		cfg := models.DGCNConfig{Layers: 4, Hidden: 16}
-		return models.NewPartitionedDGCN(env, smallMolHIV(env), cfg, rank, world, nil), env, dev
+		return models.NewPartitionedDGCN(env, smallMolHIV(env), cfg, rank, world, nil), env, nil
 	}
 }
 
@@ -99,7 +99,7 @@ func requireBitwiseParams(t *testing.T, a, b []*autograd.Param, what string) {
 func TestPartitionedARGAEquivalence(t *testing.T) {
 	const epochs = 2
 
-	env, _ := newEnv(0)
+	env := newEnv(0)
 	ds := datasets.NewCitation(env.RNG, "cora")
 	single := models.NewARGA(env, ds, models.ARGAConfig{})
 	var singleLosses []float64
@@ -154,7 +154,7 @@ func TestPartitionedARGAEquivalence(t *testing.T) {
 func TestPartitionedDGCNEquivalence(t *testing.T) {
 	const epochs = 2
 
-	env, _ := newEnv(0)
+	env := newEnv(0)
 	cfg := models.DGCNConfig{Layers: 4, Hidden: 16}
 	single := models.NewDGCN(env, smallMolHIV(env), cfg)
 	var singleLosses []float64

@@ -155,9 +155,6 @@ func (p *Profiler) EpochSeconds() []float64 {
 // Class returns the accumulated stats of one class.
 func (p *Profiler) Class(c gpu.OpClass) *ClassStats { return &p.perClass[c] }
 
-// Transfers returns the recorded host-to-device copies.
-func (p *Profiler) Transfers() []TransferSample { return p.transfers }
-
 // Reset clears all accumulated state (counters, transfers, epoch marks).
 func (p *Profiler) Reset() {
 	p.perClass = [gpu.NumOpClasses]ClassStats{}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gnnmark/internal/core"
@@ -142,9 +143,13 @@ func Execute(sc *Scenario) (*Outcome, error) {
 	return out, nil
 }
 
-// failOutcome records a recognized failure on the outcome.
+// failOutcome records a training failure on the outcome — the one place a
+// failure is classified, whichever fleet raised it: a simulated OOM
+// anywhere in the chain (bare from a single device, rank-wrapped from a
+// DDP or partitioned worker) is OOM, everything else an abort.
 func failOutcome(out *Outcome, err error) {
-	if _, isOOM := err.(*vmem.OOMError); isOOM {
+	var oom *vmem.OOMError
+	if errors.As(err, &oom) {
 		out.OOM = true
 	} else {
 		out.Aborted = true
@@ -181,7 +186,7 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 		rep, err := core.NewReplica(cfg, 0, 0, 1)
 		var oom *vmem.OOMError
 		if errors.As(err, &oom) {
-			failOutcome(out, oom)
+			failOutcome(out, err)
 			return nil, nil
 		}
 		if err != nil {
@@ -256,17 +261,8 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 // a healthy single-round run — so fatal events always mean recovery, never
 // a crash.
 func (sc *Scenario) runElastic(cfg core.RunConfig, out *Outcome) error {
-	slotFactory, err := core.DDPSlotFactory(cfg)
-	if err != nil {
-		return err
-	}
-	factory := func(rank, world int) (models.Workload, *models.Env) {
-		return slotFactory(rank, rank, world)
-	}
-	res, runErr := ddp.RunElastic(factory, cfg.GPUs, cfg.Epochs, ddp.ElasticOptions{
-		Schedule:    sc.trainSchedule(),
-		SlotFactory: slotFactory,
-	})
+	res, runErr := ddp.RunElastic(core.DDPFactory(cfg), cfg.GPUs, cfg.Epochs,
+		ddp.ElasticOptions{Schedule: sc.trainSchedule()})
 	out.Losses = res.Losses
 	out.CompletedEpochs = res.EpochsCompleted
 	out.UsefulSeconds = res.UsefulSeconds
@@ -277,8 +273,7 @@ func (sc *Scenario) runElastic(cfg core.RunConfig, out *Outcome) error {
 	out.Recoveries = res.Recoveries
 	out.Survivors = res.Survivors
 	if runErr != nil {
-		out.Aborted = true
-		out.FailMsg = runErr.Error()
+		failOutcome(out, runErr)
 		return nil
 	}
 	if len(res.Replicas) > 0 {
@@ -316,10 +311,6 @@ func (sc *Scenario) runPartitioned(cfg core.RunConfig, out *Outcome) error {
 	out.TotalSeconds = res.TotalSeconds
 	out.UsefulSeconds = res.TotalSeconds
 	out.Goodput = 1
-	for _, p := range res.PeakBytes {
-		if p > out.PeakBytes {
-			out.PeakBytes = p
-		}
-	}
+	out.PeakBytes = slices.Max(res.PeakBytes)
 	return nil
 }

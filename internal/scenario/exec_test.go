@@ -122,6 +122,50 @@ workload:
 	}
 }
 
+// TestExecuteOOMOnEveryFleet: a simulated OOM is classified in one place
+// (failOutcome), so expect-oom means the same thing whether the device that
+// ran out was alone, a DDP replica, or a partition rank — bare or wrapped in
+// an exec.RankError — and the failing run replays to the same digest.
+func TestExecuteOOMOnEveryFleet(t *testing.T) {
+	for _, tc := range []struct{ plane, gpus, parallelism string }{
+		{"single", "1", "ddp"},
+		{"ddp", "2", "ddp"},
+		{"partitioned", "2", "partitioned"},
+	} {
+		t.Run(tc.plane, func(t *testing.T) {
+			src := `scenario: oom-` + tc.plane + `
+fleet:
+  nodes:
+    - preset: v100
+      gpus: ` + tc.gpus + `
+      hbm-gb: 0.001
+workload:
+  key: ARGA
+  dataset: cora
+  parallelism: ` + tc.parallelism + `
+  epochs: 1
+  warps: 64
+assertions:
+  - kind: expect-oom
+  - kind: rerun-digest
+`
+			out, err := Run(mustParse(t, src))
+			if err != nil {
+				t.Fatalf("expect-oom + rerun-digest did not pass: %v", err)
+			}
+			if out.Plane != tc.plane {
+				t.Fatalf("ran on plane %q, want %q", out.Plane, tc.plane)
+			}
+			if !out.OOM || out.Aborted {
+				t.Fatalf("want OOM and not aborted, got OOM=%v Aborted=%v: %s", out.OOM, out.Aborted, out.FailMsg)
+			}
+			if !strings.Contains(out.FailMsg, "simulated device OOM in kernel") {
+				t.Fatalf("OOM message %q names no kernel", out.FailMsg)
+			}
+		})
+	}
+}
+
 func TestExecuteLoaderKill(t *testing.T) {
 	src := singleBase + `events:
   - type: loader-kill

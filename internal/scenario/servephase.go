@@ -66,41 +66,28 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 	items := sv.NumItems()
 	spec := sc.Serve.resolved()
 
-	// Serving replicas are forward-only: there is no input loader to
-	// pipeline, so they build synchronous whatever the training phase used.
-	cfg.PipelineDepth = 0
-	buildReplica := func(r int) (models.Servable, *core.Replica, error) {
-		rep, err := core.NewReplica(cfg, r%len(slots), 0, 1)
-		if err != nil {
-			return nil, nil, err
+	// Replica r serves on the device model of fleet slot r mod world.
+	// Serving measures the forward passes only: the clock is rebased past
+	// construction so burst windows and throttle events are phase-relative.
+	newPool := func(n int) (*core.ServingPool, error) {
+		pool, err := core.NewServingPool(cfg, n, len(slots), weights)
+		if err == nil {
+			for _, rep := range pool.Replicas {
+				rep.Rebase()
+			}
 		}
-		m, ok := rep.W.(models.Servable)
-		if !ok {
-			rep.Env.Close()
-			return nil, nil, fmt.Errorf("scenario: workload %s does not serve embeddings", rep.W.Name())
-		}
-		if err := weights.LoadInto(m.Params()); err != nil {
-			rep.Env.Close()
-			return nil, nil, err
-		}
-		// Serving measures the forward passes only: rebase the clock past
-		// construction so burst windows and throttle events are phase-
-		// relative.
-		rep.Rebase()
-		return m, rep, nil
+		return pool, err
 	}
 
 	// Calibration: one cold replica, one batch-1 request.
-	calM, calRep, err := buildReplica(0)
+	cal, err := newPool(1)
 	if err != nil {
 		return err
 	}
-	cal := serve.NewReplica(0, calM, calRep.Env.SimClock)
-	_, d1, serveErr := cal.Serve([]int32{0})
+	_, d1, err := cal.Serving[0].Serve([]int32{0})
 	cal.Close()
-	calRep.Env.Close()
-	if serveErr != nil {
-		return serveErr
+	if err != nil {
+		return err
 	}
 	out.ServeBatchOneSeconds = d1
 
@@ -137,21 +124,12 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 
 	// Build the serving pool; serve-plane thermal throttles attach to their
 	// replica's device (firing on its accumulated busy time).
-	reps := make([]*serve.Replica, 0, spec.Replicas)
-	envs := make([]*models.Env, 0, spec.Replicas)
-	defer func() {
-		for _, r := range reps {
-			r.Close()
-		}
-		for _, e := range envs {
-			e.Close()
-		}
-	}()
-	for r := 0; r < spec.Replicas; r++ {
-		m, rep, err := buildReplica(r)
-		if err != nil {
-			return err
-		}
+	pool, err := newPool(spec.Replicas)
+	if err != nil {
+		return err
+	}
+	defer pool.Close()
+	for r, rep := range pool.Replicas {
 		var throttles []fault.Event
 		for _, ev := range sc.Events {
 			if ev.Plane == PlaneServe && ev.Type == EvThermal && ev.Slot == r {
@@ -161,8 +139,6 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 		if len(throttles) > 0 {
 			rep.Dev.AttachHealth(fault.NewMonitor(throttles, true))
 		}
-		reps = append(reps, serve.NewReplica(r, m, rep.Env.SimClock))
-		envs = append(envs, rep.Env)
 	}
 
 	stats, err := serve.New(serve.Config{
@@ -171,7 +147,7 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 		MaxWaitSeconds: spec.MaxWaitFactor * d1,
 		QueueCap:       spec.QueueCap,
 		CacheRows:      spec.CacheRows,
-	}, reps).Run(serve.NewSliceSource(reqs))
+	}, pool.Serving).Run(serve.NewSliceSource(reqs))
 	if err != nil {
 		return err
 	}

@@ -49,9 +49,6 @@ func (tl *Timeline) NewStream(name string) *Stream {
 	return s
 }
 
-// Streams returns the timeline's streams in creation order.
-func (tl *Timeline) Streams() []*Stream { return tl.streams }
-
 // Now returns the makespan: the furthest cursor across streams. This is
 // the overlapped wall-clock of everything enqueued so far.
 func (tl *Timeline) Now() float64 {

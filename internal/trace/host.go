@@ -56,6 +56,20 @@ func HostEvents() []Event {
 // rows (tid 0 = transfers, class+1 = kernels).
 const streamTIDBase = 100
 
+// RankLanes flattens per-rank stream lanes into one list with rank-prefixed
+// names, so every simulated GPU's compute and halo streams appear as their
+// own named threads in the Chrome trace.
+func RankLanes(lanes [][]stream.Lane) []stream.Lane {
+	var out []stream.Lane
+	for r, ls := range lanes {
+		for _, l := range ls {
+			l.Name = fmt.Sprintf("gpu%d %s", r, l.Name)
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 // StreamLaneEvents converts the overlapped-timeline stream lanes into
 // Chrome trace events under DevicePID: a named thread row per stream
 // (compute, copy engine) at tids >= streamTIDBase, one "X" slice per
