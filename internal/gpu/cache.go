@@ -25,10 +25,14 @@ const invalidTag = ^uint64(0)
 
 // NewCache builds a cache of the given total size, line size, and
 // associativity. Sizes that do not divide evenly are rounded down to a whole
-// number of sets (minimum one).
+// number of sets (minimum one). The line size must be a power of two: lines
+// are addressed by shift.
 func NewCache(sizeBytes, lineBytes, ways int) *Cache {
 	if lineBytes <= 0 || ways <= 0 || sizeBytes <= 0 {
 		panic("gpu: NewCache requires positive geometry")
+	}
+	if lineBytes&(lineBytes-1) != 0 {
+		panic("gpu: NewCache requires a power-of-two line size")
 	}
 	numSets := sizeBytes / (lineBytes * ways)
 	if numSets < 1 {
@@ -69,27 +73,33 @@ func (c *Cache) Ways() int { return c.ways }
 // AccessLine touches the line containing addr and reports whether it hit.
 // On a miss the LRU way of the set is replaced.
 func (c *Cache) AccessLine(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
+	return c.touch(addr >> c.lineShift)
+}
+
+// touch is AccessLine for a caller that already holds the line number
+// (addr >> lineShift). The set is scanned for a hit first; only a miss pays
+// for the victim search, which picks the first way with the smallest stamp.
+func (c *Cache) touch(line uint64) bool {
+	base := int(line&c.setMask) * c.ways
+	tags := c.tags[base : base+c.ways]
+	order := c.order[base : base+c.ways]
 	c.clock++
 
-	lruWay, lruStamp := 0, ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		idx := base + w
-		if c.tags[idx] == line {
-			c.order[idx] = c.clock
+	for w, tag := range tags {
+		if tag == line {
+			order[w] = c.clock
 			c.hits++
 			return true
 		}
-		if c.order[idx] < lruStamp {
-			lruStamp = c.order[idx]
+	}
+	lruWay := 0
+	for w := 1; w < len(order); w++ {
+		if order[w] < order[lruWay] {
 			lruWay = w
 		}
 	}
-	idx := base + lruWay
-	c.tags[idx] = line
-	c.order[idx] = c.clock
+	tags[lruWay] = line
+	order[lruWay] = c.clock
 	c.misses++
 	return false
 }

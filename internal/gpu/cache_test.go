@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -35,12 +36,83 @@ func TestNewCacheGeometry(t *testing.T) {
 }
 
 func TestCachePanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero line size")
+	for _, g := range []struct {
+		name             string
+		size, line, ways int
+	}{
+		{"zero line", 1024, 0, 4},
+		{"zero ways", 1024, 64, 0},
+		{"zero size", 0, 64, 4},
+		{"96-byte line", 3072, 96, 4},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			NewCache(g.size, g.line, g.ways)
+		})
+	}
+}
+
+// accessLineRef is AccessLine as it was before the hit scan and the victim
+// search were separated: one pass over the set that tracks the LRU way while
+// it looks for the tag.
+func (c *Cache) accessLineRef(addr uint64) bool {
+	line := addr >> c.lineShift
+	set := int(line & c.setMask)
+	base := set * c.ways
+	c.clock++
+
+	lruWay, lruStamp := 0, ^uint64(0)
+	for w := 0; w < c.ways; w++ {
+		idx := base + w
+		if c.tags[idx] == line {
+			c.order[idx] = c.clock
+			c.hits++
+			return true
 		}
-	}()
-	NewCache(1024, 0, 4)
+		if c.order[idx] < lruStamp {
+			lruStamp = c.order[idx]
+			lruWay = w
+		}
+	}
+	idx := base + lruWay
+	c.tags[idx] = line
+	c.order[idx] = c.clock
+	c.misses++
+	return false
+}
+
+// sameState reports whether two caches hold the same tags, LRU stamps, clock
+// and counters.
+func sameState(a, b *Cache) bool {
+	return slices.Equal(a.tags, b.tags) && slices.Equal(a.order, b.order) &&
+		a.clock == b.clock && a.hits == b.hits && a.misses == b.misses
+}
+
+// TestCacheAccessMatchesReference drives twin caches with the same address
+// stream, one through AccessLine and one through the single-pass walk it
+// replaced: same answer, same victim and same stamps after every access.
+func TestCacheAccessMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range []struct{ size, line, ways int }{
+		{1024, 64, 1}, {2048, 64, 2}, {4 << 10, 128, 4}, {16 << 10, 64, 16}, {64, 64, 4}, {96, 1, 3},
+	} {
+		got, want := NewCache(g.size, g.line, g.ways), NewCache(g.size, g.line, g.ways)
+		span := uint64(4 * g.size)
+		for i := 0; i < 20000; i++ {
+			addr := uint64(rng.Int63n(int64(span)))
+			if i%7 == 0 {
+				addr = ^uint64(0) - addr // the top of the address space
+			}
+			if h, r := got.AccessLine(addr), want.accessLineRef(addr); h != r || !sameState(got, want) {
+				t.Fatalf("%+v access %d (addr %#x): hit %v, reference %v, state equal %v",
+					g, i, addr, h, r, sameState(got, want))
+			}
+		}
+	}
 }
 
 func TestCacheColdMissThenHit(t *testing.T) {

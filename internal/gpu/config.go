@@ -230,6 +230,8 @@ func (c Config) Validate() error {
 		return errConfig("cache sizes must be positive")
 	case c.L1LineBytes <= 0 || c.L2LineBytes <= 0:
 		return errConfig("cache line sizes must be positive")
+	case c.L1LineBytes&(c.L1LineBytes-1) != 0 || c.L2LineBytes&(c.L2LineBytes-1) != 0:
+		return errConfig("cache line sizes must be powers of two")
 	case c.L1Ways <= 0 || c.L2Ways <= 0:
 		return errConfig("cache associativity must be positive")
 	case c.DRAMBandwidthGBps <= 0 || c.L2BandwidthGBps <= 0:

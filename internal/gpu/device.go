@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"gnnmark/internal/vmem"
 )
@@ -14,6 +16,9 @@ type Device struct {
 	cfg Config
 	l1  *Cache
 	l2  *Cache
+	// scaledL1 holds the shrunken L1 a warp-sampled launch replays through,
+	// one per capacity, built on first use and invalidated per launch.
+	scaledL1 map[int]*Cache
 
 	mem        *vmem.Allocator
 	pendingOOM *vmem.OOMError
@@ -71,6 +76,7 @@ func New(cfg Config) *Device {
 		cfg:          cfg,
 		l1:           NewCache(cfg.L1SizeKB<<10, cfg.L1LineBytes, cfg.L1Ways),
 		l2:           NewCache(cfg.L2SizeKB<<10, cfg.L2LineBytes, cfg.L2Ways),
+		scaledL1:     map[int]*Cache{},
 		mem:          vmem.New(hbm),
 		kernelMult:   1,
 		transferMult: 1,
@@ -306,99 +312,160 @@ type memResult struct {
 // each distinct line becomes one transaction through L1 then (on miss) L2.
 // Streams longer than MaxSampledWarps warps are stride-sampled and all
 // counters rescaled by the sampling factor.
+//
+// A warp's lines are replayed in order of first appearance, which the LRU
+// state depends on. For a strided access whose byte step is non-negative and
+// at most one line, lane addresses never decrease and never skip a line, so
+// that order is the ascending run firstLine..lastLine and needs no per-lane
+// work; every other access walks its lanes. replayMemoryRef in
+// device_test.go is the lane-by-lane walk this must equal field for field.
 func (d *Device) replayMemory(k *Kernel) memResult {
 	var res memResult
 
-	totalWarps := 0
-	for _, a := range k.Accesses {
-		totalWarps += (a.lanes()+31)/32*a.repeats() + 1
-	}
-	sample := 1
-	if totalWarps > d.cfg.MaxSampledWarps {
-		sample = (totalWarps + d.cfg.MaxSampledWarps - 1) / d.cfg.MaxSampledWarps
-	}
+	sample := d.sampleFactor(k)
 	scale := uint64(sample)
-
-	// Per-kernel cold L1 (private per-SM caches do not survive launches in
-	// any useful way for these streaming workloads); warm shared L2. When
-	// the stream is warp-sampled, L1 capacity is scaled down by the same
-	// factor so the sampled working set keeps its true ratio to capacity
-	// (plain sampling would inflate hit rates on re-read patterns).
-	l1 := d.l1
-	if sample > 1 {
-		size := (d.cfg.L1SizeKB << 10) / sample
-		if minSize := 8 * d.cfg.L1LineBytes * d.cfg.L1Ways; size < minSize {
-			size = minSize
-		}
-		l1 = NewCache(size, d.cfg.L1LineBytes, d.cfg.L1Ways)
-	}
+	l1, l2 := d.l1For(sample), d.l2
 	l1.Invalidate()
-	d.l2.ResetCounters()
+	l2.ResetCounters()
 
-	lineBytes := uint64(d.cfg.L1LineBytes)
+	// An L1 line number becomes an L2 line number by the difference of the
+	// two shifts; one of up and down is zero.
+	shift := l1.lineShift
+	var up, down uint
+	if shift >= l2.lineShift {
+		up = shift - l2.lineShift
+	} else {
+		down = l2.lineShift - shift
+	}
+	useL1 := !d.cfg.BypassL1
+	l1Lat := float64(scale) * d.cfg.L1LatencyCycles
+	l2Lat := float64(scale) * d.cfg.L2LatencyCycles
+	dramLat := float64(scale) * d.cfg.DRAMLatencyCycles
 	var lineBuf [32]uint64
 
-	for _, a := range k.Accesses {
+	for i := range k.Accesses {
+		a := &k.Accesses[i]
 		lanes := a.lanes()
 		if lanes == 0 {
 			continue
 		}
 		warps := (lanes + 31) / 32
-		for rep := 0; rep < a.repeats(); rep++ {
+		isLoad := a.Kind == LoadAccess
+		elem := uint64(a.ElemBytes)
+		step := uint64(a.Stride) * elem
+		run := a.coalescesToRun(lanes, l1.lineBytes)
+		for rep := a.repeats(); rep > 0; rep-- {
 			for w := 0; w < warps; w += sample {
 				startLane := w * 32
-				endLane := startLane + 32
-				if endLane > lanes {
-					endLane = lanes
-				}
+				endLane := min(startLane+32, lanes)
 				nLines := 0
-				for lane := startLane; lane < endLane; lane++ {
-					var addr uint64
-					if a.Indices != nil {
-						addr = a.Base + uint64(int64(a.Indices[lane]))*uint64(a.ElemBytes)
-					} else {
-						addr = a.Base + uint64(lane)*uint64(a.Stride)*uint64(a.ElemBytes)
+				if run {
+					first := (a.Base + uint64(startLane)*step) >> shift
+					last := (a.Base + uint64(endLane-1)*step) >> shift
+					nLines = int(last-first) + 1
+					for j := range lineBuf[:nLines] {
+						lineBuf[j] = first + uint64(j)
 					}
-					line := addr / lineBytes
-					seen := false
-					for i := 0; i < nLines; i++ {
-						if lineBuf[i] == line {
-							seen = true
-							break
+				} else {
+					for lane := startLane; lane < endLane; lane++ {
+						var addr uint64
+						if a.Indices != nil {
+							addr = a.Base + uint64(int64(a.Indices[lane]))*elem
+						} else {
+							addr = a.Base + uint64(lane)*step
+						}
+						line := addr >> shift
+						// Newest first: a repeated line is most often the
+						// previous lane's.
+						j := nLines - 1
+						for j >= 0 && lineBuf[j] != line {
+							j--
+						}
+						if j < 0 {
+							lineBuf[nLines] = line
+							nLines++
 						}
 					}
-					if !seen && nLines < len(lineBuf) {
-						lineBuf[nLines] = line
-						nLines++
-					}
 				}
-				if a.Kind == LoadAccess {
+				if isLoad {
 					res.loadWarps += scale
 					if nLines > 1 {
 						res.divergentLoads += scale
 					}
 				}
-				for i := 0; i < nLines; i++ {
-					addr := lineBuf[i] * lineBytes
+				for _, line := range lineBuf[:nLines] {
 					res.warpTransactions += scale
-					if !d.cfg.BypassL1 && l1.AccessLine(addr) {
+					if useL1 && l1.touch(line) {
 						res.l1Hits += scale
-						res.latencyCycles += float64(scale) * d.cfg.L1LatencyCycles
+						res.latencyCycles += l1Lat
 						continue
 					}
 					res.l1Misses += scale
-					if d.l2.AccessLine(addr) {
+					if l2.touch(line << up >> down) {
 						res.l2Hits += scale
-						res.latencyCycles += float64(scale) * d.cfg.L2LatencyCycles
+						res.latencyCycles += l2Lat
 					} else {
 						res.l2Misses += scale
-						res.latencyCycles += float64(scale) * d.cfg.DRAMLatencyCycles
+						res.latencyCycles += dramLat
 					}
 				}
 			}
 		}
 	}
 	return res
+}
+
+// sampleFactor returns the warp stride k's stream is replayed at: 1 while it
+// fits MaxSampledWarps, else the smallest stride that makes it fit.
+func (d *Device) sampleFactor(k *Kernel) int {
+	totalWarps := 0
+	for _, a := range k.Accesses {
+		totalWarps += (a.lanes()+31)/32*a.repeats() + 1
+	}
+	if totalWarps <= d.cfg.MaxSampledWarps {
+		return 1
+	}
+	return (totalWarps + d.cfg.MaxSampledWarps - 1) / d.cfg.MaxSampledWarps
+}
+
+// l1For returns the L1 a launch sampled at the given factor replays through.
+// L1 is cold per kernel (private per-SM caches do not survive launches in any
+// useful way for these streaming workloads) while the shared L2 stays warm.
+// When the stream is warp-sampled, L1 capacity is scaled down by the same
+// factor so the sampled working set keeps its true ratio to capacity (plain
+// sampling would inflate hit rates on re-read patterns). The caller
+// invalidates it.
+func (d *Device) l1For(sample int) *Cache {
+	if sample == 1 {
+		return d.l1
+	}
+	size := (d.cfg.L1SizeKB << 10) / sample
+	if minSize := 8 * d.cfg.L1LineBytes * d.cfg.L1Ways; size < minSize {
+		size = minSize
+	}
+	l1 := d.scaledL1[size]
+	if l1 == nil {
+		l1 = NewCache(size, d.cfg.L1LineBytes, d.cfg.L1Ways)
+		d.scaledL1[size] = l1
+	}
+	return l1
+}
+
+// coalescesToRun reports whether every warp of a touches consecutive lines in
+// ascending order: a is strided, its byte step is at most one line, so lane
+// addresses never decrease and never skip a line, and the last lane's address
+// does not wrap. A negative stride or element size reads as 2^63 or more
+// here, as it does in the address arithmetic, and so fails the step test (or
+// is multiplied by zero, and every lane touches Base).
+func (a *Access) coalescesToRun(lanes, lineBytes int) bool {
+	if a.Indices != nil {
+		return false
+	}
+	hi, step := bits.Mul64(uint64(a.Stride), uint64(a.ElemBytes))
+	if hi != 0 || step > uint64(lineBytes) {
+		return false
+	}
+	return step == 0 || uint64(lanes-1) <= (math.MaxUint64-a.Base)/step
 }
 
 // timeKernel fills Seconds, Launch, Cycles, Stalls, and IPC. The latency

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,8 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		{"zero clock", func(c *Config) { c.ClockGHz = 0 }},
 		{"zero L1", func(c *Config) { c.L1SizeKB = 0 }},
 		{"zero line", func(c *Config) { c.L2LineBytes = 0 }},
+		{"96-byte L1 line", func(c *Config) { c.L1LineBytes = 96 }},
+		{"48-byte L2 line", func(c *Config) { c.L2LineBytes = 48 }},
 		{"zero ways", func(c *Config) { c.L1Ways = 0 }},
 		{"zero bandwidth", func(c *Config) { c.DRAMBandwidthGBps = 0 }},
 		{"zero issue", func(c *Config) { c.IssueLanesPerSM = 0 }},
@@ -42,8 +45,9 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := V100()
 			tt.mutate(&cfg)
-			if cfg.Validate() == nil {
-				t.Fatal("want validation error")
+			var cfgErr errConfig
+			if err := cfg.Validate(); !errors.As(err, &cfgErr) {
+				t.Fatalf("Validate() = %v, want an errConfig", err)
 			}
 		})
 	}
@@ -378,6 +382,102 @@ func TestHalfPrecisionShrinksElem(t *testing.T) {
 	}
 }
 
+// replayMemoryRef is the lane-by-lane replay that replayMemory replaced, kept
+// as written (one address and one 64-bit divide per lane, a forward scan of
+// the line buffer, a fresh scaled L1 per sampled launch) as the oracle
+// TestReplayMatchesReference and FuzzReplayEquivalence hold the fast path to.
+// It also returns the L1 it replayed through so the twins' cache state can be
+// compared.
+func (d *Device) replayMemoryRef(k *Kernel) (memResult, *Cache) {
+	var res memResult
+
+	totalWarps := 0
+	for _, a := range k.Accesses {
+		totalWarps += (a.lanes()+31)/32*a.repeats() + 1
+	}
+	sample := 1
+	if totalWarps > d.cfg.MaxSampledWarps {
+		sample = (totalWarps + d.cfg.MaxSampledWarps - 1) / d.cfg.MaxSampledWarps
+	}
+	scale := uint64(sample)
+
+	l1 := d.l1
+	if sample > 1 {
+		size := (d.cfg.L1SizeKB << 10) / sample
+		if minSize := 8 * d.cfg.L1LineBytes * d.cfg.L1Ways; size < minSize {
+			size = minSize
+		}
+		l1 = NewCache(size, d.cfg.L1LineBytes, d.cfg.L1Ways)
+	}
+	l1.Invalidate()
+	d.l2.ResetCounters()
+
+	lineBytes := uint64(d.cfg.L1LineBytes)
+	var lineBuf [32]uint64
+
+	for _, a := range k.Accesses {
+		lanes := a.lanes()
+		if lanes == 0 {
+			continue
+		}
+		warps := (lanes + 31) / 32
+		for rep := 0; rep < a.repeats(); rep++ {
+			for w := 0; w < warps; w += sample {
+				startLane := w * 32
+				endLane := startLane + 32
+				if endLane > lanes {
+					endLane = lanes
+				}
+				nLines := 0
+				for lane := startLane; lane < endLane; lane++ {
+					var addr uint64
+					if a.Indices != nil {
+						addr = a.Base + uint64(int64(a.Indices[lane]))*uint64(a.ElemBytes)
+					} else {
+						addr = a.Base + uint64(lane)*uint64(a.Stride)*uint64(a.ElemBytes)
+					}
+					line := addr / lineBytes
+					seen := false
+					for i := 0; i < nLines; i++ {
+						if lineBuf[i] == line {
+							seen = true
+							break
+						}
+					}
+					if !seen && nLines < len(lineBuf) {
+						lineBuf[nLines] = line
+						nLines++
+					}
+				}
+				if a.Kind == LoadAccess {
+					res.loadWarps += scale
+					if nLines > 1 {
+						res.divergentLoads += scale
+					}
+				}
+				for i := 0; i < nLines; i++ {
+					addr := lineBuf[i] * lineBytes
+					res.warpTransactions += scale
+					if !d.cfg.BypassL1 && l1.accessLineRef(addr) {
+						res.l1Hits += scale
+						res.latencyCycles += float64(scale) * d.cfg.L1LatencyCycles
+						continue
+					}
+					res.l1Misses += scale
+					if d.l2.accessLineRef(addr) {
+						res.l2Hits += scale
+						res.latencyCycles += float64(scale) * d.cfg.L2LatencyCycles
+					} else {
+						res.l2Misses += scale
+						res.latencyCycles += float64(scale) * d.cfg.DRAMLatencyCycles
+					}
+				}
+			}
+		}
+	}
+	return res, l1
+}
+
 func BenchmarkLaunchStreaming(b *testing.B) {
 	d := New(testConfig())
 	n := 1 << 18
@@ -389,6 +489,72 @@ func BenchmarkLaunchStreaming(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.Launch(k)
+	}
+}
+
+// stridedKernel reads and writes n contiguous fp32 values and re-reads a
+// small tile: the element-wise and GEMM shapes, all on the closed-form path.
+func stridedKernel(n int) *Kernel {
+	return &Kernel{
+		Name: "strided", Class: OpElementWise, Threads: n,
+		Mix: InstrMix{Load: uint64(2 * n), Store: uint64(n), Fp32: uint64(n)},
+		Accesses: []Access{
+			{Kind: LoadAccess, Base: 1 << 20, ElemBytes: 4, Count: n, Stride: 1},
+			{Kind: LoadAccess, Base: 8 << 20, ElemBytes: 4, Count: n / 8, Stride: 1, Repeat: 8},
+			{Kind: StoreAccess, Base: 16 << 20, ElemBytes: 4, Count: n, Stride: 1},
+		},
+	}
+}
+
+// gatherKernel gathers n rows of 4 bytes by pseudo-random index and stores
+// them contiguously: the per-lane path.
+func gatherKernel(n int) *Kernel {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32((i * 2654435761) % (1 << 20))
+	}
+	return &Kernel{
+		Name: "gather", Class: OpGather, Threads: n,
+		Mix: InstrMix{Load: uint64(n), Store: uint64(n), Int32: uint64(2 * n)},
+		Accesses: []Access{
+			{Kind: LoadAccess, Base: 1 << 20, ElemBytes: 4, Indices: idx},
+			{Kind: StoreAccess, Base: 16 << 20, ElemBytes: 4, Count: n, Stride: 1},
+		},
+	}
+}
+
+func benchmarkReplay(b *testing.B, maxWarps int, k *Kernel) {
+	cfg := testConfig()
+	cfg.MaxSampledWarps = maxWarps
+	d := New(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.replayMemory(k)
+	}
+}
+
+func BenchmarkReplayStrided(b *testing.B) { benchmarkReplay(b, 1<<14, stridedKernel(1<<17)) }
+func BenchmarkReplayGather(b *testing.B)  { benchmarkReplay(b, 1<<14, gatherKernel(1<<17)) }
+
+// BenchmarkReplaySampled replays the strided kernel at a sampling factor of
+// 23, through the scaled-down L1.
+func BenchmarkReplaySampled(b *testing.B) { benchmarkReplay(b, 512, stridedKernel(1<<17)) }
+
+// TestSampledLaunchDoesNotAllocate pins the scaled L1's reuse: once a sampled
+// launch has built the L1 of its sample factor, launching at that factor
+// again allocates nothing.
+func TestSampledLaunchDoesNotAllocate(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxSampledWarps = 512
+	d := New(cfg)
+	k := stridedKernel(1 << 17)
+	if d.sampleFactor(k) < 2 {
+		t.Fatal("kernel is not sampled; the test would pin nothing")
+	}
+	d.Launch(k)
+	if allocs := testing.AllocsPerRun(20, func() { d.Launch(k) }); allocs != 0 {
+		t.Fatalf("sampled Launch allocated %v times per run, want 0", allocs)
 	}
 }
 

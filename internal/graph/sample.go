@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RandomWalkSampler implements PinSAGE-style importance-based neighbor
@@ -95,11 +96,8 @@ func RankVisits(seed int32, trace []int32, topK int) NeighborSample {
 	for it, c := range visits {
 		ranked = append(ranked, kv{it, c})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].count != ranked[j].count {
-			return ranked[i].count > ranked[j].count
-		}
-		return ranked[i].item < ranked[j].item
+	slices.SortFunc(ranked, func(a, b kv) int {
+		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.item, b.item))
 	})
 	k := topK
 	if k > len(ranked) {

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -106,5 +108,49 @@ func TestUniformNeighbors(t *testing.T) {
 	nb := g.Neighbors(0)
 	if nb[0] != 1 || nb[1] != 2 || nb[2] != 3 {
 		t.Fatal("UniformNeighbors mutated the CSR")
+	}
+}
+
+// TestRankVisitsMatchesReflectionSort pins RankVisits against the sort.Slice
+// ranking it replaced, on random traces full of count ties: (count desc, item
+// asc) is a total order over distinct items, so the ranking is unique.
+func TestRankVisitsMatchesReflectionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		trace := make([]int32, rng.Intn(120))
+		for i := range trace {
+			trace[i] = int32(rng.Intn(25))
+		}
+		topK := 1 + rng.Intn(12)
+
+		counts := map[int32]int{}
+		for _, v := range trace {
+			counts[v]++
+		}
+		var items []int32
+		for it := range counts {
+			items = append(items, it)
+		}
+		sort.Slice(items, func(i, j int) bool {
+			if counts[items[i]] != counts[items[j]] {
+				return counts[items[i]] > counts[items[j]]
+			}
+			return items[i] < items[j]
+		})
+		want := items[:min(topK, len(items))]
+
+		got := RankVisits(3, trace, topK)
+		if !slices.Equal(got.Neighbors, want) {
+			t.Fatalf("RankVisits(%v, top %d) = %v, want %v", trace, topK, got.Neighbors, want)
+		}
+		total := 0
+		for _, it := range want {
+			total += counts[it]
+		}
+		for i, it := range want {
+			if w := float32(counts[it]) / float32(total); got.Weights[i] != w {
+				t.Fatalf("weight %d = %v, want %v", i, got.Weights[i], w)
+			}
+		}
 	}
 }

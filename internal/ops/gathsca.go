@@ -1,8 +1,9 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/tensor"
@@ -145,7 +146,7 @@ func (e *Engine) EmbeddingLookup(table *tensor.Tensor, ids []int32) *tensor.Tens
 func (e *Engine) SortInt32(keys []int32) []int32 {
 	out := make([]int32, len(keys))
 	copy(out, keys)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	e.launchSort("radix_sort", keys)
 	return out
 }
@@ -156,7 +157,7 @@ func (e *Engine) ArgsortInt32(keys []int32) []int32 {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return keys[perm[i]] < keys[perm[j]] })
+	slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
 	e.launchSort("argsort", keys)
 	return perm
 }

@@ -3,6 +3,8 @@ package ops
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -311,6 +313,34 @@ func TestSortInt32(t *testing.T) {
 	perm := e.ArgsortInt32([]int32{30, 10, 20})
 	if perm[0] != 1 || perm[1] != 2 || perm[2] != 0 {
 		t.Fatalf("argsort = %v", perm)
+	}
+}
+
+// TestSortsMatchReflectionSorts pins SortInt32 and ArgsortInt32 against the
+// sort.Slice / sort.SliceStable calls they replaced, on random keys with
+// ties: a sorted []int32 and a stable permutation are each unique, so the
+// generic sorts cannot move a bit.
+func TestSortsMatchReflectionSorts(t *testing.T) {
+	e := New(nil)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		keys := make([]int32, rng.Intn(300))
+		for i := range keys {
+			keys[i] = int32(rng.Intn(40)) - 20
+		}
+		want := slices.Clone(keys)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if got := e.SortInt32(keys); !slices.Equal(got, want) {
+			t.Fatalf("SortInt32(%v) = %v, want %v", keys, got, want)
+		}
+		wantPerm := make([]int32, len(keys))
+		for i := range wantPerm {
+			wantPerm[i] = int32(i)
+		}
+		sort.SliceStable(wantPerm, func(i, j int) bool { return keys[wantPerm[i]] < keys[wantPerm[j]] })
+		if got := e.ArgsortInt32(keys); !slices.Equal(got, wantPerm) {
+			t.Fatalf("ArgsortInt32(%v) = %v, want %v", keys, got, wantPerm)
+		}
 	}
 }
 
