@@ -3,25 +3,82 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestCLI builds the binary once and pins exit code and output for the
-// subcommands whose failure paths run through gpu.Guard: whichever plane
-// hits the simulated OOM, the report is one line and the exit code 1.
+var update = flag.Bool("update", false, "rewrite the testdata/ goldens from the command table")
+
+// repoRoot is where the documented invocations are meant to run from.
+var repoRoot = filepath.Join("..", "..")
+
+// flagNames returns the flags c accepts, sorted.
+func flagNames(c *command) []string {
+	var names []string
+	c.flagSet(&options{}, flag.ContinueOnError).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names
+}
+
+// golden compares got with the named file, or rewrites the file under -update.
+func golden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s is stale (go test ./cmd/gnnmark -update rewrites it)\n--- got\n%s\n--- want\n%s", path, got, want)
+	}
+}
+
+// TestCLI builds the binary once and drives it: hand-written rows for the
+// failure paths (whichever plane hits the simulated OOM, the report is one
+// line and the exit code 1) and for flags that used to be accepted and
+// ignored; then, for every row of the command table, its -h and one flag it
+// does not bind; then a cheap numeric subset run twice.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "gnnmark")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	// run executes the binary in dir (subcommands may write artifacts to
+	// the cwd) and returns its streams and exit code.
+	run := func(t *testing.T, dir string, args ...string) (stdout, stderr string, exit int) {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = dir
+		var so, se bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &so, &se
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			exit = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return so.String(), se.String(), exit
+	}
+
 	for _, tc := range []struct {
 		args      string
 		exit      int
 		stdout    []string // fragments stdout must contain
 		stderr    []string // fragments stderr must contain
+		notStdout string   // fragment stdout must not contain
 		notStderr string   // fragment stderr must not contain
 	}{
 		{args: "table1", exit: 0,
@@ -44,36 +101,185 @@ func TestCLI(t *testing.T) {
 			stderr: []string{"simulated device OOM in kernel"}, notStderr: "goroutine"},
 		{args: "sweep -values 4 -hbm-gb 0.00001 -warps 64", exit: 1,
 			stderr: []string{"simulated device OOM in kernel"}, notStderr: "goroutine"},
+		// Accepted and ignored while every command shared one flag set:
+		// figf trained ARGA too, gpucompare ran the default dataset, sweep
+		// switched host observability on and wrote no file, and the
+		// breakdown was a second binary whose unknown workload exited 2.
+		{args: "figf -workload DGCN -gpus 2 -epochs 1 -warps 64", exit: 0,
+			stdout: []string{"\nDGCN:\n"}, notStdout: "ARGA:"},
+		{args: "gpucompare -workload PSAGE -dataset bogus -epochs 1 -warps 64", exit: 1,
+			stderr: []string{"has no dataset"}},
+		{args: "sweep -values 4 -warps 64 -metrics-out m.json", exit: 2,
+			stderr: []string{"flag provided but not defined: -metrics-out", "usage: gnnmark sweep [flags]"}},
+		{args: "kernels -workload NOPE", exit: 1, stderr: []string{`unknown workload "NOPE"`}, notStderr: "usage"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			cmd := exec.Command(bin, strings.Fields(tc.args)...)
-			cmd.Dir = t.TempDir() // subcommands may write artifacts to the cwd
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			err := cmd.Run()
-			exit := 0
-			var ee *exec.ExitError
-			if errors.As(err, &ee) {
-				exit = ee.ExitCode()
-			} else if err != nil {
-				t.Fatal(err)
-			}
+			stdout, stderr, exit := run(t, t.TempDir(), strings.Fields(tc.args)...)
 			if exit != tc.exit {
-				t.Errorf("exit %d, want %d\nstderr: %s", exit, tc.exit, stderr.String())
+				t.Errorf("exit %d, want %d\nstderr: %s", exit, tc.exit, stderr)
 			}
 			for _, frag := range tc.stdout {
-				if !strings.Contains(stdout.String(), frag) {
-					t.Errorf("stdout missing %q:\n%s", frag, stdout.String())
+				if !strings.Contains(stdout, frag) {
+					t.Errorf("stdout missing %q:\n%s", frag, stdout)
 				}
 			}
 			for _, frag := range tc.stderr {
-				if !strings.Contains(stderr.String(), frag) {
-					t.Errorf("stderr missing %q:\n%s", frag, stderr.String())
+				if !strings.Contains(stderr, frag) {
+					t.Errorf("stderr missing %q:\n%s", frag, stderr)
 				}
 			}
-			if tc.notStderr != "" && strings.Contains(stderr.String(), tc.notStderr) {
-				t.Errorf("stderr contains %q:\n%s", tc.notStderr, stderr.String())
+			if tc.notStdout != "" && strings.Contains(stdout, tc.notStdout) {
+				t.Errorf("stdout contains %q:\n%s", tc.notStdout, stdout)
+			}
+			if tc.notStderr != "" && strings.Contains(stderr, tc.notStderr) {
+				t.Errorf("stderr contains %q:\n%s", tc.notStderr, stderr)
 			}
 		})
+	}
+
+	// Every row of the table: -h exits 0 and lists exactly the flags of the
+	// row's groups; a flag outside them exits 2 naming it, with the row's
+	// own usage. The help texts are one golden; so is the accepted
+	// (command, flag) pair count the table works out to.
+	var help strings.Builder
+	pairs := 0
+	listed := regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
+	for i := range commands {
+		c := &commands[i]
+		names := flagNames(c)
+		pairs += len(names)
+		t.Run(c.name+" -h", func(t *testing.T) {
+			stdout, stderr, exit := run(t, t.TempDir(), c.name, "-h")
+			if exit != 0 || stdout != "" {
+				t.Errorf("exit %d, stdout %q; want 0 and the help on stderr", exit, stdout)
+			}
+			var got []string
+			for _, m := range listed.FindAllStringSubmatch(stderr, -1) {
+				got = append(got, m[1])
+			}
+			if !slices.Equal(got, names) {
+				t.Errorf("-h lists %v, the row binds %v", got, names)
+			}
+			fmt.Fprintf(&help, "$ gnnmark %s -h\n%s\n", c.name, stderr)
+		})
+		t.Run(c.name+" foreign flag", func(t *testing.T) {
+			for _, foreign := range []string{"serve-qps", "gpus", "target"} {
+				if slices.Contains(names, foreign) {
+					continue
+				}
+				_, stderr, exit := run(t, t.TempDir(), c.name, "-"+foreign, "3")
+				if exit != 2 || !strings.Contains(stderr, "flag provided but not defined: -"+foreign) ||
+					!strings.Contains(stderr, "usage: gnnmark "+c.name) {
+					t.Errorf("-%s: exit %d, want 2 naming the flag above the command's usage:\n%s", foreign, exit, stderr)
+				}
+				return
+			}
+			t.Fatal("the row binds every candidate flag")
+		})
+	}
+	golden(t, "testdata/help.txt", help.String())
+	t.Logf("accepted (command, flag) pairs: %d", pairs)
+	if pairs > 320 {
+		t.Errorf("the table accepts %d (command, flag) pairs, want at most 320", pairs)
+	}
+
+	// Text-only outputs, stable across platforms: the usage, Table I, the
+	// scenario library.
+	_, usageText, _ := run(t, t.TempDir())
+	golden(t, "testdata/usage.txt", usageText)
+	table1, _, _ := run(t, t.TempDir(), "table1")
+	golden(t, "testdata/table1.txt", table1)
+	scenarios, err := filepath.Glob(filepath.Join(repoRoot, "scenarios", "*.yaml"))
+	if err != nil || len(scenarios) == 0 {
+		t.Fatalf("no scenario library under %s: %v", repoRoot, err)
+	}
+	for i, path := range scenarios {
+		scenarios[i] = filepath.ToSlash(strings.TrimPrefix(path, repoRoot+string(filepath.Separator)))
+	}
+	checked, stderr, exit := run(t, repoRoot, append([]string{"scenario", "check"}, scenarios...)...)
+	if exit != 0 {
+		t.Errorf("scenario check: exit %d\n%s", exit, stderr)
+	}
+	golden(t, "testdata/scenario-check.txt", checked)
+
+	// Determinism: identical flags, identical bytes.
+	for _, args := range []string{
+		"run -workload TLSTM -epochs 1 -warps 64",
+		"ttt -workload TLSTM -max-epochs 1 -warps 64",
+		"sweep -values 4 -epochs 1 -warps 64",
+		"infer -workload TLSTM -epochs 1 -warps 64",
+		"roofline -workload TLSTM -epochs 1 -warps 64",
+		"kernels -workload TLSTM -warps 64",
+	} {
+		t.Run(args+" twice", func(t *testing.T) {
+			first, stderr, exit := run(t, t.TempDir(), strings.Fields(args)...)
+			if exit != 0 || first == "" {
+				t.Fatalf("exit %d, stdout %q\n%s", exit, first, stderr)
+			}
+			if again, _, _ := run(t, t.TempDir(), strings.Fields(args)...); again != first {
+				t.Errorf("rerun differs:\n%s\n--- vs\n%s", first, again)
+			}
+		})
+	}
+}
+
+// invocation finds `gnnmark CMD ...` (also ./cmd/gnnmark, /tmp/gnnmark) up
+// to the end of its line.
+var invocation = regexp.MustCompile("(?:^|[\\s`/])gnnmark ([a-z][a-z0-9-]*)([^`\n]*)")
+
+// TestDocsInvokeTheTable extracts every gnnmark invocation the docs and CI
+// show as code and checks that the command is a row of the table and that
+// the flags parse under that row's flag set. Parse only, nothing runs.
+// Placeholder operands (N, X, FILE, ..) are substituted or skipped.
+func TestDocsInvokeTheTable(t *testing.T) {
+	seen := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
+		raw, err := os.ReadFile(filepath.Join(repoRoot, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(raw), "\\\n", " ") // shell line continuations
+		markdown, fenced := strings.HasSuffix(doc, ".md"), false
+		for _, line := range strings.Split(text, "\n") {
+			if markdown && strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			for _, m := range invocation.FindAllStringSubmatchIndex(line, -1) {
+				// In prose only `code spans` count: an odd number of
+				// backticks before the match means it sits inside one.
+				if markdown && !fenced && strings.Count(line[:m[2]], "`")%2 == 0 {
+					continue
+				}
+				name, rest := line[m[2]:m[3]], strings.Fields(line[m[4]:m[5]])
+				var args []string
+				for _, tok := range rest {
+					if strings.HasPrefix(tok, "#") || strings.ContainsAny(tok, "|>&;)") {
+						break // a comment, or the shell around the invocation
+					}
+					switch {
+					case tok == "..":
+					case strings.ToUpper(tok) == tok && strings.ToLower(tok) != tok:
+						args = append(args, "1") // N, X, FILE: any value that parses
+					default:
+						args = append(args, tok)
+					}
+				}
+				seen++
+				i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
+				if i < 0 {
+					t.Errorf("%s: `gnnmark %s` is not in the command table", doc, name)
+					continue
+				}
+				fs := commands[i].flagSet(&options{}, flag.ContinueOnError)
+				fs.SetOutput(io.Discard)
+				if err := fs.Parse(args); err != nil {
+					t.Errorf("%s: `gnnmark %s %s`: %v", doc, name, strings.Join(args, " "), err)
+				}
+			}
+		}
+	}
+	if seen < 60 {
+		t.Errorf("found %d documented invocations, expected the 60-odd the docs carry: is the extraction broken?", seen)
 	}
 }

@@ -12,48 +12,34 @@ import (
 // face of the declarative chaos harness. `check` parses and validates
 // without executing; `run` executes each scenario and checks its
 // assertions, exiting non-zero with the failed assertion named.
-func runScenario(args []string) {
-	if len(args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: gnnmark scenario run|check FILE...")
-		os.Exit(2)
+func runScenario(o *options) {
+	if len(o.args) < 2 {
+		o.badOperands()
 	}
-	sub, files := args[0], args[1:]
-	switch sub {
-	case "check":
-		for _, path := range files {
-			sc, err := loadScenario(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gnnmark:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("ok %s: scenario %q (%d node(s), %d event(s), %d assertion(s))\n",
-				path, sc.Name, len(sc.Fleet.Nodes), len(sc.Events), len(sc.Assertions))
-		}
-	case "run":
-		for _, path := range files {
-			sc, err := loadScenario(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gnnmark:", err)
-				os.Exit(1)
-			}
-			out, err := scenario.Run(sc)
-			if out != nil {
-				fmt.Print(out.Summary())
-			}
-			if err != nil {
-				var ae *scenario.AssertionError
-				if errors.As(err, &ae) {
-					fmt.Fprintf(os.Stderr, "gnnmark: %s: %v\n", path, err)
-					os.Exit(1)
-				}
-				fmt.Fprintln(os.Stderr, "gnnmark:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("pass %s: %d assertion(s) held\n", path, len(sc.Assertions))
-		}
-	default:
+	sub, files := o.args[0], o.args[1:]
+	if sub != "run" && sub != "check" {
 		fmt.Fprintf(os.Stderr, "gnnmark: unknown scenario subcommand %q (want run or check)\n", sub)
 		os.Exit(2)
+	}
+	for _, path := range files {
+		sc, err := loadScenario(path)
+		fail(err)
+		if sub == "check" {
+			fmt.Printf("ok %s: scenario %q (%d node(s), %d event(s), %d assertion(s))\n",
+				path, sc.Name, len(sc.Fleet.Nodes), len(sc.Events), len(sc.Assertions))
+			continue
+		}
+		out, err := scenario.Run(sc)
+		if out != nil {
+			fmt.Print(out.Summary())
+		}
+		var ae *scenario.AssertionError
+		if errors.As(err, &ae) {
+			fmt.Fprintf(os.Stderr, "gnnmark: %s: %v\n", path, err)
+			os.Exit(1)
+		}
+		fail(err)
+		fmt.Printf("pass %s: %d assertion(s) held\n", path, len(sc.Assertions))
 	}
 }
 

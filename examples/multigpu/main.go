@@ -61,7 +61,7 @@ func main() {
 				note = "  [data replicated: sampler is not DDP-compatible]"
 			}
 			fmt.Printf("  %d GPU: epoch %.3f ms = compute %.3f + exposed comm %.3f (%.3f hidden under backward) -> speedup %.2fx%s\n",
-				r.GPUs, 1e3*r.EpochSeconds, 1e3*r.ComputeSeconds, 1e3*r.ExposedCommSeconds,
+				r.GPUs, 1e3*r.TotalSeconds, 1e3*r.ComputeSeconds, 1e3*r.ExposedCommSeconds,
 				1e3*r.OverlappedCommSeconds, r.Speedup, note)
 		}
 		fmt.Println()

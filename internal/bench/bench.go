@@ -313,7 +313,7 @@ func (s *Suite) Fig8() string {
 // ScalingResult is one workload's Figure 9 series.
 type ScalingResult struct {
 	Workload string
-	Results  []ddp.Result
+	Results  []ddp.ClusterResult
 }
 
 // Fig9Workloads lists the multi-GPU study's workloads: everything except
@@ -360,13 +360,9 @@ func Fig9(cfg core.RunConfig) ([]ScalingResult, error) {
 	for _, key := range Fig9Workloads {
 		// Every replica runs on slot 0's device model: the study scales the
 		// paper's homogeneous node.
-		factory := func(_, rank, world int) (models.Workload, *models.Env, error) {
-			env, err := cfg.NewEnv(0)
-			if err != nil {
-				return nil, nil, err
-			}
-			env.Rank, env.World = rank, world
-			return fig9Build(key, env), env, nil
+		factory := func(_, rank, world int) (w models.Workload, env *models.Env, err error) {
+			env, err = cfg.Build(0, rank, world, func(env *models.Env) { w = fig9Build(key, env) })
+			return w, env, err
 		}
 		res, err := ddp.ExecutedStrongScaling(factory, []int{1, 2, 4}, ddp.ClusterConfig{})
 		if err != nil {

@@ -320,7 +320,7 @@ func TestClaimExecutedEngineCommShape(t *testing.T) {
 	// timeline — not a closed-form estimate — must reproduce the paper's
 	// communication story.
 	results := executedFig9(t)
-	at4 := map[string]ddp.Result{}
+	at4 := map[string]ddp.ClusterResult{}
 	for _, sr := range results {
 		for _, r := range sr.Results {
 			if r.GPUs == 4 {

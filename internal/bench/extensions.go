@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -15,25 +16,18 @@ import (
 // profiler and returns its report: the DNN side of the paper's "GNN
 // training differs greatly from a typical DNN" contrast.
 func DNNBaseline(cfg core.RunConfig) (profiler.Report, error) {
-	env, err := cfg.NewEnv(0)
+	var m *models.DNN
+	env, err := cfg.Build(0, 0, 1, func(env *models.Env) { m = models.NewDNN(env, models.DNNConfig{}) })
 	if err != nil {
 		return profiler.Report{}, err
 	}
 	defer env.Close()
 	prof := profiler.Attach(env.E.Device())
 	env.OnIteration = prof.NextIteration
-	var m *models.DNN
-	err = gpu.Guard(func() { m = models.NewDNN(env, models.DNNConfig{}) })
-	prof.Reset()
-	epochs := cfg.Epochs
-	if epochs == 0 {
-		epochs = 2
-	}
-	for e := 0; e < epochs && err == nil; e++ {
-		_, err = env.Epoch(m)
-	}
-	if err != nil {
-		return profiler.Report{}, err
+	for e := 0; e < cmp.Or(cfg.Epochs, 2); e++ {
+		if _, err := env.Epoch(m); err != nil {
+			return profiler.Report{}, err
+		}
 	}
 	return prof.Snapshot(), nil
 }
@@ -121,7 +115,7 @@ func L1BypassAblation(cfg core.RunConfig) (normal, bypassed float64, err error) 
 // FormatStrongScaling renders an executed strong-scaling series for one
 // workload (the `run -gpus N` view): per world size, the epoch timeline
 // split into compute and exposed/hidden communication.
-func FormatStrongScaling(workload string, results []ddp.Result) string {
+func FormatStrongScaling(workload string, results []ddp.ClusterResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s executed DDP strong scaling (global batch fixed)\n", workload)
 	for _, r := range results {
@@ -130,7 +124,7 @@ func FormatStrongScaling(workload string, results []ddp.Result) string {
 			note = "  [replicated: sampler not DDP-compatible]"
 		}
 		fmt.Fprintf(&b, "  %d GPU: epoch %.3f ms = compute %.3f + exposed comm %.3f (%.3f hidden, %d buckets)  speedup %.2fx%s\n",
-			r.GPUs, 1e3*r.EpochSeconds, 1e3*r.ComputeSeconds,
+			r.GPUs, 1e3*r.TotalSeconds, 1e3*r.ComputeSeconds,
 			1e3*r.ExposedCommSeconds, 1e3*r.OverlappedCommSeconds, r.Buckets, r.Speedup, note)
 	}
 	return b.String()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -9,25 +10,13 @@ import (
 	"gnnmark/internal/fault"
 )
 
-// FigFArm summarizes one recovery strategy's outcome at one churn level.
-type FigFArm struct {
-	Goodput         float64
-	UsefulSeconds   float64
-	LostSeconds     float64
-	OverheadSeconds float64
-	TotalSeconds    float64
-	Recoveries      int
-	Survivors       int
-	EpochsCompleted int
-}
-
 // FigFLevel is one churn level: the injected fault counts and both
-// strategies' outcomes under the identical schedule.
+// strategies' outcomes under the identical schedule (Replicas and Rounds
+// cleared, so a study does not pin trained models).
 type FigFLevel struct {
 	// Fatals and Degraded are the event counts drawn into the schedule.
-	Fatals, Degraded int
-	Elastic          FigFArm
-	FailStop         FigFArm
+	Fatals, Degraded  int
+	Elastic, FailStop ddp.ElasticResult
 }
 
 // FigFWorkload holds one workload's goodput-vs-churn series.
@@ -45,19 +34,6 @@ type FigFResult struct {
 	Workloads []FigFWorkload
 }
 
-func figFArm(res ddp.ElasticResult) FigFArm {
-	return FigFArm{
-		Goodput:         res.Goodput,
-		UsefulSeconds:   res.UsefulSeconds,
-		LostSeconds:     res.LostSeconds,
-		OverheadSeconds: res.OverheadSeconds,
-		TotalSeconds:    res.TotalSeconds,
-		Recoveries:      res.Recoveries,
-		Survivors:       len(res.Survivors),
-		EpochsCompleted: res.EpochsCompleted,
-	}
-}
-
 // FigF runs the goodput-under-churn study: for each workload, draw seeded
 // chaos schedules of rising churn (fatal + degraded health events over the
 // run's horizon) and train through each schedule twice — once with elastic
@@ -68,17 +44,13 @@ func figFArm(res ddp.ElasticResult) FigFArm {
 //
 // cfg.GPUs sets the fleet size (default 4); cfg.Workload restricts the
 // study to one workload (default: ARGA and DGCN, the two both multi-GPU
-// discussions single out).
+// discussions single out); cfg.Dataset, when set, must be a dataset of
+// every workload studied.
 func FigF(cfg core.RunConfig) (*FigFResult, error) {
 	if cfg.GPUs <= 1 {
 		cfg.GPUs = 4
 	}
-	if cfg.Epochs == 0 {
-		cfg.Epochs = 3
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
+	cfg.Epochs, cfg.Seed = cmp.Or(cfg.Epochs, 3), cmp.Or(cfg.Seed, 1)
 	keys := []string{"ARGA", "DGCN"}
 	if cfg.Workload != "" {
 		keys = []string{cfg.Workload}
@@ -87,7 +59,6 @@ func FigF(cfg core.RunConfig) (*FigFResult, error) {
 	for _, key := range keys {
 		c := cfg
 		c.Workload = key
-		c.Dataset = ""
 		factory := core.DDPFactory(c)
 		// Event timestamps compare against barrier-time device clocks, which
 		// advance with compute; probe one healthy epoch's critical path so
@@ -114,10 +85,8 @@ func FigF(cfg core.RunConfig) (*FigFResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("figf: fail-stop %s churn %d/%d: %w", key, lvl.f, lvl.d, err)
 			}
-			wl.Levels = append(wl.Levels, FigFLevel{
-				Fatals: lvl.f, Degraded: lvl.d,
-				Elastic: figFArm(el), FailStop: figFArm(fs),
-			})
+			el.Replicas, el.Rounds, fs.Replicas, fs.Rounds = nil, nil, nil, nil
+			wl.Levels = append(wl.Levels, FigFLevel{Fatals: lvl.f, Degraded: lvl.d, Elastic: el, FailStop: fs})
 		}
 		out.Workloads = append(out.Workloads, wl)
 	}
@@ -142,8 +111,8 @@ func FormatFigF(res *FigFResult) string {
 			}
 			fmt.Fprintf(&b, "  %6d %8d  %15.4f %9d %10d  %15.4f %9d %10d  %8.2fx\n",
 				lvl.Fatals, lvl.Degraded,
-				lvl.Elastic.Goodput, lvl.Elastic.Survivors, lvl.Elastic.Recoveries,
-				lvl.FailStop.Goodput, lvl.FailStop.Survivors, lvl.FailStop.Recoveries, adv)
+				lvl.Elastic.Goodput, len(lvl.Elastic.Survivors), lvl.Elastic.Recoveries,
+				lvl.FailStop.Goodput, len(lvl.FailStop.Survivors), lvl.FailStop.Recoveries, adv)
 		}
 	}
 	b.WriteString("\ngoodput = useful seconds / total seconds; identical seeded schedules feed both arms,\n")

@@ -37,10 +37,10 @@ func TestFigFElasticBeatsFailStop(t *testing.T) {
 		t.Fatalf("elastic goodput %v does not beat fail-stop %v",
 			churn.Elastic.Goodput, churn.FailStop.Goodput)
 	}
-	if churn.Elastic.Survivors >= res.GPUs {
+	if len(churn.Elastic.Survivors) >= res.GPUs {
 		t.Fatalf("elastic recovery must shrink the fleet: %+v", churn.Elastic)
 	}
-	if churn.FailStop.Survivors != res.GPUs {
+	if len(churn.FailStop.Survivors) != res.GPUs {
 		t.Fatalf("fail-stop must keep the world at full size: %+v", churn.FailStop)
 	}
 }

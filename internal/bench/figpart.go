@@ -18,17 +18,15 @@ type FigPartWorkload struct {
 	// DDP holds the executed data-parallel strong-scaling series. For
 	// full-graph workloads (ARGA) the cluster replicates the dataset — the
 	// paper's "DDP cannot be used" case — so its epoch time does not scale.
-	DDP []ddp.Result
+	DDP []ddp.ClusterResult
 	// Part holds the executed graph-partitioned series over the same worlds.
 	Part []*partitioned.Result
 }
 
-// FigPartCut is one labeling's point in the edge-cut sensitivity sweep.
+// FigPartCut is one labeling's run in the edge-cut sensitivity sweep.
 type FigPartCut struct {
-	Labeling  string
-	EdgeCut   int
-	HaloBytes uint64
-	Seconds   float64
+	Labeling string
+	*partitioned.Result
 }
 
 // FigPartResult is everything the figpart command prints.
@@ -45,8 +43,11 @@ type FigPartResult struct {
 // DDP-compatible) and ARGA (full-graph, DDP must replicate), train with the
 // executed DDP plane and the executed partitioned plane at each world size,
 // then sweep the partition labeling to expose the edge-cut sensitivity of
-// halo traffic. cfg.GPUs sets the largest world.
+// halo traffic. cfg.GPUs sets the largest world (default 4).
 func FigPart(cfg core.RunConfig) (*FigPartResult, error) {
+	if cfg.GPUs <= 1 {
+		cfg.GPUs = 4
+	}
 	out := &FigPartResult{}
 	for _, key := range []string{"DGCN", "ARGA"} {
 		c := cfg
@@ -96,19 +97,14 @@ func FigPart(cfg core.RunConfig) (*FigPartResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("figpart: %s labeling: %w", lab.name, err)
 		}
-		out.Cuts = append(out.Cuts, FigPartCut{
-			Labeling:  lab.name,
-			EdgeCut:   res.EdgeCut,
-			HaloBytes: res.HaloBytes,
-			Seconds:   res.TotalSeconds,
-		})
+		out.Cuts = append(out.Cuts, FigPartCut{lab.name, res})
 	}
 	return out, nil
 }
 
 // ddpEpochComm is the per-epoch wire volume one DDP replica pushes around
 // the ring: 2(G-1)/G of the gradient payload per iteration.
-func ddpEpochComm(r ddp.Result) uint64 {
+func ddpEpochComm(r ddp.ClusterResult) uint64 {
 	if r.GPUs <= 1 {
 		return 0
 	}
@@ -136,7 +132,7 @@ func FormatFigPart(res *FigPartResult) string {
 					if dr.Replicated {
 						note = "*"
 					}
-					ddpMS = fmt.Sprintf("%.3f%s", 1e3*dr.EpochSeconds, note)
+					ddpMS = fmt.Sprintf("%.3f%s", 1e3*dr.TotalSeconds, note)
 					ddpComm = vmem.FormatBytes(int64(ddpEpochComm(dr)))
 				}
 			}
@@ -170,7 +166,7 @@ func FormatFigPart(res *FigPartResult) string {
 		fmt.Fprintf(&b, "\nARGA edge-cut sensitivity (%d-way, %d epoch):\n", res.CutWorld, res.CutEpochs)
 		for _, c := range res.Cuts {
 			fmt.Fprintf(&b, "  %-7s labeling: cut %6d edges, halo %10s, epoch %.3f ms\n",
-				c.Labeling, c.EdgeCut, vmem.FormatBytes(int64(c.HaloBytes)), 1e3*c.Seconds)
+				c.Labeling, c.EdgeCut, vmem.FormatBytes(int64(c.HaloBytes)), 1e3*c.TotalSeconds)
 		}
 	}
 	b.WriteString("\n* = replicated (sampler not DDP-compatible: the paper's full-graph exclusion)\n")

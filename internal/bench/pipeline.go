@@ -8,34 +8,33 @@ import (
 	"gnnmark/internal/vmem"
 )
 
-// FigP runs the suite with the asynchronous input pipeline forced on and
-// returns the per-workload results. One pipelined run carries both epoch
-// times — the device's serialized clock is the synchronous baseline, the
-// two-stream timeline the overlapped one — so no second sweep is needed.
-// cfg.PipelineDepth defaults to 4; cfg.CompressH2D is honored as given
-// (encoded bytes are modeled either way, so the ratio column is always
-// meaningful).
-func FigP(cfg core.RunConfig) ([]core.RunResult, error) {
+// FigP characterizes the suite with the asynchronous input pipeline forced
+// on. One pipelined run carries both epoch times — the device's serialized
+// clock is the synchronous baseline, the two-stream timeline the overlapped
+// one — so no second sweep is needed. cfg.PipelineDepth defaults to 4;
+// cfg.CompressH2D is honored as given (encoded bytes are modeled either
+// way, so the ratio column is always meaningful).
+func FigP(cfg core.RunConfig) (*Suite, error) {
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = 4
 	}
-	return core.RunSuite(cfg)
+	return Characterize(cfg)
 }
 
 // FormatFigP renders the input-pipeline characterization (our "Fig. P",
 // extending the paper's data-loading observations of §IV-B): synchronous vs
 // overlapped epoch time, the copy time hidden behind compute, and the
 // raw-vs-encoded H2D payload of the sparsity codec.
-func FormatFigP(results []core.RunResult, depth int, compressed bool) string {
+func FormatFigP(s *Suite) string {
 	var b strings.Builder
 	mode := "raw wire bytes"
-	if compressed {
+	if s.Config.CompressH2D {
 		mode = "sparsity-encoded wire bytes"
 	}
-	fmt.Fprintf(&b, "Figure P: asynchronous input pipeline, depth %d, %s\n", depth, mode)
+	fmt.Fprintf(&b, "Figure P: asynchronous input pipeline, depth %d, %s\n", s.Config.PipelineDepth, mode)
 	fmt.Fprintf(&b, "%-12s %11s %11s %8s %8s %10s %10s %6s\n",
 		"workload", "sync/ep", "piped/ep", "speedup", "overlap", "H2D raw", "encoded", "ratio")
-	for _, r := range results {
+	for _, r := range s.Results {
 		var sync, pipe, copyBusy, exposed float64
 		var raw, enc uint64
 		for _, pe := range r.Pipe {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -62,21 +63,17 @@ func Sweep(key string, values []int, cfg core.RunConfig) ([]SweepPoint, error) {
 	}
 	var out []SweepPoint
 	for _, v := range values {
-		env, err := cfg.NewEnv(0)
+		var w models.Workload
+		env, err := cfg.Build(0, 0, 1, func(env *models.Env) { w = build(env, v) })
 		if err != nil {
 			return nil, err
 		}
+		// Construction may launch preprocessing kernels; profile training only.
 		dev := env.E.Device()
 		prof := profiler.Attach(dev)
 		env.OnIteration = prof.NextIteration
-		var w models.Workload
-		err = gpu.Guard(func() { w = build(env, v) })
-		prof.Reset()
 		dev.ResetClock()
-		epochs := cfg.Epochs
-		if epochs == 0 {
-			epochs = 1
-		}
+		epochs := cmp.Or(cfg.Epochs, 1)
 		var loss float64
 		for e := 0; e < epochs && err == nil; e++ {
 			loss, err = env.Epoch(w)

@@ -382,8 +382,7 @@ func ScalingWorlds(maxGPUs int) []int {
 // RunDDP trains cfg.Workload with the executed DDP engine at every
 // ScalingWorlds(cfg.GPUs) size and returns the per-world-size timeline with
 // speedups against the 1-GPU run.
-func RunDDP(cfg RunConfig) ([]ddp.Result, error) {
-	cfg.defaults()
+func RunDDP(cfg RunConfig) ([]ddp.ClusterResult, error) {
 	return ddp.ExecutedStrongScaling(DDPFactory(cfg), ScalingWorlds(cfg.GPUs), ddp.ClusterConfig{})
 }
 

@@ -7,13 +7,18 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"gnnmark/internal/bench"
 	"gnnmark/internal/core"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/exec"
+	"gnnmark/internal/gpu"
+	"gnnmark/internal/loader"
+	"gnnmark/internal/models"
 	"gnnmark/internal/vmem"
 )
 
@@ -89,8 +94,12 @@ func TestOOMIsAnErrorOnEveryPlane(t *testing.T) {
 // crash barrier) and internal/serve (request-input safety); or call a
 // workload's TrainEpoch() directly outside internal/models — every plane
 // trains through models.Env.Epoch, which returns device failures as errors.
+// And there is one CLI: one package main under cmd/, one flag.NewFlagSet
+// call site (each command's set comes out of the command table), and
+// os.Args read in main() only.
 func TestOneConstructionPath(t *testing.T) {
 	root := filepath.Join("..", "..")
+	mainDirs, flagSets := map[string]bool{}, 0
 	under := func(rel string, dirs ...string) bool {
 		for _, d := range dirs {
 			if strings.HasPrefix(rel, "internal/"+d+"/") {
@@ -109,6 +118,21 @@ func TestOneConstructionPath(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			if dir == "cmd" {
+				if file.Name.Name == "main" {
+					mainDirs[filepath.Dir(rel)] = true
+				}
+				for _, decl := range file.Decls {
+					fn, _ := decl.(*ast.FuncDecl)
+					inMain := fn != nil && fn.Recv == nil && fn.Name.Name == "main"
+					ast.Inspect(decl, func(n ast.Node) bool {
+						if sel, ok := n.(*ast.SelectorExpr); ok && !inMain && isPkgSel(sel, "os", "Args") {
+							t.Errorf("%s reads os.Args outside main()", rel)
+						}
+						return true
+					})
+				}
+			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -116,8 +140,11 @@ func TestOneConstructionPath(t *testing.T) {
 				}
 				switch fun := call.Fun.(type) {
 				case *ast.SelectorExpr:
-					if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "gpu" && fun.Sel.Name == "New" && !under(rel, "core") {
-						t.Errorf("%s calls gpu.New: build through core.NewReplica or RunConfig.NewEnv", rel)
+					if dir == "cmd" && isPkgSel(fun, "flag", "NewFlagSet") {
+						flagSets++
+					}
+					if isPkgSel(fun, "gpu", "New") && !under(rel, "core") {
+						t.Errorf("%s calls gpu.New: build through core.NewReplica or RunConfig.Build", rel)
 					}
 					if fun.Sel.Name == "TrainEpoch" && len(call.Args) == 0 && !under(rel, "models") {
 						t.Errorf("%s calls .TrainEpoch() directly: train through models.Env.Epoch", rel)
@@ -134,5 +161,42 @@ func TestOneConstructionPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if len(mainDirs) != 1 || flagSets != 1 {
+		t.Errorf("cmd/ holds %d package main directories (%v) and %d flag.NewFlagSet call sites, want one of each",
+			len(mainDirs), mainDirs, flagSets)
+	}
+}
+
+// isPkgSel reports whether sel is the qualified identifier pkg.name.
+func isPkgSel(sel *ast.SelectorExpr, pkg, name string) bool {
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == pkg && sel.Sel.Name == name
+}
+
+// TestConstructionOOMDoesNotLeak pins the guarded build step every factory
+// shares: a constructor the device fails mid-build, after its loader workers
+// have started, is the *vmem.OOMError as a returned error, and the
+// half-built Env's goroutines are gone.
+func TestConstructionOOMDoesNotLeak(t *testing.T) {
+	cfg := core.RunConfig{HBMGB: 1e-5, SampledWarps: 64, PipelineDepth: 2}
+	before := runtime.NumGoroutine()
+	_, err := cfg.Build(0, 0, 1, func(env *models.Env) {
+		env.NewLoader(func(int, *loader.Batch) {}) // its workers start here
+		dev := env.E.Device()
+		dev.AllocBlock(1<<20, "preprocessing") // parks the OOM the launch raises
+		dev.Launch(&gpu.Kernel{Name: "preprocess", Class: gpu.OpOther, Threads: 32, Mix: gpu.InstrMix{Int32: 32}})
+	})
+	var oom *vmem.OOMError
+	if !errors.As(err, &oom) || oom.Kernel != "preprocess" {
+		t.Fatalf("got %v, want the *vmem.OOMError raised in kernel preprocess", err)
+	}
+	// Loader.Close's drain goroutines end on their own once the workers it
+	// waited for have closed their channels.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before the failed build, %d after", before, n)
 	}
 }

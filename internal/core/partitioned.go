@@ -35,17 +35,18 @@ func PartitionedFactory(cfg RunConfig, partition func(g *graph.CSR, k int) ([]in
 	cfg.PipelineDepth = 0
 
 	// Rank = fleet slot under this plane. Partition workloads are not
-	// registry builds, so the factory starts from NewEnv; partitioned.Train
-	// guards the construction kernels.
-	return func(rank, world int) (models.PartWorkload, *models.Env, error) {
-		env, err := cfg.NewEnv(rank)
-		if err != nil {
-			return nil, nil, err
-		}
-		if spec.Key == "ARGA" {
-			return models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition), env, nil
-		}
-		return models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition), env, nil
+	// registry builds, so the factory calls Build itself — as rank 0 of 1:
+	// they split the graph by (rank, world) themselves, and the Env must
+	// not shard the batches under them as well.
+	return func(rank, world int) (w models.PartWorkload, env *models.Env, err error) {
+		env, err = cfg.Build(rank, 0, 1, func(env *models.Env) {
+			if spec.Key == "ARGA" {
+				w = models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition)
+			} else {
+				w = models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition)
+			}
+		})
+		return w, env, err
 	}, nil
 }
 
@@ -58,10 +59,6 @@ func RunPartitioned(cfg RunConfig) (*partitioned.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	world := cfg.GPUs
-	if world < 1 {
-		world = 1
-	}
-	return partitioned.Train(factory, world, cfg.Epochs,
+	return partitioned.Train(factory, max(cfg.GPUs, 1), cfg.Epochs,
 		partitioned.Config{Comm: ddp.DefaultComm(), Overlap: cfg.Overlap})
 }

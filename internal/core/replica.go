@@ -41,16 +41,21 @@ func (c *RunConfig) resolve() (Spec, string, error) {
 	return spec, dataset, nil
 }
 
-// NewEnv builds the device-attached Env of fleet slot `slot`, in this
-// order: device model (DeviceConfig), numerics backend, simulated device
-// (OnDevice fires before any kernel launches), op engine, seeded Env
-// (seed 0 reads as 1), training mode, input-pipeline config — which must be
-// set before a workload is built, because constructors create their
-// loaders from it. Callers that build something other than a registry
-// workload (hyperparameter sweeps, the DNN baseline, partition workloads)
-// start here; everything else goes through NewReplica. The device is
-// env.E.Device().
-func (c *RunConfig) NewEnv(slot int) (*models.Env, error) {
+// Build is the one guarded build step. It makes the device-attached Env of
+// fleet slot `slot`, in this order: device model (DeviceConfig), numerics
+// backend, simulated device (OnDevice fires before any kernel launches), op
+// engine, seeded Env (seed 0 reads as 1), training mode, input-pipeline
+// config — which must be set before a workload is built, because
+// constructors create their loaders from it — and rank/world, because
+// batches shard at construction time. Then it runs construct on the Env
+// under gpu.Guard: the footprint includes preprocessing, so a build can OOM,
+// and a device failure raised mid-construction is returned as the error
+// with the half-built Env closed, so its loader workers do not outlive it.
+// Callers that build something other than a registry workload
+// (hyperparameter sweeps, the DNN baseline, partition workloads, the scaling
+// study's large-batch configs) call this; everything else goes through
+// NewReplica. The device is env.E.Device().
+func (c *RunConfig) Build(slot, rank, world int, construct func(env *models.Env)) (*models.Env, error) {
 	devCfg, err := c.DeviceConfig(slot)
 	if err != nil {
 		return nil, err
@@ -70,17 +75,19 @@ func (c *RunConfig) NewEnv(slot int) (*models.Env, error) {
 		Workers:     c.LoaderWorkers,
 		CompressH2D: c.CompressH2D,
 	}
+	env.Rank, env.World = rank, world
+	if err := gpu.Guard(func() { construct(env) }); err != nil {
+		env.Close()
+		return nil, err
+	}
 	return env, nil
 }
 
 // NewReplica constructs replica `rank` of a `world`-replica run of cfg's
 // workload on the device model of fleet slot `slot` (single-device callers
-// pass 0, 0, 1): resolve the spec and dataset, NewEnv, set the replica's
-// rank and world (batches shard at construction time), build the workload,
-// then enable the stream timeline — after construction, so construction
-// kernels stay on the classic serialized path. A construction-time device
-// failure (the footprint includes preprocessing, so a build can OOM) is
-// returned as the error.
+// pass 0, 0, 1): resolve the spec and dataset, Build the workload, then
+// enable the stream timeline — after construction, so construction kernels
+// stay on the classic serialized path.
 //
 // The replica is NOT rebased: its clock and peak memory still include
 // construction. Planes that measure training only call Rebase next.
@@ -90,17 +97,13 @@ func NewReplica(cfg RunConfig, slot, rank, world int) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := cfg.NewEnv(slot)
+	rep := &Replica{Spec: spec, Dataset: dataset}
+	rep.Env, err = cfg.Build(slot, rank, world, func(env *models.Env) { rep.W = spec.Build(env, dataset, 1) })
 	if err != nil {
 		return nil, err
 	}
-	env.Rank, env.World = rank, world
-	rep := &Replica{Spec: spec, Dataset: dataset, Env: env, Dev: env.E.Device()}
-	if err := gpu.Guard(func() { rep.W = spec.Build(env, dataset, 1) }); err != nil {
-		env.Close()
-		return nil, err
-	}
-	env.E.EnablePipeline(cfg.PipelineDepth, cfg.CompressH2D)
+	rep.Dev = rep.Env.E.Device()
+	rep.Env.E.EnablePipeline(cfg.PipelineDepth, cfg.CompressH2D)
 	return rep, nil
 }
 

@@ -113,6 +113,9 @@ type ClusterResult struct {
 	EpochSeconds []float64
 	// TotalSeconds sums EpochSeconds.
 	TotalSeconds float64
+	// Speedup is the first entry's TotalSeconds over this one's within an
+	// ExecutedStrongScaling series; 0 outside a series.
+	Speedup float64
 	// ComputeSeconds is the critical-path compute across all epochs
 	// (max over replicas, per iteration).
 	ComputeSeconds float64
@@ -276,7 +279,7 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 		}
 	}()
 	// build constructs one replica under gpu.Guard (the footprint includes
-	// preprocessing, so a build can OOM) and wires its reducer buckets.
+	// preprocessing, so a build can OOM).
 	build := func(rank, world int) (*replica, error) {
 		rep := &replica{}
 		var ferr error
@@ -292,11 +295,6 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 		rep.ClockFn = rep.env.SimClock
 		if dev := rep.env.E.Device(); dev != nil {
 			rep.TransferFn = dev.TransferSeconds
-		}
-		rep.buckets = nn.BuildGradBuckets(rep.w.Params(), c.cfg.BucketCapBytes)
-		rep.flat = make([][]float32, len(rep.buckets))
-		for i, b := range rep.buckets {
-			rep.flat[i] = make([]float32, b.Elems)
 		}
 		return rep, nil
 	}
@@ -320,6 +318,15 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 		}
 		if reps[r], err = build(r, shard); err != nil {
 			return ClusterResult{}, err
+		}
+	}
+	// Reducer buckets and flat gradient buffers are wired only now, so the
+	// discarded probe replica of a replicated run never gets a set.
+	for _, rep := range reps {
+		rep.buckets = nn.BuildGradBuckets(rep.w.Params(), c.cfg.BucketCapBytes)
+		rep.flat = make([][]float32, len(rep.buckets))
+		for i, b := range rep.buckets {
+			rep.flat[i] = make([]float32, b.Elems)
 		}
 	}
 	for r := 1; r < c.world; r++ {
@@ -657,37 +664,22 @@ func (st *run) finishEpoch(replicated bool) {
 	}
 }
 
-// ExecutedStrongScaling runs the executed cluster at each world size (the
-// global batch fixed, shards shrinking) and reports the modeled epoch
-// timeline per size, with speedups relative to the 1-GPU run.
-func ExecutedStrongScaling(factory ReplicaFactory, gpuCounts []int, cfg ClusterConfig) ([]Result, error) {
-	results := make([]Result, 0, len(gpuCounts))
-	var base float64
+// ExecutedStrongScaling runs the executed cluster for one epoch at each
+// world size (the global batch fixed, shards shrinking) and returns the
+// modeled timeline per size, with Speedup relative to the series' first
+// entry. Replicas is cleared so a series does not pin trained models.
+func ExecutedStrongScaling(factory ReplicaFactory, gpuCounts []int, cfg ClusterConfig) ([]ClusterResult, error) {
+	results := make([]ClusterResult, 0, len(gpuCounts))
 	for _, g := range gpuCounts {
 		cr, err := NewCluster(g, cfg).Run(factory, 1)
 		if err != nil {
 			return nil, err
 		}
-		r := Result{
-			GPUs:                  cr.GPUs,
-			EpochSeconds:          cr.TotalSeconds,
-			ComputeSeconds:        cr.ComputeSeconds,
-			CommSeconds:           cr.CommSeconds,
-			ExposedCommSeconds:    cr.ExposedCommSeconds,
-			OverlappedCommSeconds: cr.OverlappedCommSeconds,
-			Replicated:            cr.Replicated,
-			Iterations:            cr.Iterations,
-			Buckets:               cr.Buckets,
-			GradBytesPerIt:        cr.GradBytesPerIt,
-			HostPhases:            cr.HostPhases,
+		cr.Replicas = nil
+		results = append(results, cr)
+		if base := results[0].TotalSeconds; base > 0 {
+			results[len(results)-1].Speedup = base / cr.TotalSeconds
 		}
-		if g == 1 {
-			base = r.EpochSeconds
-		}
-		if base > 0 {
-			r.Speedup = base / r.EpochSeconds
-		}
-		results = append(results, r)
 	}
 	return results, nil
 }

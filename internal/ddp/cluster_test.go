@@ -227,7 +227,7 @@ func TestExecutedTimelineAccounting(t *testing.T) {
 	if d := r.CommSeconds - (r.ExposedCommSeconds + r.OverlappedCommSeconds); math.Abs(d) > 1e-12 {
 		t.Fatalf("comm split inconsistent by %g", d)
 	}
-	if d := r.EpochSeconds - (r.ComputeSeconds + r.ExposedCommSeconds); math.Abs(d) > 1e-12*math.Max(1, r.EpochSeconds) {
+	if d := r.TotalSeconds - (r.ComputeSeconds + r.ExposedCommSeconds); math.Abs(d) > 1e-12*math.Max(1, r.TotalSeconds) {
 		t.Fatalf("epoch != compute + exposed comm (diff %g)", d)
 	}
 	// The 1-GPU baseline pays no communication.

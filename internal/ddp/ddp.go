@@ -10,7 +10,7 @@
 //	t_comm = 2 (G-1)/G * bytes / BW  +  2 (G-1) * latency  +  hook
 //
 // overlapped against the remaining backward compute (cluster.go). This
-// file holds the interconnect model and the per-world-size result row.
+// file holds the interconnect model.
 //
 // Failure is a returned error throughout: a ReplicaFactory's own, a
 // simulated device failure from construction or from a worker's epoch step
@@ -25,8 +25,6 @@
 //   - TLSTM is launch-overhead-bound; shrinking its shard barely reduces
 //     per-epoch time, so extra GPUs buy nothing.
 package ddp
-
-import "gnnmark/internal/obs"
 
 // CommConfig parameterizes the interconnect and framework overhead.
 type CommConfig struct {
@@ -47,25 +45,6 @@ func DefaultComm() CommConfig {
 		NVLinkLatencyUS:     1.9,
 		HookOverheadUS:      30,
 	}
-}
-
-// Result is the outcome for one world size of ExecutedStrongScaling.
-type Result struct {
-	GPUs           int
-	EpochSeconds   float64
-	ComputeSeconds float64
-	CommSeconds    float64
-	Speedup        float64 // vs the 1-GPU epoch time
-	Replicated     bool    // data was replicated (DDP-incompatible sampler)
-	Iterations     int
-	GradBytesPerIt uint64
-
-	Buckets               int     // reducer buckets per iteration
-	ExposedCommSeconds    float64 // comm left on the critical path
-	OverlappedCommSeconds float64 // comm hidden under backward compute
-	// HostPhases is the per-epoch host wall-clock phase breakdown (mean
-	// per replica); populated only when obs.Enabled during the run.
-	HostPhases []obs.PhaseBreakdown
 }
 
 // AllreduceSeconds returns the modeled per-iteration ring-allreduce cost

@@ -16,10 +16,10 @@ func TestWriteHTML(t *testing.T) {
 		t.Fatal(err)
 	}
 	scaling := []bench.ScalingResult{
-		{Workload: "STGCN", Results: []ddp.Result{
+		{Workload: "STGCN", Results: []ddp.ClusterResult{
 			{GPUs: 1, Speedup: 1}, {GPUs: 2, Speedup: 1.5}, {GPUs: 4, Speedup: 2.1},
 		}},
-		{Workload: "PSAGE", Results: []ddp.Result{
+		{Workload: "PSAGE", Results: []ddp.ClusterResult{
 			{GPUs: 1, Speedup: 1}, {GPUs: 2, Speedup: 0.8, Replicated: true},
 			{GPUs: 4, Speedup: 0.7, Replicated: true},
 		}},
