@@ -111,6 +111,14 @@ func TestCLI(t *testing.T) {
 			stderr: []string{"has no dataset"}},
 		{args: "sweep -values 4 -warps 64 -metrics-out m.json", exit: 2,
 			stderr: []string{"flag provided but not defined: -metrics-out", "usage: gnnmark sweep [flags]"}},
+		// Exited 0: a misspelt strategy silently ran DDP, -epochs -1 printed
+		// "losses []", -gpus -3 trained one device.
+		{args: "run -workload TLSTM -gpus 2 -parallelism partitoned -epochs 1 -warps 64", exit: 1,
+			stderr: []string{`gnnmark: core: unknown parallelism "partitoned"`}, notStdout: "strong scaling"},
+		{args: "run -workload TLSTM -epochs -1 -warps 64", exit: 1,
+			stderr: []string{"gnnmark: core: negative Epochs -1"}, notStdout: "losses"},
+		{args: "run -workload TLSTM -gpus -3 -epochs 1 -warps 64", exit: 1,
+			stderr: []string{"gnnmark: core: negative GPUs -3"}, notStdout: "losses"},
 		{args: "kernels -workload NOPE", exit: 1, stderr: []string{`unknown workload "NOPE"`}, notStderr: "usage"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {

@@ -103,12 +103,6 @@ func (t *Tape) Const(val *tensor.Tensor) *Var {
 	return t.node(val, false, nil)
 }
 
-// Input introduces a non-trainable input that still propagates gradients
-// (needed mid-graph, e.g. detached recurrent state).
-func (t *Tape) Input(val *tensor.Tensor) *Var {
-	return t.node(val, true, nil)
-}
-
 // FromParam introduces a trainable parameter; Backward accumulates into
 // p.Grad.
 func (t *Tape) FromParam(p *Param) *Var {

@@ -70,12 +70,11 @@ func TestActivationGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 
 	acts := map[string]func(tp *Tape, v *Var) *Var{
-		"relu":      func(tp *Tape, v *Var) *Var { return tp.ReLU(v) },
-		"sigmoid":   func(tp *Tape, v *Var) *Var { return tp.Sigmoid(v) },
-		"tanh":      func(tp *Tape, v *Var) *Var { return tp.Tanh(v) },
-		"leakyrelu": func(tp *Tape, v *Var) *Var { return tp.LeakyReLU(v, 0.2) },
-		"softmax":   func(tp *Tape, v *Var) *Var { return tp.Softmax(v) },
-		"logsoft":   func(tp *Tape, v *Var) *Var { return tp.LogSoftmax(v) },
+		"relu":    func(tp *Tape, v *Var) *Var { return tp.ReLU(v) },
+		"sigmoid": func(tp *Tape, v *Var) *Var { return tp.Sigmoid(v) },
+		"tanh":    func(tp *Tape, v *Var) *Var { return tp.Tanh(v) },
+		"softmax": func(tp *Tape, v *Var) *Var { return tp.Softmax(v) },
+		"logsoft": func(tp *Tape, v *Var) *Var { return tp.LogSoftmax(v) },
 	}
 	for name, act := range acts {
 		// Offset values away from the ReLU kink so finite differences hold.

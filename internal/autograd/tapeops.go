@@ -130,21 +130,6 @@ func (t *Tape) ReLU(x *Var) *Var {
 	})
 }
 
-// LeakyReLU applies x>0 ? x : slope*x with a fixed slope.
-func (t *Tape) LeakyReLU(x *Var, slope float32) *Var {
-	out := t.E.LeakyReLU(x.Value, slope)
-	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
-		dx := dy.Clone()
-		xd, dd := x.Value.Data(), dx.Data()
-		for i := range dd {
-			if xd[i] <= 0 {
-				dd[i] *= slope
-			}
-		}
-		x.accum(dx)
-	})
-}
-
 // PReLU applies x>0 ? x : alpha*x with a trainable scalar alpha (a (1)
 // tensor Var), as used by ARGA's encoder.
 func (t *Tape) PReLU(x, alpha *Var) *Var {
@@ -270,15 +255,6 @@ func (t *Tape) Concat(a, b *Var) *Var {
 		a.accum(da)
 		b.accum(db)
 	})
-}
-
-// SliceRows selects rows [from,to) of x (N,F), lowered as an index-select.
-func (t *Tape) SliceRows(x *Var, from, to int) *Var {
-	idx := make([]int32, to-from)
-	for i := range idx {
-		idx[i] = int32(from + i)
-	}
-	return t.IndexSelectRows(x, idx)
 }
 
 // ConcatRows stacks a (Na,F) on top of b (Nb,F) into (Na+Nb,F).

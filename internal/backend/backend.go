@@ -5,15 +5,16 @@
 // orchestrates. The op engine owns shape checking, tensor allocation, and
 // GPU-kernel lowering; backends own nothing but arithmetic over raw slices.
 //
-// Two implementations ship: "serial" preserves the original single-threaded
-// numerics bit for bit, and "parallel" tiles large kernels across a shared
-// package-level worker pool while producing bitwise-identical results (every
-// parallel decomposition preserves the serial per-element accumulation
-// order, and kernels below a work cutoff fall back to the serial path).
+// One implementation ships under two names: "serial" runs every kernel on
+// the calling goroutine, and "parallel" tiles kernels above a work cutoff
+// across a shared package-level worker pool while producing
+// bitwise-identical results (every parallel decomposition preserves the
+// serial per-element accumulation order).
 package backend
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -159,9 +160,9 @@ type Backend interface {
 func New(name string) (Backend, error) {
 	switch name {
 	case "", "serial":
-		return serialBackend{}, nil
+		return NewSerial(), nil
 	case "parallel":
-		return parallelBackend{}, nil
+		return NewParallel(), nil
 	}
 	names := Names()
 	sort.Strings(names)
@@ -173,11 +174,12 @@ func Names() []string { return []string{"serial", "parallel"} }
 
 // Default returns the serial backend: today's exact single-threaded
 // numerics.
-func Default() Backend { return serialBackend{} }
+func Default() Backend { return NewSerial() }
 
-// NewSerial returns the single-threaded reference backend.
-func NewSerial() Backend { return serialBackend{} }
+// NewSerial returns the single-threaded reference backend: a cutoff no
+// kernel's work count reaches.
+func NewSerial() Backend { return cpuBackend{math.MaxInt} }
 
 // NewParallel returns the worker-pool backend. It shares one process-wide
 // pool across instances; results are bitwise identical to serial.
-func NewParallel() Backend { return parallelBackend{} }
+func NewParallel() Backend { return cpuBackend{minParallelWork} }

@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-// Property tests: the parallel backend must reproduce the serial backend on
-// every kernel, across shapes that cover the empty, single-row, tile-ragged,
-// below-cutoff, and above-cutoff regimes. The acceptance tolerance is 1e-5;
-// the implementation contract is stronger (bitwise identity, checked by
-// TestParallelBitwiseIdentity), since every parallel decomposition preserves
-// the serial per-element accumulation order.
+// Property tests: a tiled backend must reproduce the serial backend bit for
+// bit on every kernel, because every parallel decomposition preserves the
+// serial per-element accumulation order. Each test runs twice (eachTiled):
+// against the shipped cutoff, which only the largest shape of each table
+// clears, and against a cutoff of one work unit, which tiles every shape —
+// n below the worker count, n not divisible by it, f == 1.
 
 func TestMain(m *testing.M) {
 	// The worker pool sizes itself to GOMAXPROCS on first use. Force at
@@ -25,8 +25,6 @@ func TestMain(m *testing.M) {
 	}
 	os.Exit(m.Run())
 }
-
-const tol = 1e-5
 
 func rnd(rng *rand.Rand, n int) []float32 {
 	s := make([]float32, n)
@@ -42,18 +40,28 @@ func clone(x []float32) []float32 {
 	return out
 }
 
-// compare fails the test if got and want diverge by more than tol anywhere.
-func compare(t *testing.T, name string, got, want []float32) {
+// bitsEqual fails the test unless got and want hold the same float32 bit
+// patterns.
+func bitsEqual(t *testing.T, name string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
 	}
 	for i := range got {
-		d := math.Abs(float64(got[i]) - float64(want[i]))
-		if d > tol || math.IsNaN(float64(got[i])) != math.IsNaN(float64(want[i])) {
-			t.Fatalf("%s: index %d: parallel %v, serial %v (|diff| %g > %g)",
-				name, i, got[i], want[i], d, tol)
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: index %d: got %v (%#08x), oracle %v (%#08x)", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
+	}
+}
+
+// eachTiled runs f once per tiled arm, each against the serial reference.
+func eachTiled(t *testing.T, f func(t *testing.T, s, p Backend)) {
+	for _, arm := range []struct {
+		name string
+		be   Backend
+	}{{"parallel", NewParallel()}, {"cutoff1", cpuBackend{cutoff: 1}}} {
+		t.Run(arm.name, func(t *testing.T) { f(t, NewSerial(), arm.be) })
 	}
 }
 
@@ -78,9 +86,10 @@ var gemmShapes = [][3]int{
 	{64, 64, 64}, {65, 33, 127},
 }
 
-func TestMatMulVariants(t *testing.T) {
+func TestMatMulVariants(t *testing.T) { eachTiled(t, testMatMulVariants) }
+
+func testMatMulVariants(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(7))
-	s, p := NewSerial(), NewParallel()
 	for _, sh := range gemmShapes {
 		m, n, k := sh[0], sh[1], sh[2]
 		a := rnd(rng, m*k)
@@ -92,17 +101,17 @@ func TestMatMulVariants(t *testing.T) {
 		outS, outP := clone(base), clone(base)
 		s.MatMul(a, b, outS, m, n, k)
 		p.MatMul(a, b, outP, m, n, k)
-		compare(t, "MatMul", outP, outS)
+		bitsEqual(t, "MatMul", outP, outS)
 
 		outS, outP = clone(base), clone(base)
 		s.MatMulTA(at, b, outS, m, n, k)
 		p.MatMulTA(at, b, outP, m, n, k)
-		compare(t, "MatMulTA", outP, outS)
+		bitsEqual(t, "MatMulTA", outP, outS)
 
 		outS, outP = clone(base), clone(base)
 		s.MatMulTB(a, bt, outS, m, n, k)
 		p.MatMulTB(a, bt, outP, m, n, k)
-		compare(t, "MatMulTB", outP, outS)
+		bitsEqual(t, "MatMulTB", outP, outS)
 	}
 }
 
@@ -120,9 +129,10 @@ func randCSR(rng *rand.Rand, rows, cols, deg int) (rowPtr, colIdx []int32) {
 	return rowPtr, colIdx
 }
 
-func TestSpMM(t *testing.T) {
+func TestSpMM(t *testing.T) { eachTiled(t, testSpMM) }
+
+func testSpMM(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(8))
-	s, p := NewSerial(), NewParallel()
 	for _, sh := range [][2]int{{0, 4}, {1, 1}, {7, 33}, {300, 128}} {
 		rows, f := sh[0], sh[1]
 		rowPtr, colIdx := randCSR(rng, rows, rows+1, 9)
@@ -137,7 +147,7 @@ func TestSpMM(t *testing.T) {
 			outS, outP := clone(base), clone(base)
 			s.SpMM(rowPtr, colIdx, v, x, outS, rows, f)
 			p.SpMM(rowPtr, colIdx, v, x, outP, rows, f)
-			compare(t, "SpMM", outP, outS)
+			bitsEqual(t, "SpMM", outP, outS)
 		}
 	}
 }
@@ -150,9 +160,10 @@ var convShapes = []ConvParams{
 	{N: 4, Cin: 8, H: 16, W: 16, Cout: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, OH: 16, OW: 16},
 }
 
-func TestConv2DFamily(t *testing.T) {
+func TestConv2DFamily(t *testing.T) { eachTiled(t, testConv2DFamily) }
+
+func testConv2DFamily(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(9))
-	s, p := NewSerial(), NewParallel()
 	for _, cp := range convShapes {
 		x := rnd(rng, cp.N*cp.Cin*cp.H*cp.W)
 		w := rnd(rng, cp.Cout*cp.Cin*cp.KH*cp.KW)
@@ -162,25 +173,26 @@ func TestConv2DFamily(t *testing.T) {
 		outP := make([]float32, len(dy))
 		s.Conv2D(x, w, outS, cp)
 		p.Conv2D(x, w, outP, cp)
-		compare(t, "Conv2D", outP, outS)
+		bitsEqual(t, "Conv2D", outP, outS)
 
 		dxS := make([]float32, len(x))
 		dxP := make([]float32, len(x))
 		s.Conv2DGradInput(dy, w, dxS, cp)
 		p.Conv2DGradInput(dy, w, dxP, cp)
-		compare(t, "Conv2DGradInput", dxP, dxS)
+		bitsEqual(t, "Conv2DGradInput", dxP, dxS)
 
 		dwS := make([]float32, len(w))
 		dwP := make([]float32, len(w))
 		s.Conv2DGradWeight(x, dy, dwS, cp)
 		p.Conv2DGradWeight(x, dy, dwP, cp)
-		compare(t, "Conv2DGradWeight", dwP, dwS)
+		bitsEqual(t, "Conv2DGradWeight", dwP, dwS)
 	}
 }
 
-func TestMaxPool2D(t *testing.T) {
+func TestMaxPool2D(t *testing.T) { eachTiled(t, testMaxPool2D) }
+
+func testMaxPool2D(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(10))
-	s, p := NewSerial(), NewParallel()
 	for _, sh := range [][5]int{{1, 1, 2, 2, 2}, {2, 3, 8, 8, 2}, {4, 8, 32, 32, 2}} {
 		n, c, h, w, k := sh[0], sh[1], sh[2], sh[3], sh[4]
 		x := rnd(rng, n*c*h*w)
@@ -191,14 +203,15 @@ func TestMaxPool2D(t *testing.T) {
 		argP := make([]int32, len(outP))
 		s.MaxPool2D(x, outS, argS, n, c, h, w, k)
 		p.MaxPool2D(x, outP, argP, n, c, h, w, k)
-		compare(t, "MaxPool2D", outP, outS)
+		bitsEqual(t, "MaxPool2D", outP, outS)
 		compareInt32(t, "MaxPool2D/arg", argP, argS)
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
+func TestGatherScatter(t *testing.T) { eachTiled(t, testGatherScatter) }
+
+func testGatherScatter(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(11))
-	s, p := NewSerial(), NewParallel()
 	for _, sh := range [][3]int{{0, 4, 3}, {1, 1, 1}, {9, 33, 40}, {500, 64, 600}} {
 		nIdx, f, nRows := sh[0], sh[1], sh[2]
 		x := rnd(rng, nRows*f)
@@ -211,14 +224,14 @@ func TestGatherScatter(t *testing.T) {
 		outP := make([]float32, nIdx*f)
 		s.GatherRows(x, outS, idx, f)
 		p.GatherRows(x, outP, idx, f)
-		compare(t, "GatherRows", outP, outS)
+		bitsEqual(t, "GatherRows", outP, outS)
 
 		base := rnd(rng, nRows*f)
 		src := rnd(rng, nIdx*f)
 		dstS, dstP := clone(base), clone(base)
 		s.ScatterAddRows(dstS, src, idx, f)
 		p.ScatterAddRows(dstP, src, idx, f)
-		compare(t, "ScatterAddRows", dstP, dstS)
+		bitsEqual(t, "ScatterAddRows", dstP, dstS)
 	}
 
 	// Flat ScatterAdd with colliding indices (serial by contract).
@@ -231,16 +244,17 @@ func TestGatherScatter(t *testing.T) {
 	}
 	s.ScatterAdd(dstS, src, idx)
 	p.ScatterAdd(dstP, src, idx)
-	compare(t, "ScatterAdd", dstP, dstS)
+	bitsEqual(t, "ScatterAdd", dstP, dstS)
 }
 
 // rowShapes covers reductions and row-parallel kernels: empty, one row, one
 // column, ragged, and above-cutoff sizes.
 var rowShapes = [][2]int{{0, 5}, {5, 0}, {1, 1}, {1, 129}, {17, 1}, {33, 65}, {700, 64}}
 
-func TestReductions(t *testing.T) {
+func TestReductions(t *testing.T) { eachTiled(t, testReductions) }
+
+func testReductions(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(12))
-	s, p := NewSerial(), NewParallel()
 	for _, sh := range rowShapes {
 		n, f := sh[0], sh[1]
 		x := rnd(rng, n*f)
@@ -253,13 +267,13 @@ func TestReductions(t *testing.T) {
 		outS, outP := clone(baseF), clone(baseF)
 		s.SumRows(x, outS, n, f)
 		p.SumRows(x, outP, n, f)
-		compare(t, "SumRows", outP, outS)
+		bitsEqual(t, "SumRows", outP, outS)
 
 		outS = make([]float32, n)
 		outP = make([]float32, n)
 		s.SumCols(x, outS, n, f)
 		p.SumCols(x, outP, n, f)
-		compare(t, "SumCols", outP, outS)
+		bitsEqual(t, "SumCols", outP, outS)
 
 		if f > 0 {
 			maxS := make([]float32, n)
@@ -268,25 +282,26 @@ func TestReductions(t *testing.T) {
 			argP := make([]int32, n)
 			s.MaxCols(x, maxS, argS, n, f)
 			p.MaxCols(x, maxP, argP, n, f)
-			compare(t, "MaxCols", maxP, maxS)
+			bitsEqual(t, "MaxCols", maxP, maxS)
 			compareInt32(t, "MaxCols/arg", argP, argS)
 
 			smS := make([]float32, n*f)
 			smP := make([]float32, n*f)
 			s.Softmax(x, smS, n, f)
 			p.Softmax(x, smP, n, f)
-			compare(t, "Softmax", smP, smS)
+			bitsEqual(t, "Softmax", smP, smS)
 
 			s.LogSoftmax(x, smS, n, f)
 			p.LogSoftmax(x, smP, n, f)
-			compare(t, "LogSoftmax", smP, smS)
+			bitsEqual(t, "LogSoftmax", smP, smS)
 		}
 	}
 }
 
-func TestElementWise(t *testing.T) {
+func TestElementWise(t *testing.T) { eachTiled(t, testElementWise) }
+
+func testElementWise(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(13))
-	s, p := NewSerial(), NewParallel()
 	for _, n := range []int{0, 1, 1023, 1<<16 + 3} {
 		a := rnd(rng, n)
 		b := rnd(rng, n)
@@ -315,13 +330,14 @@ func TestElementWise(t *testing.T) {
 		for _, op := range binary {
 			op.f(s, outS)
 			op.f(p, outP)
-			compare(t, op.name, outP, outS)
+			bitsEqual(t, op.name, outP, outS)
 		}
 	}
 }
 
-func TestDropout(t *testing.T) {
-	s, p := NewSerial(), NewParallel()
+func TestDropout(t *testing.T) { eachTiled(t, testDropout) }
+
+func testDropout(t *testing.T, s, p Backend) {
 	x := rnd(rand.New(rand.NewSource(14)), 4096)
 	outS := make([]float32, len(x))
 	outP := make([]float32, len(x))
@@ -331,13 +347,14 @@ func TestDropout(t *testing.T) {
 	// the parallel backend must consume it in the same index order.
 	s.Dropout(x, outS, maskS, 0.3, rand.New(rand.NewSource(99)))
 	p.Dropout(x, outP, maskP, 0.3, rand.New(rand.NewSource(99)))
-	compare(t, "Dropout", outP, outS)
-	compare(t, "Dropout/mask", maskP, maskS)
+	bitsEqual(t, "Dropout", outP, outS)
+	bitsEqual(t, "Dropout/mask", maskP, maskS)
 }
 
-func TestLayout(t *testing.T) {
+func TestLayout(t *testing.T) { eachTiled(t, testLayout) }
+
+func testLayout(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(15))
-	s, p := NewSerial(), NewParallel()
 	for _, sh := range rowShapes {
 		n, f := sh[0], sh[1]
 		x := rnd(rng, n*f)
@@ -347,11 +364,11 @@ func TestLayout(t *testing.T) {
 		outP := make([]float32, n*f)
 		s.AddBiasRows(outS, x, bias, n, f)
 		p.AddBiasRows(outP, x, bias, n, f)
-		compare(t, "AddBiasRows", outP, outS)
+		bitsEqual(t, "AddBiasRows", outP, outS)
 
 		s.Transpose2D(outS, x, n, f)
 		p.Transpose2D(outP, x, n, f)
-		compare(t, "Transpose2D", outP, outS)
+		bitsEqual(t, "Transpose2D", outP, outS)
 	}
 
 	in := [4]int{3, 4, 5, 6}
@@ -361,7 +378,7 @@ func TestLayout(t *testing.T) {
 	outP := make([]float32, len(x))
 	s.Permute4D(x, outS, in, perm)
 	p.Permute4D(x, outP, in, perm)
-	compare(t, "Permute4D", outP, outS)
+	bitsEqual(t, "Permute4D", outP, outS)
 
 	for _, sh := range [][3]int{{1, 1, 1}, {2, 3, 10}, {4, 16, 1024}} {
 		n, c, plane := sh[0], sh[1], sh[2]
@@ -371,19 +388,20 @@ func TestLayout(t *testing.T) {
 		outP := make([]float32, len(x))
 		s.AddChannelBias(outS, x, bias, n, c, plane)
 		p.AddChannelBias(outP, x, bias, n, c, plane)
-		compare(t, "AddChannelBias", outP, outS)
+		bitsEqual(t, "AddChannelBias", outP, outS)
 
 		gS := rnd(rng, c)
 		gP := clone(gS)
 		s.ChannelBiasGrad(x, gS, n, c, plane)
 		p.ChannelBiasGrad(x, gP, n, c, plane)
-		compare(t, "ChannelBiasGrad", gP, gS)
+		bitsEqual(t, "ChannelBiasGrad", gP, gS)
 	}
 }
 
-func TestNorms(t *testing.T) {
+func TestNorms(t *testing.T) { eachTiled(t, testNorms) }
+
+func testNorms(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(16))
-	s, p := NewSerial(), NewParallel()
 	const eps = 1e-5
 	for _, sh := range [][2]int{{1, 1}, {4, 7}, {33, 65}, {600, 64}} {
 		n, f := sh[0], sh[1]
@@ -398,14 +416,14 @@ func TestNorms(t *testing.T) {
 		varP := make([]float32, f)
 		s.BatchNormStats(x, meanS, varS, n, f)
 		p.BatchNormStats(x, meanP, varP, n, f)
-		compare(t, "BatchNormStats/mean", meanP, meanS)
-		compare(t, "BatchNormStats/var", varP, varS)
+		bitsEqual(t, "BatchNormStats/mean", meanP, meanS)
+		bitsEqual(t, "BatchNormStats/var", varP, varS)
 
 		outS := make([]float32, n*f)
 		outP := make([]float32, n*f)
 		s.BatchNormApply(x, meanS, varS, gamma, beta, outS, n, f, eps)
 		p.BatchNormApply(x, meanS, varS, gamma, beta, outP, n, f, eps)
-		compare(t, "BatchNormApply", outP, outS)
+		bitsEqual(t, "BatchNormApply", outP, outS)
 
 		xhat := rnd(rng, n*f)
 		dxS := make([]float32, n*f)
@@ -416,9 +434,9 @@ func TestNorms(t *testing.T) {
 		dbP := make([]float32, f)
 		s.BatchNormBackward(xhat, dy, varS, gamma, dxS, dgS, dbS, n, f, eps)
 		p.BatchNormBackward(xhat, dy, varS, gamma, dxP, dgP, dbP, n, f, eps)
-		compare(t, "BatchNormBackward/dx", dxP, dxS)
-		compare(t, "BatchNormBackward/dgamma", dgP, dgS)
-		compare(t, "BatchNormBackward/dbeta", dbP, dbS)
+		bitsEqual(t, "BatchNormBackward/dx", dxP, dxS)
+		bitsEqual(t, "BatchNormBackward/dgamma", dgP, dgS)
+		bitsEqual(t, "BatchNormBackward/dbeta", dbP, dbS)
 
 		xhS := make([]float32, n*f)
 		xhP := make([]float32, n*f)
@@ -426,9 +444,9 @@ func TestNorms(t *testing.T) {
 		invP := make([]float32, n)
 		s.LayerNormForward(x, gamma, beta, outS, xhS, invS, n, f, eps)
 		p.LayerNormForward(x, gamma, beta, outP, xhP, invP, n, f, eps)
-		compare(t, "LayerNormForward", outP, outS)
-		compare(t, "LayerNormForward/xhat", xhP, xhS)
-		compare(t, "LayerNormForward/invStd", invP, invS)
+		bitsEqual(t, "LayerNormForward", outP, outS)
+		bitsEqual(t, "LayerNormForward/xhat", xhP, xhS)
+		bitsEqual(t, "LayerNormForward/invStd", invP, invS)
 
 		for i := range dxS {
 			dxS[i], dxP[i] = 0, 0
@@ -438,9 +456,9 @@ func TestNorms(t *testing.T) {
 		}
 		s.LayerNormBackward(xhS, invS, dy, gamma, dxS, dgS, dbS, n, f)
 		p.LayerNormBackward(xhS, invS, dy, gamma, dxP, dgP, dbP, n, f)
-		compare(t, "LayerNormBackward/dx", dxP, dxS)
-		compare(t, "LayerNormBackward/dgamma", dgP, dgS)
-		compare(t, "LayerNormBackward/dbeta", dbP, dbS)
+		bitsEqual(t, "LayerNormBackward/dx", dxP, dxS)
+		bitsEqual(t, "LayerNormBackward/dgamma", dgP, dgS)
+		bitsEqual(t, "LayerNormBackward/dbeta", dbP, dbS)
 	}
 
 	for _, sh := range [][3]int{{1, 1, 1}, {2, 3, 9}, {4, 8, 1024}} {
@@ -458,9 +476,9 @@ func TestNorms(t *testing.T) {
 		varP := make([]float32, c)
 		s.BatchNorm2D(x, gamma, beta, outS, xhS, varS, b, c, plane, eps)
 		p.BatchNorm2D(x, gamma, beta, outP, xhP, varP, b, c, plane, eps)
-		compare(t, "BatchNorm2D", outP, outS)
-		compare(t, "BatchNorm2D/xhat", xhP, xhS)
-		compare(t, "BatchNorm2D/var", varP, varS)
+		bitsEqual(t, "BatchNorm2D", outP, outS)
+		bitsEqual(t, "BatchNorm2D/xhat", xhP, xhS)
+		bitsEqual(t, "BatchNorm2D/var", varP, varS)
 
 		dxS := make([]float32, len(x))
 		dxP := make([]float32, len(x))
@@ -470,15 +488,16 @@ func TestNorms(t *testing.T) {
 		dbP := make([]float32, c)
 		s.BatchNorm2DBackward(xhS, dy, varS, gamma, dxS, dgS, dbS, b, c, plane, eps)
 		p.BatchNorm2DBackward(xhS, dy, varS, gamma, dxP, dgP, dbP, b, c, plane, eps)
-		compare(t, "BatchNorm2DBackward/dx", dxP, dxS)
-		compare(t, "BatchNorm2DBackward/dgamma", dgP, dgS)
-		compare(t, "BatchNorm2DBackward/dbeta", dbP, dbS)
+		bitsEqual(t, "BatchNorm2DBackward/dx", dxP, dxS)
+		bitsEqual(t, "BatchNorm2DBackward/dgamma", dgP, dgS)
+		bitsEqual(t, "BatchNorm2DBackward/dbeta", dbP, dbS)
 	}
 }
 
-func TestFusedCells(t *testing.T) {
+func TestFusedCells(t *testing.T) { eachTiled(t, testFusedCells) }
+
+func testFusedCells(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(17))
-	s, p := NewSerial(), NewParallel()
 
 	for _, sh := range [][3]int{{1, 1, 1}, {2, 5, 16}, {4, 64, 128}} {
 		b, c, plane := sh[0], sh[1], sh[2]
@@ -491,14 +510,14 @@ func TestFusedCells(t *testing.T) {
 		gateP := make([]float32, b*c*plane)
 		s.GLU4D(x, outS, gateS, b, c, plane)
 		p.GLU4D(x, outP, gateP, b, c, plane)
-		compare(t, "GLU4D", outP, outS)
-		compare(t, "GLU4D/gate", gateP, gateS)
+		bitsEqual(t, "GLU4D", outP, outS)
+		bitsEqual(t, "GLU4D/gate", gateP, gateS)
 
 		dxS := make([]float32, len(x))
 		dxP := make([]float32, len(x))
 		s.GLU4DBackward(x, gateS, dy, dxS, b, c, plane)
 		p.GLU4DBackward(x, gateS, dy, dxP, b, c, plane)
-		compare(t, "GLU4DBackward", dxP, dxS)
+		bitsEqual(t, "GLU4DBackward", dxP, dxS)
 	}
 
 	for _, sh := range [][2]int{{1, 1}, {3, 17}, {64, 96}} {
@@ -510,10 +529,10 @@ func TestFusedCells(t *testing.T) {
 		giP, gfP, ggP, goP, cNewP, hP := mk(), mk(), mk(), mk(), mk(), mk()
 		s.LSTMCellForward(gates, cPrev, giS, gfS, ggS, goS, cNewS, hS, b, hd)
 		p.LSTMCellForward(gates, cPrev, giP, gfP, ggP, goP, cNewP, hP, b, hd)
-		compare(t, "LSTMCellForward/c", cNewP, cNewS)
-		compare(t, "LSTMCellForward/h", hP, hS)
-		compare(t, "LSTMCellForward/gi", giP, giS)
-		compare(t, "LSTMCellForward/go", goP, goS)
+		bitsEqual(t, "LSTMCellForward/c", cNewP, cNewS)
+		bitsEqual(t, "LSTMCellForward/h", hP, hS)
+		bitsEqual(t, "LSTMCellForward/gi", giP, giS)
+		bitsEqual(t, "LSTMCellForward/go", goP, goS)
 
 		dH := rnd(rng, b*hd)
 		dC := rnd(rng, b*hd)
@@ -527,15 +546,16 @@ func TestFusedCells(t *testing.T) {
 			dCPrevS, dCPrevP := mk(), mk()
 			s.LSTMCellBackward(giS, gfS, ggS, goS, cPrev, cNewS, h, c, dGatesS, dCPrevS, b, hd)
 			p.LSTMCellBackward(giS, gfS, ggS, goS, cPrev, cNewS, h, c, dGatesP, dCPrevP, b, hd)
-			compare(t, "LSTMCellBackward/dGates", dGatesP, dGatesS)
-			compare(t, "LSTMCellBackward/dCPrev", dCPrevP, dCPrevS)
+			bitsEqual(t, "LSTMCellBackward/dGates", dGatesP, dGatesS)
+			bitsEqual(t, "LSTMCellBackward/dCPrev", dCPrevP, dCPrevS)
 		}
 	}
 }
 
-func TestOptimizers(t *testing.T) {
+func TestOptimizers(t *testing.T) { eachTiled(t, testOptimizers) }
+
+func testOptimizers(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(18))
-	s, p := NewSerial(), NewParallel()
 	for _, n := range []int{0, 1, 999, 1 << 16} {
 		param := rnd(rng, n)
 		g := rnd(rng, n)
@@ -549,9 +569,9 @@ func TestOptimizers(t *testing.T) {
 			}
 			s.SGDStep(pS, g, bufS, 0.01, 0.9, 1e-4)
 			p.SGDStep(pP, g, bufP, 0.01, 0.9, 1e-4)
-			compare(t, "SGDStep/p", pP, pS)
+			bitsEqual(t, "SGDStep/p", pP, pS)
 			if withBuf {
-				compare(t, "SGDStep/buf", bufP, bufS)
+				bitsEqual(t, "SGDStep/buf", bufP, bufS)
 			}
 		}
 
@@ -565,19 +585,18 @@ func TestOptimizers(t *testing.T) {
 		vS, vP := clone(v), clone(v)
 		s.AdamStep(pS, g, mS, vS, 0.001, 0.9, 0.999, 1e-8, 3)
 		p.AdamStep(pP, g, mP, vP, 0.001, 0.9, 0.999, 1e-8, 3)
-		compare(t, "AdamStep/p", pP, pS)
-		compare(t, "AdamStep/m", mP, mS)
-		compare(t, "AdamStep/v", vP, vS)
+		bitsEqual(t, "AdamStep/p", pP, pS)
+		bitsEqual(t, "AdamStep/m", mP, mS)
+		bitsEqual(t, "AdamStep/v", vP, vS)
 	}
 }
 
-// TestParallelBitwiseIdentity checks the stronger implementation contract on
-// the accumulation-heavy kernels: not just within tolerance but bit for bit,
-// because every parallel decomposition preserves the serial per-element
-// accumulation order.
-func TestParallelBitwiseIdentity(t *testing.T) {
+// TestParallelBitwiseIdentity repeats the contract on the two
+// accumulation-heavy kernels with an exact != on the values themselves.
+func TestParallelBitwiseIdentity(t *testing.T) { eachTiled(t, testParallelBitwiseIdentity) }
+
+func testParallelBitwiseIdentity(t *testing.T, s, p Backend) {
 	rng := rand.New(rand.NewSource(19))
-	s, p := NewSerial(), NewParallel()
 	const m, n, k = 65, 33, 127
 	a := rnd(rng, m*k)
 	b := rnd(rng, k*n)
@@ -820,21 +839,6 @@ func naiveConv2DGradWeightRange(x, dy, dw []float32, p ConvParams, lo, hi int) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// bitsEqual fails the test unless got and want hold the same float32 bit
-// patterns.
-func bitsEqual(t *testing.T, name string, got, want []float32) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s: index %d: got %v (%#08x), oracle %v (%#08x)", name, i,
-				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }

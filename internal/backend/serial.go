@@ -5,28 +5,11 @@ import (
 	"math/rand"
 )
 
-// serialBackend is the reference implementation: every kernel runs on the
-// calling goroutine with the numerics the op engine historically computed
-// inline. The kernels are written as range helpers over half-open index
-// intervals so the parallel backend can reuse them on disjoint tiles while
-// preserving the exact per-element accumulation order.
-type serialBackend struct{}
-
-func (serialBackend) Name() string { return "serial" }
-
-// --- dense matrix products ---
-
-func (serialBackend) MatMul(a, b, out []float32, m, n, k int) {
-	gemmRange(a, b, out, n, k, k, 1, 0, m)
-}
-
-func (serialBackend) MatMulTA(a, b, out []float32, m, n, k int) {
-	gemmRange(a, b, out, n, k, 1, m, 0, m)
-}
-
-func (serialBackend) MatMulTB(a, b, out []float32, m, n, k int) {
-	gemmTBRange(a, b, out, n, k, false, 0, m)
-}
+// The kernels are written as range helpers over half-open index intervals:
+// cpuBackend runs one over the whole range below its cutoff and over
+// disjoint tiles above it, which preserves the exact per-element
+// accumulation order either way. The cpuBackend methods in this file are
+// the ones that never tile.
 
 // --- sparse ---
 
@@ -55,23 +38,7 @@ func spMMRange(rowPtr, colIdx []int32, vals []float32, x, out []float32, f, lo, 
 	}
 }
 
-func (serialBackend) SpMM(rowPtr, colIdx []int32, vals []float32, x, out []float32, rows, f int) {
-	spMMRange(rowPtr, colIdx, vals, x, out, f, 0, rows)
-}
-
 // --- convolution ---
-
-func (serialBackend) Conv2D(x, w, out []float32, p ConvParams) {
-	conv2DRange(x, w, out, p, 0, p.N*p.Cout)
-}
-
-func (serialBackend) Conv2DGradInput(dy, w, dx []float32, p ConvParams) {
-	conv2DGradInputRange(dy, w, dx, p, 0, p.N*p.Cin)
-}
-
-func (serialBackend) Conv2DGradWeight(x, dy, dw []float32, p ConvParams) {
-	conv2DGradWeightRange(x, dy, dw, p, 0, p.Cout)
-}
 
 const negInf32 = float32(-3.4e38)
 
@@ -102,13 +69,9 @@ func maxPool2DRange(x, out []float32, arg []int32, h, w, k, lo, hi int) {
 	}
 }
 
-func (serialBackend) MaxPool2D(x, out []float32, arg []int32, n, c, h, w, k int) {
-	maxPool2DRange(x, out, arg, h, w, k, 0, n*c)
-}
-
 // ScatterAdd runs serially under every backend: idx may name colliding
 // destinations, so the accumulation order is part of the contract.
-func (serialBackend) ScatterAdd(dst, src []float32, idx []int32) {
+func (cpuBackend) ScatterAdd(dst, src []float32, idx []int32) {
 	for i, a := range idx {
 		dst[a] += src[i]
 	}
@@ -124,10 +87,6 @@ func gatherRowsRange(x, out []float32, idx []int32, f, lo, hi int) {
 	}
 }
 
-func (serialBackend) GatherRows(x, out []float32, idx []int32, f int) {
-	gatherRowsRange(x, out, idx, f, 0, len(idx))
-}
-
 // scatterAddRowsRange accumulates columns [loCol,hiCol) of every src row
 // into dst: a column partition is race-free under colliding row indices and
 // preserves the per-element accumulation order (i ascending).
@@ -141,15 +100,11 @@ func scatterAddRowsRange(dst, src []float32, idx []int32, f, loCol, hiCol int) {
 	}
 }
 
-func (serialBackend) ScatterAddRows(dst, src []float32, idx []int32, f int) {
-	scatterAddRowsRange(dst, src, idx, f, 0, f)
-}
-
 // --- reductions ---
 
 // SumAll accumulates in float64 in index order; it stays serial under every
 // backend so scalar losses are bitwise stable across backends.
-func (serialBackend) SumAll(x []float32) float64 {
+func (cpuBackend) SumAll(x []float32) float64 {
 	var s float64
 	for _, v := range x {
 		s += float64(v)
@@ -168,10 +123,6 @@ func sumRowsRange(x, out []float32, n, f, loCol, hiCol int) {
 	}
 }
 
-func (serialBackend) SumRows(x, out []float32, n, f int) {
-	sumRowsRange(x, out, n, f, 0, f)
-}
-
 // sumColsRange writes row sums for rows [lo,hi).
 func sumColsRange(x, out []float32, f, lo, hi int) {
 	for i := lo; i < hi; i++ {
@@ -181,10 +132,6 @@ func sumColsRange(x, out []float32, f, lo, hi int) {
 		}
 		out[i] = s
 	}
-}
-
-func (serialBackend) SumCols(x, out []float32, n, f int) {
-	sumColsRange(x, out, f, 0, n)
 }
 
 // maxColsRange writes row maxima and argmax for rows [lo,hi).
@@ -200,10 +147,6 @@ func maxColsRange(x, out []float32, arg []int32, f, lo, hi int) {
 		out[i] = best
 		arg[i] = int32(bi)
 	}
-}
-
-func (serialBackend) MaxCols(x, out []float32, arg []int32, n, f int) {
-	maxColsRange(x, out, arg, f, 0, n)
 }
 
 // softmaxRange writes the stabilized softmax of rows [lo,hi).
@@ -230,10 +173,6 @@ func softmaxRange(x, out []float32, f, lo, hi int) {
 	}
 }
 
-func (serialBackend) Softmax(x, out []float32, n, f int) {
-	softmaxRange(x, out, f, 0, n)
-}
-
 // logSoftmaxRange writes the log-softmax of rows [lo,hi).
 func logSoftmaxRange(x, out []float32, f, lo, hi int) {
 	for i := lo; i < hi; i++ {
@@ -254,10 +193,6 @@ func logSoftmaxRange(x, out []float32, f, lo, hi int) {
 			orow[j] = v - lse
 		}
 	}
-}
-
-func (serialBackend) LogSoftmax(x, out []float32, n, f int) {
-	logSoftmaxRange(x, out, f, 0, n)
 }
 
 // --- element-wise ---
@@ -345,35 +280,7 @@ func expRange(out, x []float32, lo, hi int) {
 func sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
 func tanh32(x float32) float32    { return float32(math.Tanh(float64(x))) }
 
-func (serialBackend) Add(out, a, b []float32)  { addRange(out, a, b, 0, len(out)) }
-func (serialBackend) Sub(out, a, b []float32)  { subRange(out, a, b, 0, len(out)) }
-func (serialBackend) Mul(out, a, b []float32)  { mulRange(out, a, b, 0, len(out)) }
-func (serialBackend) ReLU(out, x []float32)    { reluRange(out, x, 0, len(out)) }
-func (serialBackend) Sigmoid(out, x []float32) { sigmoidRange(out, x, 0, len(out)) }
-func (serialBackend) Tanh(out, x []float32)    { tanhRange(out, x, 0, len(out)) }
-func (serialBackend) Exp(out, x []float32)     { expRange(out, x, 0, len(out)) }
-
-func (serialBackend) Scale(out, a []float32, s float32) {
-	scaleRange(out, a, s, 0, len(out))
-}
-
-func (serialBackend) AddScalar(out, a []float32, s float32) {
-	addScalarRange(out, a, s, 0, len(out))
-}
-
-func (serialBackend) AddScaled(out, a, b []float32, s float32) {
-	addScaledRange(out, a, b, s, 0, len(out))
-}
-
-func (serialBackend) ReLUBackward(out, x, dy []float32) {
-	reluBackwardRange(out, x, dy, 0, len(out))
-}
-
-func (serialBackend) PReLU(out, x []float32, alpha float32) {
-	preluRange(out, x, alpha, 0, len(out))
-}
-
-func (serialBackend) Dropout(x, out, mask []float32, p float32, rng *rand.Rand) {
+func (cpuBackend) Dropout(x, out, mask []float32, p float32, rng *rand.Rand) {
 	keep := 1 / (1 - p)
 	for i := range out {
 		if rng.Float32() >= p {
@@ -394,10 +301,6 @@ func addBiasRowsRange(out, x, bias []float32, f, lo, hi int) {
 	}
 }
 
-func (serialBackend) AddBiasRows(out, x, bias []float32, n, f int) {
-	addBiasRowsRange(out, x, bias, f, 0, n)
-}
-
 // transpose2DRange transposes input rows [lo,hi): each writes a disjoint
 // output column.
 func transpose2DRange(out, x []float32, n, f, lo, hi int) {
@@ -408,11 +311,7 @@ func transpose2DRange(out, x []float32, n, f, lo, hi int) {
 	}
 }
 
-func (serialBackend) Transpose2D(out, x []float32, n, f int) {
-	transpose2DRange(out, x, n, f, 0, n)
-}
-
-func (serialBackend) Permute4D(x, out []float32, in, perm [4]int) {
+func (cpuBackend) Permute4D(x, out []float32, in, perm [4]int) {
 	outShape := [4]int{in[perm[0]], in[perm[1]], in[perm[2]], in[perm[3]]}
 	is := [4]int{in[1] * in[2] * in[3], in[2] * in[3], in[3], 1}
 	o := 0
@@ -442,10 +341,6 @@ func addChannelBiasRange(out, x, bias []float32, c, plane, lo, hi int) {
 	}
 }
 
-func (serialBackend) AddChannelBias(out, x, bias []float32, n, c, plane int) {
-	addChannelBiasRange(out, x, bias, c, plane, 0, n*c)
-}
-
 // channelBiasGradRange reduces dy over batch and plane for channels
 // [lo,hi), accumulating per channel in ascending-batch order.
 func channelBiasGradRange(dy, out []float32, n, c, plane, lo, hi int) {
@@ -459,10 +354,6 @@ func channelBiasGradRange(dy, out []float32, n, c, plane, lo, hi int) {
 			out[ch] += s
 		}
 	}
-}
-
-func (serialBackend) ChannelBiasGrad(dy, out []float32, n, c, plane int) {
-	channelBiasGradRange(dy, out, n, c, plane, 0, c)
 }
 
 // --- norms ---
@@ -487,10 +378,6 @@ func batchNormStatsRange(x, mean, variance []float32, n, f, loCol, hiCol int) {
 	}
 }
 
-func (serialBackend) BatchNormStats(x, mean, variance []float32, n, f int) {
-	batchNormStatsRange(x, mean, variance, n, f, 0, f)
-}
-
 // batchNormApplyRange normalizes rows [lo,hi) given precomputed inverse
 // standard deviations.
 func batchNormApplyRange(x, mean, inv, gamma, beta, out []float32, f, lo, hi int) {
@@ -512,11 +399,6 @@ func batchNormInvStd(variance []float32, eps float32) []float32 {
 	return inv
 }
 
-func (serialBackend) BatchNormApply(x, mean, variance, gamma, beta, out []float32, n, f int, eps float32) {
-	inv := batchNormInvStd(variance, eps)
-	batchNormApplyRange(x, mean, inv, gamma, beta, out, f, 0, n)
-}
-
 // batchNormBackwardRange computes gradients for columns [lo,hi): per-column
 // row sums (in ascending order), then the dx column.
 func batchNormBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta []float32, n, f int, eps float32, loCol, hiCol int) {
@@ -535,10 +417,6 @@ func batchNormBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta []float
 				(float64(dy[i*f+j]) - invN*sumDy - float64(xhat[i*f+j])*invN*sumDyXhat))
 		}
 	}
-}
-
-func (serialBackend) BatchNormBackward(xhat, dy, variance, gamma, dx, dgamma, dbeta []float32, n, f int, eps float32) {
-	batchNormBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta, n, f, eps, 0, f)
 }
 
 // layerNormForwardRange normalizes rows [lo,hi).
@@ -566,10 +444,6 @@ func layerNormForwardRange(x, gamma, beta, out, xhat, invStd []float32, f int, e
 			or[j] = gamma[j]*xh + beta[j]
 		}
 	}
-}
-
-func (serialBackend) LayerNormForward(x, gamma, beta, out, xhat, invStd []float32, n, f int, eps float32) {
-	layerNormForwardRange(x, gamma, beta, out, xhat, invStd, f, eps, 0, n)
 }
 
 // layerNormDXRange computes the dx rows [lo,hi); per-row sums are local.
@@ -602,11 +476,6 @@ func layerNormDParamsRange(xhat, dy, dgamma, dbeta []float32, n, f, loCol, hiCol
 			dbeta[j] += dy[i*f+j]
 		}
 	}
-}
-
-func (serialBackend) LayerNormBackward(xhat, invStd, dy, gamma, dx, dgamma, dbeta []float32, n, f int) {
-	layerNormDXRange(xhat, invStd, dy, gamma, dx, f, 0, n)
-	layerNormDParamsRange(xhat, dy, dgamma, dbeta, n, f, 0, f)
 }
 
 // batchNorm2DRange normalizes channels [lo,hi) of x (b,c,plane).
@@ -643,10 +512,6 @@ func batchNorm2DRange(x, gamma, beta, out, xhat, variance []float32, b, c, plane
 	}
 }
 
-func (serialBackend) BatchNorm2D(x, gamma, beta, out, xhat, variance []float32, b, c, plane int, eps float32) {
-	batchNorm2DRange(x, gamma, beta, out, xhat, variance, b, c, plane, eps, 0, c)
-}
-
 // batchNorm2DBackwardRange computes gradients for channels [lo,hi).
 func batchNorm2DBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta []float32, b, c, plane int, eps float32, lo, hi int) {
 	count := float64(b * plane)
@@ -672,10 +537,6 @@ func batchNorm2DBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta []flo
 	}
 }
 
-func (serialBackend) BatchNorm2DBackward(xhat, dy, variance, gamma, dx, dgamma, dbeta []float32, b, c, plane int, eps float32) {
-	batchNorm2DBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta, b, c, plane, eps, 0, c)
-}
-
 // --- fused cells ---
 
 // glu4DRange gates (batch, channel) planes [lo,hi) — flat index bi*c+ch.
@@ -694,10 +555,6 @@ func glu4DRange(x, out, gate []float32, c, plane, lo, hi int) {
 	}
 }
 
-func (serialBackend) GLU4D(x, out, gate []float32, b, c, plane int) {
-	glu4DRange(x, out, gate, c, plane, 0, b*c)
-}
-
 // glu4DBackwardRange back-propagates planes [lo,hi).
 func glu4DBackwardRange(x, gate, dy, dx []float32, c, plane, lo, hi int) {
 	c2 := 2 * c
@@ -712,10 +569,6 @@ func glu4DBackwardRange(x, gate, dy, dx []float32, c, plane, lo, hi int) {
 			dx[gBase+i] = dy[oBase+i] * x[aBase+i] * g * (1 - g)
 		}
 	}
-}
-
-func (serialBackend) GLU4DBackward(x, gate, dy, dx []float32, b, c, plane int) {
-	glu4DBackwardRange(x, gate, dy, dx, c, plane, 0, b*c)
 }
 
 // lstmCellForwardRange applies the pointwise cell to rows [lo,hi).
@@ -735,10 +588,6 @@ func lstmCellForwardRange(gates, cPrev, gi, gf, gg, go_, cNew, h []float32, hd, 
 			hr[j] = or[j] * tanh32(cn[j])
 		}
 	}
-}
-
-func (serialBackend) LSTMCellForward(gates, cPrev, gi, gf, gg, go_, cNew, h []float32, b, hd int) {
-	lstmCellForwardRange(gates, cPrev, gi, gf, gg, go_, cNew, h, hd, 0, b)
 }
 
 // lstmCellBackwardRange back-propagates rows [lo,hi); dH/dC may be nil.
@@ -772,10 +621,6 @@ func lstmCellBackwardRange(gi, gf, gg, go_, cPrev, cNew, dH, dC, dGates, dCPrev 
 	}
 }
 
-func (serialBackend) LSTMCellBackward(gi, gf, gg, go_, cPrev, cNew, dH, dC, dGates, dCPrev []float32, b, hd int) {
-	lstmCellBackwardRange(gi, gf, gg, go_, cPrev, cNew, dH, dC, dGates, dCPrev, hd, 0, b)
-}
-
 // --- losses ---
 
 // bceWithLogitsRange writes the stabilized BCE for elements [lo,hi).
@@ -786,20 +631,12 @@ func bceWithLogitsRange(logits, targets, out []float32, lo, hi int) {
 	}
 }
 
-func (serialBackend) BCEWithLogits(logits, targets, out []float32) {
-	bceWithLogitsRange(logits, targets, out, 0, len(out))
-}
-
 // bceWithLogitsBackwardRange writes (sigmoid(x)-y)*g for elements [lo,hi).
 func bceWithLogitsBackwardRange(logits, targets, dx []float32, g float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		sig := 1 / (1 + math.Exp(-float64(logits[i])))
 		dx[i] = (float32(sig) - targets[i]) * g
 	}
-}
-
-func (serialBackend) BCEWithLogitsBackward(logits, targets, dx []float32, g float32) {
-	bceWithLogitsBackwardRange(logits, targets, dx, g, 0, len(dx))
 }
 
 // --- optimizer steps ---
@@ -819,10 +656,6 @@ func sgdStepRange(p, g, buf []float32, lr, momentum, weightDecay float32, lo, hi
 	}
 }
 
-func (serialBackend) SGDStep(p, g, buf []float32, lr, momentum, weightDecay float32) {
-	sgdStepRange(p, g, buf, lr, momentum, weightDecay, 0, len(p))
-}
-
 // adamStepRange updates parameters [lo,hi) in place given precomputed bias
 // corrections.
 func adamStepRange(p, g, m, v []float32, lr, beta1, beta2, eps, bc1, bc2 float32, lo, hi int) {
@@ -840,9 +673,4 @@ func adamBias(beta1, beta2 float32, step int) (bc1, bc2 float32) {
 	bc1 = 1 - float32(math.Pow(float64(beta1), float64(step)))
 	bc2 = 1 - float32(math.Pow(float64(beta2), float64(step)))
 	return bc1, bc2
-}
-
-func (serialBackend) AdamStep(p, g, m, v []float32, lr, beta1, beta2, eps float32, step int) {
-	bc1, bc2 := adamBias(beta1, beta2, step)
-	adamStepRange(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2, 0, len(p))
 }

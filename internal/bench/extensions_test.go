@@ -151,17 +151,21 @@ func TestRooflineMostlyMemoryBound(t *testing.T) {
 	if len(points) == 0 {
 		t.Fatal("no roofline points")
 	}
-	share := MemoryBoundShare(points)
-	if share < 0.5 {
-		t.Fatalf("memory-bound share = %.2f, want majority", share)
-	}
+	var mem, total float64
 	for _, p := range points {
+		total += p.Seconds
+		if p.MemoryBound {
+			mem += p.Seconds
+		}
 		if p.Intensity <= 0 || p.RoofGFLOPS <= 0 {
 			t.Fatalf("degenerate point %+v", p)
 		}
 		if p.MemoryBound && p.RoofGFLOPS >= gpu.V100().PeakGFLOPS() {
 			t.Fatalf("memory-bound point at compute roof: %+v", p)
 		}
+	}
+	if mem < 0.5*total {
+		t.Fatalf("memory-bound share = %.2f, want majority", mem/total)
 	}
 	out := FormatRoofline("PSAGE", points, gpu.V100())
 	if !strings.Contains(out, "memory-bound share") {

@@ -93,7 +93,7 @@ func FigPart(cfg core.RunConfig) (*FigPartResult, error) {
 			return nil, err
 		}
 		res, err := partitioned.Train(factory, cfg.GPUs, cutCfg.Epochs,
-			partitioned.Config{Comm: ddp.DefaultComm(), Overlap: true})
+			partitioned.Config{Overlap: true})
 		if err != nil {
 			return nil, fmt.Errorf("figpart: %s labeling: %w", lab.name, err)
 		}

@@ -85,19 +85,3 @@ func FormatRoofline(label string, points []RooflinePoint, cfg gpu.Config) string
 	}
 	return b.String()
 }
-
-// MemoryBoundShare returns the fraction of kernel time spent in classes
-// whose roofline bound is the memory roof.
-func MemoryBoundShare(points []RooflinePoint) float64 {
-	var mem, total float64
-	for _, p := range points {
-		total += p.Seconds
-		if p.MemoryBound {
-			mem += p.Seconds
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return mem / total
-}

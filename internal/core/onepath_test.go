@@ -168,6 +168,138 @@ func TestOneConstructionPath(t *testing.T) {
 	}
 }
 
+// keptExports are the exported declarations under internal/ that no non-test
+// file names, each with the reason it stays. TestEveryExportHasACaller fails
+// on an entry that is gone or has found a caller, so the list only shrinks.
+var keptExports = map[string]string{
+	"bench.Suite.Find":         "exported method of a type the root facade aliases (gnnmark.Suite)",
+	"gpu.Cache.AccessLine":     "the byte-address entry point the cache oracle tests drive; touch is its line-indexed core",
+	"gpu.OpComm":               "a slot of the paper's op taxonomy: NumOpClasses and the per-class metric set are laid out over it",
+	"graph.CSR.HasEdge":        "accessor the graph and datasets tests read structure through",
+	"graph.RandomGNP":          "fixture for seven test files in three packages",
+	"loader.Decode":            "reference half of the batch codec: the round-trip tests compare Encode against it",
+	"nn.LoadTrainingFile":      "pairs the durable checkpoint writer; the crash tests read back what it wrote",
+	"nn.NewSGD":                "the SGD step is part of the Backend interface e2ebench wraps",
+	"serve.FormatArrivalTrace": "reference half of the arrival-trace parser's round-trip test",
+	"tensor.Tensor.MaxAbs":     "accessor the nn, autograd and tensor tests observe values and gradients through",
+}
+
+// calledByStdlib are method names the standard library calls through an
+// interface (sort, container/heap, errors, fmt), so no file names them.
+var calledByStdlib = map[string]bool{
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Error": true, "Unwrap": true, "String": true,
+}
+
+// TestEveryExportHasACaller keeps test-only code from growing back: every
+// package lives under internal/, so a declaration the binaries, the examples
+// and the root facade never name has no user. Each exported top-level
+// function, type, method, variable and constant declared in a non-test file
+// under internal/ must have its name appear in some non-test file of the
+// module outside its own declaration, sit in keptExports, or be a method the
+// standard library calls (calledByStdlib). The match is by name (go/parser
+// only, no type information): the name of another top-level declaration and
+// a method's receiver type do not count as appearances.
+func TestEveryExportHasACaller(t *testing.T) {
+	root := filepath.Join("..", "..")
+	type export struct {
+		key, name, at string
+		method        bool
+		pos, end      token.Pos
+	}
+	var exports []export
+	seen := map[string][]token.Pos{} // identifier -> where it appears outside a declaring position
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		declaring := map[*ast.Ident]bool{}
+		declare := func(id *ast.Ident, recv string, n ast.Node) {
+			declaring[id] = true
+			if strings.HasPrefix(rel, "internal/") && id.IsExported() {
+				exports = append(exports, export{file.Name.Name + "." + recv + id.Name, id.Name,
+					fset.Position(id.Pos()).String(), recv != "", n.Pos(), n.End()})
+			}
+		}
+		for _, decl := range file.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				recv := ""
+				if decl.Recv != nil {
+					ast.Inspect(decl.Recv.List[0].Type, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && recv == "" {
+							declaring[id], recv = true, id.Name+"."
+						}
+						return true
+					})
+				}
+				declare(decl.Name, recv, decl)
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declare(spec.Name, "", spec)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							declare(id, "", spec)
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declaring[id] {
+				seen[id.Name] = append(seen[id.Name], id.Pos())
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncalled := map[string]bool{}
+	for _, e := range exports {
+		called := e.method && calledByStdlib[e.name]
+		for _, pos := range seen[e.name] {
+			if pos < e.pos || pos >= e.end {
+				called = true
+				break
+			}
+		}
+		if called {
+			continue
+		}
+		uncalled[e.key] = true
+		if keptExports[e.key] == "" {
+			t.Errorf("%s: %s is named by no non-test file: delete it, or add it to keptExports with the reason it stays", e.at, e.key)
+		}
+	}
+	for key := range keptExports {
+		if !uncalled[key] {
+			t.Errorf("keptExports lists %s, which is gone or has a caller now: drop the entry", key)
+		}
+	}
+	if len(keptExports) > 40 {
+		t.Errorf("keptExports holds %d names, want at most 40", len(keptExports))
+	}
+}
+
 // isPkgSel reports whether sel is the qualified identifier pkg.name.
 func isPkgSel(sel *ast.SelectorExpr, pkg, name string) bool {
 	x, ok := sel.X.(*ast.Ident)

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"gnnmark/internal/datasets"
-	"gnnmark/internal/ddp"
 	"gnnmark/internal/graph"
 	"gnnmark/internal/models"
 	"gnnmark/internal/partitioned"
@@ -60,5 +59,5 @@ func RunPartitioned(cfg RunConfig) (*partitioned.Result, error) {
 		return nil, err
 	}
 	return partitioned.Train(factory, max(cfg.GPUs, 1), cfg.Epochs,
-		partitioned.Config{Comm: ddp.DefaultComm(), Overlap: cfg.Overlap})
+		partitioned.Config{Overlap: cfg.Overlap})
 }

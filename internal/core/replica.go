@@ -24,11 +24,29 @@ type Replica struct {
 }
 
 // resolve returns c's workload spec and dataset (empty = the spec's
-// default), rejecting a dataset the workload does not have.
+// default), rejecting a dataset the workload does not have, a parallelism
+// that names no strategy and a negative count or budget — values a front
+// end would otherwise read as "unset" and silently run something else.
 func (c *RunConfig) resolve() (Spec, string, error) {
 	spec, err := Lookup(c.Workload)
 	if err != nil {
 		return Spec{}, "", err
+	}
+	switch c.Parallelism {
+	case "", "ddp", "partitioned":
+	default:
+		return Spec{}, "", fmt.Errorf("core: unknown parallelism %q (want ddp or partitioned)", c.Parallelism)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Epochs", float64(c.Epochs)}, {"GPUs", float64(c.GPUs)}, {"SampledWarps", float64(c.SampledWarps)},
+		{"PipelineDepth", float64(c.PipelineDepth)}, {"LoaderWorkers", float64(c.LoaderWorkers)}, {"HBMGB", c.HBMGB},
+	} {
+		if f.v < 0 {
+			return Spec{}, "", fmt.Errorf("core: negative %s %v", f.name, f.v)
+		}
 	}
 	dataset := c.Dataset
 	if dataset == "" {

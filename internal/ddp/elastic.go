@@ -2,7 +2,6 @@ package ddp
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -48,10 +47,6 @@ func (f *FleetFailure) Error() string {
 
 // ElasticOptions parameterizes a fault-tolerant multi-round run.
 type ElasticOptions struct {
-	// Cluster carries the interconnect and bucket configuration; its
-	// Monitors and OnEpochEnd fields are owned by the controller and must
-	// be left nil.
-	Cluster ClusterConfig
 	// Schedule is the fleet's health-event schedule, keyed by SLOT
 	// (original device index, stable across re-sharding).
 	Schedule []fault.Event
@@ -59,26 +54,18 @@ type ElasticOptions struct {
 	// dead replicas and re-sharding, the whole world is rebuilt at full
 	// size after ReplacementDelaySeconds (waiting out node replacement).
 	FailStop bool
-	// RestartOverheadSeconds is the fleet-time cost of one elastic
-	// recovery (rendezvous, re-shard, checkpoint reload). 0 = default.
-	RestartOverheadSeconds float64
-	// ReplacementDelaySeconds is the fleet-time cost of one fail-stop
-	// recovery (provisioning a replacement node). 0 = default.
-	ReplacementDelaySeconds float64
 	// CheckpointPath, when set, persists epoch checkpoints through the
 	// crash-safe nn.SaveTrainingFile path instead of keeping them in
 	// memory only.
 	CheckpointPath string
-	// MaxRecoveries bounds recovery attempts (0 = 2x world size).
-	MaxRecoveries int
 }
 
-// Default recovery costs: an elastic restart is a rendezvous plus a
-// checkpoint reload (seconds of fleet time); a fail-stop restart waits out
-// node replacement (minutes).
+// Recovery costs in fleet time: an elastic restart is a rendezvous, a
+// re-shard and a checkpoint reload (seconds); a fail-stop restart waits out
+// the provisioning of a replacement node (minutes).
 const (
-	DefaultRestartOverheadSeconds  = 2.0
-	DefaultReplacementDelaySeconds = 120.0
+	RestartOverheadSeconds  = 2.0
+	ReplacementDelaySeconds = 120.0
 )
 
 // Round records one cluster incarnation of an elastic run.
@@ -133,12 +120,7 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 	if epochs < 1 {
 		epochs = 1
 	}
-	if opts.Cluster.Monitors != nil || opts.Cluster.OnEpochEnd != nil {
-		return ElasticResult{}, fmt.Errorf("ddp: ElasticOptions.Cluster must leave Monitors/OnEpochEnd nil")
-	}
-	restart := cmp.Or(opts.RestartOverheadSeconds, DefaultRestartOverheadSeconds)
-	replacement := cmp.Or(opts.ReplacementDelaySeconds, DefaultReplacementDelaySeconds)
-	maxRecoveries := cmp.Or(opts.MaxRecoveries, 2*world)
+	maxRecoveries := 2 * world // a schedule cannot kill more often than that
 
 	alive := make([]int, world)
 	for i := range alive {
@@ -151,8 +133,7 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 	origin := 0.0   // fleet time at which the next round's clocks start
 
 	for res.EpochsCompleted < epochs {
-		cfg := opts.Cluster
-		cfg.Monitors = make([]*fault.Monitor, len(alive))
+		cfg := ClusterConfig{Monitors: make([]*fault.Monitor, len(alive))}
 		for r, slot := range alive {
 			m := fault.NewMonitor(fault.SlotEvents(schedule, slot), true)
 			m.SetOrigin(origin)
@@ -253,8 +234,8 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 		if opts.FailStop {
 			// Fail-stop baseline: wait out replacement, rebuild at full
 			// size from the checkpoint.
-			res.OverheadSeconds += replacement
-			origin += replacement
+			res.OverheadSeconds += ReplacementDelaySeconds
+			origin += ReplacementDelaySeconds
 			continue
 		}
 		// Elastic: drop the dead slots, re-shard across survivors.
@@ -272,8 +253,8 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 			return res, fmt.Errorf("ddp: no survivors: %w", ff)
 		}
 		alive = next
-		res.OverheadSeconds += restart
-		origin += restart
+		res.OverheadSeconds += RestartOverheadSeconds
+		origin += RestartOverheadSeconds
 	}
 
 	res.Survivors = append([]int(nil), alive...)

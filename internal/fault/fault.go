@@ -40,8 +40,6 @@ const (
 	// preemption): indistinguishable from a fatal device error to the
 	// survivors.
 	ReplicaLoss
-
-	numEventTypes
 )
 
 // String returns the event type's mnemonic.
@@ -61,15 +59,6 @@ func (t EventType) String() string {
 		return "replica-loss"
 	}
 	return fmt.Sprintf("event(%d)", int(t))
-}
-
-// AllEventTypes returns every event type, in declaration order.
-func AllEventTypes() []EventType {
-	out := make([]EventType, 0, numEventTypes)
-	for t := EventType(0); t < numEventTypes; t++ {
-		out = append(out, t)
-	}
-	return out
 }
 
 // Severity classifies an event's effect on the training job.

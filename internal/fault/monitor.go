@@ -28,9 +28,6 @@ type Monitor struct {
 	events   []Event // sorted by (At, slot, type)
 	origin   float64
 	deferred bool
-
-	polledTo float64 // fleet-time high-water mark of Poll
-	tripped  *Event  // first fatal surfaced in immediate mode
 }
 
 // NewMonitor builds a monitor over the slot's events. deferred selects the
@@ -63,15 +60,11 @@ func (m *Monitor) Poll(now float64) (kernelMult, transferMult float64, fatal err
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ft := m.origin + now
-	if ft > m.polledTo {
-		m.polledTo = ft
-	}
 	kernelMult, transferMult = m.multipliers(ft)
 	if m.deferred {
 		return kernelMult, transferMult, nil
 	}
 	if ev := m.fatalBy(ft); ev != nil {
-		m.tripped = ev
 		return kernelMult, transferMult, &FatalError{Event: *ev}
 	}
 	return kernelMult, transferMult, nil
@@ -145,38 +138,4 @@ func (m *Monitor) LinkFactorBy(ft float64) float64 {
 		}
 	}
 	return f
-}
-
-// Tripped returns the fatal event Poll surfaced in immediate mode, nil
-// before then.
-func (m *Monitor) Tripped() *Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tripped
-}
-
-// CorrectedErrors counts ECC single-bit (info) events due by the furthest
-// point the device has polled: the fleet's corrected-error telemetry.
-func (m *Monitor) CorrectedErrors() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, e := range m.events {
-		if e.At > m.polledTo {
-			break
-		}
-		if e.Type == ECCSBE {
-			n++
-		}
-	}
-	return n
-}
-
-// Events returns the monitor's schedule (sorted copy).
-func (m *Monitor) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Event, len(m.events))
-	copy(out, m.events)
-	return out
 }

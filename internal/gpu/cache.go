@@ -61,15 +61,6 @@ func NewCache(sizeBytes, lineBytes, ways int) *Cache {
 	return c
 }
 
-// LineBytes returns the cache line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.numSets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // AccessLine touches the line containing addr and reports whether it hit.
 // On a miss the LRU way of the set is replaced.
 func (c *Cache) AccessLine(addr uint64) bool {

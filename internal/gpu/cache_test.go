@@ -22,14 +22,14 @@ func TestNewCacheGeometry(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			c := NewCache(tt.size, tt.line, tt.ways)
-			if c.Sets() != tt.wantSets {
-				t.Errorf("sets = %d, want %d", c.Sets(), tt.wantSets)
+			if c.numSets != tt.wantSets {
+				t.Errorf("sets = %d, want %d", c.numSets, tt.wantSets)
 			}
-			if c.Ways() != tt.wantWay {
-				t.Errorf("ways = %d, want %d", c.Ways(), tt.wantWay)
+			if c.ways != tt.wantWay {
+				t.Errorf("ways = %d, want %d", c.ways, tt.wantWay)
 			}
-			if c.LineBytes() != tt.line {
-				t.Errorf("line = %d, want %d", c.LineBytes(), tt.line)
+			if c.lineBytes != tt.line {
+				t.Errorf("line = %d, want %d", c.lineBytes, tt.line)
 			}
 		})
 	}
@@ -137,8 +137,8 @@ func TestCacheColdMissThenHit(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	// 2-way, line 64, 2 sets => set 0 holds lines {0, 2, 4, ...}.
 	c := NewCache(256, 64, 2)
-	if c.Sets() != 2 {
-		t.Fatalf("sets = %d, want 2", c.Sets())
+	if c.numSets != 2 {
+		t.Fatalf("sets = %d, want 2", c.numSets)
 	}
 	c.AccessLine(0 * 64) // set 0, miss
 	c.AccessLine(2 * 64) // set 0, miss

@@ -60,10 +60,6 @@ type Config struct {
 
 	// PCIeBandwidthGBps bounds host-to-device transfers.
 	PCIeBandwidthGBps float64
-	// NVLinkBandwidthGBps is the aggregate inter-GPU bandwidth per GPU.
-	NVLinkBandwidthGBps float64
-	// NVLinkLatencyUS is the per-message inter-GPU latency.
-	NVLinkLatencyUS float64
 
 	// MaxSampledWarps caps the number of warp-level memory transactions the
 	// cache simulator replays per kernel; longer streams are stride-sampled
@@ -91,34 +87,32 @@ type Config struct {
 // L1/shared per SM, 6 MB L2, 900 GB/s HBM2).
 func V100() Config {
 	return Config{
-		Name:                "Tesla V100-SXM2-16GB",
-		NumSMs:              80,
-		ClockGHz:            1.38,
-		FP32LanesPerSM:      64,
-		INT32LanesPerSM:     64,
-		LSLanesPerSM:        32,
-		SFULanesPerSM:       16,
-		IssueLanesPerSM:     128,
-		MaxThreadsPerSM:     2048,
-		L1SizeKB:            128,
-		L1LineBytes:         128,
-		L1Ways:              4,
-		L2SizeKB:            6144,
-		L2LineBytes:         64,
-		L2Ways:              16,
-		DRAMBandwidthGBps:   900,
-		L2BandwidthGBps:     2150,
-		L1LatencyCycles:     28,
-		L2LatencyCycles:     193,
-		DRAMLatencyCycles:   1029,
-		ICacheL0Bytes:       12 << 10,
-		ICacheL1Bytes:       128 << 10,
-		LaunchOverheadUS:    2.5,
-		PCIeBandwidthGBps:   12,
-		NVLinkBandwidthGBps: 300,
-		NVLinkLatencyUS:     1.9,
-		MaxSampledWarps:     1 << 14,
-		HBMBytes:            16 << 30,
+		Name:              "Tesla V100-SXM2-16GB",
+		NumSMs:            80,
+		ClockGHz:          1.38,
+		FP32LanesPerSM:    64,
+		INT32LanesPerSM:   64,
+		LSLanesPerSM:      32,
+		SFULanesPerSM:     16,
+		IssueLanesPerSM:   128,
+		MaxThreadsPerSM:   2048,
+		L1SizeKB:          128,
+		L1LineBytes:       128,
+		L1Ways:            4,
+		L2SizeKB:          6144,
+		L2LineBytes:       64,
+		L2Ways:            16,
+		DRAMBandwidthGBps: 900,
+		L2BandwidthGBps:   2150,
+		L1LatencyCycles:   28,
+		L2LatencyCycles:   193,
+		DRAMLatencyCycles: 1029,
+		ICacheL0Bytes:     12 << 10,
+		ICacheL1Bytes:     128 << 10,
+		LaunchOverheadUS:  2.5,
+		PCIeBandwidthGBps: 12,
+		MaxSampledWarps:   1 << 14,
+		HBMBytes:          16 << 30,
 	}
 }
 
@@ -135,7 +129,6 @@ func P100() Config {
 	c.DRAMBandwidthGBps = 732
 	c.L2BandwidthGBps = 1600
 	c.DRAMLatencyCycles = 1100
-	c.NVLinkBandwidthGBps = 160
 	return c
 }
 
@@ -151,16 +144,15 @@ func A100() Config {
 	c.DRAMBandwidthGBps = 1555
 	c.L2BandwidthGBps = 4500
 	c.DRAMLatencyCycles = 900
-	c.NVLinkBandwidthGBps = 600
 	c.HBMBytes = 40 << 30
 	return c
 }
 
 // H100 returns an H100-SXM5-80GB (Hopper) model: the widest SMs of the
-// family (128 fp32 lanes each), a 50 MB L2, HBM3 at 3.35 TB/s, and fourth-
-// generation NVLink — the heterogeneous-fleet scenarios' fast tier, after
-// Ju et al.'s argument that GNN characterization should span device
-// generations rather than pin itself to the V100.
+// family (128 fp32 lanes each), a 50 MB L2 and HBM3 at 3.35 TB/s — the
+// heterogeneous-fleet scenarios' fast tier, after Ju et al.'s argument that
+// GNN characterization should span device generations rather than pin
+// itself to the V100.
 func H100() Config {
 	c := V100()
 	c.Name = "H100-SXM5-80GB"
@@ -174,8 +166,6 @@ func H100() Config {
 	c.L2BandwidthGBps = 7000
 	c.DRAMLatencyCycles = 800
 	c.PCIeBandwidthGBps = 55 // PCIe Gen5 x16
-	c.NVLinkBandwidthGBps = 900
-	c.NVLinkLatencyUS = 1.5
 	c.HBMBytes = 80 << 30
 	return c
 }

@@ -112,10 +112,6 @@ func (d *Device) pollHealth() {
 	}
 }
 
-// KernelMult returns the health plane's current kernel slowdown (1 when
-// healthy).
-func (d *Device) KernelMult() float64 { return d.kernelMult }
-
 // TransferMult returns the health plane's current transfer slowdown (1 when
 // healthy). Planes that model interconnect time themselves (partitioned
 // halo copies, ring all-reduce) multiply their modeled durations by it.

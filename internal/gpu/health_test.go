@@ -82,8 +82,8 @@ func TestThrottleScalesTransferTime(t *testing.T) {
 	if got := hot.TransferCost(bytes); math.Abs(got/healthy.CopyCost(bytes)-3.0) > 1e-12 {
 		t.Fatalf("TransferCost not derated: %v", got)
 	}
-	if hot.KernelMult() != 1.5 || hot.TransferMult() != 3.0 {
-		t.Fatalf("cached multipliers k=%v x=%v", hot.KernelMult(), hot.TransferMult())
+	if hot.kernelMult != 1.5 || hot.TransferMult() != 3.0 {
+		t.Fatalf("cached multipliers k=%v x=%v", hot.kernelMult, hot.TransferMult())
 	}
 }
 
@@ -145,11 +145,11 @@ func TestDetachHealthRestoresHealthy(t *testing.T) {
 		{Slot: 0, Type: fault.ThermalThrottle, Factor: 1.9, At: 0},
 	}, true))
 	dev.Launch(healthKernel("k", 256))
-	if dev.KernelMult() != 1.9 {
-		t.Fatalf("throttle not applied: %v", dev.KernelMult())
+	if dev.kernelMult != 1.9 {
+		t.Fatalf("throttle not applied: %v", dev.kernelMult)
 	}
 	dev.AttachHealth(nil)
-	if dev.KernelMult() != 1 || dev.TransferMult() != 1 {
+	if dev.kernelMult != 1 || dev.TransferMult() != 1 {
 		t.Fatal("detach did not restore healthy multipliers")
 	}
 }

@@ -94,9 +94,6 @@ func (a Access) repeats() int {
 	return a.Repeat
 }
 
-// TotalLanes returns the total number of thread accesses across repeats.
-func (a Access) TotalLanes() int { return a.lanes() * a.repeats() }
-
 // Kernel is the unit of work submitted to a Device: the synthetic analogue
 // of a CUDA kernel launch. Op lowering in internal/ops constructs these.
 type Kernel struct {

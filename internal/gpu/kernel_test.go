@@ -33,21 +33,21 @@ func TestInstrMixTotalsAndShares(t *testing.T) {
 
 func TestAccessLaneAccounting(t *testing.T) {
 	strided := Access{Kind: LoadAccess, ElemBytes: 4, Count: 64, Stride: 1}
-	if strided.TotalLanes() != 64 {
-		t.Fatalf("strided lanes = %d, want 64 (Repeat default 1)", strided.TotalLanes())
+	if strided.lanes()*strided.repeats() != 64 {
+		t.Fatalf("strided lanes = %d, want 64 (Repeat default 1)", strided.lanes()*strided.repeats())
 	}
 	strided.Repeat = 3
-	if strided.TotalLanes() != 192 {
-		t.Fatalf("repeated lanes = %d, want 192", strided.TotalLanes())
+	if strided.lanes()*strided.repeats() != 192 {
+		t.Fatalf("repeated lanes = %d, want 192", strided.lanes()*strided.repeats())
 	}
 	// Indexed form: len(Indices) wins over Count.
 	indexed := Access{Kind: StoreAccess, ElemBytes: 4, Count: 999, Indices: []int32{3, 1, 2}}
-	if indexed.TotalLanes() != 3 {
-		t.Fatalf("indexed lanes = %d, want len(Indices) = 3", indexed.TotalLanes())
+	if indexed.lanes()*indexed.repeats() != 3 {
+		t.Fatalf("indexed lanes = %d, want len(Indices) = 3", indexed.lanes()*indexed.repeats())
 	}
 	empty := Access{Kind: LoadAccess, ElemBytes: 4}
-	if empty.TotalLanes() != 0 {
-		t.Fatalf("zero-work access lanes = %d, want 0", empty.TotalLanes())
+	if empty.lanes()*empty.repeats() != 0 {
+		t.Fatalf("zero-work access lanes = %d, want 0", empty.lanes()*empty.repeats())
 	}
 }
 

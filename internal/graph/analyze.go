@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -49,97 +48,4 @@ func Degrees(g *CSR) DegreeStats {
 		st.Gini = math.Abs(st.Gini)
 	}
 	return st
-}
-
-// ConnectedComponents labels each node of a square adjacency with its
-// weakly-connected-component id (0-based, in discovery order) and returns
-// the labels plus the component count.
-func ConnectedComponents(g *CSR) (labels []int32, count int) {
-	if g.Rows != g.Cols {
-		panic("graph: ConnectedComponents requires a square adjacency")
-	}
-	// Build the symmetric neighbor view once (weak connectivity).
-	rev := g.Transpose()
-	labels = make([]int32, g.Rows)
-	for i := range labels {
-		labels[i] = -1
-	}
-	var stack []int32
-	for start := 0; start < g.Rows; start++ {
-		if labels[start] >= 0 {
-			continue
-		}
-		id := int32(count)
-		count++
-		stack = append(stack[:0], int32(start))
-		labels[start] = id
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range g.Neighbors(int(v)) {
-				if labels[nb] < 0 {
-					labels[nb] = id
-					stack = append(stack, nb)
-				}
-			}
-			for _, nb := range rev.Neighbors(int(v)) {
-				if labels[nb] < 0 {
-					labels[nb] = id
-					stack = append(stack, nb)
-				}
-			}
-		}
-	}
-	return labels, count
-}
-
-// WattsStrogatz generates a small-world graph: a ring lattice where every
-// node connects to its k nearest neighbors (k even), with each edge rewired
-// to a random target with probability beta. Edges are stored both ways.
-// Sensor and communication networks — the dynamic-graph domain of the paper
-// — have this shape.
-func WattsStrogatz(rng *rand.Rand, n, k int, beta float64) *CSR {
-	if k%2 != 0 || k <= 0 || n <= k {
-		panic("graph: WattsStrogatz requires even 0 < k < n")
-	}
-	type pair = [2]int32
-	seen := map[pair]bool{}
-	addEdge := func(u, v int32) bool {
-		if u == v {
-			return false
-		}
-		a, b := u, v
-		if a > b {
-			a, b = b, a
-		}
-		if seen[pair{a, b}] {
-			return false
-		}
-		seen[pair{a, b}] = true
-		return true
-	}
-	for i := 0; i < n; i++ {
-		for d := 1; d <= k/2; d++ {
-			u, v := int32(i), int32((i+d)%n)
-			if rng.Float64() < beta {
-				// Rewire to a random target, keeping the source endpoint.
-				for tries := 0; tries < 8; tries++ {
-					w := int32(rng.Intn(n))
-					if addEdge(u, w) {
-						v = -1
-						break
-					}
-				}
-				if v == -1 {
-					continue
-				}
-			}
-			addEdge(u, v)
-		}
-	}
-	edges := make([]Edge, 0, 2*len(seen))
-	for p := range seen {
-		edges = append(edges, Edge{Src: p[0], Dst: p[1]}, Edge{Src: p[1], Dst: p[0]})
-	}
-	return FromEdges(n, n, edges)
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDegreeStatsRegularGraph(t *testing.T) {
@@ -44,118 +43,5 @@ func TestDegreeStatsSkewedGraph(t *testing.T) {
 	}
 	if Degrees(FromEdges(0, 0, nil)).Mean != 0 {
 		t.Fatal("empty graph stats must be zero")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	// Two triangles plus an isolated node: 3 components.
-	var edges []Edge
-	tri := func(base int32) {
-		for i := int32(0); i < 3; i++ {
-			j := (i + 1) % 3
-			edges = append(edges,
-				Edge{Src: base + i, Dst: base + j},
-				Edge{Src: base + j, Dst: base + i})
-		}
-	}
-	tri(0)
-	tri(3)
-	g := FromEdges(7, 7, edges)
-	labels, count := ConnectedComponents(g)
-	if count != 3 {
-		t.Fatalf("components = %d, want 3", count)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Fatal("first triangle split")
-	}
-	if labels[3] != labels[4] || labels[0] == labels[3] {
-		t.Fatal("triangles merged or split")
-	}
-	if labels[6] == labels[0] || labels[6] == labels[3] {
-		t.Fatal("isolated node joined a triangle")
-	}
-}
-
-func TestConnectedComponentsDirectedIsWeak(t *testing.T) {
-	// 0 -> 1 -> 2 with no back edges is still one weak component.
-	g := FromEdges(3, 3, []Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
-	_, count := ConnectedComponents(g)
-	if count != 1 {
-		t.Fatalf("weak components = %d, want 1", count)
-	}
-}
-
-func TestConnectedComponentsProperty(t *testing.T) {
-	// Property: endpoints of every edge share a label; labels are dense.
-	f := func(raw []uint8) bool {
-		n := 12
-		var edges []Edge
-		for i := 0; i+1 < len(raw); i += 2 {
-			edges = append(edges, Edge{Src: int32(raw[i] % uint8(n)), Dst: int32(raw[i+1] % uint8(n))})
-		}
-		g := FromEdges(n, n, edges)
-		labels, count := ConnectedComponents(g)
-		for dst := 0; dst < n; dst++ {
-			for _, src := range g.Neighbors(dst) {
-				if labels[src] != labels[dst] {
-					return false
-				}
-			}
-		}
-		seenMax := int32(-1)
-		for _, l := range labels {
-			if l < 0 || int(l) >= count {
-				return false
-			}
-			if l > seenMax {
-				seenMax = l
-			}
-		}
-		return int(seenMax) == count-1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWattsStrogatz(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := WattsStrogatz(rng, 100, 4, 0.1)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Symmetric storage.
-	for dst := 0; dst < g.Rows; dst++ {
-		for _, src := range g.Neighbors(dst) {
-			if !g.HasEdge(int32(dst), src) {
-				t.Fatalf("edge (%d,%d) not symmetric", src, dst)
-			}
-		}
-	}
-	// One connected component at low beta and k=4.
-	if _, count := ConnectedComponents(g); count != 1 {
-		t.Fatalf("small-world graph fragmented into %d components", count)
-	}
-	st := Degrees(g)
-	if st.Mean < 3 || st.Mean > 5 {
-		t.Fatalf("mean degree %.1f, want ~4", st.Mean)
-	}
-	// beta=0 gives the pure lattice: perfectly regular.
-	lattice := WattsStrogatz(rand.New(rand.NewSource(1)), 40, 4, 0)
-	if s := Degrees(lattice); s.Min != 4 || s.Max != 4 {
-		t.Fatalf("lattice degrees %+v, want all 4", s)
-	}
-}
-
-func TestWattsStrogatzRejectsBadParams(t *testing.T) {
-	for _, bad := range [][3]int{{10, 3, 0}, {10, 0, 0}, {4, 4, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("params %v should panic", bad)
-				}
-			}()
-			WattsStrogatz(rand.New(rand.NewSource(1)), bad[0], bad[1], 0.1)
-		}()
 	}
 }

@@ -49,9 +49,6 @@ func NewBatch(graphs []*CSR) *Batch {
 	}
 }
 
-// NumGraphs returns the number of batched graphs.
-func (b *Batch) NumGraphs() int { return len(b.NodeOffset) - 1 }
-
 // NumNodes returns the total batched node count.
 func (b *Batch) NumNodes() int { return b.Adj.Rows }
 

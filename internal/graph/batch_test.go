@@ -16,8 +16,8 @@ func TestBatchBlockDiagonal(t *testing.T) {
 	g2 := FromEdges(2, 2, []Edge{{0, 1}, {1, 0}})
 	b := NewBatch([]*CSR{g1, g2})
 
-	if b.NumGraphs() != 2 || b.NumNodes() != 5 {
-		t.Fatalf("batch dims: %d graphs, %d nodes", b.NumGraphs(), b.NumNodes())
+	if len(b.NodeOffset)-1 != 2 || b.NumNodes() != 5 {
+		t.Fatalf("batch dims: %d graphs, %d nodes", len(b.NodeOffset)-1, b.NumNodes())
 	}
 	if err := b.Adj.Validate(); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestBatchRejectsNonSquare(t *testing.T) {
 
 func TestBatchEmptyAndSingle(t *testing.T) {
 	b := NewBatch(nil)
-	if b.NumGraphs() != 0 || b.NumNodes() != 0 {
+	if len(b.NodeOffset)-1 != 0 || b.NumNodes() != 0 {
 		t.Fatal("empty batch should be empty")
 	}
 	one := NewBatch([]*CSR{triangle()})
@@ -81,7 +81,7 @@ func TestBatchManyRandomGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GraphID consistent with offsets.
-	for g := 0; g < b.NumGraphs(); g++ {
+	for g := 0; g < len(b.NodeOffset)-1; g++ {
 		s, e := b.GraphNodes(g)
 		for v := s; v < e; v++ {
 			if b.GraphID[v] != int32(g) {

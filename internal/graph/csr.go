@@ -157,20 +157,6 @@ func (g *CSR) NormalizeGCN() *CSR {
 	return a
 }
 
-// NormalizeRW returns the row-normalized (random-walk) adjacency with self
-// loops, D^{-1}(A+I): mean aggregation.
-func (g *CSR) NormalizeRW() *CSR {
-	a := g.WithSelfLoops()
-	a.Vals = make([]float32, a.NNZ())
-	for dst := 0; dst < a.Rows; dst++ {
-		d := float32(a.Degree(dst))
-		for p := a.RowPtr[dst]; p < a.RowPtr[dst+1]; p++ {
-			a.Vals[p] = 1 / d
-		}
-	}
-	return a
-}
-
 func sqrt32(x float32) float32 {
 	if x <= 0 {
 		return 1

@@ -130,19 +130,6 @@ func TestNormalizeGCNRowsums(t *testing.T) {
 	}
 }
 
-func TestNormalizeRWRowsumsOne(t *testing.T) {
-	g := smallCSR().NormalizeRW()
-	for i := 0; i < g.Rows; i++ {
-		var sum float64
-		for _, w := range g.Weights(i) {
-			sum += float64(w)
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			t.Fatalf("row %d sum = %g, want 1", i, sum)
-		}
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := smallCSR()
 	g.RowPtr[1] = 99

@@ -41,16 +41,6 @@ func (h *Hetero) AddNodeType(name string, count int) {
 // NumNodes returns the node count of a type (0 when undeclared).
 func (h *Hetero) NumNodes(nodeType string) int { return h.nodeCounts[nodeType] }
 
-// NodeTypes returns the declared node types in sorted order.
-func (h *Hetero) NodeTypes() []string {
-	out := make([]string, 0, len(h.nodeCounts))
-	for t := range h.nodeCounts {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AddRelation installs the adjacency of one relation. The CSR's rows must
 // equal the destination type's node count and columns the source type's.
 func (h *Hetero) AddRelation(rel Relation, adj *CSR) {
@@ -69,28 +59,15 @@ func (h *Hetero) AddRelation(rel Relation, adj *CSR) {
 // Adj returns the adjacency of a relation, or nil when absent.
 func (h *Hetero) Adj(rel Relation) *CSR { return h.relations[rel] }
 
-// Relations returns all relations in deterministic (sorted) order.
-func (h *Hetero) Relations() []Relation {
-	out := make([]Relation, 0, len(h.relations))
-	for r := range h.relations {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// NumEdges returns the total edge count over all relations.
-func (h *Hetero) NumEdges() int {
-	n := 0
-	for _, g := range h.relations {
-		n += g.NNZ()
-	}
-	return n
-}
-
-// Validate checks all relation adjacencies.
+// Validate checks all relation adjacencies, in sorted relation order so the
+// first error reported does not depend on map iteration.
 func (h *Hetero) Validate() error {
-	for _, rel := range h.Relations() {
+	rels := make([]Relation, 0, len(h.relations))
+	for r := range h.relations {
+		rels = append(rels, r)
+	}
+	sort.Slice(rels, func(i, j int) bool { return rels[i].String() < rels[j].String() })
+	for _, rel := range rels {
 		if err := h.relations[rel].Validate(); err != nil {
 			return fmt.Errorf("relation %v: %w", rel, err)
 		}

@@ -115,12 +115,3 @@ func PartitionRandom(g *CSR, k int, seed int64) (parts []int32, edgeCut int) {
 	rng.Shuffle(n, func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
 	return parts, countCut(g, parts)
 }
-
-// PartitionSizes returns the node count of each part.
-func PartitionSizes(parts []int32, k int) []int {
-	sizes := make([]int, k)
-	for _, p := range parts {
-		sizes[p]++
-	}
-	return sizes
-}

@@ -18,7 +18,10 @@ func TestPartitionBFSBalancedAndComplete(t *testing.T) {
 				t.Fatalf("k=%d: node %d part %d out of range", k, i, p)
 			}
 		}
-		sizes := PartitionSizes(parts, k)
+		sizes := make([]int, k)
+		for _, p := range parts {
+			sizes[p]++
+		}
 		for _, s := range sizes {
 			if s < g.Rows/(2*k) {
 				t.Fatalf("k=%d: unbalanced sizes %v", k, sizes)
@@ -33,11 +36,24 @@ func TestPartitionBFSBalancedAndComplete(t *testing.T) {
 	}
 }
 
+// ringLattice joins every node of an n-ring to its half nearest neighbours
+// on each side, stored symmetrically: the locality-rich shape.
+func ringLattice(n, half int) *CSR {
+	var edges []Edge
+	for i := 0; i < n; i++ {
+		for d := 1; d <= half; d++ {
+			j := int32((i + d) % n)
+			edges = append(edges, Edge{Src: int32(i), Dst: j}, Edge{Src: j, Dst: int32(i)})
+		}
+	}
+	return FromEdges(n, n, edges)
+}
+
 func TestPartitionBFSLocalityBeatsRandom(t *testing.T) {
 	// BFS region growing should cut far fewer edges than a random split on
 	// a locality-rich graph.
 	rng := rand.New(rand.NewSource(4))
-	g := WattsStrogatz(rng, 300, 6, 0.05)
+	g := ringLattice(300, 3)
 	_, bfsCut := PartitionBFS(g, 4)
 
 	randParts := make([]int32, g.Rows)

@@ -60,10 +60,6 @@ type LocalPart struct {
 // Ext returns the extended (owned + halo) row count.
 func (lp *LocalPart) Ext() int { return len(lp.Owned) + len(lp.Halo) }
 
-// LocalOf returns the local index of a global vertex id, or -1 when the
-// vertex is neither owned by nor ghosted into this part.
-func (lp *LocalPart) LocalOf(global int32) int32 { return lp.localOf[global] }
-
 // HaloBytes returns the wire bytes this part receives per exchange of
 // featDim fp32 features per ghost row.
 func (lp *LocalPart) HaloBytes(featDim int) uint64 {
@@ -179,22 +175,6 @@ func NewPartitionPlan(g *CSR, parts []int32, k int) *PartitionPlan {
 		}
 	}
 	return plan
-}
-
-// PartitionPlanBFS partitions with PartitionBFS and builds the full plan.
-func PartitionPlanBFS(g *CSR, k int) *PartitionPlan {
-	parts, _ := PartitionBFS(g, k)
-	return NewPartitionPlan(g, parts, k)
-}
-
-// TotalHaloBytes sums every part's received halo bytes for one exchange of
-// featDim fp32 features — the per-layer cross-cut traffic.
-func (plan *PartitionPlan) TotalHaloBytes(featDim int) uint64 {
-	var total uint64
-	for _, lp := range plan.Local {
-		total += lp.HaloBytes(featDim)
-	}
-	return total
 }
 
 func sortInt32s(a []int32) {

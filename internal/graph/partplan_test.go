@@ -11,7 +11,7 @@ func partitionCases(t *testing.T) map[string]*CSR {
 	t.Helper()
 	return map[string]*CSR{
 		"pa-200":    PreferentialAttachment(rand.New(rand.NewSource(7)), 200, 3),
-		"ws-150":    WattsStrogatz(rand.New(rand.NewSource(8)), 150, 4, 0.1),
+		"ring-150":  ringLattice(150, 2),
 		"gnp-120":   RandomGNP(rand.New(rand.NewSource(9)), 120, 0.05),
 		"empty":     FromEdges(0, 0, nil),
 		"singleton": FromEdges(1, 1, nil),
@@ -59,7 +59,10 @@ func TestPartitionProperties(t *testing.T) {
 				if want := bruteCut(g, parts); cut != want {
 					t.Fatalf("%s/%s k=%d: cut %d, brute force %d", m.name, gname, k, cut, want)
 				}
-				sizes := PartitionSizes(parts, k)
+				sizes := make([]int, k)
+				for _, p := range parts {
+					sizes[p]++
+				}
 				total := 0
 				for p, s := range sizes {
 					total += s
@@ -103,22 +106,23 @@ func TestPartitionPlanStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := PreferentialAttachment(rng, 300, 3).NormalizeGCN()
 	const k = 4
-	plan := PartitionPlanBFS(g, k)
+	parts, _ := PartitionBFS(g, k)
+	plan := NewPartitionPlan(g, parts, k)
 
 	ownedTotal := 0
 	for p, lp := range plan.Local {
 		ownedTotal += len(lp.Owned)
 		// Owned and halo are ascending and local indices invert correctly.
 		for i, v := range lp.Owned {
-			if lp.LocalOf(v) != int32(i) {
-				t.Fatalf("part %d: owned %d local index %d, want %d", p, v, lp.LocalOf(v), i)
+			if lp.localOf[v] != int32(i) {
+				t.Fatalf("part %d: owned %d local index %d, want %d", p, v, lp.localOf[v], i)
 			}
 			if plan.Parts[v] != int32(p) {
 				t.Fatalf("part %d claims node %d labeled %d", p, v, plan.Parts[v])
 			}
 		}
 		for i, h := range lp.Halo {
-			if lp.LocalOf(h) != int32(len(lp.Owned)+i) {
+			if lp.localOf[h] != int32(len(lp.Owned)+i) {
 				t.Fatalf("part %d: halo %d bad local index", p, h)
 			}
 			if plan.Parts[h] == int32(p) {
@@ -134,7 +138,7 @@ func TestPartitionPlanStructure(t *testing.T) {
 				t.Fatalf("part %d row %d: %d entries, global %d", p, i, len(ln), len(gn))
 			}
 			for j := range gn {
-				if lp.LocalOf(gn[j]) != ln[j] || gw[j] != lw[j] {
+				if lp.localOf[gn[j]] != ln[j] || gw[j] != lw[j] {
 					t.Fatalf("part %d row %d entry %d: local (%d,%v) vs global (%d,%v)",
 						p, i, j, ln[j], lw[j], gn[j], gw[j])
 				}
@@ -164,7 +168,9 @@ func TestPartitionPlanStructure(t *testing.T) {
 	if plan.EdgeCut <= 0 {
 		t.Fatalf("connected graph, zero cut")
 	}
-	if got := plan.TotalHaloBytes(8) % 32; got != 0 {
-		t.Fatalf("halo bytes not a multiple of row bytes: %d", plan.TotalHaloBytes(8))
+	for p, lp := range plan.Local {
+		if got := lp.HaloBytes(8); got%32 != 0 {
+			t.Fatalf("part %d: halo bytes not a multiple of row bytes: %d", p, got)
+		}
 	}
 }

@@ -114,22 +114,3 @@ func RankVisits(seed int32, trace []int32, topK int) NeighborSample {
 	}
 	return out
 }
-
-// UniformNeighbors samples up to k neighbors of node v uniformly without
-// replacement (GraphSAGE-style fan-out sampling).
-func UniformNeighbors(rng *rand.Rand, g *CSR, v int32, k int) []int32 {
-	nbrs := g.Neighbors(int(v))
-	if len(nbrs) <= k {
-		out := make([]int32, len(nbrs))
-		copy(out, nbrs)
-		return out
-	}
-	// Partial Fisher-Yates over a copy.
-	tmp := make([]int32, len(nbrs))
-	copy(tmp, nbrs)
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(tmp)-i)
-		tmp[i], tmp[j] = tmp[j], tmp[i]
-	}
-	return tmp[:k]
-}

@@ -79,38 +79,6 @@ func TestRandomWalkIsolatedItem(t *testing.T) {
 	}
 }
 
-func TestUniformNeighbors(t *testing.T) {
-	g := FromEdges(4, 4, []Edge{{1, 0}, {2, 0}, {3, 0}})
-	rng := rand.New(rand.NewSource(2))
-
-	all := UniformNeighbors(rng, g, 0, 10)
-	if len(all) != 3 {
-		t.Fatalf("want all 3 neighbors, got %v", all)
-	}
-	some := UniformNeighbors(rng, g, 0, 2)
-	if len(some) != 2 {
-		t.Fatalf("want 2 sampled neighbors, got %v", some)
-	}
-	seen := map[int32]bool{}
-	for _, v := range some {
-		if seen[v] {
-			t.Fatal("sampling must be without replacement")
-		}
-		seen[v] = true
-		if v < 1 || v > 3 {
-			t.Fatalf("sampled non-neighbor %d", v)
-		}
-	}
-	if got := UniformNeighbors(rng, g, 1, 4); len(got) != 0 {
-		t.Fatalf("node with no in-edges returned %v", got)
-	}
-	// Original adjacency must be untouched by the shuffle.
-	nb := g.Neighbors(0)
-	if nb[0] != 1 || nb[1] != 2 || nb[2] != 3 {
-		t.Fatal("UniformNeighbors mutated the CSR")
-	}
-}
-
 // TestRankVisitsMatchesReflectionSort pins RankVisits against the sort.Slice
 // ranking it replaced, on random traces full of count ties: (count desc, item
 // asc) is a total order over distinct items, so the ranking is unique.

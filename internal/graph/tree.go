@@ -21,17 +21,6 @@ type Tree struct {
 // NumNodes returns the node count.
 func (t *Tree) NumNodes() int { return len(t.Parent) }
 
-// Leaves returns the indices of nodes without children.
-func (t *Tree) Leaves() []int32 {
-	var out []int32
-	for i, ch := range t.Children {
-		if len(ch) == 0 {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // Levels partitions nodes into bottom-up schedulable levels: level 0 holds
 // the leaves, level k the nodes whose children all lie in levels < k. A
 // Tree-LSTM processes one level per step; the number of levels is the number

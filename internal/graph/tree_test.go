@@ -13,7 +13,7 @@ func TestRandomTreeValid(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("leaves=%d: %v", leaves, err)
 		}
-		got := tr.Leaves()
+		got := tr.Levels()[0] // level 0 holds exactly the leaves
 		if len(got) != leaves {
 			t.Fatalf("leaves=%d: got %d leaf nodes", leaves, len(got))
 		}

@@ -106,11 +106,11 @@ func (a *ARGA) DDPCompatible() bool { return false }
 // IterationsPerEpoch implements Workload.
 func (a *ARGA) IterationsPerEpoch() int { return 1 }
 
-// Params implements Workload.
 // Optimizer exposes the workload's optimizer for training
 // checkpointing (models.Checkpointable).
 func (a *ARGA) Optimizer() nn.Optimizer { return a.opt }
 
+// Params implements Workload.
 func (a *ARGA) Params() []*autograd.Param {
 	ps := nn.CollectParams(a.enc1, a.enc2, a.disc1, a.disc2)
 	return append(ps, a.alpha1)

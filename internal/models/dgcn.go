@@ -140,11 +140,11 @@ func (m *DGCN) DDPCompatible() bool { return true }
 // IterationsPerEpoch implements Workload.
 func (m *DGCN) IterationsPerEpoch() int { return len(m.batches) }
 
-// Params implements Workload.
 // Optimizer exposes the workload's optimizer for training
 // checkpointing (models.Checkpointable).
 func (m *DGCN) Optimizer() nn.Optimizer { return m.opt }
 
+// Params implements Workload.
 func (m *DGCN) Params() []*autograd.Param {
 	mods := []nn.Module{m.embed, m.head}
 	for i := range m.convs {
@@ -205,39 +205,4 @@ func (m *DGCN) TrainEpoch() float64 {
 		total += float64(loss.Value.At(0))
 	}
 	return total / float64(len(m.batches))
-}
-
-// Evaluate returns the training-set graph classification accuracy
-// (forward-only; no parameter updates).
-func (m *DGCN) Evaluate() float64 {
-	correct, total := 0, 0
-	for _, b := range m.batches {
-		t := autograd.NewTape(m.env.E)
-		logits, labels := m.forward(t, b, b.features)
-		_, arg := m.env.E.MaxCols(logits.Value)
-		for i, lab := range labels {
-			if arg[i] == lab {
-				correct++
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -234,32 +234,6 @@ func (m *TLSTM) TrainEpoch() float64 {
 	return total / float64(iters)
 }
 
-// Evaluate returns the training-set sentiment accuracy from forward-only
-// passes over the batched trees.
-func (m *TLSTM) Evaluate() float64 {
-	wasTraining := m.env.Training
-	m.env.Training = false
-	defer func() { m.env.Training = wasTraining }()
-
-	correct, total := 0, 0
-	iters := m.IterationsPerEpoch()
-	for it := 0; it < iters; it++ {
-		start, end := m.env.Shard(it*m.globalBatch, min((it+1)*m.globalBatch, len(m.ds.Trees)))
-		_, logits, labels := m.forward(start, end)
-		_, arg := m.env.E.MaxCols(logits.Value)
-		for i, lab := range labels {
-			if arg[i] == lab {
-				correct++
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
 // childrenOf returns the merged-node-id children of merged node v.
 func (m *TLSTM) childrenOf(b *batchedTrees, v int32) []int32 {
 	// Locate the tree by offset.

@@ -143,8 +143,8 @@ func TestScheduledAdamCheckpointResume(t *testing.T) {
 	if !paramsEqual(ref, opt2) {
 		t.Fatal("resumed scheduled-adam run diverges from uninterrupted run")
 	}
-	if opt2.CurrentLR() != ref.CurrentLR() {
-		t.Fatalf("final LR %v != reference %v", opt2.CurrentLR(), ref.CurrentLR())
+	if opt2.Adam.LR != ref.Adam.LR {
+		t.Fatalf("final LR %v != reference %v", opt2.Adam.LR, ref.Adam.LR)
 	}
 
 	// Kind mismatch: a sched-adam checkpoint must not load into plain adam.

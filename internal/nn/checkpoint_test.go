@@ -59,7 +59,7 @@ func TestCheckpointRestoresBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := forward()
-	l.W.Value.Fill(0)
+	l.W.Value.Zero()
 	if got := forward(); got[0] == want[0] {
 		t.Fatal("perturbation had no effect")
 	}

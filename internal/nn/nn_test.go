@@ -191,7 +191,7 @@ func TestTransformerBlock(t *testing.T) {
 func TestConv2DLayerBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	conv := NewConv2D(rng, "c", 2, 3, 1, 1)
-	conv.B.Value.Fill(0.5)
+	conv.B.Value.CopyFrom(tensor.Full(0.5, conv.B.Value.Shape()...))
 	conv.W.Value.Zero()
 	e := ops.New(nil)
 	tp := autograd.NewTape(e)
@@ -323,19 +323,6 @@ func TestOptimizerEmitsKernels(t *testing.T) {
 	}
 }
 
-func TestStepDecaySchedule(t *testing.T) {
-	s := StepDecay{Interval: 10, Gamma: 0.5}
-	if s.Factor(1) != 1 || s.Factor(10) != 1 {
-		t.Fatal("first interval must be full rate")
-	}
-	if s.Factor(11) != 0.5 || s.Factor(21) != 0.25 {
-		t.Fatalf("decay wrong: %g %g", s.Factor(11), s.Factor(21))
-	}
-	if (StepDecay{}).Factor(100) != 1 {
-		t.Fatal("zero-interval decay must be identity")
-	}
-}
-
 func TestWarmupSchedule(t *testing.T) {
 	w := Warmup{WarmupSteps: 100}
 	if w.Factor(50) != 0.5 {
@@ -356,14 +343,14 @@ func TestScheduledAdamAppliesFactor(t *testing.T) {
 	opt := NewScheduledAdam(inner, Warmup{WarmupSteps: 4})
 	copy(p.Grad.Data(), []float32{1, 1, 1, 1})
 	opt.Step()
-	if math.Abs(float64(opt.CurrentLR())-0.025) > 1e-6 {
-		t.Fatalf("step 1 LR = %g, want base/4", opt.CurrentLR())
+	if math.Abs(float64(opt.Adam.LR)-0.025) > 1e-6 {
+		t.Fatalf("step 1 LR = %g, want base/4", opt.Adam.LR)
 	}
 	opt.Step()
 	opt.Step()
 	opt.Step()
-	if math.Abs(float64(opt.CurrentLR())-0.1) > 1e-6 {
-		t.Fatalf("step 4 LR = %g, want full base", opt.CurrentLR())
+	if math.Abs(float64(opt.Adam.LR)-0.1) > 1e-6 {
+		t.Fatalf("step 4 LR = %g, want full base", opt.Adam.LR)
 	}
 	if p.Value.At(0) >= 1 {
 		t.Fatal("parameter did not move")

@@ -9,24 +9,6 @@ type LRSchedule interface {
 	Factor(step int) float64
 }
 
-// StepDecay halves (or scales by Gamma) the rate every Interval steps.
-type StepDecay struct {
-	Interval int
-	Gamma    float64
-}
-
-// Factor implements LRSchedule.
-func (s StepDecay) Factor(step int) float64 {
-	if s.Interval <= 0 {
-		return 1
-	}
-	g := s.Gamma
-	if g == 0 {
-		g = 0.5
-	}
-	return math.Pow(g, float64((step-1)/s.Interval))
-}
-
 // Warmup ramps linearly from 0 to 1 over WarmupSteps, then decays with the
 // inverse square root of the step: the transformer schedule GraphWriter
 // trains with.
@@ -65,6 +47,3 @@ func (s *ScheduledAdam) Step() {
 	s.Adam.LR = s.baseLR * float32(s.Schedule.Factor(s.step))
 	s.Adam.Step()
 }
-
-// CurrentLR returns the rate the last Step used.
-func (s *ScheduledAdam) CurrentLR() float32 { return s.Adam.LR }

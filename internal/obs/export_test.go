@@ -52,47 +52,6 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := exportTestRegistry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := `# TYPE ops_kernels_total counter
-ops_kernels_total 42
-# TYPE tensor_live_bytes gauge
-tensor_live_bytes 1024
-# TYPE backend_task_nanos histogram
-backend_task_nanos_bucket{le="10"} 1
-backend_task_nanos_bucket{le="100"} 2
-backend_task_nanos_bucket{le="+Inf"} 3
-backend_task_nanos_sum 555
-backend_task_nanos_count 3
-# TYPE backend_task_nanos_p50 gauge
-backend_task_nanos_p50 55
-# TYPE backend_task_nanos_p95 gauge
-backend_task_nanos_p95 100
-# TYPE backend_task_nanos_p99 gauge
-backend_task_nanos_p99 100
-`
-	if got := buf.String(); got != want {
-		t.Fatalf("prometheus exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"ops.kernels_total": "ops_kernels_total",
-		"9lead":             "_lead",
-		"a-b c":             "a_b_c",
-		"x:y9":              "x:y9",
-	}
-	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestPhaseBreakdownCoverageAndString(t *testing.T) {
 	b := PhaseBreakdown{
 		WallNanos: 1_000_000,

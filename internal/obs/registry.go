@@ -245,9 +245,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Bounds returns the bucket upper bounds (shared slice; do not mutate).
-func (h *Histogram) Bounds() []int64 { return h.bounds }
-
 // Quantile estimates the q-quantile (0 < q <= 1) of the observed
 // distribution from the bucket counts, interpolating linearly inside the
 // bucket that holds the target rank. The estimate is exact at bucket

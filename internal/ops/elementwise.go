@@ -150,11 +150,6 @@ func (e *Engine) PReLU(x *tensor.Tensor, alpha float32) *tensor.Tensor {
 	return out
 }
 
-// LeakyReLU is PReLU with a fixed slope.
-func (e *Engine) LeakyReLU(x *tensor.Tensor, slope float32) *tensor.Tensor {
-	return e.PReLU(x, slope)
-}
-
 // Sigmoid returns 1/(1+exp(-x)).
 func (e *Engine) Sigmoid(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)

@@ -77,9 +77,6 @@ func NewWith(dev *gpu.Device, be backend.Backend) *Engine {
 // Device returns the attached device (possibly nil).
 func (e *Engine) Device() *gpu.Device { return e.dev }
 
-// Backend returns the numerics backend the engine computes on.
-func (e *Engine) Backend() backend.Backend { return e.be }
-
 // Reset returns every tracked device block to the caching allocator and
 // clears the per-tensor, per-CSR, and per-index-buffer bookkeeping.
 // Training loops call it between epochs; still-live tensors are

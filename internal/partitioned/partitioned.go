@@ -41,8 +41,6 @@ var (
 
 // Config parameterizes the partitioned plane.
 type Config struct {
-	// Comm is the interconnect model shared with the DDP plane.
-	Comm ddp.CommConfig
 	// Overlap selects boundary-first overlapped halo exchange; false
 	// serializes every exchange behind the slowest rank's full compute.
 	Overlap bool
@@ -104,6 +102,7 @@ type engine struct {
 	g      *exec.Group
 	gather *exec.Gather
 	cfg    Config
+	comm   ddp.CommConfig // the interconnect model shared with the DDP plane
 	world  int
 
 	gradBytes uint64 // partial (reduced) parameter bytes
@@ -167,8 +166,8 @@ func (wk *worker) copySeconds(wireBytes uint64) float64 {
 	if wireBytes == 0 || wk.eng.world <= 1 {
 		return 0
 	}
-	bw := wk.eng.cfg.Comm.NVLinkBandwidthGBps * 1e9
-	secs := float64(wireBytes)/bw + wk.eng.cfg.Comm.NVLinkLatencyUS*1e-6
+	bw := wk.eng.comm.NVLinkBandwidthGBps * 1e9
+	secs := float64(wireBytes)/bw + wk.eng.comm.NVLinkLatencyUS*1e-6
 	// Health-plane interconnect degradation stretches the halo wire time.
 	return secs * wk.dev.TransferMult()
 }
@@ -251,7 +250,7 @@ func (wk *worker) onGradients(_ []*autograd.Param, _ float64) {
 		}
 	}
 	wk.halo.WaitUntil(fence)
-	ar := ddp.AllreduceSeconds(wk.eng.cfg.Comm, wk.eng.world, wk.eng.gradBytes)
+	ar := ddp.AllreduceSeconds(wk.eng.comm, wk.eng.world, wk.eng.gradBytes)
 	wk.halo.Push("grad.allreduce", "halo", ar, wk.eng.ringBytes)
 	wk.compute.Wait(wk.halo.Record())
 	wk.gradSecs += ar
@@ -327,7 +326,7 @@ func Train(factory Factory, world, epochs int, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("partitioned: %d monitors for world size %d", len(cfg.Monitors), world)
 	}
 	g := exec.NewGroup(world)
-	eng := &engine{g: g, gather: exec.NewGather(g), cfg: cfg, world: world}
+	eng := &engine{g: g, gather: exec.NewGather(g), cfg: cfg, comm: ddp.DefaultComm(), world: world}
 	// Stop every rank's loader workers once the run is over.
 	defer func() {
 		for _, wk := range eng.workers {

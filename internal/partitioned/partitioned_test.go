@@ -8,7 +8,6 @@ import (
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/backend"
 	"gnnmark/internal/datasets"
-	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/ops"
@@ -108,7 +107,7 @@ func TestPartitionedARGAEquivalence(t *testing.T) {
 	}
 	env.Close()
 
-	res, err := Train(argaFactory(0), 4, epochs, Config{Comm: ddp.DefaultComm(), Overlap: true})
+	res, err := Train(argaFactory(0), 4, epochs, Config{Overlap: true})
 	if err != nil {
 		t.Fatalf("partitioned ARGA: %v", err)
 	}
@@ -134,7 +133,7 @@ func TestPartitionedARGAEquivalence(t *testing.T) {
 	}
 
 	// Byte-identical rerun: same factory, same config.
-	res2, err := Train(argaFactory(0), 4, epochs, Config{Comm: ddp.DefaultComm(), Overlap: true})
+	res2, err := Train(argaFactory(0), 4, epochs, Config{Overlap: true})
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -163,7 +162,7 @@ func TestPartitionedDGCNEquivalence(t *testing.T) {
 	}
 	env.Close()
 
-	res, err := Train(dgcnFactory(), 2, epochs, Config{Comm: ddp.DefaultComm(), Overlap: true})
+	res, err := Train(dgcnFactory(), 2, epochs, Config{Overlap: true})
 	if err != nil {
 		t.Fatalf("partitioned DGCN: %v", err)
 	}
@@ -187,11 +186,11 @@ func TestPartitionedDGCNEquivalence(t *testing.T) {
 // identical numerics (the schedule only moves simulated time).
 func TestOverlapHidesHaloTime(t *testing.T) {
 	const epochs = 1
-	ser, err := Train(argaFactory(0), 4, epochs, Config{Comm: ddp.DefaultComm(), Overlap: false})
+	ser, err := Train(argaFactory(0), 4, epochs, Config{Overlap: false})
 	if err != nil {
 		t.Fatalf("serialized: %v", err)
 	}
-	ovl, err := Train(argaFactory(0), 4, epochs, Config{Comm: ddp.DefaultComm(), Overlap: true})
+	ovl, err := Train(argaFactory(0), 4, epochs, Config{Overlap: true})
 	if err != nil {
 		t.Fatalf("overlapped: %v", err)
 	}
@@ -211,7 +210,7 @@ func TestOverlapHidesHaloTime(t *testing.T) {
 // the same training OOMs on one device while 4-way partitioning fits —
 // each part materializes |owned| x n decoder logits instead of n x n.
 func TestPartitionedFitsWhereSingleOOMs(t *testing.T) {
-	base, err := Train(argaFactory(0), 1, 1, Config{Comm: ddp.DefaultComm()})
+	base, err := Train(argaFactory(0), 1, 1, Config{})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -221,12 +220,12 @@ func TestPartitionedFitsWhereSingleOOMs(t *testing.T) {
 	}
 	budget := peak * 6 / 10
 
-	_, err = Train(argaFactory(budget), 1, 1, Config{Comm: ddp.DefaultComm()})
+	_, err = Train(argaFactory(budget), 1, 1, Config{})
 	var oom *vmem.OOMError
 	if !errors.As(err, &oom) {
 		t.Fatalf("single device under %d-byte budget: want OOM, got %v", budget, err)
 	}
-	res, err := Train(argaFactory(budget), 4, 1, Config{Comm: ddp.DefaultComm()})
+	res, err := Train(argaFactory(budget), 4, 1, Config{})
 	if err != nil {
 		t.Fatalf("4-way under the same budget: %v", err)
 	}

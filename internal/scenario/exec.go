@@ -297,7 +297,6 @@ func (sc *Scenario) runPartitioned(cfg core.RunConfig, out *Outcome) error {
 		monitors[r] = fault.NewMonitor(fault.SlotEvents(sched, r), false)
 	}
 	res, runErr := partitioned.Train(factory, world, cfg.Epochs, partitioned.Config{
-		Comm:     ddp.DefaultComm(),
 		Overlap:  cfg.Overlap,
 		Monitors: monitors,
 	})

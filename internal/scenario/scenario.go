@@ -390,9 +390,6 @@ var trainEventTypes = map[string]bool{
 // serveEventTypes are the event mnemonics the serving phase understands.
 var serveEventTypes = map[string]bool{EvServeBurst: true, EvThermal: true}
 
-// fatalEventTypes end a replica.
-var fatalEventTypes = map[string]bool{EvXID: true, EvECCDBE: true, EvReplicaLoss: true}
-
 // servableWorkloads are the registry keys implementing models.Servable
 // (pinned by TestServableSet against the live registry).
 var servableWorkloads = map[string]bool{"PSAGE": true, "ARGA": true}
@@ -562,11 +559,8 @@ func (sc *Scenario) validateEvent(ev EventSpec, world int) error {
 				return errf(ev.Line, "loader-kill needs workload.pipeline-depth > 0")
 			}
 		}
-		if fatalEventTypes[ev.Type] && world > 1 && sc.Workload.Parallelism == "partitioned" {
-			// Allowed: the partitioned plane aborts cleanly; the scenario
-			// should assert expect-abort. Nothing to check here.
-			_ = ev
-		}
+		// A fatal event on a partitioned fleet is allowed: that plane aborts
+		// cleanly, and the scenario should assert expect-abort.
 	case PlaneServe:
 		if sc.Serve == nil {
 			return errf(ev.Line, "serve-plane event needs a \"serve:\" section")
@@ -576,7 +570,7 @@ func (sc *Scenario) validateEvent(ev EventSpec, world int) error {
 		}
 		replicas := sc.Serve.Replicas
 		if replicas == 0 {
-			replicas = 2
+			replicas = defaultServeReplicas
 		}
 		if ev.Slot < 0 || ev.Slot >= replicas {
 			return errf(ev.Line, "event slot %d outside the %d serving replicas", ev.Slot, replicas)

@@ -1,17 +1,13 @@
 package serve
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 )
 
-// Load generation: deterministic arrival processes for the serving plane.
-// Open traffic (Poisson, optionally bursty) is pregenerated as a sorted
-// request slice; closed traffic models a fixed user population where each
-// user waits for its response (or rejection) and thinks before issuing
-// again — the canonical closed-loop generator whose offered load reacts to
-// the endpoint's own latency. Both are pure functions of their seeds.
+// Load generation: a deterministic open arrival process for the serving
+// plane. Poisson traffic is pregenerated as a sorted request slice, a pure
+// function of its seed.
 
 // LoadConfig describes an open arrival process.
 type LoadConfig struct {
@@ -23,17 +19,6 @@ type LoadConfig struct {
 	// defaults 1.2/1). Skewed popularity is what gives an embedding cache
 	// its hit rate.
 	ZipfS, ZipfV float64
-	// Burst, when non-nil, modulates the rate into on/off phases.
-	Burst *BurstConfig
-}
-
-// BurstConfig modulates an open process into bursts: within every Period,
-// the first Duty fraction arrives at QPS*Factor, the rest at QPS/Factor —
-// the bursty trace shape of production recommendation frontends.
-type BurstConfig struct {
-	Period float64 // seconds per cycle
-	Duty   float64 // fraction of the cycle at the high rate (0..1)
-	Factor float64 // rate multiplier during the burst (>= 1)
 }
 
 func (c *LoadConfig) defaults() {
@@ -46,37 +31,25 @@ func (c *LoadConfig) defaults() {
 }
 
 // OpenArrivals generates the open arrival trace for cfg: exponential
-// inter-arrival gaps at the (possibly burst-modulated) rate, Zipf item
-// popularity, timestamps strictly within [0, Duration).
+// inter-arrival gaps at rate QPS, Zipf item popularity, timestamps strictly
+// within [0, Duration).
 func OpenArrivals(cfg LoadConfig) []Request {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Items-1))
 	var reqs []Request
 	t := 0.0
-	for {
-		rate := cfg.QPS
-		if b := cfg.Burst; b != nil && b.Period > 0 {
-			if phase := t - float64(int(t/b.Period))*b.Period; phase < b.Duty*b.Period {
-				rate = cfg.QPS * b.Factor
-			} else if b.Factor > 0 {
-				rate = cfg.QPS / b.Factor
-			}
-		}
-		if rate <= 0 {
-			break
-		}
-		t += rng.ExpFloat64() / rate
+	for cfg.QPS > 0 { // a non-positive rate generates nothing
+		t += rng.ExpFloat64() / cfg.QPS
 		if t >= cfg.Duration {
 			break
 		}
-		reqs = append(reqs, Request{Time: t, Item: int32(zipf.Uint64()), User: -1, Seq: len(reqs)})
+		reqs = append(reqs, Request{Time: t, Item: int32(zipf.Uint64()), Seq: len(reqs)})
 	}
 	return reqs
 }
 
-// SliceSource replays a fixed request slice in time order (open-loop: Done
-// is ignored).
+// SliceSource replays a fixed request slice in time order.
 type SliceSource struct {
 	reqs []Request
 	i    int
@@ -106,106 +79,4 @@ func (s *SliceSource) Pop() Request {
 	r := s.reqs[s.i]
 	s.i++
 	return r
-}
-
-// Done implements Source (open-loop: no feedback).
-func (s *SliceSource) Done(Request, float64) {}
-
-// ClosedConfig describes a closed-loop user population.
-type ClosedConfig struct {
-	Seed         int64
-	Users        int     // concurrent users
-	ThinkSeconds float64 // mean exponential think time between requests
-	Duration     float64 // users stop issuing at this horizon
-	Items        int
-	ZipfS, ZipfV float64
-}
-
-// ClosedSource issues one outstanding request per user: a user's next
-// request is scheduled only when the server reports the previous one done
-// (completed, cache-hit, or rejected), after an exponential think time.
-// Per-user RNGs make the trace independent of interleaving: a pure function
-// of (seed, the server's response times).
-type ClosedSource struct {
-	cfg   ClosedConfig
-	rngs  []*rand.Rand
-	zipfs []*rand.Zipf
-	h     userHeap
-	seq   int
-}
-
-type userArrival struct {
-	t    float64
-	user int
-	item int32
-}
-
-type userHeap []userArrival
-
-func (h userHeap) Len() int { return len(h) }
-func (h userHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].user < h[j].user
-}
-func (h userHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *userHeap) Push(x any)   { *h = append(*h, x.(userArrival)) }
-func (h *userHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// NewClosedSource builds the population with every user's first request
-// staggered by one think time.
-func NewClosedSource(cfg ClosedConfig) *ClosedSource {
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = 1.2
-	}
-	if cfg.ZipfV == 0 {
-		cfg.ZipfV = 1
-	}
-	s := &ClosedSource{cfg: cfg}
-	for u := 0; u < cfg.Users; u++ {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(u)*7919))
-		s.rngs = append(s.rngs, rng)
-		s.zipfs = append(s.zipfs, rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Items-1)))
-		t := rng.ExpFloat64() * cfg.ThinkSeconds
-		if t < cfg.Duration {
-			heap.Push(&s.h, userArrival{t: t, user: u, item: int32(s.zipfs[u].Uint64())})
-		}
-	}
-	return s
-}
-
-// Peek implements Source.
-func (s *ClosedSource) Peek() (float64, bool) {
-	if s.h.Len() == 0 {
-		return 0, false
-	}
-	return s.h[0].t, true
-}
-
-// Pop implements Source.
-func (s *ClosedSource) Pop() Request {
-	a := heap.Pop(&s.h).(userArrival)
-	r := Request{Time: a.t, Item: a.item, User: a.user, Seq: s.seq}
-	s.seq++
-	return r
-}
-
-// Done implements Source: the issuing user thinks, then issues its next
-// request — unless the horizon has passed, in which case the user retires.
-func (s *ClosedSource) Done(r Request, at float64) {
-	if r.User < 0 || r.User >= len(s.rngs) {
-		return
-	}
-	next := at + s.rngs[r.User].ExpFloat64()*s.cfg.ThinkSeconds
-	if next >= s.cfg.Duration {
-		return
-	}
-	heap.Push(&s.h, userArrival{t: next, user: r.User, item: int32(s.zipfs[r.User].Uint64())})
 }

@@ -46,73 +46,3 @@ func TestOpenArrivalsDeterministicAndSorted(t *testing.T) {
 		t.Fatalf("no popularity skew: max item count %d of %d", maxCount, len(a))
 	}
 }
-
-func TestOpenArrivalsBursty(t *testing.T) {
-	base := LoadConfig{Seed: 3, QPS: 400, Duration: 1, Items: 50}
-	burst := base
-	burst.Burst = &BurstConfig{Period: 0.2, Duty: 0.25, Factor: 4}
-	reqs := OpenArrivals(burst)
-	if len(reqs) == 0 {
-		t.Fatal("empty bursty trace")
-	}
-	// Count arrivals inside vs outside the duty window, normalized by the
-	// time spent in each: the burst rate must clearly exceed the off rate.
-	var in, out int
-	for _, r := range reqs {
-		phase := r.Time - float64(int(r.Time/0.2))*0.2
-		if phase < 0.25*0.2 {
-			in++
-		} else {
-			out++
-		}
-	}
-	inRate := float64(in) / 0.25
-	outRate := float64(out) / 0.75
-	if inRate < 4*outRate {
-		t.Fatalf("burst rate %.0f vs off rate %.0f: modulation too weak", inRate, outRate)
-	}
-}
-
-func TestClosedSourceOneOutstandingPerUser(t *testing.T) {
-	src := NewClosedSource(ClosedConfig{Seed: 4, Users: 3, ThinkSeconds: 0.01, Duration: 1, Items: 10})
-	inflight := map[int]bool{}
-	issued := 0
-	lastT := -1.0
-	for {
-		tPeek, ok := src.Peek()
-		if !ok {
-			break
-		}
-		if tPeek < lastT {
-			t.Fatalf("arrival at %v before %v", tPeek, lastT)
-		}
-		lastT = tPeek
-		r := src.Pop()
-		if inflight[r.User] {
-			t.Fatalf("user %d issued while a request was outstanding", r.User)
-		}
-		inflight[r.User] = true
-		issued++
-		// Respond immediately with a fixed service time.
-		inflight[r.User] = false
-		src.Done(r, r.Time+0.002)
-	}
-	if issued < 100 {
-		t.Fatalf("only %d requests over 1s with 10ms think", issued)
-	}
-}
-
-func TestClosedSourceHorizonRetiresUsers(t *testing.T) {
-	src := NewClosedSource(ClosedConfig{Seed: 4, Users: 2, ThinkSeconds: 0.01, Duration: 0.05, Items: 5})
-	for {
-		_, ok := src.Peek()
-		if !ok {
-			break
-		}
-		r := src.Pop()
-		if r.Time >= 0.05 {
-			t.Fatalf("arrival at %v past the horizon", r.Time)
-		}
-		src.Done(r, r.Time)
-	}
-}

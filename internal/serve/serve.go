@@ -46,13 +46,11 @@ type Model interface {
 }
 
 // Request is one inference query: embed item Item, arriving at sim time
-// Time (seconds). User identifies the closed-loop issuer (-1 for open
-// arrivals); Seq is a global arrival sequence number used only for
+// Time (seconds). Seq is a global arrival sequence number used only for
 // deterministic tie-breaks.
 type Request struct {
 	Time float64
 	Item int32
-	User int
 	Seq  int
 }
 

@@ -28,13 +28,9 @@ type Config struct {
 
 // Source feeds the event loop its arrivals in simulated-time order. Peek
 // returns the earliest pending arrival's time; Pop removes and returns it.
-// Done reports a request's outcome time (completion, cache hit, or
-// rejection) — closed-loop sources use it to schedule the issuing user's
-// next request, open sources ignore it.
 type Source interface {
 	Peek() (float64, bool)
 	Pop() Request
-	Done(r Request, at float64)
 }
 
 // Stats is one endpoint's measured serving behavior over a Run.
@@ -198,7 +194,6 @@ func (s *Server) Run(src Source) (Stats, error) {
 			for i, req := range c.reqs {
 				record(c.done - req.Time)
 				s.cache.Put(req.Item, c.emb.Row(i))
-				src.Done(req, c.done)
 			}
 		case evArrival:
 			req := src.Pop()
@@ -208,7 +203,6 @@ func (s *Server) Run(src Source) (Stats, error) {
 				// Hit: served at arrival, no queue, no device time.
 				s.hitsC.Inc()
 				record(0)
-				src.Done(req, req.Time)
 				continue
 			}
 			if s.cache != nil {
@@ -217,7 +211,6 @@ func (s *Server) Run(src Source) (Stats, error) {
 			if err := s.queue.Push(req); err != nil {
 				st.Rejected++
 				s.rejectedC.Inc()
-				src.Done(req, req.Time)
 			}
 		case evFormation:
 			k := s.cfg.MaxBatch

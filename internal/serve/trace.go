@@ -25,7 +25,7 @@ func (e *TraceError) Error() string {
 // ParseArrivalTrace reads a textual arrival trace: one request per line as
 // "<timestamp_us> <item>", both non-negative integers, timestamps strictly
 // increasing. Blank lines and '#' comments are skipped. The returned
-// requests carry times in seconds and User -1 (open-loop).
+// requests carry times in seconds.
 func ParseArrivalTrace(r io.Reader) ([]Request, error) {
 	sc := bufio.NewScanner(r)
 	var reqs []Request
@@ -62,7 +62,7 @@ func ParseArrivalTrace(r io.Reader) ([]Request, error) {
 			return nil, &TraceError{Line: line, Msg: fmt.Sprintf("negative item id %d", item)}
 		}
 		lastUS = us
-		reqs = append(reqs, Request{Time: float64(us) / 1e6, Item: int32(item), User: -1, Seq: len(reqs)})
+		reqs = append(reqs, Request{Time: float64(us) / 1e6, Item: int32(item), Seq: len(reqs)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, &TraceError{Line: line + 1, Msg: err.Error()}

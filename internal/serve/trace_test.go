@@ -27,7 +27,7 @@ func TestParseArrivalTrace(t *testing.T) {
 	if reqs[2].Time != 1.0 {
 		t.Fatalf("third time %v, want 1s", reqs[2].Time)
 	}
-	if reqs[1].User != -1 || reqs[1].Seq != 1 {
+	if reqs[1].Seq != 1 {
 		t.Fatalf("second request %+v", reqs[1])
 	}
 }

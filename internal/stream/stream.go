@@ -39,9 +39,6 @@ func New(dev *gpu.Device) *Timeline {
 	return &Timeline{dev: dev, sliceLimit: defaultSliceLimit}
 }
 
-// Device returns the underlying device.
-func (tl *Timeline) Device() *gpu.Device { return tl.dev }
-
 // NewStream adds a named stream starting at t = 0.
 func (tl *Timeline) NewStream(name string) *Stream {
 	s := &Stream{tl: tl, id: len(tl.streams), name: name}

@@ -158,13 +158,6 @@ func (t *Tensor) Row(i int) []float32 {
 	return t.data[i*cols : (i+1)*cols]
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.data {
@@ -234,17 +227,6 @@ func (t *Tensor) MaxAbs() float64 {
 		}
 	}
 	return m
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders a compact description, not full contents.

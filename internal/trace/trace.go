@@ -141,15 +141,3 @@ func WriteEvents(w io.Writer, events []Event) error {
 	}
 	return nil
 }
-
-// WriteTimeline writes the device timeline (with metadata rows) and
-// reports how many events the limit dropped.
-func (r *Recorder) WriteTimeline(w io.Writer) (dropped int, err error) {
-	return r.dropped, WriteEvents(w, r.TimelineEvents())
-}
-
-// WriteJSON writes the timeline in the Chrome trace-event array format.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	_, err := r.WriteTimeline(w)
-	return err
-}

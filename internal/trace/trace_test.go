@@ -66,14 +66,6 @@ func TestRecorderLimit(t *testing.T) {
 		t.Fatalf("Dropped() = %d, want 3", r.Dropped())
 	}
 	// The drop count must surface in the written timeline as metadata.
-	var buf bytes.Buffer
-	dropped, err := r.WriteTimeline(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 3 {
-		t.Fatalf("WriteTimeline dropped = %d, want 3", dropped)
-	}
 	found := false
 	for _, e := range r.TimelineEvents() {
 		if e.Ph == "M" && e.Name == "device_events_dropped" {
@@ -94,7 +86,7 @@ func TestWriteJSONIsValidChromeTrace(t *testing.T) {
 	launch(dev, gpu.OpSort, 1<<10)
 
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := WriteEvents(&buf, r.TimelineEvents()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

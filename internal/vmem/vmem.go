@@ -104,9 +104,6 @@ func (b *Block) Addr() uint64 { return b.addr }
 // Size returns the usable (class-rounded) byte size.
 func (b *Block) Size() int64 { return b.size }
 
-// Tag returns the allocation tag (tensor shape, "csr.rowptr", ...).
-func (b *Block) Tag() string { return b.tag }
-
 // Placeholder returns a detached block that is not backed by any allocator:
 // the fallback gpu.Device hands out after a failed allocation so kernel
 // lowering can reach the launch fence (where the OOM is raised with the
@@ -137,16 +134,6 @@ func (s Stats) ReuseRate() float64 {
 		return 0
 	}
 	return float64(s.ReuseHits) / float64(s.Allocs)
-}
-
-// Fragmentation returns 1 - live/reserved: the share of reserved capacity
-// sitting in the caches rather than in live blocks (0 when nothing is
-// reserved). Instantaneous — meaningless right after a bulk release.
-func (s Stats) Fragmentation() float64 {
-	if s.Reserved == 0 {
-		return 0
-	}
-	return 1 - float64(s.Live)/float64(s.Reserved)
 }
 
 // PeakFragmentation returns 1 - peakLive/peakReserved: the reservation
@@ -190,9 +177,6 @@ func New(capacity int64) *Allocator {
 		stats:    Stats{Capacity: capacity},
 	}
 }
-
-// Capacity returns the HBM budget in bytes.
-func (a *Allocator) Capacity() int64 { return a.capacity }
 
 // Alloc reserves bytes under tag and returns the block, or a *OOMError when
 // the request cannot be satisfied within the capacity budget.

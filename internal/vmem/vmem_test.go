@@ -181,15 +181,12 @@ func TestPeakAndReset(t *testing.T) {
 
 func TestStatsDerived(t *testing.T) {
 	var s Stats
-	if s.ReuseRate() != 0 || s.Fragmentation() != 0 {
+	if s.ReuseRate() != 0 || s.PeakFragmentation() != 0 {
 		t.Fatal("zero stats should have zero derived rates")
 	}
 	s = Stats{Allocs: 4, ReuseHits: 1, Reserved: 100, Live: 75}
 	if s.ReuseRate() != 0.25 {
 		t.Fatalf("reuse rate = %v", s.ReuseRate())
-	}
-	if s.Fragmentation() != 0.25 {
-		t.Fatalf("fragmentation = %v", s.Fragmentation())
 	}
 }
 
