@@ -49,7 +49,7 @@ func main() {
 		comm.NVLinkBandwidthGBps, comm.NVLinkLatencyUS)
 
 	for _, w := range []string{"STGCN", "PSAGE"} {
-		res, err := ddp.ExecutedStrongScaling(factory(w), []int{1, 2, 4}, ddp.ClusterConfig{Comm: comm})
+		res, err := ddp.ExecutedStrongScaling(factory(w), []int{1, 2, 4}, ddp.ClusterConfig{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "multigpu:", err)
 			os.Exit(1)

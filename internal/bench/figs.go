@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
 	"gnnmark/internal/core"
-	"gnnmark/internal/models"
-	"gnnmark/internal/nn"
 	"gnnmark/internal/serve"
 )
 
@@ -87,15 +84,7 @@ func trainAndFreeze(run core.RunConfig) (w *serve.Weights, items int, dataset st
 			return nil, 0, "", err
 		}
 	}
-	if ck, ok := trainer.(models.Checkpointable); ok {
-		var buf bytes.Buffer
-		if err := nn.SaveTraining(&buf, ck.Optimizer()); err != nil {
-			return nil, 0, "", err
-		}
-		w, err = serve.Freeze(bytes.NewReader(buf.Bytes()))
-	} else {
-		w = serve.FreezeParams(trainer.Params())
-	}
+	w, err = core.Freeze(trainer)
 	return w, trainer.NumItems(), rep.Dataset, err
 }
 

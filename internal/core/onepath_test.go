@@ -168,6 +168,96 @@ func TestOneConstructionPath(t *testing.T) {
 	}
 }
 
+// TestOneWayAcrossABoundary keeps model state crossing every boundary one
+// way. Over the non-test files under cmd/ and internal/: nothing asserts to
+// models.Checkpointable (it is Workload's alias, kept for e2ebench); nothing
+// outside internal/nn calls nn.SaveTraining or nn.LoadTraining (replicas
+// carry state through nn.Snapshot and nn.Restore); serve.Weights has one
+// constructor. Inside internal/nn: the calls that read a stream or decode a
+// word (io.ReadAll, io.ReadFull, binary.Read, Uint32) sit in one file; the
+// GNNMARK1 magic is named by two functions, its encoder and — in that file —
+// its one parser; and nothing switches or asserts on a type, so no code
+// path is chosen by an optimizer's kind.
+func TestOneWayAcrossABoundary(t *testing.T) {
+	root := filepath.Join("..", "..")
+	readerFiles, magicFuncs, weightsCtors := map[string]bool{}, map[string]string{}, 0
+	for _, dir := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+			inNN := strings.HasPrefix(rel, "internal/nn/")
+			file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				return err
+			}
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if strings.HasPrefix(rel, "internal/serve/") && fn.Type.Results != nil {
+					for _, res := range fn.Type.Results.List {
+						if star, ok := res.Type.(*ast.StarExpr); ok {
+							if id, ok := star.X.(*ast.Ident); ok && id.Name == "Weights" {
+								weightsCtors++
+							}
+						}
+					}
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if inNN && n.Name == "checkpointMagic" {
+							magicFuncs[fn.Name.Name] = rel
+						}
+					case *ast.TypeSwitchStmt:
+						if inNN {
+							t.Errorf("%s: %s switches on a type", rel, fn.Name.Name)
+						}
+					case *ast.TypeAssertExpr:
+						if sel, ok := n.Type.(*ast.SelectorExpr); ok && isPkgSel(sel, "models", "Checkpointable") {
+							t.Errorf("%s: %s asserts to models.Checkpointable: every Workload has Optimizer()", rel, fn.Name.Name)
+						}
+						if inNN && n.Type != nil {
+							t.Errorf("%s: %s asserts on a type", rel, fn.Name.Name)
+						}
+					case *ast.SelectorExpr:
+						if !inNN && (isPkgSel(n, "nn", "SaveTraining") || isPkgSel(n, "nn", "LoadTraining")) {
+							t.Errorf("%s: %s calls nn.%s: carry state through nn.Snapshot / nn.Restore", rel, fn.Name.Name, n.Sel.Name)
+						}
+						if inNN && (isPkgSel(n, "io", "ReadAll") || isPkgSel(n, "io", "ReadFull") ||
+							isPkgSel(n, "binary", "Read") || n.Sel.Name == "Uint32") {
+							readerFiles[rel] = true
+						}
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(readerFiles) != 1 {
+		t.Errorf("checkpoint bytes are read in %v, want one file of internal/nn", readerFiles)
+	}
+	parsers := 0
+	for _, rel := range magicFuncs {
+		if readerFiles[rel] {
+			parsers++
+		}
+	}
+	if len(magicFuncs) != 2 || parsers != 1 {
+		t.Errorf("checkpointMagic is named by %v, want its encoder and one parser in the reader file", magicFuncs)
+	}
+	if weightsCtors != 1 {
+		t.Errorf("internal/serve has %d functions returning *Weights, want one constructor", weightsCtors)
+	}
+}
+
 // keptExports are the exported declarations under internal/ that no non-test
 // file names, each with the reason it stays. TestEveryExportHasACaller fails
 // on an entry that is gone or has found a caller, so the list only shrinks.
@@ -178,8 +268,10 @@ var keptExports = map[string]string{
 	"graph.CSR.HasEdge":        "accessor the graph and datasets tests read structure through",
 	"graph.RandomGNP":          "fixture for seven test files in three packages",
 	"loader.Decode":            "reference half of the batch codec: the round-trip tests compare Encode against it",
+	"nn.LoadParams":            "the parameters-only entry to the decoder and matcher: FuzzLoadParams and the mismatch tests drive them through it",
 	"nn.LoadTrainingFile":      "pairs the durable checkpoint writer; the crash tests read back what it wrote",
 	"nn.NewSGD":                "the SGD step is part of the Backend interface e2ebench wraps",
+	"nn.SaveParams":            "writes the parameters-only stream (one GNNMARK1 block) the decoder's round-trip tests read back",
 	"serve.FormatArrivalTrace": "reference half of the arrival-trace parser's round-trip test",
 	"tensor.Tensor.MaxAbs":     "accessor the nn, autograd and tensor tests observe values and gradients through",
 }

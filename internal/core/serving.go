@@ -1,11 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"gnnmark/internal/models"
+	"gnnmark/internal/nn"
 	"gnnmark/internal/serve"
 )
+
+// Freeze snapshots a trained workload's weights for serving, through the
+// training-checkpoint bytes a run would leave on disk.
+func Freeze(w models.Workload) (*serve.Weights, error) {
+	return serve.Freeze(bytes.NewReader(nn.Snapshot(w.Optimizer())))
+}
 
 // NewServable builds one forward-serving instance of cfg's workload on fleet
 // slot `slot` and loads the frozen weights into it (nil weights keep the

@@ -55,8 +55,6 @@ const DefaultBucketCapBytes = 256 << 10
 
 // ClusterConfig parameterizes an executed DDP run.
 type ClusterConfig struct {
-	// Comm is the interconnect model (zero value = DefaultComm()).
-	Comm CommConfig
 	// BucketCapBytes caps reducer buckets (0 = DefaultBucketCapBytes).
 	BucketCapBytes int
 
@@ -79,9 +77,6 @@ type ClusterConfig struct {
 }
 
 func (c *ClusterConfig) defaults() {
-	if c.Comm == (CommConfig{}) {
-		c.Comm = DefaultComm()
-	}
 	if c.BucketCapBytes == 0 {
 		c.BucketCapBytes = DefaultBucketCapBytes
 	}
@@ -527,7 +522,7 @@ func (st *run) reduceIteration() error {
 		totalBytes += b.Bytes()
 	}
 
-	cfg := st.c.cfg.Comm
+	cfg := DefaultComm()
 	bw := st.linkDeratedBandwidth(cfg.NVLinkBandwidthGBps * 1e9)
 	commBusy, finish, cum := 0.0, 0.0, 0
 

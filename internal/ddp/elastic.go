@@ -150,12 +150,7 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 				return nil, nil, err
 			}
 			if ckpt != nil {
-				cp, ok := wl.(models.Checkpointable)
-				if !ok {
-					env.Close()
-					return nil, nil, fmt.Errorf("ddp: workload %s is not checkpointable", wl.Name())
-				}
-				if err := nn.LoadTraining(bytes.NewReader(ckpt), cp.Optimizer()); err != nil {
+				if err := nn.Restore(wl.Optimizer(), ckpt); err != nil {
 					env.Close()
 					return nil, nil, fmt.Errorf("ddp: restoring replica %d: %w", rank, err)
 				}
@@ -168,18 +163,10 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 		// workers blocked, so rank 0's state is stable.
 		var ckptErr error
 		cfg.OnEpochEnd = func(completed int) {
-			cp, ok := roundReps[0].(models.Checkpointable)
-			if !ok {
-				return
-			}
-			var buf bytes.Buffer
-			if err := nn.SaveTraining(&buf, cp.Optimizer()); err != nil {
-				ckptErr = err
-				return
-			}
-			ckpt = buf.Bytes()
+			opt := roundReps[0].Optimizer()
+			ckpt = nn.Snapshot(opt)
 			if opts.CheckpointPath != "" {
-				if err := nn.SaveTrainingFile(opts.CheckpointPath, cp.Optimizer()); err != nil {
+				if err := nn.SaveTrainingFile(opts.CheckpointPath, opt); err != nil {
 					ckptErr = err
 				}
 			}

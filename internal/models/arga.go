@@ -106,8 +106,7 @@ func (a *ARGA) DDPCompatible() bool { return false }
 // IterationsPerEpoch implements Workload.
 func (a *ARGA) IterationsPerEpoch() int { return 1 }
 
-// Optimizer exposes the workload's optimizer for training
-// checkpointing (models.Checkpointable).
+// Optimizer implements Workload.
 func (a *ARGA) Optimizer() nn.Optimizer { return a.opt }
 
 // Params implements Workload.

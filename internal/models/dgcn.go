@@ -140,8 +140,7 @@ func (m *DGCN) DDPCompatible() bool { return true }
 // IterationsPerEpoch implements Workload.
 func (m *DGCN) IterationsPerEpoch() int { return len(m.batches) }
 
-// Optimizer exposes the workload's optimizer for training
-// checkpointing (models.Checkpointable).
+// Optimizer implements Workload.
 func (m *DGCN) Optimizer() nn.Optimizer { return m.opt }
 
 // Params implements Workload.

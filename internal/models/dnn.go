@@ -39,7 +39,6 @@ type DNNConfig struct {
 	Classes   int   // output classes (default 10)
 	BatchSize int   // images per batch (default 16)
 	Batches   int   // batches per epoch (default 4)
-	Images    int   // synthetic dataset size (default BatchSize*Batches)
 	LR        float32
 }
 
@@ -58,9 +57,6 @@ func (c *DNNConfig) defaults() {
 	}
 	if c.Batches == 0 {
 		c.Batches = 4
-	}
-	if c.Images == 0 {
-		c.Images = c.BatchSize * c.Batches
 	}
 	if c.LR == 0 {
 		c.LR = 0.003
@@ -102,8 +98,9 @@ func NewDNN(env *Env, cfg DNNConfig) *DNN {
 	m.fc2 = nn.NewLinear(env.RNG, "dnn.fc2", 64, cfg.Classes, true)
 	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
 
-	m.images = tensor.Randn(env.RNG, 0.5, cfg.Images, 3, cfg.ImageSize, cfg.ImageSize)
-	m.labels = make([]int32, cfg.Images)
+	images := cfg.BatchSize * cfg.Batches // the synthetic dataset is one epoch
+	m.images = tensor.Randn(env.RNG, 0.5, images, 3, cfg.ImageSize, cfg.ImageSize)
+	m.labels = make([]int32, images)
 	for i := range m.labels {
 		// Label from a simple image statistic so the task is learnable.
 		var s float64
@@ -132,11 +129,10 @@ func (m *DNN) DDPCompatible() bool { return true }
 // IterationsPerEpoch implements Workload.
 func (m *DNN) IterationsPerEpoch() int { return m.batches }
 
-// Params implements Workload.
-// Optimizer exposes the workload's optimizer for training
-// checkpointing (models.Checkpointable).
+// Optimizer implements Workload.
 func (m *DNN) Optimizer() nn.Optimizer { return m.opt }
 
+// Params implements Workload.
 func (m *DNN) Params() []*autograd.Param {
 	mods := []nn.Module{m.fc1, m.fc2}
 	for i := range m.convs {

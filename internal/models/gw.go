@@ -103,11 +103,10 @@ func (m *GW) IterationsPerEpoch() int {
 	return (len(m.ds.Examples) + m.globalBatch - 1) / m.globalBatch
 }
 
-// Params implements Workload.
-// Optimizer exposes the workload's optimizer for training
-// checkpointing (models.Checkpointable).
+// Optimizer implements Workload.
 func (m *GW) Optimizer() nn.Optimizer { return m.opt }
 
+// Params implements Workload.
 func (m *GW) Params() []*autograd.Param {
 	mods := []nn.Module{m.entEmb, m.tokEmb, m.ctxAtt, m.dec, m.proj}
 	for _, b := range m.enc {

@@ -198,11 +198,10 @@ func (m *KGNN) DDPCompatible() bool { return true }
 // IterationsPerEpoch implements Workload.
 func (m *KGNN) IterationsPerEpoch() int { return len(m.batches) }
 
-// Params implements Workload.
-// Optimizer exposes the workload's optimizer for training
-// checkpointing (models.Checkpointable).
+// Optimizer implements Workload.
 func (m *KGNN) Optimizer() nn.Optimizer { return m.opt }
 
+// Params implements Workload.
 func (m *KGNN) Params() []*autograd.Param {
 	mods := []nn.Module{m.embed, m.head}
 	for _, c := range m.conv1 {

@@ -276,14 +276,12 @@ type Workload interface {
 	// partitions cleanly under PyTorch-DDP-style data parallelism; PSAGE's
 	// batch sampler does not (paper §V-E), so its data is replicated.
 	DDPCompatible() bool
-}
-
-// Checkpointable is implemented by workloads that expose their optimizer
-// for full training checkpoints (nn.SaveTraining / nn.LoadTraining) —
-// parameters plus optimizer state, the unit elastic recovery reloads into
-// fresh replicas. Every built-in workload implements it.
-type Checkpointable interface {
-	Workload
-	// Optimizer returns the live optimizer driving TrainEpoch.
+	// Optimizer returns the live optimizer driving TrainEpoch. It holds all
+	// the trainable state there is — parameters, moments, step counters — so
+	// nn.Snapshot of it is what carries a trained model into a fresh replica.
 	Optimizer() nn.Optimizer
 }
+
+// Checkpointable is Workload under its old name, kept because e2ebench
+// asserts to it; every workload exposes its optimizer.
+type Checkpointable = Workload

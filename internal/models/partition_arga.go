@@ -92,7 +92,7 @@ func (w *PartitionedARGA) IterationsPerEpoch() int { return 1 }
 // Params implements Workload.
 func (w *PartitionedARGA) Params() []*autograd.Param { return w.inner.Params() }
 
-// Optimizer exposes the inner workload's optimizer (models.Checkpointable).
+// Optimizer implements Workload: the inner workload's.
 func (w *PartitionedARGA) Optimizer() nn.Optimizer { return w.inner.Optimizer() }
 
 // BindComm implements PartWorkload.

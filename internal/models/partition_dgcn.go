@@ -86,7 +86,7 @@ func (w *PartitionedDGCN) IterationsPerEpoch() int { return len(w.batches) }
 // Params implements Workload.
 func (w *PartitionedDGCN) Params() []*autograd.Param { return w.inner.Params() }
 
-// Optimizer exposes the inner workload's optimizer (models.Checkpointable).
+// Optimizer implements Workload: the inner workload's.
 func (w *PartitionedDGCN) Optimizer() nn.Optimizer { return w.inner.Optimizer() }
 
 // BindComm implements PartWorkload.

@@ -117,11 +117,10 @@ func (m *PSAGE) DDPCompatible() bool { return false }
 // IterationsPerEpoch implements Workload.
 func (m *PSAGE) IterationsPerEpoch() int { return m.batches }
 
-// Params implements Workload.
-// Optimizer exposes the workload's optimizer for training
-// checkpointing (models.Checkpointable).
+// Optimizer implements Workload.
 func (m *PSAGE) Optimizer() nn.Optimizer { return m.opt }
 
+// Params implements Workload.
 func (m *PSAGE) Params() []*autograd.Param {
 	return append(m.layer1.params(), m.layer2.params()...)
 }

@@ -38,12 +38,14 @@ type stBlock struct {
 	chOut  int
 }
 
+// stgcnKt is the temporal kernel size.
+const stgcnKt = 3
+
 // STGCNConfig holds STGCN hyperparameters.
 type STGCNConfig struct {
 	Window    int // input timesteps (default 12)
 	Horizon   int // forecast offset (default 3)
 	Channels  int // block channel width (default 24)
-	Kt        int // temporal kernel size (default 3)
 	BatchSize int // windows per batch (default 8)
 	Batches   int // batches per epoch (default 8)
 	LR        float32
@@ -58,9 +60,6 @@ func (c *STGCNConfig) defaults() {
 	}
 	if c.Channels == 0 {
 		c.Channels = 24
-	}
-	if c.Kt == 0 {
-		c.Kt = 3
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 8
@@ -88,11 +87,11 @@ func NewSTGCN(env *Env, ds *datasets.Traffic, cfg STGCNConfig) *STGCN {
 	}
 	ch := cfg.Channels
 	m.blocks = []*stBlock{
-		newSTBlock(env, "stgcn.b1", 1, ch, cfg.Kt),
-		newSTBlock(env, "stgcn.b2", ch, ch, cfg.Kt),
+		newSTBlock(env, "stgcn.b1", 1, ch, stgcnKt),
+		newSTBlock(env, "stgcn.b2", ch, ch, stgcnKt),
 	}
 	// Each block consumes 2*(Kt-1) timesteps; collapse the rest.
-	remain := cfg.Window - 4*(cfg.Kt-1)
+	remain := cfg.Window - 4*(stgcnKt-1)
 	if remain < 1 {
 		panic("models: STGCN window too small for kernel size")
 	}
@@ -152,11 +151,10 @@ func (m *STGCN) DDPCompatible() bool { return true }
 // IterationsPerEpoch implements Workload.
 func (m *STGCN) IterationsPerEpoch() int { return len(m.starts) / m.batchSize }
 
-// Params implements Workload.
-// Optimizer exposes the workload's optimizer for training
-// checkpointing (models.Checkpointable).
+// Optimizer implements Workload.
 func (m *STGCN) Optimizer() nn.Optimizer { return m.opt }
 
+// Params implements Workload.
 func (m *STGCN) Params() []*autograd.Param {
 	mods := []nn.Module{m.outT, m.outFC}
 	for _, b := range m.blocks {

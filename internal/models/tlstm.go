@@ -80,11 +80,10 @@ func (m *TLSTM) IterationsPerEpoch() int {
 	return (len(m.ds.Trees) + m.globalBatch - 1) / m.globalBatch
 }
 
-// Params implements Workload.
-// Optimizer exposes the workload's optimizer for training
-// checkpointing (models.Checkpointable).
+// Optimizer implements Workload.
 func (m *TLSTM) Optimizer() nn.Optimizer { return m.opt }
 
+// Params implements Workload.
 func (m *TLSTM) Params() []*autograd.Param {
 	return nn.CollectParams(m.embed, m.cell, m.head)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/tensor"
@@ -13,305 +14,179 @@ import (
 // Checkpointing serializes parameter sets so trained models can be saved
 // and restored — the mechanism behind the paper's plan to "provide a set of
 // pretrained models" for inference studies. The format is a simple
-// length-prefixed binary stream: magic, parameter count, then per parameter
-// its name, shape, and float32 data, all little-endian.
+// length-prefixed binary stream, all little-endian. Its unit is the GNNMARK1
+// block: magic, entry count, then per entry its name, shape, and float32
+// data. A parameter checkpoint is one block. A training checkpoint is
+// GNNMARKT, the parameter block, then the optimizer's state as data: its
+// kind, its step counters (count, then values), and a second block holding
+// its per-parameter buffers under their own names ("fc.w.m", "fc.w.v").
+//
+// This file encodes, matches and assigns; decode.go is the only parser. A
+// restore decodes the whole stream, matches all of it against the target,
+// and only then assigns, so a checkpoint that fails to load — at any byte —
+// leaves the model and the optimizer exactly as they were.
 
-const checkpointMagic = "GNNMARK1"
+const (
+	checkpointMagic = "GNNMARK1"
+	// trainingMagic marks a full training checkpoint: parameters plus
+	// optimizer state, so an interrupted run resumes bitwise-identically.
+	trainingMagic = "GNNMARKT"
+)
+
+// entry is one named tensor a checkpoint block carries: a parameter's value
+// or an optimizer buffer.
+type entry struct {
+	name string
+	t    *tensor.Tensor
+}
+
+func paramEntries(params []*autograd.Param) []entry {
+	es := make([]entry, len(params))
+	for i, p := range params {
+		es[i] = entry{p.Name, p.Value}
+	}
+	return es
+}
+
+// optState is what a training checkpoint carries for an optimizer beyond its
+// parameters, as pointers into the live optimizer: one save loop reads
+// through them and one load loop writes through them.
+type optState struct {
+	kind     string
+	counters []*int
+	bufs     []entry
+}
+
+// appendBlock appends one GNNMARK1 block holding es to b, growing b once.
+func appendBlock(b []byte, es []entry) []byte {
+	size := len(checkpointMagic) + 4
+	for _, e := range es {
+		size += 8 + len(e.name) + 4*len(e.t.Shape()) + 4*e.t.Size()
+	}
+	b = appendU32(append(slices.Grow(b, size), checkpointMagic...), len(es))
+	for _, e := range es {
+		b = appendString(b, e.name)
+		b = appendU32(b, len(e.t.Shape()))
+		for _, d := range e.t.Shape() {
+			b = appendU32(b, d)
+		}
+		for _, v := range e.t.Data() {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+	}
+	return b
+}
+
+func appendU32(b []byte, v int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
+
+func appendString(b []byte, s string) []byte { return append(appendU32(b, len(s)), s...) }
+
+func write(w io.Writer, b []byte) error {
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("nn: writing checkpoint: %w", err)
+	}
+	return nil
+}
+
+// match is the one rule for pairing checkpoint entries with a model's: same
+// count and, position by position, same name and shape.
+func match(saved []SavedParam, dst []entry) error {
+	if len(saved) != len(dst) {
+		return fmt.Errorf("nn: checkpoint has %d entries, model has %d", len(saved), len(dst))
+	}
+	for i, s := range saved {
+		if d := dst[i]; s.Name != d.name {
+			return fmt.Errorf("nn: checkpoint entry %q does not match model's %q", s.Name, d.name)
+		} else if !slices.Equal(s.Shape, d.t.Shape()) {
+			return fmt.Errorf("nn: %s has shape %v, model expects %v", s.Name, s.Shape, d.t.Shape())
+		}
+	}
+	return nil
+}
+
+func assign(saved []SavedParam, dst []entry) {
+	for i, s := range saved {
+		copy(dst[i].t.Data(), s.Data)
+	}
+}
 
 // SaveParams writes params to w. Parameter order is preserved and must
 // match at load time (the layers' construction order is deterministic).
 func SaveParams(w io.Writer, params []*autograd.Param) error {
-	if _, err := io.WriteString(w, checkpointMagic); err != nil {
-		return fmt.Errorf("nn: writing checkpoint magic: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
-		return fmt.Errorf("nn: writing parameter count: %w", err)
-	}
-	for _, p := range params {
-		if err := writeString(w, p.Name); err != nil {
-			return err
-		}
-		shape := p.Value.Shape()
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(shape))); err != nil {
-			return fmt.Errorf("nn: writing %s rank: %w", p.Name, err)
-		}
-		for _, d := range shape {
-			if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-				return fmt.Errorf("nn: writing %s shape: %w", p.Name, err)
-			}
-		}
-		buf := make([]byte, 4*p.Value.Size())
-		for i, v := range p.Value.Data() {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("nn: writing %s data: %w", p.Name, err)
-		}
-	}
-	return nil
+	return write(w, appendBlock(nil, paramEntries(params)))
 }
 
 // LoadParams restores a checkpoint into params, which must match the saved
-// set in order, name, and shape.
+// set in order, name, and shape; on any error params are untouched.
 func LoadParams(r io.Reader, params []*autograd.Param) error {
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("nn: reading checkpoint magic: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return fmt.Errorf("nn: not a gnnmark checkpoint (magic %q)", magic)
-	}
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return fmt.Errorf("nn: reading parameter count: %w", err)
-	}
-	if int(count) != len(params) {
-		return fmt.Errorf("nn: checkpoint has %d parameters, model has %d", count, len(params))
-	}
-	for _, p := range params {
-		name, err := readString(r)
-		if err != nil {
-			return err
-		}
-		if name != p.Name {
-			return fmt.Errorf("nn: checkpoint parameter %q does not match model's %q", name, p.Name)
-		}
-		var rank uint32
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-			return fmt.Errorf("nn: reading %s rank: %w", name, err)
-		}
-		shape := p.Value.Shape()
-		if int(rank) != len(shape) {
-			return fmt.Errorf("nn: %s rank %d, model expects %d", name, rank, len(shape))
-		}
-		for i := range shape {
-			var d uint32
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-				return fmt.Errorf("nn: reading %s shape: %w", name, err)
-			}
-			if int(d) != shape[i] {
-				return fmt.Errorf("nn: %s dim %d is %d, model expects %d", name, i, d, shape[i])
-			}
-		}
-		buf := make([]byte, 4*p.Value.Size())
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return fmt.Errorf("nn: reading %s data: %w", name, err)
-		}
-		for i := range p.Value.Data() {
-			p.Value.Data()[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	}
-	return nil
-}
-
-// trainingMagic marks a full training checkpoint: parameters plus
-// optimizer state, so an interrupted run resumes bitwise-identically.
-const trainingMagic = "GNNMARKT"
-
-// SaveTraining writes a training checkpoint for opt's parameter set: the
-// parameters (SaveParams format) followed by the optimizer's own state —
-// Adam first/second moments and step count, SGD momentum buffers. Restoring
-// with LoadTraining and continuing training produces exactly the iterates
-// an uninterrupted run would.
-func SaveTraining(w io.Writer, opt Optimizer) error {
-	if _, err := io.WriteString(w, trainingMagic); err != nil {
-		return fmt.Errorf("nn: writing training magic: %w", err)
-	}
-	if err := SaveParams(w, opt.Params()); err != nil {
-		return err
-	}
-	switch o := opt.(type) {
-	case *Adam:
-		if err := writeString(w, "adam"); err != nil {
-			return err
-		}
-		if err := writeAdamState(w, o); err != nil {
-			return err
-		}
-	case *ScheduledAdam:
-		// The wrapper carries its own schedule step on top of the inner
-		// Adam state; both must survive a restore for bitwise resume.
-		if err := writeString(w, "sched-adam"); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(o.step)); err != nil {
-			return fmt.Errorf("nn: writing schedule step: %w", err)
-		}
-		if err := writeAdamState(w, o.Adam); err != nil {
-			return err
-		}
-	case *SGD:
-		if err := writeString(w, "sgd"); err != nil {
-			return err
-		}
-		var hasBufs uint32
-		if o.bufs != nil {
-			hasBufs = 1
-		}
-		if err := binary.Write(w, binary.LittleEndian, hasBufs); err != nil {
-			return fmt.Errorf("nn: writing sgd momentum flag: %w", err)
-		}
-		for i, p := range o.params {
-			if o.bufs == nil {
-				break
-			}
-			if err := writeTensorData(w, p.Name+".momentum", o.bufs[i]); err != nil {
-				return err
-			}
-		}
-	default:
-		if err := writeString(w, "none"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadTraining restores a training checkpoint into opt's parameters and
-// state. The optimizer must be of the same kind and over the same parameter
-// set (order, names, shapes) as the one saved.
-func LoadTraining(r io.Reader, opt Optimizer) error {
-	magic := make([]byte, len(trainingMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("nn: reading training magic: %w", err)
-	}
-	if string(magic) != trainingMagic {
-		return fmt.Errorf("nn: not a gnnmark training checkpoint (magic %q)", magic)
-	}
-	if err := LoadParams(r, opt.Params()); err != nil {
-		return err
-	}
-	kind, err := readString(r)
+	saved, err := DecodeParams(r)
 	if err != nil {
 		return err
 	}
-	switch o := opt.(type) {
-	case *Adam:
-		if kind != "adam" {
-			return fmt.Errorf("nn: checkpoint optimizer is %q, model uses adam", kind)
-		}
-		if err := readAdamState(r, o); err != nil {
-			return err
-		}
-	case *ScheduledAdam:
-		if kind != "sched-adam" {
-			return fmt.Errorf("nn: checkpoint optimizer is %q, model uses sched-adam", kind)
-		}
-		var step uint32
-		if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
-			return fmt.Errorf("nn: reading schedule step: %w", err)
-		}
-		o.step = int(step)
-		if err := readAdamState(r, o.Adam); err != nil {
-			return err
-		}
-	case *SGD:
-		if kind != "sgd" {
-			return fmt.Errorf("nn: checkpoint optimizer is %q, model uses sgd", kind)
-		}
-		var hasBufs uint32
-		if err := binary.Read(r, binary.LittleEndian, &hasBufs); err != nil {
-			return fmt.Errorf("nn: reading sgd momentum flag: %w", err)
-		}
-		if (hasBufs == 1) != (o.bufs != nil) {
-			return fmt.Errorf("nn: checkpoint momentum state (%d) does not match optimizer", hasBufs)
-		}
-		for i, p := range o.params {
-			if o.bufs == nil {
-				break
-			}
-			if err := readTensorData(r, p.Name+".momentum", o.bufs[i]); err != nil {
-				return err
-			}
-		}
-	default:
-		if kind != "none" {
-			return fmt.Errorf("nn: checkpoint optimizer is %q, model's optimizer carries no state", kind)
-		}
+	return AssignParams(saved, params)
+}
+
+// AssignParams copies decoded entries into params if the two sets match,
+// and nothing otherwise.
+func AssignParams(saved []SavedParam, params []*autograd.Param) error {
+	dst := paramEntries(params)
+	if err := match(saved, dst); err != nil {
+		return err
+	}
+	assign(saved, dst)
+	return nil
+}
+
+// Snapshot returns opt's training checkpoint: the parameters followed by the
+// optimizer's own state — Adam first/second moments and step count, SGD
+// momentum buffers. It is how a model's state is carried from one replica
+// into another (elastic recovery, a loader-kill rebuild, the serving
+// freeze): restoring it and continuing training produces exactly the
+// iterates an uninterrupted run would.
+func Snapshot(opt Optimizer) []byte {
+	b := appendBlock([]byte(trainingMagic), paramEntries(opt.Params()))
+	st := opt.state()
+	b = appendU32(appendString(b, st.kind), len(st.counters))
+	for _, c := range st.counters {
+		b = appendU32(b, *c)
+	}
+	return appendBlock(b, st.bufs)
+}
+
+// Restore loads a Snapshot into opt's parameters and state. The optimizer
+// must be of the same kind and over the same parameter set (order, names,
+// shapes) as the one saved; on any error neither the parameters nor the
+// optimizer state have been written.
+func Restore(opt Optimizer, ckpt []byte) error {
+	return restore(&decoder{b: ckpt}, opt)
+}
+
+func restore(d *decoder, opt Optimizer) error {
+	saved := d.training()
+	if d.err != nil {
+		return d.err
+	}
+	st, params := opt.state(), paramEntries(opt.Params())
+	if err := match(saved.params, params); err != nil {
+		return err
+	}
+	if saved.kind != st.kind || len(saved.counters) != len(st.counters) {
+		return fmt.Errorf("nn: checkpoint optimizer is %q with %d counters, model uses %s with %d",
+			saved.kind, len(saved.counters), st.kind, len(st.counters))
+	}
+	if err := match(saved.bufs, st.bufs); err != nil {
+		return err
+	}
+	assign(saved.params, params)
+	assign(saved.bufs, st.bufs)
+	for i, c := range st.counters {
+		*c = saved.counters[i]
 	}
 	return nil
 }
 
-// writeAdamState writes the step count and per-parameter moment buffers.
-func writeAdamState(w io.Writer, o *Adam) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(o.step)); err != nil {
-		return fmt.Errorf("nn: writing adam step: %w", err)
-	}
-	for i, p := range o.params {
-		if err := writeTensorData(w, p.Name+".m", o.m[i]); err != nil {
-			return err
-		}
-		if err := writeTensorData(w, p.Name+".v", o.v[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// SaveTraining writes opt's Snapshot to w.
+func SaveTraining(w io.Writer, opt Optimizer) error { return write(w, Snapshot(opt)) }
 
-// readAdamState restores the step count and moment buffers.
-func readAdamState(r io.Reader, o *Adam) error {
-	var step uint32
-	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
-		return fmt.Errorf("nn: reading adam step: %w", err)
-	}
-	o.step = int(step)
-	for i, p := range o.params {
-		if err := readTensorData(r, p.Name+".m", o.m[i]); err != nil {
-			return err
-		}
-		if err := readTensorData(r, p.Name+".v", o.v[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeTensorData writes t's raw float32 data (the size is implied by the
-// model's own shapes, never read from the stream).
-func writeTensorData(w io.Writer, what string, t *tensor.Tensor) error {
-	buf := make([]byte, 4*t.Size())
-	for i, v := range t.Data() {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("nn: writing %s: %w", what, err)
-	}
-	return nil
-}
-
-// readTensorData fills t from raw float32 data sized by t itself.
-func readTensorData(r io.Reader, what string, t *tensor.Tensor) error {
-	buf := make([]byte, 4*t.Size())
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("nn: reading %s: %w", what, err)
-	}
-	for i := range t.Data() {
-		t.Data()[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return fmt.Errorf("nn: writing string length: %w", err)
-	}
-	if _, err := io.WriteString(w, s); err != nil {
-		return fmt.Errorf("nn: writing string: %w", err)
-	}
-	return nil
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", fmt.Errorf("nn: reading string length: %w", err)
-	}
-	if n > 1<<16 {
-		return "", fmt.Errorf("nn: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("nn: reading string: %w", err)
-	}
-	return string(buf), nil
-}
+// LoadTraining is Restore from a stream.
+func LoadTraining(r io.Reader, opt Optimizer) error { return restore(readAll(r), opt) }

@@ -45,10 +45,9 @@ func SaveTrainingFile(path string, opt Optimizer) (err error) {
 // LoadTrainingFile restores a training checkpoint written by
 // SaveTrainingFile.
 func LoadTrainingFile(path string, opt Optimizer) error {
-	f, err := os.Open(path)
+	ckpt, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("nn: opening checkpoint: %w", err)
+		return fmt.Errorf("nn: reading checkpoint: %w", err)
 	}
-	defer f.Close()
-	return LoadTraining(f, opt)
+	return Restore(opt, ckpt)
 }

@@ -5,15 +5,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"gnnmark/internal/autograd"
 	"gnnmark/internal/ops"
+	"gnnmark/internal/tensor"
 )
 
-// FuzzLoadParams hardens the checkpoint loaders against malformed input:
+// FuzzLoadParams hardens the checkpoint decoder — the one parser behind
+// LoadParams, LoadTraining and serve.Freeze — against malformed input:
 // corrupt magic, hostile length prefixes, truncated streams, and arbitrary
-// garbage must all return errors — never panic, and never allocate from an
-// attacker-controlled size (all data buffers are sized by the model's own
-// shapes). The seed corpus (valid checkpoints plus targeted corruptions)
-// runs under plain `go test`.
+// garbage must all return errors — never panic, never allocate past the
+// decoder's bounds, and never leave a target half-restored. The seed corpus
+// (valid checkpoints plus targeted corruptions) runs under plain `go test`.
 func FuzzLoadParams(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	l := NewLinear(rng, "fc", 3, 2, true)
@@ -39,14 +41,23 @@ func FuzzLoadParams(f *testing.F) {
 	// Truncations of a valid stream.
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
 	f.Add(validTraining.Bytes()[:len(validTraining.Bytes())-4])
+	// Streams that decode cleanly and must be refused whole by the matcher:
+	// two optimizer kinds the target is not, and a transposed weight.
+	f.Add(Snapshot(NewScheduledAdam(opt, Warmup{WarmupSteps: 4})))
+	f.Add(Snapshot(NewSGD(e, l.Params(), 1e-2, 0.9, 0)))
+	f.Add(Snapshot(NewAdam(e, []*autograd.Param{autograd.NewParam("fc.w", tensor.New(2, 3)), l.B}, 1e-2)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Fresh targets every run: a successful partial load may mutate
-		// parameter values, which is fine — the contract is "no panic".
 		rng := rand.New(rand.NewSource(11))
 		fl := NewLinear(rng, "fc", 3, 2, true)
-		_ = LoadParams(bytes.NewReader(data), fl.Params())
 		fopt := NewAdam(ops.New(nil), fl.Params(), 1e-2)
-		_ = LoadTraining(bytes.NewReader(data), fopt)
+		before := Snapshot(fopt)
+		if err := LoadParams(bytes.NewReader(data), fl.Params()); err != nil && !bytes.Equal(Snapshot(fopt), before) {
+			t.Fatalf("LoadParams failed (%v) and wrote its target", err)
+		}
+		before = Snapshot(fopt)
+		if err := LoadTraining(bytes.NewReader(data), fopt); err != nil && !bytes.Equal(Snapshot(fopt), before) {
+			t.Fatalf("LoadTraining failed (%v) and wrote its target", err)
+		}
 	})
 }

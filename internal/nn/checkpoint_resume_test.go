@@ -144,3 +144,37 @@ func TestTrainingCheckpointMismatches(t *testing.T) {
 		t.Fatal("optimizer-kind mismatch must error")
 	}
 }
+
+// TestFailedRestoreMutatesNothing: a restore is all-or-nothing. A stream
+// that fails late — its last moment buffer truncated, its optimizer of
+// another kind, a parameter past the first renamed — returns the error with
+// the target's parameters, moments and step counters bit-equal to before.
+func TestFailedRestoreMutatesNothing(t *testing.T) {
+	build := func(second string) *Adam {
+		rng := rand.New(rand.NewSource(7))
+		params := CollectParams(NewLinear(rng, "a", 5, 3, true), NewLinear(rng, second, 3, 2, true))
+		return NewAdam(ops.New(nil), params, 1e-2)
+	}
+	src := build("b")
+	runAdam(src, 0, 3)
+	good := Snapshot(src)
+
+	for name, stream := range map[string][]byte{
+		"truncated tail":    good[:len(good)-8],
+		"kind mismatch":     Snapshot(NewScheduledAdam(src, Warmup{WarmupSteps: 4})),
+		"mid-stream rename": Snapshot(build("zz")),
+	} {
+		dst := build("b")
+		runAdam(dst, 0, 1) // non-zero moments and step, unlike src's
+		before := Snapshot(dst)
+		if err := Restore(dst, stream); err == nil {
+			t.Errorf("%s: restore succeeded", name)
+		}
+		if !bytes.Equal(Snapshot(dst), before) {
+			t.Errorf("%s: a failed restore wrote its target", name)
+		}
+		if err := Restore(dst, good); err != nil || !bytes.Equal(Snapshot(dst), good) {
+			t.Errorf("%s: the intact stream no longer restores (%v)", name, err)
+		}
+	}
+}

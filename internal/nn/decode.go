@@ -7,107 +7,149 @@ import (
 	"math"
 )
 
-// Model-free checkpoint decoding. LoadParams/LoadTraining validate a stream
-// against a live model's parameter set; the serving plane instead needs the
-// weights *before* any model exists (serve.Freeze builds its engine-resident
-// copy from them), so these decoders read the same formats into plain
-// SavedParam values with no autograd involvement.
+// The checkpoint reader. Every byte of a checkpoint is parsed here and
+// nowhere else, into plain values with no model involved: LoadParams and
+// LoadTraining match what was decoded against their target before assigning
+// any of it, and the serving plane (serve.Freeze) needs the weights before
+// any model exists.
 
-// decodeMaxRank and decodeMaxSize bound a decoded parameter's shape so a
-// corrupt or hostile stream cannot make the decoder allocate absurd buffers.
-// The largest real parameter in the suite (kGNN's hidden weights) is far
-// below both limits.
+// decodeMaxRank, decodeMaxSize and decodeMaxCount bound what a stream may
+// claim; a claim is then checked against the bytes that are left before
+// anything is allocated for it, so a corrupt or hostile stream cannot ask
+// for absurd buffers. The largest real parameter in the suite (kGNN's hidden
+// weights) is far below all of them.
 const (
-	decodeMaxRank = 8
-	decodeMaxSize = 1 << 28 // 256M floats = 1 GiB per parameter
+	decodeMaxRank  = 8
+	decodeMaxSize  = 1 << 28 // 256M floats = 1 GiB per parameter
+	decodeMaxCount = 1 << 16
 )
 
-// SavedParam is one decoded checkpoint parameter: its registered name, its
-// shape in row-major order, and its float32 data.
+// SavedParam is one decoded checkpoint entry: its registered name, its
+// shape in row-major order, and its float32 data (len = the shape's volume).
 type SavedParam struct {
 	Name  string
 	Shape []int
 	Data  []float32
 }
 
-// Size returns the number of elements implied by the shape.
-func (p SavedParam) Size() int {
-	n := 1
-	for _, d := range p.Shape {
-		n *= d
-	}
-	return n
+// savedTraining is a decoded training checkpoint.
+type savedTraining struct {
+	params   []SavedParam
+	kind     string
+	counters []int
+	bufs     []SavedParam
 }
 
-// DecodeParams reads a SaveParams stream (GNNMARK1) and returns the saved
-// parameters in checkpoint order, without needing a model to load into.
-func DecodeParams(r io.Reader) ([]SavedParam, error) {
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("nn: reading checkpoint magic: %w", err)
+// decoder is a cursor over checkpoint bytes with a sticky error: a field
+// that cannot be read records why and reads as zero, and every later read
+// fails too, so a parse is checked once, at its end.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+// readAll starts a decoder over everything r holds.
+func readAll(r io.Reader) *decoder {
+	b, err := io.ReadAll(r)
+	d := &decoder{b: b}
+	if err != nil {
+		d.fail("reading checkpoint: %w", err)
 	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("nn: not a gnnmark checkpoint (magic %q)", magic)
+	return d
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("nn: "+format, args...)
 	}
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("nn: reading parameter count: %w", err)
+}
+
+// take returns the next n bytes, or nil if the stream ends first.
+func (d *decoder) take(n int, what string) []byte {
+	if d.err == nil && n > len(d.b) {
+		d.fail("checkpoint truncated in %s", what)
 	}
-	if count > 1<<16 {
-		return nil, fmt.Errorf("nn: implausible parameter count %d", count)
+	if d.err != nil {
+		return nil
 	}
-	params := make([]SavedParam, 0, count)
-	for i := 0; i < int(count); i++ {
-		name, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		var rank uint32
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-			return nil, fmt.Errorf("nn: reading %s rank: %w", name, err)
-		}
-		if rank > decodeMaxRank {
-			return nil, fmt.Errorf("nn: %s has implausible rank %d", name, rank)
-		}
-		shape := make([]int, rank)
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+// u32 reads a count, dimension or counter no larger than limit.
+func (d *decoder) u32(limit uint32, what string) int {
+	b := d.take(4, what)
+	if b == nil {
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(b)
+	if v > limit {
+		d.fail("implausible %s %d", what, v)
+		return 0
+	}
+	return int(v)
+}
+
+func (d *decoder) str() string {
+	return string(d.take(d.u32(decodeMaxCount, "string length"), "string"))
+}
+
+func (d *decoder) magic(want string) {
+	if got := d.take(len(want), "magic"); got != nil && string(got) != want {
+		d.fail("not a gnnmark checkpoint (magic %q, want %q)", got, want)
+	}
+}
+
+// block parses one GNNMARK1 block: magic, entry count, then per entry its
+// name, rank, dimensions and data.
+func (d *decoder) block() []SavedParam {
+	d.magic(checkpointMagic)
+	var out []SavedParam
+	for n := d.u32(decodeMaxCount, "entry count"); n > 0 && d.err == nil; n-- {
+		p := SavedParam{Name: d.str()}
+		p.Shape = make([]int, d.u32(decodeMaxRank, "rank"))
 		size := 1
-		for j := range shape {
-			var d uint32
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-				return nil, fmt.Errorf("nn: reading %s shape: %w", name, err)
-			}
-			if d == 0 || d > decodeMaxSize {
-				return nil, fmt.Errorf("nn: %s dim %d is implausible (%d)", name, j, d)
-			}
-			shape[j] = int(d)
-			size *= int(d)
-			if size > decodeMaxSize {
-				return nil, fmt.Errorf("nn: %s exceeds the decoder size bound", name)
+		for j := range p.Shape {
+			p.Shape[j] = d.u32(decodeMaxSize, "dimension")
+			if size *= p.Shape[j]; d.err == nil && (size == 0 || size > decodeMaxSize) {
+				d.fail("%s has an implausible shape", p.Name)
 			}
 		}
-		buf := make([]byte, 4*size)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("nn: reading %s data: %w", name, err)
+		raw := d.take(4*size, "entry data")
+		p.Data = make([]float32, len(raw)/4)
+		for k := range p.Data {
+			p.Data[k] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*k:]))
 		}
-		data := make([]float32, size)
-		for j := range data {
-			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
-		}
-		params = append(params, SavedParam{Name: name, Shape: shape, Data: data})
+		out = append(out, p)
 	}
-	return params, nil
+	return out
+}
+
+// training parses a whole SaveTraining stream: the parameter block, then the
+// optimizer's kind, step counters and buffer block.
+func (d *decoder) training() savedTraining {
+	d.magic(trainingMagic)
+	s := savedTraining{params: d.block(), kind: d.str()}
+	for n := d.u32(decodeMaxCount, "counter count"); n > 0 && d.err == nil; n-- {
+		s.counters = append(s.counters, d.u32(math.MaxUint32, "counter"))
+	}
+	s.bufs = d.block()
+	return s
+}
+
+// DecodeParams reads a SaveParams stream (one GNNMARK1 block) and returns
+// the saved entries in checkpoint order.
+func DecodeParams(r io.Reader) ([]SavedParam, error) {
+	d := readAll(r)
+	return d.block(), d.err
 }
 
 // DecodeTrainingParams reads a SaveTraining stream (GNNMARKT) and returns
-// only its parameters, skipping the optimizer state that follows — the
+// only its parameters, not parsing the optimizer state that follows — the
 // serving plane freezes weights and has no use for Adam moments.
 func DecodeTrainingParams(r io.Reader) ([]SavedParam, error) {
-	magic := make([]byte, len(trainingMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("nn: reading training magic: %w", err)
-	}
-	if string(magic) != trainingMagic {
-		return nil, fmt.Errorf("nn: not a gnnmark training checkpoint (magic %q)", magic)
-	}
-	return DecodeParams(r)
+	d := readAll(r)
+	d.magic(trainingMagic)
+	return d.block(), d.err
 }

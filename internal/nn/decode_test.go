@@ -40,8 +40,8 @@ func TestDecodeParamsRoundTrip(t *testing.T) {
 				t.Fatalf("%s dim %d is %d, want %d", s.Name, j, s.Shape[j], d)
 			}
 		}
-		if s.Size() != p.Value.Size() {
-			t.Fatalf("%s size %d, want %d", s.Name, s.Size(), p.Value.Size())
+		if len(s.Data) != p.Value.Size() {
+			t.Fatalf("%s size %d, want %d", s.Name, len(s.Data), p.Value.Size())
 		}
 		for j, v := range p.Value.Data() {
 			if s.Data[j] != v {

@@ -16,6 +16,9 @@ type Optimizer interface {
 	Step()
 	// Params returns the parameter set being optimized.
 	Params() []*autograd.Param
+	// state exposes what a training checkpoint saves and restores beyond
+	// the parameters.
+	state() optState
 }
 
 // SGD is stochastic gradient descent with optional momentum and weight
@@ -44,6 +47,15 @@ func NewSGD(e *ops.Engine, params []*autograd.Param, lr, momentum, weightDecay f
 
 // Params implements Optimizer.
 func (s *SGD) Params() []*autograd.Param { return s.params }
+
+// state implements Optimizer: the momentum buffers, when there are any.
+func (s *SGD) state() optState {
+	st := optState{kind: "sgd"}
+	for i, b := range s.bufs {
+		st.bufs = append(st.bufs, entry{s.params[i].Name + ".momentum", b})
+	}
+	return st
+}
 
 // Step implements Optimizer.
 func (s *SGD) Step() {
@@ -84,6 +96,15 @@ func NewAdam(e *ops.Engine, params []*autograd.Param, lr float32) *Adam {
 
 // Params implements Optimizer.
 func (a *Adam) Params() []*autograd.Param { return a.params }
+
+// state implements Optimizer: the step count and both moments.
+func (a *Adam) state() optState {
+	st := optState{kind: "adam", counters: []*int{&a.step}}
+	for i, p := range a.params {
+		st.bufs = append(st.bufs, entry{p.Name + ".m", a.m[i]}, entry{p.Name + ".v", a.v[i]})
+	}
+	return st
+}
 
 // Step implements Optimizer.
 func (a *Adam) Step() {

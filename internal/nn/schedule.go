@@ -41,6 +41,15 @@ func NewScheduledAdam(inner *Adam, schedule LRSchedule) *ScheduledAdam {
 	return &ScheduledAdam{Adam: inner, Schedule: schedule, baseLR: inner.LR}
 }
 
+// state adds the schedule's own step to the inner Adam's: both must survive
+// a restore for bitwise resume.
+func (s *ScheduledAdam) state() optState {
+	st := s.Adam.state()
+	st.kind = "sched-adam"
+	st.counters = append(st.counters, &s.step)
+	return st
+}
+
 // Step implements Optimizer: applies the schedule factor, then updates.
 func (s *ScheduledAdam) Step() {
 	s.step++

@@ -18,11 +18,11 @@ type DiffConfig struct {
 	// of 4 keeps honest noise quiet while a real 2x slowdown (orders of
 	// magnitude beyond the MADs) is flagged (default 4).
 	MADK float64
-	// MinDeltaNs is an absolute floor under which deltas are never
-	// significant, guarding against zero-MAD flukes on sub-microsecond
-	// kernels (default 200ns).
-	MinDeltaNs int64
 }
+
+// minDeltaNs is an absolute floor under which deltas are never significant,
+// guarding against zero-MAD flukes on sub-microsecond kernels.
+const minDeltaNs = 200
 
 func (c *DiffConfig) defaults() {
 	if c.Budget == 0 {
@@ -30,9 +30,6 @@ func (c *DiffConfig) defaults() {
 	}
 	if c.MADK == 0 {
 		c.MADK = 4
-	}
-	if c.MinDeltaNs == 0 {
-		c.MinDeltaNs = 200
 	}
 }
 
@@ -115,7 +112,7 @@ func Compare(old, new *Report, cfg DiffConfig) (*Diff, error) {
 		}
 		delta := math.Abs(float64(n.MedianNs - o.MedianNs))
 		noise := cfg.MADK * float64(o.MADNs+n.MADNs)
-		row.Significant = delta > noise && delta > float64(cfg.MinDeltaNs)
+		row.Significant = delta > noise && delta > minDeltaNs
 		if row.Significant && o.MedianNs > 0 {
 			switch {
 			case row.Ratio >= cfg.Budget:

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -11,7 +10,6 @@ import (
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/fault"
 	"gnnmark/internal/gpu"
-	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
 	"gnnmark/internal/obs"
 	"gnnmark/internal/partitioned"
@@ -226,14 +224,7 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 		// with one fewer worker: checkpoint, tear down, rebuild, restore.
 		if len(kills) > 0 && cum >= kills[0].At && ep+1 < cfg.Epochs {
 			kills = kills[1:]
-			cp, ok := rep.W.(models.Checkpointable)
-			if !ok {
-				return fmt.Errorf("scenario: workload %s is not checkpointable; loader-kill cannot restore it", rep.W.Name())
-			}
-			var buf bytes.Buffer
-			if err := nn.SaveTraining(&buf, cp.Optimizer()); err != nil {
-				return fmt.Errorf("scenario: loader-kill checkpoint: %w", err)
-			}
+			ckpt := nn.Snapshot(rep.W.Optimizer())
 			rep.Env.Close()
 			if cfg.LoaderWorkers > 1 {
 				cfg.LoaderWorkers--
@@ -243,8 +234,7 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 				return err
 			}
 			rep, segClock = next, 0
-			// Same spec, so the rebuilt workload is checkpointable too.
-			if err := nn.LoadTraining(bytes.NewReader(buf.Bytes()), rep.W.(models.Checkpointable).Optimizer()); err != nil {
+			if err := nn.Restore(rep.W.Optimizer(), ckpt); err != nil {
 				return fmt.Errorf("scenario: loader-kill restore: %w", err)
 			}
 		}

@@ -62,7 +62,10 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 	if !ok {
 		return fmt.Errorf("scenario: workload %s does not serve embeddings", out.trained.Name())
 	}
-	weights := serve.FreezeParams(sv.Params())
+	weights, err := core.Freeze(sv)
+	if err != nil {
+		return err
+	}
 	items := sv.NumItems()
 	spec := sc.Serve.resolved()
 

@@ -14,16 +14,20 @@ import (
 	"gnnmark/internal/tensor"
 )
 
-// servable unifies the workloads under test: Servable for the forward pass,
-// Checkpointable for SaveTraining.
-type servable interface {
-	models.Servable
-	Optimizer() nn.Optimizer
+// freezeOf freezes opt's parameters the way every plane does: through the
+// training-checkpoint bytes.
+func freezeOf(t *testing.T, opt nn.Optimizer) *Weights {
+	t.Helper()
+	w, err := Freeze(bytes.NewReader(nn.Snapshot(opt)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // buildServable constructs a workload instance on its own fresh device and
 // backend; identical (name, seed) arguments build identical models.
-func buildServable(name string, be backend.Backend, seed int64) (servable, *ops.Engine) {
+func buildServable(name string, be backend.Backend, seed int64) (models.Servable, *ops.Engine) {
 	cfg := gpu.V100()
 	cfg.MaxSampledWarps = 512
 	e := ops.NewWith(gpu.New(cfg), be)
@@ -67,14 +71,7 @@ func TestFrozenForwardMatchesTraining(t *testing.T) {
 				live, _ := buildServable(model, be, 42)
 				live.TrainEpoch() // move weights off their initialization
 
-				var buf bytes.Buffer
-				if err := nn.SaveTraining(&buf, live.Optimizer()); err != nil {
-					t.Fatal(err)
-				}
-				w, err := Freeze(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
+				w := freezeOf(t, live.Optimizer())
 				frozen, _ := buildServable(model, be, 42)
 				if err := w.LoadInto(frozen.Params()); err != nil {
 					t.Fatal(err)
@@ -133,7 +130,7 @@ func newPSAGEReplicas(t *testing.T, n int, w *Weights) []*Replica {
 // launches and copy latencies is the whole point of the batcher.
 func TestMicroBatchingDoublesQPS(t *testing.T) {
 	frozen, _ := buildServable("PSAGE", backend.NewSerial(), 42)
-	w := FreezeParams(frozen.Params())
+	w := freezeOf(t, frozen.Optimizer())
 
 	// Calibrate the offered load to the measured batch-of-1 service time so
 	// the test tracks the device model instead of hardcoding rates.
@@ -176,7 +173,7 @@ func TestMicroBatchingDoublesQPS(t *testing.T) {
 // lowers the mean per-request device time.
 func TestCacheReducesDeviceTime(t *testing.T) {
 	frozen, _ := buildServable("PSAGE", backend.NewSerial(), 42)
-	w := FreezeParams(frozen.Params())
+	w := freezeOf(t, frozen.Optimizer())
 	reqs := OpenArrivals(LoadConfig{Seed: 13, QPS: 2000, Duration: 0.1, Items: frozen.NumItems(), ZipfS: 1.5})
 
 	run := func(cacheRows int) Stats {
@@ -216,7 +213,7 @@ func TestServingOpClassTimeWithinWall(t *testing.T) {
 	obs.Reset()
 
 	frozen, _ := buildServable("PSAGE", backend.NewSerial(), 42)
-	w := FreezeParams(frozen.Params())
+	w := freezeOf(t, frozen.Optimizer())
 	reps := newPSAGEReplicas(t, 3, w) // engines built while enabled carry a track
 	defer closeReplicas(reps)
 	_, d1, err := reps[0].Serve([]int32{1})

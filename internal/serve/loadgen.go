@@ -15,18 +15,15 @@ type LoadConfig struct {
 	QPS      float64 // mean arrival rate (requests per simulated second)
 	Duration float64 // horizon in simulated seconds
 	Items    int     // item-id space [0, Items)
-	// ZipfS/ZipfV shape the item-popularity distribution (s > 1, v >= 1;
-	// defaults 1.2/1). Skewed popularity is what gives an embedding cache
-	// its hit rate.
-	ZipfS, ZipfV float64
+	// ZipfS shapes the item-popularity distribution (s > 1, default 1.2;
+	// v is 1). Skewed popularity is what gives an embedding cache its hit
+	// rate.
+	ZipfS float64
 }
 
 func (c *LoadConfig) defaults() {
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.2
-	}
-	if c.ZipfV == 0 {
-		c.ZipfV = 1
 	}
 }
 
@@ -36,7 +33,7 @@ func (c *LoadConfig) defaults() {
 func OpenArrivals(cfg LoadConfig) []Request {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Items-1))
+	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Items-1))
 	var reqs []Request
 	t := 0.0
 	for cfg.QPS > 0 { // a non-positive rate generates nothing

@@ -6,8 +6,8 @@
 //
 // The plane is built from five pieces:
 //
-//	freeze  — Weights: a read-only parameter snapshot (from nn.SaveTraining
-//	          or live params) shared across replicas.
+//	freeze  — Weights: a read-only parameter snapshot (from training
+//	          checkpoint bytes) shared across replicas.
 //	queue   — AdmissionQueue: bounded FIFO with typed overload rejection.
 //	batcher — Server: dynamic micro-batching under a max-batch/max-wait
 //	          policy, dispatching to the earliest-free replica.

@@ -15,7 +15,6 @@ import (
 // construction time, after which the snapshot is never written.
 type Weights struct {
 	params []nn.SavedParam
-	byName map[string]int
 }
 
 // Freeze reads a training checkpoint stream (nn.SaveTraining format) and
@@ -26,51 +25,17 @@ func Freeze(r io.Reader) (*Weights, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: freezing checkpoint: %w", err)
 	}
-	return newWeights(params), nil
+	return &Weights{params: params}, nil
 }
 
-// FreezeParams snapshots live training parameters directly (deep copy), for
-// serving a model that was just trained in-process without a checkpoint
-// round-trip.
-func FreezeParams(params []*autograd.Param) *Weights {
-	saved := make([]nn.SavedParam, len(params))
-	for i, p := range params {
-		saved[i] = nn.SavedParam{
-			Name:  p.Name,
-			Shape: append([]int(nil), p.Value.Shape()...),
-			Data:  append([]float32(nil), p.Value.Data()...),
-		}
-	}
-	return newWeights(saved)
-}
-
-func newWeights(params []nn.SavedParam) *Weights {
-	w := &Weights{params: params, byName: make(map[string]int, len(params))}
-	for i, p := range params {
-		w.byName[p.Name] = i
-	}
-	return w
-}
-
-// Len returns the number of frozen parameters.
-func (w *Weights) Len() int { return len(w.params) }
-
-// LoadInto copies the frozen values into params, matching by name; every
-// destination parameter must exist in the snapshot with the same shape.
-// The snapshot itself is not mutated, so one Weights can initialize any
-// number of replicas.
+// LoadInto copies the frozen values into params, which must be the frozen
+// model's parameter set: same order, names and shapes (the rule a training
+// checkpoint is restored under). On a mismatch nothing is copied. The
+// snapshot itself is not mutated, so one Weights can initialize any number
+// of replicas.
 func (w *Weights) LoadInto(params []*autograd.Param) error {
-	for _, p := range params {
-		i, ok := w.byName[p.Name]
-		if !ok {
-			return fmt.Errorf("serve: frozen snapshot has no parameter %q", p.Name)
-		}
-		s := w.params[i]
-		if s.Size() != p.Value.Size() {
-			return fmt.Errorf("serve: parameter %q has %d frozen elements, model expects %d",
-				p.Name, s.Size(), p.Value.Size())
-		}
-		copy(p.Value.Data(), s.Data)
+	if err := nn.AssignParams(w.params, params); err != nil {
+		return fmt.Errorf("serve: loading frozen snapshot: %w", err)
 	}
 	return nil
 }

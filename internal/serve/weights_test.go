@@ -36,55 +36,53 @@ func TestFreezeFromTrainingCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Len() != len(params) {
-		t.Fatalf("frozen %d params, want %d", w.Len(), len(params))
+	if len(w.params) != len(params) {
+		t.Fatalf("frozen %d params, want %d", len(w.params), len(params))
 	}
 
-	// Load into a differently-initialized twin: bitwise restore.
-	twin := testParams(2)
-	if err := w.LoadInto(twin); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range params {
-		for j, v := range p.Value.Data() {
-			if twin[i].Value.Data()[j] != v {
-				t.Fatalf("%s element %d not bitwise-restored", p.Name, j)
+	// Load into differently-initialized twins: bitwise restore, and one
+	// snapshot initializes any number of replicas identically.
+	for seed := int64(2); seed < 4; seed++ {
+		twin := testParams(seed)
+		if err := w.LoadInto(twin); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range params {
+			if !tensorsEqual(p.Value, twin[i].Value) {
+				t.Fatalf("%s not bitwise-restored into twin %d", p.Name, seed)
 			}
 		}
 	}
 }
 
-func TestFreezeParamsIsDeepCopy(t *testing.T) {
-	params := testParams(3)
-	w := FreezeParams(params)
-	before := params[0].Value.Data()[0]
-	params[0].Value.Data()[0] = before + 100
-
-	twin := testParams(4)
-	if err := w.LoadInto(twin); err != nil {
-		t.Fatal(err)
-	}
-	if twin[0].Value.Data()[0] != before {
-		t.Fatal("snapshot aliased live training parameters")
-	}
-	// One snapshot initializes many replicas identically.
-	twin2 := testParams(5)
-	if err := w.LoadInto(twin2); err != nil {
-		t.Fatal(err)
-	}
-	if twin2[0].Value.Data()[0] != before {
-		t.Fatal("second LoadInto diverged")
-	}
-}
-
+// TestLoadIntoMismatches: a replica whose parameter set is not the frozen
+// model's — by count, name or shape, a transposed shape of equal element
+// count included — is rejected with none of its parameters written.
 func TestLoadIntoMismatches(t *testing.T) {
-	w := FreezeParams(testParams(6))
-	missing := []*autograd.Param{autograd.NewParam("nope", tensor.New(2, 2))}
-	if err := w.LoadInto(missing); err == nil {
-		t.Fatal("unknown parameter name accepted")
-	}
-	wrongShape := []*autograd.Param{autograd.NewParam("m.l1.w", tensor.New(1))}
-	if err := w.LoadInto(wrongShape); err == nil {
-		t.Fatal("shape mismatch accepted")
+	w := freezeOf(t, nn.NewAdam(ops.New(nil), testParams(6), 1e-3))
+	for name, mutate := range map[string]func(p []*autograd.Param) []*autograd.Param{
+		"missing parameter": func(p []*autograd.Param) []*autograd.Param { return p[:len(p)-1] },
+		"unknown name": func(p []*autograd.Param) []*autograd.Param {
+			p[2] = autograd.NewParam("nope", p[2].Value)
+			return p
+		},
+		"wrong size": func(p []*autograd.Param) []*autograd.Param {
+			p[2] = autograd.NewParam(p[2].Name, tensor.New(1))
+			return p
+		},
+		"transposed": func(p []*autograd.Param) []*autograd.Param {
+			sh := p[2].Value.Shape()
+			p[2] = autograd.NewParam(p[2].Name, tensor.New(sh[1], sh[0]))
+			return p
+		},
+	} {
+		dst := mutate(testParams(7))
+		before := dst[0].Value.Clone()
+		if err := w.LoadInto(dst); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !tensorsEqual(before, dst[0].Value) {
+			t.Errorf("%s: a rejected load wrote parameter 0", name)
+		}
 	}
 }
