@@ -17,6 +17,14 @@ type Cache struct {
 	order []uint64
 	clock uint64
 
+	// gen[set] is the epoch in which the set's ways were last cleared. A set
+	// stamped before the current epoch is empty whatever its ways hold:
+	// Invalidate only starts a new epoch, and touch clears a stale set
+	// before using it, so a launch pays for the sets it touches rather than
+	// for the whole cache.
+	gen   []uint64
+	epoch uint64
+
 	hits   uint64
 	misses uint64
 }
@@ -54,6 +62,7 @@ func NewCache(sizeBytes, lineBytes, ways int) *Cache {
 		setMask:   uint64(numSets - 1),
 		tags:      make([]uint64, numSets*ways),
 		order:     make([]uint64, numSets*ways),
+		gen:       make([]uint64, numSets),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -71,10 +80,17 @@ func (c *Cache) AccessLine(addr uint64) bool {
 // (addr >> lineShift). The set is scanned for a hit first; only a miss pays
 // for the victim search, which picks the first way with the smallest stamp.
 func (c *Cache) touch(line uint64) bool {
-	base := int(line&c.setMask) * c.ways
+	set := int(line & c.setMask)
+	base := set * c.ways
 	tags := c.tags[base : base+c.ways]
 	order := c.order[base : base+c.ways]
 	c.clock++
+	if c.gen[set] != c.epoch {
+		c.gen[set] = c.epoch
+		for w := range tags {
+			tags[w], order[w] = invalidTag, 0
+		}
+	}
 
 	for w, tag := range tags {
 		if tag == line {
@@ -114,12 +130,10 @@ func (c *Cache) HitRate() float64 {
 // allowing per-kernel accounting over a warm cache.
 func (c *Cache) ResetCounters() { c.hits, c.misses = 0, 0 }
 
-// Invalidate empties the cache and zeroes the counters.
+// Invalidate empties the cache and zeroes the counters, in constant time:
+// every set goes stale at once (see gen).
 func (c *Cache) Invalidate() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-		c.order[i] = 0
-	}
+	c.epoch++
 	c.clock = 0
 	c.ResetCounters()
 }

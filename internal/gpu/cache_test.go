@@ -85,10 +85,39 @@ func (c *Cache) accessLineRef(addr uint64) bool {
 	return false
 }
 
+// invalidateRef is Invalidate as it was before sets carried a generation
+// stamp: every way of every set is cleared on the spot. The reference replay
+// uses it, so its caches never hold a stale set.
+func (c *Cache) invalidateRef() {
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+		c.order[i] = 0
+	}
+	c.clock = 0
+	c.ResetCounters()
+}
+
+// contents returns the tags and LRU stamps the cache holds, reading a set
+// that has not been touched since the last Invalidate as the empty set it
+// stands for.
+func (c *Cache) contents() (tags, order []uint64) {
+	tags, order = slices.Clone(c.tags), slices.Clone(c.order)
+	for set, g := range c.gen {
+		if g != c.epoch {
+			for i := set * c.ways; i < (set+1)*c.ways; i++ {
+				tags[i], order[i] = invalidTag, 0
+			}
+		}
+	}
+	return tags, order
+}
+
 // sameState reports whether two caches hold the same tags, LRU stamps, clock
 // and counters.
 func sameState(a, b *Cache) bool {
-	return slices.Equal(a.tags, b.tags) && slices.Equal(a.order, b.order) &&
+	aTags, aOrder := a.contents()
+	bTags, bOrder := b.contents()
+	return slices.Equal(aTags, bTags) && slices.Equal(aOrder, bOrder) &&
 		a.clock == b.clock && a.hits == b.hits && a.misses == b.misses
 }
 
@@ -198,6 +227,29 @@ func TestCacheInvalidate(t *testing.T) {
 	c.Invalidate()
 	if c.AccessLine(0) {
 		t.Fatal("Invalidate must empty the cache")
+	}
+}
+
+// TestCacheInvalidateMatchesReference interleaves accesses and invalidations
+// on twin caches, one invalidated by the epoch bump and one by the full
+// clear it replaced: same hits, same victims, same state throughout — a set
+// last used several invalidations ago included.
+func TestCacheInvalidateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	got, want := NewCache(4<<10, 64, 4), NewCache(4<<10, 64, 4)
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(40) == 0 {
+			got.Invalidate()
+			want.invalidateRef()
+		}
+		// Mostly a few hot sets, so the others sit stale across epochs.
+		addr := uint64(rng.Intn(6)) * 64
+		if rng.Intn(10) == 0 {
+			addr = uint64(rng.Intn(16 << 10))
+		}
+		if h, r := got.AccessLine(addr), want.accessLineRef(addr); h != r || !sameState(got, want) {
+			t.Fatalf("access %d (addr %#x): hit %v, reference %v, state equal %v", i, addr, h, r, sameState(got, want))
+		}
 	}
 }
 

@@ -129,18 +129,19 @@ func (d *Device) FpElemBytes() int {
 	return 4
 }
 
-// AllocBlock reserves bytes of simulated device memory under tag and
-// returns the block. The caller returns it with Free when the tensor's
-// lifetime ends; freed addresses are reissued by the caching allocator, so
-// the shared L2 sees cross-kernel reuse exactly as it does under PyTorch's
-// allocator. On a simulated OOM the error is parked and a detached
+// AllocBlock reserves bytes of simulated device memory under tag (and, for
+// a tensor, its shape: see vmem.Allocator.Alloc) and returns the block. The
+// caller returns it with Free when the tensor's lifetime ends; freed
+// addresses are reissued by the caching allocator, so the shared L2 sees
+// cross-kernel reuse exactly as it does under PyTorch's allocator. On a
+// simulated OOM the error is parked and a detached
 // placeholder block is returned: kernel lowering proceeds harmlessly to the
 // next Launch, which raises it with the kernel's name attached to the report.
-func (d *Device) AllocBlock(bytes int, tag string) *vmem.Block {
+func (d *Device) AllocBlock(bytes int, tag string, shape ...int) *vmem.Block {
 	if bytes < 0 {
 		panic("gpu: negative allocation")
 	}
-	b, err := d.mem.Alloc(int64(bytes), tag)
+	b, err := d.mem.Alloc(int64(bytes), tag, shape...)
 	if err != nil {
 		if d.pendingOOM == nil {
 			d.pendingOOM = err.(*vmem.OOMError)

@@ -409,7 +409,7 @@ func (d *Device) replayMemoryRef(k *Kernel) (memResult, *Cache) {
 		}
 		l1 = NewCache(size, d.cfg.L1LineBytes, d.cfg.L1Ways)
 	}
-	l1.Invalidate()
+	l1.invalidateRef()
 	d.l2.ResetCounters()
 
 	lineBytes := uint64(d.cfg.L1LineBytes)

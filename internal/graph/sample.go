@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 )
@@ -11,9 +10,10 @@ import (
 // seed item, alternating item->user->item hops, with visit counts ranking
 // the most important item neighbors.
 type RandomWalkSampler struct {
-	// ItemToUser rows are users reached from items (user <- item edges
-	// reversed as needed); UserToItem the converse.
-	ItemToUser *CSR // rows: users, cols: items? see NewRandomWalkSampler
+	// ItemToUser has rows=items, cols=users: Neighbors(item) lists the users
+	// who touched it. UserToItem is its transpose (rows=users, cols=items):
+	// Neighbors(user) lists the items they touched.
+	ItemToUser *CSR
 	UserToItem *CSR
 
 	// NumWalks is the number of walks per seed; WalkLength the number of
@@ -24,12 +24,7 @@ type RandomWalkSampler struct {
 }
 
 // NewRandomWalkSampler builds a sampler from the two directed relations of
-// a bipartite graph: userByItem has rows=users/cols=items ("item liked-by
-// user", so Neighbors(user) lists that user's items is the transpose...).
-// To keep orientation unambiguous the sampler takes:
-//
-//	itemUsers: rows=items, cols=users — Neighbors(item) = users who touched it
-//	userItems: rows=users, cols=items — Neighbors(user) = items they touched
+// a bipartite graph, oriented as the ItemToUser and UserToItem fields say.
 func NewRandomWalkSampler(itemUsers, userItems *CSR, numWalks, walkLength, topK int) *RandomWalkSampler {
 	return &RandomWalkSampler{
 		ItemToUser: itemUsers,
@@ -51,15 +46,18 @@ type NeighborSample struct {
 // Sample runs random walks from seed and returns its TopK item neighbors by
 // visit count. Walk state is drawn from rng (deterministic per seed+rng).
 func (s *RandomWalkSampler) Sample(rng *rand.Rand, seed int32) NeighborSample {
-	return RankVisits(seed, s.WalkTrace(rng, seed), s.TopK)
+	trace := s.WalkTrace(rng, seed, make([]int32, 0, s.NumWalks*s.WalkLength))
+	slices.Sort(trace)
+	out := NeighborSample{Seed: seed}
+	out.Neighbors, out.Weights = RankVisits(trace, s.TopK, make([]int32, 0, s.TopK), make([]float32, 0, s.TopK))
+	return out
 }
 
-// WalkTrace runs the seed's random walks and returns the raw visit list
-// (every item reached, in walk order). The GPU sampler pipeline sorts and
-// counts this trace on-device; callers forward it to the engine's sort so
-// those kernels appear in the profile.
-func (s *RandomWalkSampler) WalkTrace(rng *rand.Rand, seed int32) []int32 {
-	var visits []int32
+// WalkTrace runs the seed's random walks and appends the raw visit list
+// (every item reached, in walk order) to buf. The GPU sampler pipeline sorts
+// and counts this trace on-device; callers forward it to the engine's sort
+// so those kernels appear in the profile, and rank its sorted output.
+func (s *RandomWalkSampler) WalkTrace(rng *rand.Rand, seed int32, buf []int32) []int32 {
 	for w := 0; w < s.NumWalks; w++ {
 		cur := seed
 		for h := 0; h < s.WalkLength; h++ {
@@ -74,43 +72,47 @@ func (s *RandomWalkSampler) WalkTrace(rng *rand.Rand, seed int32) []int32 {
 			}
 			cur = items[rng.Intn(len(items))]
 			if cur != seed {
-				visits = append(visits, cur)
+				buf = append(buf, cur)
 			}
 		}
 	}
-	return visits
+	return buf
 }
 
-// RankVisits counts a visit trace and returns the topK most-visited items
-// with normalized importance weights.
-func RankVisits(seed int32, trace []int32, topK int) NeighborSample {
-	visits := map[int32]int{}
-	for _, v := range trace {
-		visits[v]++
+// RankVisits counts an ascending visit trace by run length and appends its
+// topK most-visited items (count descending, item ascending on ties) to
+// nbrs and their normalized importance weights to w. It allocates only when
+// those buffers grow (or topK exceeds 16).
+func RankVisits(sorted []int32, topK int, nbrs []int32, w []float32) ([]int32, []float32) {
+	var buf [16]int
+	counts := buf[:0] // counts[i] is the visit count of nbrs[base+i]
+	base := len(nbrs)
+	for lo, hi := 0, 0; lo < len(sorted) && topK > 0; lo = hi {
+		for hi = lo + 1; hi < len(sorted) && sorted[hi] == sorted[lo]; hi++ {
+		}
+		c := hi - lo
+		// Runs arrive item-ascending, so a run goes below every kept count
+		// that is not strictly smaller.
+		p := len(counts)
+		for p > 0 && counts[p-1] < c {
+			p--
+		}
+		if p == topK {
+			continue
+		}
+		if len(counts) < topK {
+			counts, nbrs = append(counts, 0), append(nbrs, 0)
+		}
+		copy(counts[p+1:], counts[p:])
+		copy(nbrs[base+p+1:], nbrs[base+p:])
+		counts[p], nbrs[base+p] = c, sorted[lo]
 	}
-	type kv struct {
-		item  int32
-		count int
-	}
-	ranked := make([]kv, 0, len(visits))
-	for it, c := range visits {
-		ranked = append(ranked, kv{it, c})
-	}
-	slices.SortFunc(ranked, func(a, b kv) int {
-		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.item, b.item))
-	})
-	k := topK
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	out := NeighborSample{Seed: seed}
 	total := 0
-	for i := 0; i < k; i++ {
-		total += ranked[i].count
+	for _, c := range counts {
+		total += c
 	}
-	for i := 0; i < k; i++ {
-		out.Neighbors = append(out.Neighbors, ranked[i].item)
-		out.Weights = append(out.Weights, float32(ranked[i].count)/float32(total))
+	for _, c := range counts {
+		w = append(w, float32(c)/float32(total))
 	}
-	return out
+	return nbrs, w
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -107,18 +108,77 @@ func TestRankVisitsMatchesReflectionSort(t *testing.T) {
 		})
 		want := items[:min(topK, len(items))]
 
-		got := RankVisits(3, trace, topK)
-		if !slices.Equal(got.Neighbors, want) {
-			t.Fatalf("RankVisits(%v, top %d) = %v, want %v", trace, topK, got.Neighbors, want)
+		slices.Sort(trace)
+		nbrs, weights := RankVisits(trace, topK, nil, nil)
+		if !slices.Equal(nbrs, want) {
+			t.Fatalf("RankVisits(%v, top %d) = %v, want %v", trace, topK, nbrs, want)
 		}
 		total := 0
 		for _, it := range want {
 			total += counts[it]
 		}
 		for i, it := range want {
-			if w := float32(counts[it]) / float32(total); got.Weights[i] != w {
-				t.Fatalf("weight %d = %v, want %v", i, got.Weights[i], w)
+			if w := float32(counts[it]) / float32(total); weights[i] != w {
+				t.Fatalf("weight %d = %v, want %v", i, weights[i], w)
 			}
 		}
 	}
+}
+
+// rankVisitsRef is the ranker RankVisits replaced, kept as its reference:
+// count the unsorted trace in a map, sort every distinct item by (count
+// desc, item asc), keep topK.
+func rankVisitsRef(trace []int32, topK int) (nbrs []int32, weights []float32) {
+	visits := map[int32]int{}
+	for _, v := range trace {
+		visits[v]++
+	}
+	type kv struct {
+		item  int32
+		count int
+	}
+	ranked := make([]kv, 0, len(visits))
+	for it, c := range visits {
+		ranked = append(ranked, kv{it, c})
+	}
+	slices.SortFunc(ranked, func(a, b kv) int {
+		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.item, b.item))
+	})
+	k := max(0, min(topK, len(ranked)))
+	total := 0
+	for i := 0; i < k; i++ {
+		total += ranked[i].count
+	}
+	for i := 0; i < k; i++ {
+		nbrs = append(nbrs, ranked[i].item)
+		weights = append(weights, float32(ranked[i].count)/float32(total))
+	}
+	return nbrs, weights
+}
+
+// FuzzRankEquivalence holds RankVisits to rankVisitsRef bit for bit: each
+// input byte is one visit (its low bits the item, so small alphabets tie
+// often), topK runs from 0 past the distinct count and past the ranker's
+// stack buffer, and the output lands after whatever the buffers already
+// held, untouched.
+func FuzzRankEquivalence(f *testing.F) {
+	// testdata/fuzz/FuzzRankEquivalence holds the named cases (empty trace,
+	// topK 0, ties at the cut, topK above the distinct count and above 16).
+	f.Add([]byte("every visit is to a different item!"), uint8(40), uint8(0xff))
+	f.Fuzz(func(t *testing.T, visits []byte, topK, mask uint8) {
+		trace := make([]int32, len(visits))
+		for i, v := range visits {
+			trace[i] = int32(v&mask) - 3 // a few negative ids too
+		}
+		wantN, wantW := rankVisitsRef(trace, int(topK))
+
+		slices.Sort(trace)
+		nbrs, weights := RankVisits(trace, int(topK), []int32{-9, -8}, []float32{0.5})
+		if !slices.Equal(nbrs[:2], []int32{-9, -8}) || weights[0] != 0.5 {
+			t.Fatalf("RankVisits overwrote its buffers' contents: %v %v", nbrs[:2], weights[:1])
+		}
+		if !slices.Equal(nbrs[2:], wantN) || !slices.Equal(weights[1:], wantW) {
+			t.Fatalf("RankVisits(%v, top %d) = %v %v, want %v %v", trace, topK, nbrs[2:], weights[1:], wantN, wantW)
+		}
+	})
 }

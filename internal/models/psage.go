@@ -2,6 +2,7 @@ package models
 
 import (
 	"math/rand"
+	"slices"
 
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/datasets"
@@ -33,6 +34,15 @@ type PSAGE struct {
 	batchSize int
 	batches   int
 	epochSeed int64
+
+	// Sampler scratch, host-private and reused from block to block (a
+	// model runs on one goroutine): the serving RNG, re-seeded per request;
+	// one node's walk; the per-node ends of the trace being sorted; and
+	// the two hops' ranked neighbors.
+	serveRNG   *rand.Rand
+	walk       []int32
+	ends       []int
+	hop1, hop2 hopSamples
 }
 
 type sageLayer struct {
@@ -99,6 +109,7 @@ func NewPSAGE(env *Env, ds *datasets.Bipartite, cfg PSAGEConfig) *PSAGE {
 		batchSize: cfg.BatchSize,
 		batches:   cfg.Batches,
 		epochSeed: env.RNG.Int63(),
+		serveRNG:  rand.New(rand.NewSource(0)),
 	}
 	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
 	return m
@@ -125,24 +136,113 @@ func (m *PSAGE) Params() []*autograd.Param {
 	return append(m.layer1.params(), m.layer2.params()...)
 }
 
-// sampleBlock builds one two-hop sampled neighborhood: for every seed, its
-// TopK random-walk neighbors and their neighbors. Returns the deduplicated
-// node list plus per-layer (srcPos, dstPos, weight) aggregation triples.
+// psageBlock is a two-hop sampled neighborhood: the deduplicated node list
+// plus per-layer (srcPos, dstPos, weight) aggregation triples. Training
+// builds one per batch; serving concatenates one per request, offsetting
+// positions, into the block of a micro-batch. Every slice here reaches the
+// engine, which names device blocks by slice identity, so each is allocated
+// afresh per block.
 type psageBlock struct {
-	nodes []int32 // unique item ids, sorted
-	// layer aggregation: dst row <- weighted sum of src rows.
-	src1, dst1 []int32
-	w1         []float32
-	src2, dst2 []int32
-	w2         []float32
-	seedPos    []int32 // positions of the seeds within nodes
-	posPos     []int32 // positions of positive partner items
-	negPos     []int32 // positions of negative items
+	nodes  []int32   // unique item ids, sorted (per request when serving)
+	l1, l2 sageEdges // layer 1 aggregates into every hop-1 node, layer 2 into the frontier
+	// positions within nodes of the seeds, their positive partners and
+	// their negatives (serving has seeds only).
+	seedPos, posPos, negPos []int32
 }
 
+// sageEdges is one layer's aggregation: row dst[i] receives w[i] times row
+// src[i].
+type sageEdges struct {
+	src, dst []int32
+	w        []float32
+}
+
+// hopSamples holds the ranked walk neighbors of a sorted node list, flat:
+// node i's neighbors are nbr[off[i]:off[i+1]] with weights w at the same
+// indices. It is host-private scratch, reused from block to block.
+type hopSamples struct {
+	nbr []int32
+	w   []float32
+	off []int32
+}
+
+func (h *hopSamples) of(i int) ([]int32, []float32) {
+	lo, hi := h.off[i], h.off[i+1]
+	return h.nbr[lo:hi], h.w[lo:hi]
+}
+
+// sampleHop ranks the TopK walk neighbors of every node in nodes
+// (ascending) into out. Nodes the previous hop already covers (prevNodes,
+// an ascending subset of nodes, sampled in prev) are copied from it; the
+// rest are walked, their traces concatenated onto trace and sorted node by
+// node under one radix_sort launch. trace is the buffer that launch names,
+// so the caller chooses its identity; the grown buffer is returned.
+func (m *PSAGE) sampleHop(rng *rand.Rand, nodes, prevNodes []int32, prev, out *hopSamples, trace []int32) []int32 {
+	covered := func(i, j int) bool { return j < len(prevNodes) && prevNodes[j] == nodes[i] }
+	m.ends = m.ends[:0]
+	for i, j := 0, 0; i < len(nodes); i++ {
+		if covered(i, j) {
+			j++
+			continue
+		}
+		m.walk = m.sampler.WalkTrace(rng, nodes[i], m.walk[:0])
+		trace = append(trace, m.walk...)
+		m.ends = append(m.ends, len(trace))
+	}
+	sorted := m.env.E.SortInt32Segments(trace, m.ends)
+
+	out.nbr, out.w, out.off = out.nbr[:0], out.w[:0], append(out.off[:0], 0)
+	lo, seg := 0, 0
+	for i, j := 0, 0; i < len(nodes); i++ {
+		if covered(i, j) {
+			nb, w := prev.of(j)
+			out.nbr, out.w = append(out.nbr, nb...), append(out.w, w...)
+			j++
+		} else {
+			hi := m.ends[seg]
+			out.nbr, out.w = graph.RankVisits(sorted[lo:hi], m.sampler.TopK, out.nbr, out.w)
+			lo, seg = hi, seg+1
+		}
+		out.off = append(out.off, int32(len(out.nbr)))
+	}
+	return trace
+}
+
+// add appends the aggregation of dsts' ranked neighbors (h is parallel to
+// dsts) as positions in the sorted node list nodes, shifted by off.
+func (g *sageEdges) add(nodes []int32, off int32, dsts []int32, h *hopSamples) {
+	g.src, g.dst = slices.Grow(g.src, len(h.nbr)), slices.Grow(g.dst, len(h.nbr))
+	for i, v := range dsts {
+		nb, _ := h.of(i)
+		p := off + posIn(nodes, v)
+		for _, u := range nb {
+			g.src = append(g.src, off+posIn(nodes, u))
+			g.dst = append(g.dst, p)
+		}
+	}
+	g.w = append(g.w, h.w...)
+}
+
+// posIn returns v's position in the sorted, deduplicated nodes.
+func posIn(nodes []int32, v int32) int32 {
+	i, _ := slices.BinarySearch(nodes, v)
+	return int32(i)
+}
+
+// positionsIn returns a fresh slice of each id's position in nodes.
+func positionsIn(nodes, ids []int32) []int32 {
+	out := make([]int32, len(ids))
+	for i, v := range ids {
+		out[i] = posIn(nodes, v)
+	}
+	return out
+}
+
+// sampleBlock builds the batch's two-hop sampled neighborhood: for every
+// seed, positive and negative, its TopK random-walk neighbors and their
+// neighbors.
 func (m *PSAGE) sampleBlock(rng *rand.Rand, seeds []int32) *psageBlock {
 	e := m.env.E
-	b := &psageBlock{}
 
 	// Positive partners: another item of one of the seed's users.
 	pos := make([]int32, len(seeds))
@@ -165,67 +265,19 @@ func (m *PSAGE) sampleBlock(rng *rand.Rand, seeds []int32) *psageBlock {
 	// The sampler materializes every random-walk visit and ranks neighbors
 	// by sorted visit counts on the device — the sort kernels behind
 	// PSAGE's Figure 2 profile.
-	frontier := append(append(append([]int32{}, seeds...), pos...), neg...)
-	sampled := map[int32]graph.NeighborSample{}
-	var hop1 []int32
-	var trace []int32
-	for _, v := range dedupeSorted(e, frontier) {
-		tr := m.sampler.WalkTrace(rng, v)
-		trace = append(trace, tr...)
-		ns := graph.RankVisits(v, tr, m.sampler.TopK)
-		sampled[v] = ns
-		hop1 = append(hop1, ns.Neighbors...)
-	}
-	e.SortInt32(trace)
-	hop1 = append(hop1, frontier...)
-	layer1Nodes := dedupeSorted(e, hop1)
-	trace = trace[:0]
-	for _, v := range layer1Nodes {
-		if _, ok := sampled[v]; !ok {
-			tr := m.sampler.WalkTrace(rng, v)
-			trace = append(trace, tr...)
-			sampled[v] = graph.RankVisits(v, tr, m.sampler.TopK)
-		}
-	}
-	e.SortInt32(trace)
-	var all []int32
-	for _, v := range layer1Nodes {
-		all = append(all, sampled[v].Neighbors...)
-	}
-	all = append(all, layer1Nodes...)
-	b.nodes = dedupeSorted(e, all)
-
-	posOf := make(map[int32]int32, len(b.nodes))
-	for i, v := range b.nodes {
-		posOf[v] = int32(i)
-	}
+	frontier := slices.Concat(seeds, pos, neg)
+	front := dedupeSorted(e, frontier)
+	trace := m.sampleHop(rng, front, nil, nil, &m.hop1, nil)
+	layer1Nodes := dedupeSorted(e, slices.Concat(m.hop1.nbr, frontier))
+	// The second trace is sorted in the first one's device buffer when it
+	// fits there: the engine sees the same slice identity.
+	m.sampleHop(rng, layer1Nodes, front, &m.hop1, &m.hop2, trace[:0])
+	b := &psageBlock{nodes: dedupeSorted(e, slices.Concat(m.hop2.nbr, layer1Nodes))}
 
 	// Layer 1 aggregates into every layer1 node; layer 2 into the frontier.
-	for _, v := range layer1Nodes {
-		ns := sampled[v]
-		for k, nb := range ns.Neighbors {
-			b.src1 = append(b.src1, posOf[nb])
-			b.dst1 = append(b.dst1, posOf[v])
-			b.w1 = append(b.w1, ns.Weights[k])
-		}
-	}
-	for _, v := range dedupeSorted(e, frontier) {
-		ns := sampled[v]
-		for k, nb := range ns.Neighbors {
-			b.src2 = append(b.src2, posOf[nb])
-			b.dst2 = append(b.dst2, posOf[v])
-			b.w2 = append(b.w2, ns.Weights[k])
-		}
-	}
-	for _, s := range seeds {
-		b.seedPos = append(b.seedPos, posOf[s])
-	}
-	for _, p := range pos {
-		b.posPos = append(b.posPos, posOf[p])
-	}
-	for _, ng := range neg {
-		b.negPos = append(b.negPos, posOf[ng])
-	}
+	b.l1.add(b.nodes, 0, layer1Nodes, &m.hop2)
+	b.l2.add(b.nodes, 0, dedupeSorted(e, frontier), &m.hop1)
+	b.seedPos, b.posPos, b.negPos = positionsIn(b.nodes, seeds), positionsIn(b.nodes, pos), positionsIn(b.nodes, neg)
 	return b
 }
 
@@ -250,19 +302,17 @@ func dedupeSorted(e interface {
 // convolve applies one SAGE layer: h' = ReLU(W_self h + W_neigh agg), where
 // agg is the importance-weighted neighbor sum done with gather + scale +
 // scatter (the scatter/gather mix of Figure 2).
-func (m *PSAGE) convolve(t *autograd.Tape, layer *sageLayer, h *autograd.Var,
-	src, dst []int32, w []float32, rows int) *autograd.Var {
-
-	gathered := t.GatherRows(h, src)
-	wMat := tensor.New(len(src), h.Value.Dim(1))
-	for i, wi := range w {
+func (m *PSAGE) convolve(t *autograd.Tape, layer *sageLayer, h *autograd.Var, g sageEdges, rows int) *autograd.Var {
+	gathered := t.GatherRows(h, g.src)
+	wMat := tensor.New(len(g.src), h.Value.Dim(1))
+	for i, wi := range g.w {
 		row := wMat.Row(i)
 		for j := range row {
 			row[j] = wi
 		}
 	}
 	weighted := t.Mul(gathered, t.Const(wMat))
-	agg := t.ScatterAddRows(rows, weighted, dst)
+	agg := t.ScatterAddRows(rows, weighted, g.dst)
 	return t.ReLU(t.Add(layer.self.Forward(t, h), layer.neigh.Forward(t, agg)))
 }
 
@@ -294,8 +344,8 @@ func (m *PSAGE) TrainEpoch() float64 {
 		// what makes PSAGE/NWP element-wise-dominated in Figure 2.
 		h := t.Dropout(t.Scale(t.Const(feats), 1.0/1.1), 0.1, rng)
 		h = t.Mul(h, t.Const(tensor.Full(1.1, feats.Shape()...)))
-		h = m.convolve(t, m.layer1, h, blk.src1, blk.dst1, blk.w1, len(blk.nodes))
-		h = m.convolve(t, m.layer2, h, blk.src2, blk.dst2, blk.w2, len(blk.nodes))
+		h = m.convolve(t, m.layer1, h, blk.l1, len(blk.nodes))
+		h = m.convolve(t, m.layer2, h, blk.l2, len(blk.nodes))
 
 		seedEmb := t.GatherRows(h, blk.seedPos)
 		posEmb := t.GatherRows(h, blk.posPos)

@@ -1,10 +1,9 @@
 package models
 
 import (
-	"math/rand"
+	"slices"
 
 	"gnnmark/internal/autograd"
-	"gnnmark/internal/graph"
 	"gnnmark/internal/tensor"
 )
 
@@ -55,69 +54,27 @@ func (m *PSAGE) EmbedDim() int { return m.hidden }
 // MarkHostBoundary implements Servable.
 func (m *PSAGE) MarkHostBoundary() { m.env.E.MarkHostBoundary() }
 
-// serveBlock is one request's sampled two-hop neighborhood, position-offset
-// ready for concatenation into a micro-batch.
-type serveBlock struct {
-	nodes      []int32
-	src1, dst1 []int32
-	w1         []float32
-	src2, dst2 []int32
-	w2         []float32
-	seedPos    int32
-}
-
 // sampleServeBlock samples the two-hop neighborhood of one item with an RNG
 // seeded only by (epochSeed, id) — the per-request analogue of sampleBlock
 // without positives/negatives, so repeated requests for an item resample
-// the identical subgraph.
-func (m *PSAGE) sampleServeBlock(id int32) *serveBlock {
-	e := m.env.E
-	rng := rand.New(rand.NewSource(serveSeed(m.epochSeed, id)))
-	b := &serveBlock{}
+// the identical subgraph — and appends it to the micro-batch's block b,
+// positions offset past the requests already there.
+func (m *PSAGE) sampleServeBlock(b *psageBlock, id int32) {
+	e, rng := m.env.E, m.serveRNG
+	rng.Seed(serveSeed(m.epochSeed, id))
+	visits := m.sampler.NumWalks * m.sampler.WalkLength // the most one node's walks make
 
-	sampled := map[int32]graph.NeighborSample{}
-	tr := m.sampler.WalkTrace(rng, id)
-	e.SortInt32(append([]int32(nil), tr...))
-	sampled[id] = graph.RankVisits(id, tr, m.sampler.TopK)
+	seed := []int32{id}
+	m.sampleHop(rng, seed, nil, nil, &m.hop1, make([]int32, 0, visits))
+	layer1Nodes := dedupeSorted(e, slices.Concat(m.hop1.nbr, seed))
+	m.sampleHop(rng, layer1Nodes, seed, &m.hop1, &m.hop2, make([]int32, 0, (len(layer1Nodes)-1)*visits))
+	nodes := dedupeSorted(e, slices.Concat(m.hop2.nbr, layer1Nodes))
 
-	hop1 := append(append([]int32{}, sampled[id].Neighbors...), id)
-	layer1Nodes := dedupeSorted(e, hop1)
-	var trace []int32
-	for _, v := range layer1Nodes {
-		if _, ok := sampled[v]; !ok {
-			t := m.sampler.WalkTrace(rng, v)
-			trace = append(trace, t...)
-			sampled[v] = graph.RankVisits(v, t, m.sampler.TopK)
-		}
-	}
-	e.SortInt32(trace)
-	var all []int32
-	for _, v := range layer1Nodes {
-		all = append(all, sampled[v].Neighbors...)
-	}
-	all = append(all, layer1Nodes...)
-	b.nodes = dedupeSorted(e, all)
-
-	posOf := make(map[int32]int32, len(b.nodes))
-	for i, v := range b.nodes {
-		posOf[v] = int32(i)
-	}
-	for _, v := range layer1Nodes {
-		ns := sampled[v]
-		for k, nb := range ns.Neighbors {
-			b.src1 = append(b.src1, posOf[nb])
-			b.dst1 = append(b.dst1, posOf[v])
-			b.w1 = append(b.w1, ns.Weights[k])
-		}
-	}
-	ns := sampled[id]
-	for k, nb := range ns.Neighbors {
-		b.src2 = append(b.src2, posOf[nb])
-		b.dst2 = append(b.dst2, posOf[id])
-		b.w2 = append(b.w2, ns.Weights[k])
-	}
-	b.seedPos = posOf[id]
-	return b
+	off := int32(len(b.nodes))
+	b.nodes = append(b.nodes, nodes...)
+	b.l1.add(nodes, off, layer1Nodes, &m.hop2)
+	b.l2.add(nodes, off, seed, &m.hop1)
+	b.seedPos = append(b.seedPos, off+posIn(nodes, id))
 }
 
 // ServeEmbed implements Servable for PSAGE: per-request random-walk
@@ -129,40 +86,22 @@ func (m *PSAGE) ServeEmbed(ids []int32) *tensor.Tensor {
 	e := m.env.E
 	e.BeginIteration()
 
-	var nodes, src1, dst1, src2, dst2, seedPos []int32
-	var w1, w2 []float32
+	blk := &psageBlock{seedPos: make([]int32, 0, len(ids))}
 	for _, id := range ids {
-		blk := m.sampleServeBlock(id)
-		off := int32(len(nodes))
-		nodes = append(nodes, blk.nodes...)
-		for _, s := range blk.src1 {
-			src1 = append(src1, s+off)
-		}
-		for _, d := range blk.dst1 {
-			dst1 = append(dst1, d+off)
-		}
-		w1 = append(w1, blk.w1...)
-		for _, s := range blk.src2 {
-			src2 = append(src2, s+off)
-		}
-		for _, d := range blk.dst2 {
-			dst2 = append(dst2, d+off)
-		}
-		w2 = append(w2, blk.w2...)
-		seedPos = append(seedPos, blk.seedPos+off)
+		m.sampleServeBlock(blk, id)
 	}
 
-	feats := e.IndexSelectRows(m.ds.ItemFeatures, nodes)
+	feats := e.IndexSelectRows(m.ds.ItemFeatures, blk.nodes)
 	e.CopyH2D("psage.serve.features", feats)
-	e.CopyH2DInt("psage.serve.nodes", nodes)
+	e.CopyH2DInt("psage.serve.nodes", blk.nodes)
 
 	t := autograd.NewTape(e)
 	// Same input normalization as training, minus dropout (eval mode).
 	h := t.Scale(t.Const(feats), 1.0/1.1)
 	h = t.Mul(h, t.Const(tensor.Full(1.1, feats.Shape()...)))
-	h = m.convolve(t, m.layer1, h, src1, dst1, w1, len(nodes))
-	h = m.convolve(t, m.layer2, h, src2, dst2, w2, len(nodes))
-	out := t.GatherRows(h, seedPos)
+	h = m.convolve(t, m.layer1, h, blk.l1, len(blk.nodes))
+	h = m.convolve(t, m.layer2, h, blk.l2, len(blk.nodes))
+	out := t.GatherRows(h, blk.seedPos)
 	return out.Value.Clone()
 }
 

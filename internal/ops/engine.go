@@ -10,8 +10,6 @@
 package ops
 
 import (
-	"fmt"
-
 	"gnnmark/internal/backend"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/graph"
@@ -120,7 +118,11 @@ func (e *Engine) addr(t *tensor.Tensor) uint64 {
 	if b, ok := e.blocks[t]; ok {
 		return b.Addr()
 	}
-	b := e.dev.AllocBlock(t.Size()*4, fmt.Sprintf("tensor%v", t.Shape()))
+	shape := t.Shape()
+	if shape == nil {
+		shape = []int{} // a scalar reads "tensor[]" in the OOM report, not "tensor"
+	}
+	b := e.dev.AllocBlock(t.Size()*4, "tensor", shape...)
 	e.blocks[t] = b
 	e.seq = append(e.seq, b)
 	e.noteAlloc(int64(t.Size()) * 4)

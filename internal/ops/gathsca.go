@@ -144,9 +144,21 @@ func (e *Engine) EmbeddingLookup(table *tensor.Tensor, ids []int32) *tensor.Tens
 // sort kernel sequence (the sort class the paper attributes to neighbor
 // bucketing in samplers and batching).
 func (e *Engine) SortInt32(keys []int32) []int32 {
+	return e.SortInt32Segments(keys, []int{len(keys)})
+}
+
+// SortInt32Segments is SortInt32 for a buffer of concatenated traces: it
+// returns a copy of keys with each keys[ends[i-1]:ends[i]] sorted on its
+// own (ends ascending, the last one len(keys)), under the one radix_sort
+// launch over the whole buffer that SortInt32 lowers to.
+func (e *Engine) SortInt32Segments(keys []int32, ends []int) []int32 {
 	out := make([]int32, len(keys))
 	copy(out, keys)
-	slices.Sort(out)
+	lo := 0
+	for _, hi := range ends {
+		slices.Sort(out[lo:hi])
+		lo = hi
+	}
 	e.launchSort("radix_sort", keys)
 	return out
 }

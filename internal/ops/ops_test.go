@@ -11,6 +11,7 @@ import (
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/graph"
 	"gnnmark/internal/tensor"
+	"gnnmark/internal/vmem"
 )
 
 // recordingEngine returns an engine on a small device plus the slice of
@@ -584,5 +585,24 @@ func BenchmarkSpMM(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.SpMM(g, x)
+	}
+}
+
+// TestOOMReportNamesTensorShape: the engine hands the allocator a tensor's
+// shape instead of formatting a tag per block; the report must still read
+// "tensor[rows cols]", and "tensor[]" for a scalar.
+func TestOOMReportNamesTensorShape(t *testing.T) {
+	for _, tc := range []struct {
+		x    *tensor.Tensor
+		want string
+	}{{tensor.New(2, 3), "tensor[2 3]"}, {tensor.New(), "tensor[]"}} {
+		cfg := gpu.V100()
+		cfg.HBMBytes = 1 << 10 // below one segment: the first block fails
+		e := New(gpu.New(cfg))
+		err := gpu.Guard(func() { e.ReLU(tc.x) })
+		oom, ok := err.(*vmem.OOMError)
+		if !ok || oom.Tag != tc.want {
+			t.Fatalf("ReLU on shape %v: got %v, want an OOM for %s", tc.x.Shape(), err, tc.want)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 
 	"gnnmark/internal/backend"
@@ -236,5 +238,36 @@ func TestServingOpClassTimeWithinWall(t *testing.T) {
 	}
 	if attributed > wall {
 		t.Fatalf("op classes were charged %d ns over a %d ns run: idle replica time is being attributed", attributed, wall)
+	}
+}
+
+// TestRejectedItemLeavesReplicaFresh: an out-of-range id is a typed error
+// raised before the model runs — not an index panic recovered halfway
+// through sampling — so the next request finds the engine, the sampler
+// scratch and the device clock of a replica that never saw it: same
+// embedding, same kernel count, same simulated seconds, bit for bit.
+func TestRejectedItemLeavesReplicaFresh(t *testing.T) {
+	serve := func(bad []int32) (*tensor.Tensor, uint64, float64) {
+		m, e := buildServable("PSAGE", backend.NewSerial(), 42)
+		r := NewReplica(0, m, e.SimClock)
+		defer r.Close()
+		for _, id := range bad {
+			_, dev, err := r.Serve([]int32{3, id})
+			var ie *ItemError
+			if !errors.As(err, &ie) || ie.Item != id || ie.Items != m.NumItems() || dev != 0 {
+				t.Fatalf("item %d: got error %v and %g device seconds, want an *ItemError and none", id, err, dev)
+			}
+		}
+		emb, dev, err := r.Serve([]int32{17, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return emb, e.Device().KernelCount(), dev
+	}
+	wantEmb, wantKernels, wantDev := serve(nil)
+	gotEmb, gotKernels, gotDev := serve([]int32{-1, 4000, math.MaxInt32})
+	if !tensorsEqual(gotEmb, wantEmb) || gotKernels != wantKernels || gotDev != wantDev {
+		t.Fatalf("after rejected ids: %d kernels, %x s, embeddings equal %v; fresh replica: %d kernels, %x s",
+			gotKernels, gotDev, tensorsEqual(gotEmb, wantEmb), wantKernels, wantDev)
 	}
 }

@@ -95,9 +95,28 @@ func (r *Replica) run() {
 	}
 }
 
-// serveOne runs one micro-batch, converting a model panic (corrupt weights,
-// out-of-range id) into an error so one bad request cannot kill the plane.
+// ItemError is the typed rejection of a request for an item the model does
+// not have. The replica returns it before the model runs, so a bad id costs
+// no device time and leaves the model's engine and sampler state as they
+// were.
+type ItemError struct {
+	Item  int32
+	Items int // the model serves [0, Items)
+}
+
+func (e *ItemError) Error() string {
+	return fmt.Sprintf("serve: item %d out of range [0, %d)", e.Item, e.Items)
+}
+
+// serveOne runs one micro-batch. An out-of-range id is an *ItemError; a
+// model panic (corrupt weights) is converted into an error too, so one bad
+// request cannot kill the plane.
 func (r *Replica) serveOne(ids []int32) (res replicaResult) {
+	for _, id := range ids {
+		if id < 0 || int(id) >= r.model.NumItems() {
+			return replicaResult{err: &ItemError{Item: id, Items: r.model.NumItems()}}
+		}
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			res = replicaResult{err: fmt.Errorf("serve: replica %d panicked: %v", r.rank, p)}

@@ -92,6 +92,7 @@ type Block struct {
 	size       int64 // usable (rounded) bytes
 	requested  int64 // bytes the caller asked for
 	tag        string
+	shape      []int // with tag, names the block in an OOM report (see label)
 	seg        *segment
 	prev, next *Block
 	free       bool
@@ -179,8 +180,10 @@ func New(capacity int64) *Allocator {
 }
 
 // Alloc reserves bytes under tag and returns the block, or a *OOMError when
-// the request cannot be satisfied within the capacity budget.
-func (a *Allocator) Alloc(bytes int64, tag string) (*Block, error) {
+// the request cannot be satisfied within the capacity budget. A tensor's
+// block passes its shape too (kept, not copied): the report names it
+// tag+shape, and only a report pays for formatting that.
+func (a *Allocator) Alloc(bytes int64, tag string, shape ...int) (*Block, error) {
 	if bytes < 0 {
 		panic("vmem: negative allocation")
 	}
@@ -195,7 +198,7 @@ func (a *Allocator) Alloc(bytes int64, tag string) (*Block, error) {
 	if b := a.takeFree(pool, rounded); b != nil {
 		a.stats.ReuseHits++
 		obsReuse.Inc()
-		return a.commit(b, rounded, bytes, tag), nil
+		return a.commit(b, rounded, bytes, tag, shape), nil
 	}
 
 	segSize := SegmentSize(rounded)
@@ -207,10 +210,10 @@ func (a *Allocator) Alloc(bytes int64, tag string) (*Block, error) {
 	if a.stats.Reserved+segSize > a.capacity {
 		a.stats.OOMs++
 		obsOOMs.Inc()
-		return nil, a.oomLocked(bytes, rounded, segSize, tag)
+		return nil, a.oomLocked(bytes, rounded, segSize, label(tag, shape))
 	}
 	b := a.reserveSegment(segSize, pool == 0)
-	return a.commit(b, rounded, bytes, tag), nil
+	return a.commit(b, rounded, bytes, tag, shape), nil
 }
 
 // Free returns a block to its free list, coalescing with free neighbors.
@@ -231,7 +234,7 @@ func (a *Allocator) Free(b *Block) {
 	obsLive.Add(-b.size)
 	delete(a.live, b)
 	b.free = true
-	b.tag = ""
+	b.tag, b.shape = "", nil
 
 	if n := b.next; n != nil && n.free {
 		a.removeFree(n)
@@ -299,7 +302,7 @@ func (a *Allocator) topLiveLocked(n int) []BlockInfo {
 	}
 	out := make([]BlockInfo, n)
 	for i := 0; i < n; i++ {
-		out[i] = BlockInfo{Tag: blocks[i].tag, Bytes: blocks[i].size}
+		out[i] = BlockInfo{Tag: label(blocks[i].tag, blocks[i].shape), Bytes: blocks[i].size}
 	}
 	return out
 }
@@ -361,7 +364,7 @@ func (a *Allocator) removeFree(b *Block) {
 
 // commit splits b down to the rounded size when worthwhile, marks it live,
 // and updates the gauges.
-func (a *Allocator) commit(b *Block, rounded, requested int64, tag string) *Block {
+func (a *Allocator) commit(b *Block, rounded, requested int64, tag string, shape []int) *Block {
 	if b.size-rounded >= MinBlockSize {
 		rem := &Block{
 			addr: b.addr + uint64(rounded),
@@ -381,7 +384,7 @@ func (a *Allocator) commit(b *Block, rounded, requested int64, tag string) *Bloc
 	}
 	b.free = false
 	b.requested = requested
-	b.tag = tag
+	b.tag, b.shape = tag, shape
 	a.live[b] = struct{}{}
 	a.stats.Allocs++
 	a.stats.Live += b.size
@@ -426,6 +429,15 @@ func (a *Allocator) releaseCachedLocked() {
 		}
 		a.free[pool] = kept
 	}
+}
+
+// label is the name an allocation carries in an OOM report: the tag, then
+// the shape as %v prints it when one was given.
+func label(tag string, shape []int) string {
+	if shape == nil {
+		return tag
+	}
+	return tag + fmt.Sprint(shape)
 }
 
 // oomLocked builds the simulated-OOM error with an allocator-state dump.

@@ -1,6 +1,7 @@
 package vmem
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -145,6 +146,34 @@ func TestOOMAndDump(t *testing.T) {
 		t.Fatalf("ooms = %d", a.Stats().OOMs)
 	}
 	_ = blocks
+}
+
+// TestOOMReportNamesShapes: a shape handed to Alloc is formatted only when a
+// report is built, and reads there as "tensor%v" did when the caller
+// formatted it per allocation — a scalar's empty shape included.
+func TestOOMReportNamesShapes(t *testing.T) {
+	a := New(2 << 20)
+	shape := []int{128, 64}
+	for _, alloc := range []struct {
+		bytes int64
+		shape []int
+	}{{SmallSize, shape}, {SmallSize / 2, []int{}}, {SmallSize / 4, nil}} {
+		if _, err := a.Alloc(alloc.bytes, "tensor", alloc.shape...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := a.Alloc(SmallSize, "tensor", 4, 8)
+	oom, ok := err.(*OOMError)
+	if !ok {
+		t.Fatalf("want *OOMError, got %v", err)
+	}
+	got := []string{oom.Tag}
+	for _, b := range oom.TopLive {
+		got = append(got, b.Tag)
+	}
+	if want := []string{"tensor[4 8]", "tensor[128 64]", "tensor[]", "tensor"}; !slices.Equal(got, want) {
+		t.Fatalf("report names %q, want %q", got, want)
+	}
 }
 
 func TestEmptyCacheRetryAvoidsOOM(t *testing.T) {
