@@ -55,13 +55,38 @@ func bitsEqual(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// eachTiled runs f once per tiled arm, each against the serial reference.
+// eachTiled runs f once per tiled arm, each against the serial reference,
+// under every micro-kernel body (eachBody).
 func eachTiled(t *testing.T, f func(t *testing.T, s, p Backend)) {
 	for _, arm := range []struct {
 		name string
 		be   Backend
 	}{{"parallel", NewParallel()}, {"cutoff1", cpuBackend{cutoff: 1}}} {
-		t.Run(arm.name, func(t *testing.T) { f(t, NewSerial(), arm.be) })
+		t.Run(arm.name, func(t *testing.T) {
+			eachBody(t, func() { f(t, NewSerial(), arm.be) })
+		})
+	}
+}
+
+// eachBody runs f under every body of the dense micro-kernels this machine
+// has: the one init detected and, when that is the vector one, the Go loops
+// too, by flipping the detection result. Kernels run only inside f, and a
+// tiled kernel's workers are ordered after the flip by the task channel.
+func eachBody(t *testing.T, f func()) {
+	t.Helper()
+	detected := useAVX2
+	defer func() {
+		if t.Failed() {
+			t.Logf("dense kernel body: %s", DenseKernel())
+		}
+		useAVX2 = detected
+	}()
+	for _, vec := range []bool{detected, false} {
+		useAVX2 = vec
+		f()
+		if !vec {
+			break
+		}
 	}
 }
 
@@ -856,57 +881,142 @@ func rndSparse(rng *rand.Rand, n int, zeroFrac float64) []float32 {
 
 var bothBackends = []Backend{NewSerial(), NewParallel()}
 
+// sub32 subtracts at run time: a call the compiler cannot inline is one it
+// cannot fold into a constant of its own choosing.
+//
+//go:noinline
+func sub32(a, b float32) float32 { return a - b }
+
+// Operand flavours of the GEMM oracle sweep.
+const (
+	plainOperands     = iota // uniform in [-1,1)
+	specialOperands          // plus -0, +Inf, -Inf and NaN in A and in B
+	subnormalOperands        // A scaled so products and sums are subnormal
+	numFlavours
+)
+
+// spike overwrites a few elements of s with the values the zero-skip rule
+// and the rounding rules treat specially. The NaN is the one this machine's
+// arithmetic generates (Inf-Inf), so every NaN in play has the same bits:
+// which of two *different* NaNs survives NaN+NaN follows the operand order
+// the compiler happened to pick, and that differs already between the loop
+// nests (product first into a stored accumulator, accumulator first into a
+// register one).
+func spike(s []float32, stride int) {
+	if len(s) == 0 {
+		return
+	}
+	inf := float32(math.Inf(1))
+	for i, v := range []float32{float32(math.Copysign(0, -1)), inf, -inf, sub32(inf, inf)} {
+		s[(stride*i+3)%len(s)] = v
+	}
+}
+
+// offset returns a copy of s that starts off floats into its backing array,
+// so its first element sits at every alignment a vector load can meet.
+func offset(s []float32, off int) []float32 {
+	buf := make([]float32, off+len(s))
+	copy(buf[off:], s)
+	return buf[off:]
+}
+
+// checkGEMMMatchesLoopNests holds the three products of both backends, under
+// every micro-kernel body, to the loop nests on one generated case: a share
+// zeros of A's entries zeroed, operands of the given flavour, and A, B and
+// the output starting offA, offB and offOut floats into their arrays.
+func checkGEMMMatchesLoopNests(t *testing.T, rng *rand.Rand, m, n, k int, zeros float64, flavour, offA, offB, offOut int) {
+	t.Helper()
+	a := rndSparse(rng, m*k, zeros)
+	at := rndSparse(rng, k*m, zeros) // MatMulTA operand, stored (k,m)
+	b := rnd(rng, k*n)
+	bt := rnd(rng, n*k) // MatMulTB operand, stored (n,k)
+	switch flavour {
+	case specialOperands:
+		// -0 in A must be skipped like +0, Inf and NaN must not be; B is
+		// never inspected, only multiplied.
+		spike(a, 7)
+		spike(at, 5)
+		spike(b, 11)
+		spike(bt, 13)
+	case subnormalOperands:
+		for i := range a {
+			a[i] *= 1e-39
+		}
+		for i := range at {
+			at[i] *= 1e-39
+		}
+	}
+	a, at, b, bt = offset(a, offA), offset(at, offA), offset(b, offB), offset(bt, offB)
+	base := rnd(rng, m*n)
+	if flavour == subnormalOperands {
+		clear(base) // a normal accumulator would absorb every subnormal term
+	}
+
+	want := clone(base)
+	naiveMatMulRange(a, b, want, n, k, 0, m)
+	wantTA := clone(base)
+	naiveMatMulTARange(at, b, wantTA, m, n, k, 0, m)
+	wantTB := clone(base)
+	naiveMatMulTBRange(a, bt, wantTB, n, k, 0, m)
+
+	eachBody(t, func() {
+		for _, be := range bothBackends {
+			name := be.Name() + "/" + DenseKernel()
+			got := offset(base, offOut)
+			be.MatMul(a, b, got, m, n, k)
+			bitsEqual(t, name+"/MatMul", got, want)
+			got = offset(base, offOut)
+			be.MatMulTA(at, b, got, m, n, k)
+			bitsEqual(t, name+"/MatMulTA", got, wantTA)
+			got = offset(base, offOut)
+			be.MatMulTB(a, bt, got, m, n, k)
+			bitsEqual(t, name+"/MatMulTB", got, wantTB)
+		}
+	})
+}
+
 // TestGEMMMatchesLoopNests sweeps m, n, k around the tile edges (2 rows, 4 k
-// steps, 4 TB columns), including m = 1, k < 4 and n < 4, with A at the
-// zero densities the suite sees: dense weights, post-ReLU activations and
-// cora's bag-of-words features. The last shapes clear the parallel cutoff.
+// steps, 8 vector lanes), including m = 1, k < 4 and n below, at and just
+// past one, two and four vectors, with A at the zero densities the suite
+// sees — dense weights, post-ReLU activations and cora's bag-of-words
+// features — in every operand flavour and with the slices at the three
+// alignments a float32 slice can have relative to a vector. The last shapes
+// clear the parallel cutoff.
 func TestGEMMMatchesLoopNests(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var shapes [][3]int
 	for _, m := range []int{1, 2, 3, 5} {
-		for _, n := range []int{1, 3, 4, 5, 9} {
+		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40} {
 			for _, k := range []int{1, 3, 4, 5, 7, 8, 13} {
 				shapes = append(shapes, [3]int{m, n, k})
 			}
 		}
 	}
 	shapes = append(shapes, [3]int{64, 64, 64}, [3]int{65, 33, 127}, [3]int{33, 130, 31})
-	for _, sh := range shapes {
-		m, n, k := sh[0], sh[1], sh[2]
+	offs := []int{0, 1, 3}
+	for i, sh := range shapes {
 		for _, zeros := range []float64{0, 0.5, 0.95} {
-			a := rndSparse(rng, m*k, zeros)
-			at := rndSparse(rng, k*m, zeros) // MatMulTA operand, stored (k,m)
-			// -0 must be skipped like +0, Inf and NaN must not be.
-			if zeros > 0 {
-				for i, v := range []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.NaN())} {
-					a[(7*i+3)%len(a)] = v
-					at[(5*i+1)%len(at)] = v
-				}
-			}
-			b := rnd(rng, k*n)
-			bt := rnd(rng, n*k) // MatMulTB operand, stored (n,k)
-			base := rnd(rng, m*n)
-
-			want := clone(base)
-			naiveMatMulRange(a, b, want, n, k, 0, m)
-			wantTA := clone(base)
-			naiveMatMulTARange(at, b, wantTA, m, n, k, 0, m)
-			wantTB := clone(base)
-			naiveMatMulTBRange(a, bt, wantTB, n, k, 0, m)
-
-			for _, be := range bothBackends {
-				got := clone(base)
-				be.MatMul(a, b, got, m, n, k)
-				bitsEqual(t, be.Name()+"/MatMul", got, want)
-				got = clone(base)
-				be.MatMulTA(at, b, got, m, n, k)
-				bitsEqual(t, be.Name()+"/MatMulTA", got, wantTA)
-				got = clone(base)
-				be.MatMulTB(a, bt, got, m, n, k)
-				bitsEqual(t, be.Name()+"/MatMulTB", got, wantTB)
+			for flavour := 0; flavour < numFlavours; flavour++ {
+				checkGEMMMatchesLoopNests(t, rng, sh[0], sh[1], sh[2], zeros, flavour,
+					offs[i%3], offs[(i/3)%3], offs[(i/9)%3])
 			}
 		}
 	}
+}
+
+// FuzzGEMMEquivalence lets the fuzzer pick the shape, the zero density, the
+// operand flavour, the three slice offsets and the data seed; any case where
+// the vector body, the Go loops and the loop nests disagree in one bit is a
+// bug.
+func FuzzGEMMEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(7), uint8(3), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(4), uint8(32), uint8(12), uint8(50), uint8(1), uint8(0x1d))
+	f.Add(int64(3), uint8(2), uint8(16), uint8(0), uint8(95), uint8(2), uint8(0x37))
+	f.Fuzz(func(t *testing.T, seed int64, m, n, k, zeros, flavour, offs uint8) {
+		checkGEMMMatchesLoopNests(t, rand.New(rand.NewSource(seed)),
+			1+int(m%6), 1+int(n%48), 1+int(k%24), float64(zeros%101)/100, int(flavour%numFlavours),
+			int(offs&3), int(offs>>2&3), int(offs>>4&3))
+	})
 }
 
 // convCase fills in the output dimensions of a convolution geometry.
@@ -938,17 +1048,20 @@ func checkConvMatchesLoopNests(t *testing.T, rng *rand.Rand, cp ConvParams, dyZe
 	wantDw := clone(dwBase)
 	naiveConv2DGradWeightRange(x, dy, wantDw, cp, 0, cp.Cout)
 
-	for _, be := range bothBackends {
-		got := clone(outBase)
-		be.Conv2D(x, w, got, cp)
-		bitsEqual(t, be.Name()+"/Conv2D", got, wantOut)
-		got = clone(dxBase)
-		be.Conv2DGradInput(dy, w, got, cp)
-		bitsEqual(t, be.Name()+"/Conv2DGradInput", got, wantDx)
-		got = clone(dwBase)
-		be.Conv2DGradWeight(x, dy, got, cp)
-		bitsEqual(t, be.Name()+"/Conv2DGradWeight", got, wantDw)
-	}
+	eachBody(t, func() {
+		for _, be := range bothBackends {
+			name := be.Name() + "/" + DenseKernel()
+			got := clone(outBase)
+			be.Conv2D(x, w, got, cp)
+			bitsEqual(t, name+"/Conv2D", got, wantOut)
+			got = clone(dxBase)
+			be.Conv2DGradInput(dy, w, got, cp)
+			bitsEqual(t, name+"/Conv2DGradInput", got, wantDx)
+			got = clone(dwBase)
+			be.Conv2DGradWeight(x, dy, got, cp)
+			bitsEqual(t, name+"/Conv2DGradWeight", got, wantDw)
+		}
+	})
 }
 
 // TestConvMatchesLoopNests draws geometries over stride 1-2, pad 0-2,
@@ -993,7 +1106,15 @@ func TestConvMatchesLoopNests(t *testing.T) {
 // a fresh tensor, which no sum of finite products turns into -0), so the
 // golden digests do not move. MatMul and MatMulTA keep the nests' own skip
 // (left operand zero) and have no such edge.
-func TestZeroSkipEdge(t *testing.T) {
+//
+// The transposed-B products skip nothing at all: MatMulTB and the filter
+// gradient are dot products, and the packed path that computes them must
+// multiply a zero left operand through as the dot-product loop did. Were it
+// ever routed through the zero-skipping gemmRange, 0*Inf would stay 0 and a
+// -0 accumulator would stay -0; the last two checks fail on that.
+func TestZeroSkipEdge(t *testing.T) { eachBody(t, func() { testZeroSkipEdge(t) }) }
+
+func testZeroSkipEdge(t *testing.T) {
 	inf := float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
 	// 1x1 image, 3x3 filter, pad 1: eight of the nine taps are padding.
@@ -1025,6 +1146,47 @@ func TestZeroSkipEdge(t *testing.T) {
 		be.Conv2DGradInput(dy, wf, gotDx, cp)
 		if math.Float32bits(gotDx[0]) != 0 {
 			t.Fatalf("%s: -0 + w*0 gave %#08x, want +0", be.Name(), math.Float32bits(gotDx[0]))
+		}
+
+		// MatMulTB: a zero in A against an Inf in B is NaN, in the vector
+		// lanes and in the tail (n = 9 is one vector and one left over).
+		const n = 9
+		bInf := make([]float32, n)
+		for j := range bInf {
+			bInf[j] = inf
+		}
+		wantTB := make([]float32, n)
+		naiveMatMulTBRange([]float32{0}, bInf, wantTB, n, 1, 0, 1)
+		gotTB := make([]float32, n)
+		be.MatMulTB([]float32{0}, bInf, gotTB, 1, n, 1)
+		for j := range gotTB {
+			if !math.IsNaN(float64(wantTB[j])) || !math.IsNaN(float64(gotTB[j])) {
+				t.Fatalf("%s: MatMulTB 0*Inf at column %d gave %v (dot product %v), want NaN",
+					be.Name(), j, gotTB[j], wantTB[j])
+			}
+		}
+
+		// Conv2DGradWeight: a zero gradient over an Inf input is NaN, and
+		// over a finite one it turns a -0 filter gradient into +0. Nine taps
+		// of a 3x3 filter over a 3x3 image: one vector and one left over.
+		cw := convCase(1, 1, 3, 3, 1, 3, 3, 1, 1, 1, 1)
+		ones := []float32{1, 1, 1, 1, 1, 1, 1, 1, 1}
+		zeroDy := make([]float32, 9)
+		gotDw := make([]float32, 9)
+		for i := range gotDw {
+			gotDw[i] = negZero
+		}
+		be.Conv2DGradWeight(ones, zeroDy, gotDw, cw)
+		for i, v := range gotDw {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("%s: Conv2DGradWeight -0 + 0*x at tap %d gave %#08x, want +0", be.Name(), i, math.Float32bits(v))
+			}
+		}
+		be.Conv2DGradWeight(bInf, zeroDy, gotDw, cw)
+		for i, v := range gotDw {
+			if !math.IsNaN(float64(v)) {
+				t.Fatalf("%s: Conv2DGradWeight 0*Inf at tap %d gave %v, want NaN", be.Name(), i, v)
+			}
 		}
 	}
 }

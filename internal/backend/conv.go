@@ -198,19 +198,22 @@ func conv2DGradInputRange(dy, w, dx []float32, p ConvParams, lo, hi int) {
 // conv2DGradWeightRange accumulates dw for output channels [lo,hi): each
 // channel owns a disjoint filter slab, and batch b's dot products continue
 // from the sums batches 0..b-1 left in dw. Every tile unfolds every image
-// for itself: one unfold costs what one output channel's dot products do,
-// so sharing the patches across tiles would save little and need a barrier.
+// for itself and transposes the patches into the panel gemmTBRange reads:
+// the two together cost what a few output channels' dot products do, so
+// sharing them across tiles would save little and need a barrier.
 func conv2DGradWeightRange(x, dy, dw []float32, p ConvParams, lo, hi int) {
 	if lo >= hi {
 		return
 	}
 	g := p.inputPatches()
 	kk, pos := p.Cin*p.KH*p.KW, p.OH*p.OW
-	col := getScratch(kk * pos)
-	defer putScratch(col)
+	buf := getScratch(2 * kk * pos)
+	defer putScratch(buf)
+	col, colT := buf[:kk*pos], buf[kk*pos:]
 	img := p.Cin * p.H * p.W
 	for b := 0; b < p.N; b++ {
 		unfold(x[b*img:(b+1)*img], col, g)
-		gemmTBRange(dy[b*p.Cout*pos:(b+1)*p.Cout*pos], col, dw, kk, pos, true, lo, hi)
+		transpose2DRange(colT, col, kk, pos, 0, kk)
+		gemmTBRange(dy[b*p.Cout*pos:(b+1)*p.Cout*pos], colT, dw, kk, pos, true, lo, hi)
 	}
 }

@@ -44,11 +44,14 @@ func (be cpuBackend) MatMulTA(a, b, out []float32, m, n, k int) {
 }
 
 func (be cpuBackend) MatMulTB(a, b, out []float32, m, n, k int) {
+	bt := getScratch(k * n) // packed once per call: the tiles only read it
+	defer putScratch(bt)
+	transpose2DRange(bt, b, n, k, 0, n)
 	if m*n*k < be.cutoff {
-		gemmTBRange(a, b, out, n, k, false, 0, m)
+		gemmTBRange(a, bt, out, n, k, false, 0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) { gemmTBRange(a, b, out, n, k, false, lo, hi) })
+	parallelFor(m, func(lo, hi int) { gemmTBRange(a, bt, out, n, k, false, lo, hi) })
 }
 
 // --- sparse (destination-row tiles) ---

@@ -92,8 +92,35 @@ func gemmRowSkip(a []float32, r, sap int, b, o []float32, p, k int) {
 	}
 }
 
+// useAVX2 selects the body of the three row micro-kernels below: the AVX2
+// assembly of gemm_amd64.s over the leading multiple of eight columns where
+// the CPU and the OS support it, the Go loop everywhere else. The choice is
+// made once, here, and by nothing else; both bodies leave the same bits, so
+// it is a matter of speed only.
+var useAVX2 = cpuHasAVX2()
+
+// DenseKernel names the micro-kernel body this process runs, for benchmark
+// reports: a ledger row measured on "portable" is not comparable with one
+// measured on "avx2".
+func DenseKernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
 // axpy adds av*b to o: one k step of one output row.
 func axpy(o, b []float32, av float32) {
+	n := len(o)
+	b = b[:n]
+	if useAVX2 && n >= 8 {
+		n8 := n &^ 7
+		axpyAVX2(&o[0], &b[0], n8, av)
+		if n8 == n {
+			return
+		}
+		o, b = o[n8:], b[n8:]
+	}
 	b = b[:len(o)]
 	for j := range o {
 		o[j] += av * b[j]
@@ -106,6 +133,15 @@ func axpy(o, b []float32, av float32) {
 func axpy1x4(o, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	n := len(o)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	if useAVX2 && n >= 8 {
+		n8 := n &^ 7
+		axpy1x4AVX2(&o[0], &b0[0], &b1[0], &b2[0], &b3[0], n8, a0, a1, a2, a3)
+		if n8 == n {
+			return
+		}
+		o, b0, b1, b2, b3 = o[n8:], b0[n8:], b1[n8:], b2[n8:], b3[n8:]
+	}
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
 	for j := range o {
 		s := o[j]
 		s += a0 * b0[j]
@@ -122,6 +158,15 @@ func axpy2x4(o0, o1, bp []float32, a00, a01, a02, a03, a10, a11, a12, a13 float3
 	n := len(o0)
 	o1 = o1[:n]
 	b0, b1, b2, b3 := bp[:n], bp[n:][:n], bp[2*n:][:n], bp[3*n:][:n]
+	if useAVX2 && n >= 8 {
+		n8 := n &^ 7
+		axpy2x4AVX2(&o0[0], &o1[0], &b0[0], n8, n, a00, a01, a02, a03, a10, a11, a12, a13)
+		if n8 == n {
+			return
+		}
+		o0, o1, b0, b1, b2, b3 = o0[n8:], o1[n8:], b0[n8:], b1[n8:], b2[n8:], b3[n8:]
+	}
+	o1, b0, b1, b2, b3 = o1[:len(o0)], b0[:len(o0)], b1[:len(o0)], b2[:len(o0)], b3[:len(o0)]
 	for j := range o0 {
 		v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
 		s := o0[j]
@@ -139,42 +184,44 @@ func axpy2x4(o0, o1, bp []float32, a00, a01, a02, a03, a10, a11, a12, a13 float3
 	}
 }
 
-// gemmTBRange computes output rows [lo,hi) of a @ bᵀ for a (·,k) and b
-// stored (n,k): each output is one dot product over k. With acc false the
-// sum starts from zero and overwrites out (MatMulTB); with acc true it
-// starts from the value already in out and so continues that element's
-// accumulation chain (the filter gradient, summed across batches). Four
-// output columns share each load of the a row; there is no zero skip.
-func gemmTBRange(a, b, out []float32, n, k int, acc bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k:][:k]
-		orow := out[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0, b1 := b[j*k:][:k], b[(j+1)*k:][:k]
-			b2, b3 := b[(j+2)*k:][:k], b[(j+3)*k:][:k]
-			var s0, s1, s2, s3 float32
-			if acc {
-				s0, s1, s2, s3 = orow[j], orow[j+1], orow[j+2], orow[j+3]
-			}
-			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+// gemmTBRange computes output rows [lo,hi) of a @ bᵀ for a (·,k), given b
+// (n,k) already transposed into the (k,n) panel bt: each output row
+// is then a sum of k scaled panel rows, and the row micro-kernels apply them
+// in ascending k, four per pass, two output rows sharing each panel load.
+// With acc false the sums start from +0 and overwrite out (MatMulTB); with
+// acc true they start from the values already in out and so continue those
+// elements' accumulation chains (the filter gradient, summed across
+// batches). There is no zero skip: a zero in a is multiplied through, so
+// each output sees the add chain of a plain dot product over k.
+func gemmTBRange(a, bt, out []float32, n, k int, acc bool, lo, hi int) {
+	if !acc {
+		clear(out[lo*n : hi*n])
+	}
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		o0 := out[i*n : (i+1)*n]
+		o1 := out[(i+1)*n : (i+2)*n]
+		a0, a1 := a[i*k:][:k], a[(i+1)*k:][:k]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			axpy2x4(o0, o1, bt[p*n:(p+4)*n],
+				a0[p], a0[p+1], a0[p+2], a0[p+3], a1[p], a1[p+1], a1[p+2], a1[p+3])
 		}
-		for ; j < n; j++ {
-			brow := b[j*k:][:k]
-			var s float32
-			if acc {
-				s = orow[j]
-			}
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			orow[j] = s
+		for ; p < k; p++ {
+			axpy(o0, bt[p*n:][:n], a0[p])
+			axpy(o1, bt[p*n:][:n], a1[p])
+		}
+	}
+	if i < hi {
+		o := out[i*n : (i+1)*n]
+		ar := a[i*k:][:k]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			axpy1x4(o, bt[p*n:][:n], bt[(p+1)*n:][:n], bt[(p+2)*n:][:n], bt[(p+3)*n:][:n],
+				ar[p], ar[p+1], ar[p+2], ar[p+3])
+		}
+		for ; p < k; p++ {
+			axpy(o, bt[p*n:][:n], ar[p])
 		}
 	}
 }

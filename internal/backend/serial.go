@@ -301,12 +301,24 @@ func addBiasRowsRange(out, x, bias []float32, f, lo, hi int) {
 	}
 }
 
-// transpose2DRange transposes input rows [lo,hi): each writes a disjoint
-// output column.
+// transpose2DRange transposes input rows [lo,hi) of x (n,f) into out (f,n):
+// each writes a disjoint output column. Eight rows are read together so an
+// output row is written eight neighbours at a time; the transposed-B
+// products pack their operand through here.
 func transpose2DRange(out, x []float32, n, f, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		for j := 0; j < f; j++ {
-			out[j*n+i] = x[i*f+j]
+	i := lo
+	for ; i+8 <= hi; i += 8 {
+		r0, r1, r2, r3 := x[i*f:][:f], x[(i+1)*f:][:f], x[(i+2)*f:][:f], x[(i+3)*f:][:f]
+		r4, r5, r6, r7 := x[(i+4)*f:][:f], x[(i+5)*f:][:f], x[(i+6)*f:][:f], x[(i+7)*f:][:f]
+		for j := range r0 {
+			d := out[j*n+i:][:8]
+			d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
+			d[4], d[5], d[6], d[7] = r4[j], r5[j], r6[j], r7[j]
+		}
+	}
+	for ; i < hi; i++ {
+		for j, v := range x[i*f:][:f] {
+			out[j*n+i] = v
 		}
 	}
 }

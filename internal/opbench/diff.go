@@ -146,8 +146,12 @@ func (d *Diff) Markdown() string {
 		sb.WriteString(", env changed")
 	}
 	sb.WriteString(")\n\n")
-	fmt.Fprintf(&sb, "old: go %s, GOMAXPROCS %d, rev %s\n", d.Old.Env.GoVersion, d.Old.Env.GOMAXPROCS, shortRev(d.Old.Env.GitRev))
-	fmt.Fprintf(&sb, "new: go %s, GOMAXPROCS %d, rev %s\n\n", d.New.Env.GoVersion, d.New.Env.GOMAXPROCS, shortRev(d.New.Env.GitRev))
+	fmt.Fprintf(&sb, "old: go %s, GOMAXPROCS %d, dense kernel %s, rev %s\n", d.Old.Env.GoVersion, d.Old.Env.GOMAXPROCS, kernelName(d.Old.Env.DenseKernel), shortRev(d.Old.Env.GitRev))
+	fmt.Fprintf(&sb, "new: go %s, GOMAXPROCS %d, dense kernel %s, rev %s\n", d.New.Env.GoVersion, d.New.Env.GOMAXPROCS, kernelName(d.New.Env.DenseKernel), shortRev(d.New.Env.GitRev))
+	if d.Old.Env.DenseKernel != d.New.Env.DenseKernel {
+		sb.WriteString("dense kernels differ: the GEMM and Conv rows compare kernel bodies, not revisions\n")
+	}
+	sb.WriteString("\n")
 	sb.WriteString("| op | shape | backend | old median | new median | delta | verdict |\n")
 	sb.WriteString("|---|---|---|---:|---:|---:|---|\n")
 	for _, r := range d.Rows {
@@ -175,6 +179,14 @@ func (d *Diff) Markdown() string {
 	fmt.Fprintf(&sb, "summary: %d regression(s), %d improvement(s), %d unchanged\n",
 		d.Regressions, d.Improvements, len(d.Rows)-d.Regressions-d.Improvements)
 	return sb.String()
+}
+
+// kernelName renders EnvInfo.DenseKernel, which older reports lack.
+func kernelName(k string) string {
+	if k == "" {
+		return "unrecorded"
+	}
+	return k
 }
 
 // shortRev truncates a git revision for display.

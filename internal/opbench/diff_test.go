@@ -166,3 +166,27 @@ func TestDiffAddedShapes(t *testing.T) {
 		t.Fatalf("added shape handling wrong: missing=%v added=%v", d.Missing, d.Added)
 	}
 }
+
+// TestDiffNamesDenseKernels: a report measured on the Go-loop GEMM body is
+// several times slower on every GEMM and Conv row than one measured on the
+// vector body at the same revision, so the diff prints both bodies and says
+// so when they differ (a report from before the field reads "unrecorded").
+func TestDiffNamesDenseKernels(t *testing.T) {
+	old := cannedReport(false, cannedResult(OpGEMM, "square512:m512.n512.k512", "serial", 36_000_000, 500_000, false))
+	cur := cannedReport(false, cannedResult(OpGEMM, "square512:m512.n512.k512", "serial", 7_000_000, 400_000, false))
+	old.Env.DenseKernel, cur.Env.DenseKernel = "", "avx2"
+	d, err := Compare(old, cur, DiffConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := d.Markdown()
+	for _, frag := range []string{"dense kernel unrecorded", "dense kernel avx2", "dense kernels differ"} {
+		if !strings.Contains(md, frag) {
+			t.Fatalf("markdown missing %q:\n%s", frag, md)
+		}
+	}
+	old.Env.DenseKernel = "avx2"
+	if md := d.Markdown(); strings.Contains(md, "dense kernels differ") {
+		t.Fatalf("equal kernels reported as different:\n%s", md)
+	}
+}

@@ -79,6 +79,11 @@ type EnvInfo struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	GitRev     string `json:"git_rev"`
+	// DenseKernel is the body of the backend's GEMM micro-kernels on the
+	// measuring host, "avx2" or "portable" (backend.DenseKernel); empty in
+	// reports written before it was recorded. The GEMM and Conv rows of two
+	// reports that differ here compare kernel bodies, not revisions.
+	DenseKernel string `json:"dense_kernel"`
 }
 
 // CollectEnv reads the current process's environment fingerprint. The git
@@ -94,12 +99,13 @@ func CollectEnv() EnvInfo {
 		}
 	}
 	return EnvInfo{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GitRev:     rev,
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
+		GitRev:      rev,
+		DenseKernel: backend.DenseKernel(),
 	}
 }
 

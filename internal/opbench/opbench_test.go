@@ -110,7 +110,7 @@ func TestRunProducesBothBackends(t *testing.T) {
 			t.Fatalf("result %s/%s has bad plan: %+v", r.Key(), r.Backend, r)
 		}
 	}
-	if rep.Env.GoVersion == "" || rep.Env.NumCPU <= 0 {
+	if rep.Env.GoVersion == "" || rep.Env.NumCPU <= 0 || rep.Env.DenseKernel != backend.DenseKernel() {
 		t.Fatalf("env fingerprint incomplete: %+v", rep.Env)
 	}
 }
