@@ -67,73 +67,32 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2 regenerates the execution-time breakdown (Figure 2).
-func BenchmarkFig2(b *testing.B) {
+// BenchmarkFigures regenerates Figures 2-8 from the shared suite, one
+// sub-benchmark per figure id (BenchmarkFigures/fig2 ...).
+func BenchmarkFigures(b *testing.B) {
 	s := sharedSuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		requireText(b, s.Fig2(), "GEMM", "ElementWise", "PSAGE(MVL)")
-	}
-}
-
-// BenchmarkFig3 regenerates the instruction mix (Figure 3).
-func BenchmarkFig3(b *testing.B) {
-	s := sharedSuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		requireText(b, s.Fig3(), "int32", "fp32", "average")
-	}
-}
-
-// BenchmarkFig4 regenerates the GFLOPS/GIOPS rates (Figure 4).
-func BenchmarkFig4(b *testing.B) {
-	s := sharedSuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		requireText(b, s.Fig4(), "GFLOPS", "IPC")
-	}
-}
-
-// BenchmarkFig5 regenerates the stall breakdown (Figure 5).
-func BenchmarkFig5(b *testing.B) {
-	s := sharedSuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		requireText(b, s.Fig5(), "memdep", "ifetch", "per-operation")
-	}
-}
-
-// BenchmarkFig6 regenerates cache hit rates and divergence (Figure 6).
-func BenchmarkFig6(b *testing.B) {
-	s := sharedSuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		requireText(b, s.Fig6(), "L1", "divergent")
-	}
-}
-
-// BenchmarkFig7 regenerates the transfer-sparsity averages (Figure 7).
-func BenchmarkFig7(b *testing.B) {
-	s := sharedSuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		requireText(b, s.Fig7(), "sparsity", "est.compr")
-	}
-}
-
-// BenchmarkFig8 regenerates the sparsity-over-iterations series (Figure 8).
-func BenchmarkFig8(b *testing.B) {
-	s := sharedSuite(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		requireText(b, s.Fig8(), "iterations")
+	for _, fig := range []struct {
+		id    string
+		frags []string
+	}{
+		{"fig2", []string{"GEMM", "ElementWise", "PSAGE(MVL)"}},
+		{"fig3", []string{"int32", "fp32", "average"}},
+		{"fig4", []string{"GFLOPS", "IPC"}},
+		{"fig5", []string{"memdep", "ifetch", "per-operation"}},
+		{"fig6", []string{"L1", "divergent"}},
+		{"fig7", []string{"sparsity", "est.compr"}},
+		{"fig8", []string{"iterations"}},
+	} {
+		b.Run(fig.id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := s.Figure(fig.id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				requireText(b, f.Text(), fig.frags...)
+			}
+		})
 	}
 }
 

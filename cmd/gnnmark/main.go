@@ -23,12 +23,13 @@ import (
 // flags (empty for none), a one-line summary, the flag groups it binds — a
 // group only if the command's code reads a field the group sets, so a flag
 // a command would ignore is a flag it rejects — and its body. A row with a
-// figure instead of a body characterizes the suite and prints that figure.
+// figure id (bench.Suite.Figure) instead of a body characterizes the suite
+// and prints that figure.
 type command struct {
 	name, operands, summary string
 	flags                   []flagGroup
 	run                     func(o *options)
-	figure                  func(*bench.Suite) string
+	figure                  string
 }
 
 // commands is the CLI, and the only list of it: dispatch, usage and the
@@ -44,17 +45,17 @@ func init() {
 			flags: []flagGroup{device, workloadFlags("ARGA"), pipeline, fleet, runPlane, traceOut, obsOut}, run: runWorkload},
 		{name: "all", summary: "the full reproduction: Table I plus every figure", flags: suite, run: runAll},
 		{name: "table1", summary: "print the suite inventory (Table I)",
-			run: func(*options) { fmt.Print(bench.Table1()) }},
-		{name: "fig2", summary: "Figure 2: execution-time breakdown by operation class", flags: suite, figure: (*bench.Suite).Fig2},
-		{name: "fig3", summary: "Figure 3: dynamic instruction mix", flags: suite, figure: (*bench.Suite).Fig3},
-		{name: "fig4", summary: "Figure 4: achieved GFLOPS, GIOPS and IPC", flags: suite, figure: (*bench.Suite).Fig4},
-		{name: "fig5", summary: "Figure 5: issue-stall breakdown", flags: suite, figure: (*bench.Suite).Fig5},
-		{name: "fig6", summary: "Figure 6: L1/L2 hit rates and load divergence", flags: suite, figure: (*bench.Suite).Fig6},
-		{name: "fig7", summary: "Figure 7: host-to-device transfer sparsity", flags: suite, figure: (*bench.Suite).Fig7},
-		{name: "fig8", summary: "Figure 8: per-iteration transfer-sparsity timeline", flags: suite, figure: (*bench.Suite).Fig8},
-		{name: "figm", summary: "per-workload device-memory footprint table", flags: suite, figure: (*bench.Suite).FigM},
+			run: func(*options) { fmt.Print(bench.Table1().Text()) }},
+		{name: "fig2", summary: "Figure 2: execution-time breakdown by operation class", flags: suite, figure: "fig2"},
+		{name: "fig3", summary: "Figure 3: dynamic instruction mix", flags: suite, figure: "fig3"},
+		{name: "fig4", summary: "Figure 4: achieved GFLOPS, GIOPS and IPC", flags: suite, figure: "fig4"},
+		{name: "fig5", summary: "Figure 5: issue-stall breakdown", flags: suite, figure: "fig5"},
+		{name: "fig6", summary: "Figure 6: L1/L2 hit rates and load divergence", flags: suite, figure: "fig6"},
+		{name: "fig7", summary: "Figure 7: host-to-device transfer sparsity", flags: suite, figure: "fig7"},
+		{name: "fig8", summary: "Figure 8: per-iteration transfer-sparsity timeline", flags: suite, figure: "fig8"},
+		{name: "figm", summary: "per-workload device-memory footprint table", flags: suite, figure: "figm"},
 		{name: "fig9", summary: "Figure 9: multi-GPU strong scaling on the executed DDP engine (1/2/4 GPUs)", flags: suite,
-			run: func(o *options) { fmt.Print(bench.FormatFig9(must(bench.Fig9(o.cfg)))) }},
+			run: func(o *options) { fmt.Print(bench.Fig9Figure(must(bench.Fig9(o.cfg))).Text()) }},
 		{name: "figp", summary: "asynchronous-input-pipeline study: sync vs overlapped epoch time (depth 4 unless set)",
 			flags: []flagGroup{device, pipeline, obsOut},
 			run:   func(o *options) { fmt.Print(bench.FormatFigP(must(bench.FigP(o.cfg)))) }},
@@ -252,8 +253,8 @@ func main() {
 	if o.metricsOut != "" || o.hostTrace != "" {
 		obs.Enable()
 	}
-	if c.figure != nil {
-		fmt.Print(c.figure(must(bench.Characterize(o.cfg))))
+	if c.figure != "" {
+		fmt.Print(must(must(bench.Characterize(o.cfg)).Figure(c.figure)).Text())
 	} else {
 		c.run(o)
 	}

@@ -80,6 +80,9 @@ func TestCLI(t *testing.T) {
 		stderr    []string // fragments stderr must contain
 		notStdout string   // fragment stdout must not contain
 		notStderr string   // fragment stderr must not contain
+		file      string   // a file the command writes in its directory,
+		inFile    []string // fragments it must contain
+		notInFile string   // and one it must not
 	}{
 		{args: "table1", exit: 0,
 			stdout: []string{"PSAGE", "STGCN", "DGCN", "GW", "KGNNL", "KGNNH", "ARGA", "TLSTM"}},
@@ -120,9 +123,34 @@ func TestCLI(t *testing.T) {
 		{args: "run -workload TLSTM -gpus -3 -epochs 1 -warps 64", exit: 1,
 			stderr: []string{"gnnmark: core: negative GPUs -3"}, notStdout: "losses"},
 		{args: "kernels -workload NOPE", exit: 1, stderr: []string{`unknown workload "NOPE"`}, notStderr: "usage"},
+		// Named the V100 whatever -gpu ran; the page had no Figure 8, no
+		// average rows and no per-operation panels.
+		{args: "figm -gpu a100 -epochs 1 -warps 64", exit: 0,
+			stdout: []string{"(A100 caching allocator)"}, notStdout: "V100"},
+		{args: "report -gpu a100 -epochs 1 -warps 64 -trace page.html", exit: 0, stdout: []string{"wrote page.html"},
+			file: "page.html", inFile: []string{"Simulated device: A100-SXM4-40GB.", "(A100 caching allocator)",
+				"Figure 8", "Figure 9", "<td>average</td>", "per-operation locality"}, notInFile: "V100"},
+		// Listed the keys in map order, different from run to run.
+		{args: "sweep -sweep nope -warps 64", exit: 1,
+			stderr: []string{`(have [DGCN/hidden DGCN/layers GW/dim PSAGE/walks STGCN/channels TLSTM/batch])`}},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			stdout, stderr, exit := run(t, t.TempDir(), strings.Fields(tc.args)...)
+			dir := t.TempDir()
+			stdout, stderr, exit := run(t, dir, strings.Fields(tc.args)...)
+			if tc.file != "" {
+				written, err := os.ReadFile(filepath.Join(dir, tc.file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, frag := range tc.inFile {
+					if !strings.Contains(string(written), frag) {
+						t.Errorf("%s missing %q", tc.file, frag)
+					}
+				}
+				if tc.notInFile != "" && strings.Contains(string(written), tc.notInFile) {
+					t.Errorf("%s contains %q", tc.file, tc.notInFile)
+				}
+			}
 			if exit != tc.exit {
 				t.Errorf("exit %d, want %d\nstderr: %s", exit, tc.exit, stderr)
 			}

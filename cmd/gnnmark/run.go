@@ -2,6 +2,7 @@ package main
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -82,19 +83,29 @@ func runWorkload(o *options) {
 	o.lanes = r.StreamLanes
 }
 
-// runAll is `all`: Table I, every single-suite figure of the table from
-// one characterization, then the scaling study.
+// runAll is `all`: Table I, every single-suite figure from one
+// characterization, then the scaling study — each figure followed by the
+// paper's claims about it, measured and judged (bench.Claims). A claim whose
+// check fails is named on stderr and the exit code is 1.
 func runAll(o *options) {
-	fmt.Print(bench.Table1())
+	fmt.Print(bench.Table1().Text())
 	fmt.Println()
-	s := must(bench.Characterize(o.cfg))
-	for _, c := range commands {
-		if c.figure != nil {
-			fmt.Print(c.figure(s))
-			fmt.Println()
+	ev := &bench.Evidence{Suite: must(bench.Characterize(o.cfg))}
+	var broken []error
+	show := func(f bench.Figure) {
+		fmt.Print(f.Text())
+		if table, err := bench.ClaimTable(f.ID, ev); table != "" {
+			fmt.Print("\n", table)
+			broken = append(broken, err)
 		}
 	}
-	fmt.Print(bench.FormatFig9(must(bench.Fig9(o.cfg))))
+	for _, f := range ev.Suite.Figures() {
+		show(f)
+		fmt.Println()
+	}
+	ev.Scaling = must(bench.Fig9(o.cfg))
+	show(bench.Fig9Figure(ev.Scaling))
+	fail(errors.Join(broken...))
 }
 
 // ablateL1Bypass compares every workload with and without the L1 data
@@ -107,11 +118,7 @@ func ablateL1Bypass(o *options) {
 		c.Workload, c.Dataset = sr.Workload, sr.Dataset
 		normal, bypassed, err := bench.L1BypassAblation(c)
 		fail(err)
-		label := sr.Workload
-		if sr.Workload == "PSAGE" {
-			label += "(" + sr.Dataset + ")"
-		}
-		fmt.Printf("%-12s %12.5f %12.5f %+9.1f%%\n", label, normal, bypassed,
+		fmt.Printf("%-12s %12.5f %12.5f %+9.1f%%\n", sr.Label(), normal, bypassed,
 			100*(bypassed-normal)/normal)
 	}
 }
@@ -189,12 +196,12 @@ func runKernels(o *options) {
 
 func runReport(o *options) {
 	s := must(bench.Characterize(o.cfg))
-	res := must(bench.Fig9(o.cfg))
+	figures := append(append([]bench.Figure{bench.Table1()}, s.Figures()...), bench.Fig9Figure(must(bench.Fig9(o.cfg))))
 	out := cmp.Or(o.traceOut, "gnnmark-report.html")
 	f, err := os.Create(out)
 	fail(err)
 	defer f.Close()
-	fail(report.WriteHTML(f, s, res))
+	fail(report.WriteHTML(f, s.Device.Name, figures))
 	fmt.Println("wrote", out)
 }
 

@@ -17,7 +17,8 @@
 // or regenerate a whole figure of the paper:
 //
 //	suite, _ := gnnmark.Characterize(gnnmark.RunConfig{Epochs: 3})
-//	fmt.Print(suite.Fig2())
+//	fig2, _ := suite.Figure("fig2")
+//	fmt.Print(fig2.Text())
 package gnnmark
 
 import (
@@ -34,9 +35,12 @@ type RunResult = core.RunResult
 // Spec is one Table I row of the suite registry.
 type Spec = core.Spec
 
-// Suite is a full-suite characterization with per-figure formatters
-// (Fig2 through Fig8).
+// Suite is a full-suite characterization; Figure(id) and Figures() build
+// Figures 2-8 and M from it.
 type Suite = bench.Suite
+
+// Figure is one table or figure of the evaluation as data; Text renders it.
+type Figure = bench.Figure
 
 // ScalingResult is one workload's Figure 9 strong-scaling series.
 type ScalingResult = bench.ScalingResult
@@ -48,14 +52,14 @@ func Registry() []Spec { return core.Registry() }
 func Run(cfg RunConfig) (RunResult, error) { return core.Run(cfg) }
 
 // Characterize runs the full suite (every workload, PSAGE on both datasets)
-// and returns the figure formatters.
+// and returns the suite the figures are built from.
 func Characterize(cfg RunConfig) (*Suite, error) { return bench.Characterize(cfg) }
 
 // Table1 renders the suite inventory.
-func Table1() string { return bench.Table1() }
+func Table1() string { return bench.Table1().Text() }
 
 // Fig9 runs the multi-GPU strong-scaling study (1/2/4 simulated V100s).
 func Fig9(cfg RunConfig) ([]ScalingResult, error) { return bench.Fig9(cfg) }
 
 // FormatFig9 renders a Fig9 result set.
-func FormatFig9(results []ScalingResult) string { return bench.FormatFig9(results) }
+func FormatFig9(results []ScalingResult) string { return bench.Fig9Figure(results).Text() }

@@ -1,7 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Table I, Figures 2-9) from characterization runs of the
-// suite. Each figure has a formatter that prints the same rows/series the
-// paper plots; cmd/gnnmark and the repository-level benchmarks call these.
+// suite, and holds the paper's claims about them. Each figure is built once
+// as a Figure value that the CLI prints and the HTML report renders; Claims
+// is the one table the tests, `gnnmark all` and EXPERIMENTS.md judge it by.
 package bench
 
 import (
@@ -14,22 +15,29 @@ import (
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/profiler"
+	"gnnmark/internal/vmem"
 )
 
 // Suite is a cached suite-wide characterization: one run per workload
-// (PSAGE on both datasets), shared by all figure formatters.
+// (PSAGE on both datasets), shared by all figures.
 type Suite struct {
 	Results []core.RunResult
 	Config  core.RunConfig
+	// Device is the device model the runs used (Config's slot 0).
+	Device gpu.Config
 }
 
 // Characterize runs the full suite with the given settings.
 func Characterize(cfg core.RunConfig) (*Suite, error) {
+	dev, err := cfg.DeviceConfig(0)
+	if err != nil {
+		return nil, err
+	}
 	results, err := core.RunSuite(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Suite{Results: results, Config: cfg}, nil
+	return &Suite{Results: results, Config: cfg, Device: dev}, nil
 }
 
 // Averages holds the unweighted cross-workload means the paper quotes in
@@ -90,170 +98,167 @@ func (s *Suite) Find(label string) *core.RunResult {
 	return nil
 }
 
-// Table1 renders the suite inventory (paper Table I).
-func Table1() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table I: GNNMark workloads\n")
-	fmt.Fprintf(&b, "%-7s %-45s %-9s %-42s %s\n", "Key", "Model", "Framework", "Domain", "Datasets")
+// Table1 is the suite inventory (paper Table I).
+func Table1() Figure {
+	f := Figure{ID: "table1", Title: "Table I: GNNMark workloads", Columns: []Column{
+		{"Key", -7, "%s", false}, {"Model", -45, "%s", false}, {"Framework", -9, "%s", false},
+		{"Domain", -42, "%s", false}, {"Datasets", 0, "%s", false}}}
 	for _, spec := range core.Registry() {
-		fmt.Fprintf(&b, "%-7s %-45s %-9s %-42s %s\n",
-			spec.Key, spec.Model, spec.Framework, spec.Domain, strings.Join(spec.Datasets, ", "))
+		f.add(spec.Key, spec.Model, spec.Framework, spec.Domain, strings.Join(spec.Datasets, ", "))
 	}
-	return b.String()
+	return f
 }
 
-// figure2Classes is the op-class display order of Figure 2.
-var figure2Classes = []gpu.OpClass{
+// displayClasses is the op-class display order of every per-class table.
+var displayClasses = []gpu.OpClass{
 	gpu.OpGEMM, gpu.OpSpMM, gpu.OpConv, gpu.OpScatter, gpu.OpGather,
 	gpu.OpReduction, gpu.OpIndexSelect, gpu.OpSort, gpu.OpElementWise,
 	gpu.OpBatchNorm, gpu.OpEmbedding,
 }
 
-// Fig2 renders the execution-time breakdown by operation class.
-func (s *Suite) Fig2() string {
-	var b strings.Builder
-	b.WriteString("Figure 2: execution time breakdown by operation (%)\n")
-	fmt.Fprintf(&b, "%-12s", "workload")
-	for _, c := range figure2Classes {
-		fmt.Fprintf(&b, "%12s", c)
-	}
-	b.WriteString("\n")
-	for _, r := range s.Results {
-		fmt.Fprintf(&b, "%-12s", r.Label())
-		for _, c := range figure2Classes {
-			fmt.Fprintf(&b, "%12.1f", 100*r.Report.TimeShare[c])
+// Figures builds Figures 2-8 and M, in `gnnmark all` order; each id is also
+// the CLI command that prints it.
+func (s *Suite) Figures() []Figure {
+	return []Figure{s.fig2(), s.fig3(), s.fig4(), s.fig5(), s.fig6(), s.fig7(), s.fig8(), s.figM()}
+}
+
+// Figure builds the figure with the given id ("fig2" ... "fig8", "figm").
+func (s *Suite) Figure(id string) (Figure, error) {
+	for _, f := range s.Figures() {
+		if f.ID == id {
+			return f, nil
 		}
-		b.WriteString("\n")
 	}
-	a := s.Averages()
-	fmt.Fprintf(&b, "suite: GEMM+SpMM share %.1f%%, graph-op (scatter/gather/reduce/index/sort) share %.1f%%\n",
-		100*a.GEMMSpMMShare, 100*a.GraphOpShare)
-	return b.String()
+	return Figure{}, fmt.Errorf("bench: no figure %q", id)
 }
 
-// Fig3 renders the dynamic instruction mix.
-func (s *Suite) Fig3() string {
-	var b strings.Builder
-	b.WriteString("Figure 3: dynamic instruction mix (%)\n")
-	fmt.Fprintf(&b, "%-12s %8s %8s %8s\n", "workload", "int32", "fp32", "other")
-	for _, r := range s.Results {
-		rep := r.Report
-		fmt.Fprintf(&b, "%-12s %8.1f %8.1f %8.1f\n", r.Label(),
-			100*rep.IntShare, 100*rep.FpShare, 100*rep.OtherShare)
+// perWorkload fills f with one row per run and, when avg is given, the
+// "average" row of cross-workload means.
+func (s *Suite) perWorkload(f Figure, vals func(r *core.RunResult) []any, avg ...any) Figure {
+	for i := range s.Results {
+		r := &s.Results[i]
+		f.add(append([]any{r.Label()}, vals(r)...)...)
 	}
-	a := s.Averages()
-	fmt.Fprintf(&b, "%-12s %8.1f %8.1f %8.1f\n", "average",
-		100*a.IntShare, 100*a.FpShare, 100*(1-a.IntShare-a.FpShare))
-	return b.String()
+	if len(avg) > 0 {
+		f.add(append([]any{"average"}, avg...)...)
+	}
+	return f
 }
 
-// Fig4 renders achieved GFLOPS/GIOPS and IPC.
-func (s *Suite) Fig4() string {
-	var b strings.Builder
-	b.WriteString("Figure 4: achieved GFLOPS / GIOPS (and IPC)\n")
-	fmt.Fprintf(&b, "%-12s %10s %10s %8s\n", "workload", "GFLOPS", "GIOPS", "IPC")
-	for _, r := range s.Results {
-		rep := r.Report
-		fmt.Fprintf(&b, "%-12s %10.0f %10.0f %8.2f\n", r.Label(), rep.GFLOPS, rep.GIOPS, rep.IPC)
-	}
-	a := s.Averages()
-	fmt.Fprintf(&b, "%-12s %10.0f %10.0f %8.2f\n", "average", a.GFLOPS, a.GIOPS, a.IPC)
-
-	b.WriteString("\nper-operation achieved rates (suite aggregate):\n")
-	fmt.Fprintf(&b, "%-12s %10s %10s\n", "op", "GFLOPS", "GIOPS")
-	agg := s.aggregateClasses()
-	for _, c := range figure2Classes {
-		cs, ok := agg[c]
-		if !ok || cs.Seconds == 0 {
-			continue
+// perOp builds a per-operation panel over the suite aggregate: one row per
+// op class that ran, in display order.
+func (s *Suite) perOp(title string, columns []Column, vals func(cs *profiler.ClassStats) []any) Figure {
+	p := Figure{Title: title, Columns: columns}
+	agg := s.classTotals()
+	for _, c := range displayClasses {
+		if cs := &agg[c]; cs.Kernels > 0 {
+			p.add(append([]any{c}, vals(cs)...)...)
 		}
-		fmt.Fprintf(&b, "%-12s %10.0f %10.0f\n", c, cs.GFLOPS(), cs.GIOPS())
 	}
-	return b.String()
+	return p
 }
 
-// Fig5 renders the warp-stall breakdown per workload plus a per-op-class
-// aggregate (the paper's Figure 5 second panel).
-func (s *Suite) Fig5() string {
-	var b strings.Builder
-	b.WriteString("Figure 5: stall breakdown (%)\n")
-	fmt.Fprintf(&b, "%-12s %8s %8s %8s %8s %8s\n",
-		"workload", "memdep", "execdep", "ifetch", "sync", "other")
-	for _, r := range s.Results {
-		st := r.Report.Stalls
-		fmt.Fprintf(&b, "%-12s %8.1f %8.1f %8.1f %8.1f %8.1f\n", r.Label(),
-			100*st.MemoryDep, 100*st.ExecDep, 100*st.InstrFetch, 100*st.Sync, 100*st.Other)
-	}
-	a := s.Averages()
-	fmt.Fprintf(&b, "%-12s %8.1f %8.1f %8.1f %8.1f %8.1f\n", "average",
-		100*a.Stalls.MemoryDep, 100*a.Stalls.ExecDep, 100*a.Stalls.InstrFetch,
-		100*a.Stalls.Sync, 100*a.Stalls.Other)
-
-	b.WriteString("\nper-operation stall profile (suite aggregate):\n")
-	fmt.Fprintf(&b, "%-12s %8s %8s %8s\n", "op", "memdep", "execdep", "ifetch")
-	agg := s.aggregateClasses()
-	for _, c := range figure2Classes {
-		cs, ok := agg[c]
-		if !ok || cs.Seconds == 0 {
-			continue
-		}
-		st := cs.StallsWeighted
-		st.Normalize()
-		fmt.Fprintf(&b, "%-12s %8.1f %8.1f %8.1f\n", c,
-			100*st.MemoryDep, 100*st.ExecDep, 100*st.InstrFetch)
-	}
-	return b.String()
-}
-
-// aggregateClasses merges per-class stats across the suite's runs.
-func (s *Suite) aggregateClasses() map[gpu.OpClass]profiler.ClassStats {
-	agg := map[gpu.OpClass]profiler.ClassStats{}
+// classTotals merges per-class stats across the suite's runs.
+func (s *Suite) classTotals() (agg [gpu.NumOpClasses]profiler.ClassStats) {
 	for _, r := range s.Results {
 		for c, cs := range r.PerClass {
-			a := agg[c]
-			a.Seconds += cs.Seconds
-			a.Kernels += cs.Kernels
-			a.L1Hits += cs.L1Hits
-			a.L1Misses += cs.L1Misses
-			a.L2Hits += cs.L2Hits
-			a.L2Misses += cs.L2Misses
-			a.LoadWarps += cs.LoadWarps
-			a.DivergentLoads += cs.DivergentLoads
-			a.Flops += cs.Flops
-			a.Iops += cs.Iops
-			a.StallsWeighted.Add(cs.StallsWeighted)
-			agg[c] = a
+			agg[c].Add(cs)
 		}
 	}
 	return agg
 }
 
-// Fig6 renders cache hit rates and memory divergence.
-func (s *Suite) Fig6() string {
-	var b strings.Builder
-	b.WriteString("Figure 6: cache hit rates and divergent loads (%)\n")
-	fmt.Fprintf(&b, "%-12s %8s %8s %10s\n", "workload", "L1", "L2", "divergent")
-	for _, r := range s.Results {
-		rep := r.Report
-		fmt.Fprintf(&b, "%-12s %8.1f %8.1f %10.1f\n", r.Label(),
-			100*rep.L1HitRate, 100*rep.L2HitRate, 100*rep.DivergenceRate)
-	}
-	a := s.Averages()
-	fmt.Fprintf(&b, "%-12s %8.1f %8.1f %10.1f\n", "average",
-		100*a.L1HitRate, 100*a.L2HitRate, 100*a.DivergenceRate)
+// stallProfile is the class's normalized stall breakdown.
+func stallProfile(cs *profiler.ClassStats) gpu.StallBreakdown {
+	st := cs.StallsWeighted
+	st.Normalize()
+	return st
+}
 
-	b.WriteString("\nper-operation locality (suite aggregate):\n")
-	fmt.Fprintf(&b, "%-12s %8s %8s %10s\n", "op", "L1", "L2", "divergent")
-	agg := s.aggregateClasses()
-	for _, c := range figure2Classes {
-		cs, ok := agg[c]
-		if !ok || cs.Kernels == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-12s %8.1f %8.1f %10.1f\n", c,
-			100*cs.L1HitRate(), 100*cs.L2HitRate(), 100*cs.DivergenceRate())
+// fig2 is the execution-time breakdown by operation class.
+func (s *Suite) fig2() Figure {
+	var heads []string
+	for _, c := range displayClasses {
+		heads = append(heads, c.String())
 	}
-	return b.String()
+	f := s.perWorkload(Figure{ID: "fig2", Title: "Figure 2: execution time breakdown by operation (%)",
+		Caption: "Share of kernel execution time per operation class.",
+		Columns: cols("workload", 11, "%.1f", true, heads...)},
+		func(r *core.RunResult) (row []any) {
+			for _, c := range displayClasses {
+				row = append(row, 100*r.Report.TimeShare[c])
+			}
+			return row
+		})
+	a := s.Averages()
+	f.Notes = []string{fmt.Sprintf("suite: GEMM+SpMM share %.1f%%, graph-op (scatter/gather/reduce/index/sort) share %.1f%%",
+		100*a.GEMMSpMMShare, 100*a.GraphOpShare)}
+	return f
+}
+
+// fig3 is the dynamic instruction mix.
+func (s *Suite) fig3() Figure {
+	a := s.Averages()
+	return s.perWorkload(Figure{ID: "fig3", Title: "Figure 3: dynamic instruction mix (%)",
+		Caption: "int32 vs fp32 instruction shares; GW is the fp-dominated exception.",
+		Columns: cols("workload", 8, "%.1f", true, "int32", "fp32", "other")},
+		func(r *core.RunResult) []any {
+			return []any{100 * r.Report.IntShare, 100 * r.Report.FpShare, 100 * r.Report.OtherShare}
+		}, 100*a.IntShare, 100*a.FpShare, 100*(1-a.IntShare-a.FpShare))
+}
+
+// fig4 is achieved GFLOPS/GIOPS and IPC, per workload and per operation.
+func (s *Suite) fig4() Figure {
+	a := s.Averages()
+	rates := cols("workload", 10, "%.0f", false, "GFLOPS", "GIOPS")
+	f := s.perWorkload(Figure{ID: "fig4", Title: "Figure 4: achieved GFLOPS / GIOPS (and IPC)",
+		Caption: "All workloads run far below the device's fp32 peak.",
+		Columns: append(rates, Column{"IPC", 8, "%.2f", false})},
+		func(r *core.RunResult) []any { return []any{r.Report.GFLOPS, r.Report.GIOPS, r.Report.IPC} },
+		a.GFLOPS, a.GIOPS, a.IPC)
+	f.Panels = []Figure{s.perOp("per-operation achieved rates (suite aggregate):",
+		cols("op", 10, "%.0f", false, "GFLOPS", "GIOPS"),
+		func(cs *profiler.ClassStats) []any { return []any{cs.GFLOPS(), cs.GIOPS()} })}
+	return f
+}
+
+// fig5 is the warp-stall breakdown per workload plus the per-op-class
+// aggregate (the paper's Figure 5 second panel).
+func (s *Suite) fig5() Figure {
+	st := s.Averages().Stalls
+	f := s.perWorkload(Figure{ID: "fig5", Title: "Figure 5: stall breakdown (%)",
+		Caption: "Memory dependency leads; execution dependency and instruction fetch are both significant.",
+		Columns: cols("workload", 8, "%.1f", true, "memdep", "execdep", "ifetch", "sync", "other")},
+		func(r *core.RunResult) []any {
+			st := r.Report.Stalls
+			return []any{100 * st.MemoryDep, 100 * st.ExecDep, 100 * st.InstrFetch, 100 * st.Sync, 100 * st.Other}
+		}, 100*st.MemoryDep, 100*st.ExecDep, 100*st.InstrFetch, 100*st.Sync, 100*st.Other)
+	f.Panels = []Figure{s.perOp("per-operation stall profile (suite aggregate):",
+		cols("op", 8, "%.1f", true, "memdep", "execdep", "ifetch"),
+		func(cs *profiler.ClassStats) []any {
+			st := stallProfile(cs)
+			return []any{100 * st.MemoryDep, 100 * st.ExecDep, 100 * st.InstrFetch}
+		})}
+	return f
+}
+
+// fig6 is cache hit rates and memory divergence.
+func (s *Suite) fig6() Figure {
+	a := s.Averages()
+	columns := func(first string) []Column {
+		return append(cols(first, 8, "%.1f", true, "L1", "L2"), Column{"divergent", 10, "%.1f", true})
+	}
+	f := s.perWorkload(Figure{ID: "fig6", Title: "Figure 6: cache hit rates and divergent loads (%)",
+		Caption: "L1 hit rates are very low; the larger shared L2 fares much better.",
+		Columns: columns("workload")},
+		func(r *core.RunResult) []any {
+			return []any{100 * r.Report.L1HitRate, 100 * r.Report.L2HitRate, 100 * r.Report.DivergenceRate}
+		}, 100*a.L1HitRate, 100*a.L2HitRate, 100*a.DivergenceRate)
+	f.Panels = []Figure{s.perOp("per-operation locality (suite aggregate):", columns("op"),
+		func(cs *profiler.ClassStats) []any {
+			return []any{100 * cs.L1HitRate(), 100 * cs.L2HitRate(), 100 * cs.DivergenceRate()}
+		})}
+	return f
 }
 
 // CompressionRatio estimates the zero-run-length compression ratio of a
@@ -269,45 +274,71 @@ func CompressionRatio(sparsity float64) float64 {
 	return 1 / compressed
 }
 
-// Fig7 renders the average H2D transfer sparsity per workload, with the
+// fig7 is the average H2D transfer sparsity per workload, with the
 // compression-estimate extension.
-func (s *Suite) Fig7() string {
-	var b strings.Builder
-	b.WriteString("Figure 7: average sparsity of CPU->GPU transfers (%)\n")
-	fmt.Fprintf(&b, "%-12s %10s %12s %12s\n", "workload", "sparsity", "H2D MB", "est.compr")
-	for _, r := range s.Results {
-		rep := r.Report
-		fmt.Fprintf(&b, "%-12s %10.1f %12.2f %11.2fx\n", r.Label(),
-			100*rep.AvgSparsity, float64(rep.H2DBytes)/(1<<20), CompressionRatio(rep.AvgSparsity))
-	}
-	a := s.Averages()
-	fmt.Fprintf(&b, "%-12s %10.1f\n", "average", 100*a.AvgSparsity)
-	return b.String()
+func (s *Suite) fig7() Figure {
+	return s.perWorkload(Figure{ID: "fig7", Title: "Figure 7: average sparsity of CPU->GPU transfers (%)",
+		Caption: "Zero fraction of host-to-device training transfers, with a zero-RLE compression estimate.",
+		Columns: append(cols("workload", 10, "%.1f", true, "sparsity"),
+			Column{"H2D MB", 12, "%.2f", false}, Column{"est.compr", 12, "%.2fx", false})},
+		func(r *core.RunResult) []any {
+			rep := r.Report
+			return []any{100 * rep.AvgSparsity, float64(rep.H2DBytes) / (1 << 20), CompressionRatio(rep.AvgSparsity)}
+		}, 100*s.Averages().AvgSparsity)
 }
 
-// Fig8 renders the sparsity-vs-iteration series of representative
-// workloads.
-func (s *Suite) Fig8() string {
-	var b strings.Builder
-	b.WriteString("Figure 8: transfer sparsity over training iterations (%)\n")
+// fig8Iterations caps the printed length of a Figure 8 series.
+const fig8Iterations = 24
+
+// fig8 is the sparsity-vs-iteration series of every workload that ran more
+// than one iteration: headless rows of up to fig8Iterations values.
+func (s *Suite) fig8() Figure {
+	f := Figure{ID: "fig8", Title: "Figure 8: transfer sparsity over training iterations (%)",
+		Caption: "Per-iteration zero fraction of host-to-device transfers; the series repeats every epoch.",
+		Columns: []Column{{"", -13, "%-12s:", false}}}
+	for i := 0; i < fig8Iterations; i++ {
+		f.Columns = append(f.Columns, Column{"", 5, "%.1f", false})
+	}
+	f.Columns = append(f.Columns, Column{"", 3, "%s", false})
 	for _, r := range s.Results {
 		if len(r.SparsityTimeline) < 2 {
 			continue
 		}
-		fmt.Fprintf(&b, "%-12s:", r.Label())
-		limit := len(r.SparsityTimeline)
-		if limit > 24 {
-			limit = 24
+		row := []any{r.Label()}
+		for _, v := range r.SparsityTimeline[:min(len(r.SparsityTimeline), fig8Iterations)] {
+			row = append(row, 100*v)
 		}
-		for _, v := range r.SparsityTimeline[:limit] {
-			fmt.Fprintf(&b, " %5.1f", 100*v)
+		if len(r.SparsityTimeline) > fig8Iterations {
+			row = append(row, "...")
 		}
-		if limit < len(r.SparsityTimeline) {
-			b.WriteString(" ...")
-		}
-		b.WriteString("\n")
+		f.add(row...)
 	}
-	return b.String()
+	return f
+}
+
+// deviceModel is the short model name of the device the suite ran on
+// ("V100" for "Tesla V100-SXM2-16GB").
+func (s *Suite) deviceModel() string {
+	model, _, _ := strings.Cut(strings.TrimPrefix(s.Device.Name, "Tesla "), "-")
+	return model
+}
+
+// figM is the per-workload device-memory characterization (our "Fig. M",
+// extending the paper with the footprint dimension): peak-live and reserved
+// bytes from each run's caching allocator, the allocation rate, the
+// free-list reuse rate, and the fragmentation ratio. It reads the allocator
+// snapshots the suite's runs already carry — no extra runs.
+func (s *Suite) figM() Figure {
+	return s.perWorkload(Figure{ID: "figm",
+		Title:   fmt.Sprintf("Figure M: per-workload device-memory footprint (%s caching allocator)", s.deviceModel()),
+		Caption: "Peak-live and reserved device memory per workload from the simulated caching allocator, with free-list reuse and fragmentation rates.",
+		Columns: append(cols("workload", 12, "%s", false, "peak live", "reserved"), Column{"allocs", 10, "%d", false},
+			Column{"reuse", 8, "%.1f%%", true}, Column{"frag", 8, "%.1f%%", true}, Column{"OOMs", 6, "%d", false})},
+		func(r *core.RunResult) []any {
+			m := r.Mem
+			return []any{vmem.FormatBytes(m.PeakLive), vmem.FormatBytes(m.PeakReserved),
+				m.Allocs, 100 * m.ReuseRate(), 100 * m.PeakFragmentation(), m.OOMs}
+		})
 }
 
 // ScalingResult is one workload's Figure 9 series.
@@ -373,29 +404,27 @@ func Fig9(cfg core.RunConfig) ([]ScalingResult, error) {
 	return out, nil
 }
 
-// FormatFig9 renders the scaling study: the speedup table, and the
+// Fig9Figure is the scaling study as a figure: the speedup table, and the
 // per-workload compute/comm/overlap breakdown at the largest world size.
-func FormatFig9(results []ScalingResult) string {
-	var b strings.Builder
-	b.WriteString("Figure 9: multi-GPU strong scaling (speedup vs 1 GPU)\n")
-	fmt.Fprintf(&b, "%-10s %8s %8s %8s %s\n", "workload", "1 GPU", "2 GPU", "4 GPU", "note")
+func Fig9Figure(results []ScalingResult) Figure {
+	speedup := func(head string) Column { return Column{head, 8, "%.2f", false} }
+	f := Figure{ID: "fig9", Title: "Figure 9: multi-GPU strong scaling (speedup vs 1 GPU)",
+		Caption: "Executed DDP: replicas train sharded batches and ring-allreduce gradient buckets.",
+		Columns: []Column{{"workload", -10, "%s", false}, speedup("1 GPU"), speedup("2 GPU"), speedup("4 GPU"), {"note", 0, "%s", false}}}
+	ms := func(head string) Column { return Column{head, 9, "%.3f", false} }
+	timeline := Figure{Title: "Executed-engine timeline at 4 GPUs (per epoch, ms)",
+		Columns: []Column{{"workload", -10, "%s", false}, ms("compute"), ms("comm"), ms("exposed"), ms("hidden"), {"buckets", 8, "%d", false}},
+		Notes:   []string{"(ARGA excluded: full-graph training does not shard, as in the paper)"}}
 	for _, sr := range results {
 		note := ""
 		if len(sr.Results) > 1 && sr.Results[1].Replicated {
 			note = "replicated (sampler not DDP-compatible)"
 		}
-		fmt.Fprintf(&b, "%-10s %8.2f %8.2f %8.2f %s\n", sr.Workload,
-			sr.Results[0].Speedup, sr.Results[1].Speedup, sr.Results[2].Speedup, note)
-	}
-	b.WriteString("\nExecuted-engine timeline at 4 GPUs (per epoch, ms)\n")
-	fmt.Fprintf(&b, "%-10s %9s %9s %9s %9s %8s\n",
-		"workload", "compute", "comm", "exposed", "hidden", "buckets")
-	for _, sr := range results {
+		f.add(sr.Workload, sr.Results[0].Speedup, sr.Results[1].Speedup, sr.Results[2].Speedup, note)
 		r := sr.Results[len(sr.Results)-1]
-		fmt.Fprintf(&b, "%-10s %9.3f %9.3f %9.3f %9.3f %8d\n", sr.Workload,
-			1e3*r.ComputeSeconds, 1e3*r.CommSeconds,
+		timeline.add(sr.Workload, 1e3*r.ComputeSeconds, 1e3*r.CommSeconds,
 			1e3*r.ExposedCommSeconds, 1e3*r.OverlappedCommSeconds, r.Buckets)
 	}
-	b.WriteString("(ARGA excluded: full-graph training does not shard, as in the paper)\n")
-	return b.String()
+	f.Panels = []Figure{timeline}
+	return f
 }

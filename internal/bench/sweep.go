@@ -3,6 +3,7 @@ package bench
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gnnmark/internal/core"
@@ -45,12 +46,14 @@ var sweepBuilders = map[string]func(env *models.Env, v int) models.Workload{
 	},
 }
 
-// SweepParams lists the supported "workload/param" sweep keys.
+// SweepParams lists the supported "workload/param" sweep keys, sorted: the
+// list reaches the unknown-key error, and map order must not reach output.
 func SweepParams() []string {
 	out := make([]string, 0, len(sweepBuilders))
 	for k := range sweepBuilders {
 		out = append(out, k)
 	}
+	slices.Sort(out)
 	return out
 }
 

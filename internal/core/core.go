@@ -422,12 +422,15 @@ func RunSuite(cfg RunConfig) ([]RunResult, error) {
 	return out, nil
 }
 
-// Label returns the display label of a run ("PSAGE(MVL)" when the workload
-// has multiple datasets, otherwise just the key).
-func (r RunResult) Label() string {
-	spec, err := Lookup(r.Workload)
+// Label returns the display label of a suite run: "PSAGE(MVL)" when the
+// workload has multiple datasets, otherwise just the key.
+func (sr SuiteRun) Label() string {
+	spec, err := Lookup(sr.Workload)
 	if err == nil && len(spec.Datasets) > 1 {
-		return fmt.Sprintf("%s(%s)", r.Workload, r.Dataset)
+		return fmt.Sprintf("%s(%s)", sr.Workload, sr.Dataset)
 	}
-	return r.Workload
+	return sr.Workload
 }
+
+// Label returns the display label of the run (SuiteRun.Label).
+func (r RunResult) Label() string { return SuiteRun{r.Workload, r.Dataset}.Label() }

@@ -262,7 +262,6 @@ func TestOneWayAcrossABoundary(t *testing.T) {
 // file names, each with the reason it stays. TestEveryExportHasACaller fails
 // on an entry that is gone or has found a caller, so the list only shrinks.
 var keptExports = map[string]string{
-	"bench.Suite.Find":         "exported method of a type the root facade aliases (gnnmark.Suite)",
 	"gpu.Cache.AccessLine":     "the byte-address entry point the cache oracle tests drive; touch is its line-indexed core",
 	"gpu.OpComm":               "a slot of the paper's op taxonomy: NumOpClasses and the per-class metric set are laid out over it",
 	"graph.CSR.HasEdge":        "accessor the graph and datasets tests read structure through",

@@ -32,6 +32,24 @@ type ClassStats struct {
 	IPCWeighted float64
 }
 
+// Add accumulates o into c, every field (TestClassStatsAddCoversEveryField).
+func (c *ClassStats) Add(o ClassStats) {
+	c.Seconds += o.Seconds
+	c.LaunchSeconds += o.LaunchSeconds
+	c.Kernels += o.Kernels
+	c.Flops += o.Flops
+	c.Iops += o.Iops
+	c.Mix.Add(o.Mix)
+	c.L1Hits += o.L1Hits
+	c.L1Misses += o.L1Misses
+	c.L2Hits += o.L2Hits
+	c.L2Misses += o.L2Misses
+	c.LoadWarps += o.LoadWarps
+	c.DivergentLoads += o.DivergentLoads
+	c.StallsWeighted.Add(o.StallsWeighted)
+	c.IPCWeighted += o.IPCWeighted
+}
+
 // L1HitRate returns the class's L1 hit rate.
 func (c *ClassStats) L1HitRate() float64 {
 	t := c.L1Hits + c.L1Misses

@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -174,5 +175,44 @@ func TestReportString(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("report missing %q:\n%s", frag, s)
 		}
+	}
+}
+
+// TestClassStatsAddCoversEveryField gives every numeric leaf of a ClassStats
+// (nested structs included) a distinct value and adds the struct to itself:
+// each leaf must double, so a field added to the struct and forgotten in Add
+// fails here rather than silently reading zero in the suite aggregate.
+func TestClassStatsAddCoversEveryField(t *testing.T) {
+	var leaves []reflect.Value
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Float64, reflect.Uint64:
+			leaves = append(leaves, v)
+		default:
+			t.Fatalf("a %s field: teach this test (and Add) the new kind", v.Kind())
+		}
+	}
+	var x, sum ClassStats
+	walk(reflect.ValueOf(&x).Elem())
+	for i, leaf := range leaves {
+		leaf.Set(reflect.ValueOf(i + 1).Convert(leaf.Type()))
+	}
+	sum = x
+	sum.Add(x)
+	n := len(leaves)
+	leaves = nil
+	walk(reflect.ValueOf(&sum).Elem())
+	for i, leaf := range leaves {
+		if got := leaf.Convert(reflect.TypeOf(0.0)).Float(); got != float64(2*(i+1)) {
+			t.Errorf("leaf %d of ClassStats is %v after x.Add(x) with x = %d: Add drops the field", i, got, i+1)
+		}
+	}
+	if n < 20 {
+		t.Fatalf("walked %d leaves, expected the 20-odd counters of ClassStats", n)
 	}
 }

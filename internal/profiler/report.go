@@ -45,51 +45,23 @@ type Report struct {
 // Snapshot computes a Report from the current accumulated state.
 func (p *Profiler) Snapshot() Report {
 	var r Report
-	var mix gpu.InstrMix
-	var flops, iops uint64
-	for c := 0; c < gpu.NumOpClasses; c++ {
-		cs := &p.perClass[c]
-		r.ClassSeconds[c] = cs.Seconds
-		r.KernelSeconds += cs.Seconds
-		r.LaunchSeconds += cs.LaunchSeconds
-		r.Kernels += cs.Kernels
-		mix.Add(cs.Mix)
-		flops += cs.Flops
-		iops += cs.Iops
-		r.Stalls.Add(cs.StallsWeighted)
-		r.L1HitRate += float64(cs.L1Hits)
-		r.L2HitRate += float64(cs.L2Hits)
-		r.DivergenceRate += float64(cs.DivergentLoads)
+	var total ClassStats
+	for c := range p.perClass {
+		r.ClassSeconds[c] = p.perClass[c].Seconds
+		total.Add(p.perClass[c])
 	}
-	var l1Total, l2Total, loadWarps float64
-	for c := 0; c < gpu.NumOpClasses; c++ {
-		cs := &p.perClass[c]
-		l1Total += float64(cs.L1Hits + cs.L1Misses)
-		l2Total += float64(cs.L2Hits + cs.L2Misses)
-		loadWarps += float64(cs.LoadWarps)
-	}
-	if l1Total > 0 {
-		r.L1HitRate /= l1Total
-	}
-	if l2Total > 0 {
-		r.L2HitRate /= l2Total
-	}
-	if loadWarps > 0 {
-		r.DivergenceRate /= loadWarps
-	}
+	r.KernelSeconds, r.LaunchSeconds, r.Kernels = total.Seconds, total.LaunchSeconds, total.Kernels
+	r.L1HitRate, r.L2HitRate, r.DivergenceRate = total.L1HitRate(), total.L2HitRate(), total.DivergenceRate()
+	r.GFLOPS, r.GIOPS, r.Stalls = total.GFLOPS(), total.GIOPS(), total.StallsWeighted
 	if r.KernelSeconds > 0 {
-		for c := 0; c < gpu.NumOpClasses; c++ {
+		for c := range r.TimeShare {
 			r.TimeShare[c] = r.ClassSeconds[c] / r.KernelSeconds
-			r.IPC += p.perClass[c].IPCWeighted
 		}
-		r.IPC /= r.KernelSeconds
-		r.GFLOPS = float64(flops) / r.KernelSeconds / 1e9
-		r.GIOPS = float64(iops) / r.KernelSeconds / 1e9
+		r.IPC = total.IPCWeighted / r.KernelSeconds
 	}
-	total := float64(mix.Total())
-	if total > 0 {
-		r.IntShare = float64(mix.Int32) / total
-		r.FpShare = float64(mix.Fp32+mix.Fp16) / total
+	if n := float64(total.Mix.Total()); n > 0 {
+		r.IntShare = float64(total.Mix.Int32) / n
+		r.FpShare = float64(total.Mix.Fp32+total.Mix.Fp16) / n
 		r.OtherShare = 1 - r.IntShare - r.FpShare
 	}
 	r.Stalls.Normalize()

@@ -1,7 +1,7 @@
-// Package report renders a full suite characterization as a single
-// self-contained HTML page: every figure of the paper as a table with
-// inline bar visuals, no JavaScript or external assets. The CLI's "report"
-// command writes it; CI systems can archive it per run.
+// Package report renders the evaluation's figures as a single
+// self-contained HTML page: each bench.Figure as a table with inline bar
+// visuals, no JavaScript or external assets. The CLI's "report" command
+// writes it; CI systems can archive it per run.
 package report
 
 import (
@@ -10,44 +10,19 @@ import (
 	"io"
 
 	"gnnmark/internal/bench"
-	"gnnmark/internal/core"
-	"gnnmark/internal/gpu"
-	"gnnmark/internal/vmem"
 )
-
-// row is one labeled series of percentage cells.
-type row struct {
-	Label string
-	Cells []cell
-}
-
-type cell struct {
-	Head  string
-	Value float64 // percent (0-100) for bars; raw otherwise
-	Text  string
-}
-
-type figure struct {
-	Title   string
-	Caption string
-	Heads   []string
-	Rows    []row
-	Bars    bool // render Value as a bar width
-}
 
 type page struct {
 	Title   string
 	Device  string
-	Table1  []core.Spec
-	Figures []figure
-	Scaling []bench.ScalingResult
+	Figures []bench.Figure
 }
 
 var tmpl = template.Must(template.New("report").Parse(`<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>{{.Title}}</title>
 <style>
 body{font-family:system-ui,sans-serif;margin:2rem;max-width:72rem}
-h1{font-size:1.4rem} h2{font-size:1.1rem;margin-top:2rem}
+h1{font-size:1.4rem} h2{font-size:1.1rem;margin-top:2rem} h3{font-size:.95rem}
 table{border-collapse:collapse;margin:.5rem 0}
 td,th{border:1px solid #ccc;padding:.25rem .5rem;font-size:.85rem;text-align:right}
 th:first-child,td:first-child{text-align:left}
@@ -55,127 +30,28 @@ th:first-child,td:first-child{text-align:left}
 .cap{color:#555;font-size:.8rem;max-width:60rem}
 </style></head><body>
 <h1>{{.Title}}</h1>
-<p class="cap">Simulated device: {{.Device}}. All values from the analytical
-V100 model; see EXPERIMENTS.md for paper-vs-measured notes.</p>
-
-<h2>Table I — suite inventory</h2>
-<table><tr><th>Key</th><th>Model</th><th>Framework</th><th>Domain</th><th>Datasets</th></tr>
-{{range .Table1}}<tr><td>{{.Key}}</td><td>{{.Model}}</td><td>{{.Framework}}</td>
-<td>{{.Domain}}</td><td>{{range $i, $d := .Datasets}}{{if $i}}, {{end}}{{$d}}{{end}}</td></tr>{{end}}
-</table>
-
+<p class="cap">Simulated device: {{.Device}}. All values come from the
+analytical model of that device; see EXPERIMENTS.md for paper-vs-measured notes.</p>
 {{range .Figures}}
 <h2>{{.Title}}</h2>
-<p class="cap">{{.Caption}}</p>
-<table><tr><th></th>{{range .Heads}}<th>{{.}}</th>{{end}}</tr>
-{{$bars := .Bars}}
-{{range .Rows}}<tr><td>{{.Label}}</td>{{range .Cells}}<td>
-{{- if $bars}}<span class="bar" style="width:{{printf "%.0f" .Value}}px"></span> {{end -}}
-{{.Text}}</td>{{end}}</tr>{{end}}
-</table>
-{{end}}
-
-<h2>Figure 9 — multi-GPU strong scaling (speedup vs 1 GPU)</h2>
-<table><tr><th>workload</th><th>1 GPU</th><th>2 GPU</th><th>4 GPU</th><th>note</th></tr>
-{{range .Scaling}}<tr><td>{{.Workload}}</td>
-{{range .Results}}<td>{{printf "%.2f" .Speedup}}</td>{{end}}
-<td>{{if (index .Results 1).Replicated}}replicated (sampler not DDP-compatible){{end}}</td></tr>{{end}}
-</table>
-<p class="cap">ARGA excluded: full-graph training does not shard, as in the paper.</p>
+{{with .Caption}}<p class="cap">{{.}}</p>{{end}}
+{{template "table" .}}
+{{range .Panels}}<h3>{{.Title}}</h3>
+{{template "table" .}}
+{{end}}{{end}}
 </body></html>
-`))
+{{define "table"}}<table>{{if .Headed}}<tr>{{range .Columns}}<th>{{.Head}}</th>{{end}}</tr>{{end}}
+{{$columns := .Columns}}{{range .Rows}}<tr>{{range $i, $cell := .}}<td>
+{{- if (index $columns $i).Bar}}<span class="bar" style="width:{{printf "%.0f" $cell.Value}}px"></span> {{end -}}
+{{$cell.Text}}</td>{{end}}</tr>
+{{end}}</table>
+{{range .Notes}}<p class="cap">{{.}}</p>
+{{end}}{{end}}`))
 
-// figureClasses matches the Figure 2 display order.
-var figureClasses = []gpu.OpClass{
-	gpu.OpGEMM, gpu.OpSpMM, gpu.OpConv, gpu.OpScatter, gpu.OpGather,
-	gpu.OpReduction, gpu.OpIndexSelect, gpu.OpSort, gpu.OpElementWise,
-	gpu.OpBatchNorm, gpu.OpEmbedding,
-}
-
-func pct(v float64) cell {
-	return cell{Value: 100 * v, Text: fmt.Sprintf("%.1f%%", 100*v)}
-}
-
-func num(format string, v float64) cell {
-	return cell{Value: v, Text: fmt.Sprintf(format, v)}
-}
-
-// WriteHTML renders the suite characterization and scaling study.
-func WriteHTML(w io.Writer, suite *bench.Suite, scaling []bench.ScalingResult) error {
-	p := page{
-		Title:   "GNNMark-Go characterization report",
-		Device:  gpu.V100().Name,
-		Table1:  core.Registry(),
-		Scaling: scaling,
-	}
-
-	var heads []string
-	for _, c := range figureClasses {
-		heads = append(heads, c.String())
-	}
-	fig2 := figure{
-		Title:   "Figure 2 — execution time breakdown by operation",
-		Caption: "Share of kernel execution time per operation class.",
-		Heads:   heads, Bars: true,
-	}
-	fig3 := figure{
-		Title:   "Figure 3 — dynamic instruction mix",
-		Caption: "int32 vs fp32 instruction shares; GW is the fp-dominated exception.",
-		Heads:   []string{"int32", "fp32", "other"}, Bars: true,
-	}
-	fig4 := figure{
-		Title:   "Figure 4 — achieved GFLOPS / GIOPS / IPC",
-		Caption: "All workloads run far below the 14 TFLOPS fp32 peak.",
-		Heads:   []string{"GFLOPS", "GIOPS", "IPC"},
-	}
-	fig5 := figure{
-		Title:   "Figure 5 — warp stall breakdown",
-		Caption: "Memory dependency leads; execution dependency and instruction fetch are both significant.",
-		Heads:   []string{"mem dep", "exec dep", "instr fetch", "sync", "other"}, Bars: true,
-	}
-	fig6 := figure{
-		Title:   "Figure 6 — cache hit rates and divergent loads",
-		Caption: "L1 hit rates are very low; the larger shared L2 fares much better.",
-		Heads:   []string{"L1", "L2", "divergent"}, Bars: true,
-	}
-	fig7 := figure{
-		Title:   "Figure 7 — CPU-to-GPU transfer sparsity",
-		Caption: "Zero fraction of host-to-device training transfers, with a zero-RLE compression estimate.",
-		Heads:   []string{"sparsity", "est. compression"},
-	}
-	figM := figure{
-		Title:   "Figure M — device-memory footprint",
-		Caption: "Peak-live and reserved device memory per workload from the simulated V100 caching allocator, with free-list reuse and fragmentation rates.",
-		Heads:   []string{"peak live", "reserved", "allocs", "reuse", "frag"},
-	}
-	for _, r := range suite.Results {
-		rep := r.Report
-		var cells []cell
-		for _, c := range figureClasses {
-			cells = append(cells, pct(rep.TimeShare[c]))
-		}
-		fig2.Rows = append(fig2.Rows, row{Label: r.Label(), Cells: cells})
-		fig3.Rows = append(fig3.Rows, row{Label: r.Label(), Cells: []cell{
-			pct(rep.IntShare), pct(rep.FpShare), pct(rep.OtherShare)}})
-		fig4.Rows = append(fig4.Rows, row{Label: r.Label(), Cells: []cell{
-			num("%.0f", rep.GFLOPS), num("%.0f", rep.GIOPS), num("%.2f", rep.IPC)}})
-		fig5.Rows = append(fig5.Rows, row{Label: r.Label(), Cells: []cell{
-			pct(rep.Stalls.MemoryDep), pct(rep.Stalls.ExecDep), pct(rep.Stalls.InstrFetch),
-			pct(rep.Stalls.Sync), pct(rep.Stalls.Other)}})
-		fig6.Rows = append(fig6.Rows, row{Label: r.Label(), Cells: []cell{
-			pct(rep.L1HitRate), pct(rep.L2HitRate), pct(rep.DivergenceRate)}})
-		fig7.Rows = append(fig7.Rows, row{Label: r.Label(), Cells: []cell{
-			pct(rep.AvgSparsity),
-			num("%.2fx", bench.CompressionRatio(rep.AvgSparsity))}})
-		m := r.Mem
-		figM.Rows = append(figM.Rows, row{Label: r.Label(), Cells: []cell{
-			{Text: vmem.FormatBytes(m.PeakLive)},
-			{Text: vmem.FormatBytes(m.PeakReserved)},
-			num("%.0f", float64(m.Allocs)),
-			pct(m.ReuseRate()), pct(m.PeakFragmentation())}})
-	}
-	p.Figures = []figure{fig2, fig3, fig4, fig5, fig6, fig7, figM}
-
+// WriteHTML renders the figures, in order, as one page headed by the name
+// of the device they were measured on.
+func WriteHTML(w io.Writer, device string, figures []bench.Figure) error {
+	p := page{Title: "GNNMark-Go characterization report", Device: device, Figures: figures}
 	if err := tmpl.Execute(w, p); err != nil {
 		return fmt.Errorf("report: rendering HTML: %w", err)
 	}

@@ -6,50 +6,52 @@ import (
 	"testing"
 
 	"gnnmark/internal/bench"
-	"gnnmark/internal/core"
-	"gnnmark/internal/ddp"
 )
 
 func TestWriteHTML(t *testing.T) {
-	suite, err := bench.Characterize(core.RunConfig{Epochs: 1, Seed: 1, SampledWarps: 256})
-	if err != nil {
-		t.Fatal(err)
+	headed := bench.Figure{ID: "figx", Title: "Figure X: shares (%)", Caption: "a <caption>",
+		Columns: []bench.Column{{Head: "workload", Width: -12, Verb: "%s"}, {Head: "GEMM", Width: 8, Verb: "%.1f", Bar: true}, {Head: "note", Verb: "%s"}},
+		Rows: [][]bench.Cell{
+			{{Text: "PSAGE(MVL)"}, {Text: "40.8", Value: 40.8}, {Text: "replicated"}},
+			{{Text: "average"}, {Text: "12.5", Value: 12.5}}, // a short row
+		},
+		Notes: []string{"suite: GEMM+SpMM share 29.8%"},
+		Panels: []bench.Figure{{Title: "per-operation panel:",
+			Columns: []bench.Column{{Head: "op", Verb: "%s"}, {Head: "L1", Verb: "%.1f"}},
+			Rows:    [][]bench.Cell{{{Text: "Gather"}, {Text: "13.6", Value: 13.6}}}}},
 	}
-	scaling := []bench.ScalingResult{
-		{Workload: "STGCN", Results: []ddp.ClusterResult{
-			{GPUs: 1, Speedup: 1}, {GPUs: 2, Speedup: 1.5}, {GPUs: 4, Speedup: 2.1},
-		}},
-		{Workload: "PSAGE", Results: []ddp.ClusterResult{
-			{GPUs: 1, Speedup: 1}, {GPUs: 2, Speedup: 0.8, Replicated: true},
-			{GPUs: 4, Speedup: 0.7, Replicated: true},
-		}},
-	}
+	headless := bench.Figure{ID: "figy", Title: "Figure Y: series",
+		Columns: []bench.Column{{Verb: "%s"}, {Verb: "%.1f"}},
+		Rows:    [][]bench.Cell{{{Text: "TLSTM       :"}, {Text: "24.3", Value: 24.3}}}}
 
 	var buf bytes.Buffer
-	if err := WriteHTML(&buf, suite, scaling); err != nil {
+	if err := WriteHTML(&buf, "A100-SXM4-40GB", []bench.Figure{headed, headless}); err != nil {
 		t.Fatal(err)
 	}
-	html := buf.String()
+	page := buf.String()
 	for _, frag := range []string{
-		"<!DOCTYPE html>",
-		"Table I",
-		"Figure 2", "Figure 7", "Figure 9",
-		"PSAGE(MVL)", "PinSAGE", "Tree-LSTM",
-		"replicated (sampler not DDP-compatible)",
-		"class=\"bar\"",
+		"<!DOCTYPE html>", "Simulated device: A100-SXM4-40GB.",
+		"<h2>Figure X: shares (%)</h2>", "a &lt;caption&gt;",
+		"<th>workload</th><th>GEMM</th><th>note</th>",
+		`<span class="bar" style="width:41px"></span> 40.8</td>`,
+		"<td>replicated</td>", "<td>average</td>",
+		"suite: GEMM&#43;SpMM share 29.8%",
+		"<h3>per-operation panel:</h3>", "<td>13.6</td>",
+		"<h2>Figure Y: series</h2>", "TLSTM       :",
 		"</html>",
 	} {
-		if !strings.Contains(html, frag) {
-			t.Fatalf("report missing %q", frag)
+		if !strings.Contains(page, frag) {
+			t.Errorf("report missing %q", frag)
 		}
 	}
-	// Every suite run appears in the Figure 2 table.
-	for _, r := range suite.Results {
-		if strings.Count(html, r.Label()) < 6 {
-			t.Fatalf("%s missing from figures", r.Label())
-		}
+	// Only bar columns draw bars, and a figure without heads has no header row.
+	if n := strings.Count(page, `class="bar"`); n != 2 {
+		t.Errorf("%d bars, want the two GEMM cells", n)
 	}
-	if strings.Contains(html, "NaN") || strings.Contains(html, "%!") {
-		t.Fatal("formatting artifacts in report")
+	if n := strings.Count(page, "<th>"); n != 5 {
+		t.Errorf("%d header cells, want 3 + 2: the headless figure prints none", n)
+	}
+	if strings.Contains(page, "V100") || strings.Contains(page, "NaN") || strings.Contains(page, "%!") {
+		t.Errorf("device name or formatting artifacts in the page:\n%s", page)
 	}
 }
