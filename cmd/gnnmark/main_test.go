@@ -238,6 +238,24 @@ func TestCLI(t *testing.T) {
 	}
 	golden(t, "testdata/scenario-check.txt", checked)
 
+	// check and run agree, with the line: `parallelism: single` passed check
+	// and killed run inside core; an operand its kind ignores passed both.
+	for body, want := range map[string]string{
+		"  parallelism: single\n":                             `bad.yaml:6: workload: unknown parallelism "single"`,
+		"assertions:\n  - kind: rerun-digest\n    value: 3\n": `bad.yaml:10: assertion rerun-digest does not read "value:"`,
+	} {
+		dir := t.TempDir()
+		src := "scenario: bad\nfleet:\n  nodes:\n    - preset: v100\nworkload:\n  warps: 64\n  key: TLSTM\n  epochs: 1\n" + body
+		if err := os.WriteFile(filepath.Join(dir, "bad.yaml"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range []string{"check", "run"} {
+			if stdout, stderr, exit := run(t, dir, "scenario", sub, "bad.yaml"); exit != 1 || stdout != "" || !strings.Contains(stderr, want) {
+				t.Errorf("scenario %s: exit %d, stdout %q, stderr %q; want exit 1 and %q", sub, exit, stdout, stderr, want)
+			}
+		}
+	}
+
 	// Determinism: identical flags, identical bytes.
 	for _, args := range []string{
 		"run -workload TLSTM -epochs 1 -warps 64",

@@ -11,6 +11,7 @@ import (
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
+	"gnnmark/internal/graph"
 	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
 	"gnnmark/internal/obs"
@@ -41,14 +42,27 @@ type Spec struct {
 	// divisor; batches shard through env.Rank/env.World and Env.Shard); it
 	// stays in the signature only because e2ebench/ calls Build(env, ds, 1).
 	Build func(env *models.Env, dataset string, _ int) models.Workload
+	// Servable records that Build's workload implements models.Servable, so
+	// a front end can say so before building one (scenario.TestServableSet
+	// holds it to the live type assertion).
+	Servable bool
+	// Partition builds rank's share of the workload for the
+	// graph-partitioned plane; nil means the plane does not support it.
+	// The suite's full-graph (ARGA) and batched-graph (DGCN) GCN workloads
+	// have one, the two the paper's multi-GPU discussion singles out.
+	Partition func(env *models.Env, dataset string, rank, world int, partition Partitioner) models.PartWorkload
 }
+
+// Partitioner labels a graph's nodes with k part ids and returns the edge
+// cut; it must be deterministic, because every rank runs it.
+type Partitioner = func(g *graph.CSR, k int) ([]int32, int)
 
 // registry holds the suite in paper order.
 var registry = []Spec{
 	{
 		Key: "PSAGE", Model: "PinSAGE", Framework: "DGL",
 		Domain: "Recommendation systems", GraphKind: "heterogeneous bipartite",
-		Datasets: []string{"MVL", "NWP"},
+		Datasets: []string{"MVL", "NWP"}, Servable: true,
 		Build: func(env *models.Env, dataset string, _ int) models.Workload {
 			var ds *datasets.Bipartite
 			switch dataset {
@@ -76,6 +90,9 @@ var registry = []Spec{
 		Datasets: []string{"ogbg-molhiv"},
 		Build: func(env *models.Env, dataset string, _ int) models.Workload {
 			return models.NewDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{})
+		},
+		Partition: func(env *models.Env, _ string, rank, world int, partition Partitioner) models.PartWorkload {
+			return models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition)
 		},
 	},
 	{
@@ -105,9 +122,12 @@ var registry = []Spec{
 	{
 		Key: "ARGA", Model: "Adversarially Regularized Graph Autoencoder", Framework: "PyG",
 		Domain: "Node clustering / graph embedding", GraphKind: "homogeneous citation graphs",
-		Datasets: []string{"cora", "citeseer", "pubmed"},
+		Datasets: []string{"cora", "citeseer", "pubmed"}, Servable: true,
 		Build: func(env *models.Env, dataset string, _ int) models.Workload {
 			return models.NewARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{})
+		},
+		Partition: func(env *models.Env, dataset string, rank, world int, partition Partitioner) models.PartWorkload {
+			return models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition)
 		},
 	},
 	{
@@ -135,12 +155,25 @@ func Lookup(key string) (Spec, error) {
 			return s, nil
 		}
 	}
-	keys := make([]string, 0, len(registry))
+	return Spec{}, fmt.Errorf("core: unknown workload %q (have %v)", key, keysWhere(func(Spec) bool { return true }))
+}
+
+// keysWhere lists, sorted, the registry keys whose spec satisfies has: the
+// capability lists error messages and front ends print.
+func keysWhere(has func(Spec) bool) []string {
+	var keys []string
 	for _, s := range registry {
-		keys = append(keys, s.Key)
+		if has(s) {
+			keys = append(keys, s.Key)
+		}
 	}
 	sort.Strings(keys)
-	return Spec{}, fmt.Errorf("core: unknown workload %q (have %v)", key, keys)
+	return keys
+}
+
+// ServableWorkloads lists the registry keys whose workloads serve embeddings.
+func ServableWorkloads() []string {
+	return keysWhere(func(s Spec) bool { return s.Servable })
 }
 
 // RunConfig configures one characterization run.

@@ -2,29 +2,27 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
-	"gnnmark/internal/datasets"
-	"gnnmark/internal/graph"
 	"gnnmark/internal/models"
 	"gnnmark/internal/partitioned"
 )
 
 // PartitionedWorkloads lists the registry keys the graph-partitioned plane
-// supports: the suite's full-graph (ARGA) and batched-graph (DGCN) GCN
-// workloads, the two the paper's multi-GPU discussion singles out.
-func PartitionedWorkloads() []string { return []string{"ARGA", "DGCN"} }
+// supports: the specs with a Partition builder.
+func PartitionedWorkloads() []string {
+	return keysWhere(func(s Spec) bool { return s.Partition != nil })
+}
 
 // PartitionedFactory returns the per-rank builder for cfg's workload under
 // the partitioned plane. partition overrides the node labeling (nil uses
-// graph.PartitionBFS); it must be deterministic — every rank runs it.
-func PartitionedFactory(cfg RunConfig, partition func(g *graph.CSR, k int) ([]int32, int)) (partitioned.Factory, error) {
+// graph.PartitionBFS).
+func PartitionedFactory(cfg RunConfig, partition Partitioner) (partitioned.Factory, error) {
 	cfg.defaults()
-	spec, dataset, err := cfg.resolve()
+	spec, dataset, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	if !slices.Contains(PartitionedWorkloads(), spec.Key) {
+	if spec.Partition == nil {
 		return nil, fmt.Errorf("core: workload %s does not support partitioned training (have %v)",
 			spec.Key, PartitionedWorkloads())
 	}
@@ -39,11 +37,7 @@ func PartitionedFactory(cfg RunConfig, partition func(g *graph.CSR, k int) ([]in
 	// not shard the batches under them as well.
 	return func(rank, world int) (w models.PartWorkload, env *models.Env, err error) {
 		env, err = cfg.Build(rank, 0, 1, func(env *models.Env) {
-			if spec.Key == "ARGA" {
-				w = models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition)
-			} else {
-				w = models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition)
-			}
+			w = spec.Partition(env, dataset, rank, world, partition)
 		})
 		return w, env, err
 	}, nil

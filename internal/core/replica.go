@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
 	"gnnmark/internal/backend"
 	"gnnmark/internal/gpu"
@@ -23,19 +24,21 @@ type Replica struct {
 	Dev     *gpu.Device
 }
 
-// resolve returns c's workload spec and dataset (empty = the spec's
+// Parallelisms lists the executed multi-device strategies RunConfig.Parallelism
+// names; the first is the default ("" reads as it).
+func Parallelisms() []string { return []string{"ddp", "partitioned"} }
+
+// Resolve returns c's workload spec and dataset (empty = the spec's
 // default), rejecting a dataset the workload does not have, a parallelism
 // that names no strategy and a negative count or budget — values a front
 // end would otherwise read as "unset" and silently run something else.
-func (c *RunConfig) resolve() (Spec, string, error) {
+func (c *RunConfig) Resolve() (Spec, string, error) {
 	spec, err := Lookup(c.Workload)
 	if err != nil {
 		return Spec{}, "", err
 	}
-	switch c.Parallelism {
-	case "", "ddp", "partitioned":
-	default:
-		return Spec{}, "", fmt.Errorf("core: unknown parallelism %q (want ddp or partitioned)", c.Parallelism)
+	if c.Parallelism != "" && !slices.Contains(Parallelisms(), c.Parallelism) {
+		return Spec{}, "", fmt.Errorf("core: unknown parallelism %q (want %s)", c.Parallelism, strings.Join(Parallelisms(), " or "))
 	}
 	for _, f := range []struct {
 		name string
@@ -111,7 +114,7 @@ func (c *RunConfig) Build(slot, rank, world int, construct func(env *models.Env)
 // construction. Planes that measure training only call Rebase next.
 func NewReplica(cfg RunConfig, slot, rank, world int) (*Replica, error) {
 	cfg.defaults()
-	spec, dataset, err := cfg.resolve()
+	spec, dataset, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func NewServable(cfg RunConfig, slot int, weights *serve.Weights) (models.Servab
 	}
 	m, ok := rep.W.(models.Servable)
 	if !ok {
-		err = fmt.Errorf("core: workload %s does not serve embeddings (servable workloads: PSAGE, ARGA)", rep.Spec.Key)
+		err = fmt.Errorf("core: workload %s does not serve embeddings (servable: %v)", rep.Spec.Key, ServableWorkloads())
 	} else if weights != nil {
 		err = weights.LoadInto(m.Params())
 	}

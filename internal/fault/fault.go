@@ -42,21 +42,40 @@ const (
 	ReplicaLoss
 )
 
+// Default slowdown factors: a thermally capped V100 drops from boost to
+// base clocks (~1.35x slower), and a degraded NVLink falls back to half
+// width (2x slower).
+const (
+	DefaultThermalFactor = 1.35
+	DefaultNVLinkFactor  = 2.0
+)
+
+// eventTypes is the taxonomy as data, indexed by EventType: the mnemonic
+// scenario files and error messages use, the severity, and the slowdown a
+// degraded type applies when its event names none (0 = the type never
+// slows anything). The classification is pinned by TestSeverityTaxonomy;
+// elastic recovery and the chaos harness both branch on it, so a type that
+// drifted between fatal and degraded would corrupt recovery decisions.
+var eventTypes = [...]struct {
+	name     string
+	severity Severity
+	factor   float64
+}{
+	XID:             {"xid", Fatal, 0},
+	ECCSBE:          {"ecc-sbe", Info, 0},
+	ECCDBE:          {"ecc-dbe", Fatal, 0},
+	ThermalThrottle: {"thermal-throttle", Degraded, DefaultThermalFactor},
+	NVLinkDegrade:   {"nvlink-degrade", Degraded, DefaultNVLinkFactor},
+	ReplicaLoss:     {"replica-loss", Fatal, 0},
+}
+
+// known reports whether t is a declared event type.
+func (t EventType) known() bool { return t >= 0 && int(t) < len(eventTypes) }
+
 // String returns the event type's mnemonic.
 func (t EventType) String() string {
-	switch t {
-	case XID:
-		return "xid"
-	case ECCSBE:
-		return "ecc-sbe"
-	case ECCDBE:
-		return "ecc-dbe"
-	case ThermalThrottle:
-		return "thermal-throttle"
-	case NVLinkDegrade:
-		return "nvlink-degrade"
-	case ReplicaLoss:
-		return "replica-loss"
+	if t.known() {
+		return eventTypes[t].name
 	}
 	return fmt.Sprintf("event(%d)", int(t))
 }
@@ -75,31 +94,21 @@ const (
 	Fatal
 )
 
+var severityNames = [...]string{Info: "info", Degraded: "degraded", Fatal: "fatal"}
+
 // String returns the severity's name.
 func (s Severity) String() string {
-	switch s {
-	case Info:
-		return "info"
-	case Degraded:
-		return "degraded"
-	case Fatal:
-		return "fatal"
+	if s >= 0 && int(s) < len(severityNames) {
+		return severityNames[s]
 	}
 	return fmt.Sprintf("severity(%d)", int(s))
 }
 
-// Classify maps an event type to its severity. The mapping is total (every
-// type classifies) and stable (pinned by TestSeverityTaxonomy); elastic
-// recovery and the chaos harness both branch on it, so a type that drifted
-// between fatal and degraded would corrupt recovery decisions.
+// Classify maps an event type to its severity; the mapping is total over
+// the declared types.
 func Classify(t EventType) Severity {
-	switch t {
-	case XID, ECCDBE, ReplicaLoss:
-		return Fatal
-	case ThermalThrottle, NVLinkDegrade:
-		return Degraded
-	case ECCSBE:
-		return Info
+	if t.known() {
+		return eventTypes[t].severity
 	}
 	panic(fmt.Sprintf("fault: unclassified event type %d", int(t)))
 }
@@ -133,28 +142,17 @@ func (e Event) factor() float64 {
 	if e.Factor > 1 {
 		return e.Factor
 	}
-	switch e.Type {
-	case ThermalThrottle:
-		return DefaultThermalFactor
-	case NVLinkDegrade:
-		return DefaultNVLinkFactor
+	if e.Type.known() && eventTypes[e.Type].factor > 0 {
+		return eventTypes[e.Type].factor
 	}
 	return 1
 }
-
-// Default slowdown factors: a thermally capped V100 drops from boost to
-// base clocks (~1.35x slower), and a degraded NVLink falls back to half
-// width (2x slower).
-const (
-	DefaultThermalFactor = 1.35
-	DefaultNVLinkFactor  = 2.0
-)
 
 // String renders the event for logs and error messages.
 func (e Event) String() string {
 	s := fmt.Sprintf("%s on slot %d at %.6fs", e.Type, e.Slot, e.At)
 	if e.Type == XID {
-		s = fmt.Sprintf("xid %d on slot %d at %.6fs", e.Code, e.Slot, e.At)
+		s = fmt.Sprintf("%s %d on slot %d at %.6fs", e.Type, e.Code, e.Slot, e.At)
 	}
 	if e.Msg != "" {
 		s += " (" + e.Msg + ")"

@@ -75,25 +75,23 @@ func (m *Monitor) Poll(now float64) (kernelMult, transferMult float64, fatal err
 // engines share the clamped clock domain); NVLink degradation slows
 // transfers only. Callers hold m.mu.
 func (m *Monitor) multipliers(ft float64) (kernel, transfer float64) {
-	kernel, transfer = 1, 1
-	link := 1.0
+	kernel = m.worst(ThermalThrottle, ft)
+	return kernel, kernel * m.worst(NVLinkDegrade, ft)
+}
+
+// worst returns the largest slowdown of type t active at fleet time ft
+// (>= 1). Callers hold m.mu.
+func (m *Monitor) worst(t EventType, ft float64) float64 {
+	f := 1.0
 	for _, e := range m.events {
 		if e.At > ft {
 			break
 		}
-		switch e.Type {
-		case ThermalThrottle:
-			if f := e.factor(); f > kernel {
-				kernel = f
-			}
-		case NVLinkDegrade:
-			if f := e.factor(); f > link {
-				link = f
-			}
+		if e.Type == t {
+			f = max(f, e.factor())
 		}
 	}
-	transfer = kernel * link
-	return kernel, transfer
+	return f
 }
 
 // fatalBy returns the first fatal event due at fleet time ft (callers hold
@@ -126,16 +124,5 @@ func (m *Monitor) FatalBy(ft float64) *Event {
 func (m *Monitor) LinkFactorBy(ft float64) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := 1.0
-	for _, e := range m.events {
-		if e.At > ft {
-			break
-		}
-		if e.Type == NVLinkDegrade {
-			if ef := e.factor(); ef > f {
-				f = ef
-			}
-		}
-	}
-	return f
+	return m.worst(NVLinkDegrade, ft)
 }

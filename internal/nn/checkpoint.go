@@ -140,7 +140,7 @@ func AssignParams(saved []SavedParam, params []*autograd.Param) error {
 // Snapshot returns opt's training checkpoint: the parameters followed by the
 // optimizer's own state — Adam first/second moments and step count, SGD
 // momentum buffers. It is how a model's state is carried from one replica
-// into another (elastic recovery, a loader-kill rebuild, the serving
+// into another (elastic recovery, a rebuild after a loader kill, the serving
 // freeze): restoring it and continuing training produces exactly the
 // iterates an uninterrupted run would.
 func Snapshot(opt Optimizer) []byte {

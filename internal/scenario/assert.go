@@ -1,9 +1,6 @@
 package scenario
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // AssertionError is the typed failure every unmet assertion surfaces: the
 // assertion's kind and declaring line, and what the run actually measured.
@@ -24,8 +21,7 @@ func (e *AssertionError) Error() string {
 // Run executes the scenario and checks every assertion against the
 // outcome. A scenario that fails a run-level invariant (unexpected OOM or
 // abort) or any declared assertion returns the outcome alongside a
-// *AssertionError. rerun-digest assertions execute the scenario a second
-// time from scratch and require byte-identical digests.
+// *AssertionError.
 func Run(sc *Scenario) (*Outcome, error) {
 	out, err := Execute(sc)
 	if err != nil {
@@ -34,12 +30,8 @@ func Run(sc *Scenario) (*Outcome, error) {
 
 	expectsOOM, expectsAbort := false, false
 	for _, a := range sc.Assertions {
-		switch a.Kind {
-		case AssertExpectOOM:
-			expectsOOM = true
-		case AssertExpectAbort:
-			expectsAbort = true
-		}
+		k := kindOf(a.Kind) // Execute validated: every kind has its row
+		expectsOOM, expectsAbort = expectsOOM || k.oom, expectsAbort || k.abort
 	}
 	// Run-level invariants: a failure nobody declared fails the scenario
 	// even with no assertions at all.
@@ -60,123 +52,32 @@ func Run(sc *Scenario) (*Outcome, error) {
 	return out, nil
 }
 
-// checkAssertion evaluates one assertion against the outcome.
+// checkAssertion evaluates one assertion (of a kind Validate passed)
+// against the outcome through its kind's row. A kind that needs the serving
+// phase fails here, once, when training ended the run before it.
 func checkAssertion(sc *Scenario, a Assertion, out *Outcome) error {
-	fail := func(format string, args ...any) error {
-		return &AssertionError{Scenario: sc.Name, Kind: a.Kind, Line: a.Line,
-			Detail: fmt.Sprintf(format, args...)}
-	}
-	switch a.Kind {
-	case AssertRerunDigest:
-		rerun, err := Execute(sc)
-		if err != nil {
-			return fail("rerun failed: %v", err)
-		}
-		if rerun.Digest != out.Digest {
-			return fail("rerun digest %s != first run %s (nondeterminism)", rerun.Digest, out.Digest)
-		}
-	case AssertDigest:
-		if out.Digest != a.Text {
-			return fail("digest %s, want %s", out.Digest, a.Text)
-		}
-	case AssertEpochSecondsMax:
-		mean := meanEpochSeconds(out)
-		if mean > a.Value {
-			return fail("mean epoch %.6fs exceeds bound %.6fs", mean, a.Value)
-		}
-	case AssertTotalSecondsMax:
-		if out.TotalSeconds > a.Value {
-			return fail("total %.6fs exceeds bound %.6fs", out.TotalSeconds, a.Value)
-		}
-	case AssertLossMax:
-		if len(out.Losses) == 0 {
-			return fail("no epochs completed, no loss to bound")
-		}
-		if last := out.Losses[len(out.Losses)-1]; last > a.Value {
-			return fail("final loss %.6f exceeds bound %.6f", last, a.Value)
-		}
-	case AssertCompletedMin:
-		if float64(out.CompletedEpochs) < a.Value {
-			return fail("completed %d epoch(s), want >= %.0f", out.CompletedEpochs, a.Value)
-		}
-	case AssertGoodputMin:
-		if out.Goodput < a.Value {
-			return fail("goodput %.4f below %.4f", out.Goodput, a.Value)
-		}
-	case AssertRecoveryDeadln:
-		if out.Recoveries == 0 {
-			return fail("no recoveries happened; deadline unmeasurable (schedule a fatal event)")
-		}
-		mean := out.OverheadSeconds / float64(out.Recoveries)
-		if mean > a.Value {
-			return fail("mean recovery overhead %.3fs exceeds deadline %.3fs", mean, a.Value)
-		}
-	case AssertRecoveriesMin:
-		if float64(out.Recoveries) < a.Value {
-			return fail("%d recovery(ies), want >= %.0f", out.Recoveries, a.Value)
-		}
-	case AssertSurvivorsMin:
-		if float64(len(out.Survivors)) < a.Value {
-			return fail("%d survivor(s) %v, want >= %.0f", len(out.Survivors), out.Survivors, a.Value)
-		}
-	case AssertMetricMax, AssertMetricMin:
-		v, ok := lookupMetric(out, a.Metric)
-		if !ok {
-			return fail("metric %q not recorded this run", a.Metric)
-		}
-		if a.Kind == AssertMetricMax && v > a.Value {
-			return fail("metric %s = %.0f exceeds bound %.0f", a.Metric, v, a.Value)
-		}
-		if a.Kind == AssertMetricMin && v < a.Value {
-			return fail("metric %s = %.0f below %.0f", a.Metric, v, a.Value)
-		}
-	case AssertExpectOOM:
-		if !out.OOM {
-			return fail("run completed without the expected OOM")
-		}
-	case AssertExpectAbort:
-		if !out.Aborted {
-			return fail("run completed without the expected abort")
-		}
-		if !strings.Contains(out.FailMsg, a.Text) {
-			return fail("abort %q does not mention %q", out.FailMsg, a.Text)
-		}
-	case AssertServeQPSMin:
-		s := out.Serve
-		if s == nil {
-			return fail("no serving phase ran")
-		}
-		if s.QPS < a.Value {
-			return fail("serving qps %.0f below %.0f", s.QPS, a.Value)
-		}
-	case AssertServeP99MaxUS:
-		s := out.Serve
-		if s == nil {
-			return fail("no serving phase ran")
-		}
-		if p99 := s.P99 * 1e6; p99 > a.Value {
-			return fail("serving p99 %.2fus exceeds bound %.2fus", p99, a.Value)
-		}
-	case AssertServeRejectMax:
-		s := out.Serve
-		if s == nil {
-			return fail("no serving phase ran")
-		}
-		if float64(s.Rejected) > a.Value {
-			return fail("%d rejected request(s), want <= %.0f", s.Rejected, a.Value)
-		}
-	case AssertServeHitRateMin:
-		s := out.Serve
-		if s == nil {
-			return fail("no serving phase ran")
-		}
-		if hr := s.HitRate(); hr < a.Value {
-			return fail("cache hit rate %.3f below %.3f", hr, a.Value)
-		}
+	detail, k := "", kindOf(a.Kind)
+	switch {
+	case k.on&hasServe != 0 && out.Serve == nil:
+		detail = "no serving phase ran"
+	case k.measure == nil:
+		detail = k.check(a, out, func() (*Outcome, error) { return Execute(sc) })
 	default:
-		return fail("unknown assertion kind")
+		got, ok := k.measure(a, out)
+		op, bad := "<=", got > a.Value
+		if k.floor {
+			op, bad = ">=", got < a.Value
+		}
+		if !ok {
+			detail = k.absent
+		} else if bad {
+			detail = fmt.Sprintf("%s "+k.verb+", want %s %g", k.doc, got, op, a.Value)
+		}
 	}
-	return nil
+	if detail == "" {
+		return nil
+	}
+	return &AssertionError{Scenario: sc.Name, Kind: a.Kind, Line: a.Line, Detail: detail}
 }
 
 // meanEpochSeconds returns the run's mean kept-epoch time: per-epoch data

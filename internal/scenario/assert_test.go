@@ -22,44 +22,44 @@ func failingCases() []struct {
 		a    Assertion
 		out  *Outcome
 	}{
-		{"digest", Assertion{Kind: AssertDigest, Text: "abcd", Line: 3}, &Outcome{Digest: "ffff"}},
-		{"epoch-seconds-max", Assertion{Kind: AssertEpochSecondsMax, Value: 0.1, Line: 4},
+		{"digest", Assertion{Kind: "digest", Text: "abcd", Line: 3}, &Outcome{Digest: "ffff"}},
+		{"epoch-seconds-max", Assertion{Kind: "epoch-seconds-max", Value: 0.1, Line: 4},
 			&Outcome{EpochSeconds: []float64{0.3, 0.5}}},
-		{"total-seconds-max", Assertion{Kind: AssertTotalSecondsMax, Value: 1, Line: 5},
+		{"total-seconds-max", Assertion{Kind: "total-seconds-max", Value: 1, Line: 5},
 			&Outcome{TotalSeconds: 2}},
-		{"loss-max", Assertion{Kind: AssertLossMax, Value: 0.5, Line: 6},
+		{"loss-max", Assertion{Kind: "loss-max", Value: 0.5, Line: 6},
 			&Outcome{Losses: []float64{0.4, 0.9}}},
-		{"loss-max no epochs", Assertion{Kind: AssertLossMax, Value: 0.5, Line: 6}, &Outcome{}},
-		{"completed-epochs-min", Assertion{Kind: AssertCompletedMin, Value: 3, Line: 7},
+		{"loss-max no epochs", Assertion{Kind: "loss-max", Value: 0.5, Line: 6}, &Outcome{}},
+		{"completed-epochs-min", Assertion{Kind: "completed-epochs-min", Value: 3, Line: 7},
 			&Outcome{CompletedEpochs: 2}},
-		{"goodput-min", Assertion{Kind: AssertGoodputMin, Value: 0.9, Line: 8},
+		{"goodput-min", Assertion{Kind: "goodput-min", Value: 0.9, Line: 8},
 			&Outcome{Goodput: 0.5}},
-		{"recovery-deadline", Assertion{Kind: AssertRecoveryDeadln, Value: 1, Line: 9},
+		{"recovery-deadline", Assertion{Kind: "recovery-deadline", Value: 1, Line: 9},
 			&Outcome{Recoveries: 2, OverheadSeconds: 10}},
-		{"recovery-deadline unmeasured", Assertion{Kind: AssertRecoveryDeadln, Value: 1, Line: 9},
+		{"recovery-deadline unmeasured", Assertion{Kind: "recovery-deadline", Value: 1, Line: 9},
 			&Outcome{}},
-		{"recoveries-min", Assertion{Kind: AssertRecoveriesMin, Value: 1, Line: 10}, &Outcome{}},
-		{"survivors-min", Assertion{Kind: AssertSurvivorsMin, Value: 2, Line: 11},
+		{"recoveries-min", Assertion{Kind: "recoveries-min", Value: 1, Line: 10}, &Outcome{}},
+		{"survivors-min", Assertion{Kind: "survivors-min", Value: 2, Line: 11},
 			&Outcome{Survivors: []int{0}}},
-		{"metric-max", Assertion{Kind: AssertMetricMax, Metric: "vmem.peak_bytes", Value: 10, Line: 12},
+		{"metric-max", Assertion{Kind: "metric-max", Metric: "vmem.peak_bytes", Value: 10, Line: 12},
 			&Outcome{Metrics: obs.Snapshot{Gauges: []obs.GaugeSnapshot{{Name: "vmem.peak_bytes", Value: 100}}}}},
-		{"metric-min", Assertion{Kind: AssertMetricMin, Metric: "vmem.allocs_total", Value: 10, Line: 13},
+		{"metric-min", Assertion{Kind: "metric-min", Metric: "vmem.allocs_total", Value: 10, Line: 13},
 			&Outcome{Metrics: obs.Snapshot{Counters: []obs.CounterSnapshot{{Name: "vmem.allocs_total", Value: 1}}}}},
-		{"metric missing", Assertion{Kind: AssertMetricMax, Metric: "no.such.metric", Value: 10, Line: 14},
+		{"metric missing", Assertion{Kind: "metric-max", Metric: "no.such.metric", Value: 10, Line: 14},
 			&Outcome{}},
-		{"expect-oom", Assertion{Kind: AssertExpectOOM, Line: 15}, &Outcome{}},
-		{"expect-abort", Assertion{Kind: AssertExpectAbort, Text: "xid", Line: 16}, &Outcome{}},
-		{"expect-abort wrong text", Assertion{Kind: AssertExpectAbort, Text: "xid", Line: 16},
+		{"expect-oom", Assertion{Kind: "expect-oom", Line: 15}, &Outcome{}},
+		{"expect-abort", Assertion{Kind: "expect-abort", Text: "xid", Line: 16}, &Outcome{}},
+		{"expect-abort wrong text", Assertion{Kind: "expect-abort", Text: "xid", Line: 16},
 			&Outcome{Aborted: true, FailMsg: "thermal meltdown"}},
-		{"serve-qps-min", Assertion{Kind: AssertServeQPSMin, Value: 1000, Line: 17},
+		{"serve-qps-min", Assertion{Kind: "serve-qps-min", Value: 1000, Line: 17},
 			&Outcome{Serve: serveStats}},
-		{"serve-p99-max-us", Assertion{Kind: AssertServeP99MaxUS, Value: 100, Line: 18},
+		{"serve-p99-max-us", Assertion{Kind: "serve-p99-max-us", Value: 100, Line: 18},
 			&Outcome{Serve: serveStats}},
-		{"serve-rejected-max", Assertion{Kind: AssertServeRejectMax, Value: 1, Line: 19},
+		{"serve-rejected-max", Assertion{Kind: "serve-rejected-max", Value: 1, Line: 19},
 			&Outcome{Serve: serveStats}},
-		{"serve-hit-rate-min", Assertion{Kind: AssertServeHitRateMin, Value: 0.5, Line: 20},
+		{"serve-hit-rate-min", Assertion{Kind: "serve-hit-rate-min", Value: 0.5, Line: 20},
 			&Outcome{Serve: serveStats}},
-		{"serve missing", Assertion{Kind: AssertServeQPSMin, Value: 1, Line: 21}, &Outcome{}},
+		{"serve missing", Assertion{Kind: "serve-qps-min", Value: 1, Line: 21}, &Outcome{}},
 	}
 }
 
@@ -108,21 +108,21 @@ func TestAssertionKindsPass(t *testing.T) {
 		},
 	}
 	pass := []Assertion{
-		{Kind: AssertDigest, Text: "abcd"},
-		{Kind: AssertEpochSecondsMax, Value: 1},
-		{Kind: AssertTotalSecondsMax, Value: 1},
-		{Kind: AssertLossMax, Value: 0.5},
-		{Kind: AssertCompletedMin, Value: 2},
-		{Kind: AssertGoodputMin, Value: 0.9},
-		{Kind: AssertRecoveryDeadln, Value: 1},
-		{Kind: AssertRecoveriesMin, Value: 1},
-		{Kind: AssertSurvivorsMin, Value: 2},
-		{Kind: AssertMetricMax, Metric: "vmem.peak_bytes", Value: 1000},
-		{Kind: AssertMetricMin, Metric: "vmem.peak_bytes", Value: 10},
-		{Kind: AssertServeQPSMin, Value: 50},
-		{Kind: AssertServeP99MaxUS, Value: 1000},
-		{Kind: AssertServeRejectMax, Value: 1},
-		{Kind: AssertServeHitRateMin, Value: 0.5},
+		{Kind: "digest", Text: "abcd"},
+		{Kind: "epoch-seconds-max", Value: 1},
+		{Kind: "total-seconds-max", Value: 1},
+		{Kind: "loss-max", Value: 0.5},
+		{Kind: "completed-epochs-min", Value: 2},
+		{Kind: "goodput-min", Value: 0.9},
+		{Kind: "recovery-deadline", Value: 1},
+		{Kind: "recoveries-min", Value: 1},
+		{Kind: "survivors-min", Value: 2},
+		{Kind: "metric-max", Metric: "vmem.peak_bytes", Value: 1000},
+		{Kind: "metric-min", Metric: "vmem.peak_bytes", Value: 10},
+		{Kind: "serve-qps-min", Value: 50},
+		{Kind: "serve-p99-max-us", Value: 1000},
+		{Kind: "serve-rejected-max", Value: 1},
+		{Kind: "serve-hit-rate-min", Value: 0.5},
 	}
 	for _, a := range pass {
 		if err := checkAssertion(sc, a, out); err != nil {
@@ -131,8 +131,8 @@ func TestAssertionKindsPass(t *testing.T) {
 	}
 	failed := &Outcome{OOM: true, Aborted: true, FailMsg: "fault: fatal health event: xid 79"}
 	for _, a := range []Assertion{
-		{Kind: AssertExpectOOM},
-		{Kind: AssertExpectAbort, Text: "xid 79"},
+		{Kind: "expect-oom"},
+		{Kind: "expect-abort", Text: "xid 79"},
 	} {
 		if err := checkAssertion(sc, a, failed); err != nil {
 			t.Errorf("assertion %s rejected a satisfying outcome: %v", a.Kind, err)

@@ -16,53 +16,34 @@ import (
 	"gnnmark/internal/vmem"
 )
 
-// Scenario-wide execution defaults: short epochs and the fast sampling
-// tier, because committed scenarios run on every CI push.
-const (
-	defaultEpochs = 2
-	defaultWarps  = 512
-)
-
-// eventTypeByName maps DSL mnemonics onto the fault plane's event types.
-var eventTypeByName = map[string]fault.EventType{
-	EvXID:         fault.XID,
-	EvECCSBE:      fault.ECCSBE,
-	EvECCDBE:      fault.ECCDBE,
-	EvThermal:     fault.ThermalThrottle,
-	EvNVLink:      fault.NVLinkDegrade,
-	EvReplicaLoss: fault.ReplicaLoss,
-}
-
-// faultEvent compiles a train-plane event spec onto the fault plane.
-func (ev EventSpec) faultEvent() fault.Event {
-	t, ok := eventTypeByName[ev.Type]
-	if !ok {
-		panic(fmt.Sprintf("scenario: event %q has no fault-plane type", ev.Type))
-	}
-	code := ev.Code
-	if t == fault.XID && code == 0 {
-		code = 79 // "GPU has fallen off the bus", the canonical fatal XID
-	}
-	return fault.Event{Slot: ev.Slot, Type: t, At: ev.At, Code: code, Factor: ev.Factor, Msg: ev.Msg}
-}
-
-// trainSchedule collects the train-plane fault events (everything except
-// loader kills, which compile onto the pipeline instead).
-func (sc *Scenario) trainSchedule() []fault.Event {
+// faultSchedule compiles the events that lower to the fault plane and
+// target plane (train: fleet slots, serve: serving replicas).
+func (sc *Scenario) faultSchedule(plane string) []fault.Event {
 	var out []fault.Event
 	for _, ev := range sc.Events {
-		if ev.Plane == PlaneTrain && ev.Type != EvLoaderKill {
-			out = append(out, ev.faultEvent())
+		if t := eventTypeOf(ev.Type); t.lower == toFault && ev.Plane == plane {
+			out = append(out, fault.Event{Slot: ev.Slot, Type: t.fault, At: ev.At, Code: ev.Code, Factor: ev.Factor, Msg: ev.Msg})
 		}
 	}
 	return out
 }
 
-// runConfig lowers the scenario onto the core run configuration shared by
-// every executor branch.
+// lowered returns the events that compile to `to`, in file order.
+func (sc *Scenario) lowered(to lowering) []EventSpec {
+	var out []EventSpec
+	for _, ev := range sc.Events {
+		if eventTypeOf(ev.Type).lower == to {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// runConfig lowers a resolved scenario onto the core run configuration
+// shared by every executor branch.
 func (sc *Scenario) runConfig(slots []gpu.Config) core.RunConfig {
 	w := sc.Workload
-	cfg := core.RunConfig{
+	return core.RunConfig{
 		Workload:      w.Key,
 		Dataset:       w.Dataset,
 		Epochs:        w.Epochs,
@@ -77,13 +58,6 @@ func (sc *Scenario) runConfig(slots []gpu.Config) core.RunConfig {
 		GPUs:          len(slots),
 		Parallelism:   w.Parallelism,
 	}
-	if cfg.Epochs == 0 {
-		cfg.Epochs = defaultEpochs
-	}
-	if cfg.SampledWarps == 0 {
-		cfg.SampledWarps = defaultWarps
-	}
-	return cfg
 }
 
 // Execute compiles the scenario onto the execution planes and runs it:
@@ -92,10 +66,7 @@ func (sc *Scenario) runConfig(slots []gpu.Config) core.RunConfig {
 // pure function of (scenario file, seed): reruns produce byte-identical
 // digests. Assertions are NOT checked here — see Run.
 func Execute(sc *Scenario) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	slots, err := sc.Fleet.Slots()
+	sc, plane, cfg, err := sc.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -110,25 +81,13 @@ func Execute(sc *Scenario) (*Outcome, error) {
 		defer obs.Disable()
 	}
 
-	out := &Outcome{Scenario: sc.Name, Seed: sc.Seed, World: len(slots)}
-	cfg := sc.runConfig(slots)
-	switch {
-	case len(slots) == 1:
-		out.Plane = "single"
-		err = sc.runSingle(cfg, out)
-	case sc.Workload.Parallelism == "partitioned":
-		out.Plane = "partitioned"
-		err = sc.runPartitioned(cfg, out)
-	default:
-		out.Plane = "ddp"
-		err = sc.runElastic(cfg, out)
-	}
-	if err != nil {
+	out := &Outcome{Scenario: sc.Name, Seed: sc.Seed, World: len(cfg.Devices), Plane: plane.name}
+	if err := plane.run(sc, cfg, out); err != nil {
 		return nil, err
 	}
 
 	if sc.Serve != nil && !out.OOM && !out.Aborted {
-		if err := sc.runServe(cfg, slots, out); err != nil {
+		if err := sc.runServe(cfg, out); err != nil {
 			return nil, err
 		}
 	}
@@ -156,24 +115,13 @@ func failOutcome(out *Outcome, err error) {
 }
 
 // runSingle executes the single-device branch by hand: it is the only
-// branch that supports loader-kill events, which checkpoint the run at an
+// branch that supports loader kills, which checkpoint the run at an
 // epoch boundary, tear the pipeline down, and rebuild it with one fewer
 // loader worker — the degraded-input-pipeline arm of the chaos matrix.
 func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
-	health := sc.trainSchedule()
-	var kills []EventSpec
-	for _, ev := range sc.Events {
-		if ev.Plane == PlaneTrain && ev.Type == EvLoaderKill {
-			kills = append(kills, ev)
-		}
-	}
+	health := sc.faultSchedule(PlaneTrain)
+	kills := sc.lowered(toLoaderKill)
 	sort.SliceStable(kills, func(i, j int) bool { return kills[i].At < kills[j].At })
-
-	// Resolve the live worker count so a kill can decrement it (the loader
-	// defaults to min(depth, 4) workers when unset).
-	if cfg.LoaderWorkers == 0 && cfg.PipelineDepth > 0 {
-		cfg.LoaderWorkers = min(cfg.PipelineDepth, 4)
-	}
 
 	// build constructs one training segment: a fresh replica measuring
 	// training only, with the health monitor attached training-relative at
@@ -235,7 +183,7 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 			}
 			rep, segClock = next, 0
 			if err := nn.Restore(rep.W.Optimizer(), ckpt); err != nil {
-				return fmt.Errorf("scenario: loader-kill restore: %w", err)
+				return fmt.Errorf("scenario: restore after a loader kill: %w", err)
 			}
 		}
 	}
@@ -246,13 +194,11 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 	return nil
 }
 
-// runElastic executes the DDP branch. Every multi-device DDP scenario runs
-// under the elastic controller — with an empty schedule it degenerates to
-// a healthy single-round run — so fatal events always mean recovery, never
-// a crash.
+// runElastic executes the DDP branch under the elastic controller; with an
+// empty schedule it degenerates to a healthy single-round run.
 func (sc *Scenario) runElastic(cfg core.RunConfig, out *Outcome) error {
 	res, runErr := ddp.RunElastic(core.DDPFactory(cfg), cfg.GPUs, cfg.Epochs,
-		ddp.ElasticOptions{Schedule: sc.trainSchedule()})
+		ddp.ElasticOptions{Schedule: sc.faultSchedule(PlaneTrain)})
 	out.Losses = res.Losses
 	out.CompletedEpochs = res.EpochsCompleted
 	out.UsefulSeconds = res.UsefulSeconds
@@ -280,7 +226,7 @@ func (sc *Scenario) runPartitioned(cfg core.RunConfig, out *Outcome) error {
 	if err != nil {
 		return err
 	}
-	sched := sc.trainSchedule()
+	sched := sc.faultSchedule(PlaneTrain)
 	world := cfg.GPUs
 	monitors := make([]*fault.Monitor, world)
 	for r := 0; r < world; r++ {

@@ -54,6 +54,57 @@ func TestExecuteSingleDeterministic(t *testing.T) {
 	}
 }
 
+// TestGoLiteralRunsAsItsText is the generator's precondition: one scenario
+// written twice — as text and as a Go literal carrying only its required
+// fields, no seed, no plane, no lines — validates the same and runs to the
+// same digest, because every default is applied in resolve, none in the
+// parser.
+func TestGoLiteralRunsAsItsText(t *testing.T) {
+	text := mustParse(t, `scenario: twice
+fleet:
+  nodes:
+    - preset: v100
+workload:
+  key: ARGA
+  dataset: cora
+  epochs: 1
+  warps: 64
+events:
+  - type: thermal-throttle
+    factor: 2
+assertions:
+  - kind: completed-epochs-min
+    value: 1
+`)
+	literal := &Scenario{
+		Name:       "twice",
+		Fleet:      Fleet{Nodes: []FleetNode{{Preset: "v100"}}},
+		Workload:   WorkloadSpec{Key: "ARGA", Dataset: "cora", Epochs: 1, Warps: 64},
+		Events:     []EventSpec{{Type: "thermal-throttle", Factor: 2}},
+		Assertions: []Assertion{{Kind: "completed-epochs-min", Value: 1}},
+	}
+	if errText, errLit := text.Validate(), literal.Validate(); errText != nil || errLit != nil {
+		t.Fatalf("Validate: text %v, literal %v", errText, errLit)
+	}
+	a, err := Run(text)
+	if err != nil {
+		t.Fatalf("text: %v", err)
+	}
+	b, err := Run(literal)
+	if err != nil {
+		t.Fatalf("literal: %v", err)
+	}
+	if a.Digest != b.Digest || a.Seed != defaultSeed || b.Seed != defaultSeed {
+		t.Fatalf("text ran to %s (seed %d), literal to %s (seed %d)", a.Digest, a.Seed, b.Digest, b.Seed)
+	}
+	// A broken literal is refused like broken text, at line 1 for want of one.
+	literal.Assertions[0].Text = "ignored"
+	var pe *ParseError
+	if err := literal.Validate(); !errors.As(err, &pe) || pe.Line != 1 {
+		t.Fatalf("literal with an operand its kind does not read: %v", err)
+	}
+}
+
 func TestExecuteThermalThrottleSlowsRun(t *testing.T) {
 	healthy, err := Execute(mustParse(t, singleBase))
 	if err != nil {

@@ -47,7 +47,7 @@ type Outcome struct {
 
 	// OOM/Aborted record a recognized failure instead of a completed run:
 	// a simulated out-of-memory (OOM) or a fatal health abort (Aborted).
-	// FailMsg carries the error text for expect-oom/expect-abort matching.
+	// FailMsg carries the error text for the kinds that expect it.
 	OOM     bool
 	Aborted bool
 	FailMsg string
@@ -58,8 +58,8 @@ type Outcome struct {
 	Serve                *serve.Stats
 	ServeBatchOneSeconds float64
 
-	// Metrics snapshots the obs registry after the run, for metric-max/
-	// metric-min assertions. EXCLUDED from the digest: host counters are
+	// Metrics snapshots the obs registry after the run, for the metric
+	// assertions. EXCLUDED from the digest: host counters are
 	// wall-clock and scheduler-dependent.
 	Metrics obs.Snapshot
 

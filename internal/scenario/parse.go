@@ -39,9 +39,10 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("line %d: %s", e.Line, e.Msg)
 }
 
-// errf builds a *ParseError at the given line.
+// errf builds a *ParseError at the given line (a Scenario built in Go has
+// no lines: its errors point at line 1).
 func errf(line int, format string, args ...any) *ParseError {
-	return &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: max(line, 1), Msg: fmt.Sprintf(format, args...)}
 }
 
 // nodeKind discriminates the parse-tree node types.
@@ -133,30 +134,9 @@ type parser struct {
 // values carrying the offending line; the input is never executed and the
 // parser never panics.
 func Parse(src string) (*Scenario, error) {
-	root, err := parseTree(src)
+	lines, err := splitLines(src)
 	if err != nil {
 		return nil, err
-	}
-	return decodeScenario(root)
-}
-
-// ParseNamed is Parse with a file name stamped onto any error.
-func ParseNamed(name, src string) (*Scenario, error) {
-	sc, err := Parse(src)
-	if err != nil {
-		if pe, ok := err.(*ParseError); ok {
-			pe.File = name
-		}
-		return nil, err
-	}
-	return sc, nil
-}
-
-// parseTree parses the raw node tree.
-func parseTree(src string) (*node, *ParseError) {
-	lines, perr := splitLines(src)
-	if perr != nil {
-		return nil, perr
 	}
 	if len(lines) == 0 {
 		return nil, errf(1, "empty scenario document")
@@ -164,118 +144,106 @@ func parseTree(src string) (*node, *ParseError) {
 	if lines[0].indent != 0 {
 		return nil, errf(lines[0].num, "document must start at column 0")
 	}
-	p := &parser{lines: lines}
-	root, err := p.parseBlock(0)
+	// From column 0 the block runs to the last line: nothing dedents below it.
+	root, err := (&parser{lines: lines}).parseBlock(0)
 	if err != nil {
 		return nil, err
-	}
-	if p.pos < len(p.lines) {
-		return nil, errf(p.lines[p.pos].num, "unexpected dedent/content after document")
 	}
 	if root.kind != mapNode {
 		return nil, errf(lines[0].num, "top level must be a mapping")
 	}
-	return root, nil
+	return decodeScenario(root)
 }
+
+// ParseNamed is Parse with a file name stamped onto any error.
+func ParseNamed(name, src string) (*Scenario, error) {
+	sc, err := Parse(src)
+	if pe, ok := err.(*ParseError); ok {
+		pe.File = name
+	}
+	return sc, err
+}
+
+// isItem reports whether a line opens a list item.
+func isItem(text string) bool { return strings.HasPrefix(text, "- ") || text == "-" }
 
 // parseBlock parses the run of lines at exactly the given indent into one
-// mapping or list node.
+// mapping or list node; the first line decides which.
 func (p *parser) parseBlock(indent int) (*node, *ParseError) {
-	first := p.lines[p.pos]
-	if strings.HasPrefix(first.text, "- ") || first.text == "-" {
-		return p.parseList(indent)
+	n := &node{line: p.lines[p.pos].num, kind: listNode}
+	if !isItem(p.lines[p.pos].text) {
+		n.kind, n.children = mapNode, map[string]*node{}
 	}
-	return p.parseMap(indent)
-}
-
-func (p *parser) parseMap(indent int) (*node, *ParseError) {
-	n := &node{line: p.lines[p.pos].num, kind: mapNode, children: map[string]*node{}}
 	for p.pos < len(p.lines) {
 		ln := p.lines[p.pos]
 		if ln.indent < indent {
 			break // dedent: parent's turn
 		}
-		if ln.indent > indent {
-			return nil, errf(ln.num, "unexpected indent (expected %d spaces, got %d)", indent, ln.indent)
+		var err *ParseError
+		switch {
+		case ln.indent > indent:
+			err = errf(ln.num, "unexpected indent (expected %d spaces, got %d)", indent, ln.indent)
+		case n.kind == mapNode && isItem(ln.text):
+			err = errf(ln.num, "list item in a mapping block")
+		case n.kind == mapNode:
+			err = p.parseEntry(n, ln, indent)
+		case !isItem(ln.text):
+			err = errf(ln.num, "expected a list item (\"- ...\") at this indent")
+		case ln.text == "-":
+			err = errf(ln.num, "empty list item")
+		default:
+			err = p.parseItem(n, ln)
 		}
-		if strings.HasPrefix(ln.text, "- ") || ln.text == "-" {
-			return nil, errf(ln.num, "list item in a mapping block")
-		}
-		key, rest, err := splitKey(ln)
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := n.children[key]; dup {
-			return nil, errf(ln.num, "duplicate key %q", key)
-		}
-		p.pos++
-		var child *node
-		if rest != "" {
-			child = &node{line: ln.num, kind: scalarNode}
-			child.scalar, child.quoted, err = unquote(ln.num, rest)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			// Block value: the next line must be further indented.
-			if p.pos >= len(p.lines) || p.lines[p.pos].indent <= indent {
-				return nil, errf(ln.num, "key %q has no value", key)
-			}
-			child, err = p.parseBlock(p.lines[p.pos].indent)
-			if err != nil {
-				return nil, err
-			}
-		}
-		n.keys = append(n.keys, key)
-		n.children[key] = child
 	}
 	return n, nil
 }
 
-func (p *parser) parseList(indent int) (*node, *ParseError) {
-	n := &node{line: p.lines[p.pos].num, kind: listNode}
-	for p.pos < len(p.lines) {
-		ln := p.lines[p.pos]
-		if ln.indent < indent {
-			break
-		}
-		if ln.indent > indent {
-			return nil, errf(ln.num, "unexpected indent (expected %d spaces, got %d)", indent, ln.indent)
-		}
-		if !strings.HasPrefix(ln.text, "- ") && ln.text != "-" {
-			return nil, errf(ln.num, "expected a list item (\"- ...\") at this indent")
-		}
-		if ln.text == "-" {
-			return nil, errf(ln.num, "empty list item")
-		}
-		body := ln.text[2:]
-		if body == "" {
-			return nil, errf(ln.num, "empty list item")
-		}
-		// The item body starts two columns in; rewrite the current line as
-		// the item's first line and parse the item as a block at that
-		// indent (a scalar, or a mapping whose later keys align under it).
-		itemIndent := ln.indent + 2
-		p.lines[p.pos] = srcLine{num: ln.num, indent: itemIndent, text: body}
-		if isKeyLine(body) {
-			item, err := p.parseMap(itemIndent)
-			if err != nil {
-				return nil, err
-			}
-			n.items = append(n.items, item)
-			continue
-		}
-		// Scalar item.
-		p.pos++
-		item := &node{line: ln.num, kind: scalarNode}
-		var err *ParseError
-		item.scalar, item.quoted, err = unquote(ln.num, body)
-		if err != nil {
-			return nil, err
-		}
-		n.items = append(n.items, item)
+// parseEntry parses one "key: value" / "key:" + block entry into the map n.
+func (p *parser) parseEntry(n *node, ln srcLine, indent int) *ParseError {
+	key, rest, err := splitKey(ln)
+	if err != nil {
+		return err
 	}
-	return n, nil
+	if _, dup := n.children[key]; dup {
+		return errf(ln.num, "duplicate key %q", key)
+	}
+	p.pos++
+	var child *node
+	if rest != "" {
+		child = &node{line: ln.num, kind: scalarNode}
+		child.scalar, child.quoted, err = unquote(ln.num, rest)
+	} else if p.pos >= len(p.lines) || p.lines[p.pos].indent <= indent {
+		// Block value: the next line must be further indented.
+		err = errf(ln.num, "key %q has no value", key)
+	} else {
+		child, err = p.parseBlock(p.lines[p.pos].indent)
+	}
+	n.keys = append(n.keys, key)
+	n.children[key] = child
+	return err
+}
+
+// parseItem parses one "- ..." item into the list n. The item body starts
+// two columns in: the current line is rewritten as the item's first line,
+// and a "key: ..." body parses as a block at that indent (a mapping whose
+// later keys align under it); anything else is a scalar item.
+func (p *parser) parseItem(n *node, ln srcLine) *ParseError {
+	body := ln.text[2:]
+	var item *node
+	var err *ParseError
+	if isKeyLine(body) {
+		p.lines[p.pos] = srcLine{num: ln.num, indent: ln.indent + 2, text: body}
+		item, err = p.parseBlock(ln.indent + 2)
+	} else {
+		p.pos++
+		item = &node{line: ln.num, kind: scalarNode}
+		item.scalar, item.quoted, err = unquote(ln.num, body)
+	}
+	n.items = append(n.items, item)
+	return err
 }
 
 // isKeyLine reports whether a list-item body opens a mapping ("key: ..."
@@ -307,15 +275,9 @@ func splitKey(ln srcLine) (key, rest string, err *ParseError) {
 }
 
 func validKey(k string) bool {
-	for i := 0; i < len(k); i++ {
-		c := k[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
+	return strings.IndexFunc(k, func(c rune) bool {
+		return !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-')
+	}) < 0
 }
 
 // unquote resolves a scalar literal: a double-quoted string (no escapes
@@ -328,94 +290,27 @@ func unquote(line int, s string) (val string, quoted bool, err *ParseError) {
 		return s, false, nil
 	}
 	var b strings.Builder
-	i := 1
-	for i < len(s) {
-		c := s[i]
-		if c == '\\' {
-			if i+1 >= len(s) {
-				return "", false, errf(line, "dangling escape in string literal")
-			}
-			next := s[i+1]
-			if next != '"' && next != '\\' {
-				return "", false, errf(line, "unsupported escape \\%c", next)
-			}
-			b.WriteByte(next)
-			i += 2
-			continue
-		}
-		if c == '"' {
-			if i != len(s)-1 {
-				return "", false, errf(line, "trailing content after closing quote")
-			}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\' && i+1 >= len(s):
+			return "", false, errf(line, "dangling escape in string literal")
+		case c == '\\' && s[i+1] != '"' && s[i+1] != '\\':
+			return "", false, errf(line, "unsupported escape \\%c", s[i+1])
+		case c == '\\':
+			i++
+			b.WriteByte(s[i])
+		case c == '"' && i != len(s)-1:
+			return "", false, errf(line, "trailing content after closing quote")
+		case c == '"':
 			return b.String(), true, nil
+		default:
+			b.WriteByte(c)
 		}
-		b.WriteByte(c)
-		i++
 	}
 	return "", false, errf(line, "unterminated string literal")
 }
 
-// ---- typed accessors (decode layer) ----
-
-// wantScalar asserts the node is a scalar, naming what was expected.
-func (n *node) wantScalar(what string) (*node, *ParseError) {
-	if n.kind != scalarNode {
-		return nil, errf(n.line, "%s must be a scalar value", what)
-	}
-	return n, nil
-}
-
-func (n *node) asString(what string) (string, *ParseError) {
-	s, err := n.wantScalar(what)
-	if err != nil {
-		return "", err
-	}
-	return s.scalar, nil
-}
-
-func (n *node) asInt(what string) (int, *ParseError) {
-	s, err := n.wantScalar(what)
-	if err != nil {
-		return 0, err
-	}
-	if s.quoted {
-		return 0, errf(n.line, "%s must be an integer, got a string", what)
-	}
-	v, convErr := strconv.Atoi(s.scalar)
-	if convErr != nil {
-		return 0, errf(n.line, "%s must be an integer, got %q", what, s.scalar)
-	}
-	return v, nil
-}
-
-func (n *node) asFloat(what string) (float64, *ParseError) {
-	s, err := n.wantScalar(what)
-	if err != nil {
-		return 0, err
-	}
-	if s.quoted {
-		return 0, errf(n.line, "%s must be a number, got a string", what)
-	}
-	v, convErr := strconv.ParseFloat(s.scalar, 64)
-	if convErr != nil {
-		return 0, errf(n.line, "%s must be a number, got %q", what, s.scalar)
-	}
-	return v, nil
-}
-
-func (n *node) asBool(what string) (bool, *ParseError) {
-	s, err := n.wantScalar(what)
-	if err != nil {
-		return false, err
-	}
-	switch s.scalar {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, errf(n.line, "%s must be true or false, got %q", what, s.scalar)
-}
+// ---- decode layer ----
 
 // mapDecoder walks one mapping's keys, tracking which were consumed so
 // unknown keys fail with their own line numbers.
@@ -449,44 +344,67 @@ func (d *mapDecoder) fail(err *ParseError) {
 	}
 }
 
-// str/intval/floatval/boolval decode optional fields into targets,
-// latching errors; absent keys leave the target untouched.
-func (d *mapDecoder) str(key string, dst *string) {
+// field decodes the optional scalar key into dst — a *string, *int, *int64,
+// *float64 or *bool — latching a type mismatch; an absent key leaves dst
+// untouched. A quoted scalar is a string and nothing else.
+func (d *mapDecoder) field(key string, dst any) {
+	c := d.get(key)
+	if c == nil || d.err != nil {
+		return
+	}
+	var want string
+	var convErr error
+	switch p := dst.(type) {
+	case *string:
+		*p = c.scalar
+	case *int:
+		want = "an integer"
+		*p, convErr = strconv.Atoi(c.scalar)
+	case *int64:
+		want = "an integer"
+		*p, convErr = strconv.ParseInt(c.scalar, 10, 64)
+	case *float64:
+		want = "a number"
+		*p, convErr = strconv.ParseFloat(c.scalar, 64)
+	case *bool:
+		want = "true or false"
+		if *p = c.scalar == "true"; !*p && c.scalar != "false" {
+			convErr = strconv.ErrSyntax
+		}
+	}
+	switch {
+	case c.kind != scalarNode:
+		d.err = errf(c.line, "%s.%s must be a scalar value", d.what, key)
+	case want != "" && c.quoted:
+		d.err = errf(c.line, "%s.%s must be %s, got a string", d.what, key, want)
+	case convErr != nil:
+		d.err = errf(c.line, "%s.%s must be %s, got %q", d.what, key, want, c.scalar)
+	}
+}
+
+// section decodes the optional mapping under key through fields.
+func (d *mapDecoder) section(key string, fields func(sd *mapDecoder, line int)) {
 	if c := d.get(key); c != nil && d.err == nil {
-		v, err := c.asString(d.what + "." + key)
-		d.fail(err)
-		if err == nil {
-			*dst = v
+		sd, err := newMapDecoder(c, key)
+		if d.fail(err); err == nil {
+			fields(sd, c.line)
+			d.fail(sd.finish())
 		}
 	}
 }
 
-func (d *mapDecoder) intval(key string, dst *int) {
-	if c := d.get(key); c != nil && d.err == nil {
-		v, err := c.asInt(d.what + "." + key)
-		d.fail(err)
-		if err == nil {
-			*dst = v
-		}
+// list decodes the optional list of mappings under key, each (an item, for
+// error messages) through fields.
+func (d *mapDecoder) list(key, item string, fields func(id *mapDecoder, line int)) {
+	c := d.get(key)
+	if c != nil && c.kind != listNode {
+		d.fail(errf(c.line, "%s.%s must be a list", d.what, key))
 	}
-}
-
-func (d *mapDecoder) floatval(key string, dst *float64) {
-	if c := d.get(key); c != nil && d.err == nil {
-		v, err := c.asFloat(d.what + "." + key)
-		d.fail(err)
-		if err == nil {
-			*dst = v
-		}
-	}
-}
-
-func (d *mapDecoder) boolval(key string, dst *bool) {
-	if c := d.get(key); c != nil && d.err == nil {
-		v, err := c.asBool(d.what + "." + key)
-		d.fail(err)
-		if err == nil {
-			*dst = v
+	for i := 0; c != nil && d.err == nil && i < len(c.items); i++ {
+		id, err := newMapDecoder(c.items[i], item)
+		if d.fail(err); err == nil {
+			fields(id, c.items[i].line)
+			d.fail(id.finish())
 		}
 	}
 }

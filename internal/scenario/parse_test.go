@@ -84,7 +84,7 @@ func TestParseFullGrammar(t *testing.T) {
 	if len(sc.Events) != 2 {
 		t.Fatalf("events: got %d, want 2", len(sc.Events))
 	}
-	if ev := sc.Events[0]; ev.Type != EvThermal || ev.Slot != 1 || ev.At != 0.002 || ev.Factor != 2.5 || ev.Plane != PlaneTrain {
+	if ev := sc.Events[0]; ev.Type != "thermal-throttle" || ev.Slot != 1 || ev.At != 0.002 || ev.Factor != 2.5 || ev.Plane != "" {
 		t.Fatalf("event[0]: got %+v", ev)
 	}
 	if ev := sc.Events[1]; ev.Code != 79 || ev.Msg != `fell off the "bus"` {
@@ -96,7 +96,7 @@ func TestParseFullGrammar(t *testing.T) {
 	if len(sc.Assertions) != 3 {
 		t.Fatalf("assertions: got %d, want 3", len(sc.Assertions))
 	}
-	if a := sc.Assertions[2]; a.Kind != AssertMetricMax || a.Metric != "vmem.peak_bytes" || a.Value != 4e9 {
+	if a := sc.Assertions[2]; a.Kind != "metric-max" || a.Metric != "vmem.peak_bytes" || a.Value != 4e9 {
 		t.Fatalf("assertion[2]: got %+v", a)
 	}
 	if err := sc.Validate(); err != nil {
@@ -196,6 +196,14 @@ func TestValidateRejects(t *testing.T) {
 		{"bad dataset", func(sc *Scenario) { sc.Workload.Dataset = "karate" }, "no dataset"},
 		{"bad backend", func(sc *Scenario) { sc.Workload.Backend = "cuda" }, "backend"},
 		{"bad parallelism", func(sc *Scenario) { sc.Workload.Parallelism = "model" }, "unknown parallelism"},
+		// "single" names a train plane, not a parallelism: check used to accept
+		// it and run then died in core without a line.
+		{"parallelism single", func(sc *Scenario) { sc.Workload.Parallelism = "single" }, `unknown parallelism "single" (want ddp or partitioned)`},
+		{"parallelism single, two slots", func(sc *Scenario) {
+			sc.Fleet.Nodes[0].GPUs = 2
+			sc.Workload.Parallelism = "single"
+		}, `unknown parallelism "single"`},
+		{"negative epochs", func(sc *Scenario) { sc.Workload.Epochs = -1 }, "negative Epochs"},
 		{"partitioned unsupported", func(sc *Scenario) {
 			sc.Fleet.Nodes[0].GPUs = 2
 			sc.Workload.Key = "PSAGE"
@@ -210,41 +218,75 @@ func TestValidateRejects(t *testing.T) {
 			sc.Fleet.Nodes[0].GPUs = 2
 			sc.Workload.Parallelism = "partitioned"
 			sc.Serve = &ServeSpec{}
-		}, "cannot freeze partitioned weights"},
-		{"bad event type", func(sc *Scenario) { sc.Events = []EventSpec{{Type: "meteor", Plane: PlaneTrain}} }, "unknown train-plane event type"},
-		{"bad event plane", func(sc *Scenario) { sc.Events = []EventSpec{{Type: EvXID, Plane: "disk"}} }, "unknown event plane"},
-		{"event slot", func(sc *Scenario) { sc.Events = []EventSpec{{Type: EvXID, Plane: PlaneTrain, Slot: 3}} }, "outside the 1-device fleet"},
-		{"event time", func(sc *Scenario) { sc.Events = []EventSpec{{Type: EvXID, Plane: PlaneTrain, At: -1}} }, "negative event time"},
+		}, "full weights to freeze"},
+		{"bad event type", func(sc *Scenario) { sc.Events = []EventSpec{{Type: "meteor", Plane: PlaneTrain}} }, `unknown event type "meteor" (known types are xid, `},
+		{"bad event plane", func(sc *Scenario) { sc.Events = []EventSpec{{Type: "xid", Plane: "disk"}} }, `does not target plane "disk"`},
+		{"event slot", func(sc *Scenario) { sc.Events = []EventSpec{{Type: "xid", Plane: PlaneTrain, Slot: 3}} }, "outside the 1-device fleet"},
+		{"event time", func(sc *Scenario) { sc.Events = []EventSpec{{Type: "xid", Plane: PlaneTrain, At: -1}} }, "negative event time"},
 		{"loader-kill multi", func(sc *Scenario) {
 			sc.Fleet.Nodes[0].GPUs = 2
 			sc.Workload.PipelineDepth = 2
-			sc.Events = []EventSpec{{Type: EvLoaderKill, Plane: PlaneTrain}}
+			sc.Events = []EventSpec{{Type: "loader-kill", Plane: PlaneTrain}}
 		}, "single-device"},
 		{"loader-kill no pipeline", func(sc *Scenario) {
-			sc.Events = []EventSpec{{Type: EvLoaderKill, Plane: PlaneTrain}}
+			sc.Events = []EventSpec{{Type: "loader-kill", Plane: PlaneTrain}}
 		}, "pipeline-depth"},
 		{"serve event no serve", func(sc *Scenario) {
-			sc.Events = []EventSpec{{Type: EvServeBurst, Plane: PlaneServe, DurationFrac: 0.2, Factor: 2}}
+			sc.Events = []EventSpec{{Type: "serve-burst", Plane: PlaneServe, DurationFrac: 0.2, Factor: 2}}
 		}, `needs a "serve:" section`},
 		{"burst window", func(sc *Scenario) {
 			sc.Serve = &ServeSpec{}
-			sc.Events = []EventSpec{{Type: EvServeBurst, Plane: PlaneServe, AtFrac: 0.9, DurationFrac: 0.5, Factor: 2}}
+			sc.Events = []EventSpec{{Type: "serve-burst", Plane: PlaneServe, AtFrac: 0.9, DurationFrac: 0.5, Factor: 2}}
 		}, "outside"},
 		{"burst factor", func(sc *Scenario) {
 			sc.Serve = &ServeSpec{}
-			sc.Events = []EventSpec{{Type: EvServeBurst, Plane: PlaneServe, DurationFrac: 0.2, Factor: 0.5}}
+			sc.Events = []EventSpec{{Type: "serve-burst", Plane: PlaneServe, DurationFrac: 0.2, Factor: 0.5}}
 		}, "factor >= 1"},
-		{"bad assertion kind", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "vibes-good"}} }, "unknown assertion kind"},
-		{"assertion value", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: AssertLossMax}} }, `positive "value:"`},
-		{"metric name", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: AssertMetricMax, Value: 1}} }, `"metric:" name`},
-		{"digest hex", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: AssertDigest, Text: "zz"}} }, "hex"},
-		{"abort text", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: AssertExpectAbort}} }, "substring"},
+		{"bad assertion kind", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "vibes-good"}} }, `unknown assertion kind "vibes-good" (known kinds are rerun-digest, `},
+		{"assertion value", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "loss-max"}} }, `loss-max needs "value:"`},
+		{"metric name", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "metric-max", Value: 1}} }, `metric-max needs "metric:"`},
+		{"digest hex", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "digest", Text: "zz"}} }, "hex"},
+		{"abort text", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "expect-abort"}} }, `expect-abort needs "text:"`},
 		{"elastic assertion solo", func(sc *Scenario) {
-			sc.Assertions = []Assertion{{Kind: AssertGoodputMin, Value: 0.5}}
+			sc.Assertions = []Assertion{{Kind: "goodput-min", Value: 0.5}}
 		}, "elastic ddp"},
 		{"serve assertion no serve", func(sc *Scenario) {
-			sc.Assertions = []Assertion{{Kind: AssertServeQPSMin, Value: 1}}
+			sc.Assertions = []Assertion{{Kind: "serve-qps-min", Value: 1}}
 		}, `needs a "serve:" section`},
+		// Keys the run would ignore (all accepted by check and run before).
+		{"rerun-digest value", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "rerun-digest", Value: 3}} }, `rerun-digest does not read "value:" (it takes nothing)`},
+		{"rerun-digest metric", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "rerun-digest", Metric: "m"}} }, `does not read "metric:"`},
+		{"loss-max text", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "loss-max", Value: 1, Text: "x"}} }, `loss-max does not read "text:" (it takes "value:")`},
+		{"digest value", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "digest", Text: "ab", Value: 1}} }, `does not read "value:"`},
+		{"expect-oom value", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "expect-oom", Value: 1}} }, `does not read "value:"`},
+		{"expect-abort value", func(sc *Scenario) { sc.Assertions = []Assertion{{Kind: "expect-abort", Text: "xid", Value: 1}} }, `does not read "value:"`},
+		{"thermal code", func(sc *Scenario) { sc.Events = []EventSpec{{Type: "thermal-throttle", Code: 79}} }, `thermal-throttle does not read "code:"`},
+		{"thermal at-frac", func(sc *Scenario) { sc.Events = []EventSpec{{Type: "thermal-throttle", AtFrac: 0.5}} }, `does not read "at-frac:"`},
+		{"burst at", func(sc *Scenario) {
+			sc.Serve = &ServeSpec{}
+			sc.Events = []EventSpec{{Type: "serve-burst", DurationFrac: 0.2, Factor: 2, At: 0.1}}
+		}, `serve-burst does not read "at:" (it takes "factor:", "at-frac:", "duration-frac:")`},
+		{"burst slot", func(sc *Scenario) {
+			sc.Serve = &ServeSpec{}
+			sc.Events = []EventSpec{{Type: "serve-burst", DurationFrac: 0.2, Factor: 2, Slot: 1}}
+		}, `does not read "slot:"`},
+		{"burst on train", func(sc *Scenario) {
+			sc.Serve = &ServeSpec{}
+			sc.Events = []EventSpec{{Type: "serve-burst", Plane: PlaneTrain, DurationFrac: 0.2, Factor: 2}}
+		}, `does not target plane "train" (it targets serve)`},
+		{"throttle factor below 1", func(sc *Scenario) { sc.Events = []EventSpec{{Type: "thermal-throttle", Factor: 0.5}} }, "factor >= 1"},
+		{"overlap solo", func(sc *Scenario) { sc.Workload.Overlap = true }, "workload.overlap is not read without a halo exchange (the partitioned plane)"},
+		{"compress-h2d synchronous", func(sc *Scenario) { sc.Workload.CompressH2D = true }, "workload.compress-h2d is not read without workload.pipeline-depth > 0"},
+		{"loader-workers synchronous", func(sc *Scenario) { sc.Workload.LoaderWorkers = 2 }, "workload.loader-workers is not read without workload.pipeline-depth > 0"},
+		{"pipeline-depth partitioned", func(sc *Scenario) {
+			sc.Fleet.Nodes[0].GPUs = 2
+			sc.Workload.Parallelism = "partitioned"
+			sc.Workload.PipelineDepth = 2
+		}, "workload.pipeline-depth is not read without an input pipeline"},
+		{"overlap ddp", func(sc *Scenario) {
+			sc.Fleet.Nodes[0].GPUs = 2
+			sc.Workload.Overlap = true
+		}, "workload.overlap is not read without a halo exchange (the partitioned plane)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -265,16 +307,16 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestServableSet pins the validator's servable-workload set against the
-// live registry: exactly the keys whose built workloads implement
-// models.Servable.
+// TestServableSet pins the registry's Servable column — what Validate and
+// core's error texts read — against the live builds: exactly the keys whose
+// built workloads implement models.Servable.
 func TestServableSet(t *testing.T) {
 	for _, spec := range core.Registry() {
 		env := models.NewEnv(ops.NewWith(gpu.New(gpu.V100()), backend.NewSerial()), 1)
 		wl := spec.Build(env, spec.Datasets[0], 1)
 		_, servable := wl.(models.Servable)
-		if servable != servableWorkloads[spec.Key] {
-			t.Errorf("workload %s: servable=%v, validator says %v", spec.Key, servable, servableWorkloads[spec.Key])
+		if servable != spec.Servable {
+			t.Errorf("workload %s: servable=%v, registry says %v", spec.Key, servable, spec.Servable)
 		}
 	}
 }
@@ -291,6 +333,15 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add("events:\n  - -1\n")
 	f.Add("\tx: 1\n")
 	f.Add("a:b\n")
+	// Files that parse and that Validate refuses since the vocabulary became
+	// rows: a plane's name as a parallelism, and operands a run would ignore.
+	body := "scenario: x\nfleet:\n  nodes:\n    - preset: v100\nworkload:\n  key: ARGA\n"
+	f.Add(body + "  parallelism: single\n")
+	f.Add(body + "  overlap: true\n  compress-h2d: true\n  loader-workers: 2\n")
+	f.Add(body + "assertions:\n  - kind: rerun-digest\n    value: 3\n    metric: m\n  - kind: loss-max\n    value: 1\n    text: t\n")
+	f.Add(body + "assertions:\n  - kind: digest\n    text: abcd\n    value: 1\n  - kind: expect-oom\n    value: 1\n")
+	f.Add(body + "events:\n  - type: thermal-throttle\n    code: 79\n    at-frac: 0.5\n")
+	f.Add(body + "events:\n  - type: serve-burst\n    at: 1\n    slot: 1\n    factor: 2\n    duration-frac: 0.5\nserve:\n  replicas: 2\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		sc, err := Parse(src)
 		if err != nil {
@@ -306,6 +357,12 @@ func FuzzParseScenario(f *testing.F) {
 		if sc == nil {
 			t.Fatal("Parse returned nil, nil")
 		}
-		_ = sc.Validate() // must not panic either
+		// Validate must not panic either, and refuses only with a line.
+		if err := sc.Validate(); err != nil {
+			var pe *ParseError
+			if !errors.As(err, &pe) || pe.Line < 1 {
+				t.Fatalf("Validate returned %T (%v), want a *ParseError with a line", err, err)
+			}
+		}
 	})
 }

@@ -1,22 +1,28 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/hex"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
 	"gnnmark/internal/gpu"
 )
 
-// Scenario is one parsed scenario file: a fleet, a workload, timed events,
-// an optional serving phase, and the assertions that make the run a test.
+// Scenario is one scenario: a fleet, a workload, timed events, an optional
+// serving phase, and the assertions that make the run a test. It is a plain
+// value: a zero field is an unset one (vocab.go lists the defaults), so a
+// Scenario built in Go with only its required fields validates and runs
+// exactly as its parsed text does.
 type Scenario struct {
 	// Name identifies the scenario in reports and assertion failures.
 	Name string
-	// Seed drives every random draw of the run (default 1). The whole
-	// execution is a pure function of (file, seed).
+	// Seed drives every random draw of the run. The whole execution is a
+	// pure function of (file, seed).
 	Seed int64
 	// Fleet declares the simulated devices, node by node.
 	Fleet Fleet
@@ -42,29 +48,30 @@ type Fleet struct {
 type FleetNode struct {
 	// Preset is the device preset name (v100, p100, a100, h100).
 	Preset string
-	// GPUs is the device count on this node (default 1).
+	// GPUs is the device count on this node.
 	GPUs int
 	// HBMGB overrides the preset's device-memory budget in GiB (0 = keep).
 	HBMGB float64
 	Line  int
 }
 
-// Slots flattens the fleet into one device config per slot.
+// Slots flattens the fleet into one device config per slot; a node the
+// device registry or arithmetic cannot place is a *ParseError at its line.
 func (f Fleet) Slots() ([]gpu.Config, error) {
 	var out []gpu.Config
 	for _, n := range f.Nodes {
 		cfg, err := gpu.Preset(n.Preset)
-		if err != nil {
-			return nil, err
-		}
-		if n.HBMGB > 0 {
+		switch {
+		case err != nil:
+			return nil, errf(n.Line, "fleet node: %v (have %v)", err, gpu.PresetNames())
+		case n.GPUs < 0:
+			return nil, errf(n.Line, "fleet node: negative gpus %d", n.GPUs)
+		case n.HBMGB < 0:
+			return nil, errf(n.Line, "fleet node: negative hbm-gb %g", n.HBMGB)
+		case n.HBMGB > 0:
 			cfg.HBMBytes = int64(n.HBMGB * (1 << 30))
 		}
-		gpus := n.GPUs
-		if gpus == 0 {
-			gpus = 1
-		}
-		for i := 0; i < gpus; i++ {
+		for i := 0; i < cmp.Or(n.GPUs, defaultGPUs); i++ {
 			out = append(out, cfg)
 		}
 	}
@@ -78,39 +85,25 @@ type WorkloadSpec struct {
 	Key     string
 	Dataset string
 	// Parallelism selects the multi-device plane when the fleet has more
-	// than one slot: "ddp" (default; elastic when fatal events are
-	// scheduled) or "partitioned". Single-slot fleets train single-device.
+	// than one slot: one of core.Parallelisms (the first is the default).
+	// Single-slot fleets train single-device.
 	Parallelism string
-	// Epochs is the training epoch count (default 2).
+	// Epochs is the training epoch count.
 	Epochs int
 	// Backend is the CPU numerics backend (serial/parallel; default serial).
 	Backend string
-	// Warps overrides the cache-replay sampling budget (default 512 — the
-	// fast fidelity tier; scenarios are CI artifacts).
+	// Warps overrides the cache-replay sampling budget.
 	Warps int
 	// PipelineDepth/LoaderWorkers/CompressH2D configure the asynchronous
-	// input pipeline (single-device and DDP planes).
+	// input pipeline (single-device and DDP planes; the last two only with
+	// a depth). Overlap enables the overlapped halo exchange (partitioned
+	// plane). Set where the run would not read them, they are errors.
 	PipelineDepth int
 	LoaderWorkers int
 	CompressH2D   bool
-	// Overlap enables the overlapped halo exchange (partitioned plane).
-	Overlap bool
-	Line    int
+	Overlap       bool
+	Line          int
 }
-
-// Event type mnemonics accepted in scenario files. The fault-plane types
-// mirror fault.EventType; loader-kill and serve-burst are scenario-level
-// events compiled onto the pipeline and serving planes.
-const (
-	EvXID         = "xid"
-	EvECCSBE      = "ecc-sbe"
-	EvECCDBE      = "ecc-dbe"
-	EvThermal     = "thermal-throttle"
-	EvNVLink      = "nvlink-degrade"
-	EvReplicaLoss = "replica-loss"
-	EvLoaderKill  = "loader-kill"
-	EvServeBurst  = "serve-burst"
-)
 
 // Planes an event can target.
 const (
@@ -118,32 +111,28 @@ const (
 	PlaneServe = "serve"
 )
 
-// EventSpec is one timed chaos event.
+// EventSpec is one timed chaos event. Type names an eventTypes row, and the
+// row says which of the operand fields the type reads; any other one set is
+// a validation error.
 type EventSpec struct {
-	// Type is one of the Ev* mnemonics.
 	Type string
-	// Plane is "train" (default) or "serve". Train events fire against
-	// training fleet slots at simulated training time; serve-plane events
-	// act on the serving phase (serve-burst shapes the arrival trace,
-	// thermal-throttle slows a serving replica's device).
+	// Plane is PlaneTrain or PlaneServe (default: the first the type targets).
 	Plane string
-	// Slot is the fleet slot (train plane) or replica index (serve plane)
+	// Slot is the fleet slot (train plane) or serving replica (serve plane)
 	// the event hits.
 	Slot int
-	// At is the event time in simulated seconds. Train-plane events
-	// compare against the slot's training-relative device clock; a serve-
-	// plane thermal-throttle compares against the replica's accumulated
-	// device busy time.
+	// At is the event time in simulated seconds, against the slot's
+	// training-relative device clock on the train plane and the replica's
+	// accumulated device busy time on the serve plane.
 	At float64
-	// Factor is the slowdown multiplier for thermal-throttle and
-	// nvlink-degrade (0 = the fault plane's default).
+	// Factor is the slowdown or burst multiplier (unset = the fault plane's
+	// default for the type).
 	Factor float64
-	// Code is the XID code (xid events; default 79).
+	// Code is the XID code; Msg is carried into error messages.
 	Code int
-	// Msg is carried into error messages.
-	Msg string
-	// AtFrac/DurationFrac position a serve-burst window as fractions of
-	// the serving horizon [0, 1).
+	Msg  string
+	// AtFrac/DurationFrac position a window as fractions of the serving
+	// horizon [0, 1).
 	AtFrac       float64
 	DurationFrac float64
 	Line         int
@@ -153,98 +142,101 @@ type EventSpec struct {
 // expressed relative to the measured batch-of-1 service time, so scenario
 // files stay valid as the device model evolves.
 type ServeSpec struct {
-	// Replicas is the frozen-replica count (default 2). Replica i serves
-	// on the device model of fleet slot i mod len(slots).
+	// Replicas is the frozen-replica count. Replica i serves on the device
+	// model of fleet slot i mod len(slots).
 	Replicas int
-	// MaxBatch is the micro-batching cap (default 8).
+	// MaxBatch is the micro-batching cap.
 	MaxBatch int
-	// MaxWaitFactor is the batching window in batch-1 service times
-	// (default 1).
+	// MaxWaitFactor is the batching window in batch-1 service times.
 	MaxWaitFactor float64
-	// QueueCap bounds the admission queue (default 64; -1 = unbounded).
+	// QueueCap bounds the admission queue (negative = unbounded).
 	QueueCap int
-	// CacheRows is the embedding-cache capacity (default 0: no cache).
+	// CacheRows is the embedding-cache capacity (0: no cache).
 	CacheRows int
 	// LoadFactor is the offered open-loop rate relative to the pool's
-	// batch-1 capacity (default 1).
+	// batch-1 capacity.
 	LoadFactor float64
-	// DurationFactor is the arrival horizon in batch-1 service times
-	// (default 200).
+	// DurationFactor is the arrival horizon in batch-1 service times.
 	DurationFactor float64
 	Line           int
 }
 
-// Assertion kinds.
-const (
-	AssertRerunDigest     = "rerun-digest"
-	AssertDigest          = "digest"
-	AssertEpochSecondsMax = "epoch-seconds-max"
-	AssertTotalSecondsMax = "total-seconds-max"
-	AssertLossMax         = "loss-max"
-	AssertCompletedMin    = "completed-epochs-min"
-	AssertGoodputMin      = "goodput-min"
-	AssertRecoveryDeadln  = "recovery-deadline"
-	AssertRecoveriesMin   = "recoveries-min"
-	AssertSurvivorsMin    = "survivors-min"
-	AssertMetricMax       = "metric-max"
-	AssertMetricMin       = "metric-min"
-	AssertExpectOOM       = "expect-oom"
-	AssertExpectAbort     = "expect-abort"
-	AssertServeQPSMin     = "serve-qps-min"
-	AssertServeP99MaxUS   = "serve-p99-max-us"
-	AssertServeRejectMax  = "serve-rejected-max"
-	AssertServeHitRateMin = "serve-hit-rate-min"
-)
-
-// Assertion is one outcome check.
+// Assertion is one outcome check. Kind names an assertionKinds row, and the
+// row says which of Value (a threshold), Metric (an obs metric name) and
+// Text (a digest, or a substring of the failure message) the kind reads.
 type Assertion struct {
-	// Kind selects the check (one of the Assert* kinds).
-	Kind string
-	// Value is the numeric threshold for bounded kinds.
-	Value float64
-	// Metric names the obs metric for metric-max/metric-min.
+	Kind   string
+	Value  float64
 	Metric string
-	// Text is the expected digest hex (digest) or the required error
-	// substring (expect-abort).
-	Text string
-	Line int
+	Text   string
+	Line   int
 }
 
 // decodeScenario converts the parse tree into the typed Scenario,
 // rejecting unknown keys and type mismatches with their line numbers.
 func decodeScenario(root *node) (*Scenario, error) {
-	sc := &Scenario{Seed: 1}
+	sc := &Scenario{}
 	d, err := newMapDecoder(root, "scenario")
 	if err != nil {
 		return nil, err
 	}
-	d.str("scenario", &sc.Name)
-	if c := d.get("seed"); c != nil {
-		v, err := c.asInt("seed")
-		d.fail(err)
-		sc.Seed = int64(v)
-	}
-	if c := d.get("fleet"); c != nil {
-		d.fail(decodeFleet(c, &sc.Fleet))
-	}
-	if c := d.get("workload"); c != nil {
-		d.fail(decodeWorkload(c, &sc.Workload))
-	}
-	if c := d.get("events"); c != nil {
-		evs, err := decodeEvents(c)
-		d.fail(err)
-		sc.Events = evs
-	}
-	if c := d.get("serve"); c != nil {
-		sv, err := decodeServe(c)
-		d.fail(err)
+	d.field("scenario", &sc.Name)
+	d.field("seed", &sc.Seed)
+	d.section("fleet", func(fd *mapDecoder, _ int) {
+		fd.list("nodes", "fleet node", func(nd *mapDecoder, line int) {
+			fn := FleetNode{Line: line}
+			nd.field("preset", &fn.Preset)
+			nd.field("gpus", &fn.GPUs)
+			nd.field("hbm-gb", &fn.HBMGB)
+			sc.Fleet.Nodes = append(sc.Fleet.Nodes, fn)
+		})
+	})
+	d.section("workload", func(wd *mapDecoder, line int) {
+		w := &sc.Workload
+		w.Line = line
+		wd.field("key", &w.Key)
+		wd.field("dataset", &w.Dataset)
+		wd.field("parallelism", &w.Parallelism)
+		wd.field("backend", &w.Backend)
+		wd.field("epochs", &w.Epochs)
+		wd.field("warps", &w.Warps)
+		wd.field("pipeline-depth", &w.PipelineDepth)
+		wd.field("loader-workers", &w.LoaderWorkers)
+		wd.field("compress-h2d", &w.CompressH2D)
+		wd.field("overlap", &w.Overlap)
+	})
+	d.list("events", "event", func(ed *mapDecoder, line int) {
+		ev := EventSpec{Line: line}
+		ed.field("type", &ev.Type)
+		ed.field("plane", &ev.Plane)
+		ed.field("slot", &ev.Slot)
+		ed.field("at", &ev.At)
+		ed.field("factor", &ev.Factor)
+		ed.field("code", &ev.Code)
+		ed.field("msg", &ev.Msg)
+		ed.field("at-frac", &ev.AtFrac)
+		ed.field("duration-frac", &ev.DurationFrac)
+		sc.Events = append(sc.Events, ev)
+	})
+	d.section("serve", func(sd *mapDecoder, line int) {
+		sv := &ServeSpec{Line: line}
+		sd.field("replicas", &sv.Replicas)
+		sd.field("max-batch", &sv.MaxBatch)
+		sd.field("max-wait-factor", &sv.MaxWaitFactor)
+		sd.field("queue-cap", &sv.QueueCap)
+		sd.field("cache-rows", &sv.CacheRows)
+		sd.field("load-factor", &sv.LoadFactor)
+		sd.field("duration-factor", &sv.DurationFactor)
 		sc.Serve = sv
-	}
-	if c := d.get("assertions"); c != nil {
-		as, err := decodeAssertions(c)
-		d.fail(err)
-		sc.Assertions = as
-	}
+	})
+	d.list("assertions", "assertion", func(ad *mapDecoder, line int) {
+		a := Assertion{Line: line}
+		ad.field("kind", &a.Kind)
+		ad.field("value", &a.Value)
+		ad.field("metric", &a.Metric)
+		ad.field("text", &a.Text)
+		sc.Assertions = append(sc.Assertions, a)
+	})
 	if err := d.finish(); err != nil {
 		return nil, err
 	}
@@ -254,348 +246,223 @@ func decodeScenario(root *node) (*Scenario, error) {
 	return sc, nil
 }
 
-func decodeFleet(n *node, f *Fleet) *ParseError {
-	d, err := newMapDecoder(n, "fleet")
-	if err != nil {
-		return err
-	}
-	nodes := d.get("nodes")
-	if nodes == nil {
-		return errf(n.line, "fleet needs a \"nodes:\" list")
-	}
-	if nodes.kind != listNode {
-		return errf(nodes.line, "fleet.nodes must be a list")
-	}
-	for _, item := range nodes.items {
-		var fn FleetNode
-		fn.Line = item.line
-		nd, err := newMapDecoder(item, "fleet node")
-		if err != nil {
-			return err
-		}
-		nd.str("preset", &fn.Preset)
-		nd.intval("gpus", &fn.GPUs)
-		nd.floatval("hbm-gb", &fn.HBMGB)
-		if err := nd.finish(); err != nil {
-			return err
-		}
-		f.Nodes = append(f.Nodes, fn)
-	}
-	return d.finish()
+// ---- resolution and semantic validation ----
+
+// Validate checks the scenario against the vocabulary rows and the live
+// registries: presets resolve, the workload lowers to a core.RunConfig that
+// core accepts, every event and assertion sets the operands its row needs
+// and none its row does not read, on a plane and a run its row applies to.
+// It is the complete gate — Execute runs nothing Validate has not passed —
+// and all failures are *ParseError values with the declaring line.
+func (sc *Scenario) Validate() error {
+	_, _, _, err := sc.resolve()
+	return err
 }
 
-func decodeWorkload(n *node, w *WorkloadSpec) *ParseError {
-	w.Line = n.line
-	d, err := newMapDecoder(n, "workload")
-	if err != nil {
-		return err
+// resolve is the one step Validate and Execute share: it returns a copy of
+// the scenario with every default filled in (sc itself is left as written),
+// the train plane it runs on and the core run configuration it lowers to
+// (Devices are the fleet's slots), or the first validation error.
+func (sc *Scenario) resolve() (*Scenario, *trainPlane, core.RunConfig, error) {
+	r := *sc
+	r.Seed = cmp.Or(r.Seed, defaultSeed)
+	w := &r.Workload
+	w.Epochs = cmp.Or(w.Epochs, defaultEpochs)
+	w.Warps = cmp.Or(w.Warps, defaultWarps)
+	w.Parallelism = cmp.Or(w.Parallelism, core.Parallelisms()[0])
+	if w.PipelineDepth > 0 {
+		w.LoaderWorkers = cmp.Or(w.LoaderWorkers, min(w.PipelineDepth, defaultLoaderWorkersMax))
 	}
-	d.str("key", &w.Key)
-	d.str("dataset", &w.Dataset)
-	d.str("parallelism", &w.Parallelism)
-	d.str("backend", &w.Backend)
-	d.intval("epochs", &w.Epochs)
-	d.intval("warps", &w.Warps)
-	d.intval("pipeline-depth", &w.PipelineDepth)
-	d.intval("loader-workers", &w.LoaderWorkers)
-	d.boolval("compress-h2d", &w.CompressH2D)
-	d.boolval("overlap", &w.Overlap)
-	return d.finish()
-}
-
-func decodeEvents(n *node) ([]EventSpec, *ParseError) {
-	if n.kind != listNode {
-		return nil, errf(n.line, "events must be a list")
+	if sc.Serve != nil {
+		s := *sc.Serve
+		s.Replicas = cmp.Or(s.Replicas, defaultServeReplicas)
+		s.MaxBatch = cmp.Or(s.MaxBatch, defaultServeMaxBatch)
+		s.QueueCap = max(cmp.Or(s.QueueCap, defaultServeQueueCap), 0) // negative = unbounded = serve's 0
+		s.LoadFactor = cmp.Or(s.LoadFactor, defaultLoadFactor)
+		s.DurationFactor = cmp.Or(s.DurationFactor, defaultDurationFactor)
+		s.MaxWaitFactor = cmp.Or(s.MaxWaitFactor, defaultMaxWaitFactor)
+		r.Serve = &s
 	}
-	var out []EventSpec
-	for _, item := range n.items {
-		var ev EventSpec
-		ev.Line = item.line
-		d, err := newMapDecoder(item, "event")
-		if err != nil {
-			return nil, err
-		}
-		d.str("type", &ev.Type)
-		d.str("plane", &ev.Plane)
-		d.intval("slot", &ev.Slot)
-		d.floatval("at", &ev.At)
-		d.floatval("factor", &ev.Factor)
-		d.intval("code", &ev.Code)
-		d.str("msg", &ev.Msg)
-		d.floatval("at-frac", &ev.AtFrac)
-		d.floatval("duration-frac", &ev.DurationFrac)
-		if err := d.finish(); err != nil {
-			return nil, err
-		}
-		if ev.Plane == "" {
-			if ev.Type == EvServeBurst {
-				ev.Plane = PlaneServe
-			} else {
-				ev.Plane = PlaneTrain
+	r.Events = slices.Clone(sc.Events)
+	for i := range r.Events {
+		ev := &r.Events[i]
+		if t := eventTypeOf(ev.Type); t != nil {
+			ev.Plane = cmp.Or(ev.Plane, t.planes[0])
+			if t.takes&opCode != 0 { // the XID row: the one code there is to default
+				ev.Code = cmp.Or(ev.Code, defaultXIDCode)
 			}
 		}
-		out = append(out, ev)
 	}
-	return out, nil
-}
-
-func decodeServe(n *node) (*ServeSpec, *ParseError) {
-	sv := &ServeSpec{Line: n.line}
-	d, err := newMapDecoder(n, "serve")
+	slots, err := r.Fleet.Slots()
 	if err != nil {
-		return nil, err
+		return nil, nil, core.RunConfig{}, err
 	}
-	d.intval("replicas", &sv.Replicas)
-	d.intval("max-batch", &sv.MaxBatch)
-	d.floatval("max-wait-factor", &sv.MaxWaitFactor)
-	d.intval("queue-cap", &sv.QueueCap)
-	d.intval("cache-rows", &sv.CacheRows)
-	d.floatval("load-factor", &sv.LoadFactor)
-	d.floatval("duration-factor", &sv.DurationFactor)
-	return sv, d.finish()
+	cfg := r.runConfig(slots)
+	plane, err := r.validate(cfg)
+	return &r, plane, cfg, err
 }
 
-func decodeAssertions(n *node) ([]Assertion, *ParseError) {
-	if n.kind != listNode {
-		return nil, errf(n.line, "assertions must be a list")
+// validate checks a resolved scenario, lowered to cfg, and picks its train
+// plane.
+func (sc *Scenario) validate(cfg core.RunConfig) (*trainPlane, error) {
+	world := cfg.GPUs
+	if world == 0 {
+		return nil, errf(1, "scenario %q declares no fleet nodes", sc.Name)
 	}
-	var out []Assertion
-	for _, item := range n.items {
-		var a Assertion
-		a.Line = item.line
-		d, err := newMapDecoder(item, "assertion")
-		if err != nil {
-			return nil, err
-		}
-		d.str("kind", &a.Kind)
-		d.floatval("value", &a.Value)
-		d.str("metric", &a.Metric)
-		d.str("text", &a.Text)
-		if err := d.finish(); err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// ---- semantic validation ----
-
-// trainEventTypes maps scenario event mnemonics onto the train plane.
-var trainEventTypes = map[string]bool{
-	EvXID: true, EvECCSBE: true, EvECCDBE: true, EvThermal: true,
-	EvNVLink: true, EvReplicaLoss: true, EvLoaderKill: true,
-}
-
-// serveEventTypes are the event mnemonics the serving phase understands.
-var serveEventTypes = map[string]bool{EvServeBurst: true, EvThermal: true}
-
-// servableWorkloads are the registry keys implementing models.Servable
-// (pinned by TestServableSet against the live registry).
-var servableWorkloads = map[string]bool{"PSAGE": true, "ARGA": true}
-
-// boundedAssertions require a positive "value:".
-var boundedAssertions = map[string]bool{
-	AssertEpochSecondsMax: true, AssertTotalSecondsMax: true, AssertLossMax: true,
-	AssertCompletedMin: true, AssertGoodputMin: true, AssertRecoveryDeadln: true,
-	AssertRecoveriesMin: true, AssertSurvivorsMin: true,
-	AssertMetricMax: true, AssertMetricMin: true,
-	AssertServeQPSMin: true, AssertServeP99MaxUS: true, AssertServeHitRateMin: true,
-}
-
-// allAssertionKinds is the complete kind set.
-var allAssertionKinds = map[string]bool{
-	AssertRerunDigest: true, AssertDigest: true, AssertExpectOOM: true,
-	AssertExpectAbort: true, AssertServeRejectMax: true,
-}
-
-func init() {
-	for k := range boundedAssertions {
-		allAssertionKinds[k] = true
-	}
-}
-
-// Validate checks the scenario against the live registries: presets
-// resolve, the workload and dataset exist, events target real slots with
-// types their plane understands, and every assertion is well-formed. All
-// failures are *ParseError values with the declaring line.
-func (sc *Scenario) Validate() error {
-	if len(sc.Fleet.Nodes) == 0 {
-		return errf(1, "scenario %q declares no fleet nodes", sc.Name)
-	}
-	for _, n := range sc.Fleet.Nodes {
-		if _, err := gpu.Preset(n.Preset); err != nil {
-			return errf(n.Line, "fleet node: %v (have %v)", err, gpu.PresetNames())
-		}
-		if n.GPUs < 0 {
-			return errf(n.Line, "fleet node: negative gpus %d", n.GPUs)
-		}
-		if n.HBMGB < 0 {
-			return errf(n.Line, "fleet node: negative hbm-gb %g", n.HBMGB)
-		}
-	}
-	slots, err := sc.Fleet.Slots()
-	if err != nil {
-		return err
-	}
-	world := len(slots)
-
+	// The workload is whatever core says it is: the lowered config must
+	// resolve there (key, dataset, parallelism, no negative count).
 	w := &sc.Workload
-	spec, lookErr := core.Lookup(w.Key)
-	if lookErr != nil {
-		return errf(w.Line, "%v", lookErr)
-	}
-	if w.Dataset != "" {
-		ok := false
-		for _, ds := range spec.Datasets {
-			ok = ok || ds == w.Dataset
-		}
-		if !ok {
-			return errf(w.Line, "workload %s has no dataset %q (have %v)", w.Key, w.Dataset, spec.Datasets)
-		}
+	spec, _, err := cfg.Resolve()
+	if err != nil {
+		return nil, errf(w.Line, "workload: %s", strings.TrimPrefix(err.Error(), "core: "))
 	}
 	if w.Backend != "" {
 		if _, err := backend.New(w.Backend); err != nil {
-			return errf(w.Line, "%v", err)
+			return nil, errf(w.Line, "%v", err)
 		}
 	}
-	if w.Epochs < 0 || w.Warps < 0 || w.PipelineDepth < 0 || w.LoaderWorkers < 0 {
-		return errf(w.Line, "workload: negative epoch/warp/pipeline counts")
-	}
-	switch w.Parallelism {
-	case "", "single", "ddp":
-	case "partitioned":
-		ok := false
-		for _, k := range core.PartitionedWorkloads() {
-			ok = ok || k == w.Key
+	plane := &trainPlanes[0]
+	if world > 1 {
+		i := slices.IndexFunc(trainPlanes, func(p trainPlane) bool { return p.name == w.Parallelism })
+		if i < 1 {
+			return nil, errf(w.Line, "workload: no train plane runs parallelism %q", w.Parallelism)
 		}
-		if !ok {
-			return errf(w.Line, "workload %s does not support partitioned training (have %v)",
-				w.Key, core.PartitionedWorkloads())
-		}
-	default:
-		return errf(w.Line, "unknown parallelism %q (want ddp or partitioned)", w.Parallelism)
+		plane = &trainPlanes[i]
+	} else if w.Parallelism != core.Parallelisms()[0] {
+		return nil, errf(w.Line, "%s training needs a fleet with more than one device", w.Parallelism)
 	}
-	if world == 1 && w.Parallelism == "partitioned" {
-		return errf(w.Line, "partitioned training needs a fleet with more than one device")
+	// The plane that exchanges halos is the one that trains partitions.
+	if plane.offers&overlaps != 0 && spec.Partition == nil {
+		return nil, errf(w.Line, "workload %s does not support partitioned training (have %v)",
+			w.Key, core.PartitionedWorkloads())
 	}
 
+	// What this run has: the plane's features plus the file's.
+	have := plane.offers
 	if sc.Serve != nil {
-		if !servableWorkloads[w.Key] {
-			return errf(sc.Serve.Line, "workload %s does not serve embeddings (servable: ARGA, PSAGE)", w.Key)
+		have |= hasServe
+	}
+	if w.PipelineDepth > 0 {
+		have |= hasPipeline
+	}
+	for _, k := range [...]struct {
+		key   string
+		set   bool
+		needs feature
+	}{
+		{"pipeline-depth", w.PipelineDepth != 0, pipelines},
+		{"loader-workers", w.LoaderWorkers != 0, hasPipeline},
+		{"compress-h2d", w.CompressH2D, hasPipeline},
+		{"overlap", w.Overlap, overlaps},
+	} {
+		if lack := k.needs &^ have; k.set && lack != 0 {
+			return nil, errf(w.Line, "workload.%s is not read without %s", k.key, lack)
 		}
-		if w.Parallelism == "partitioned" {
-			return errf(sc.Serve.Line, "the serving phase cannot freeze partitioned weights (use ddp or a single device)")
+	}
+
+	if s := sc.Serve; s != nil {
+		if !spec.Servable {
+			return nil, errf(s.Line, "workload %s does not serve embeddings (servable: %v)", w.Key, core.ServableWorkloads())
 		}
-		s := sc.Serve
+		if lack := freezable &^ have; lack != 0 {
+			return nil, errf(s.Line, "serve: needs %s", lack)
+		}
 		if s.Replicas < 0 || s.MaxBatch < 0 || s.CacheRows < 0 {
-			return errf(s.Line, "serve: negative replica/batch/cache counts")
+			return nil, errf(s.Line, "serve: negative replica/batch/cache counts")
 		}
 		if s.LoadFactor < 0 || s.DurationFactor < 0 || s.MaxWaitFactor < 0 {
-			return errf(s.Line, "serve: negative load/duration/wait factors")
+			return nil, errf(s.Line, "serve: negative load/duration/wait factors")
 		}
 	}
 
 	for _, ev := range sc.Events {
-		if err := sc.validateEvent(ev, world); err != nil {
-			return err
+		t := eventTypeOf(ev.Type)
+		if t == nil {
+			return nil, errf(ev.Line, "unknown event type %q (known types are %s)", ev.Type,
+				known(eventTypes, func(t *eventType) string { return t.name }))
+		}
+		if err := t.holds(ev.Line, "event", ev.set(), have); err != nil {
+			return nil, err
+		}
+		// Where the slot is looked up: fleet slots, or serving replicas.
+		limit, what := world, "-device fleet"
+		switch {
+		case !slices.Contains(t.planes, ev.Plane):
+			return nil, errf(ev.Line, "event %s does not target plane %q (it targets %s)", t.name, ev.Plane, strings.Join(t.planes, " or "))
+		case ev.Plane == PlaneServe && sc.Serve == nil:
+			return nil, errf(ev.Line, "serve-plane event needs %s", hasServe)
+		case ev.Plane == PlaneServe:
+			limit, what = sc.Serve.Replicas, " serving replicas"
+		}
+		switch {
+		case ev.Slot < 0 || ev.Slot >= limit:
+			return nil, errf(ev.Line, "event slot %d outside the %d%s", ev.Slot, limit, what)
+		case ev.At < 0:
+			return nil, errf(ev.Line, "negative event time %g", ev.At)
+		case ev.Factor != 0 && ev.Factor < 1:
+			return nil, errf(ev.Line, "event %s: factor %g is not a slowdown or a burst (want factor >= 1)", t.name, ev.Factor)
+		case ev.AtFrac < 0 || ev.AtFrac >= 1:
+			return nil, errf(ev.Line, "event %s: at-frac %g outside [0, 1)", t.name, ev.AtFrac)
+		case ev.DurationFrac < 0 || ev.AtFrac+ev.DurationFrac > 1:
+			return nil, errf(ev.Line, "event %s: window [%g, %g] outside (0, 1]", t.name, ev.AtFrac, ev.AtFrac+ev.DurationFrac)
 		}
 	}
 
-	hasServeAssert := false
 	for _, a := range sc.Assertions {
-		if !allAssertionKinds[a.Kind] {
-			return errf(a.Line, "unknown assertion kind %q", a.Kind)
+		k := kindOf(a.Kind)
+		if k == nil {
+			return nil, errf(a.Line, "unknown assertion kind %q (known kinds are %s)", a.Kind,
+				known(assertionKinds, func(k *assertionKind) string { return k.name }))
 		}
-		if boundedAssertions[a.Kind] && a.Value <= 0 {
-			return errf(a.Line, "assertion %s needs a positive \"value:\"", a.Kind)
+		if err := k.holds(a.Line, "assertion", a.set(), have); err != nil {
+			return nil, err
 		}
-		switch a.Kind {
-		case AssertMetricMax, AssertMetricMin:
-			if a.Metric == "" {
-				return errf(a.Line, "assertion %s needs a \"metric:\" name", a.Kind)
+		if a.Value < 0 {
+			return nil, errf(a.Line, "assertion %s: negative \"value:\" %g", k.name, a.Value)
+		}
+		if k.hexText {
+			if _, err := hex.DecodeString(a.Text); err != nil {
+				return nil, errf(a.Line, "assertion %s needs a hex \"text:\" value", k.name)
 			}
-		case AssertDigest:
-			if _, err := hex.DecodeString(a.Text); err != nil || a.Text == "" {
-				return errf(a.Line, "assertion digest needs a hex \"text:\" value")
-			}
-		case AssertExpectAbort:
-			if a.Text == "" {
-				return errf(a.Line, "assertion expect-abort needs a \"text:\" substring")
-			}
-		case AssertGoodputMin, AssertRecoveryDeadln, AssertRecoveriesMin, AssertSurvivorsMin:
-			if world == 1 || sc.Workload.Parallelism == "partitioned" {
-				return errf(a.Line, "assertion %s needs elastic ddp training (fleet > 1 device)", a.Kind)
-			}
-		case AssertServeQPSMin, AssertServeP99MaxUS, AssertServeRejectMax, AssertServeHitRateMin:
-			hasServeAssert = true
 		}
 	}
-	if hasServeAssert && sc.Serve == nil {
-		for _, a := range sc.Assertions {
-			switch a.Kind {
-			case AssertServeQPSMin, AssertServeP99MaxUS, AssertServeRejectMax, AssertServeHitRateMin:
-				return errf(a.Line, "assertion %s needs a \"serve:\" section", a.Kind)
-			}
-		}
+	return plane, nil
+}
+
+// holds checks one item (an event, an assertion) against its row: every
+// operand the row needs is set, none is set that the row does not read —
+// the run would ignore it — and the run has what the row needs of it.
+func (r *row) holds(line int, what string, set operand, have feature) *ParseError {
+	if missing := r.needs &^ set; missing != 0 {
+		return errf(line, "%s %s needs %s", what, r.name, missing)
+	}
+	if extra := set &^ (r.needs | r.takes); extra != 0 {
+		return errf(line, "%s %s does not read %s (it takes %s)", what, r.name, extra, r.needs|r.takes)
+	}
+	if lack := r.on &^ have; lack != 0 {
+		return errf(line, "%s %s needs %s", what, r.name, lack)
 	}
 	return nil
 }
 
-func (sc *Scenario) validateEvent(ev EventSpec, world int) error {
-	switch ev.Plane {
-	case PlaneTrain:
-		if !trainEventTypes[ev.Type] {
-			return errf(ev.Line, "unknown train-plane event type %q", ev.Type)
-		}
-		if ev.Slot < 0 || ev.Slot >= world {
-			return errf(ev.Line, "event slot %d outside the %d-device fleet", ev.Slot, world)
-		}
-		if ev.Type == EvLoaderKill {
-			if world != 1 {
-				return errf(ev.Line, "loader-kill applies to single-device runs only")
-			}
-			if sc.Workload.PipelineDepth <= 0 {
-				return errf(ev.Line, "loader-kill needs workload.pipeline-depth > 0")
-			}
-		}
-		// A fatal event on a partitioned fleet is allowed: that plane aborts
-		// cleanly, and the scenario should assert expect-abort.
-	case PlaneServe:
-		if sc.Serve == nil {
-			return errf(ev.Line, "serve-plane event needs a \"serve:\" section")
-		}
-		if !serveEventTypes[ev.Type] {
-			return errf(ev.Line, "unknown serve-plane event type %q (want serve-burst or thermal-throttle)", ev.Type)
-		}
-		replicas := sc.Serve.Replicas
-		if replicas == 0 {
-			replicas = defaultServeReplicas
-		}
-		if ev.Slot < 0 || ev.Slot >= replicas {
-			return errf(ev.Line, "event slot %d outside the %d serving replicas", ev.Slot, replicas)
-		}
-		if ev.Type == EvServeBurst {
-			if ev.AtFrac < 0 || ev.AtFrac >= 1 {
-				return errf(ev.Line, "serve-burst at-frac %g outside [0, 1)", ev.AtFrac)
-			}
-			if ev.DurationFrac <= 0 || ev.AtFrac+ev.DurationFrac > 1 {
-				return errf(ev.Line, "serve-burst window [%g, %g] outside (0, 1]", ev.AtFrac, ev.AtFrac+ev.DurationFrac)
-			}
-			if ev.Factor < 1 {
-				return errf(ev.Line, "serve-burst needs factor >= 1")
-			}
-		}
-	default:
-		return errf(ev.Line, "unknown event plane %q (want train or serve)", ev.Plane)
+// set reports which operands an item carries. Non-zero is set: a zero
+// operand cannot be told from an absent one, in a file or in a Go literal.
+func (a Assertion) set() operand {
+	return opValue.when(a.Value != 0) | opMetric.when(a.Metric != "") | opText.when(a.Text != "")
+}
+
+func (ev EventSpec) set() operand {
+	return opSlot.when(ev.Slot != 0) | opAt.when(ev.At != 0) | opFactor.when(ev.Factor != 0) |
+		opCode.when(ev.Code != 0) | opMsg.when(ev.Msg != "") |
+		opAtFrac.when(ev.AtFrac != 0) | opDurationFrac.when(ev.DurationFrac != 0)
+}
+
+// when is o if set holds and no operand otherwise.
+func (o operand) when(set bool) operand {
+	if set {
+		return o
 	}
-	if ev.At < 0 {
-		return errf(ev.Line, "negative event time %g", ev.At)
-	}
-	if ev.Factor < 0 {
-		return errf(ev.Line, "negative event factor %g", ev.Factor)
-	}
-	return nil
+	return 0
 }
 
 // ParseFile reads and parses path, stamping the file name onto errors.

@@ -6,55 +6,17 @@ import (
 
 	"gnnmark/internal/core"
 	"gnnmark/internal/fault"
-	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/serve"
 )
 
-// Serving-phase defaults. Rates and horizons are expressed relative to the
-// measured batch-1 service time d1, so scenario files stay meaningful as
-// the device model's absolute timings evolve.
-const (
-	defaultServeReplicas = 2
-	defaultServeMaxBatch = 8
-	defaultServeQueueCap = 64
-	defaultLoadFactor    = 1.0
-	defaultDurationFac   = 200.0
-	defaultMaxWaitFactor = 1.0
-)
-
-// resolved fills in the spec's defaults.
-func (s ServeSpec) resolved() ServeSpec {
-	if s.Replicas == 0 {
-		s.Replicas = defaultServeReplicas
-	}
-	if s.MaxBatch == 0 {
-		s.MaxBatch = defaultServeMaxBatch
-	}
-	if s.QueueCap == 0 {
-		s.QueueCap = defaultServeQueueCap
-	} else if s.QueueCap < 0 {
-		s.QueueCap = 0 // unbounded
-	}
-	if s.LoadFactor == 0 {
-		s.LoadFactor = defaultLoadFactor
-	}
-	if s.DurationFactor == 0 {
-		s.DurationFactor = defaultDurationFac
-	}
-	if s.MaxWaitFactor == 0 {
-		s.MaxWaitFactor = defaultMaxWaitFactor
-	}
-	return s
-}
-
 // runServe freezes the trained weights and drives the serving phase:
 // calibrate the batch-1 service time on a cold replica, generate the open
-// arrival trace (with any serve-burst events superposed), fan the frozen
+// arrival trace (with any burst events superposed), fan the frozen
 // weights out to per-slot replicas (replica i serves on the device model of
 // fleet slot i mod world, so heterogeneous fleets serve heterogeneously),
 // and run the discrete-event server.
-func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcome) error {
+func (sc *Scenario) runServe(cfg core.RunConfig, out *Outcome) error {
 	if out.trained == nil {
 		return fmt.Errorf("scenario: no trained replica survived to serve")
 	}
@@ -67,13 +29,13 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 		return err
 	}
 	items := sv.NumItems()
-	spec := sc.Serve.resolved()
+	spec := sc.Serve
 
 	// Replica r serves on the device model of fleet slot r mod world.
 	// Serving measures the forward passes only: the clock is rebased past
 	// construction so burst windows and throttle events are phase-relative.
 	newPool := func(n int) (*core.ServingPool, error) {
-		pool, err := core.NewServingPool(cfg, n, len(slots), weights)
+		pool, err := core.NewServingPool(cfg, n, len(cfg.Devices), weights)
 		if err == nil {
 			for _, rep := range pool.Replicas {
 				rep.Rebase()
@@ -100,17 +62,12 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 		Seed: sc.Seed, QPS: qps, Duration: duration, Items: items,
 	})
 
-	// Superpose serve-burst events: each adds an independent Poisson
+	// Superpose the burst events: each adds an independent Poisson
 	// process at (factor-1) x the base rate inside its window, so the
 	// merged trace bursts to factor x qps there.
-	burstIdx := 0
-	for _, ev := range sc.Events {
-		if ev.Plane != PlaneServe || ev.Type != EvServeBurst {
-			continue
-		}
-		burstIdx++
+	for i, ev := range sc.lowered(toServeBurst) {
 		extra := serve.OpenArrivals(serve.LoadConfig{
-			Seed:     sc.Seed + int64(burstIdx),
+			Seed:     sc.Seed + int64(i+1),
 			QPS:      (ev.Factor - 1) * qps,
 			Duration: ev.DurationFrac * duration,
 			Items:    items,
@@ -132,14 +89,9 @@ func (sc *Scenario) runServe(cfg core.RunConfig, slots []gpu.Config, out *Outcom
 		return err
 	}
 	defer pool.Close()
+	sched := sc.faultSchedule(PlaneServe)
 	for r, rep := range pool.Replicas {
-		var throttles []fault.Event
-		for _, ev := range sc.Events {
-			if ev.Plane == PlaneServe && ev.Type == EvThermal && ev.Slot == r {
-				throttles = append(throttles, ev.faultEvent())
-			}
-		}
-		if len(throttles) > 0 {
+		if throttles := fault.SlotEvents(sched, r); len(throttles) > 0 {
 			rep.Dev.AttachHealth(fault.NewMonitor(throttles, true))
 		}
 	}
