@@ -22,9 +22,9 @@ import (
 // command is one row of the CLI: its name, the operands it takes after its
 // flags (empty for none), a one-line summary, the flag groups it binds — a
 // group only if the command's code reads a field the group sets, so a flag
-// a command would ignore is a flag it rejects — and its body. A row with a
-// figure id (bench.Suite.Figure) instead of a body characterizes the suite
-// and prints that figure.
+// a command would ignore is a flag it rejects — and either the id of the
+// figure it prints (bench.Study.Figure) or, for the few commands that do
+// something other than print one table, its body.
 type command struct {
 	name, operands, summary string
 	flags                   []flagGroup
@@ -44,8 +44,7 @@ func init() {
 		{name: "run", summary: "characterize one workload; -gpus N trains it on N simulated GPUs (DDP, or -parallelism partitioned)",
 			flags: []flagGroup{device, workloadFlags("ARGA"), pipeline, fleet, runPlane, traceOut, obsOut}, run: runWorkload},
 		{name: "all", summary: "the full reproduction: Table I plus every figure", flags: suite, run: runAll},
-		{name: "table1", summary: "print the suite inventory (Table I)",
-			run: func(*options) { fmt.Print(bench.Table1().Text()) }},
+		{name: "table1", summary: "print the suite inventory (Table I)", figure: "table1"},
 		{name: "fig2", summary: "Figure 2: execution-time breakdown by operation class", flags: suite, figure: "fig2"},
 		{name: "fig3", summary: "Figure 3: dynamic instruction mix", flags: suite, figure: "fig3"},
 		{name: "fig4", summary: "Figure 4: achieved GFLOPS, GIOPS and IPC", flags: suite, figure: "fig4"},
@@ -54,17 +53,13 @@ func init() {
 		{name: "fig7", summary: "Figure 7: host-to-device transfer sparsity", flags: suite, figure: "fig7"},
 		{name: "fig8", summary: "Figure 8: per-iteration transfer-sparsity timeline", flags: suite, figure: "fig8"},
 		{name: "figm", summary: "per-workload device-memory footprint table", flags: suite, figure: "figm"},
-		{name: "fig9", summary: "Figure 9: multi-GPU strong scaling on the executed DDP engine (1/2/4 GPUs)", flags: suite,
-			run: func(o *options) { fmt.Print(bench.Fig9Figure(must(bench.Fig9(o.cfg))).Text()) }},
+		{name: "fig9", summary: "Figure 9: multi-GPU strong scaling on the executed DDP engine (1/2/4 GPUs)", flags: suite, figure: "fig9"},
 		{name: "figp", summary: "asynchronous-input-pipeline study: sync vs overlapped epoch time (depth 4 unless set)",
-			flags: []flagGroup{device, pipeline, obsOut},
-			run:   func(o *options) { fmt.Print(bench.FormatFigP(must(bench.FigP(o.cfg)))) }},
+			flags: []flagGroup{device, pipeline, obsOut}, figure: "figp"},
 		{name: "figpart", summary: "executed DDP vs graph-partitioned training: scaling, comm volume, edge-cut sweep (4 GPUs unless set)",
-			flags: []flagGroup{device, pipeline, fleet, obsOut},
-			run:   func(o *options) { fmt.Print(bench.FormatFigPart(must(bench.FigPart(o.cfg)))) }},
+			flags: []flagGroup{device, pipeline, fleet, obsOut}, figure: "figpart"},
 		{name: "figf", summary: "goodput under churn: elastic drop-and-reshard vs fail-stop replacement (4 GPUs, ARGA and DGCN unless set)",
-			flags: []flagGroup{device, workloadFlags(""), pipeline, fleet, obsOut},
-			run:   func(o *options) { fmt.Print(bench.FormatFigF(must(bench.FigF(o.cfg)))) }},
+			flags: []flagGroup{device, workloadFlags(""), pipeline, fleet, obsOut}, figure: "figf"},
 		{name: "serve-bench", summary: "Figure S, inference serving: QPS vs tail latency across micro-batch policies and embedding-cache sizes",
 			flags: []flagGroup{device, workloadFlags("PSAGE"), serving, obsOut}, run: runServeBench},
 		{name: "scenario", operands: "run|check FILE...", summary: "chaos harness: run executes scenario files and exits non-zero on a failed assertion, check only validates (see scenarios/)",
@@ -73,35 +68,22 @@ func init() {
 			flags: []flagGroup{seed, opbenchFlags}, run: runOpbench},
 		{name: "benchdiff", operands: "OLD.json NEW.json", summary: "noise-aware comparison of two opbench reports",
 			flags: []flagGroup{benchdiffFlags}, run: runBenchdiff},
-		{name: "infer", summary: "training-vs-inference op-mix contrast", flags: one("ARGA"),
+		{name: "infer", summary: "training-vs-inference op-mix contrast", flags: one("ARGA"), figure: "infer"},
+		{name: "dnn-contrast", summary: "GNN suite vs conventional-CNN baseline", flags: suite, figure: "dnn-contrast"},
+		{name: "ablate-fp16", summary: "half-precision storage ablation", flags: suite, figure: "ablate-fp16"},
+		{name: "ablate-l1bypass", summary: "L1 cache bypass ablation", flags: suite, figure: "ablate-l1bypass"},
+		{name: "gpucompare", summary: "characterize one workload on P100/V100/A100", flags: one("ARGA"), figure: "gpucompare"},
+		{name: "ttt", summary: "MLPerf-style time-to-train", flags: []flagGroup{device, workloadFlags("ARGA"), pipeline, tttFlags},
 			run: func(o *options) {
-				train, inf, err := bench.InferenceContrast(o.cfg)
-				fail(err)
-				fmt.Print(bench.FormatInference(o.cfg.Workload, train, inf))
+				fmt.Print(bench.TTTFigure(must(core.TimeToTrain(o.cfg, o.target, o.maxEpochs))).Text())
 			}},
-		{name: "dnn-contrast", summary: "GNN suite vs conventional-CNN baseline", flags: suite,
-			run: func(o *options) {
-				fmt.Print(bench.FormatContrast(must(bench.Characterize(o.cfg)), must(bench.DNNBaseline(o.cfg))))
-			}},
-		{name: "ablate-fp16", summary: "half-precision storage ablation", flags: suite, run: ablateFP16},
-		{name: "ablate-l1bypass", summary: "L1 cache bypass ablation", flags: suite, run: ablateL1Bypass},
-		{name: "gpucompare", summary: "characterize one workload on P100/V100/A100", flags: one("ARGA"),
-			run: func(o *options) {
-				fmt.Print(bench.FormatGPUCompare(o.cfg.Workload, must(bench.GPUCompare(o.cfg))))
-			}},
-		{name: "ttt", summary: "MLPerf-style time-to-train", flags: []flagGroup{device, workloadFlags("ARGA"), pipeline, tttFlags}, run: runTTT},
-		{name: "roofline", summary: "per-operation roofline placement", flags: one("ARGA"), run: runRoofline},
-		{name: "kernels", summary: "per-kernel-name time breakdown of one training epoch (the calibration view)", flags: one("ARGA"), run: runKernels},
-		{name: "sweep", summary: "hyperparameter sweep", flags: []flagGroup{device, sweepFlags},
-			run: func(o *options) {
-				fmt.Print(bench.FormatSweep(o.sweepKey, must(bench.Sweep(o.sweepKey, parseInts(o.sweepVals), o.cfg))))
-			}},
+		{name: "roofline", summary: "per-operation roofline placement", flags: one("ARGA"), figure: "roofline"},
+		{name: "kernels", summary: "per-kernel-name time breakdown of one training epoch (the calibration view)", flags: one("ARGA"), figure: "kernels"},
+		{name: "sweep", summary: "hyperparameter sweep", flags: []flagGroup{device, sweepFlags}, figure: "sweep"},
 		{name: "report", summary: "write the full characterization as an HTML page (-trace sets the path)",
 			flags: []flagGroup{device, traceOut}, run: runReport},
-		{name: "datasets", summary: "structural statistics of every synthetic dataset", flags: []flagGroup{seed},
-			run: func(o *options) { fmt.Print(bench.DatasetInventory(o.cfg.Seed)) }},
-		{name: "params", summary: "per-workload parameter and iteration counts", flags: []flagGroup{seed},
-			run: func(o *options) { fmt.Print(bench.ModelInventory(o.cfg.Seed)) }},
+		{name: "datasets", summary: "structural statistics of every synthetic dataset", flags: []flagGroup{seed}, figure: "datasets"},
+		{name: "params", summary: "per-workload parameter and iteration counts", flags: []flagGroup{seed}, figure: "params"},
 	}
 }
 
@@ -254,7 +236,8 @@ func main() {
 		obs.Enable()
 	}
 	if c.figure != "" {
-		fmt.Print(must(must(bench.Characterize(o.cfg)).Figure(c.figure)).Text())
+		study := bench.Study{RunConfig: o.cfg, Sweep: o.sweepKey, Values: parseInts(o.sweepVals)}
+		fmt.Print(must(study.Figure(c.figure)).Text())
 	} else {
 		c.run(o)
 	}

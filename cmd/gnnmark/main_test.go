@@ -264,6 +264,9 @@ func TestCLI(t *testing.T) {
 		"infer -workload TLSTM -epochs 1 -warps 64",
 		"roofline -workload TLSTM -epochs 1 -warps 64",
 		"kernels -workload TLSTM -warps 64",
+		// The two studies no test or CI step ran to completion.
+		"figp -epochs 1 -warps 64",
+		"figpart -gpus 2 -epochs 1 -warps 64",
 	} {
 		t.Run(args+" twice", func(t *testing.T) {
 			first, stderr, exit := run(t, t.TempDir(), strings.Fields(args)...)
@@ -283,10 +286,11 @@ var invocation = regexp.MustCompile("(?:^|[\\s`/])gnnmark ([a-z][a-z0-9-]*)([^`\
 
 // TestDocsInvokeTheTable extracts every gnnmark invocation the docs and CI
 // show as code and checks that the command is a row of the table and that
-// the flags parse under that row's flag set. Parse only, nothing runs.
-// Placeholder operands (N, X, FILE, ..) are substituted or skipped.
+// the flags parse under that row's flag set; and every row that names a
+// figure id is run by CI. Parse only, nothing runs. Placeholder operands (N,
+// X, FILE, ..) are substituted or skipped.
 func TestDocsInvokeTheTable(t *testing.T) {
-	seen := 0
+	seen, inCI := 0, map[string]bool{}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
 		raw, err := os.ReadFile(filepath.Join(repoRoot, doc))
 		if err != nil {
@@ -320,6 +324,7 @@ func TestDocsInvokeTheTable(t *testing.T) {
 					}
 				}
 				seen++
+				inCI[name] = inCI[name] || strings.HasSuffix(doc, "ci.yml")
 				i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
 				if i < 0 {
 					t.Errorf("%s: `gnnmark %s` is not in the command table", doc, name)
@@ -331,6 +336,12 @@ func TestDocsInvokeTheTable(t *testing.T) {
 					t.Errorf("%s: `gnnmark %s %s`: %v", doc, name, strings.Join(args, " "), err)
 				}
 			}
+		}
+	}
+	for _, c := range commands {
+		if c.figure != "" && (c.figure != c.name || !inCI[c.name]) {
+			t.Errorf("`gnnmark %s` prints figure %q and ci.yml runs it: %v; a figure id is its command's name and has a row in CI's smoke step",
+				c.name, c.figure, inCI[c.name])
 		}
 	}
 	if seen < 60 {

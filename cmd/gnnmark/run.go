@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -33,7 +32,7 @@ func runWorkload(o *options) {
 	if cfg.GPUs > 1 && cfg.Parallelism == "partitioned" {
 		res, err := core.RunPartitioned(cfg)
 		fail(err)
-		fmt.Print(bench.FormatPartitionedRun(cfg.Workload, res))
+		fmt.Print(bench.PartitionedRunFigure(cfg.Workload, res).Text())
 		// Halo-exchange lanes render as named threads beside the host
 		// spans: one "gpuN compute" / "gpuN halo" pair per rank.
 		o.lanes = trace.RankLanes(res.Lanes)
@@ -42,7 +41,7 @@ func runWorkload(o *options) {
 	if cfg.GPUs > 1 {
 		res, err := core.RunDDP(cfg)
 		fail(err)
-		fmt.Print(bench.FormatStrongScaling(cfg.Workload, res))
+		fmt.Print(bench.StrongScalingFigure(cfg.Workload, res).Text())
 		for _, r := range res {
 			for i, hp := range r.HostPhases {
 				fmt.Printf("obs %d-gpu epoch %d: %s\n", r.GPUs, i+1, hp)
@@ -108,92 +107,6 @@ func runAll(o *options) {
 	fail(errors.Join(broken...))
 }
 
-// ablateL1Bypass compares every workload with and without the L1 data
-// cache: the paper's suggested bypass mitigation.
-func ablateL1Bypass(o *options) {
-	fmt.Println("L1-bypass ablation: simulated kernel seconds per run")
-	fmt.Printf("%-12s %12s %12s %10s\n", "workload", "with L1", "bypassed", "delta")
-	for _, sr := range core.DefaultSuite() {
-		c := o.cfg
-		c.Workload, c.Dataset = sr.Workload, sr.Dataset
-		normal, bypassed, err := bench.L1BypassAblation(c)
-		fail(err)
-		fmt.Printf("%-12s %12.5f %12.5f %+9.1f%%\n", sr.Label(), normal, bypassed,
-			100*(bypassed-normal)/normal)
-	}
-}
-
-// ablateFP16 compares fp32 and fp16 storage modes per workload: the paper's
-// half-precision future-work item.
-func ablateFP16(o *options) {
-	fmt.Println("fp16 ablation: simulated kernel seconds per epoch (fp32 vs fp16)")
-	fmt.Printf("%-12s %12s %12s %8s\n", "workload", "fp32 (s)", "fp16 (s)", "speedup")
-	for _, sr := range core.DefaultSuite() {
-		c := o.cfg
-		c.Workload, c.Dataset = sr.Workload, sr.Dataset
-		base := must(core.Run(c))
-		c.HalfPrecision = true
-		half := must(core.Run(c))
-		b := base.Report.KernelSeconds
-		h := half.Report.KernelSeconds
-		fmt.Printf("%-12s %12.5f %12.5f %7.2fx\n", base.Label(), b, h, b/h)
-	}
-}
-
-func runTTT(o *options) {
-	res, err := core.TimeToTrain(o.cfg, o.target, o.maxEpochs)
-	fail(err)
-	status := "converged"
-	if !res.Converged {
-		status = "cutoff"
-	}
-	fmt.Printf("%s time-to-train(loss<=%.3f): %d epochs, %.3f ms simulated GPU time (%s)\n",
-		res.Workload, res.TargetLoss, res.Epochs, 1e3*res.SimSeconds, status)
-	fmt.Printf("loss curve: %.4v\n", res.LossCurve)
-}
-
-func runRoofline(o *options) {
-	r := must(core.Run(o.cfg))
-	devCfg := must(gpu.Preset(o.cfg.GPU))
-	fmt.Print(bench.FormatRoofline(r.Label(), bench.Roofline(r, devCfg), devCfg))
-}
-
-// runKernels is `kernels`: where one training epoch's simulated time goes,
-// by kernel name — the view the kernel recipes were calibrated against the
-// paper's figures with, kept for model debugging.
-func runKernels(o *options) {
-	rep := must(core.NewReplica(o.cfg, 0, 0, 1))
-	defer rep.Env.Close()
-	// Subscribing after construction leaves its kernels out: the breakdown
-	// is one training epoch.
-	times := map[string]float64{}
-	counts := map[string]int{}
-	var tot float64
-	rep.Dev.Subscribe(func(ks gpu.KernelStats) {
-		k := fmt.Sprintf("%-12s %s", ks.Class, ks.Name)
-		times[k] += ks.Seconds
-		counts[k]++
-		tot += ks.Seconds
-	})
-	_, err := rep.Epoch()
-	fail(err)
-
-	names := make([]string, 0, len(times))
-	for k := range times {
-		names = append(names, k)
-	}
-	// Largest first, ties by name: map order must not reach the output.
-	sort.Slice(names, func(i, j int) bool {
-		if ti, tj := times[names[i]], times[names[j]]; ti != tj {
-			return ti > tj
-		}
-		return names[i] < names[j]
-	})
-	for _, k := range names {
-		fmt.Printf("%7.2f%% %9.1fus n=%-5d %s\n", 100*times[k]/tot, 1e6*times[k], counts[k], k)
-	}
-}
-
 func runReport(o *options) {
 	s := must(bench.Characterize(o.cfg))
 	figures := append(append([]bench.Figure{bench.Table1()}, s.Figures()...), bench.Fig9Figure(must(bench.Fig9(o.cfg))))
@@ -231,7 +144,7 @@ func runServeBench(o *options) {
 	}
 	res, err := bench.FigS(scfg)
 	fail(err)
-	fmt.Print(bench.FormatFigS(res))
+	fmt.Print(res.Figure().Text())
 	if o.smoke {
 		for _, row := range res.Rows {
 			if row.Stats.QPS <= 0 {

@@ -452,21 +452,7 @@ func (t *Tape) BatchNorm(x, gamma, beta *Var, eps float32) *Var {
 	out := t.E.BatchNormApply(x.Value, mean, variance, gamma.Value, beta.Value, eps)
 	// Reconstruct xhat for backward: xhat = (out - beta)/gamma is unstable
 	// when gamma ~ 0; recompute from x instead.
-	n, f := x.Value.Dim(0), x.Value.Dim(1)
-	xhat := tensor.New(n, f)
-	// One divisor per column, computed once; each element is still divided
-	// by it (not multiplied by a reciprocal), so xhat keeps its bits.
-	mu := mean.Data()
-	div := make([]float32, f)
-	for j, v := range variance.Data() {
-		div[j] = sqrtf(v + eps)
-	}
-	for i := 0; i < n; i++ {
-		xr, hr := x.Value.Row(i), xhat.Row(i)
-		for j := 0; j < f; j++ {
-			hr[j] = (xr[j] - mu[j]) / div[j]
-		}
-	}
+	xhat := Standardize(x.Value, mean, variance, eps)
 	return t.node(out, x.needGrad || gamma.needGrad || beta.needGrad, func(dy *tensor.Tensor) {
 		dx, dgamma, dbeta := t.E.BatchNormBackward(xhat, dy, variance, gamma.Value, eps)
 		x.accum(dx)
@@ -492,6 +478,28 @@ func (t *Tape) LayerNorm(x, gamma, beta *Var, eps float32) *Var {
 			beta.accum(dbeta)
 		}
 	})
+}
+
+// Standardize returns (x - mean) / sqrt(variance + eps) per column of x
+// (N,F): BatchNorm's xhat, which the partitioned SyncBN computes over its
+// owned rows against the global statistics.
+func Standardize(x, mean, variance *tensor.Tensor, eps float32) *tensor.Tensor {
+	n, f := x.Dim(0), x.Dim(1)
+	xhat := tensor.New(n, f)
+	// One divisor per column, computed once; each element is still divided
+	// by it (not multiplied by a reciprocal), so xhat keeps its bits.
+	mu := mean.Data()
+	div := make([]float32, f)
+	for j, v := range variance.Data() {
+		div[j] = sqrtf(v + eps)
+	}
+	for i := 0; i < n; i++ {
+		xr, hr := x.Row(i), xhat.Row(i)
+		for j := 0; j < f; j++ {
+			hr[j] = (xr[j] - mu[j]) / div[j]
+		}
+	}
+	return xhat
 }
 
 func sqrtf(x float32) float32 {

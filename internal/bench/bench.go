@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"gnnmark/internal/core"
-	"gnnmark/internal/datasets"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
@@ -347,39 +346,22 @@ type ScalingResult struct {
 	Results  []ddp.ClusterResult
 }
 
-// Fig9Workloads lists the multi-GPU study's workloads: everything except
-// ARGA (excluded in the paper because it trains full-graph).
-var Fig9Workloads = []string{"PSAGE", "STGCN", "DGCN", "GW", "KGNNL", "KGNNH", "TLSTM"}
-
-// fig9Build constructs each workload in its multi-GPU study configuration:
-// large global batches over few iterations, so per-iteration compute
-// dominates launch overhead as it does at the paper's production scale.
-// Small-batch configs would make every workload look launch-bound.
-func fig9Build(key string, env *models.Env) models.Workload {
-	switch key {
-	case "PSAGE":
-		return models.NewPSAGE(env, datasets.MovieLens(env.RNG),
-			models.PSAGEConfig{BatchSize: 64, Batches: 2})
-	case "STGCN":
-		return models.NewSTGCN(env, datasets.METRLA(env.RNG),
-			models.STGCNConfig{Channels: 32, BatchSize: 48, Batches: 1})
-	case "DGCN":
-		return models.NewDGCN(env, datasets.MolHIV(env.RNG),
-			models.DGCNConfig{BatchSize: 160, Layers: 7, Hidden: 128})
-	case "GW":
-		return models.NewGW(env, datasets.AGENDA(env.RNG),
-			models.GWConfig{BatchSize: 48, Dim: 192, MaxDecode: 16})
-	case "KGNNL":
-		return models.NewKGNN(env, datasets.Proteins(env.RNG),
-			models.KGNNConfig{K: 2, BatchSize: 120, Hidden: 64})
-	case "KGNNH":
-		return models.NewKGNN(env, datasets.Proteins(env.RNG),
-			models.KGNNConfig{K: 3, BatchSize: 120, Hidden: 48})
-	case "TLSTM":
-		return models.NewTLSTM(env, datasets.SST(env.RNG),
-			models.TLSTMConfig{BatchSize: 100})
-	}
-	panic("bench: unknown fig9 workload " + key)
+// fig9Rows lists the multi-GPU study's workloads — everything except ARGA
+// (excluded in the paper because it trains full-graph) — each with its study
+// configuration: large global batches over few iterations, so per-iteration
+// compute dominates launch overhead as it does at the paper's production
+// scale. Small-batch configs would make every workload look launch-bound.
+var fig9Rows = []struct {
+	workload string
+	config   any
+}{
+	{"PSAGE", models.PSAGEConfig{BatchSize: 64, Batches: 2}},
+	{"STGCN", models.STGCNConfig{Channels: 32, BatchSize: 48, Batches: 1}},
+	{"DGCN", models.DGCNConfig{BatchSize: 160, Layers: 7, Hidden: 128}},
+	{"GW", models.GWConfig{BatchSize: 48, Dim: 192, MaxDecode: 16}},
+	{"KGNNL", models.KGNNConfig{K: 2, BatchSize: 120, Hidden: 64}},
+	{"KGNNH", models.KGNNConfig{K: 3, BatchSize: 120, Hidden: 48}},
+	{"TLSTM", models.TLSTMConfig{BatchSize: 100}},
 }
 
 // Fig9 runs the DDP strong-scaling study on 1/2/4 GPUs with the executed
@@ -388,18 +370,22 @@ func fig9Build(key string, env *models.Env) models.Workload {
 // reported timeline breaks communication into exposed and overlapped parts.
 func Fig9(cfg core.RunConfig) ([]ScalingResult, error) {
 	var out []ScalingResult
-	for _, key := range Fig9Workloads {
+	for _, row := range fig9Rows {
+		spec, err := core.Lookup(row.workload)
+		if err != nil {
+			return nil, err
+		}
 		// Every replica runs on slot 0's device model: the study scales the
 		// paper's homogeneous node.
 		factory := func(_, rank, world int) (w models.Workload, env *models.Env, err error) {
-			env, err = cfg.Build(0, rank, world, func(env *models.Env) { w = fig9Build(key, env) })
+			env, err = cfg.Build(0, rank, world, func(env *models.Env) { w = spec.New(env, spec.Datasets[0], row.config) })
 			return w, env, err
 		}
 		res, err := ddp.ExecutedStrongScaling(factory, []int{1, 2, 4}, ddp.ClusterConfig{})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ScalingResult{Workload: key, Results: res})
+		out = append(out, ScalingResult{Workload: row.workload, Results: res})
 	}
 	return out, nil
 }
@@ -426,5 +412,23 @@ func Fig9Figure(results []ScalingResult) Figure {
 			1e3*r.ExposedCommSeconds, 1e3*r.OverlappedCommSeconds, r.Buckets)
 	}
 	f.Panels = []Figure{timeline}
+	return f
+}
+
+// StrongScalingFigure is an executed strong-scaling series for one workload
+// (the `run -gpus N` view): per world size, the epoch timeline split into
+// compute and exposed/hidden communication.
+func StrongScalingFigure(workload string, results []ddp.ClusterResult) Figure {
+	f := Figure{Title: workload + " executed DDP strong scaling (global batch fixed)",
+		Columns: []Column{{Verb: "  %d GPU:"}, {Verb: "epoch %.3f ms"}, {Verb: "= compute %.3f"}, {Verb: "+ exposed comm %.3f"},
+			{Verb: "(%.3f hidden,"}, {Verb: "%d buckets)"}, {Verb: " speedup %.2fx"}, {Verb: " [%s]"}}}
+	for _, r := range results {
+		row := []any{r.GPUs, 1e3 * r.TotalSeconds, 1e3 * r.ComputeSeconds, 1e3 * r.ExposedCommSeconds,
+			1e3 * r.OverlappedCommSeconds, r.Buckets, r.Speedup}
+		if r.Replicated {
+			row = append(row, "replicated: sampler not DDP-compatible")
+		}
+		f.add(row...)
+	}
 	return f
 }

@@ -1,5 +1,5 @@
 package bench
 
-// SharedEvidence hands the canonical fixture to the external test package,
-// which (unlike this one) may import internal/report.
-var SharedEvidence = evidence
+// EveryFigure hands the fixture to the external test package, which (unlike
+// this one) may import internal/report.
+var EveryFigure = everyFigure

@@ -3,7 +3,6 @@ package bench
 import (
 	"cmp"
 	"fmt"
-	"strings"
 
 	"gnnmark/internal/core"
 	"gnnmark/internal/ddp"
@@ -93,29 +92,31 @@ func FigF(cfg core.RunConfig) (*FigFResult, error) {
 	return out, nil
 }
 
-// FormatFigF renders the goodput-under-churn study.
-func FormatFigF(res *FigFResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "figf: goodput under churn — elastic drop-and-reshard vs fail-stop replacement (%d GPUs, %d epochs, seed %d)\n",
-		res.GPUs, res.Epochs, res.Seed)
+// Figure is the goodput-under-churn study: one panel per workload.
+func (res *FigFResult) Figure() Figure {
+	f := Figure{ID: "figf", Title: fmt.Sprintf("figf: goodput under churn — elastic drop-and-reshard vs fail-stop replacement (%d GPUs, %d epochs, seed %d)",
+		res.GPUs, res.Epochs, res.Seed),
+		Notes: []string{"", "goodput = useful seconds / total seconds; identical seeded schedules feed both arms,",
+			"so the gap is purely the recovery policy (seconds of re-shard vs minutes of replacement)."}}
+	wide := func(head string) Column { return Column{head, 16, "%.4f", false} }
+	count := func(head string, width int) Column { return Column{head, width, "%d", false} }
+	// "failstop goodput" is one wider than its column and has always pushed
+	// the heads after it one to the right; the space keeps them there.
+	columns := []Column{count("fatals", 8), count("degraded", 8),
+		wide("elastic goodput"), count("surv", 9), count("recov", 10),
+		wide(" failstop goodput"), count("surv", 9), count("recov", 10), {"advantage", 10, "%.2fx", false}}
 	for _, wl := range res.Workloads {
-		fmt.Fprintf(&b, "\n%s:\n", wl.Workload)
-		fmt.Fprintf(&b, "  %6s %8s  %15s %9s %10s  %15s %9s %10s  %9s\n",
-			"fatals", "degraded",
-			"elastic goodput", "surv", "recov",
-			"failstop goodput", "surv", "recov", "advantage")
+		p := Figure{Title: wl.Workload + ":", Columns: columns}
 		for _, lvl := range wl.Levels {
 			adv := 0.0
 			if lvl.FailStop.Goodput > 0 {
 				adv = lvl.Elastic.Goodput / lvl.FailStop.Goodput
 			}
-			fmt.Fprintf(&b, "  %6d %8d  %15.4f %9d %10d  %15.4f %9d %10d  %8.2fx\n",
-				lvl.Fatals, lvl.Degraded,
+			p.add(lvl.Fatals, lvl.Degraded,
 				lvl.Elastic.Goodput, len(lvl.Elastic.Survivors), lvl.Elastic.Recoveries,
 				lvl.FailStop.Goodput, len(lvl.FailStop.Survivors), lvl.FailStop.Recoveries, adv)
 		}
+		f.Panels = append(f.Panels, p)
 	}
-	b.WriteString("\ngoodput = useful seconds / total seconds; identical seeded schedules feed both arms,\n")
-	b.WriteString("so the gap is purely the recovery policy (seconds of re-shard vs minutes of replacement).\n")
-	return b.String()
+	return f
 }

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"gnnmark/internal/core"
 	"gnnmark/internal/ddp"
@@ -112,27 +112,28 @@ func ddpEpochComm(r ddp.ClusterResult) uint64 {
 	return ring * uint64(r.Iterations)
 }
 
-// FormatFigPart renders the partitioned-execution study.
-func FormatFigPart(res *FigPartResult) string {
-	var b strings.Builder
-	b.WriteString("figpart: executed DDP vs executed graph partitioning (overlapped halo exchange)\n")
+// Figure is the partitioned-execution study: one panel per workload, then
+// the edge-cut sweep.
+func (res *FigPartResult) Figure() Figure {
+	f := Figure{ID: "figpart", Title: "figpart: executed DDP vs executed graph partitioning (overlapped halo exchange)",
+		Notes: []string{"", "* = replicated (sampler not DDP-compatible: the paper's full-graph exclusion)"}}
+	text := func(head string, width int) Column { return Column{head, width, "%s", false} }
+	columns := []Column{{"world", 7, "%d", false}, text("ddp epoch ms", 15), text("ddp comm/ep", 13),
+		{"part epoch ms", 15, "%.3f", false}, text("halo/ep", 13), {"edge cut", 10, "%d", false}, {"speedup", 9, "%.2fx", false}}
 	for _, wl := range res.Workloads {
-		fmt.Fprintf(&b, "\n%s:\n", wl.Workload)
-		fmt.Fprintf(&b, "  %5s  %14s  %12s  %14s  %12s  %9s  %8s\n",
-			"world", "ddp epoch ms", "ddp comm/ep", "part epoch ms", "halo/ep", "edge cut", "speedup")
+		p := Figure{Title: wl.Workload + ":", Columns: columns}
 		base := 0.0
 		for i, pr := range wl.Part {
 			if i == 0 && len(pr.EpochSeconds) > 0 {
 				base = pr.EpochSeconds[0]
 			}
-			ddpMS, ddpComm := "-", "-"
+			ddpMS, ddpComm := Cell{Text: "-"}, "-"
 			for _, dr := range wl.DDP {
 				if dr.GPUs == pr.GPUs {
-					note := ""
+					ddpMS = num("%.3f", 1e3*dr.TotalSeconds)
 					if dr.Replicated {
-						note = "*"
+						ddpMS.Text += "*"
 					}
-					ddpMS = fmt.Sprintf("%.3f%s", 1e3*dr.TotalSeconds, note)
 					ddpComm = vmem.FormatBytes(int64(ddpEpochComm(dr)))
 				}
 			}
@@ -141,57 +142,51 @@ func FormatFigPart(res *FigPartResult) string {
 			if partEp > 0 {
 				speedup = base / partEp
 			}
-			fmt.Fprintf(&b, "  %5d  %14s  %12s  %14.3f  %12s  %9d  %7.2fx\n",
-				pr.GPUs, ddpMS, ddpComm, 1e3*partEp,
-				vmem.FormatBytes(int64(pr.HaloBytes/uint64(max(1, pr.Epochs)))),
-				pr.EdgeCut, speedup)
+			p.add(pr.GPUs, ddpMS, ddpComm, 1e3*partEp,
+				vmem.FormatBytes(int64(pr.HaloBytes/uint64(max(1, pr.Epochs)))), pr.EdgeCut, speedup)
 		}
 		// Capacity: partitioning shards the footprint; DDP replicates it.
 		if n := len(wl.Part); n > 1 {
 			p0, pn := wl.Part[0], wl.Part[n-1]
 			if len(p0.PeakBytes) > 0 && len(pn.PeakBytes) > 0 {
-				worst := pn.PeakBytes[0]
-				for _, p := range pn.PeakBytes {
-					if p > worst {
-						worst = p
-					}
-				}
-				fmt.Fprintf(&b, "  peak device memory: %s on 1 GPU -> %s per GPU %d-way partitioned (DDP replicates the full %s)\n",
-					vmem.FormatBytes(p0.PeakBytes[0]), vmem.FormatBytes(worst),
-					pn.GPUs, vmem.FormatBytes(p0.PeakBytes[0]))
+				p.Notes = []string{fmt.Sprintf("  peak device memory: %s on 1 GPU -> %s per GPU %d-way partitioned (DDP replicates the full %s)",
+					vmem.FormatBytes(p0.PeakBytes[0]), vmem.FormatBytes(slices.Max(pn.PeakBytes)),
+					pn.GPUs, vmem.FormatBytes(p0.PeakBytes[0]))}
 			}
 		}
+		f.Panels = append(f.Panels, p)
 	}
 	if len(res.Cuts) > 0 {
-		fmt.Fprintf(&b, "\nARGA edge-cut sensitivity (%d-way, %d epoch):\n", res.CutWorld, res.CutEpochs)
+		cuts := Figure{Title: fmt.Sprintf("ARGA edge-cut sensitivity (%d-way, %d epoch):", res.CutWorld, res.CutEpochs),
+			Columns: []Column{{Verb: "  %-7s labeling:"}, {Verb: "cut %6d edges,"}, {Verb: "halo %10s,"}, {Verb: "epoch %.3f ms"}}}
 		for _, c := range res.Cuts {
-			fmt.Fprintf(&b, "  %-7s labeling: cut %6d edges, halo %10s, epoch %.3f ms\n",
-				c.Labeling, c.EdgeCut, vmem.FormatBytes(int64(c.HaloBytes)), 1e3*c.TotalSeconds)
+			cuts.add(c.Labeling, c.EdgeCut, vmem.FormatBytes(int64(c.HaloBytes)), 1e3*c.TotalSeconds)
 		}
+		f.Panels = append(f.Panels, cuts)
 	}
-	b.WriteString("\n* = replicated (sampler not DDP-compatible: the paper's full-graph exclusion)\n")
-	return b.String()
+	return f
 }
 
-// FormatPartitionedRun renders one executed partitioned training run for the
-// run command's -parallelism=partitioned path.
-func FormatPartitionedRun(workload string, res *partitioned.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s executed partitioned training on %d simulated GPUs\n", workload, res.GPUs)
-	fmt.Fprintf(&b, "epoch losses: %v\n", res.EpochLosses)
-	fmt.Fprintf(&b, "epoch seconds (simulated): %v\n", res.EpochSeconds)
-	fmt.Fprintf(&b, "compute %.3f ms, halo %.3f ms (%.3f exposed, %.3f hidden), grad sync %.3f ms\n",
-		1e3*res.ComputeSeconds, 1e3*res.HaloSeconds,
-		1e3*res.ExposedHaloSeconds, 1e3*res.OverlappedHaloSeconds, 1e3*res.GradSyncSeconds)
-	fmt.Fprintf(&b, "halo traffic %s total (edge cut %d), gradient payload %s per iteration\n",
-		vmem.FormatBytes(int64(res.HaloBytes)), res.EdgeCut, vmem.FormatBytes(int64(res.GradBytesPerIt)))
+// PartitionedRunFigure is one executed partitioned training run: the run
+// command's -parallelism=partitioned view, a row per GPU.
+func PartitionedRunFigure(workload string, res *partitioned.Result) Figure {
+	f := Figure{Title: fmt.Sprintf("%s executed partitioned training on %d simulated GPUs", workload, res.GPUs),
+		Lead: []string{
+			fmt.Sprintf("epoch losses: %v", res.EpochLosses),
+			fmt.Sprintf("epoch seconds (simulated): %v", res.EpochSeconds),
+			fmt.Sprintf("compute %.3f ms, halo %.3f ms (%.3f exposed, %.3f hidden), grad sync %.3f ms",
+				1e3*res.ComputeSeconds, 1e3*res.HaloSeconds,
+				1e3*res.ExposedHaloSeconds, 1e3*res.OverlappedHaloSeconds, 1e3*res.GradSyncSeconds),
+			fmt.Sprintf("halo traffic %s total (edge cut %d), gradient payload %s per iteration",
+				vmem.FormatBytes(int64(res.HaloBytes)), res.EdgeCut, vmem.FormatBytes(int64(res.GradBytesPerIt))),
+		},
+		Columns: []Column{{Verb: "  gpu%d:"}, {Verb: "%d owned"}, {Verb: "+ %d halo nodes,"}, {Verb: "boundary %.1f%%,"}, {Verb: "peak mem %s"}}}
 	for r, info := range res.Infos {
 		peak := int64(0)
 		if r < len(res.PeakBytes) {
 			peak = res.PeakBytes[r]
 		}
-		fmt.Fprintf(&b, "  gpu%d: %d owned + %d halo nodes, boundary %.1f%%, peak mem %s\n",
-			r, info.OwnedNodes, info.HaloNodes, 100*info.BoundaryFraction, vmem.FormatBytes(peak))
+		f.add(r, info.OwnedNodes, info.HaloNodes, 100*info.BoundaryFraction, vmem.FormatBytes(peak))
 	}
-	return b.String()
+	return f
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"gnnmark/internal/core"
 	"gnnmark/internal/serve"
@@ -54,18 +53,13 @@ type FigSRow struct {
 // closed-loop serving study — QPS and tail latency across micro-batch
 // policies and embedding-cache sizes on frozen-weight replicas.
 type FigSResult struct {
-	Workload    string
-	Dataset     string
-	Seed        int64
-	TrainEpochs int
-	Replicas    int
+	// ServeConfig is the study's configuration with every default resolved
+	// (the calibrated QPS, Duration and MaxWaitSeconds included).
+	ServeConfig
+	Dataset string
 	// BatchOneSeconds is the measured batch-of-1 service time used to
 	// calibrate the defaults.
 	BatchOneSeconds float64
-	QPS             float64
-	Duration        float64
-	MaxWaitSeconds  float64
-	QueueCap        int
 	Arrived         int
 	Rows            []FigSRow
 }
@@ -156,14 +150,7 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 		})
 	}
 
-	res := &FigSResult{
-		Workload: cfg.Run.Workload, Dataset: dataset,
-		Seed: cfg.Run.Seed, TrainEpochs: cfg.Run.Epochs,
-		Replicas: cfg.Replicas, BatchOneSeconds: d1,
-		QPS: cfg.QPS, Duration: cfg.Duration,
-		MaxWaitSeconds: cfg.MaxWaitSeconds, QueueCap: cfg.QueueCap,
-		Arrived: len(reqs),
-	}
+	res := &FigSResult{ServeConfig: cfg, Dataset: dataset, BatchOneSeconds: d1, Arrived: len(reqs)}
 	for _, cache := range cfg.CacheRows {
 		for _, b := range cfg.Batches {
 			pool, err := core.NewServingPool(cfg.Run, cfg.Replicas, 1, w)
@@ -188,26 +175,25 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 	return res, nil
 }
 
-// FormatFigS renders the serving study.
-func FormatFigS(res *FigSResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "figs: QPS vs tail latency across micro-batch policies and cache sizes — %s/%s frozen after %d epoch(s), %d replicas, seed %d\n",
-		res.Workload, res.Dataset, res.TrainEpochs, res.Replicas, res.Seed)
-	fmt.Fprintf(&b, "offered load %.0f req/s over %.6fs (%d arrivals); batch-1 service time %.2fus; batching window %.2fus; queue cap %d\n",
-		res.QPS, res.Duration, res.Arrived, res.BatchOneSeconds*1e6, res.MaxWaitSeconds*1e6, res.QueueCap)
-	fmt.Fprintf(&b, "\n  %5s %6s  %9s  %9s %9s %9s  %6s %6s  %8s %7s %9s\n",
-		"batch", "cache", "qps", "p50_us", "p95_us", "p99_us",
-		"mbatch", "hit", "rejected", "maxq", "dev_us/req")
+// Figure is the serving study: one row per policy arm.
+func (res *FigSResult) Figure() Figure {
+	us := func(head string, width int) Column { return Column{head, width, "%.2f", false} }
+	count := func(head string, width int) Column { return Column{head, width, "%d", false} }
+	f := Figure{ID: "serve-bench",
+		Title: fmt.Sprintf("figs: QPS vs tail latency across micro-batch policies and cache sizes — %s/%s frozen after %d epoch(s), %d replicas, seed %d",
+			res.Run.Workload, res.Dataset, res.Run.Epochs, res.Replicas, res.Run.Seed),
+		Lead: []string{fmt.Sprintf("offered load %.0f req/s over %.6fs (%d arrivals); batch-1 service time %.2fus; batching window %.2fus; queue cap %d",
+			res.QPS, res.Duration, res.Arrived, res.BatchOneSeconds*1e6, res.MaxWaitSeconds*1e6, res.QueueCap), ""},
+		Columns: []Column{count("batch", 7), count("cache", 6), {"qps", 10, "%.0f", false},
+			us("p50_us", 10), us("p95_us", 9), us("p99_us", 9), us("mbatch", 7), us("hit", 6),
+			count("rejected", 9), count("maxq", 7), us("dev_us/req", 9)},
+		Notes: []string{"", "every arm replays the identical seeded arrival trace on cold replicas; micro-batching",
+			"amortizes per-batch launches and copies into QPS, and the LRU embedding cache converts",
+			"Zipf-skewed popularity into hits that bypass the device entirely."}}
 	for _, row := range res.Rows {
 		st := row.Stats
-		fmt.Fprintf(&b, "  %5d %6d  %9.0f  %9.2f %9.2f %9.2f  %6.2f %6.2f  %8d %7d %9.2f\n",
-			row.MaxBatch, row.CacheRows, st.QPS,
-			st.P50*1e6, st.P95*1e6, st.P99*1e6,
-			st.MeanBatch, st.HitRate(), st.Rejected, st.MaxQueueDepth,
-			st.MeanDeviceSeconds*1e6)
+		f.add(row.MaxBatch, row.CacheRows, st.QPS, st.P50*1e6, st.P95*1e6, st.P99*1e6,
+			st.MeanBatch, st.HitRate(), st.Rejected, st.MaxQueueDepth, st.MeanDeviceSeconds*1e6)
 	}
-	b.WriteString("\nevery arm replays the identical seeded arrival trace on cold replicas; micro-batching\n")
-	b.WriteString("amortizes per-batch launches and copies into QPS, and the LRU embedding cache converts\n")
-	b.WriteString("Zipf-skewed popularity into hits that bypass the device entirely.\n")
-	return b.String()
+	return f
 }

@@ -10,15 +10,15 @@ import (
 	"gnnmark/internal/report"
 )
 
-// TestRenderersAgree renders every figure both ways and demands that each
-// title, column head, cell and note appears in the terminal text and in the
-// HTML page, in order: there is one builder behind both, and neither
-// renderer may drop a row, a panel or a column of it.
+// TestRenderersAgree renders every figure — the record and every study's —
+// both ways and demands that each title, lead line, column head, cell and
+// note appears in the terminal text and in the HTML page, in order: there is
+// one builder behind both, and neither renderer may drop a row, a panel or a
+// column of it.
 func TestRenderersAgree(t *testing.T) {
-	ev := bench.SharedEvidence(t)
-	figures := append(append([]bench.Figure{bench.Table1()}, ev.Suite.Figures()...), bench.Fig9Figure(ev.Scaling))
+	figures := bench.EveryFigure(t)
 	var page bytes.Buffer
-	if err := report.WriteHTML(&page, ev.Suite.Device.Name, figures); err != nil {
+	if err := report.WriteHTML(&page, "V100", figures); err != nil {
 		t.Fatal(err)
 	}
 	var text strings.Builder
@@ -36,10 +36,13 @@ func TestRenderersAgree(t *testing.T) {
 		}
 		var walk func(f bench.Figure)
 		walk = func(f bench.Figure) {
-			if len(f.Rows) == 0 {
-				t.Fatalf("%q has no rows", f.Title)
+			if len(f.Rows)+len(f.Panels)+len(f.Notes) == 0 {
+				t.Fatalf("%q has no rows, panels or notes", f.Title)
 			}
 			next("title", f.Title)
+			for _, l := range f.Lead {
+				next(f.Title+" lead", l)
+			}
 			for _, c := range f.Columns {
 				next(f.Title+" head", c.Head)
 			}
@@ -49,18 +52,18 @@ func TestRenderersAgree(t *testing.T) {
 					cells++
 				}
 			}
-			for _, n := range f.Notes {
-				next(f.Title+" note", n)
-			}
 			for _, p := range f.Panels {
 				walk(p)
+			}
+			for _, n := range f.Notes {
+				next(f.Title+" note", n)
 			}
 		}
 		for _, f := range figures {
 			walk(f)
 		}
-		if cells < 500 {
-			t.Fatalf("%s rendering: walked %d cells, expected the 500-odd of eleven figures", name, cells)
+		if cells < 900 {
+			t.Fatalf("%s rendering: walked %d cells, expected the 900-odd of every figure", name, cells)
 		}
 	}
 }

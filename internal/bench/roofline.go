@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gnnmark/internal/core"
 	"gnnmark/internal/gpu"
@@ -62,13 +61,24 @@ func Roofline(res core.RunResult, cfg gpu.Config) []RooflinePoint {
 	return out
 }
 
-// FormatRoofline renders the roofline table for one workload.
-func FormatRoofline(label string, points []RooflinePoint, cfg gpu.Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s roofline on %s (peak %.0f GFLOPS, %.0f GB/s)\n",
-		label, cfg.Name, cfg.PeakGFLOPS(), cfg.DRAMBandwidthGBps)
-	fmt.Fprintf(&b, "%-12s %12s %12s %12s %8s\n",
-		"op", "flops/byte", "achieved", "roof", "bound")
+// rooflineFigure is the roofline table of one workload on its GPU preset.
+func rooflineFigure(s Study) (Figure, error) {
+	r, err := core.Run(s.RunConfig)
+	if err != nil {
+		return Figure{}, err
+	}
+	cfg, err := gpu.Preset(s.GPU)
+	if err != nil {
+		return Figure{}, err
+	}
+	return rooflineTable(r.Label(), Roofline(r, cfg), cfg), nil
+}
+
+func rooflineTable(label string, points []RooflinePoint, cfg gpu.Config) Figure {
+	f := Figure{ID: "roofline", Title: fmt.Sprintf("%s roofline on %s (peak %.0f GFLOPS, %.0f GB/s)",
+		label, cfg.Name, cfg.PeakGFLOPS(), cfg.DRAMBandwidthGBps),
+		Columns: []Column{{"op", -12, "%s", false}, {"flops/byte", 12, "%.2f", false}, {"achieved", 12, "%.0f", false},
+			{"roof", 12, "%.0f", false}, {"bound", 8, "%s", false}}}
 	var memSeconds, total float64
 	for _, p := range points {
 		bound := "compute"
@@ -77,11 +87,10 @@ func FormatRoofline(label string, points []RooflinePoint, cfg gpu.Config) string
 			memSeconds += p.Seconds
 		}
 		total += p.Seconds
-		fmt.Fprintf(&b, "%-12s %12.2f %12.0f %12.0f %8s\n",
-			p.Class, p.Intensity, p.AchievedGFLOPS, p.RoofGFLOPS, bound)
+		f.add(p.Class, p.Intensity, p.AchievedGFLOPS, p.RoofGFLOPS, bound)
 	}
 	if total > 0 {
-		fmt.Fprintf(&b, "memory-bound share of kernel time: %.1f%%\n", 100*memSeconds/total)
+		f.Notes = []string{fmt.Sprintf("memory-bound share of kernel time: %.1f%%", 100*memSeconds/total)}
 	}
-	return b.String()
+	return f
 }

@@ -37,11 +37,15 @@ type Spec struct {
 	GraphKind string
 	// Datasets lists usable dataset keys; the first is the default.
 	Datasets []string
-	// Build constructs the workload on the given dataset. The third
-	// parameter is unused (it was the analytical DDP estimator's batch
-	// divisor; batches shard through env.Rank/env.World and Env.Shard); it
-	// stays in the signature only because e2ebench/ calls Build(env, ds, 1).
-	Build func(env *models.Env, dataset string, _ int) models.Workload
+	// New constructs the workload on the given dataset from its model's
+	// config struct (models.PSAGEConfig for PSAGE, models.KGNNConfig for both
+	// k-GNNs, and so on; zero fields take the model's defaults): the one
+	// constructor behind the suite's runs (Build), the scaling study's
+	// large-batch configurations and the hyperparameter sweeps. Another
+	// model's config is a programming error and panics.
+	New func(env *models.Env, dataset string, cfg any) models.Workload
+	// config is what Build hands New: the suite's setting of the model.
+	config any
 	// Servable records that Build's workload implements models.Servable, so
 	// a front end can say so before building one (scenario.TestServableSet
 	// holds it to the live type assertion).
@@ -62,34 +66,29 @@ var registry = []Spec{
 	{
 		Key: "PSAGE", Model: "PinSAGE", Framework: "DGL",
 		Domain: "Recommendation systems", GraphKind: "heterogeneous bipartite",
-		Datasets: []string{"MVL", "NWP"}, Servable: true,
-		Build: func(env *models.Env, dataset string, _ int) models.Workload {
-			var ds *datasets.Bipartite
-			switch dataset {
-			case "MVL":
-				ds = datasets.MovieLens(env.RNG)
-			case "NWP":
-				ds = datasets.NowPlaying(env.RNG)
-			default:
-				panic("core: PSAGE dataset must be MVL or NWP, got " + dataset)
+		Datasets: []string{"MVL", "NWP"}, Servable: true, config: models.PSAGEConfig{},
+		New: func(env *models.Env, dataset string, cfg any) models.Workload {
+			gen := datasets.MovieLens
+			if dataset == "NWP" {
+				gen = datasets.NowPlaying
 			}
-			return models.NewPSAGE(env, ds, models.PSAGEConfig{})
+			return models.NewPSAGE(env, gen(env.RNG), cfg.(models.PSAGEConfig))
 		},
 	},
 	{
 		Key: "STGCN", Model: "Spatio-Temporal GCN", Framework: "PyTorch",
 		Domain: "Traffic forecasting", GraphKind: "dynamic (spatio-temporal)",
-		Datasets: []string{"METR-LA"},
-		Build: func(env *models.Env, dataset string, _ int) models.Workload {
-			return models.NewSTGCN(env, datasets.METRLA(env.RNG), models.STGCNConfig{})
+		Datasets: []string{"METR-LA"}, config: models.STGCNConfig{},
+		New: func(env *models.Env, dataset string, cfg any) models.Workload {
+			return models.NewSTGCN(env, datasets.METRLA(env.RNG), cfg.(models.STGCNConfig))
 		},
 	},
 	{
 		Key: "DGCN", Model: "DeepGCN", Framework: "PyG",
 		Domain: "Molecular property prediction", GraphKind: "batched molecule graphs",
-		Datasets: []string{"ogbg-molhiv"},
-		Build: func(env *models.Env, dataset string, _ int) models.Workload {
-			return models.NewDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{})
+		Datasets: []string{"ogbg-molhiv"}, config: models.DGCNConfig{},
+		New: func(env *models.Env, dataset string, cfg any) models.Workload {
+			return models.NewDGCN(env, datasets.MolHIV(env.RNG), cfg.(models.DGCNConfig))
 		},
 		Partition: func(env *models.Env, _ string, rank, world int, partition Partitioner) models.PartWorkload {
 			return models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition)
@@ -98,33 +97,33 @@ var registry = []Spec{
 	{
 		Key: "GW", Model: "GraphWriter", Framework: "PyTorch",
 		Domain: "Text generation from knowledge graphs", GraphKind: "knowledge graphs",
-		Datasets: []string{"AGENDA"},
-		Build: func(env *models.Env, dataset string, _ int) models.Workload {
-			return models.NewGW(env, datasets.AGENDA(env.RNG), models.GWConfig{})
+		Datasets: []string{"AGENDA"}, config: models.GWConfig{},
+		New: func(env *models.Env, dataset string, cfg any) models.Workload {
+			return models.NewGW(env, datasets.AGENDA(env.RNG), cfg.(models.GWConfig))
 		},
 	},
 	{
 		Key: "KGNNL", Model: "k-GNN (1-2-GNN)", Framework: "PyG",
 		Domain: "Protein classification", GraphKind: "batched small graphs",
-		Datasets: []string{"PROTEINS"},
-		Build: func(env *models.Env, dataset string, _ int) models.Workload {
-			return models.NewKGNN(env, datasets.Proteins(env.RNG), models.KGNNConfig{K: 2})
+		Datasets: []string{"PROTEINS"}, config: models.KGNNConfig{K: 2},
+		New: func(env *models.Env, dataset string, cfg any) models.Workload {
+			return models.NewKGNN(env, datasets.Proteins(env.RNG), cfg.(models.KGNNConfig))
 		},
 	},
 	{
 		Key: "KGNNH", Model: "k-GNN (1-2-3-GNN)", Framework: "PyG",
 		Domain: "Protein classification", GraphKind: "batched small graphs",
-		Datasets: []string{"PROTEINS"},
-		Build: func(env *models.Env, dataset string, _ int) models.Workload {
-			return models.NewKGNN(env, datasets.Proteins(env.RNG), models.KGNNConfig{K: 3})
+		Datasets: []string{"PROTEINS"}, config: models.KGNNConfig{K: 3},
+		New: func(env *models.Env, dataset string, cfg any) models.Workload {
+			return models.NewKGNN(env, datasets.Proteins(env.RNG), cfg.(models.KGNNConfig))
 		},
 	},
 	{
 		Key: "ARGA", Model: "Adversarially Regularized Graph Autoencoder", Framework: "PyG",
 		Domain: "Node clustering / graph embedding", GraphKind: "homogeneous citation graphs",
-		Datasets: []string{"cora", "citeseer", "pubmed"}, Servable: true,
-		Build: func(env *models.Env, dataset string, _ int) models.Workload {
-			return models.NewARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{})
+		Datasets: []string{"cora", "citeseer", "pubmed"}, Servable: true, config: models.ARGAConfig{},
+		New: func(env *models.Env, dataset string, cfg any) models.Workload {
+			return models.NewARGA(env, datasets.NewCitation(env.RNG, dataset), cfg.(models.ARGAConfig))
 		},
 		Partition: func(env *models.Env, dataset string, rank, world int, partition Partitioner) models.PartWorkload {
 			return models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition)
@@ -133,11 +132,19 @@ var registry = []Spec{
 	{
 		Key: "TLSTM", Model: "Child-Sum Tree-LSTM", Framework: "DGL",
 		Domain: "Sentiment classification", GraphKind: "batched trees",
-		Datasets: []string{"SST"},
-		Build: func(env *models.Env, dataset string, _ int) models.Workload {
-			return models.NewTLSTM(env, datasets.SST(env.RNG), models.TLSTMConfig{})
+		Datasets: []string{"SST"}, config: models.TLSTMConfig{},
+		New: func(env *models.Env, dataset string, cfg any) models.Workload {
+			return models.NewTLSTM(env, datasets.SST(env.RNG), cfg.(models.TLSTMConfig))
 		},
 	},
+}
+
+// Build constructs the workload at the suite's configuration. The third
+// parameter is unused (it was the analytical DDP estimator's batch divisor;
+// batches shard through env.Rank/env.World and Env.Shard); it stays in the
+// signature only because e2ebench/ calls Build(env, ds, 1).
+func (s Spec) Build(env *models.Env, dataset string, _ int) models.Workload {
+	return s.New(env, dataset, s.config)
 }
 
 // Registry returns the suite specs in paper order. The returned slice is a

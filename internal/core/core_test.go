@@ -21,7 +21,7 @@ func TestRegistryCoversTableI(t *testing.T) {
 		if reg[i].Model == "" || reg[i].Domain == "" || reg[i].Framework == "" {
 			t.Fatalf("%s: incomplete Table I metadata", k)
 		}
-		if len(reg[i].Datasets) == 0 || reg[i].Build == nil {
+		if len(reg[i].Datasets) == 0 || reg[i].New == nil {
 			t.Fatalf("%s: no datasets or builder", k)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,83 @@ func TestOneConstructionPath(t *testing.T) {
 	if len(mainDirs) != 1 || flagSets != 1 {
 		t.Errorf("cmd/ holds %d package main directories (%v) and %d flag.NewFlagSet call sites, want one of each",
 			len(mainDirs), mainDirs, flagSets)
+	}
+}
+
+// TestStudiesAreRows keeps the study layer one shape. Over the non-test files
+// under cmd/ and internal/: every row of the CLI's command table names a
+// figure id (bench.Study.Figure builds it) unless it is one of the few
+// commands that do something other than print one table; internal/bench
+// declares no Format* function (a study returns a bench.Figure, rendered by
+// Figure.Text and internal/report); and a model or dataset constructor
+// (models.New*, any function of internal/datasets) is called only from
+// internal/models, internal/datasets and internal/core — a study names a
+// registry row and hands core.Spec.New a config — except for models.NewDNN,
+// the comparator outside the registry.
+func TestStudiesAreRows(t *testing.T) {
+	notTables := []string{"run", "all", "scenario", "opbench", "benchdiff", "report", "serve-bench", "ttt"}
+	root := filepath.Join("..", "..")
+	rows, figures := 0, 0
+	for _, dir := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+			file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				return err
+			}
+			constructs := false
+			for _, d := range []string{"models", "datasets", "core"} {
+				constructs = constructs || strings.HasPrefix(rel, "internal/"+d+"/")
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if strings.HasPrefix(rel, "internal/bench/") && strings.HasPrefix(n.Name.Name, "Format") {
+						t.Errorf("%s declares %s: a study returns a bench.Figure", rel, n.Name.Name)
+					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || constructs || isPkgSel(sel, "models", "NewDNN") {
+						return true
+					}
+					if pkg, ok := sel.X.(*ast.Ident); ok && (pkg.Name == "datasets" || pkg.Name == "models" && strings.HasPrefix(sel.Sel.Name, "New")) {
+						t.Errorf("%s calls %s.%s: build registry rows through core (Spec.New takes the model's config)", rel, pkg.Name, sel.Sel.Name)
+					}
+				case *ast.CompositeLit:
+					// A row of the command table is a literal keyed by name.
+					fields := map[string]ast.Expr{}
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								fields[key.Name] = kv.Value
+							}
+						}
+					}
+					name, ok := fields["name"].(*ast.BasicLit)
+					if !ok || fields["summary"] == nil || !strings.HasPrefix(rel, "cmd/") {
+						return true
+					}
+					rows++
+					if fields["figure"] != nil && fields["run"] == nil {
+						figures++
+					} else if !slices.Contains(notTables, strings.Trim(name.Value, `"`)) {
+						t.Errorf("%s: command %s carries a body instead of a figure id", rel, name.Value)
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(notTables) > 8 || figures < 20 || rows != figures+len(notTables) {
+		t.Errorf("%d command rows, %d with a figure id, %d allowed without; want at least 20 figures and at most 8 others",
+			rows, figures, len(notTables))
 	}
 }
 

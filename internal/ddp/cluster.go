@@ -293,30 +293,16 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 		}
 		return rep, nil
 	}
-	var err error
-	if reps[0], err = build(0, c.world); err != nil {
-		return ClusterResult{}, err
-	}
-	replicated := c.world > 1 && !reps[0].w.DDPCompatible()
-	shard := c.world
-	if replicated {
-		// The sampler cannot shard (paper §V-E, PSAGE): rebuild every
-		// replica with the full batch. Gradients still synchronize — all
-		// cost, no compute reduction.
-		shard = 1
-		reps[0].env.Close() // stop the discarded replica's loader workers
-		reps[0] = nil
-	}
 	for r := range reps {
-		if reps[r] != nil {
-			continue
-		}
-		if reps[r], err = build(r, shard); err != nil {
+		var err error
+		if reps[r], err = build(r, c.world); err != nil {
 			return ClusterResult{}, err
 		}
 	}
-	// Reducer buckets and flat gradient buffers are wired only now, so the
-	// discarded probe replica of a replicated run never gets a set.
+	// A workload that cannot shard (paper §V-E, PSAGE) never calls Env.Shard,
+	// so every replica trains the full batch. Gradients still synchronize —
+	// all cost, no compute reduction.
+	replicated := c.world > 1 && !reps[0].w.DDPCompatible()
 	for _, rep := range reps {
 		rep.buckets = nn.BuildGradBuckets(rep.w.Params(), c.cfg.BucketCapBytes)
 		rep.flat = make([][]float32, len(rep.buckets))

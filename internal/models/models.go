@@ -274,7 +274,9 @@ type Workload interface {
 	IterationsPerEpoch() int
 	// DDPCompatible reports whether the workload's sampling strategy
 	// partitions cleanly under PyTorch-DDP-style data parallelism; PSAGE's
-	// batch sampler does not (paper §V-E), so its data is replicated.
+	// batch sampler does not (paper §V-E), so its data is replicated. "Does
+	// not shard" means "never calls Env.Shard": the DDP cluster builds such a
+	// replica with its true (rank, world) and relies on it ignoring them.
 	DDPCompatible() bool
 	// Optimizer returns the live optimizer driving TrainEpoch. It holds all
 	// the trainable state there is — parameters, moments, step counters — so

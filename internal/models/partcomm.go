@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math"
-
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/graph"
 	"gnnmark/internal/tensor"
@@ -153,18 +151,9 @@ func (pc *partComms) haloExtend(t *autograd.Tape, kind string, x *autograd.Var) 
 // identical on every rank — and deposits this rank's owned slice into x.
 func (pc *partComms) allGatherRows(t *autograd.Tape, kind string, x *autograd.Var) *autograd.Var {
 	lp := pc.lp
-	n := pc.plan.N
 	dim := x.Value.Dim(1)
-	remote := uint64(n-len(lp.Owned)) * uint64(dim) * 4
-	vals := pc.c.Exchange(kind, remote, x.Value)
-
-	full := tensor.New(n, dim)
-	for q, v := range vals {
-		peer := v.(*tensor.Tensor)
-		for i, g := range pc.plan.Local[q].Owned {
-			copy(full.Row(int(g)), peer.Row(i))
-		}
-	}
+	remote := uint64(pc.plan.N-len(lp.Owned)) * uint64(dim) * 4
+	full := pc.assembleFull(kind, remote, x.Value)
 	return t.Node(full, true, func(dy *tensor.Tensor) {
 		grads := pc.c.Exchange(kind+".bwd", remote, dy)
 		dx := tensor.NewPooled(len(lp.Owned), dim)
@@ -185,20 +174,23 @@ func (pc *partComms) allGatherRows(t *autograd.Tape, kind string, x *autograd.Va
 	})
 }
 
-// assembleFull gathers every rank's owned rows of a value into global row
-// order. The returned payload list keeps peers' tensors alive for the
-// caller's combine loop.
-func (pc *partComms) assembleFull(kind string, wireBytes uint64, local *tensor.Tensor) (*tensor.Tensor, []any) {
-	dim := local.Dim(1)
-	vals := pc.c.Exchange(kind, wireBytes, local)
-	full := tensor.New(pc.plan.N, dim)
+// assembleFull exchanges every rank's owned rows of a value and gathers them
+// into global row order.
+func (pc *partComms) assembleFull(kind string, wireBytes uint64, local *tensor.Tensor) *tensor.Tensor {
+	return pc.globalRows(pc.c.Exchange(kind, wireBytes, local), func(v any) *tensor.Tensor { return v.(*tensor.Tensor) })
+}
+
+// globalRows copies each rank's owned rows, picked out of its payload by of,
+// to their global positions.
+func (pc *partComms) globalRows(vals []any, of func(any) *tensor.Tensor) *tensor.Tensor {
+	full := tensor.New(pc.plan.N, of(vals[0]).Dim(1))
 	for q, v := range vals {
-		peer := v.(*tensor.Tensor)
+		peer := of(v)
 		for i, g := range pc.plan.Local[q].Owned {
 			copy(full.Row(int(g)), peer.Row(i))
 		}
 	}
-	return full, vals
+	return full
 }
 
 // meanPoolGlobal is the partitioned global mean pool: scatter-add every
@@ -220,15 +212,10 @@ func (pc *partComms) meanPoolGlobal(t *autograd.Tape, kind string, h *autograd.V
 		payload := uint64(numGraphs) * uint64(dim) * 4
 		ring = 2 * uint64(world-1) * payload / uint64(world)
 	}
-	full, _ := pc.assembleFull(kind, ring, h.Value)
+	full := pc.assembleFull(kind, ring, h.Value)
 
 	pooled := tensor.New(numGraphs, dim)
-	for i := 0; i < pc.plan.N; i++ {
-		dst, src := pooled.Row(int(globalGraphID[i])), full.Row(i)
-		for j := range dst {
-			dst[j] += src[j]
-		}
-	}
+	t.E.Backend().ScatterAddRows(pooled.Data(), full.Data(), globalGraphID, dim)
 	counts := make([]float32, numGraphs)
 	for _, g := range globalGraphID {
 		counts[g]++
@@ -264,11 +251,11 @@ type bnPair struct{ dy, xhat *tensor.Tensor }
 // syncBatchNorm is synchronized batch normalization across partitions:
 // statistics are computed over the global row population, so the
 // normalized activations — and the gamma/beta gradients — are
-// bitwise-identical to single-device training. The combine replicates the
-// serial backend's accumulation (float32 stats per column over rows in
-// global order; float64 gradient sums) exactly. Local stats/backward
-// kernels are still launched so the device timeline carries SyncBN's
-// compute cost; their results are discarded in favor of the global ones.
+// bitwise-identical to single-device training: the combine runs the
+// backend's own stats and backward kernels over the rows assembled in global
+// order. Local stats/backward kernels are still launched so the device
+// timeline carries SyncBN's compute cost; their results are discarded in
+// favor of the global ones.
 //
 // Wire accounting models what NCCL SyncBN moves — two stats vectors per
 // direction per peer — not the full-row gather the simulation uses.
@@ -278,79 +265,34 @@ func (pc *partComms) syncBatchNorm(t *autograd.Tape, kind string, x, gamma, beta
 	n := pc.plan.N
 	f := x.Value.Dim(1)
 	statsBytes := uint64(pc.c.World()-1) * uint64(2*f) * 4
-	full, _ := pc.assembleFull(kind, statsBytes, x.Value)
+	full := pc.assembleFull(kind, statsBytes, x.Value)
 
 	// Local stats kernel for timing realism; values replaced by global.
 	e.BatchNormStats(x.Value)
-
-	// Global statistics, replicating batchNormStatsRange bitwise.
-	mean := tensor.New(f)
-	variance := tensor.New(f)
-	mdata, vdata, xdata := mean.Data(), variance.Data(), full.Data()
-	inv := float32(1)
-	if n > 0 {
-		inv = 1 / float32(n)
-	}
-	for j := 0; j < f; j++ {
-		for i := 0; i < n; i++ {
-			mdata[j] += xdata[i*f+j]
-		}
-		mdata[j] *= inv
-		for i := 0; i < n; i++ {
-			d := xdata[i*f+j] - mdata[j]
-			vdata[j] += d * d
-		}
-		vdata[j] *= inv
-	}
+	mean, variance := tensor.New(f), tensor.New(f)
+	e.Backend().BatchNormStats(full.Data(), mean.Data(), variance.Data(), n, f)
 
 	out := e.BatchNormApply(x.Value, mean, variance, gamma.Value, beta.Value, eps)
+	xhat := autograd.Standardize(x.Value, mean, variance, eps)
 	rows := len(lp.Owned)
-	xhat := tensor.New(rows, f)
-	for i := 0; i < rows; i++ {
-		xr, hr := x.Value.Row(i), xhat.Row(i)
-		for j := 0; j < f; j++ {
-			hr[j] = (xr[j] - mdata[j]) / sqrtf32(vdata[j]+eps)
-		}
-	}
 
 	return t.Node(out, true, func(dy *tensor.Tensor) {
 		grads := pc.c.Exchange(kind+".bwd", statsBytes, bnPair{dy: dy, xhat: xhat})
 		// Local backward kernel for timing realism; values discarded.
 		e.BatchNormBackward(xhat, dy, variance, gamma.Value, eps)
 
-		fullDy := tensor.New(n, f)
-		fullXhat := tensor.New(n, f)
-		for q, g := range grads {
-			pair := g.(bnPair)
-			for i, gl := range pc.plan.Local[q].Owned {
-				copy(fullDy.Row(int(gl)), pair.dy.Row(i))
-				copy(fullXhat.Row(int(gl)), pair.xhat.Row(i))
-			}
-		}
-		dyd, xhd := fullDy.Data(), fullXhat.Data()
-		gvals := gamma.Value.Data()
+		fullDy := pc.globalRows(grads, func(g any) *tensor.Tensor { return g.(bnPair).dy })
+		fullXhat := pc.globalRows(grads, func(g any) *tensor.Tensor { return g.(bnPair).xhat })
+		// The single-device kernel over the global rows: dgamma and dbeta are
+		// its sums, dx its owned rows.
+		fullDx := tensor.New(n, f)
 		dgamma := tensor.NewPooled(f)
 		dbeta := tensor.NewPooled(f)
+		e.Backend().BatchNormBackward(fullXhat.Data(), fullDy.Data(), variance.Data(), gamma.Value.Data(),
+			fullDx.Data(), dgamma.Data(), dbeta.Data(), n, f, eps)
 		dx := tensor.NewPooled(rows, f)
-		invN := 1 / float64(n)
-		for j := 0; j < f; j++ {
-			// Global sums in global row order, float64, with the same
-			// float32 product the backend uses — bitwise-identical
-			// dgamma/dbeta on every rank and to the single-device kernel.
-			var sumDy, sumDyXhat float64
-			for i := 0; i < n; i++ {
-				sumDy += float64(dyd[i*f+j])
-				sumDyXhat += float64(dyd[i*f+j] * xhd[i*f+j])
-			}
-			dgamma.Data()[j] = float32(sumDyXhat)
-			dbeta.Data()[j] = float32(sumDy)
-			invStd := 1 / math.Sqrt(float64(vdata[j]+eps))
-			for i := 0; i < rows; i++ {
-				dyv := dy.Row(i)[j]
-				xhv := xhat.Row(i)[j]
-				dx.Row(i)[j] = float32(float64(gvals[j]) * invStd *
-					(float64(dyv) - invN*sumDy - float64(xhv)*invN*sumDyXhat))
-			}
+		for i, g := range lp.Owned {
+			copy(dx.Row(i), fullDx.Row(int(g)))
 		}
 		x.Accum(dx)
 		gamma.Accum(dgamma)
@@ -360,5 +302,3 @@ func (pc *partComms) syncBatchNorm(t *autograd.Tape, kind string, x, gamma, beta
 		tensor.Recycle(dbeta)
 	})
 }
-
-func sqrtf32(v float32) float32 { return float32(math.Sqrt(float64(v))) }

@@ -75,6 +75,10 @@ func NewWith(dev *gpu.Device, be backend.Backend) *Engine {
 // Device returns the attached device (possibly nil).
 func (e *Engine) Device() *gpu.Device { return e.dev }
 
+// Backend returns the numerics backend, for collectives that run a kernel's
+// arithmetic over rows no single device holds (models/partcomm.go).
+func (e *Engine) Backend() backend.Backend { return e.be }
+
 // Reset returns every tracked device block to the caching allocator and
 // clears the per-tensor, per-CSR, and per-index-buffer bookkeeping.
 // Training loops call it between epochs; still-live tensors are

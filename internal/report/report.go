@@ -1,5 +1,6 @@
 // Package report renders the evaluation's figures as a single
-// self-contained HTML page: each bench.Figure as a table with inline bar
+// self-contained HTML page: each bench.Figure, in the order Figure.Text
+// prints it (lead lines, table, panels, notes), as a table with inline bar
 // visuals, no JavaScript or external assets. The CLI's "report" command
 // writes it; CI systems can archive it per run.
 package report
@@ -35,18 +36,17 @@ analytical model of that device; see EXPERIMENTS.md for paper-vs-measured notes.
 {{range .Figures}}
 <h2>{{.Title}}</h2>
 {{with .Caption}}<p class="cap">{{.}}</p>{{end}}
-{{template "table" .}}
-{{range .Panels}}<h3>{{.Title}}</h3>
-{{template "table" .}}
-{{end}}{{end}}
+{{template "figure" .}}{{end}}
 </body></html>
-{{define "table"}}<table>{{if .Headed}}<tr>{{range .Columns}}<th>{{.Head}}</th>{{end}}</tr>{{end}}
+{{define "figure"}}{{template "lines" .Lead}}{{if .Rows}}<table>{{if .Headed}}<tr>{{range .Columns}}<th>{{.Head}}</th>{{end}}</tr>{{end}}
 {{$columns := .Columns}}{{range .Rows}}<tr>{{range $i, $cell := .}}<td>
 {{- if (index $columns $i).Bar}}<span class="bar" style="width:{{printf "%.0f" $cell.Value}}px"></span> {{end -}}
 {{$cell.Text}}</td>{{end}}</tr>
 {{end}}</table>
-{{range .Notes}}<p class="cap">{{.}}</p>
-{{end}}{{end}}`))
+{{end}}{{range .Panels}}<h3>{{.Title}}</h3>
+{{template "figure" .}}{{end}}{{template "lines" .Notes}}{{end}}
+{{define "lines"}}{{range .}}{{with .}}<p class="cap">{{.}}</p>
+{{end}}{{end}}{{end}}`))
 
 // WriteHTML renders the figures, in order, as one page headed by the name
 // of the device they were measured on.
