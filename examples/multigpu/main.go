@@ -2,7 +2,8 @@
 // API: execute PyTorch-DDP training of two contrasting workloads on a
 // simulated 4xV100 NVLink node — one replica per GPU, each on its shard of
 // the global batch, gradients averaged through a bucketed ring allreduce.
-// This is the engine `gnnmark fig9` uses.
+// ddp.ExecutedStrongScaling runs ddp.Train at each world size; it is the
+// engine `gnnmark fig9` uses.
 //
 //	go run ./examples/multigpu
 package main
@@ -24,7 +25,7 @@ import (
 // parameter is the replica's fleet slot, for fleets that mix device models;
 // this node is four identical V100s. A factory reports failure by returning
 // an error; a simulated OOM during construction needs no handling here —
-// the cluster builds replicas under gpu.Guard and returns it from Run.
+// ddp.Train builds replicas under gpu.Guard and returns it as an error.
 func factory(workload string) ddp.ReplicaFactory {
 	return func(_, rank, world int) (models.Workload, *models.Env, error) {
 		env := models.NewEnv(ops.New(gpu.New(gpu.V100())), 3)
@@ -44,12 +45,11 @@ func factory(workload string) ddp.ReplicaFactory {
 }
 
 func main() {
-	comm := ddp.DefaultComm()
 	fmt.Printf("interconnect: %.0f GB/s effective allreduce, %.1f us latency\n\n",
-		comm.NVLinkBandwidthGBps, comm.NVLinkLatencyUS)
+		ddp.NVLinkBandwidthGBps, ddp.NVLinkLatencyUS)
 
 	for _, w := range []string{"STGCN", "PSAGE"} {
-		res, err := ddp.ExecutedStrongScaling(factory(w), []int{1, 2, 4}, ddp.ClusterConfig{})
+		res, err := ddp.ExecutedStrongScaling(factory(w), []int{1, 2, 4})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "multigpu:", err)
 			os.Exit(1)

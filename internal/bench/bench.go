@@ -381,7 +381,7 @@ func Fig9(cfg core.RunConfig) ([]ScalingResult, error) {
 			env, err = cfg.Build(0, rank, world, func(env *models.Env) { w = spec.New(env, spec.Datasets[0], row.config) })
 			return w, env, err
 		}
-		res, err := ddp.ExecutedStrongScaling(factory, []int{1, 2, 4}, ddp.ClusterConfig{})
+		res, err := ddp.ExecutedStrongScaling(factory, []int{1, 2, 4})
 		if err != nil {
 			return nil, err
 		}

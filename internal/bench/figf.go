@@ -62,7 +62,7 @@ func FigF(cfg core.RunConfig) (*FigFResult, error) {
 		// Event timestamps compare against barrier-time device clocks, which
 		// advance with compute; probe one healthy epoch's critical path so
 		// the churn horizon spans the whole run.
-		probe, err := ddp.NewCluster(c.GPUs, ddp.ClusterConfig{}).Run(factory, 1)
+		probe, err := ddp.Train(factory, c.GPUs, 1, ddp.ClusterConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("figf: probing %s: %w", key, err)
 		}

@@ -114,7 +114,7 @@ func TestChaosMatrix(t *testing.T) {
 	// which advance with compute only (allreduce time is modeled on top),
 	// so probe one healthy epoch's critical-path compute.
 	probeFactory := DDPFactory(chaosCfg())
-	probe, err := ddp.NewCluster(2, ddp.ClusterConfig{}).Run(probeFactory, 1)
+	probe, err := ddp.Train(probeFactory, 2, 1, ddp.ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

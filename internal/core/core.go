@@ -325,7 +325,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Dataset:    rep.Dataset,
 		ParamCount: nn.NumParams(rep.W.Params()),
 	}
-	lastCap := obs.CapturePhases()
+	phases := obs.NewPhaseMeter()
 	lastOpCap := ops.CaptureOpClasses()
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		loss, err := rep.Epoch()
@@ -333,10 +333,8 @@ func Run(cfg RunConfig) (RunResult, error) {
 			return RunResult{}, err
 		}
 		res.Losses = append(res.Losses, loss)
-		if obs.Enabled() {
-			cap1 := obs.CapturePhases()
-			res.HostPhases = append(res.HostPhases, lastCap.Delta(cap1))
-			lastCap = cap1
+		if b, ok := phases.Epoch(1); ok {
+			res.HostPhases = append(res.HostPhases, b)
 			opCap := ops.CaptureOpClasses()
 			res.HostOpClasses = append(res.HostOpClasses, opCap.Delta(lastOpCap))
 			lastOpCap = opCap
@@ -423,7 +421,7 @@ func ScalingWorlds(maxGPUs int) []int {
 // ScalingWorlds(cfg.GPUs) size and returns the per-world-size timeline with
 // speedups against the 1-GPU run.
 func RunDDP(cfg RunConfig) ([]ddp.ClusterResult, error) {
-	return ddp.ExecutedStrongScaling(DDPFactory(cfg), ScalingWorlds(cfg.GPUs), ddp.ClusterConfig{})
+	return ddp.ExecutedStrongScaling(DDPFactory(cfg), ScalingWorlds(cfg.GPUs))
 }
 
 // SuiteRun pairs a workload key with a dataset for suite-wide sweeps.

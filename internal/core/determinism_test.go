@@ -83,7 +83,7 @@ func TestSuiteGoldenDeterminism(t *testing.T) {
 		cfg := chaosCfg()
 		cfg.Backend = backendName
 		factory := DDPFactory(cfg)
-		probe, err := ddp.NewCluster(2, ddp.ClusterConfig{}).Run(factory, 1)
+		probe, err := ddp.Train(factory, 2, 1, ddp.ClusterConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,8 +71,8 @@ func TestOOMIsAnErrorOnEveryPlane(t *testing.T) {
 		"TimeToTrain":    {func() error { _, err := core.TimeToTrain(cfg, 0.1, 1); return err }, false},
 		"RunDDP":         {func() error { _, err := core.RunDDP(cfg); return err }, true},
 		"RunPartitioned": {func() error { _, err := core.RunPartitioned(cfg); return err }, true},
-		"Cluster(2)": {func() error {
-			_, err := ddp.NewCluster(2, ddp.ClusterConfig{}).Run(core.DDPFactory(cfg), 1)
+		"Train(2)": {func() error {
+			_, err := ddp.Train(core.DDPFactory(cfg), 2, 1, ddp.ClusterConfig{})
 			return err
 		}, true},
 	} {

@@ -25,11 +25,11 @@ var (
 	obsAllreduceBytes  = obs.GetCounter("ddp.allreduce_bytes_total")
 )
 
-// This file is the executed replication engine: a
-// Cluster really trains G replicas of the workload on G simulated devices —
-// one goroutine each — and really averages their gradients through a
-// bucketed ring-allreduce, so the multi-GPU result is a trained model whose
-// weights can be checked against a single-device run.
+// This file is the executed replication engine: Train really trains G
+// replicas of the workload on G simulated devices — one goroutine each —
+// and really averages their gradients through a bucketed ring-allreduce,
+// so the multi-GPU result is a trained model whose weights can be checked
+// against a single-device run.
 //
 // The worker lifecycle, lockstep barrier, and abort machinery live in
 // internal/exec (shared with the graph-partitioned strategy); this file is
@@ -64,9 +64,9 @@ type ClusterConfig struct {
 	// rank order, against each rank's simulated clock at the gradient
 	// barrier — a deterministic point, so the set of dead ranks per
 	// iteration is a pure function of the schedule, never of goroutine
-	// interleaving. On detection the run aborts with a *FleetFailure
-	// carrying the round's partial progress; the elastic controller
-	// (RunElastic) re-shards and resumes.
+	// interleaving. On detection the round aborts with a *FleetFailure; the
+	// elastic controller (RunElastic) books the epochs Train's result still
+	// carries, re-shards and resumes.
 	Monitors []*fault.Monitor
 	// OnEpochEnd, when non-nil, is invoked by the epoch-barrier leader
 	// after each completed epoch with the count of epochs completed this
@@ -76,26 +76,21 @@ type ClusterConfig struct {
 	OnEpochEnd func(completed int)
 }
 
-func (c *ClusterConfig) defaults() {
-	if c.BucketCapBytes == 0 {
-		c.BucketCapBytes = DefaultBucketCapBytes
-	}
-}
-
 // ReplicaFactory builds replica `rank` of a `world`-replica cluster on the
 // device model of fleet slot `slot`: a fresh workload on a fresh
 // device/engine, constructed from the same seed at every rank, with
 // env.Rank/env.World set to the given values *before* the workload is built
 // (batch sharding can happen at construction time). Every call must return
-// fully independent instances. A plain cluster passes slot == rank; the
+// fully independent instances. A plain run passes slot == rank; the
 // elastic controller keeps a survivor's slot stable while its rank is
 // renumbered, so heterogeneous fleets stay on their own device models.
-// The cluster calls it under gpu.Guard: a construction that fails may
-// return the error or let the device raise it, and either way Run returns
-// it unwrapped.
+// Train calls it under gpu.Guard: a construction that fails may return the
+// error or let the device raise it, and either way Train returns it
+// unwrapped.
 type ReplicaFactory func(slot, rank, world int) (models.Workload, *models.Env, error)
 
-// ClusterResult is the outcome of one executed multi-replica run.
+// ClusterResult is the outcome of one executed multi-replica run; partial
+// when Train fails (see Train).
 type ClusterResult struct {
 	GPUs       int
 	Replicated bool // DDP-incompatible sampler: full batch on every replica
@@ -134,21 +129,6 @@ type ClusterResult struct {
 	PeakMemBytes int64
 }
 
-// Cluster executes DDP training with one goroutine per simulated GPU.
-type Cluster struct {
-	world int
-	cfg   ClusterConfig
-}
-
-// NewCluster returns a cluster of `world` replicas (world >= 1).
-func NewCluster(world int, cfg ClusterConfig) *Cluster {
-	if world < 1 {
-		panic(fmt.Sprintf("ddp: invalid world size %d", world))
-	}
-	cfg.defaults()
-	return &Cluster{world: world, cfg: cfg}
-}
-
 // replica is the per-goroutine state of one simulated GPU.
 type replica struct {
 	exec.Peer
@@ -165,32 +145,26 @@ type replica struct {
 // included), which is what makes the leader's writes into blocked
 // replicas' tensors race-free.
 type run struct {
-	c    *Cluster
+	cfg  ClusterConfig
 	g    *exec.Group
 	reps []*replica
+	// res is the round's one record: the leader adds each iteration's
+	// communication and each finished epoch to it, and Train returns it
+	// whether the round finished or died.
+	res *ClusterResult
 
 	// Per-iteration data, indexed by rank, valid when the barrier is full.
 	backward []float64
 	compute  []float64
 
-	// Accumulators (leader-written).
-	iters        int
-	epochCompute float64 // current epoch, critical-path compute
-	totalCompute float64
-	commBusy     float64
-	exposed      float64
+	// The epoch in flight (leader-written).
+	epochCompute float64 // critical-path compute
 	epochExposed float64
-	epochSeconds []float64
-	losses       []float64
 	scratch      []float32 // reduce buffer, sized to largest bucket
 
 	// Host observability (leader-written under the group mutex).
-	track      *obs.Track // spans of the leader's reduction work
-	phases     *exec.PhaseMeter
-	hostPhases []obs.PhaseBreakdown
-
-	// Fault-plane state (leader-written under the group mutex).
-	epochsDone int
+	track  *obs.Track // spans of the leader's reduction work
+	phases *obs.PhaseMeter
 }
 
 // checkFatal is the leader's fatal-event sweep at a gradient barrier: it
@@ -202,7 +176,7 @@ type run struct {
 func (st *run) checkFatal() error {
 	var dead []int
 	var events []fault.Event
-	for r, m := range st.c.cfg.Monitors {
+	for r, m := range st.cfg.Monitors {
 		if m == nil {
 			continue
 		}
@@ -224,12 +198,9 @@ func (st *run) checkFatal() error {
 		}
 	}
 	return &FleetFailure{
-		DeadRanks:       dead,
-		Events:          events,
-		CompletedEpochs: st.epochsDone,
-		EpochSeconds:    append([]float64(nil), st.epochSeconds...),
-		Losses:          append([]float64(nil), st.losses...),
-		LostSeconds:     st.epochCompute + maxCompute + st.epochExposed,
+		DeadRanks:   dead,
+		Events:      events,
+		LostSeconds: st.epochCompute + maxCompute + st.epochExposed,
 	}
 }
 
@@ -237,7 +208,7 @@ func (st *run) checkFatal() error {
 // NVLink degradation active across ranks at this barrier — the ring
 // crosses every replica's links, so its slowest link paces the collective.
 func (st *run) linkDeratedBandwidth(bw float64) float64 {
-	mons := st.c.cfg.Monitors
+	mons := st.cfg.Monitors
 	if mons == nil {
 		return bw
 	}
@@ -253,18 +224,28 @@ func (st *run) linkDeratedBandwidth(bw float64) float64 {
 	return bw / worst
 }
 
-// Run trains `epochs` epochs of `world` replicas built by factory and
+// Train trains `epochs` epochs of `world` replicas built by factory and
 // returns the executed timeline and the trained replicas. With world == 1 it
 // degenerates to plain single-device training (no hooks, no barriers) —
-// the baseline the speedup claims divide by.
-func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error) {
+// the baseline the speedup claims divide by. A failure once the replicas
+// are built — a *FleetFailure included — comes back with the header (GPUs
+// through GradBytesPerIt) and the epochs the round completed (EpochSeconds,
+// Losses, HostPhases); the totals are then partial, and Replicas is nil so
+// a dead fleet stays collectable.
+func Train(factory ReplicaFactory, world, epochs int, cfg ClusterConfig) (ClusterResult, error) {
+	if world < 1 {
+		return ClusterResult{}, fmt.Errorf("ddp: invalid world size %d", world)
+	}
 	if epochs < 1 {
 		epochs = 1
 	}
-	if c.cfg.Monitors != nil && len(c.cfg.Monitors) != c.world {
-		return ClusterResult{}, fmt.Errorf("ddp: %d monitors for %d ranks", len(c.cfg.Monitors), c.world)
+	if cfg.BucketCapBytes == 0 {
+		cfg.BucketCapBytes = DefaultBucketCapBytes
 	}
-	reps := make([]*replica, c.world)
+	if cfg.Monitors != nil && len(cfg.Monitors) != world {
+		return ClusterResult{}, fmt.Errorf("ddp: %d monitors for %d ranks", len(cfg.Monitors), world)
+	}
+	reps := make([]*replica, world)
 	// Stop every replica's loader workers once the run is over.
 	defer func() {
 		for _, rep := range reps {
@@ -273,44 +254,32 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 			}
 		}
 	}()
-	// build constructs one replica under gpu.Guard (the footprint includes
-	// preprocessing, so a build can OOM).
-	build := func(rank, world int) (*replica, error) {
+	for r := range reps {
+		// Construction runs under gpu.Guard: the footprint includes
+		// preprocessing, so a build can OOM.
 		rep := &replica{}
 		var ferr error
-		if err := gpu.Guard(func() { rep.w, rep.env, ferr = factory(rank, rank, world) }); err != nil {
-			return nil, err
+		if err := gpu.Guard(func() { rep.w, rep.env, ferr = factory(r, r, world) }); err != nil {
+			return ClusterResult{}, err
 		}
 		if ferr != nil {
-			return nil, ferr
+			return ClusterResult{}, ferr
 		}
-		rep.Rank = rank
+		rep.Rank = r
 		// SimClock is the overlapped timeline makespan when the input
 		// pipeline is active, the device's serialized clock otherwise.
 		rep.ClockFn = rep.env.SimClock
 		if dev := rep.env.E.Device(); dev != nil {
 			rep.TransferFn = dev.TransferSeconds
 		}
-		return rep, nil
-	}
-	for r := range reps {
-		var err error
-		if reps[r], err = build(r, c.world); err != nil {
-			return ClusterResult{}, err
-		}
-	}
-	// A workload that cannot shard (paper §V-E, PSAGE) never calls Env.Shard,
-	// so every replica trains the full batch. Gradients still synchronize —
-	// all cost, no compute reduction.
-	replicated := c.world > 1 && !reps[0].w.DDPCompatible()
-	for _, rep := range reps {
-		rep.buckets = nn.BuildGradBuckets(rep.w.Params(), c.cfg.BucketCapBytes)
+		rep.buckets = nn.BuildGradBuckets(rep.w.Params(), cfg.BucketCapBytes)
 		rep.flat = make([][]float32, len(rep.buckets))
 		for i, b := range rep.buckets {
 			rep.flat[i] = make([]float32, b.Elems)
 		}
+		reps[r] = rep
 	}
-	for r := 1; r < c.world; r++ {
+	for r := 1; r < world; r++ {
 		if got, want := reps[r].w.IterationsPerEpoch(), reps[0].w.IterationsPerEpoch(); got != want {
 			return ClusterResult{}, fmt.Errorf("ddp: replica %d has %d iterations/epoch, rank 0 has %d (factory not seed-identical?)", r, got, want)
 		}
@@ -318,31 +287,107 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 			return ClusterResult{}, fmt.Errorf("ddp: replica %d has %d buckets, rank 0 has %d", r, got, want)
 		}
 	}
-
 	for _, rep := range reps {
 		if dev := rep.env.E.Device(); dev != nil {
 			// Construction may launch preprocessing kernels; measure
 			// training only.
 			dev.ResetClock()
-			if c.cfg.Monitors != nil {
+			if cfg.Monitors != nil {
 				// Deferred monitors only throttle; fatality is decided at
 				// deterministic points (checkFatal, runSingle's epoch ends).
-				dev.AttachHealth(c.cfg.Monitors[rep.Rank])
+				dev.AttachHealth(cfg.Monitors[rep.Rank])
 			}
 		}
 	}
-	if c.world == 1 {
-		return c.runSingle(reps[0], epochs)
-	}
 
-	st := &run{
-		c:        c,
-		g:        exec.NewGroup(c.world),
-		reps:     reps,
-		backward: make([]float64, c.world),
-		compute:  make([]float64, c.world),
+	w0 := reps[0].w
+	res := ClusterResult{
+		GPUs: world,
+		// A workload that cannot shard (paper §V-E, PSAGE) never calls
+		// Env.Shard, so every replica trains the full batch. Gradients still
+		// synchronize — all cost, no compute reduction.
+		Replicated:     world > 1 && !w0.DDPCompatible(),
+		Iterations:     w0.IterationsPerEpoch(),
+		Buckets:        len(reps[0].buckets),
+		GradBytesPerIt: uint64(nn.ParamBytes(w0.Params())),
 	}
-	st.track = obs.NewTrack("ddp-reduce")
+	var err error
+	if world == 1 {
+		err = runSingle(reps[0], epochs, cfg, &res)
+	} else {
+		err = runFleet(reps, epochs, cfg, &res)
+	}
+	if err != nil {
+		return res, err
+	}
+	for _, rep := range reps {
+		res.Replicas = append(res.Replicas, rep.w)
+		if dev := rep.env.E.Device(); dev != nil {
+			if peak := dev.MemStats().PeakLive; peak > res.PeakMemBytes {
+				res.PeakMemBytes = peak
+			}
+		}
+	}
+	return res, nil
+}
+
+// runSingle is the world == 1 path. Its epoch seconds are differences of
+// the device clock, not sums of per-iteration deltas like runFleet's, and
+// Fig. 9's baseline and one-survivor elastic rounds are pinned to those
+// bits. It still honors the fault plane (a one-survivor elastic round must
+// keep throttling and can still die): degraded events throttle through the
+// attached monitor, and fatal events are checked at epoch boundaries
+// against the simulated clock.
+func runSingle(rep *replica, epochs int, cfg ClusterConfig, res *ClusterResult) error {
+	var mon *fault.Monitor
+	if cfg.Monitors != nil {
+		mon = cfg.Monitors[0]
+	}
+	phases := obs.NewPhaseMeter()
+	last := 0.0
+	for e := 0; e < epochs; e++ {
+		loss, err := rep.env.Epoch(rep.w)
+		if err != nil {
+			return &exec.RankError{Rank: 0, Err: err}
+		}
+		now := rep.Clock()
+		if mon != nil {
+			if ev := mon.FatalBy(mon.Origin() + now); ev != nil {
+				return &FleetFailure{DeadRanks: []int{0}, Events: []fault.Event{*ev}, LostSeconds: now - last}
+			}
+		}
+		res.Losses = append(res.Losses, loss)
+		if b, ok := phases.Epoch(1); ok {
+			res.HostPhases = append(res.HostPhases, b)
+		}
+		res.EpochSeconds = append(res.EpochSeconds, now-last)
+		last = now
+		rep.env.E.Reset()
+		if cfg.OnEpochEnd != nil {
+			cfg.OnEpochEnd(e + 1)
+		}
+	}
+	res.ComputeSeconds = last
+	res.TotalSeconds = last
+	return nil
+}
+
+// runFleet trains world >= 2 replicas in lockstep, one worker goroutine
+// each: every backward pass ends in a gradient barrier whose leader
+// reduces the buckets (reduceIteration), and every epoch in a barrier whose
+// leader books it into res (finishEpoch).
+func runFleet(reps []*replica, epochs int, cfg ClusterConfig, res *ClusterResult) error {
+	world := len(reps)
+	st := &run{
+		cfg:      cfg,
+		g:        exec.NewGroup(world),
+		reps:     reps,
+		res:      res,
+		backward: make([]float64, world),
+		compute:  make([]float64, world),
+		track:    obs.NewTrack("ddp-reduce"),
+		phases:   obs.NewPhaseMeter(),
+	}
 	maxElems := 0
 	for _, b := range reps[0].buckets {
 		if b.Elems > maxElems {
@@ -350,10 +395,7 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 		}
 	}
 	st.scratch = make([]float32, maxElems)
-
-	st.phases = exec.NewPhaseMeter()
 	for _, rep := range reps {
-		rep := rep
 		rep.env.OnGradients = func(params []*autograd.Param, backwardSecs float64) {
 			for i := range rep.buckets {
 				rep.buckets[i].FlattenGrads(rep.flat[i])
@@ -376,7 +418,7 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 					return err
 				}
 				rep.epochLosses = append(rep.epochLosses, loss)
-				if err := st.g.Barrier(func() error { st.finishEpoch(replicated); return nil }); err != nil {
+				if err := st.g.Barrier(st.finishEpoch); err != nil {
 					return nil // already latched
 				}
 				rep.env.E.Reset()
@@ -385,21 +427,7 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 		})
 	}
 	if err := st.g.Wait(); err != nil {
-		return ClusterResult{}, err
-	}
-
-	res := ClusterResult{
-		GPUs:               c.world,
-		Replicated:         replicated,
-		Iterations:         reps[0].w.IterationsPerEpoch(),
-		Buckets:            len(reps[0].buckets),
-		GradBytesPerIt:     uint64(nn.ParamBytes(reps[0].w.Params())),
-		EpochSeconds:       st.epochSeconds,
-		ComputeSeconds:     st.totalCompute,
-		CommSeconds:        st.commBusy,
-		ExposedCommSeconds: st.exposed,
-		Losses:             st.losses,
-		HostPhases:         st.hostPhases,
+		return err
 	}
 	res.OverlappedCommSeconds = res.CommSeconds - res.ExposedCommSeconds
 	if res.OverlappedCommSeconds < 0 {
@@ -409,70 +437,7 @@ func (c *Cluster) Run(factory ReplicaFactory, epochs int) (ClusterResult, error)
 	for _, s := range res.EpochSeconds {
 		res.TotalSeconds += s
 	}
-	for _, rep := range reps {
-		res.Replicas = append(res.Replicas, rep.w)
-		if dev := rep.env.E.Device(); dev != nil {
-			if peak := dev.MemStats().PeakLive; peak > res.PeakMemBytes {
-				res.PeakMemBytes = peak
-			}
-		}
-	}
-	return res, nil
-}
-
-// runSingle is the world == 1 fast path. It still honors the fault plane
-// (a one-survivor elastic round must keep throttling and can still die):
-// degraded events throttle through the attached monitor, and fatal events
-// are checked at epoch boundaries against the simulated clock.
-func (c *Cluster) runSingle(rep *replica, epochs int) (ClusterResult, error) {
-	var mon *fault.Monitor
-	if c.cfg.Monitors != nil {
-		mon = c.cfg.Monitors[0]
-	}
-	res := ClusterResult{
-		GPUs:           1,
-		Iterations:     rep.w.IterationsPerEpoch(),
-		Buckets:        len(rep.buckets),
-		GradBytesPerIt: uint64(nn.ParamBytes(rep.w.Params())),
-		Replicas:       []models.Workload{rep.w},
-	}
-	phases := exec.NewPhaseMeter()
-	last := 0.0
-	for e := 0; e < epochs; e++ {
-		loss, err := rep.env.Epoch(rep.w)
-		if err != nil {
-			return ClusterResult{}, &exec.RankError{Rank: 0, Err: err}
-		}
-		now := rep.Clock()
-		if mon != nil {
-			if ev := mon.FatalBy(mon.Origin() + now); ev != nil {
-				return ClusterResult{}, &FleetFailure{
-					DeadRanks:       []int{0},
-					Events:          []fault.Event{*ev},
-					CompletedEpochs: e,
-					EpochSeconds:    append([]float64(nil), res.EpochSeconds...),
-					Losses:          append([]float64(nil), res.Losses...),
-					LostSeconds:     now - last,
-				}
-			}
-		}
-		res.Losses = append(res.Losses, loss)
-		if b, ok := phases.Epoch(1); ok {
-			res.HostPhases = append(res.HostPhases, b)
-		}
-		res.EpochSeconds = append(res.EpochSeconds, now-last)
-		last = now
-		rep.env.E.Reset()
-		if c.cfg.OnEpochEnd != nil {
-			c.cfg.OnEpochEnd(e + 1)
-		}
-	}
-	res.ComputeSeconds = last
-	res.TotalSeconds = last
-	if dev := rep.env.E.Device(); dev != nil {
-		res.PeakMemBytes = dev.MemStats().PeakLive
-	}
-	return res, nil
+	return nil
 }
 
 // reduceIteration is the leader's work once every replica has flattened its
@@ -508,8 +473,7 @@ func (st *run) reduceIteration() error {
 		totalBytes += b.Bytes()
 	}
 
-	cfg := DefaultComm()
-	bw := st.linkDeratedBandwidth(cfg.NVLinkBandwidthGBps * 1e9)
+	bw := st.linkDeratedBandwidth(NVLinkBandwidthGBps * 1e9)
 	commBusy, finish, cum := 0.0, 0.0, 0
 
 	for bi := range buckets {
@@ -532,7 +496,7 @@ func (st *run) reduceIteration() error {
 		cum += buckets[bi].Bytes()
 		ready := maxBackward * float64(cum) / float64(totalBytes)
 		g := float64(world)
-		t := 2 * (g - 1) * (float64(buckets[bi].Bytes())/g/bw + cfg.NVLinkLatencyUS*1e-6)
+		t := 2 * (g - 1) * (float64(buckets[bi].Bytes())/g/bw + NVLinkLatencyUS*1e-6)
 		start := ready
 		if finish > start {
 			start = finish
@@ -552,7 +516,7 @@ func (st *run) reduceIteration() error {
 		commBusy += t
 	}
 
-	hook := cfg.HookOverheadUS * 1e-6
+	hook := HookOverheadUS * 1e-6
 	exposed := finish - maxBackward
 	if exposed < 0 {
 		exposed = 0
@@ -560,10 +524,9 @@ func (st *run) reduceIteration() error {
 	exposed += hook
 	commBusy += hook
 
-	st.iters++
 	st.epochCompute += maxCompute
-	st.commBusy += commBusy
-	st.exposed += exposed
+	st.res.CommSeconds += commBusy
+	st.res.ExposedCommSeconds += exposed
 	st.epochExposed += exposed
 	obsIterationsTotal.Inc()
 	obsAllreduceBytes.Add(int64(totalBytes))
@@ -609,8 +572,9 @@ func ringReduce(dst []float32, bucket, world int, flat func(rank int) []float32)
 // compute after the last gradient sync (optimizer steps of the final
 // iteration) and, for replicated inputs, the host-link contention of every
 // replica pulling the same batches (the paper's PSAGE "unnecessary
-// communication").
-func (st *run) finishEpoch(replicated bool) {
+// communication"), then book the epoch into the round's record.
+func (st *run) finishEpoch() error {
+	res := st.res
 	tail, contention, loss := 0.0, 0.0, 0.0
 	for _, rep := range st.reps {
 		if d := rep.ClockDelta(); d > tail {
@@ -622,37 +586,35 @@ func (st *run) finishEpoch(replicated bool) {
 		loss += rep.epochLosses[len(rep.epochLosses)-1]
 	}
 	st.epochCompute += tail
-	if replicated {
+	if res.Replicated {
 		extra := float64(len(st.reps)-1) * contention
-		st.commBusy += extra
-		st.exposed += extra
+		res.CommSeconds += extra
+		res.ExposedCommSeconds += extra
 		st.epochExposed += extra
 	}
-	st.epochSeconds = append(st.epochSeconds, st.epochCompute+st.epochExposed)
-	st.totalCompute += st.epochCompute
-	st.losses = append(st.losses, loss/float64(len(st.reps)))
+	res.EpochSeconds = append(res.EpochSeconds, st.epochCompute+st.epochExposed)
+	res.ComputeSeconds += st.epochCompute
+	res.Losses = append(res.Losses, loss/float64(len(st.reps)))
 	st.epochCompute, st.epochExposed = 0, 0
-	st.epochsDone++
-	if st.c.cfg.OnEpochEnd != nil {
-		st.c.cfg.OnEpochEnd(st.epochsDone)
+	if st.cfg.OnEpochEnd != nil {
+		st.cfg.OnEpochEnd(len(res.EpochSeconds))
 	}
-	if st.phases != nil {
-		// Phase counters aggregated over all replicas this epoch; report
-		// the mean per replica against the epoch's wall interval.
-		if b, ok := st.phases.Epoch(len(st.reps)); ok {
-			st.hostPhases = append(st.hostPhases, b)
-		}
+	// Phase counters aggregated over all replicas this epoch; report the
+	// mean per replica against the epoch's wall interval.
+	if b, ok := st.phases.Epoch(len(st.reps)); ok {
+		res.HostPhases = append(res.HostPhases, b)
 	}
+	return nil
 }
 
-// ExecutedStrongScaling runs the executed cluster for one epoch at each
-// world size (the global batch fixed, shards shrinking) and returns the
-// modeled timeline per size, with Speedup relative to the series' first
-// entry. Replicas is cleared so a series does not pin trained models.
-func ExecutedStrongScaling(factory ReplicaFactory, gpuCounts []int, cfg ClusterConfig) ([]ClusterResult, error) {
+// ExecutedStrongScaling trains one epoch at each world size (the global
+// batch fixed, shards shrinking) and returns the modeled timeline per size,
+// with Speedup relative to the series' first entry. Replicas is cleared so
+// a series does not pin trained models.
+func ExecutedStrongScaling(factory ReplicaFactory, gpuCounts []int) ([]ClusterResult, error) {
 	results := make([]ClusterResult, 0, len(gpuCounts))
 	for _, g := range gpuCounts {
-		cr, err := NewCluster(g, cfg).Run(factory, 1)
+		cr, err := Train(factory, g, 1, ClusterConfig{})
 		if err != nil {
 			return nil, err
 		}

@@ -90,12 +90,12 @@ func maxRelDiff(t *testing.T, a, b []*autograd.Param) (values, grads float64) {
 // the clean subject: no batch statistics, no per-iteration sampling, and
 // 32 trees / batch 16 shard exactly for G in {2, 4}.
 func TestExecutedEquivalence(t *testing.T) {
-	single, err := NewCluster(1, ClusterConfig{}).Run(clusterFactory("TLSTM", "serial"), 1)
+	single, err := Train(clusterFactory("TLSTM", "serial"), 1, 1, ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range []int{2, 4} {
-		cr, err := NewCluster(g, ClusterConfig{}).Run(clusterFactory("TLSTM", "serial"), 1)
+		cr, err := Train(clusterFactory("TLSTM", "serial"), g, 1, ClusterConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +126,11 @@ func TestExecutedEquivalence(t *testing.T) {
 // TestExecutedEquivalenceKGNN repeats the equivalence check on a second
 // architecture (graph batching + SpMM + mean-pool readout, cross-entropy).
 func TestExecutedEquivalenceKGNN(t *testing.T) {
-	single, err := NewCluster(1, ClusterConfig{}).Run(clusterFactory("KGNNL", "serial"), 1)
+	single, err := Train(clusterFactory("KGNNL", "serial"), 1, 1, ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := NewCluster(2, ClusterConfig{}).Run(clusterFactory("KGNNL", "serial"), 1)
+	cr, err := Train(clusterFactory("KGNNL", "serial"), 2, 1, ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func snapshotWeights(w models.Workload) [][]float32 {
 // the modeled timeline.
 func TestExecutedDeterminism(t *testing.T) {
 	run := func(backendName string) ([][]float32, []float64) {
-		cr, err := NewCluster(2, ClusterConfig{}).Run(clusterFactory("TLSTM", backendName), 2)
+		cr, err := Train(clusterFactory("TLSTM", backendName), 2, 2, ClusterConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestExecutedDeterminism(t *testing.T) {
 // replicas, so extra GPUs add synchronization and host-link contention
 // without reducing compute — speedup below 1x.
 func TestExecutedReplicatedPSAGE(t *testing.T) {
-	res, err := ExecutedStrongScaling(clusterFactory("PSAGE", "serial"), []int{1, 2}, ClusterConfig{})
+	res, err := ExecutedStrongScaling(clusterFactory("PSAGE", "serial"), []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +212,13 @@ func TestExecutedReplicatedPSAGE(t *testing.T) {
 // bucketing splits the payload, some communication hides under backward
 // compute, and the totals are consistent.
 func TestExecutedTimelineAccounting(t *testing.T) {
-	cfg := ClusterConfig{BucketCapBytes: 8 << 10}
-	res, err := ExecutedStrongScaling(clusterFactory("TLSTM", "serial"), []int{1, 2}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var res []ClusterResult
+	for _, g := range []int{1, 2} {
+		cr, err := Train(clusterFactory("TLSTM", "serial"), g, 1, ClusterConfig{BucketCapBytes: 8 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = append(res, cr)
 	}
 	r := res[1]
 	if r.Buckets < 2 {
@@ -261,21 +264,25 @@ func TestRingReduceMatchesSum(t *testing.T) {
 }
 
 // TestClusterFailuresAreErrors: nothing a replica can do wrong reaches the
-// caller as a panic. A factory's own error comes back unwrapped; a
+// caller as a panic. A factory's own error comes back unwrapped, and so
+// does a world of zero; a
 // simulated OOM that every replica hits at the same kernel of the same
 // iteration comes back as the lowest rank's *exec.RankError around the
 // *vmem.OOMError, identically on every rerun, at world 1 and world 2.
 func TestClusterFailuresAreErrors(t *testing.T) {
 	boom := errors.New("no device in slot 1")
 	healthy := clusterFactory("TLSTM", "serial")
-	_, err := NewCluster(2, ClusterConfig{}).Run(func(slot, rank, world int) (models.Workload, *models.Env, error) {
+	_, err := Train(func(slot, rank, world int) (models.Workload, *models.Env, error) {
 		if slot == 1 {
 			return nil, nil, boom
 		}
 		return healthy(slot, rank, world)
-	}, 1)
+	}, 2, 1, ClusterConfig{})
 	if err != boom {
 		t.Fatalf("factory error came back as %v, want it unwrapped", err)
+	}
+	if _, err := Train(healthy, 0, 1, ClusterConfig{}); err == nil {
+		t.Fatal("world 0 trained; want an error")
 	}
 
 	// 1 MiB cannot hold the allocator's first 2 MiB segment: construction
@@ -283,7 +290,7 @@ func TestClusterFailuresAreErrors(t *testing.T) {
 	for _, world := range []int{1, 2} {
 		var first string
 		for rerun := 0; rerun < 3; rerun++ {
-			_, err := NewCluster(world, ClusterConfig{}).Run(clusterFactoryHBM("TLSTM", "serial", 1<<20), 1)
+			_, err := Train(clusterFactoryHBM("TLSTM", "serial", 1<<20), world, 1, ClusterConfig{})
 			var re *exec.RankError
 			var oom *vmem.OOMError
 			if !errors.As(err, &re) || re.Rank != 0 || !errors.As(err, &oom) || oom.Kernel == "" {

@@ -3,17 +3,16 @@ package ddp
 import "testing"
 
 func TestAllreduceCost(t *testing.T) {
-	cfg := DefaultComm()
-	if AllreduceSeconds(cfg, 1, 1<<20) != 0 {
+	if AllreduceSeconds(1, 1<<20) != 0 {
 		t.Fatal("single GPU must have zero comm")
 	}
-	c2 := AllreduceSeconds(cfg, 2, 1<<20)
-	c4 := AllreduceSeconds(cfg, 4, 1<<20)
+	c2 := AllreduceSeconds(2, 1<<20)
+	c4 := AllreduceSeconds(4, 1<<20)
 	if c2 <= 0 || c4 <= c2 {
 		t.Fatalf("comm must grow with world size: %g %g", c2, c4)
 	}
 	// Bigger payload costs more.
-	if AllreduceSeconds(cfg, 4, 1<<24) <= c4 {
+	if AllreduceSeconds(4, 1<<24) <= c4 {
 		t.Fatal("comm must grow with payload")
 	}
 }

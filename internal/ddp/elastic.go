@@ -14,18 +14,13 @@ import (
 
 // FleetFailure is the error a DDP round aborts with when the barrier
 // leader latches fatal health events: the dead ranks, the events that
-// killed them, and the round's partial progress — everything the elastic
-// controller needs to account goodput and resume deterministically.
+// killed them, and the work the failure wasted. The epochs the round
+// completed before it are in the ClusterResult Train returns beside it.
 type FleetFailure struct {
 	// DeadRanks are the round-local rank indices latched fatal, ascending.
 	DeadRanks []int
 	// Events are the fatal events, index-aligned with DeadRanks.
 	Events []fault.Event
-	// CompletedEpochs counts epochs finished before the failure this round.
-	CompletedEpochs int
-	// EpochSeconds and Losses cover the completed epochs of this round.
-	EpochSeconds []float64
-	Losses       []float64
 	// LostSeconds is the wasted work of the failed epoch: its accumulated
 	// critical-path compute and exposed communication up to and including
 	// the failing iteration.
@@ -172,38 +167,30 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 			}
 		}
 
-		remaining := epochs - res.EpochsCompleted
-		cr, err := NewCluster(roundWorld, cfg).Run(wrapped, remaining)
+		cr, err := Train(wrapped, roundWorld, epochs-res.EpochsCompleted, cfg)
 		if ckptErr != nil {
 			return res, fmt.Errorf("ddp: epoch checkpoint failed: %w", ckptErr)
 		}
-		if err == nil {
-			for _, s := range cr.EpochSeconds {
-				res.UsefulSeconds += s
-				origin += s
-			}
-			res.Losses = append(res.Losses, cr.Losses...)
-			res.EpochsCompleted += remaining
-			res.Rounds = append(res.Rounds, Round{Slots: append([]int(nil), alive...), Epochs: remaining})
-			res.Replicas = cr.Replicas
-			break
-		}
 		var ff *FleetFailure
-		if !errors.As(err, &ff) {
+		if err != nil && !errors.As(err, &ff) {
 			return res, err // not a health failure: surface unchanged
 		}
-
-		// Keep the failed round's completed epochs; its in-flight epoch is
+		// One set of books whether the round finished or died: its
+		// completed epochs are kept, and a failed round's in-flight epoch is
 		// lost work.
-		for _, s := range ff.EpochSeconds {
+		for _, s := range cr.EpochSeconds {
 			res.UsefulSeconds += s
 			origin += s
 		}
-		res.Losses = append(res.Losses, ff.Losses...)
-		res.EpochsCompleted += ff.CompletedEpochs
+		res.Losses = append(res.Losses, cr.Losses...)
+		res.EpochsCompleted += len(cr.EpochSeconds)
+		res.Rounds = append(res.Rounds, Round{Slots: append([]int(nil), alive...), Epochs: len(cr.EpochSeconds), Failure: ff})
+		if ff == nil {
+			res.Replicas = cr.Replicas
+			break
+		}
 		res.LostSeconds += ff.LostSeconds
 		origin += ff.LostSeconds
-		res.Rounds = append(res.Rounds, Round{Slots: append([]int(nil), alive...), Epochs: ff.CompletedEpochs, Failure: ff})
 		res.Recoveries++
 		if res.Recoveries > maxRecoveries {
 			return res, fmt.Errorf("ddp: exceeded %d recoveries: %w", maxRecoveries, ff)

@@ -1,18 +1,21 @@
 package ddp
 
 import (
+	"bytes"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"gnnmark/internal/fault"
+	"gnnmark/internal/nn"
 )
 
 // elasticEpochTime probes one healthy epoch's modeled duration so tests
 // can place fault timestamps at meaningful points of the run.
 func elasticEpochTime(t *testing.T, world int) float64 {
 	t.Helper()
-	cr, err := NewCluster(world, ClusterConfig{}).Run(clusterFactory("TLSTM", "serial"), 1)
+	cr, err := Train(clusterFactory("TLSTM", "serial"), world, 1, ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,15 +24,13 @@ func elasticEpochTime(t *testing.T, world int) float64 {
 
 // runElasticTLSTM runs the standard elastic scenario: 4 replicas, 3
 // epochs, rank/slot 2 killed by an XID mid-way through epoch 2 (after the
-// epoch-1 checkpoint exists).
-func runElasticTLSTM(t *testing.T, epochT float64, failStop bool) ElasticResult {
+// epoch-1 checkpoint exists). opts supplies everything but the schedule.
+func runElasticTLSTM(t *testing.T, epochT float64, opts ElasticOptions) ElasticResult {
 	t.Helper()
 	var in fault.Injector
 	in.InjectXIDAt(2, 79, "GPU has fallen off the bus", epochT*1.5)
-	res, err := RunElastic(clusterFactory("TLSTM", "serial"), 4, 3, ElasticOptions{
-		Schedule: in.Schedule(),
-		FailStop: failStop,
-	})
+	opts.Schedule = in.Schedule()
+	res, err := RunElastic(clusterFactory("TLSTM", "serial"), 4, 3, opts)
 	if err != nil {
 		t.Fatalf("elastic run failed: %v", err)
 	}
@@ -42,7 +43,7 @@ func runElasticTLSTM(t *testing.T, epochT float64, failStop bool) ElasticResult 
 // round structure, and every time accumulator.
 func TestElasticRecoveryGolden(t *testing.T) {
 	epochT := elasticEpochTime(t, 4)
-	a := runElasticTLSTM(t, epochT, false)
+	a := runElasticTLSTM(t, epochT, ElasticOptions{})
 
 	if a.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", a.Recoveries)
@@ -60,8 +61,8 @@ func TestElasticRecoveryGolden(t *testing.T) {
 	if ff == nil || len(ff.Events) != 1 || ff.Events[0].Slot != 2 || ff.Events[0].Type != fault.XID {
 		t.Fatalf("round 0 failure misattributed: %+v", ff)
 	}
-	if ff.CompletedEpochs != 1 {
-		t.Fatalf("failure after %d completed epochs, want 1 (mid-epoch-2 kill)", ff.CompletedEpochs)
+	if a.Rounds[0].Epochs != 1 {
+		t.Fatalf("failure after %d completed epochs, want 1 (mid-epoch-2 kill)", a.Rounds[0].Epochs)
 	}
 	if a.LostSeconds <= 0 {
 		t.Fatal("mid-epoch failure must lose work")
@@ -82,7 +83,7 @@ func TestElasticRecoveryGolden(t *testing.T) {
 
 	// Bitwise replay: a second run of the identical scenario reproduces
 	// weights and accounting exactly.
-	b := runElasticTLSTM(t, epochT, false)
+	b := runElasticTLSTM(t, epochT, ElasticOptions{})
 	if v, g := maxRelDiff(t, b.Replicas[0].Params(), a.Replicas[0].Params()); v != 0 || g != 0 {
 		t.Fatal("rerun weights diverged — recovery is not deterministic")
 	}
@@ -103,8 +104,8 @@ func TestElasticRecoveryGolden(t *testing.T) {
 // delay).
 func TestElasticBeatsFailStop(t *testing.T) {
 	epochT := elasticEpochTime(t, 4)
-	elastic := runElasticTLSTM(t, epochT, false)
-	failStop := runElasticTLSTM(t, epochT, true)
+	elastic := runElasticTLSTM(t, epochT, ElasticOptions{})
+	failStop := runElasticTLSTM(t, epochT, ElasticOptions{FailStop: true})
 
 	if failStop.Recoveries != 1 || len(failStop.Survivors) != 4 {
 		t.Fatalf("fail-stop run: recoveries=%d survivors=%v", failStop.Recoveries, failStop.Survivors)
@@ -139,5 +140,87 @@ func TestElasticNoSurvivors(t *testing.T) {
 	var ff *FleetFailure
 	if !errors.As(err, &ff) {
 		t.Fatalf("cause is not a *FleetFailure: %v", err)
+	}
+}
+
+// TestTrainFailureKeepsCompletedEpochs is Train's failure contract: a rank
+// killed mid-way through epoch 2 ends the round with the *FleetFailure and,
+// beside it, the round's one record of what it completed — epoch 1's
+// seconds and loss, bit-equal to a healthy one-epoch run at the same seed —
+// but no replicas. World 2 dies at the barrier leader's sweep (checkFatal),
+// world 1 at runSingle's epoch-end check.
+func TestTrainFailureKeepsCompletedEpochs(t *testing.T) {
+	for _, world := range []int{2, 1} {
+		healthy, err := Train(clusterFactory("TLSTM", "serial"), world, 1, ClusterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fatal events compare against barrier-time device clocks, which
+		// advance with compute only.
+		victim := world - 1
+		var in fault.Injector
+		in.InjectXIDAt(victim, 79, "GPU has fallen off the bus", healthy.ComputeSeconds*1.5)
+		cfg := ClusterConfig{Monitors: make([]*fault.Monitor, world)}
+		for r := range cfg.Monitors {
+			cfg.Monitors[r] = fault.NewMonitor(fault.SlotEvents(in.Schedule(), r), true)
+		}
+		cr, err := Train(clusterFactory("TLSTM", "serial"), world, 3, cfg)
+		var ff *FleetFailure
+		if !errors.As(err, &ff) {
+			t.Fatalf("world %d: got %v, want a *FleetFailure", world, err)
+		}
+		if len(ff.DeadRanks) != 1 || ff.DeadRanks[0] != victim || ff.LostSeconds <= 0 {
+			t.Fatalf("world %d: failure %+v, want rank %d dead with lost work", world, ff, victim)
+		}
+		if cr.GPUs != world || cr.Replicas != nil {
+			t.Fatalf("world %d: header GPUs=%d, %d replicas; want %d and none", world, cr.GPUs, len(cr.Replicas), world)
+		}
+		if len(cr.EpochSeconds) != 1 || len(cr.Losses) != 1 ||
+			cr.EpochSeconds[0] != healthy.EpochSeconds[0] || cr.Losses[0] != healthy.Losses[0] {
+			t.Fatalf("world %d: completed epochs %v / %v, want the healthy run's %v / %v",
+				world, cr.EpochSeconds, cr.Losses, healthy.EpochSeconds, healthy.Losses)
+		}
+	}
+}
+
+// TestElasticCheckpointFile turns on ElasticOptions.CheckpointPath: the
+// crash-safe file changes nothing about the run (accounting and survivor
+// weights bit-equal to the in-memory run), and what it holds afterwards is
+// the final round's rank-0 training state, byte for byte.
+func TestElasticCheckpointFile(t *testing.T) {
+	epochT := elasticEpochTime(t, 4)
+	mem := runElasticTLSTM(t, epochT, ElasticOptions{})
+	path := filepath.Join(t.TempDir(), "elastic.ckpt")
+	file := runElasticTLSTM(t, epochT, ElasticOptions{CheckpointPath: path})
+
+	if file.Recoveries != 1 || file.EpochsCompleted != mem.EpochsCompleted ||
+		file.UsefulSeconds != mem.UsefulSeconds || file.LostSeconds != mem.LostSeconds ||
+		file.OverheadSeconds != mem.OverheadSeconds || file.Goodput != mem.Goodput {
+		t.Fatalf("checkpoint file moved the accounting:\n%+v\nvs\n%+v", file, mem)
+	}
+	for i := range mem.Losses {
+		if file.Losses[i] != mem.Losses[i] {
+			t.Fatalf("epoch %d loss moved with the checkpoint file", i)
+		}
+	}
+	if len(file.Replicas) != len(mem.Replicas) {
+		t.Fatalf("%d survivors with the file, %d without", len(file.Replicas), len(mem.Replicas))
+	}
+	for r := range mem.Replicas {
+		if v, g := maxRelDiff(t, file.Replicas[r].Params(), mem.Replicas[r].Params()); v != 0 || g != 0 {
+			t.Fatalf("survivor %d weights moved with the checkpoint file", r)
+		}
+	}
+
+	fresh, env, err := clusterFactory("TLSTM", "serial")(0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	if err := nn.LoadTrainingFile(path, fresh.Optimizer()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(nn.Snapshot(fresh.Optimizer()), nn.Snapshot(file.Replicas[0].Optimizer())) {
+		t.Fatal("the checkpoint file does not hold the final rank-0 training state")
 	}
 }

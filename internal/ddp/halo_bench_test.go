@@ -1,7 +1,7 @@
 // Comm-overlap benchmarks for the partitioned execution plane. These live in
 // the external ddp_test package so they can import internal/partitioned
 // (which itself imports ddp for the shared interconnect model) without a
-// cycle: the two planes share one CommConfig, so their comm efficiency
+// cycle: the two planes share one interconnect model, so their comm efficiency
 // belongs in one benchmark ledger.
 package ddp_test
 

@@ -1,11 +1,11 @@
 // Package exec is the execution core shared by the multi-device training
 // strategies: it owns the goroutine-per-simulated-GPU lifecycle, the
-// lockstep barrier with leader election and abort propagation, per-peer
-// simulated-clock delta accounting, and host phase metering. The bucketed
-// ring-allreduce DDP plane (internal/ddp) and the graph-partitioned plane
-// (internal/partitioned) are both strategies layered on this core — the
-// strategy decides what happens at each synchronization point, the core
-// decides how the workers get there and back race-free.
+// lockstep barrier with leader election and abort propagation, and per-peer
+// simulated-clock delta accounting. The bucketed ring-allreduce DDP plane
+// (internal/ddp) and the graph-partitioned plane (internal/partitioned) are
+// both strategies layered on this core — the strategy decides what happens
+// at each synchronization point, the core decides how the workers get there
+// and back race-free.
 //
 // The concurrency contract is the one the DDP engine established: one
 // mutex orders every cross-worker access. Workers record their per-rank
@@ -21,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"gnnmark/internal/obs"
 )
 
 // Group is the lockstep state of one multi-worker run: a cyclic barrier
@@ -247,32 +245,4 @@ func (p *Peer) TransferDelta() float64 {
 	d := now - p.lastTransfer
 	p.lastTransfer = now
 	return d
-}
-
-// PhaseMeter captures host phase-counter deltas per epoch. It no-ops
-// (ok = false) unless obs was enabled at construction time.
-type PhaseMeter struct {
-	on   bool
-	last obs.PhaseCapture
-}
-
-// NewPhaseMeter snapshots the phase counters if obs is enabled.
-func NewPhaseMeter() *PhaseMeter {
-	m := &PhaseMeter{on: obs.Enabled()}
-	if m.on {
-		m.last = obs.CapturePhases()
-	}
-	return m
-}
-
-// Epoch returns the phase breakdown since the previous Epoch call, with
-// counter sums divided by div (the per-worker mean for div = world).
-func (m *PhaseMeter) Epoch(div int) (obs.PhaseBreakdown, bool) {
-	if !m.on {
-		return obs.PhaseBreakdown{}, false
-	}
-	cur := obs.CapturePhases()
-	b := m.last.Delta(cur).Scale(div)
-	m.last = cur
-	return b, true
 }

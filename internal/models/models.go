@@ -51,7 +51,7 @@ type Env struct {
 	// initialized) models to drive inference studies.
 	Training bool
 	// Rank and World identify this replica under executed data-parallel
-	// training (ddp.Cluster). World <= 1 means single-device: Shard is the
+	// training (ddp.Train). World <= 1 means single-device: Shard is the
 	// identity and OnGradients never fires from the cluster. Models built
 	// from the same seed at any rank are otherwise identical.
 	Rank, World int
@@ -173,7 +173,7 @@ func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, params []*autograd.Pa
 	before := env.SimClock()
 	t.Backward(loss)
 	if env.OnGradients != nil {
-		// Under ddp.Cluster the hook flattens gradients, waits at the
+		// Under ddp.Train the hook flattens gradients, waits at the
 		// lockstep barrier, and receives the averaged buckets — the host
 		// analogue of the allreduce.
 		env.beginPhase(obs.PhaseAllreduce, phaseAllreduceC)

@@ -125,6 +125,34 @@ func (b PhaseBreakdown) String() string {
 	return sb.String()
 }
 
+// PhaseMeter captures phase-counter deltas per epoch. It no-ops (ok =
+// false) unless obs was enabled at construction time.
+type PhaseMeter struct {
+	on   bool
+	last PhaseCapture
+}
+
+// NewPhaseMeter snapshots the phase counters if obs is enabled.
+func NewPhaseMeter() *PhaseMeter {
+	m := &PhaseMeter{on: Enabled()}
+	if m.on {
+		m.last = CapturePhases()
+	}
+	return m
+}
+
+// Epoch returns the phase breakdown since the previous Epoch call, with
+// counter sums divided by div (the per-worker mean for div = world).
+func (m *PhaseMeter) Epoch(div int) (PhaseBreakdown, bool) {
+	if !m.on {
+		return PhaseBreakdown{}, false
+	}
+	cur := CapturePhases()
+	b := m.last.Delta(cur).Scale(div)
+	m.last = cur
+	return b, true
+}
+
 // fmtNanos renders a nanosecond count with a human unit.
 func fmtNanos(ns int64) string {
 	switch {

@@ -102,7 +102,6 @@ type engine struct {
 	g      *exec.Group
 	gather *exec.Gather
 	cfg    Config
-	comm   ddp.CommConfig // the interconnect model shared with the DDP plane
 	world  int
 
 	gradBytes uint64 // partial (reduced) parameter bytes
@@ -161,13 +160,14 @@ func (wk *worker) Rank() int { return wk.rank }
 // World implements models.PartComm.
 func (wk *worker) World() int { return wk.eng.world }
 
-// copySeconds models one halo copy over NVLink.
+// copySeconds models one halo copy over NVLink, on the interconnect model
+// the DDP plane defines.
 func (wk *worker) copySeconds(wireBytes uint64) float64 {
 	if wireBytes == 0 || wk.eng.world <= 1 {
 		return 0
 	}
-	bw := wk.eng.comm.NVLinkBandwidthGBps * 1e9
-	secs := float64(wireBytes)/bw + wk.eng.comm.NVLinkLatencyUS*1e-6
+	bw := ddp.NVLinkBandwidthGBps * 1e9
+	secs := float64(wireBytes)/bw + ddp.NVLinkLatencyUS*1e-6
 	// Health-plane interconnect degradation stretches the halo wire time.
 	return secs * wk.dev.TransferMult()
 }
@@ -250,7 +250,7 @@ func (wk *worker) onGradients(_ []*autograd.Param, _ float64) {
 		}
 	}
 	wk.halo.WaitUntil(fence)
-	ar := ddp.AllreduceSeconds(wk.eng.comm, wk.eng.world, wk.eng.gradBytes)
+	ar := ddp.AllreduceSeconds(wk.eng.world, wk.eng.gradBytes)
 	wk.halo.Push("grad.allreduce", "halo", ar, wk.eng.ringBytes)
 	wk.compute.Wait(wk.halo.Record())
 	wk.gradSecs += ar
@@ -326,7 +326,7 @@ func Train(factory Factory, world, epochs int, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("partitioned: %d monitors for world size %d", len(cfg.Monitors), world)
 	}
 	g := exec.NewGroup(world)
-	eng := &engine{g: g, gather: exec.NewGather(g), cfg: cfg, comm: ddp.DefaultComm(), world: world}
+	eng := &engine{g: g, gather: exec.NewGather(g), cfg: cfg, world: world}
 	// Stop every rank's loader workers once the run is over.
 	defer func() {
 		for _, wk := range eng.workers {
