@@ -139,7 +139,9 @@ func fleet(fs *flag.FlagSet, o *options) {
 }
 
 func runPlane(fs *flag.FlagSet, o *options) {
-	fs.StringVar(&o.cfg.Parallelism, "parallelism", "ddp", "multi-GPU execution plane: ddp (replicated model, sharded batches) or partitioned (one graph partition per GPU with halo exchange; ARGA and DGCN only)")
+	planes := core.Parallelisms()
+	fs.StringVar(&o.cfg.Parallelism, "parallelism", planes[0], fmt.Sprintf("multi-GPU execution plane: %s (the graph-partitioned plane, one partition per GPU with halo exchange, trains %s only)",
+		strings.Join(planes, " or "), strings.Join(core.PartitionedWorkloads(), " and ")))
 	fs.BoolVar(&o.cfg.Overlap, "overlap", true, "overlap halo exchange with interior compute (partitioned plane; false serializes every exchange)")
 }
 

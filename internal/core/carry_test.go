@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
 	"gnnmark/internal/ops"
+	"gnnmark/internal/partitioned"
 )
 
 // carried restores src's snapshot into dst — a replica of the same workload
@@ -74,9 +76,9 @@ func TestStateCarriesAcrossReplicas(t *testing.T) {
 	}
 }
 
-// TestPartitionedStateCarries gives the partitioned wrappers the same carry
+// TestPartitionedStateCarries gives the partitioned workloads the same carry
 // check without the training step: they need a bound communicator to train,
-// and they share the inner workload's optimizer.
+// and they keep the model's own optimizer.
 func TestPartitionedStateCarries(t *testing.T) {
 	for _, key := range PartitionedWorkloads() {
 		t.Run(key, func(t *testing.T) {
@@ -93,6 +95,48 @@ func TestPartitionedStateCarries(t *testing.T) {
 				return w
 			}
 			carried(t, build(1), build(2))
+		})
+	}
+}
+
+// TestPartitionedWorldOneIsOneDevice is generated from the registry: every
+// Partitioned row at its default config, trained on the partitioned plane at
+// world 1, ends with the losses and optimizer snapshot of the same row trained
+// on one device through NewReplica, bit for bit. With no peer, every
+// collective of the partitioned view hands back this rank's own rows, so the
+// re-association is the identity.
+func TestPartitionedWorldOneIsOneDevice(t *testing.T) {
+	const epochs = 2
+	for _, key := range PartitionedWorkloads() {
+		t.Run(key, func(t *testing.T) {
+			cfg := RunConfig{Workload: key, Seed: 3, SampledWarps: 64, Epochs: epochs}
+			rep, err := NewReplica(cfg, 0, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rep.Env.Close()
+			var losses []float64
+			for ep := 0; ep < epochs; ep++ {
+				loss, err := rep.Epoch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				losses = append(losses, loss)
+			}
+			factory, err := PartitionedFactory(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := partitioned.Train(factory, 1, epochs, partitioned.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.EpochLosses, losses) {
+				t.Errorf("losses: partitioned %v, one device %v", res.EpochLosses, losses)
+			}
+			if !bytes.Equal(nn.Snapshot(res.Workers[0].Optimizer()), nn.Snapshot(rep.W.Optimizer())) {
+				t.Error("the optimizer snapshots differ")
+			}
 		})
 	}
 }

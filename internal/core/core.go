@@ -50,11 +50,11 @@ type Spec struct {
 	// a front end can say so before building one (scenario.TestServableSet
 	// holds it to the live type assertion).
 	Servable bool
-	// Partition builds rank's share of the workload for the
-	// graph-partitioned plane; nil means the plane does not support it.
-	// The suite's full-graph (ARGA) and batched-graph (DGCN) GCN workloads
-	// have one, the two the paper's multi-GPU discussion singles out.
-	Partition func(env *models.Env, dataset string, rank, world int, partition Partitioner) models.PartWorkload
+	// Partitioned records that models.Partition accepts Build's workload, so
+	// the graph-partitioned plane trains it. The suite's full-graph (ARGA)
+	// and batched-graph (DGCN) GCN workloads have a partitioned form, the two
+	// the paper's multi-GPU discussion singles out.
+	Partitioned bool
 }
 
 // Partitioner labels a graph's nodes with k part ids and returns the edge
@@ -86,12 +86,9 @@ var registry = []Spec{
 	{
 		Key: "DGCN", Model: "DeepGCN", Framework: "PyG",
 		Domain: "Molecular property prediction", GraphKind: "batched molecule graphs",
-		Datasets: []string{"ogbg-molhiv"}, config: models.DGCNConfig{},
+		Datasets: []string{"ogbg-molhiv"}, Partitioned: true, config: models.DGCNConfig{},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewDGCN(env, datasets.MolHIV(env.RNG), cfg.(models.DGCNConfig))
-		},
-		Partition: func(env *models.Env, _ string, rank, world int, partition Partitioner) models.PartWorkload {
-			return models.NewPartitionedDGCN(env, datasets.MolHIV(env.RNG), models.DGCNConfig{}, rank, world, partition)
 		},
 	},
 	{
@@ -121,12 +118,9 @@ var registry = []Spec{
 	{
 		Key: "ARGA", Model: "Adversarially Regularized Graph Autoencoder", Framework: "PyG",
 		Domain: "Node clustering / graph embedding", GraphKind: "homogeneous citation graphs",
-		Datasets: []string{"cora", "citeseer", "pubmed"}, Servable: true, config: models.ARGAConfig{},
+		Datasets: []string{"cora", "citeseer", "pubmed"}, Servable: true, Partitioned: true, config: models.ARGAConfig{},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewARGA(env, datasets.NewCitation(env.RNG, dataset), cfg.(models.ARGAConfig))
-		},
-		Partition: func(env *models.Env, dataset string, rank, world int, partition Partitioner) models.PartWorkload {
-			return models.NewPartitionedARGA(env, datasets.NewCitation(env.RNG, dataset), models.ARGAConfig{}, rank, world, partition)
 		},
 	},
 	{
@@ -212,10 +206,11 @@ type RunConfig struct {
 	// simulated devices, each training a replica on its batch shard with
 	// bucketed ring-allreduce gradient averaging. 0 or 1 = single device.
 	GPUs int
-	// Parallelism selects the executed multi-GPU strategy for GPUs > 1:
-	// "ddp" (default, RunDDP's replicated model + sharded batches) or
-	// "partitioned" (RunPartitioned's one-graph-part-per-GPU plane with
-	// halo exchange; ARGA and DGCN only).
+	// Parallelism selects the executed multi-GPU strategy for GPUs > 1: one
+	// of Parallelisms(), empty reading as the first (RunDDP's replicated
+	// model and sharded batches). The graph-partitioned plane
+	// (RunPartitioned, one graph part per GPU with halo exchange) trains only
+	// PartitionedWorkloads().
 	Parallelism string
 	// Overlap enables the boundary-first overlapped halo exchange under
 	// the partitioned plane (ignored by DDP).

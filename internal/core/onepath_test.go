@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/loader"
 	"gnnmark/internal/models"
+	"gnnmark/internal/ops"
 	"gnnmark/internal/vmem"
 )
 
@@ -166,6 +168,60 @@ func TestOneConstructionPath(t *testing.T) {
 	if len(mainDirs) != 1 || flagSets != 1 {
 		t.Errorf("cmd/ holds %d package main directories (%v) and %d flag.NewFlagSet call sites, want one of each",
 			len(mainDirs), mainDirs, flagSets)
+	}
+}
+
+// TestOneForwardPerModel keeps each model's training step written once:
+// every TrainEpoch declared in a non-test file under internal/models belongs
+// to a model type — one that a registry row builds, or the DNN comparator —
+// and each of those declares one. Partitioned training is the same
+// TrainEpoch over a partitioned graph view (models.Partition's wrapper
+// embeds the model), not a second copy of the forward.
+func TestOneForwardPerModel(t *testing.T) {
+	types := map[string]bool{"DNN": true}
+	for _, spec := range core.Registry() {
+		env := models.NewEnv(ops.NewWith(nil, nil), 1)
+		types[reflect.TypeOf(spec.Build(env, spec.Datasets[0], 1)).Elem().Name()] = true
+		env.Close()
+	}
+	files, err := filepath.Glob(filepath.Join("..", "models", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Name.Name != "TrainEpoch" {
+				continue
+			}
+			recv := ""
+			if fn.Recv != nil {
+				ast.Inspect(fn.Recv.List[0].Type, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						recv = id.Name
+					}
+					return true
+				})
+			}
+			if !types[recv] {
+				t.Errorf("%s: %s.TrainEpoch is a second forward: train the model's own TrainEpoch over a graph view",
+					filepath.Base(path), recv)
+			}
+			found[recv] = true
+		}
+	}
+	for name := range types {
+		if !found[name] {
+			t.Errorf("model type %s declares no TrainEpoch under internal/models", name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"gnnmark/internal/models"
@@ -8,9 +9,9 @@ import (
 )
 
 // PartitionedWorkloads lists the registry keys the graph-partitioned plane
-// supports: the specs with a Partition builder.
+// supports.
 func PartitionedWorkloads() []string {
-	return keysWhere(func(s Spec) bool { return s.Partition != nil })
+	return keysWhere(func(s Spec) bool { return s.Partitioned })
 }
 
 // PartitionedFactory returns the per-rank builder for cfg's workload under
@@ -22,7 +23,7 @@ func PartitionedFactory(cfg RunConfig, partition Partitioner) (partitioned.Facto
 	if err != nil {
 		return nil, err
 	}
-	if spec.Partition == nil {
+	if !spec.Partitioned {
 		return nil, fmt.Errorf("core: workload %s does not support partitioned training (have %v)",
 			spec.Key, PartitionedWorkloads())
 	}
@@ -31,15 +32,15 @@ func PartitionedFactory(cfg RunConfig, partition Partitioner) (partitioned.Facto
 	// serialized device clock.
 	cfg.PipelineDepth = 0
 
-	// Rank = fleet slot under this plane. Partition workloads are not
-	// registry builds, so the factory calls Build itself — as rank 0 of 1:
-	// they split the graph by (rank, world) themselves, and the Env must
-	// not shard the batches under them as well.
+	// Rank = fleet slot under this plane. The workload is the registry's
+	// build, made as rank 0 of 1 — models.Partition splits its graphs by
+	// (rank, world), and the Env must not shard the batches under it as well.
 	return func(rank, world int) (w models.PartWorkload, env *models.Env, err error) {
+		var perr error
 		env, err = cfg.Build(rank, 0, 1, func(env *models.Env) {
-			w = spec.Partition(env, dataset, rank, world, partition)
+			w, perr = models.Partition(spec.Build(env, dataset, 1), env, rank, world, partition)
 		})
-		return w, env, err
+		return w, env, cmp.Or(err, perr)
 	}, nil
 }
 

@@ -19,7 +19,7 @@ type ARGA struct {
 	env *Env
 	ds  *datasets.Citation
 
-	adj, adjT *graph.CSR
+	g graphView // the whole graph, or this rank's partition of it
 
 	enc1, enc2 *nn.Linear
 	alpha1     *autograd.Param // PReLU slopes
@@ -29,7 +29,13 @@ type ARGA struct {
 	opt    nn.Optimizer
 	hidden int
 	embed  int
-	recon  *tensor.Tensor // dense target adjacency (cached)
+
+	// What the view trains on: its nodes' features, its rows of the dense
+	// reconstruction target (against every node) and its adjacency's
+	// coalesce keys.
+	feats    *tensor.Tensor
+	recon    *tensor.Tensor
+	edgeKeys []int32
 
 	batches *loader.Loader // full-graph inputs, staged ahead when pipelined
 }
@@ -52,24 +58,25 @@ func NewARGA(env *Env, ds *datasets.Citation, cfg ARGAConfig) *ARGA {
 	if cfg.LR == 0 {
 		cfg.LR = 0.005
 	}
-	adj := ds.Adj.NormalizeGCN()
+	g := newWhole(ds.Adj)
 	a := &ARGA{
-		env:    env,
-		ds:     ds,
-		adj:    adj,
-		adjT:   adj.Transpose(),
-		enc1:   nn.NewLinear(env.RNG, "arga.enc1", ds.Features.Dim(1), cfg.Hidden, true),
-		enc2:   nn.NewLinear(env.RNG, "arga.enc2", cfg.Hidden, cfg.Embed, true),
-		alpha1: autograd.NewParam("arga.prelu", tensor.FromSlice([]float32{0.25}, 1)),
-		disc1:  nn.NewLinear(env.RNG, "arga.disc1", cfg.Embed, 32, true),
-		disc2:  nn.NewLinear(env.RNG, "arga.disc2", 32, 1, true),
-		hidden: cfg.Hidden,
-		embed:  cfg.Embed,
+		env:      env,
+		ds:       ds,
+		g:        g,
+		enc1:     nn.NewLinear(env.RNG, "arga.enc1", ds.Features.Dim(1), cfg.Hidden, true),
+		enc2:     nn.NewLinear(env.RNG, "arga.enc2", cfg.Hidden, cfg.Embed, true),
+		alpha1:   autograd.NewParam("arga.prelu", tensor.FromSlice([]float32{0.25}, 1)),
+		disc1:    nn.NewLinear(env.RNG, "arga.disc1", cfg.Embed, 32, true),
+		disc2:    nn.NewLinear(env.RNG, "arga.disc2", 32, 1, true),
+		hidden:   cfg.Hidden,
+		embed:    cfg.Embed,
+		feats:    ds.Features,
+		edgeKeys: coalesceKeys(g.adj),
 	}
 	a.opt = nn.NewAdam(env.E, a.Params(), cfg.LR)
 
 	// Dense reconstruction target (n is small for citation graphs).
-	n := adj.Rows
+	n := g.adj.Rows
 	a.recon = tensor.New(n, n)
 	for dst := 0; dst < n; dst++ {
 		for _, src := range ds.Adj.Neighbors(dst) {
@@ -78,20 +85,27 @@ func NewARGA(env *Env, ds *datasets.Citation, cfg ARGAConfig) *ARGA {
 		a.recon.Set(1, dst, dst)
 	}
 
-	// Every iteration uploads the same full graph, so the producer is a
-	// trivially pure function of the batch index: a staged copy of the
-	// feature matrix plus the coalesce keys for the sparse adjacency.
+	// Every iteration uploads the same graph, so the producer is a trivially
+	// pure function of the batch index: a staged copy of the feature rows
+	// plus the coalesce keys, borrowed — Engine.BeginIteration releases every
+	// device block, so no buffer identity crosses an iteration.
 	a.batches = env.NewLoader(func(i int, b *loader.Batch) {
-		b.StageFrom("features", ds.Features)
-		edgeKeys := make([]int32, 0, adj.NNZ())
-		for dst := 0; dst < adj.Rows; dst++ {
-			for _, src := range adj.Neighbors(dst) {
-				edgeKeys = append(edgeKeys, int32(dst)*int32(adj.Cols)+src)
-			}
-		}
-		b.PutInts("edge_keys", edgeKeys)
+		b.StageFrom("features", a.feats)
+		b.PutInts("edge_keys", a.edgeKeys)
 	})
 	return a
+}
+
+// coalesceKeys are adj's edge indices as the sort keys of a sparse-tensor
+// coalesce: row-major dst*cols+src.
+func coalesceKeys(adj *graph.CSR) []int32 {
+	keys := make([]int32, 0, adj.NNZ())
+	for dst := 0; dst < adj.Rows; dst++ {
+		for _, src := range adj.Neighbors(dst) {
+			keys = append(keys, int32(dst)*int32(adj.Cols)+src)
+		}
+	}
+	return keys
 }
 
 // Name implements Workload.
@@ -115,15 +129,15 @@ func (a *ARGA) Params() []*autograd.Param {
 	return append(ps, a.alpha1)
 }
 
-// encode runs the GCN encoder over the full graph.
+// encode runs the GCN encoder over the view's graph.
 func (a *ARGA) encode(t *autograd.Tape, x *autograd.Var) *autograd.Var {
-	h := t.SpMM(a.adj, a.adjT, a.enc1.Forward(t, x))
+	h := a.g.spmm(t, "halo1", -1, a.enc1.Forward(t, x))
 	h = t.PReLU(h, t.FromParam(a.alpha1))
-	return t.SpMM(a.adj, a.adjT, a.enc2.Forward(t, h))
+	return a.g.spmm(t, "halo2", -1, a.enc2.Forward(t, h))
 }
 
-// TrainEpoch implements Workload: one full-graph reconstruction +
-// adversarial step.
+// TrainEpoch implements Workload: one reconstruction + adversarial step over
+// the view's graph.
 func (a *ARGA) TrainEpoch() float64 {
 	b := a.env.NextBatch(a.batches)
 	a.env.iter()
@@ -139,8 +153,10 @@ func (a *ARGA) TrainEpoch() float64 {
 	t := autograd.NewTape(e)
 	z := a.encode(t, t.Const(feats))
 
-	// Inner-product decoder: logits = Z Zᵀ against the adjacency target.
-	logits := t.MatMulTB(z, z)
+	// Inner-product decoder: logits = Z Zᵀ against the adjacency target. A
+	// partition decodes its |owned| x n slab against every embedding — the
+	// all-to-all the paper's full-graph exclusion is really about.
+	logits := t.MatMulTB(z, a.g.allRows(t, "zgather", z))
 	reconLoss := t.BCEWithLogits(logits, a.recon)
 
 	// Adversarial regularization: discriminator scores embeddings (fake)
@@ -149,20 +165,22 @@ func (a *ARGA) TrainEpoch() float64 {
 	dFake := a.disc2.Forward(t, t.ReLU(a.disc1.Forward(t, z)))
 	genLoss := t.BCEWithLogits(dFake, tensor.Full(1, dFake.Value.Shape()...))
 
-	loss := t.Add(reconLoss, t.Scale(genLoss, 0.1))
+	loss := a.g.share(t, t.Add(reconLoss, t.Scale(genLoss, 0.1)))
 
 	a.env.Step(t, loss, a.Params(), a.opt, 0)
 
-	// Discriminator step on detached embeddings plus prior samples.
+	// Discriminator step on detached embeddings plus prior samples. The
+	// prior is drawn for every node whatever the view — the same RNG stream
+	// at any world size — and the view keeps its rows.
 	t2 := autograd.NewTape(e)
 	zDet := t2.Const(z.Value)
-	prior := tensor.Randn(a.env.RNG, 1, z.Value.Dim(0), a.embed)
+	prior := a.g.rows(tensor.Randn(a.env.RNG, 1, a.ds.Adj.Rows, a.embed))
 	e.CopyH2D("arga.prior", prior)
 	dReal := a.disc2.Forward(t2, t2.ReLU(a.disc1.Forward(t2, t2.Const(prior))))
 	dFake2 := a.disc2.Forward(t2, t2.ReLU(a.disc1.Forward(t2, zDet)))
-	dLoss := t2.Add(
+	dLoss := a.g.share(t2, t2.Add(
 		t2.BCEWithLogits(dReal, tensor.Full(1, dReal.Value.Shape()...)),
-		t2.BCEWithLogits(dFake2, tensor.New(dFake2.Value.Shape()...)))
+		t2.BCEWithLogits(dFake2, tensor.New(dFake2.Value.Shape()...))))
 	// Zero everything so the encoder is not double-stepped with stale grads.
 	a.env.Step(t2, dLoss, a.Params(), a.opt, 0)
 

@@ -18,12 +18,11 @@ type DGCN struct {
 	env *Env
 	ds  *datasets.MoleculeSet
 
-	embed  *nn.Linear
-	convs  []*nn.Linear
-	norms  []*nn.BatchNorm1D
-	head   *nn.Linear
-	opt    nn.Optimizer
-	hidden int
+	embed *nn.Linear
+	convs []*nn.Linear
+	norms []*nn.BatchNorm1D
+	head  *nn.Linear
+	opt   nn.Optimizer
 
 	globalBatch int
 	batches     []dgcnBatch
@@ -31,12 +30,15 @@ type DGCN struct {
 	staging *loader.Loader // per-batch feature uploads, staged ahead
 }
 
+// dgcnBatch is one block-diagonal batch graph under its view: the whole
+// graph, or this rank's partition of it.
 type dgcnBatch struct {
-	adj, adjT *graph.CSR
-	features  *tensor.Tensor
-	graphID   []int32
+	g         graphView
+	features  *tensor.Tensor // the view's node rows
+	nodeGraph []int32        // graph id per node of the view
+	graphID   []int32        // graph id per node of the whole batch graph
 	numGraphs int
-	labels    *tensor.Tensor
+	labels    []int32
 }
 
 // DGCNConfig holds DeepGCN hyperparameters.
@@ -70,7 +72,6 @@ func NewDGCN(env *Env, ds *datasets.MoleculeSet, cfg DGCNConfig) *DGCN {
 		ds:          ds,
 		embed:       nn.NewLinear(env.RNG, "dgcn.embed", ds.FeatDim, cfg.Hidden, true),
 		head:        nn.NewLinear(env.RNG, "dgcn.head", cfg.Hidden, 2, true),
-		hidden:      cfg.Hidden,
 		globalBatch: cfg.BatchSize,
 	}
 	for l := 0; l < cfg.Layers; l++ {
@@ -86,7 +87,7 @@ func NewDGCN(env *Env, ds *datasets.MoleculeSet, cfg DGCNConfig) *DGCN {
 	m.staging = env.NewLoader(func(gi int, b *loader.Batch) {
 		src := &m.batches[gi%len(m.batches)]
 		b.StageFrom("features", src.features)
-		b.PutInts("graph_id", src.graphID)
+		b.PutInts("graph_id", src.nodeGraph)
 	})
 	return m
 }
@@ -103,7 +104,6 @@ func (m *DGCN) prepareBatches() {
 		start, end := m.env.Shard(gstart, min(gstart+m.globalBatch, n))
 		gs := m.ds.Graphs[start:end]
 		b := graph.NewBatch(gs)
-		norm := b.Adj.NormalizeGCN()
 		feats := tensor.New(b.NumNodes(), m.ds.FeatDim)
 		row := 0
 		for gi := start; gi < end; gi++ {
@@ -113,17 +113,13 @@ func (m *DGCN) prepareBatches() {
 				row++
 			}
 		}
-		labels := tensor.New(end-start, 1)
-		for gi := start; gi < end; gi++ {
-			labels.Set(float32(m.ds.Labels[gi]), gi-start, 0)
-		}
 		m.batches = append(m.batches, dgcnBatch{
-			adj:       norm,
-			adjT:      norm.Transpose(),
+			g:         newWhole(b.Adj),
 			features:  feats,
+			nodeGraph: b.GraphID,
 			graphID:   b.GraphID,
 			numGraphs: end - start,
-			labels:    labels,
+			labels:    m.ds.Labels[start:end],
 		})
 	}
 }
@@ -152,39 +148,6 @@ func (m *DGCN) Params() []*autograd.Param {
 	return nn.CollectParams(mods...)
 }
 
-// forward runs the residual-GCN stack over one batch and returns the graph
-// logits and labels. feats is the feature tensor actually uploaded for the
-// iteration (a staged copy under the pipeline, b.features otherwise).
-func (m *DGCN) forward(t *autograd.Tape, b dgcnBatch, feats *tensor.Tensor) (*autograd.Var, []int32) {
-	h := m.embed.Forward(t, t.Const(feats))
-	for l := range m.convs {
-		// Pre-activation residual block: h += Conv(A, ReLU(BN(h))).
-		u := t.ReLU(m.norms[l].Forward(t, h))
-		u = t.SpMM(b.adj, b.adjT, m.convs[l].Forward(t, u))
-		h = t.Add(h, u)
-	}
-	// Global mean pool per graph via scatter-add then scale.
-	pooled := t.ScatterAddRows(b.numGraphs, h, b.graphID)
-	counts := make([]float32, b.numGraphs)
-	for _, g := range b.graphID {
-		counts[g]++
-	}
-	inv := tensor.New(b.numGraphs, m.hidden)
-	for g := 0; g < b.numGraphs; g++ {
-		for j := 0; j < m.hidden; j++ {
-			inv.Set(1/counts[g], g, j)
-		}
-	}
-	pooled = t.Mul(pooled, t.Const(inv))
-	logits := m.head.Forward(t, pooled)
-
-	labels := make([]int32, b.numGraphs)
-	for i := range labels {
-		labels[i] = int32(b.labels.At(i, 0))
-	}
-	return logits, labels
-}
-
 // TrainEpoch implements Workload.
 func (m *DGCN) TrainEpoch() float64 {
 	var total float64
@@ -197,8 +160,16 @@ func (m *DGCN) TrainEpoch() float64 {
 		e.CopyH2DInt("dgcn.graph_id", lb.Ints("graph_id"))
 
 		t := autograd.NewTape(e)
-		logits, labels := m.forward(t, b, feats)
-		loss := t.CrossEntropy(logits, labels)
+		h := m.embed.Forward(t, t.Const(feats))
+		for l := range m.convs {
+			// Pre-activation residual block: h += Conv(A, ReLU(BN(h))).
+			u := t.ReLU(b.g.batchNorm(t, "bn", l, m.norms[l], h))
+			u = b.g.spmm(t, "halo", l, m.convs[l].Forward(t, u))
+			h = t.Add(h, u)
+		}
+		// Global mean pool per graph, then the graph-level head.
+		logits := m.head.Forward(t, b.g.meanPool(t, "pool", h, b.graphID, b.numGraphs))
+		loss := t.CrossEntropy(logits, b.labels)
 
 		m.env.Step(t, loss, m.Params(), m.opt, 0)
 		total += float64(loss.Value.At(0))

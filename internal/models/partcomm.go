@@ -1,17 +1,20 @@
 package models
 
 import (
+	"fmt"
+
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/graph"
+	"gnnmark/internal/nn"
 	"gnnmark/internal/tensor"
 )
 
 // This file is the workload side of graph-partitioned training (the
 // execution strategy ROC/NeuGraph-style systems use for full-graph GNNs
 // the paper says DDP cannot scale): the communicator contract the engine
-// injects, and the cross-worker collective tape operations — halo
-// exchange, all-gather, global mean-pool, synchronized batch norm — whose
-// backward passes route gradients across partition boundaries.
+// injects, Partition, and the partitioned graph view, whose collective tape
+// operations — halo exchange, all-gather, global mean-pool, synchronized
+// batch norm — route gradients across partition boundaries in backward.
 //
 // Determinism contract: every collective is leaderless. Workers publish
 // immutable snapshots through PartComm.Exchange and then each worker
@@ -79,19 +82,143 @@ type PartWorkload interface {
 	PartInfo() PartInfo
 }
 
-// partComms bundles the communicator with one partition plan's local view.
-type partComms struct {
-	c    PartComm
-	plan *graph.PartitionPlan
-	rank int
-	lp   *graph.LocalPart
+// Partition makes w — a workload built through its registry row on env —
+// train rank's part of its graphs in lockstep with world-1 peers. label
+// splits each graph into world parts (nil uses graph.PartitionBFS); it must
+// be deterministic, because every rank runs it. Every graph view of the model
+// becomes a partitioned one, and what the loader uploads becomes the part's:
+// owned feature rows, the reconstruction slab, local coalesce keys and
+// per-node graph ids. The model is otherwise untouched, so parameters, the
+// reconstruction target and the RNG stream stay in lockstep with
+// single-device training — partitioned training is a re-association of the
+// same computation, at every world size including 1.
+//
+// Partition refuses a rank outside [0, world), a workload with no
+// partitioned form and a pipelined Env, whose loader would read the fields
+// Partition swaps from another goroutine.
+func Partition(w Workload, env *Env, rank, world int, label func(g *graph.CSR, k int) ([]int32, int)) (PartWorkload, error) {
+	if rank < 0 || rank >= world {
+		return nil, fmt.Errorf("models: rank %d outside world %d", rank, world)
+	}
+	if env.Pipeline.Depth > 0 {
+		return nil, fmt.Errorf("models: %s on a pipelined Env cannot be partitioned", w.Name())
+	}
+	if label == nil {
+		label = graph.PartitionBFS
+	}
+	p := &partWorkload{Workload: w, rank: rank, world: world}
+	part := func(g graphView, prefix string) *partComms {
+		adj := g.(whole).adj
+		parts, _ := label(adj, world)
+		plan := graph.NewPartitionPlan(adj, parts, world)
+		pc := &partComms{plan: plan, rank: rank, lp: plan.Local[rank], prefix: prefix}
+		p.views = append(p.views, pc)
+		return pc
+	}
+	switch m := w.(type) {
+	case *ARGA:
+		// Every ARGA gradient is a per-rank partial sum over owned rows, and
+		// ranks return pre-scaled local means.
+		pc := part(m.g, "arga")
+		m.g, m.feats, m.recon, m.edgeKeys = pc, pc.rows(m.feats), pc.rows(m.recon), coalesceKeys(pc.lp.Adj)
+		p.partial, p.loss = m.Params(), PartLossSum
+	case *DGCN:
+		for bi := range m.batches {
+			b := &m.batches[bi]
+			pc := part(b.g, fmt.Sprintf("dgcn.b%d", bi))
+			b.g, b.features, b.nodeGraph = pc, pc.rows(b.features), make([]int32, len(pc.lp.Owned))
+			for i, g := range pc.lp.Owned {
+				b.nodeGraph[i] = b.graphID[g]
+			}
+		}
+		// Embedding and conv gradients are per-rank partial sums over owned
+		// rows. The head sees a replicated pooled tensor and loss, and SyncBN
+		// computes gamma/beta gradients over the global population on every
+		// rank: both are bitwise-identical across ranks already, so they
+		// synchronize by replication, not reduction.
+		mods := []nn.Module{m.embed}
+		reps := []nn.Module{m.head}
+		for l := range m.convs {
+			mods, reps = append(mods, m.convs[l]), append(reps, m.norms[l])
+		}
+		p.partial, p.replicated, p.loss = nn.CollectParams(mods...), nn.CollectParams(reps...), PartLossReplicated
+	default:
+		return nil, fmt.Errorf("models: %s has no partitioned form", w.Name())
+	}
+	return p, nil
 }
 
-// haloExtend assembles the extended input of a partitioned SpMM: owned
-// rows of x followed by ghost rows pulled from their owners. Backward
-// publishes the ghost-row gradients and deposits the slices peers pulled
-// from this rank back into x — the reverse halo exchange.
-func (pc *partComms) haloExtend(t *autograd.Tape, kind string, x *autograd.Var) *autograd.Var {
+// partWorkload is a workload under Partition: the model trains through its
+// own TrainEpoch, and this adds what the partitioned engine asks of it.
+type partWorkload struct {
+	Workload
+	rank, world         int
+	views               []*partComms
+	partial, replicated []*autograd.Param
+	loss                PartLossMode
+}
+
+// BindComm implements PartWorkload.
+func (p *partWorkload) BindComm(c PartComm) {
+	if c.World() != p.world || c.Rank() != p.rank {
+		panic("models: communicator does not match this partition")
+	}
+	for _, pc := range p.views {
+		pc.c = c
+	}
+}
+
+// SyncPlan implements PartWorkload.
+func (p *partWorkload) SyncPlan() (partial, replicated []*autograd.Param) {
+	return p.partial, p.replicated
+}
+
+// LossMode implements PartWorkload.
+func (p *partWorkload) LossMode() PartLossMode { return p.loss }
+
+// PartInfo implements PartWorkload: sums over the model's views, the
+// boundary fraction weighted by owned rows.
+func (p *partWorkload) PartInfo() PartInfo {
+	var info PartInfo
+	var bf float64
+	for _, pc := range p.views {
+		info.OwnedNodes += len(pc.lp.Owned)
+		info.HaloNodes += len(pc.lp.Halo)
+		info.EdgeCut += pc.plan.EdgeCut
+		bf += pc.lp.BoundaryFraction(pc.plan, p.rank) * float64(len(pc.lp.Owned))
+	}
+	if info.OwnedNodes > 0 {
+		info.BoundaryFraction = bf / float64(info.OwnedNodes)
+	}
+	return info
+}
+
+// partComms is the partitioned graph view: the communicator plus one
+// partition plan's local part. Its operations are collective — every rank
+// issues the same sequence — and name each collective after the view's
+// prefix.
+type partComms struct {
+	c      PartComm
+	plan   *graph.PartitionPlan
+	rank   int
+	lp     *graph.LocalPart
+	prefix string
+}
+
+// kind names one collective: the prefix, the layer when there is one, op.
+func (pc *partComms) kind(op string, layer int) string {
+	if layer < 0 {
+		return pc.prefix + "." + op
+	}
+	return fmt.Sprintf("%s.l%d.%s", pc.prefix, layer, op)
+}
+
+// spmm is the partitioned SpMM over the extended input: owned rows of x
+// followed by ghost rows pulled from their owners. Backward publishes the
+// ghost-row gradients and deposits the slices peers pulled from this rank
+// back into x — the reverse halo exchange.
+func (pc *partComms) spmm(t *autograd.Tape, op string, layer int, x *autograd.Var) *autograd.Var {
+	kind := pc.kind(op, layer)
 	lp := pc.lp
 	owned := len(lp.Owned)
 	dim := x.Value.Dim(1)
@@ -118,7 +245,7 @@ func (pc *partComms) haloExtend(t *autograd.Tape, kind string, x *autograd.Var) 
 			bwdBytes += uint64(len(other.In[pc.rank].Src)) * uint64(dim) * 4
 		}
 	}
-	return t.Node(ext, true, func(dy *tensor.Tensor) {
+	halo := t.Node(ext, true, func(dy *tensor.Tensor) {
 		// Reverse exchange: every rank publishes its extended-row gradient;
 		// each rank folds the ghost slices peers pulled from it into its
 		// owned gradient, on top of the pass-through owned block.
@@ -143,13 +270,15 @@ func (pc *partComms) haloExtend(t *autograd.Tape, kind string, x *autograd.Var) 
 		x.Accum(dx)
 		tensor.Recycle(dx)
 	})
+	return t.SpMM(lp.Adj, lp.AdjT, halo)
 }
 
-// allGatherRows materializes the full n-row tensor from every rank's
-// owned rows (ARGA's inner-product decoder reads all embeddings).
-// Backward reduces the full-gradient copies across ranks in rank order —
-// identical on every rank — and deposits this rank's owned slice into x.
-func (pc *partComms) allGatherRows(t *autograd.Tape, kind string, x *autograd.Var) *autograd.Var {
+// allRows materializes the full n-row tensor from every rank's owned rows
+// (ARGA's inner-product decoder reads all embeddings). Backward reduces the
+// full-gradient copies across ranks in rank order — identical on every rank —
+// and deposits this rank's owned slice into x.
+func (pc *partComms) allRows(t *autograd.Tape, op string, x *autograd.Var) *autograd.Var {
+	kind := pc.kind(op, -1)
 	lp := pc.lp
 	dim := x.Value.Dim(1)
 	remote := uint64(pc.plan.N-len(lp.Owned)) * uint64(dim) * 4
@@ -174,6 +303,21 @@ func (pc *partComms) allGatherRows(t *autograd.Tape, kind string, x *autograd.Va
 	})
 }
 
+// share scales a local mean by |owned|/n: the ranks' losses then sum to the
+// global mean.
+func (pc *partComms) share(t *autograd.Tape, loss *autograd.Var) *autograd.Var {
+	return t.Scale(loss, float32(len(pc.lp.Owned))/float32(pc.plan.N))
+}
+
+// rows copies this rank's owned rows of a node-indexed tensor.
+func (pc *partComms) rows(x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(len(pc.lp.Owned), x.Dim(1))
+	for i, g := range pc.lp.Owned {
+		copy(out.Row(i), x.Row(int(g)))
+	}
+	return out
+}
+
 // assembleFull exchanges every rank's owned rows of a value and gathers them
 // into global row order.
 func (pc *partComms) assembleFull(kind string, wireBytes uint64, local *tensor.Tensor) *tensor.Tensor {
@@ -193,7 +337,7 @@ func (pc *partComms) globalRows(vals []any, of func(any) *tensor.Tensor) *tensor
 	return full
 }
 
-// meanPoolGlobal is the partitioned global mean pool: scatter-add every
+// meanPool is the partitioned global mean pool: scatter-add every
 // node row into its graph's row, divided by node counts. The reduction
 // runs over the *global* row order (bitwise-identical to the
 // single-device ScatterAddRows kernel), producing a replicated pooled
@@ -203,7 +347,7 @@ func (pc *partComms) globalRows(vals []any, of func(any) *tensor.Tensor) *tensor
 // Wire accounting is honest to a real implementation — partial per-graph
 // sums allreduced ring-style — not to the simulation shortcut of
 // gathering full rows.
-func (pc *partComms) meanPoolGlobal(t *autograd.Tape, kind string, h *autograd.Var, globalGraphID []int32, numGraphs int) *autograd.Var {
+func (pc *partComms) meanPool(t *autograd.Tape, op string, h *autograd.Var, graphID []int32, numGraphs int) *autograd.Var {
 	lp := pc.lp
 	dim := h.Value.Dim(1)
 	world := pc.c.World()
@@ -212,12 +356,12 @@ func (pc *partComms) meanPoolGlobal(t *autograd.Tape, kind string, h *autograd.V
 		payload := uint64(numGraphs) * uint64(dim) * 4
 		ring = 2 * uint64(world-1) * payload / uint64(world)
 	}
-	full := pc.assembleFull(kind, ring, h.Value)
+	full := pc.assembleFull(pc.kind(op, -1), ring, h.Value)
 
 	pooled := tensor.New(numGraphs, dim)
-	t.E.Backend().ScatterAddRows(pooled.Data(), full.Data(), globalGraphID, dim)
+	t.E.Backend().ScatterAddRows(pooled.Data(), full.Data(), graphID, dim)
 	counts := make([]float32, numGraphs)
-	for _, g := range globalGraphID {
+	for _, g := range graphID {
 		counts[g]++
 	}
 	for gi := 0; gi < numGraphs; gi++ {
@@ -232,7 +376,7 @@ func (pc *partComms) meanPoolGlobal(t *autograd.Tape, kind string, h *autograd.V
 		// rank): each owned node gathers its graph's gradient locally.
 		dx := tensor.NewPooled(len(lp.Owned), dim)
 		for i, g := range lp.Owned {
-			gi := int(globalGraphID[g])
+			gi := int(graphID[g])
 			dst, src := dx.Row(i), dy.Row(gi)
 			inv := 1 / counts[gi]
 			for j := range dst {
@@ -244,11 +388,11 @@ func (pc *partComms) meanPoolGlobal(t *autograd.Tape, kind string, h *autograd.V
 	})
 }
 
-// bnPair is the backward payload of syncBatchNorm: this rank's upstream
+// bnPair is the backward payload of batchNorm: this rank's upstream
 // gradient and normalized activations.
 type bnPair struct{ dy, xhat *tensor.Tensor }
 
-// syncBatchNorm is synchronized batch normalization across partitions:
+// batchNorm is synchronized batch normalization (SyncBN) across partitions:
 // statistics are computed over the global row population, so the
 // normalized activations — and the gamma/beta gradients — are
 // bitwise-identical to single-device training: the combine runs the
@@ -259,7 +403,9 @@ type bnPair struct{ dy, xhat *tensor.Tensor }
 //
 // Wire accounting models what NCCL SyncBN moves — two stats vectors per
 // direction per peer — not the full-row gather the simulation uses.
-func (pc *partComms) syncBatchNorm(t *autograd.Tape, kind string, x, gamma, beta *autograd.Var, eps float32) *autograd.Var {
+func (pc *partComms) batchNorm(t *autograd.Tape, op string, layer int, bn *nn.BatchNorm1D, x *autograd.Var) *autograd.Var {
+	gamma, beta, eps := t.FromParam(bn.Gamma), t.FromParam(bn.Beta), bn.Eps
+	kind := pc.kind(op, layer)
 	lp := pc.lp
 	e := t.E
 	n := pc.plan.N

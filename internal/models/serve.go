@@ -106,7 +106,7 @@ func (m *PSAGE) ServeEmbed(ids []int32) *tensor.Tensor {
 }
 
 // NumItems implements Servable: ARGA serves node embeddings.
-func (a *ARGA) NumItems() int { return a.adj.Rows }
+func (a *ARGA) NumItems() int { return a.ds.Adj.Rows }
 
 // EmbedDim implements Servable.
 func (a *ARGA) EmbedDim() int { return a.embed }

@@ -32,8 +32,8 @@ func newEnv(hbmBytes int64) *models.Env {
 func argaFactory(hbmBytes int64) Factory {
 	return func(rank, world int) (models.PartWorkload, *models.Env, error) {
 		env := newEnv(hbmBytes)
-		ds := datasets.NewCitation(env.RNG, "cora")
-		return models.NewPartitionedARGA(env, ds, models.ARGAConfig{}, rank, world, nil), env, nil
+		w, err := models.Partition(models.NewARGA(env, datasets.NewCitation(env.RNG, "cora"), models.ARGAConfig{}), env, rank, world, nil)
+		return w, env, err
 	}
 }
 
@@ -49,8 +49,8 @@ func smallMolHIV(env *models.Env) *datasets.MoleculeSet {
 func dgcnFactory() Factory {
 	return func(rank, world int) (models.PartWorkload, *models.Env, error) {
 		env := newEnv(0)
-		cfg := models.DGCNConfig{Layers: 4, Hidden: 16}
-		return models.NewPartitionedDGCN(env, smallMolHIV(env), cfg, rank, world, nil), env, nil
+		w, err := models.Partition(models.NewDGCN(env, smallMolHIV(env), models.DGCNConfig{Layers: 4, Hidden: 16}), env, rank, world, nil)
+		return w, env, err
 	}
 }
 
@@ -233,5 +233,46 @@ func TestPartitionedFitsWhereSingleOOMs(t *testing.T) {
 		if p >= budget {
 			t.Fatalf("rank %d peak %d exceeds budget %d", r, p, budget)
 		}
+	}
+}
+
+// TestPartitionRejects pins models.Partition's refusals as errors, never
+// panics — a rank outside the world, a workload with no partitioned form, a
+// pipelined Env — and that Train returns a factory's refusal unwrapped.
+func TestPartitionRejects(t *testing.T) {
+	arga := func(env *models.Env) models.Workload {
+		return models.NewARGA(env, datasets.NewCitation(env.RNG, "cora"), models.ARGAConfig{})
+	}
+	for _, tc := range []struct {
+		name        string
+		rank, world int
+		depth       int
+		build       func(env *models.Env) models.Workload
+		want        string
+	}{
+		{"rank past the world", 2, 2, 0, arga, "models: rank 2 outside world 2"},
+		{"negative rank", -1, 2, 0, arga, "models: rank -1 outside world 2"},
+		{"no partitioned form", 0, 2, 0, func(env *models.Env) models.Workload {
+			return models.NewTLSTM(env, datasets.SST(env.RNG), models.TLSTMConfig{})
+		}, "models: TLSTM has no partitioned form"},
+		{"pipelined env", 0, 2, 2, arga, "models: ARGA on a pipelined Env cannot be partitioned"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var refusal error
+			_, err := Train(func(int, int) (models.PartWorkload, *models.Env, error) {
+				env := newEnv(0)
+				env.Pipeline.Depth = tc.depth
+				t.Cleanup(env.Close)
+				w, err := models.Partition(tc.build(env), env, tc.rank, tc.world, nil)
+				if w != nil || err == nil || err.Error() != tc.want {
+					t.Errorf("Partition = %v, %v; want the error %q", w, err, tc.want)
+				}
+				refusal = err
+				return w, env, err
+			}, 1, 1, Config{})
+			if err != refusal {
+				t.Errorf("Train returned %v, want the factory's error itself", err)
+			}
+		})
 	}
 }

@@ -332,7 +332,7 @@ func (sc *Scenario) validate(cfg core.RunConfig) (*trainPlane, error) {
 		return nil, errf(w.Line, "%s training needs a fleet with more than one device", w.Parallelism)
 	}
 	// The plane that exchanges halos is the one that trains partitions.
-	if plane.offers&overlaps != 0 && spec.Partition == nil {
+	if plane.offers&overlaps != 0 && !spec.Partitioned {
 		return nil, errf(w.Line, "workload %s does not support partitioned training (have %v)",
 			w.Key, core.PartitionedWorkloads())
 	}

@@ -244,7 +244,7 @@ func TestValidateAcceptsOnlyWhatCoreResolves(t *testing.T) {
 				if wantSingle := gpus == 1; wantSingle != (plane == &trainPlanes[0]) || !wantSingle && plane.name != cfg.Parallelism {
 					t.Errorf("%s x %d x %q: runs on plane %s", spec.Key, gpus, par, plane.name)
 				}
-				if plane.offers&overlaps != 0 && spec.Partition == nil {
+				if plane.offers&overlaps != 0 && !spec.Partitioned {
 					t.Errorf("%s x %d x %q: accepted on the partitioned plane without a partition builder", spec.Key, gpus, par)
 				}
 			}
