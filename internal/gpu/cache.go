@@ -11,11 +11,9 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 
-	// tags[set*ways+way] holds the line tag; order[set*ways+way] the LRU
-	// stamp. valid bit encoded as tag != invalidTag.
-	tags  []uint64
-	order []uint64
-	clock uint64
+	// tags[set*ways : (set+1)*ways] is the set's LRU list, most recently used
+	// first; empty ways hold invalidTag and sit at its tail.
+	tags []uint64
 
 	// gen[set] is the epoch in which the set's ways were last cleared. A set
 	// stamped before the current epoch is empty whatever its ways hold:
@@ -61,7 +59,6 @@ func NewCache(sizeBytes, lineBytes, ways int) *Cache {
 		lineShift: shift,
 		setMask:   uint64(numSets - 1),
 		tags:      make([]uint64, numSets*ways),
-		order:     make([]uint64, numSets*ways),
 		gen:       make([]uint64, numSets),
 	}
 	for i := range c.tags {
@@ -77,38 +74,39 @@ func (c *Cache) AccessLine(addr uint64) bool {
 }
 
 // touch is AccessLine for a caller that already holds the line number
-// (addr >> lineShift). The set is scanned for a hit first; only a miss pays
-// for the victim search, which picks the first way with the smallest stamp.
+// (addr >> lineShift). A hit at the front of the set's list returns at once;
+// a deeper hit moves its line to the front. A miss shifts the whole list down
+// one way, which drops the last way (an empty one if the set has any, else
+// the least recently used line), and puts the new line at the front.
 func (c *Cache) touch(line uint64) bool {
 	set := int(line & c.setMask)
 	base := set * c.ways
 	tags := c.tags[base : base+c.ways]
-	order := c.order[base : base+c.ways]
-	c.clock++
 	if c.gen[set] != c.epoch {
 		c.gen[set] = c.epoch
 		for w := range tags {
-			tags[w], order[w] = invalidTag, 0
+			tags[w] = invalidTag
 		}
+	}
+	if tags[0] == line {
+		c.hits++
+		return true
 	}
 
-	for w, tag := range tags {
-		if tag == line {
-			order[w] = c.clock
-			c.hits++
-			return true
-		}
+	w := 1
+	for w < len(tags) && tags[w] != line {
+		w++
 	}
-	lruWay := 0
-	for w := 1; w < len(order); w++ {
-		if order[w] < order[lruWay] {
-			lruWay = w
-		}
+	hit := w < len(tags)
+	if hit {
+		c.hits++
+	} else {
+		w--
+		c.misses++
 	}
-	tags[lruWay] = line
-	order[lruWay] = c.clock
-	c.misses++
-	return false
+	copy(tags[1:w+1], tags[:w])
+	tags[0] = line
+	return hit
 }
 
 // Hits returns the hit counter.
@@ -134,6 +132,5 @@ func (c *Cache) ResetCounters() { c.hits, c.misses = 0, 0 }
 // every set goes stale at once (see gen).
 func (c *Cache) Invalidate() {
 	c.epoch++
-	c.clock = 0
 	c.ResetCounters()
 }

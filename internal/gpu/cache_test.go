@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -56,10 +58,40 @@ func TestCachePanicsOnBadGeometry(t *testing.T) {
 	}
 }
 
+// refCache is the tag-and-stamp LRU store Cache used before its sets became
+// recency lists, kept as the oracle the lists are held to. Each way holds a
+// tag and the clock at its last use; a hit restamps its way and a miss
+// replaces the first way with the smallest stamp. Empty ways all hold stamp
+// 0, so that is an empty way while the set has one and the least recently
+// used line after. It invalidates by clearing every way on the spot, so it
+// never holds a stale set.
+type refCache struct {
+	ways         int
+	lineShift    uint
+	setMask      uint64
+	tags, order  []uint64
+	clock        uint64
+	hits, misses uint64
+}
+
+// newRefCache builds a reference cache of NewCache's geometry.
+func newRefCache(sizeBytes, lineBytes, ways int) *refCache {
+	g := NewCache(sizeBytes, lineBytes, ways)
+	c := &refCache{
+		ways:      ways,
+		lineShift: g.lineShift,
+		setMask:   g.setMask,
+		tags:      make([]uint64, len(g.tags)),
+		order:     make([]uint64, len(g.tags)),
+	}
+	c.invalidateRef()
+	return c
+}
+
 // accessLineRef is AccessLine as it was before the hit scan and the victim
 // search were separated: one pass over the set that tracks the LRU way while
 // it looks for the tag.
-func (c *Cache) accessLineRef(addr uint64) bool {
+func (c *refCache) accessLineRef(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
 	base := set * c.ways
@@ -86,50 +118,73 @@ func (c *Cache) accessLineRef(addr uint64) bool {
 }
 
 // invalidateRef is Invalidate as it was before sets carried a generation
-// stamp: every way of every set is cleared on the spot. The reference replay
-// uses it, so its caches never hold a stale set.
-func (c *Cache) invalidateRef() {
+// stamp: every way of every set is cleared on the spot.
+func (c *refCache) invalidateRef() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 		c.order[i] = 0
 	}
 	c.clock = 0
-	c.ResetCounters()
+	c.resetCounters()
 }
 
-// contents returns the tags and LRU stamps the cache holds, reading a set
-// that has not been touched since the last Invalidate as the empty set it
-// stands for.
-func (c *Cache) contents() (tags, order []uint64) {
-	tags, order = slices.Clone(c.tags), slices.Clone(c.order)
-	for set, g := range c.gen {
-		if g != c.epoch {
-			for i := set * c.ways; i < (set+1)*c.ways; i++ {
-				tags[i], order[i] = invalidTag, 0
-			}
+func (c *refCache) resetCounters() { c.hits, c.misses = 0, 0 }
+
+// lists returns every set's ways most recently used first — by falling
+// stamp, the empty ways (stamp 0) last — which is the form Cache stores.
+func (c *refCache) lists() []uint64 {
+	out := make([]uint64, 0, len(c.tags))
+	ways := make([]int, c.ways)
+	for base := 0; base < len(c.tags); base += c.ways {
+		for w := range ways {
+			ways[w] = base + w
+		}
+		slices.SortFunc(ways, func(a, b int) int { return cmp.Compare(c.order[b], c.order[a]) })
+		for _, i := range ways {
+			out = append(out, c.tags[i])
 		}
 	}
-	return tags, order
+	return out
 }
 
-// sameState reports whether two caches hold the same tags, LRU stamps, clock
-// and counters.
-func sameState(a, b *Cache) bool {
-	aTags, aOrder := a.contents()
-	bTags, bOrder := b.contents()
-	return slices.Equal(aTags, bTags) && slices.Equal(aOrder, bOrder) &&
-		a.clock == b.clock && a.hits == b.hits && a.misses == b.misses
+// list returns set's most-recent-first list, reading a set that has not been
+// touched since the last Invalidate as the empty set it stands for.
+func (c *Cache) list(set int) []uint64 {
+	if c.gen[set] != c.epoch {
+		empty := make([]uint64, c.ways)
+		for w := range empty {
+			empty[w] = invalidTag
+		}
+		return empty
+	}
+	return c.tags[set*c.ways : (set+1)*c.ways]
+}
+
+// lists returns every set's list, set after set.
+func (c *Cache) lists() []uint64 {
+	out := make([]uint64, 0, len(c.tags))
+	for set := range c.gen {
+		out = append(out, c.list(set)...)
+	}
+	return out
+}
+
+// sameState reports whether a cache and its reference hold the same
+// most-recent-first list in every set and the same counters.
+func sameState(a *Cache, b *refCache) bool {
+	return slices.Equal(a.lists(), b.lists()) && a.hits == b.hits && a.misses == b.misses
 }
 
 // TestCacheAccessMatchesReference drives twin caches with the same address
-// stream, one through AccessLine and one through the single-pass walk it
-// replaced: same answer, same victim and same stamps after every access.
+// stream, one through AccessLine and one through the stamped single-pass
+// walk: same answer, same victim and the same recency order after every
+// access.
 func TestCacheAccessMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, g := range []struct{ size, line, ways int }{
 		{1024, 64, 1}, {2048, 64, 2}, {4 << 10, 128, 4}, {16 << 10, 64, 16}, {64, 64, 4}, {96, 1, 3},
 	} {
-		got, want := NewCache(g.size, g.line, g.ways), NewCache(g.size, g.line, g.ways)
+		got, want := NewCache(g.size, g.line, g.ways), newRefCache(g.size, g.line, g.ways)
 		span := uint64(4 * g.size)
 		for i := 0; i < 20000; i++ {
 			addr := uint64(rng.Int63n(int64(span)))
@@ -139,6 +194,100 @@ func TestCacheAccessMatchesReference(t *testing.T) {
 			if h, r := got.AccessLine(addr), want.accessLineRef(addr); h != r || !sameState(got, want) {
 				t.Fatalf("%+v access %d (addr %#x): hit %v, reference %v, state equal %v",
 					g, i, addr, h, r, sameState(got, want))
+			}
+		}
+	}
+}
+
+// FuzzCacheEquivalence holds Cache to refCache on a fuzzed geometry — 1 to
+// 16 ways, line sizes 1 to 256 B, set counts that round down — and a fuzzed
+// stream of accesses near zero and near the top of the address space with
+// Invalidate and ResetCounters interleaved, comparing after every step: run
+// the committed corpus with `go test`, mutate with
+// `go test -run '^$' -fuzz '^FuzzCacheEquivalence$' -fuzztime 10s ./internal/gpu`.
+func FuzzCacheEquivalence(f *testing.F) {
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		ways := 1 + next()%16
+		line := 1 << (next() % 9)
+		size := line * ways * (1 + next()%40)
+		got, want := NewCache(size, line, ways), newRefCache(size, line, ways)
+		for i := 0; len(data) > 0; i++ {
+			op := next()
+			switch op % 16 {
+			case 0:
+				got.Invalidate()
+				want.invalidateRef()
+			case 1:
+				got.ResetCounters()
+				want.resetCounters()
+			default:
+				addr := uint64(next())*uint64(line) + uint64(op>>4&3)
+				if op&64 != 0 {
+					addr = ^uint64(0) - addr
+				}
+				if h, r := got.AccessLine(addr), want.accessLineRef(addr); h != r {
+					t.Fatalf("%d B, %d B lines, %d ways: step %d (addr %#x): hit %v, reference %v", size, line, ways, i, addr, h, r)
+				}
+			}
+			if !sameState(got, want) {
+				t.Fatalf("%d B, %d B lines, %d ways: step %d (op %#x): lists or counters differ", size, line, ways, i, op)
+			}
+		}
+	})
+}
+
+// TestMoreWaysNeverFewerHits is LRU inclusion: at an equal set count, each
+// set's list in a w-way cache is a prefix of the same set's list in the
+// (w+1)-way cache, so an access that hits with w ways hits with w+1. It is
+// checked after every access of strided streams and of gatherStreams'
+// irregular ones, each read twice so there is reuse to find.
+func TestMoreWaysNeverFewerHits(t *testing.T) {
+	const sets, line, maxWays = 8, 64, 16
+	rng := rand.New(rand.NewSource(3))
+	var streams [][]uint64
+	for _, stride := range []int{1, 3, 16, 33, 100} {
+		s := make([]uint64, 4096)
+		for i := range s {
+			s[i] = 1<<20 + uint64(i*stride*4)
+		}
+		streams = append(streams, s)
+	}
+	for _, idx := range gatherStreams(rng, 4096) {
+		s := make([]uint64, len(idx))
+		for i, v := range idx {
+			s[i] = 1<<20 + uint64(v)*4
+		}
+		streams = append(streams, s)
+	}
+	for n, stream := range streams {
+		caches := make([]*Cache, maxWays+1) // caches[w] has w ways
+		for w := 1; w <= maxWays; w++ {
+			caches[w] = NewCache(sets*line*w, line, w)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, addr := range stream {
+				set := int(addr / line % sets)
+				hit := false
+				for w := 1; w <= maxWays; w++ {
+					h := caches[w].AccessLine(addr)
+					if hit && !h {
+						t.Fatalf("stream %d pass %d access %d: hits with %d ways, misses with %d", n, pass, i, w-1, w)
+					}
+					hit = h
+					if w > 1 && !slices.Equal(caches[w-1].list(set), caches[w].list(set)[:w-1]) {
+						t.Fatalf("stream %d pass %d access %d: set %d with %d ways %x is not a prefix of %d ways' %x",
+							n, pass, i, set, w-1, caches[w-1].list(set), w, caches[w].list(set))
+					}
+				}
 			}
 		}
 	}
@@ -236,7 +385,7 @@ func TestCacheInvalidate(t *testing.T) {
 // last used several invalidations ago included.
 func TestCacheInvalidateMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	got, want := NewCache(4<<10, 64, 4), NewCache(4<<10, 64, 4)
+	got, want := NewCache(4<<10, 64, 4), newRefCache(4<<10, 64, 4)
 	for i := 0; i < 20000; i++ {
 		if rng.Intn(40) == 0 {
 			got.Invalidate()
@@ -294,10 +443,39 @@ func TestCacheDeterminism(t *testing.T) {
 	}
 }
 
+// BenchmarkCacheAccess times one access at the L1 geometry (4 ways) and the
+// V100 L2's (16 ways), each on three streams through one set: the same line
+// (a hit at the front of the list), a cycle of exactly as many lines as ways
+// (every access hits the last way) and a cycle of one more (every access
+// misses).
 func BenchmarkCacheAccess(b *testing.B) {
-	c := NewCache(128<<10, 128, 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.AccessLine(uint64(i*64) % (1 << 22))
+	v100 := V100()
+	for _, g := range []struct {
+		name             string
+		size, line, ways int
+	}{
+		{"l1", 128 << 10, 128, 4},
+		{"v100-l2", v100.L2SizeKB << 10, v100.L2LineBytes, v100.L2Ways},
+	} {
+		for _, s := range []struct {
+			name  string
+			lines int
+		}{{"front-hit", 1}, {"deep-hit", g.ways}, {"miss", g.ways + 1}} {
+			b.Run(fmt.Sprintf("%s/%s", g.name, s.name), func(b *testing.B) {
+				c := NewCache(g.size, g.line, g.ways)
+				addrs := make([]uint64, s.lines)
+				for i := range addrs {
+					addrs[i] = uint64(i*c.numSets*g.line) + 1<<20
+				}
+				for _, a := range addrs {
+					c.AccessLine(a)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.AccessLine(addrs[i%len(addrs)])
+				}
+			})
+		}
 	}
 }

@@ -382,13 +382,28 @@ func TestHalfPrecisionShrinksElem(t *testing.T) {
 	}
 }
 
+// refDevice is the reference twin of a Device: its configuration, with the
+// L1 and the warm L2 kept as reference stores.
+type refDevice struct {
+	cfg    Config
+	l1, l2 *refCache
+}
+
+func newRefDevice(cfg Config) *refDevice {
+	return &refDevice{
+		cfg: cfg,
+		l1:  newRefCache(cfg.L1SizeKB<<10, cfg.L1LineBytes, cfg.L1Ways),
+		l2:  newRefCache(cfg.L2SizeKB<<10, cfg.L2LineBytes, cfg.L2Ways),
+	}
+}
+
 // replayMemoryRef is the lane-by-lane replay that replayMemory replaced, kept
 // as written (one address and one 64-bit divide per lane, a forward scan of
 // the line buffer, a fresh scaled L1 per sampled launch) as the oracle
 // TestReplayMatchesReference and FuzzReplayEquivalence hold the fast path to.
 // It also returns the L1 it replayed through so the twins' cache state can be
 // compared.
-func (d *Device) replayMemoryRef(k *Kernel) (memResult, *Cache) {
+func (d *refDevice) replayMemoryRef(k *Kernel) (memResult, *refCache) {
 	var res memResult
 
 	totalWarps := 0
@@ -407,10 +422,10 @@ func (d *Device) replayMemoryRef(k *Kernel) (memResult, *Cache) {
 		if minSize := 8 * d.cfg.L1LineBytes * d.cfg.L1Ways; size < minSize {
 			size = minSize
 		}
-		l1 = NewCache(size, d.cfg.L1LineBytes, d.cfg.L1Ways)
+		l1 = newRefCache(size, d.cfg.L1LineBytes, d.cfg.L1Ways)
 	}
 	l1.invalidateRef()
-	d.l2.ResetCounters()
+	d.l2.resetCounters()
 
 	lineBytes := uint64(d.cfg.L1LineBytes)
 	var lineBuf [32]uint64

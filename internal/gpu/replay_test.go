@@ -10,17 +10,21 @@ import (
 
 // replayTwins are two devices of one configuration fed the same kernel
 // sequence: fast through replayMemory, ref through the lane-by-lane
-// replayMemoryRef. Their L2s stay warm across launches, so a difference in
-// replay order shows up in a later launch even when the counters agree.
-type replayTwins struct{ fast, ref *Device }
+// replayMemoryRef over the stamped reference caches. Their L2s stay warm
+// across launches, so a difference in replay order shows up in a later
+// launch even when the counters agree.
+type replayTwins struct {
+	fast *Device
+	ref  *refDevice
+}
 
 func newReplayTwins(cfg Config) replayTwins {
-	return replayTwins{fast: New(cfg), ref: New(cfg)}
+	return replayTwins{fast: New(cfg), ref: newRefDevice(cfg)}
 }
 
 // replay runs k on both twins and describes the first difference in
-// memResult (latencyCycles bit for bit) or in either cache's tags, LRU
-// stamps, clock and counters; it returns "" when there is none.
+// memResult (latencyCycles bit for bit) or in either cache's per-set recency
+// lists and counters; it returns "" when there is none.
 func (tw replayTwins) replay(k *Kernel) string {
 	got := tw.fast.replayMemory(k)
 	want, refL1 := tw.ref.replayMemoryRef(k)
@@ -31,10 +35,10 @@ func (tw replayTwins) replay(k *Kernel) string {
 		return fmt.Sprintf("memResult = %+v, reference %+v", got, want)
 	}
 	if !sameState(tw.fast.l1For(tw.fast.sampleFactor(k)), refL1) {
-		return "L1 tags/order/clock differ"
+		return "L1 lists or counters differ"
 	}
 	if !sameState(tw.fast.l2, tw.ref.l2) {
-		return "L2 tags/order/clock differ"
+		return "L2 lists or counters differ"
 	}
 	return ""
 }
@@ -75,9 +79,44 @@ func gatherStreams(rng *rand.Rand, n int) [][]int32 {
 	return [][]int32{uniform, sorted, hot}
 }
 
-func TestReplayMatchesReference(t *testing.T) {
+// replayKernels returns one kernel per (element size, repeat) pair: every
+// stride and every gather shape as its accesses, over bases that overlap
+// within and across kernels, then an empty index stream, lanes that wrap past
+// the top of the address space and a short unaligned store. lanes that are
+// not a multiple of 32 leave a partial last warp.
+func replayKernels(rng *rand.Rand, lanes int) []*Kernel {
 	strides := []int{0, 1, 2, 3, 16, 32, 33, 100, 4096, -1, -33}
-	const lanes = 8192 + 5 // a partial last warp
+	gathers := gatherStreams(rng, lanes)
+	var kernels []*Kernel
+	for _, elem := range []int{1, 2, 4, 8} {
+		for _, repeat := range []int{0, 1, 4} {
+			k := &Kernel{Name: fmt.Sprintf("elem%d.rep%d", elem, repeat)}
+			for i, s := range strides {
+				k.Accesses = append(k.Accesses, Access{
+					Kind: AccessKind(i % 2), Base: 1<<20 + uint64(i*52), ElemBytes: elem,
+					Count: lanes >> (i % 3), Stride: s, Repeat: repeat,
+				})
+			}
+			for i, idx := range gathers {
+				k.Accesses = append(k.Accesses, Access{
+					Kind: AccessKind(i % 2), Base: 1<<20 + uint64(i*12), ElemBytes: elem,
+					Indices: idx, Repeat: repeat,
+				})
+			}
+			k.Accesses = append(k.Accesses,
+				// A non-nil empty index stream is indexed with no lanes.
+				Access{Kind: LoadAccess, Base: 1 << 20, ElemBytes: elem, Count: 99, Stride: 1, Indices: []int32{}},
+				// The last lanes wrap past the top of the address space.
+				Access{Kind: LoadAccess, Base: math.MaxUint64 - 1000, ElemBytes: elem, Count: 2000, Stride: 1},
+				Access{Kind: StoreAccess, Base: 1<<20 + 7, ElemBytes: elem, Count: 31, Stride: 1},
+			)
+			kernels = append(kernels, k)
+		}
+	}
+	return kernels
+}
+
+func TestReplayMatchesReference(t *testing.T) {
 	cfgs := smallConfigs()
 	for _, name := range PresetNames() {
 		cfg, err := Preset(name)
@@ -94,40 +133,37 @@ func TestReplayMatchesReference(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/warps=%d/bypass=%v", cfg.Name, warps, bypass), func(t *testing.T) {
 					tw := newReplayTwins(cfg)
 					rng := rand.New(rand.NewSource(int64(warps)))
-					gathers := gatherStreams(rng, lanes)
-					n := 0
-					for _, elem := range []int{1, 2, 4, 8} {
-						for _, repeat := range []int{0, 1, 4} {
-							// One kernel per (elem, repeat): every stride and
-							// every gather shape as its accesses, over bases
-							// that overlap within and across kernels.
-							k := &Kernel{Name: fmt.Sprintf("elem%d.rep%d", elem, repeat)}
-							for i, s := range strides {
-								k.Accesses = append(k.Accesses, Access{
-									Kind: AccessKind(i % 2), Base: 1<<20 + uint64(i*52), ElemBytes: elem,
-									Count: lanes >> (i % 3), Stride: s, Repeat: repeat,
-								})
-							}
-							for i, idx := range gathers {
-								k.Accesses = append(k.Accesses, Access{
-									Kind: AccessKind(i % 2), Base: 1<<20 + uint64(i*12), ElemBytes: elem,
-									Indices: idx, Repeat: repeat,
-								})
-							}
-							k.Accesses = append(k.Accesses,
-								// A non-nil empty index stream is indexed with no lanes.
-								Access{Kind: LoadAccess, Base: 1 << 20, ElemBytes: elem, Count: 99, Stride: 1, Indices: []int32{}},
-								// The last lanes wrap past the top of the address space.
-								Access{Kind: LoadAccess, Base: math.MaxUint64 - 1000, ElemBytes: elem, Count: 2000, Stride: 1},
-								Access{Kind: StoreAccess, Base: 1<<20 + 7, ElemBytes: elem, Count: 31, Stride: 1},
-							)
-							if diff := tw.replay(k); diff != "" {
-								t.Fatalf("launch %d (%s): %s", n, k.Name, diff)
-							}
-							n++
+					for n, k := range replayKernels(rng, 8192+5) {
+						if diff := tw.replay(k); diff != "" {
+							t.Fatalf("launch %d (%s): %s", n, k.Name, diff)
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestAppendingAKernelKeepsEarlierStats: replaying kernels k1..kn and then
+// k(n+1) leaves k1..kn's memResult as a replay of k1..kn alone has them, for
+// every n — a launch reads only the state its predecessors left.
+func TestAppendingAKernelKeepsEarlierStats(t *testing.T) {
+	for _, base := range append(smallConfigs(), V100()) {
+		cfg := base
+		cfg.MaxSampledWarps = 512
+		kernels := replayKernels(rand.New(rand.NewSource(2)), 2048+5)
+		whole := New(cfg)
+		var want []memResult
+		for _, k := range kernels {
+			want = append(want, whole.replayMemory(k))
+		}
+		for n := 1; n < len(kernels); n++ {
+			d := New(cfg)
+			for i, k := range kernels[:n] {
+				if got := d.replayMemory(k); got != want[i] {
+					t.Fatalf("%s: kernel %d of %d replayed alone = %+v, followed by %d more = %+v",
+						cfg.Name, i+1, n, got, len(kernels)-n, want[i])
+				}
 			}
 		}
 	}

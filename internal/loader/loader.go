@@ -40,11 +40,15 @@ type Config struct {
 	// negative) disables prefetching entirely: batches materialize inline
 	// on the consumer goroutine, which is the synchronous baseline.
 	Depth int
-	// Workers is the number of producer goroutines (default min(Depth, 4),
-	// capped at Depth). It affects scheduling only, never content or
-	// delivery order.
+	// Workers is the number of producer goroutines (default
+	// DefaultWorkers(Depth), capped at Depth). It affects scheduling only,
+	// never content or delivery order.
 	Workers int
 }
+
+// DefaultWorkers is the number of producer goroutines a loader of the given
+// depth starts when Config.Workers is unset: one per staged batch, at most 4.
+func DefaultWorkers(depth int) int { return min(depth, 4) }
 
 // Producer materializes batch `index` into b. It runs on a worker
 // goroutine (or inline at depth 0) and must be a pure function of the
@@ -150,11 +154,9 @@ func New(cfg Config, n int, produce Producer) *Loader {
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = 4
+		workers = DefaultWorkers(cfg.Depth)
 	}
-	if workers > cfg.Depth {
-		workers = cfg.Depth
-	}
+	workers = min(workers, cfg.Depth)
 	// Per-worker buffer slots; total staged-ahead capacity >= Depth.
 	slots := (cfg.Depth + workers - 1) / workers
 	l.chans = make([]chan *Batch, workers)

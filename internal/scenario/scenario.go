@@ -11,6 +11,7 @@ import (
 	"gnnmark/internal/backend"
 	"gnnmark/internal/core"
 	"gnnmark/internal/gpu"
+	"gnnmark/internal/loader"
 )
 
 // Scenario is one scenario: a fleet, a workload, timed events, an optional
@@ -271,7 +272,8 @@ func (sc *Scenario) resolve() (*Scenario, *trainPlane, core.RunConfig, error) {
 	w.Warps = cmp.Or(w.Warps, defaultWarps)
 	w.Parallelism = cmp.Or(w.Parallelism, core.Parallelisms()[0])
 	if w.PipelineDepth > 0 {
-		w.LoaderWorkers = cmp.Or(w.LoaderWorkers, min(w.PipelineDepth, defaultLoaderWorkersMax))
+		// Resolved here, not left to the loader: a kill lowers the live count.
+		w.LoaderWorkers = cmp.Or(w.LoaderWorkers, loader.DefaultWorkers(w.PipelineDepth))
 	}
 	if sc.Serve != nil {
 		s := *sc.Serve

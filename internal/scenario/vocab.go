@@ -11,7 +11,8 @@ import (
 // This file is the scenario vocabulary, written once: each default, train
 // plane, event type and assertion kind is one row here, and Validate,
 // Execute, the error texts and the reference in DESIGN.md and README.md
-// read the rows. Nothing else names a kind, a type or a default value.
+// read the rows. Nothing else names a kind, a type or a default value, but
+// loader-workers defaults to the loader's own rule (loader.DefaultWorkers).
 
 // Defaults: what resolve reads a zero (unset) Scenario field as.
 const (
@@ -19,12 +20,9 @@ const (
 	defaultGPUs = 1 // per fleet node
 	// Short epochs and the fast sampling tier: committed scenarios run on
 	// every CI push.
-	defaultEpochs = 2
-	defaultWarps  = 512
-	// loader-workers defaults to min(pipeline-depth, this), the loader's own
-	// rule: the harness needs the live count so a kill can lower it.
-	defaultLoaderWorkersMax = 4
-	defaultXIDCode          = 79 // "GPU has fallen off the bus", the canonical fatal XID
+	defaultEpochs  = 2
+	defaultWarps   = 512
+	defaultXIDCode = 79 // "GPU has fallen off the bus", the canonical fatal XID
 	// Serving rates and horizons are multiples of the measured batch-1
 	// service time, so files stay meaningful as the device model evolves.
 	defaultServeReplicas  = 2

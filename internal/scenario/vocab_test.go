@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"gnnmark/internal/core"
 	"gnnmark/internal/fault"
 	"gnnmark/internal/gpu"
+	"gnnmark/internal/loader"
 )
 
 var update = flag.Bool("update", false, "rewrite the scenario reference of DESIGN.md and README.md from the vocabulary rows")
@@ -325,7 +327,7 @@ func reference() string {
 		{"workload.backend", be.Name()},
 		{"workload.warps", fmt.Sprint(defaultWarps)},
 		{"workload.pipeline-depth", "0 (synchronous input)"},
-		{"workload.loader-workers", fmt.Sprintf("min(pipeline-depth, %d)", defaultLoaderWorkersMax)},
+		{"workload.loader-workers", fmt.Sprintf("min(pipeline-depth, %d)", loader.DefaultWorkers(math.MaxInt))},
 		{"events[].plane", "the first plane of the type's row"},
 		{"events[].code", fmt.Sprint(defaultXIDCode)},
 		{"events[].factor", fmt.Sprintf("%v for %s, %v for %s", fault.DefaultThermalFactor, fault.ThermalThrottle, fault.DefaultNVLinkFactor, fault.NVLinkDegrade)},
