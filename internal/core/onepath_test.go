@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -419,12 +420,13 @@ var calledByStdlib = map[string]bool{
 // TestEveryExportHasACaller keeps test-only code from growing back: every
 // package lives under internal/, so a declaration the binaries, the examples
 // and the root facade never name has no user. Each exported top-level
-// function, type, method, variable and constant declared in a non-test file
-// under internal/ must have its name appear in some non-test file of the
-// module outside its own declaration, sit in keptExports, or be a method the
-// standard library calls (calledByStdlib). The match is by name (go/parser
-// only, no type information): the name of another top-level declaration and
-// a method's receiver type do not count as appearances.
+// function, type, method, interface method (keyed pkg.Iface.Method),
+// variable and constant declared in a non-test file under internal/ must
+// have its name appear in some non-test file of the module outside its own
+// declaration, sit in keptExports, or be a method the standard library calls
+// (calledByStdlib). The match is by name (go/parser only, no type
+// information): the name of another top-level declaration, an interface's
+// method list and a method's receiver type do not count as appearances.
 func TestEveryExportHasACaller(t *testing.T) {
 	root := filepath.Join("..", "..")
 	type export struct {
@@ -479,6 +481,13 @@ func TestEveryExportHasACaller(t *testing.T) {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						declare(spec.Name, "", spec)
+						if iface, ok := spec.Type.(*ast.InterfaceType); ok {
+							for _, m := range iface.Methods.List {
+								for _, id := range m.Names {
+									declare(id, spec.Name.Name+".", m)
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						for _, id := range spec.Names {
 							declare(id, "", spec)
@@ -522,6 +531,37 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	if len(keptExports) > 40 {
 		t.Errorf("keptExports holds %d names, want at most 40", len(keptExports))
+	}
+}
+
+// TestDesignInventoryNamesEveryPackage holds DESIGN.md §2 to the tree: every
+// directory of Go files under internal/ and cmd/ is named in the package
+// inventory's code block.
+func TestDesignInventoryNamesEveryPackage(t *testing.T) {
+	root := filepath.Join("..", "..")
+	doc, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "## 2. Package inventory")
+	_, block, _ := strings.Cut(section, "```")
+	block, _, _ = strings.Cut(block, "```")
+	missing := map[string]bool{}
+	for _, dir := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			rel := filepath.ToSlash(strings.TrimPrefix(filepath.Dir(path), root+string(filepath.Separator))) + "/"
+			if !strings.Contains(block, rel) && !missing[rel] {
+				missing[rel] = true
+				t.Errorf("DESIGN.md §2's inventory does not name %s", rel)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

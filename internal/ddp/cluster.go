@@ -3,7 +3,6 @@ package ddp
 import (
 	"fmt"
 
-	"gnnmark/internal/autograd"
 	"gnnmark/internal/exec"
 	"gnnmark/internal/fault"
 	"gnnmark/internal/gpu"
@@ -396,7 +395,7 @@ func runFleet(reps []*replica, epochs int, cfg ClusterConfig, res *ClusterResult
 	}
 	st.scratch = make([]float32, maxElems)
 	for _, rep := range reps {
-		rep.env.OnGradients = func(params []*autograd.Param, backwardSecs float64) {
+		rep.env.OnGradients = func(backwardSecs float64) {
 			for i := range rep.buckets {
 				rep.buckets[i].FlattenGrads(rep.flat[i])
 			}

@@ -16,8 +16,8 @@ import (
 // graph every iteration — which is why the paper excludes it from the
 // multi-GPU study (§V-E).
 type ARGA struct {
-	env *Env
-	ds  *datasets.Citation
+	trainer
+	ds *datasets.Citation
 
 	g graphView // the whole graph, or this rank's partition of it
 
@@ -26,9 +26,7 @@ type ARGA struct {
 	disc1      *nn.Linear
 	disc2      *nn.Linear
 
-	opt    nn.Optimizer
-	hidden int
-	embed  int
+	embed int
 
 	// What the view trains on: its nodes' features, its rows of the dense
 	// reconstruction target (against every node) and its adjacency's
@@ -60,7 +58,7 @@ func NewARGA(env *Env, ds *datasets.Citation, cfg ARGAConfig) *ARGA {
 	}
 	g := newWhole(ds.Adj)
 	a := &ARGA{
-		env:      env,
+		trainer:  trainer{env: env},
 		ds:       ds,
 		g:        g,
 		enc1:     nn.NewLinear(env.RNG, "arga.enc1", ds.Features.Dim(1), cfg.Hidden, true),
@@ -68,12 +66,11 @@ func NewARGA(env *Env, ds *datasets.Citation, cfg ARGAConfig) *ARGA {
 		alpha1:   autograd.NewParam("arga.prelu", tensor.FromSlice([]float32{0.25}, 1)),
 		disc1:    nn.NewLinear(env.RNG, "arga.disc1", cfg.Embed, 32, true),
 		disc2:    nn.NewLinear(env.RNG, "arga.disc2", 32, 1, true),
-		hidden:   cfg.Hidden,
 		embed:    cfg.Embed,
 		feats:    ds.Features,
 		edgeKeys: coalesceKeys(g.adj),
 	}
-	a.opt = nn.NewAdam(env.E, a.Params(), cfg.LR)
+	a.opt = nn.NewAdam(env.E, append(nn.CollectParams(a.enc1, a.enc2, a.disc1, a.disc2), a.alpha1), cfg.LR)
 
 	// Dense reconstruction target (n is small for citation graphs).
 	n := g.adj.Rows
@@ -108,26 +105,11 @@ func coalesceKeys(adj *graph.CSR) []int32 {
 	return keys
 }
 
-// Name implements Workload.
-func (a *ARGA) Name() string { return "ARGA" }
-
-// DatasetName implements Workload.
-func (a *ARGA) DatasetName() string { return a.ds.Name }
-
 // DDPCompatible implements Workload: full-graph training does not shard.
 func (a *ARGA) DDPCompatible() bool { return false }
 
 // IterationsPerEpoch implements Workload.
 func (a *ARGA) IterationsPerEpoch() int { return 1 }
-
-// Optimizer implements Workload.
-func (a *ARGA) Optimizer() nn.Optimizer { return a.opt }
-
-// Params implements Workload.
-func (a *ARGA) Params() []*autograd.Param {
-	ps := nn.CollectParams(a.enc1, a.enc2, a.disc1, a.disc2)
-	return append(ps, a.alpha1)
-}
 
 // encode runs the GCN encoder over the view's graph.
 func (a *ARGA) encode(t *autograd.Tape, x *autograd.Var) *autograd.Var {
@@ -167,7 +149,7 @@ func (a *ARGA) TrainEpoch() float64 {
 
 	loss := a.g.share(t, t.Add(reconLoss, t.Scale(genLoss, 0.1)))
 
-	a.env.Step(t, loss, a.Params(), a.opt, 0)
+	a.env.Step(t, loss, a.opt, 0)
 
 	// Discriminator step on detached embeddings plus prior samples. The
 	// prior is drawn for every node whatever the view — the same RNG stream
@@ -182,7 +164,7 @@ func (a *ARGA) TrainEpoch() float64 {
 		t2.BCEWithLogits(dReal, tensor.Full(1, dReal.Value.Shape()...)),
 		t2.BCEWithLogits(dFake2, tensor.New(dFake2.Value.Shape()...))))
 	// Zero everything so the encoder is not double-stepped with stale grads.
-	a.env.Step(t2, dLoss, a.Params(), a.opt, 0)
+	a.env.Step(t2, dLoss, a.opt, 0)
 
 	return float64(loss.Value.At(0)) + float64(dLoss.Value.At(0))
 }

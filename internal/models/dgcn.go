@@ -15,14 +15,13 @@ import (
 // activations and norms at every one of its many layers make it the most
 // element-wise-heavy workload in the suite (Figure 2: ~31%).
 type DGCN struct {
-	env *Env
-	ds  *datasets.MoleculeSet
+	trainer
+	ds *datasets.MoleculeSet
 
 	embed *nn.Linear
 	convs []*nn.Linear
 	norms []*nn.BatchNorm1D
 	head  *nn.Linear
-	opt   nn.Optimizer
 
 	globalBatch int
 	batches     []dgcnBatch
@@ -68,17 +67,19 @@ func (c *DGCNConfig) defaults() {
 func NewDGCN(env *Env, ds *datasets.MoleculeSet, cfg DGCNConfig) *DGCN {
 	cfg.defaults()
 	m := &DGCN{
-		env:         env,
+		trainer:     trainer{env: env},
 		ds:          ds,
 		embed:       nn.NewLinear(env.RNG, "dgcn.embed", ds.FeatDim, cfg.Hidden, true),
 		head:        nn.NewLinear(env.RNG, "dgcn.head", cfg.Hidden, 2, true),
 		globalBatch: cfg.BatchSize,
 	}
+	mods := []nn.Module{m.embed, m.head}
 	for l := 0; l < cfg.Layers; l++ {
 		m.convs = append(m.convs, nn.NewLinear(env.RNG, "dgcn.conv", cfg.Hidden, cfg.Hidden, false))
 		m.norms = append(m.norms, nn.NewBatchNorm1D("dgcn.bn", cfg.Hidden))
+		mods = append(mods, m.convs[l], m.norms[l])
 	}
-	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR)
 	m.prepareBatches()
 
 	// Batch gi re-uploads pre-materialized batch gi % len: the producer
@@ -124,29 +125,11 @@ func (m *DGCN) prepareBatches() {
 	}
 }
 
-// Name implements Workload.
-func (m *DGCN) Name() string { return "DGCN" }
-
-// DatasetName implements Workload.
-func (m *DGCN) DatasetName() string { return m.ds.Name }
-
 // DDPCompatible implements Workload.
 func (m *DGCN) DDPCompatible() bool { return true }
 
 // IterationsPerEpoch implements Workload.
 func (m *DGCN) IterationsPerEpoch() int { return len(m.batches) }
-
-// Optimizer implements Workload.
-func (m *DGCN) Optimizer() nn.Optimizer { return m.opt }
-
-// Params implements Workload.
-func (m *DGCN) Params() []*autograd.Param {
-	mods := []nn.Module{m.embed, m.head}
-	for i := range m.convs {
-		mods = append(mods, m.convs[i], m.norms[i])
-	}
-	return nn.CollectParams(mods...)
-}
 
 // TrainEpoch implements Workload.
 func (m *DGCN) TrainEpoch() float64 {
@@ -171,7 +154,7 @@ func (m *DGCN) TrainEpoch() float64 {
 		logits := m.head.Forward(t, b.g.meanPool(t, "pool", h, b.graphID, b.numGraphs))
 		loss := t.CrossEntropy(logits, b.labels)
 
-		m.env.Step(t, loss, m.Params(), m.opt, 0)
+		m.env.Step(t, loss, m.opt, 0)
 		total += float64(loss.Value.At(0))
 	}
 	return total / float64(len(m.batches))

@@ -14,13 +14,12 @@ import (
 // contrast harness trains it with the same profiler attached and compares
 // operation mixes.
 type DNN struct {
-	env *Env
+	trainer
 
 	convs  []*nn.Conv2D
 	norms  []*nn.BatchNorm2D
 	fc1    *nn.Linear
 	fc2    *nn.Linear
-	opt    nn.Optimizer
 	images *tensor.Tensor // (N, C, H, W) synthetic image set
 	labels []int32
 
@@ -68,7 +67,7 @@ func (c *DNNConfig) defaults() {
 func NewDNN(env *Env, cfg DNNConfig) *DNN {
 	cfg.defaults()
 	m := &DNN{
-		env:      env,
+		trainer:  trainer{env: env},
 		imgSize:  cfg.ImageSize,
 		channels: cfg.Channels,
 		batch:    cfg.BatchSize,
@@ -96,7 +95,11 @@ func NewDNN(env *Env, cfg DNNConfig) *DNN {
 	m.flatWidth = in * size * size
 	m.fc1 = nn.NewLinear(env.RNG, "dnn.fc1", m.flatWidth, 64, true)
 	m.fc2 = nn.NewLinear(env.RNG, "dnn.fc2", 64, cfg.Classes, true)
-	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
+	mods := []nn.Module{m.fc1, m.fc2}
+	for i := range m.convs {
+		mods = append(mods, m.convs[i], m.norms[i])
+	}
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR)
 
 	images := cfg.BatchSize * cfg.Batches // the synthetic dataset is one epoch
 	m.images = tensor.Randn(env.RNG, 0.5, images, 3, cfg.ImageSize, cfg.ImageSize)
@@ -117,29 +120,12 @@ func NewDNN(env *Env, cfg DNNConfig) *DNN {
 	return m
 }
 
-// Name implements Workload.
-func (m *DNN) Name() string { return "DNN" }
-
-// DatasetName implements Workload.
-func (m *DNN) DatasetName() string { return "synthetic-images" }
-
-// DDPCompatible implements Workload.
-func (m *DNN) DDPCompatible() bool { return true }
+// DDPCompatible implements Workload: every replica trains the whole image
+// set (the DNN never calls Env.Shard).
+func (m *DNN) DDPCompatible() bool { return false }
 
 // IterationsPerEpoch implements Workload.
 func (m *DNN) IterationsPerEpoch() int { return m.batches }
-
-// Optimizer implements Workload.
-func (m *DNN) Optimizer() nn.Optimizer { return m.opt }
-
-// Params implements Workload.
-func (m *DNN) Params() []*autograd.Param {
-	mods := []nn.Module{m.fc1, m.fc2}
-	for i := range m.convs {
-		mods = append(mods, m.convs[i], m.norms[i])
-	}
-	return nn.CollectParams(mods...)
-}
 
 // TrainEpoch implements Workload.
 func (m *DNN) TrainEpoch() float64 {
@@ -168,7 +154,7 @@ func (m *DNN) TrainEpoch() float64 {
 		logits := m.fc2.Forward(t, t.ReLU(m.fc1.Forward(t, flat)))
 		loss := t.CrossEntropy(logits, labels)
 
-		m.env.Step(t, loss, m.Params(), m.opt, 0)
+		m.env.Step(t, loss, m.opt, 0)
 		total += float64(loss.Value.At(0))
 	}
 	return total / float64(m.batches)

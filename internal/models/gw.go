@@ -13,8 +13,8 @@ import (
 // suite's only fp-dominated workload (Figure 3) and its GFLOPS leader
 // (Figure 4).
 type GW struct {
-	env *Env
-	ds  *datasets.KGText
+	trainer
+	ds *datasets.KGText
 
 	entEmb *nn.Embedding // entity-type embeddings
 	tokEmb *nn.Embedding // token embeddings
@@ -22,7 +22,6 @@ type GW struct {
 	ctxAtt *nn.MultiHeadAttention // decoder cross-attention
 	dec    *nn.LSTMCell
 	proj   *nn.Linear // vocabulary projection
-	opt    nn.Optimizer
 
 	dim          int
 	globalBatch  int
@@ -69,7 +68,7 @@ func (c *GWConfig) defaults() {
 func NewGW(env *Env, ds *datasets.KGText, cfg GWConfig) *GW {
 	cfg.defaults()
 	m := &GW{
-		env:         env,
+		trainer:     trainer{env: env},
 		ds:          ds,
 		entEmb:      nn.NewEmbedding(env.RNG, "gw.ent", ds.EntityKinds, cfg.Dim),
 		tokEmb:      nn.NewEmbedding(env.RNG, "gw.tok", ds.Vocab, cfg.Dim),
@@ -79,21 +78,17 @@ func NewGW(env *Env, ds *datasets.KGText, cfg GWConfig) *GW {
 		dim:         cfg.Dim,
 		globalBatch: cfg.BatchSize,
 	}
+	mods := []nn.Module{m.entEmb, m.tokEmb, m.ctxAtt, m.dec, m.proj}
 	for l := 0; l < cfg.EncLayers; l++ {
 		m.enc = append(m.enc, nn.NewTransformerBlock(env.RNG, "gw.enc", cfg.Dim, cfg.Heads, 2*cfg.Dim))
+		mods = append(mods, m.enc[l])
 	}
 	m.cfgMaxDecode = cfg.MaxDecode
 	// GraphWriter trains with the transformer warmup schedule.
-	m.opt = nn.NewScheduledAdam(nn.NewAdam(env.E, m.Params(), cfg.LR),
+	m.opt = nn.NewScheduledAdam(nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR),
 		nn.Warmup{WarmupSteps: cfg.WarmupSteps})
 	return m
 }
-
-// Name implements Workload.
-func (m *GW) Name() string { return "GW" }
-
-// DatasetName implements Workload.
-func (m *GW) DatasetName() string { return m.ds.Name }
 
 // DDPCompatible implements Workload.
 func (m *GW) DDPCompatible() bool { return true }
@@ -101,18 +96,6 @@ func (m *GW) DDPCompatible() bool { return true }
 // IterationsPerEpoch implements Workload.
 func (m *GW) IterationsPerEpoch() int {
 	return (len(m.ds.Examples) + m.globalBatch - 1) / m.globalBatch
-}
-
-// Optimizer implements Workload.
-func (m *GW) Optimizer() nn.Optimizer { return m.opt }
-
-// Params implements Workload.
-func (m *GW) Params() []*autograd.Param {
-	mods := []nn.Module{m.entEmb, m.tokEmb, m.ctxAtt, m.dec, m.proj}
-	for _, b := range m.enc {
-		mods = append(mods, b)
-	}
-	return nn.CollectParams(mods...)
 }
 
 // TrainEpoch implements Workload: teacher-forced sequence training. The
@@ -205,7 +188,7 @@ func (m *GW) TrainEpoch() float64 {
 		logits := m.proj.Forward(t, outs) // (steps*B, vocab)
 		loss := t.CrossEntropy(logits, labels)
 
-		m.env.Step(t, loss, m.Params(), m.opt, 5)
+		m.env.Step(t, loss, m.opt, 5)
 		total += float64(loss.Value.At(0))
 	}
 	return total / float64(iters)

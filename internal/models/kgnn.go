@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/datasets"
@@ -17,7 +18,7 @@ import (
 // KGNNL is the 1-2-GNN, KGNNH the 1-2-3-GNN; the paper includes both to
 // show how cost and behavior shift with GNN order.
 type KGNN struct {
-	env  *Env
+	trainer
 	ds   *datasets.MoleculeSet
 	kMax int // 2 for KGNNL, 3 for KGNNH
 
@@ -26,7 +27,6 @@ type KGNN struct {
 	conv2  []*nn.Linear // 2-GNN layers
 	conv3  []*nn.Linear // 3-GNN layers (KGNNH only)
 	head   *nn.Linear
-	opt    nn.Optimizer
 	hidden int
 
 	globalBatch int
@@ -87,7 +87,7 @@ func NewKGNN(env *Env, ds *datasets.MoleculeSet, cfg KGNNConfig) *KGNN {
 		panic(fmt.Sprintf("models: KGNN supports K=2 or 3, got %d", cfg.K))
 	}
 	m := &KGNN{
-		env:         env,
+		trainer:     trainer{env: env},
 		ds:          ds,
 		kMax:        cfg.K,
 		embed:       nn.NewLinear(env.RNG, "kgnn.embed", ds.FeatDim, cfg.Hidden, true),
@@ -102,7 +102,11 @@ func NewKGNN(env *Env, ds *datasets.MoleculeSet, cfg KGNNConfig) *KGNN {
 			m.conv3 = append(m.conv3, nn.NewLinear(env.RNG, "kgnn.c3", cfg.Hidden, cfg.Hidden, false))
 		}
 	}
-	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
+	mods := []nn.Module{m.embed, m.head}
+	for _, c := range slices.Concat(m.conv1, m.conv2, m.conv3) {
+		mods = append(mods, c)
+	}
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR)
 	m.prepareBatches()
 
 	// Batch gi re-uploads pre-materialized batch gi % len: a staged copy of
@@ -181,40 +185,11 @@ func (m *KGNN) prepareBatches() {
 	}
 }
 
-// Name implements Workload.
-func (m *KGNN) Name() string {
-	if m.kMax == 3 {
-		return "KGNNH"
-	}
-	return "KGNNL"
-}
-
-// DatasetName implements Workload.
-func (m *KGNN) DatasetName() string { return m.ds.Name }
-
 // DDPCompatible implements Workload.
 func (m *KGNN) DDPCompatible() bool { return true }
 
 // IterationsPerEpoch implements Workload.
 func (m *KGNN) IterationsPerEpoch() int { return len(m.batches) }
-
-// Optimizer implements Workload.
-func (m *KGNN) Optimizer() nn.Optimizer { return m.opt }
-
-// Params implements Workload.
-func (m *KGNN) Params() []*autograd.Param {
-	mods := []nn.Module{m.embed, m.head}
-	for _, c := range m.conv1 {
-		mods = append(mods, c)
-	}
-	for _, c := range m.conv2 {
-		mods = append(mods, c)
-	}
-	for _, c := range m.conv3 {
-		mods = append(mods, c)
-	}
-	return nn.CollectParams(mods...)
-}
 
 // meanPool pools rows of h into per-graph means given graph ids.
 func meanPool(t *autograd.Tape, h *autograd.Var, graphID []int32, numGraphs, width int) *autograd.Var {
@@ -275,7 +250,7 @@ func (m *KGNN) TrainEpoch() float64 {
 		logits := m.head.Forward(t, readout)
 		loss := t.CrossEntropy(logits, b.labels)
 
-		m.env.Step(t, loss, m.Params(), m.opt, 0)
+		m.env.Step(t, loss, m.opt, 0)
 		total += float64(loss.Value.At(0))
 	}
 	return total / float64(len(m.batches))

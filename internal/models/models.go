@@ -60,7 +60,7 @@ type Env struct {
 	// PyTorch's DDP reducer hook sits. backwardSeconds is the simulated
 	// device time the backward pass took (0 without a device). The hook may
 	// mutate the parameters' gradients in place (gradient averaging).
-	OnGradients func(params []*autograd.Param, backwardSeconds float64)
+	OnGradients func(backwardSeconds float64)
 
 	// Pipeline configures the asynchronous input pipeline for workloads
 	// built against this Env: prefetch depth and worker count for their
@@ -157,17 +157,18 @@ func (env *Env) Epoch(w interface{ TrainEpoch() float64 }) (loss float64, err er
 	return loss, err
 }
 
-// Step finishes one iteration: in training mode it zeroes gradients,
-// backpropagates the scalar loss, optionally clips the global gradient norm
-// (clipNorm > 0), and applies the optimizer; in inference mode it is a
-// no-op, so the device trace contains only the forward pass.
-func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, params []*autograd.Param, opt nn.Optimizer, clipNorm float32) {
+// Step finishes one iteration: in training mode it zeroes the gradients of
+// opt's parameters, backpropagates the scalar loss, optionally clips their
+// global gradient norm (clipNorm > 0), and applies opt; in inference mode it
+// is a no-op, so the device trace contains only the forward pass.
+func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, opt nn.Optimizer, clipNorm float32) {
 	if !env.Training {
 		// Forward-only mode: the iteration ends here; time until the next
 		// iter() is batch selection.
 		env.beginPhase(obs.PhaseDataLoad, phaseDataC)
 		return
 	}
+	params := opt.Params()
 	nn.ZeroGrads(params)
 	env.beginPhase(obs.PhaseBackward, phaseBackwardC)
 	before := env.SimClock()
@@ -177,7 +178,7 @@ func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, params []*autograd.Pa
 		// lockstep barrier, and receives the averaged buckets — the host
 		// analogue of the allreduce.
 		env.beginPhase(obs.PhaseAllreduce, phaseAllreduceC)
-		env.OnGradients(params, env.SimClock()-before)
+		env.OnGradients(env.SimClock() - before)
 	}
 	env.beginPhase(obs.PhaseOptimizer, phaseOptimizerC)
 	if clipNorm > 0 {
@@ -260,13 +261,11 @@ func (env *Env) Shard(lo, hi int) (int, int) {
 	return start, start + size
 }
 
-// Workload is the uniform interface of all eight models.
+// Workload is the uniform interface of all eight models. A model type writes
+// TrainEpoch, IterationsPerEpoch and DDPCompatible; Params and Optimizer come
+// from the trainer it embeds.
 type Workload interface {
-	// Name returns the paper's workload mnemonic (PSAGE, STGCN, ...).
-	Name() string
-	// DatasetName returns the dataset identifier (MVL, Cora, ...).
-	DatasetName() string
-	// Params returns all trainable parameters.
+	// Params returns all trainable parameters, in the optimizer's order.
 	Params() []*autograd.Param
 	// TrainEpoch runs one epoch and returns the mean loss.
 	TrainEpoch() float64
@@ -287,3 +286,20 @@ type Workload interface {
 // Checkpointable is Workload under its old name, kept because e2ebench
 // asserts to it; every workload exposes its optimizer.
 type Checkpointable = Workload
+
+// trainer is the part of a model every model shares: its Env and the
+// optimizer built over its parameters. Embedding it supplies Workload's
+// Params and Optimizer and Servable's MarkHostBoundary.
+type trainer struct {
+	env *Env
+	opt nn.Optimizer
+}
+
+// Optimizer implements Workload.
+func (tr *trainer) Optimizer() nn.Optimizer { return tr.opt }
+
+// Params implements Workload: the optimizer holds every trainable parameter.
+func (tr *trainer) Params() []*autograd.Param { return tr.opt.Params() }
+
+// MarkHostBoundary implements Servable.
+func (tr *trainer) MarkHostBoundary() { tr.env.E.MarkHostBoundary() }

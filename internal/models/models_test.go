@@ -69,9 +69,6 @@ func TestAllWorkloadsTrainAndReduceLoss(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			env, _ := testEnv(7)
 			w := buildSmall(name, env)
-			if w.Name() != name {
-				t.Fatalf("Name() = %q", w.Name())
-			}
 			if len(w.Params()) == 0 {
 				t.Fatal("no parameters")
 			}
@@ -133,16 +130,28 @@ func TestWorkloadKernelSignatures(t *testing.T) {
 	}
 }
 
+// TestDDPCompatibilityFlags holds each flag to what it means: a compatible
+// workload calls Env.Shard, so ranks 0 and 1 of a world of two, built from
+// one seed, train different data and report different losses; any other
+// workload trains the same data at every rank.
 func TestDDPCompatibilityFlags(t *testing.T) {
-	env, _ := testEnv(9)
-	compat := map[string]bool{
-		"ARGA": false, "PSAGE": false,
-		"DGCN": true, "STGCN": true, "GW": true, "KGNNL": true, "KGNNH": true, "TLSTM": true,
-	}
-	for _, name := range allWorkloads {
-		w := buildSmall(name, env)
-		if w.DDPCompatible() != compat[name] {
-			t.Errorf("%s DDPCompatible = %v, want %v", name, w.DDPCompatible(), compat[name])
+	for _, name := range append([]string{"DNN"}, allWorkloads...) {
+		var losses [2]float64
+		var compat bool
+		for rank := range losses {
+			env := NewEnv(ops.New(nil), 9)
+			env.Rank, env.World = rank, 2
+			var w Workload
+			if name == "DNN" {
+				w = NewDNN(env, DNNConfig{ImageSize: 12, Channels: []int{8, 16}, BatchSize: 8, Batches: 2})
+			} else {
+				w = buildSmall(name, env)
+			}
+			compat, losses[rank] = w.DDPCompatible(), w.TrainEpoch()
+			env.Close()
+		}
+		if differ := losses[0] != losses[1]; differ != compat {
+			t.Errorf("%s: DDPCompatible() = %v, but ranks 0 and 1 of 2 trained to losses %v and %v", name, compat, losses[0], losses[1])
 		}
 	}
 }
@@ -221,7 +230,7 @@ func TestWorkloadsDeterministicPerSeed(t *testing.T) {
 func TestDNNBaselineTrains(t *testing.T) {
 	env, prof := testEnv(20)
 	m := NewDNN(env, DNNConfig{ImageSize: 12, Channels: []int{8, 16}, BatchSize: 8, Batches: 2})
-	if m.Name() != "DNN" || !m.DDPCompatible() || m.IterationsPerEpoch() != 2 {
+	if m.DDPCompatible() || m.IterationsPerEpoch() != 2 {
 		t.Fatal("DNN metadata wrong")
 	}
 	prof.Reset()

@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"strings"
 
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/graph"
@@ -100,8 +101,9 @@ func Partition(w Workload, env *Env, rank, world int, label func(g *graph.CSR, k
 	if rank < 0 || rank >= world {
 		return nil, fmt.Errorf("models: rank %d outside world %d", rank, world)
 	}
+	name := strings.TrimPrefix(fmt.Sprintf("%T", w), "*models.") // the model type the refusals name
 	if env.Pipeline.Depth > 0 {
-		return nil, fmt.Errorf("models: %s on a pipelined Env cannot be partitioned", w.Name())
+		return nil, fmt.Errorf("models: %s on a pipelined Env cannot be partitioned", name)
 	}
 	if label == nil {
 		label = graph.PartitionBFS
@@ -143,7 +145,7 @@ func Partition(w Workload, env *Env, rank, world int, label func(g *graph.CSR, k
 		}
 		p.partial, p.replicated, p.loss = nn.CollectParams(mods...), nn.CollectParams(reps...), PartLossReplicated
 	default:
-		return nil, fmt.Errorf("models: %s has no partitioned form", w.Name())
+		return nil, fmt.Errorf("models: %s has no partitioned form", name)
 	}
 	return p, nil
 }

@@ -22,15 +22,13 @@ import (
 // large Sort/IndexSelect shares in Figure 2, and why its per-batch sampler
 // is incompatible with DDP sharding (Figure 9's slowdown).
 type PSAGE struct {
-	env *Env
-	ds  *datasets.Bipartite
+	trainer
+	ds *datasets.Bipartite
 
 	sampler *graph.RandomWalkSampler
 	layer1  *sageLayer
 	layer2  *sageLayer
-	opt     nn.Optimizer
 
-	hidden    int
 	batchSize int
 	batches   int
 	epochSeed int64
@@ -54,10 +52,6 @@ func newSageLayer(env *Env, name string, in, out int) *sageLayer {
 		self:  nn.NewLinear(env.RNG, name+".self", in, out, true),
 		neigh: nn.NewLinear(env.RNG, name+".neigh", in, out, false),
 	}
-}
-
-func (l *sageLayer) params() []*autograd.Param {
-	return nn.CollectParams(l.self, l.neigh)
 }
 
 // PSAGEConfig holds PinSAGE hyperparameters.
@@ -100,26 +94,19 @@ func NewPSAGE(env *Env, ds *datasets.Bipartite, cfg PSAGEConfig) *PSAGE {
 	cfg.defaults()
 	f := ds.ItemFeatures.Dim(1)
 	m := &PSAGE{
-		env:       env,
+		trainer:   trainer{env: env},
 		ds:        ds,
 		sampler:   graph.NewRandomWalkSampler(ds.ItemUsers, ds.UserItems, cfg.NumWalks, cfg.WalkLength, cfg.TopK),
 		layer1:    newSageLayer(env, "psage.l1", f, cfg.Hidden),
 		layer2:    newSageLayer(env, "psage.l2", cfg.Hidden, cfg.Hidden),
-		hidden:    cfg.Hidden,
 		batchSize: cfg.BatchSize,
 		batches:   cfg.Batches,
 		epochSeed: env.RNG.Int63(),
 		serveRNG:  rand.New(rand.NewSource(0)),
 	}
-	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(m.layer1.self, m.layer1.neigh, m.layer2.self, m.layer2.neigh), cfg.LR)
 	return m
 }
-
-// Name implements Workload.
-func (m *PSAGE) Name() string { return "PSAGE" }
-
-// DatasetName implements Workload.
-func (m *PSAGE) DatasetName() string { return m.ds.Name }
 
 // DDPCompatible implements Workload: the DGL PinSAGE batch sampler does not
 // shard under DDP; data is replicated across devices (paper §V-E).
@@ -127,14 +114,6 @@ func (m *PSAGE) DDPCompatible() bool { return false }
 
 // IterationsPerEpoch implements Workload.
 func (m *PSAGE) IterationsPerEpoch() int { return m.batches }
-
-// Optimizer implements Workload.
-func (m *PSAGE) Optimizer() nn.Optimizer { return m.opt }
-
-// Params implements Workload.
-func (m *PSAGE) Params() []*autograd.Param {
-	return append(m.layer1.params(), m.layer2.params()...)
-}
 
 // psageBlock is a two-hop sampled neighborhood: the deduplicated node list
 // plus per-layer (srcPos, dstPos, weight) aggregation triples. Training
@@ -355,7 +334,7 @@ func (m *PSAGE) TrainEpoch() float64 {
 		negScore := t.SumCols(t.Mul(seedEmb, negEmb))
 		loss := t.MaxMargin(posScore, negScore, 0.5)
 
-		m.env.Step(t, loss, m.Params(), m.opt, 0)
+		m.env.Step(t, loss, m.opt, 0)
 		total += float64(loss.Value.At(0))
 	}
 	return total / float64(m.batches)

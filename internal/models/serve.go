@@ -30,8 +30,6 @@ type Servable interface {
 	ServeEmbed(ids []int32) *tensor.Tensor
 	// NumItems returns the number of servable item ids ([0, NumItems)).
 	NumItems() int
-	// EmbedDim returns the embedding width (columns of ServeEmbed rows).
-	EmbedDim() int
 	// MarkHostBoundary restarts the engine's per-op host-time attribution;
 	// the serving plane calls it when a replica picks up a batch, so time
 	// spent waiting for requests is not charged to the next kernel.
@@ -47,12 +45,6 @@ func serveSeed(modelSeed int64, id int32) int64 {
 
 // NumItems implements Servable: PSAGE serves item embeddings.
 func (m *PSAGE) NumItems() int { return m.ds.Items }
-
-// EmbedDim implements Servable.
-func (m *PSAGE) EmbedDim() int { return m.hidden }
-
-// MarkHostBoundary implements Servable.
-func (m *PSAGE) MarkHostBoundary() { m.env.E.MarkHostBoundary() }
 
 // sampleServeBlock samples the two-hop neighborhood of one item with an RNG
 // seeded only by (epochSeed, id) — the per-request analogue of sampleBlock
@@ -107,12 +99,6 @@ func (m *PSAGE) ServeEmbed(ids []int32) *tensor.Tensor {
 
 // NumItems implements Servable: ARGA serves node embeddings.
 func (a *ARGA) NumItems() int { return a.ds.Adj.Rows }
-
-// EmbedDim implements Servable.
-func (a *ARGA) EmbedDim() int { return a.embed }
-
-// MarkHostBoundary implements Servable.
-func (a *ARGA) MarkHostBoundary() { a.env.E.MarkHostBoundary() }
 
 // ServeEmbed implements Servable for ARGA: the full-graph GCN encoder runs
 // once per micro-batch (full-graph models have no per-request sampling) and

@@ -37,16 +37,17 @@ func TestServeEmbedBatchInvariant(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func(*testing.T, int64) Servable
+		dim   int // the embedding width of the config built
 	}{
-		{"PSAGE", func(t *testing.T, s int64) Servable { return servePSAGE(t, s) }},
-		{"ARGA", func(t *testing.T, s int64) Servable { return serveARGA(t, s) }},
+		{"PSAGE", func(t *testing.T, s int64) Servable { return servePSAGE(t, s) }, 16},
+		{"ARGA", func(t *testing.T, s int64) Servable { return serveARGA(t, s) }, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.build(t, 42)
 			ids := []int32{3, 17, 3, int32(m.NumItems() - 1)}
 			batched := m.ServeEmbed(ids)
-			if batched.Dim(0) != len(ids) || batched.Dim(1) != m.EmbedDim() {
-				t.Fatalf("batched shape %v, want [%d %d]", batched.Shape(), len(ids), m.EmbedDim())
+			if batched.Dim(0) != len(ids) || batched.Dim(1) != tc.dim {
+				t.Fatalf("batched shape %v, want [%d %d]", batched.Shape(), len(ids), tc.dim)
 			}
 			for i, id := range ids {
 				single := m.ServeEmbed([]int32{id})

@@ -14,15 +14,14 @@ import (
 // The (1,Kt) temporal convolutions over (batch, channels, sensors, time)
 // dominate its execution (Figure 2: ~60% Conv).
 type STGCN struct {
-	env *Env
-	ds  *datasets.Traffic
+	trainer
+	ds *datasets.Traffic
 
 	adj, adjT *graph.CSR
 
 	blocks []*stBlock
 	outT   *nn.Conv2D
 	outFC  *nn.Conv2D
-	opt    nn.Optimizer
 
 	window, horizon int
 	batchSize       int
@@ -77,7 +76,7 @@ func NewSTGCN(env *Env, ds *datasets.Traffic, cfg STGCNConfig) *STGCN {
 	cfg.defaults()
 	norm := ds.Adj.NormalizeGCN()
 	m := &STGCN{
-		env:       env,
+		trainer:   trainer{env: env},
 		ds:        ds,
 		adj:       norm,
 		adjT:      norm.Transpose(),
@@ -97,7 +96,11 @@ func NewSTGCN(env *Env, ds *datasets.Traffic, cfg STGCNConfig) *STGCN {
 	}
 	m.outT = nn.NewConv2D(env.RNG, "stgcn.outT", ch, ch, 1, remain)
 	m.outFC = nn.NewConv2D(env.RNG, "stgcn.outFC", ch, 1, 1, 1)
-	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
+	mods := []nn.Module{m.outT, m.outFC}
+	for _, b := range m.blocks {
+		mods = append(mods, b.t1, b.spat, b.t2, b.bn)
+	}
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR)
 
 	maxStart := ds.Series.Dim(0) - cfg.Window - cfg.Horizon
 	total := cfg.Batches * m.batchSize
@@ -139,29 +142,11 @@ func newSTBlock(env *Env, name string, cin, ch, kt int) *stBlock {
 	}
 }
 
-// Name implements Workload.
-func (m *STGCN) Name() string { return "STGCN" }
-
-// DatasetName implements Workload.
-func (m *STGCN) DatasetName() string { return m.ds.Name }
-
 // DDPCompatible implements Workload.
 func (m *STGCN) DDPCompatible() bool { return true }
 
 // IterationsPerEpoch implements Workload.
 func (m *STGCN) IterationsPerEpoch() int { return len(m.starts) / m.batchSize }
-
-// Optimizer implements Workload.
-func (m *STGCN) Optimizer() nn.Optimizer { return m.opt }
-
-// Params implements Workload.
-func (m *STGCN) Params() []*autograd.Param {
-	mods := []nn.Module{m.outT, m.outFC}
-	for _, b := range m.blocks {
-		mods = append(mods, b.t1, b.spat, b.t2, b.bn)
-	}
-	return nn.CollectParams(mods...)
-}
 
 // gatedTemporalConv applies a GLU temporal convolution: the conv produces
 // 2*ch channels consumed by a single fused GLU kernel, as F.glu lowers.
@@ -216,7 +201,7 @@ func (m *STGCN) TrainEpoch() float64 {
 		pred := t.Reshape(h, bsz, sensors)
 		loss := t.MSE(pred, y)
 
-		m.env.Step(t, loss, m.Params(), m.opt, 0)
+		m.env.Step(t, loss, m.opt, 0)
 		total += float64(loss.Value.At(0))
 	}
 	return total / float64(iters)

@@ -15,13 +15,12 @@ import (
 // launch-overhead-bound workload (low GFLOPS in Figure 4; no multi-GPU
 // scaling in Figure 9).
 type TLSTM struct {
-	env *Env
-	ds  *datasets.Sentiment
+	trainer
+	ds *datasets.Sentiment
 
 	embed *nn.Embedding
 	cell  *nn.ChildSumTreeLSTMCell
 	head  *nn.Linear
-	opt   nn.Optimizer
 
 	hidden      int
 	globalBatch int
@@ -54,7 +53,7 @@ func (c *TLSTMConfig) defaults() {
 func NewTLSTM(env *Env, ds *datasets.Sentiment, cfg TLSTMConfig) *TLSTM {
 	cfg.defaults()
 	m := &TLSTM{
-		env:         env,
+		trainer:     trainer{env: env},
 		ds:          ds,
 		embed:       nn.NewEmbedding(env.RNG, "tlstm.embed", ds.Vocab, cfg.EmbedDim),
 		cell:        nn.NewChildSumTreeLSTMCell(env.RNG, "tlstm.cell", cfg.EmbedDim, cfg.Hidden),
@@ -62,15 +61,9 @@ func NewTLSTM(env *Env, ds *datasets.Sentiment, cfg TLSTMConfig) *TLSTM {
 		hidden:      cfg.Hidden,
 		globalBatch: cfg.BatchSize,
 	}
-	m.opt = nn.NewAdam(env.E, m.Params(), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(m.embed, m.cell, m.head), cfg.LR)
 	return m
 }
-
-// Name implements Workload.
-func (m *TLSTM) Name() string { return "TLSTM" }
-
-// DatasetName implements Workload.
-func (m *TLSTM) DatasetName() string { return m.ds.Name }
 
 // DDPCompatible implements Workload.
 func (m *TLSTM) DDPCompatible() bool { return true }
@@ -78,14 +71,6 @@ func (m *TLSTM) DDPCompatible() bool { return true }
 // IterationsPerEpoch implements Workload.
 func (m *TLSTM) IterationsPerEpoch() int {
 	return (len(m.ds.Trees) + m.globalBatch - 1) / m.globalBatch
-}
-
-// Optimizer implements Workload.
-func (m *TLSTM) Optimizer() nn.Optimizer { return m.opt }
-
-// Params implements Workload.
-func (m *TLSTM) Params() []*autograd.Param {
-	return nn.CollectParams(m.embed, m.cell, m.head)
 }
 
 // batchedLevels merges a batch of trees into one node space (DGL graph
@@ -227,7 +212,7 @@ func (m *TLSTM) TrainEpoch() float64 {
 		start, end := m.env.Shard(it*m.globalBatch, min((it+1)*m.globalBatch, len(m.ds.Trees)))
 		t, logits, labels := m.forward(start, end)
 		loss := t.CrossEntropy(logits, labels)
-		m.env.Step(t, loss, m.Params(), m.opt, 5)
+		m.env.Step(t, loss, m.opt, 5)
 		total += float64(loss.Value.At(0))
 	}
 	return total / float64(iters)

@@ -21,7 +21,6 @@ package partitioned
 import (
 	"fmt"
 
-	"gnnmark/internal/autograd"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/exec"
 	"gnnmark/internal/fault"
@@ -226,7 +225,7 @@ func (wk *worker) Exchange(kind string, wireBytes uint64, payload any) []any {
 // partial gradients reduce across ranks in rank order (bitwise-identical
 // result everywhere), replicated gradients adopt rank 0's copy, and the
 // modeled ring allreduce lands on the halo stream.
-func (wk *worker) onGradients(_ []*autograd.Param, _ float64) {
+func (wk *worker) onGradients(float64) {
 	partial, replicated := wk.w.SyncPlan()
 	_, end := wk.closeComputeSpan("backward")
 

@@ -22,7 +22,7 @@ func (sc *Scenario) runServe(cfg core.RunConfig, out *Outcome) error {
 	}
 	sv, ok := out.trained.(models.Servable)
 	if !ok {
-		return fmt.Errorf("scenario: workload %s does not serve embeddings", out.trained.Name())
+		return fmt.Errorf("scenario: workload %s does not serve embeddings", sc.Workload.Key)
 	}
 	weights, err := core.Freeze(sv)
 	if err != nil {

@@ -39,7 +39,6 @@ import (
 type Model interface {
 	ServeEmbed(ids []int32) *tensor.Tensor
 	NumItems() int
-	EmbedDim() int
 	// MarkHostBoundary restarts the model engine's per-op host-time
 	// attribution (ops.Engine.MarkHostBoundary).
 	MarkHostBoundary()

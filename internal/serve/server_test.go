@@ -30,7 +30,6 @@ func (m *fakeModel) ServeEmbed(ids []int32) *tensor.Tensor {
 }
 
 func (m *fakeModel) NumItems() int     { return m.items }
-func (m *fakeModel) EmbedDim() int     { return m.dim }
 func (m *fakeModel) MarkHostBoundary() {}
 
 func fakeReplicas(n int, fixed, perReq float64) []*Replica {
