@@ -53,7 +53,7 @@ func runWorkload(o *options) {
 		// Attach a device recorder before any kernels launch so the merged
 		// timeline carries both planes; under DDP (many devices) only the
 		// host plane is written.
-		cfg.OnDevice = func(dev *gpu.Device) { o.rec = trace.Attach(dev, 0) }
+		cfg.OnDevice = func(dev *gpu.Device) { o.rec = trace.Attach(dev) }
 	}
 	r, err := core.Run(cfg)
 	fail(err)
@@ -164,7 +164,7 @@ func runServeBench(o *options) {
 // timeline, then writes it in the Chrome trace-event format.
 func runWithTrace(cfg core.RunConfig, path string) {
 	var rec *trace.Recorder
-	cfg.OnDevice = func(dev *gpu.Device) { rec = trace.Attach(dev, 0) }
+	cfg.OnDevice = func(dev *gpu.Device) { rec = trace.Attach(dev) }
 	rep, err := core.NewReplica(cfg, 0, 0, 1)
 	fail(err)
 	env := rep.Env

@@ -83,13 +83,14 @@ func (t *Tape) node(val *tensor.Tensor, needGrad bool, back func(dy *tensor.Tens
 	return v
 }
 
-// Node registers a custom operation result on the tape: val is the
-// forward output, back (optional) receives dLoss/dval during Backward.
-// This is the extension point for operations composed outside this
-// package — e.g. the partitioned-training collectives (halo exchange,
-// all-gather) whose backward pass must route gradients across workers.
-func (t *Tape) Node(val *tensor.Tensor, needGrad bool, back func(dy *tensor.Tensor)) *Var {
-	return t.node(val, needGrad, back)
+// Node registers a custom operation result that needs a gradient on the
+// tape: val is the forward output, back (optional) receives dLoss/dval
+// during Backward. This is the extension point for operations composed
+// outside this package — e.g. the partitioned-training collectives (halo
+// exchange, all-gather) whose backward pass must route gradients across
+// workers.
+func (t *Tape) Node(val *tensor.Tensor, back func(dy *tensor.Tensor)) *Var {
+	return t.node(val, true, back)
 }
 
 // Accum adds dy into v's gradient, allocating it on first touch. Custom

@@ -2,10 +2,15 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -532,6 +537,256 @@ func TestEveryExportHasACaller(t *testing.T) {
 	if len(keptExports) > 40 {
 		t.Errorf("keptExports holds %d names, want at most 40", len(keptExports))
 	}
+}
+
+// keptOptions are the exported fields of *Config/*Options structs under
+// internal/ that no non-test file sets, each with the reason it stays.
+// TestEveryOptionIsSet fails on an entry that is gone or has found a setter,
+// so the list only shrinks.
+var keptOptions = map[string]string{
+	"models.ARGAConfig.Hidden":          "fixture size: the models and serve tests build a small ARGA",
+	"models.ARGAConfig.Embed":           "fixture size: the models and serve tests build a small ARGA",
+	"models.DNNConfig.ImageSize":        "fixture size: the models tests build a small DNN",
+	"models.DNNConfig.Channels":         "fixture size: the models tests build a small DNN",
+	"models.DNNConfig.BatchSize":        "fixture size: the models tests build a small DNN",
+	"models.DNNConfig.Batches":          "fixture size: the models tests build a small DNN",
+	"models.GWConfig.Heads":             "fixture size: the models tests build a small GW",
+	"models.GWConfig.EncLayers":         "fixture size: the models tests build a small GW",
+	"models.PSAGEConfig.Hidden":         "fixture size: the models, serve and ddp tests build a small PSAGE",
+	"models.TLSTMConfig.EmbedDim":       "fixture size: the models and ddp tests build a small TLSTM",
+	"models.TLSTMConfig.Hidden":         "fixture size: the models and ddp tests build a small TLSTM",
+	"ddp.ClusterConfig.BucketCapBytes":  "the bucketing test splits the gradients into several buckets with it",
+	"ddp.ElasticOptions.CheckpointPath": "the durable checkpoint writer the crash tests drive",
+	"serve.LoadConfig.ZipfS":            "the cache-equivalence test raises the popularity skew with it",
+	"opbench.Config.Warmup":             "the opbench tests cut a run to one warm-up repetition",
+	"opbench.Config.TargetWork":         "the opbench tests cut a case to its smallest work",
+}
+
+// TestEveryOptionIsSet keeps constants from growing back as settings: every
+// exported field of an exported struct type named *Config or *Options
+// declared in a non-test file under internal/ must be written by some
+// non-test file of the module, or sit in keptOptions. A write is a
+// composite-literal key, an assignment, an increment or taking the field's
+// address (a flag binding, &o.cfg.X). Writes inside the type's own defaults()
+// method and inside an if statement whose condition reads the same field (the
+// `if c.F == 0 { c.F = K }` idiom) are defaults, not settings. Fields are
+// matched by their owning type through go/types, so two configs' fields of
+// one name are told apart.
+func TestEveryOptionIsSet(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	m := &moduleChecker{
+		fset: fset,
+		dirs: map[string]string{},
+		done: map[string]*types.Package{},
+		std:  importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, path)
+		if rel == "." {
+			m.dirs["gnnmark"] = path
+		} else {
+			m.dirs["gnnmark/"+filepath.ToSlash(rel)] = path
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 0, len(m.dirs))
+	for path := range m.dirs {
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	for _, path := range paths {
+		var noGo *build.NoGoError
+		if _, err := m.Import(path); err != nil && !errors.As(err, &noGo) {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+
+	// The options: exported fields of the exported *Config/*Options structs
+	// under internal/, keyed pkg.Type.Field.
+	owner, key := map[*types.Var]*types.TypeName{}, map[*types.Var]string{}
+	for _, path := range paths {
+		pkg := m.done[path]
+		if pkg == nil || !strings.HasPrefix(path, "gnnmark/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					owner[f], key[f] = tn, pkg.Name()+"."+name+"."+f.Name()
+				}
+			}
+		}
+	}
+
+	field := func(e ast.Expr) *types.Var {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := m.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return s.Obj().(*types.Var)
+			}
+		}
+		return nil
+	}
+	set := map[*types.Var]bool{}
+	var walk func(n ast.Node, guarded map[*types.Var]bool, defaulting *types.TypeName)
+	walk = func(n ast.Node, guarded map[*types.Var]bool, defaulting *types.TypeName) {
+		write := func(v *types.Var) {
+			if v != nil && !guarded[v] && owner[v] != defaulting {
+				set[v] = true
+			}
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				inner := map[*types.Var]bool{}
+				maps.Copy(inner, guarded)
+				ast.Inspect(n.Cond, func(c ast.Node) bool {
+					if e, ok := c.(ast.Expr); ok {
+						if v := field(e); v != nil {
+							inner[v] = true
+						}
+					}
+					return true
+				})
+				for _, part := range []ast.Node{n.Init, n.Cond} {
+					if part != nil {
+						walk(part, guarded, defaulting)
+					}
+				}
+				walk(n.Body, inner, defaulting)
+				if n.Else != nil {
+					walk(n.Else, guarded, defaulting)
+				}
+				return false
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := m.info.Uses[id].(*types.Var); ok {
+								write(v)
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(field(lhs))
+				}
+			case *ast.IncDecStmt:
+				write(field(n.X))
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(field(n.X))
+				}
+			}
+			return true
+		})
+	}
+	for _, file := range m.files {
+		for _, decl := range file.Decls {
+			var defaulting *types.TypeName
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "defaults" {
+				recv := m.info.Defs[fn.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+				if p, ok := recv.(*types.Pointer); ok {
+					recv = p.Elem()
+				}
+				if named, ok := recv.(*types.Named); ok {
+					defaulting = named.Obj()
+				}
+			}
+			walk(decl, nil, defaulting)
+		}
+	}
+
+	unset := map[string]bool{}
+	var errs []string
+	for v, k := range key {
+		if set[v] {
+			continue
+		}
+		unset[k] = true
+		if keptOptions[k] == "" {
+			errs = append(errs, fmt.Sprintf("%s: %s is set by no non-test file: make it a constant at its use, or add it to keptOptions with the reason it stays",
+				fset.Position(v.Pos()), k))
+		}
+	}
+	for k := range keptOptions {
+		if !unset[k] {
+			errs = append(errs, fmt.Sprintf("keptOptions lists %s, which is gone or has a setter now: drop the entry", k))
+		}
+	}
+	slices.Sort(errs)
+	for _, e := range errs {
+		t.Error(e)
+	}
+	if len(keptOptions) > 16 {
+		t.Errorf("keptOptions holds %d fields, want at most 16", len(keptOptions))
+	}
+	t.Logf("%d option fields, %d set by no non-test file", len(key), len(unset))
+}
+
+// moduleChecker type-checks the module's packages from their non-test files
+// under the default build constraints, sharing one types.Info, and imports
+// the standard library from source. A directory with no such file is a
+// *build.NoGoError.
+type moduleChecker struct {
+	fset  *token.FileSet
+	dirs  map[string]string // import path -> directory
+	done  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+	files []*ast.File
+}
+
+// Import implements types.Importer.
+func (m *moduleChecker) Import(path string) (*types.Package, error) {
+	if pkg := m.done[path]; pkg != nil {
+		return pkg, nil
+	}
+	dir, ok := m.dirs[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		file, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, file)
+	}
+	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.done[path], m.files = pkg, append(m.files, files...)
+	return pkg, nil
 }
 
 // TestDesignInventoryNamesEveryPackage holds DESIGN.md §2 to the tree: every

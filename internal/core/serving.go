@@ -64,10 +64,9 @@ func NewServingPool(cfg RunConfig, n, slots int, weights *serve.Weights) (*Servi
 	return p, nil
 }
 
-// Close stops the serving goroutines and the replicas' loader workers.
+// Close stops the replicas' loader workers.
 func (p *ServingPool) Close() {
-	for r, s := range p.Serving {
-		s.Close()
-		p.Replicas[r].Env.Close()
+	for _, rep := range p.Replicas {
+		rep.Env.Close()
 	}
 }

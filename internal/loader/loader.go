@@ -29,11 +29,6 @@ var (
 	obsStaged    = obs.GetCounter("loader.staged_bytes_total")
 )
 
-// Unbounded makes a loader produce batches forever (training loops that
-// run a fixed iteration count per epoch across an unknown number of
-// epochs); Close stops the workers.
-const Unbounded = -1
-
 // Config sizes the pipeline.
 type Config struct {
 	// Depth is the number of batches staged ahead of the consumer. 0 (or
@@ -125,30 +120,30 @@ func (b *Batch) recycle() {
 	b.pooled = nil
 }
 
-// Loader hands batches to a training loop in index order, prefetched by
-// background workers when Depth > 0.
+// Loader hands the endless batch sequence 0, 1, 2, ... to a training loop
+// in index order (the loop runs a fixed iteration count per epoch across
+// any number of epochs), prefetched by background workers when Depth > 0.
 type Loader struct {
 	cfg     Config
-	n       int // total batches, or Unbounded
 	produce Producer
 
-	chans []chan *Batch
-	quit  chan struct{}
-	wg    sync.WaitGroup
-	once  sync.Once
+	chans  []chan *Batch
+	quit   chan struct{}
+	wg     sync.WaitGroup
+	once   sync.Once
+	closed bool
 
 	next int
 	last *Batch
 }
 
-// New builds a loader over n batches (Unbounded for an endless sequence).
-// With cfg.Depth > 0 workers start prefetching immediately; the caller
-// must Close an unbounded prefetching loader to stop them.
-func New(cfg Config, n int, produce Producer) *Loader {
+// New builds a loader. With cfg.Depth > 0 workers start prefetching
+// immediately; the caller must Close the loader to stop them.
+func New(cfg Config, produce Producer) *Loader {
 	if produce == nil {
 		panic("loader: nil producer")
 	}
-	l := &Loader{cfg: cfg, n: n, produce: produce, quit: make(chan struct{})}
+	l := &Loader{cfg: cfg, produce: produce, quit: make(chan struct{})}
 	if cfg.Depth <= 0 {
 		return l // inline mode: no goroutines
 	}
@@ -169,11 +164,11 @@ func New(cfg Config, n int, produce Producer) *Loader {
 }
 
 // worker produces the indices it owns (w, w+W, w+2W, ...) into its own
-// channel until the sequence ends or Close fires.
+// channel until Close fires.
 func (l *Loader) worker(w int) {
 	defer l.wg.Done()
 	defer close(l.chans[w])
-	for i := w; l.n == Unbounded || i < l.n; i += len(l.chans) {
+	for i := w; ; i += len(l.chans) {
 		select {
 		case <-l.quit:
 			return
@@ -194,14 +189,13 @@ func (l *Loader) worker(w int) {
 // when it has not been staged yet. The previously returned batch's pooled
 // buffers are recycled here — the training loop has consumed its tape (and
 // with it every reference into the staged data) by the time it asks for
-// the next batch. Returns nil past the end of a bounded sequence or after
-// Close.
+// the next batch. Returns nil after Close.
 func (l *Loader) Next() *Batch {
 	if l.last != nil {
 		l.last.recycle()
 		l.last = nil
 	}
-	if l.n != Unbounded && l.next >= l.n {
+	if l.closed {
 		return nil
 	}
 	var b *Batch
@@ -209,15 +203,8 @@ func (l *Loader) Next() *Batch {
 		b = newBatch(l.next)
 		l.produce(l.next, b)
 	} else {
-		if l.chans == nil {
-			return nil // closed
-		}
 		start := obs.Nanos()
-		var ok bool
-		b, ok = <-l.chans[l.next%len(l.chans)]
-		if !ok {
-			return nil
-		}
+		b = <-l.chans[l.next%len(l.chans)]
 		obsWaitNanos.Add(obs.Nanos() - start)
 		if b.Index != l.next {
 			panic(fmt.Sprintf("loader: batch %d delivered out of order (want %d)", b.Index, l.next))
@@ -248,7 +235,6 @@ func (l *Loader) Close() {
 			l.last.recycle()
 			l.last = nil
 		}
-		l.n = 0       // subsequent Next returns nil on the inline path
-		l.chans = nil // and on the prefetching path
+		l.closed = true
 	})
 }

@@ -33,10 +33,14 @@ func drain(l *Loader, n int) []string {
 // worker count or prefetch depth.
 func TestDeterministicAcrossConfigs(t *testing.T) {
 	const n = 64
-	base := New(Config{}, n, produceSquares)
+	base := New(Config{}, produceSquares)
 	want := drain(base, n)
 	if len(want) != n {
 		t.Fatalf("inline loader yielded %d batches", len(want))
+	}
+	base.Close()
+	if base.Next() != nil {
+		t.Fatal("inline loader: Next after Close != nil")
 	}
 	for _, cfg := range []Config{
 		{Depth: 1},
@@ -45,7 +49,7 @@ func TestDeterministicAcrossConfigs(t *testing.T) {
 		{Depth: 8, Workers: 8},
 		{Depth: 16},
 	} {
-		l := New(cfg, n, produceSquares)
+		l := New(cfg, produceSquares)
 		got := drain(l, n)
 		l.Close()
 		for i := range want {
@@ -54,15 +58,14 @@ func TestDeterministicAcrossConfigs(t *testing.T) {
 			}
 		}
 		if l.Next() != nil {
-			t.Fatalf("cfg %+v: Next past end != nil", cfg)
+			t.Fatalf("cfg %+v: Next after Close != nil", cfg)
 		}
 	}
 }
 
-// A bounded loader ends with nil; an unbounded one keeps producing until
-// Close.
+// A loader keeps producing until Close, and returns nil after it.
 func TestUnboundedProducesUntilClose(t *testing.T) {
-	l := New(Config{Depth: 4}, Unbounded, produceSquares)
+	l := New(Config{Depth: 4}, produceSquares)
 	for i := 0; i < 100; i++ {
 		b := l.Next()
 		if b == nil || b.Index != i {
@@ -80,29 +83,23 @@ func TestUnboundedProducesUntilClose(t *testing.T) {
 // same backing arrays back, and the content is still right (zero-filled
 // on reuse).
 func TestStagingRecyclesThroughPool(t *testing.T) {
-	l := New(Config{Depth: 2}, 32, produceSquares)
+	l := New(Config{Depth: 2}, produceSquares)
 	defer l.Close()
-	var prev *Batch
-	for {
+	for i := 0; i < 32; i++ {
 		b := l.Next()
-		if b == nil {
-			break
-		}
 		for j := 0; j < 4; j++ {
 			if got := b.Tensor("x").At(j); got != float32(b.Index*b.Index+j) {
 				t.Fatalf("batch %d elem %d = %v", b.Index, j, got)
 			}
 		}
-		prev = b
 	}
-	_ = prev
 }
 
 // Close mid-stream drains staged batches without deadlock (workers may be
 // parked on a full channel).
 func TestCloseMidStream(t *testing.T) {
 	for _, cfg := range []Config{{Depth: 1}, {Depth: 8, Workers: 2}, {Depth: 16, Workers: 8}} {
-		l := New(cfg, Unbounded, produceSquares)
+		l := New(cfg, produceSquares)
 		for i := 0; i < 3; i++ {
 			if b := l.Next(); b == nil {
 				t.Fatalf("cfg %+v: early nil", cfg)
@@ -115,15 +112,12 @@ func TestCloseMidStream(t *testing.T) {
 // Borrowed tensors are not recycled.
 func TestPutBorrowsWithoutRecycle(t *testing.T) {
 	static := tensor.FromSlice([]float32{1, 2, 3}, 3)
-	l := New(Config{Depth: 2}, 8, func(i int, b *Batch) {
+	l := New(Config{Depth: 2}, func(i int, b *Batch) {
 		b.Put("static", static)
 		b.StageFrom("copy", static)
 	})
-	for {
+	for i := 0; i < 8; i++ {
 		b := l.Next()
-		if b == nil {
-			break
-		}
 		if b.Tensor("static") != static {
 			t.Fatal("borrowed tensor replaced")
 		}
@@ -138,7 +132,7 @@ func TestPutBorrowsWithoutRecycle(t *testing.T) {
 }
 
 func TestMissingNamePanics(t *testing.T) {
-	l := New(Config{}, 1, func(i int, b *Batch) {})
+	l := New(Config{}, func(i int, b *Batch) {})
 	b := l.Next()
 	defer func() {
 		if recover() == nil {

@@ -42,20 +42,20 @@ type ARGA struct {
 type ARGAConfig struct {
 	Hidden int // encoder hidden width (default 32)
 	Embed  int // embedding width (default 16)
-	LR     float32
+}
+
+func (c *ARGAConfig) defaults() {
+	if c.Hidden == 0 {
+		c.Hidden = 32
+	}
+	if c.Embed == 0 {
+		c.Embed = 16
+	}
 }
 
 // NewARGA builds the workload on a citation dataset.
 func NewARGA(env *Env, ds *datasets.Citation, cfg ARGAConfig) *ARGA {
-	if cfg.Hidden == 0 {
-		cfg.Hidden = 32
-	}
-	if cfg.Embed == 0 {
-		cfg.Embed = 16
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 0.005
-	}
+	cfg.defaults()
 	g := newWhole(ds.Adj)
 	a := &ARGA{
 		trainer:  trainer{env: env},
@@ -70,7 +70,7 @@ func NewARGA(env *Env, ds *datasets.Citation, cfg ARGAConfig) *ARGA {
 		feats:    ds.Features,
 		edgeKeys: coalesceKeys(g.adj),
 	}
-	a.opt = nn.NewAdam(env.E, append(nn.CollectParams(a.enc1, a.enc2, a.disc1, a.disc2), a.alpha1), cfg.LR)
+	a.opt = nn.NewAdam(env.E, append(nn.CollectParams(a.enc1, a.enc2, a.disc1, a.disc2), a.alpha1), 0.005)
 
 	// Dense reconstruction target (n is small for citation graphs).
 	n := g.adj.Rows

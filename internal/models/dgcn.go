@@ -43,9 +43,8 @@ type dgcnBatch struct {
 // DGCNConfig holds DeepGCN hyperparameters.
 type DGCNConfig struct {
 	Layers    int // residual GCN blocks (default 14, the paper's deep regime)
-	Hidden    int // hidden width (default 48)
+	Hidden    int // hidden width (default 64)
 	BatchSize int // molecules per batch (default 32)
-	LR        float32
 }
 
 func (c *DGCNConfig) defaults() {
@@ -57,9 +56,6 @@ func (c *DGCNConfig) defaults() {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
-	}
-	if c.LR == 0 {
-		c.LR = 0.003
 	}
 }
 
@@ -79,7 +75,7 @@ func NewDGCN(env *Env, ds *datasets.MoleculeSet, cfg DGCNConfig) *DGCN {
 		m.norms = append(m.norms, nn.NewBatchNorm1D("dgcn.bn", cfg.Hidden))
 		mods = append(mods, m.convs[l], m.norms[l])
 	}
-	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), 0.003)
 	m.prepareBatches()
 
 	// Batch gi re-uploads pre-materialized batch gi % len: the producer

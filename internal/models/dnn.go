@@ -27,18 +27,15 @@ type DNN struct {
 	channels  []int
 	batch     int
 	batches   int
-	classes   int
 	flatWidth int
 }
 
 // DNNConfig holds the baseline CNN's hyperparameters.
 type DNNConfig struct {
-	ImageSize int   // square input edge (default 24)
-	Channels  []int // conv widths (default {16, 32, 32})
-	Classes   int   // output classes (default 10)
+	ImageSize int   // square input edge (default 32)
+	Channels  []int // conv widths (default {48, 96, 128})
 	BatchSize int   // images per batch (default 16)
 	Batches   int   // batches per epoch (default 4)
-	LR        float32
 }
 
 func (c *DNNConfig) defaults() {
@@ -48,17 +45,11 @@ func (c *DNNConfig) defaults() {
 	if len(c.Channels) == 0 {
 		c.Channels = []int{48, 96, 128}
 	}
-	if c.Classes == 0 {
-		c.Classes = 10
-	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
 	}
 	if c.Batches == 0 {
 		c.Batches = 4
-	}
-	if c.LR == 0 {
-		c.LR = 0.003
 	}
 }
 
@@ -72,7 +63,6 @@ func NewDNN(env *Env, cfg DNNConfig) *DNN {
 		channels: cfg.Channels,
 		batch:    cfg.BatchSize,
 		batches:  cfg.Batches,
-		classes:  cfg.Classes,
 	}
 	in := 3
 	for i, ch := range cfg.Channels {
@@ -94,12 +84,12 @@ func NewDNN(env *Env, cfg DNNConfig) *DNN {
 	}
 	m.flatWidth = in * size * size
 	m.fc1 = nn.NewLinear(env.RNG, "dnn.fc1", m.flatWidth, 64, true)
-	m.fc2 = nn.NewLinear(env.RNG, "dnn.fc2", 64, cfg.Classes, true)
+	m.fc2 = nn.NewLinear(env.RNG, "dnn.fc2", 64, 10, true) // 10 output classes
 	mods := []nn.Module{m.fc1, m.fc2}
 	for i := range m.convs {
 		mods = append(mods, m.convs[i], m.norms[i])
 	}
-	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), 0.003)
 
 	images := cfg.BatchSize * cfg.Batches // the synthetic dataset is one epoch
 	m.images = tensor.Randn(env.RNG, 0.5, images, 3, cfg.ImageSize, cfg.ImageSize)

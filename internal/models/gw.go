@@ -30,14 +30,11 @@ type GW struct {
 
 // GWConfig holds GraphWriter hyperparameters.
 type GWConfig struct {
-	Dim       int // model width (default 64)
+	Dim       int // model width (default 192)
 	Heads     int // attention heads (default 4)
 	EncLayers int // encoder blocks (default 2)
-	BatchSize int // examples per iteration (default 4)
+	BatchSize int // examples per iteration (default 8)
 	MaxDecode int // decoded tokens per example (default 24)
-	// WarmupSteps configures the transformer LR warmup (default 16).
-	WarmupSteps int
-	LR          float32
 }
 
 func (c *GWConfig) defaults() {
@@ -55,12 +52,6 @@ func (c *GWConfig) defaults() {
 	}
 	if c.MaxDecode == 0 {
 		c.MaxDecode = 24
-	}
-	if c.WarmupSteps == 0 {
-		c.WarmupSteps = 16
-	}
-	if c.LR == 0 {
-		c.LR = 0.004
 	}
 }
 
@@ -85,8 +76,8 @@ func NewGW(env *Env, ds *datasets.KGText, cfg GWConfig) *GW {
 	}
 	m.cfgMaxDecode = cfg.MaxDecode
 	// GraphWriter trains with the transformer warmup schedule.
-	m.opt = nn.NewScheduledAdam(nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR),
-		nn.Warmup{WarmupSteps: cfg.WarmupSteps})
+	m.opt = nn.NewScheduledAdam(nn.NewAdam(env.E, nn.CollectParams(mods...), 0.004),
+		nn.Warmup{WarmupSteps: 16})
 	return m
 }
 

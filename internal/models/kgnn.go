@@ -55,11 +55,9 @@ type kgnnBatch struct {
 
 // KGNNConfig holds k-GNN hyperparameters.
 type KGNNConfig struct {
-	K         int // 2 (KGNNL) or 3 (KGNNH)
+	K         int // tuple order: 2 (KGNNL) or 3 (KGNNH) (default 2)
 	Hidden    int // hidden width (default 32)
-	Layers    int // layers per level (default 2)
 	BatchSize int // graphs per batch (default 32)
-	LR        float32
 }
 
 func (c *KGNNConfig) defaults() {
@@ -69,14 +67,8 @@ func (c *KGNNConfig) defaults() {
 	if c.Hidden == 0 {
 		c.Hidden = 32
 	}
-	if c.Layers == 0 {
-		c.Layers = 2
-	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
-	}
-	if c.LR == 0 {
-		c.LR = 0.005
 	}
 }
 
@@ -95,7 +87,7 @@ func NewKGNN(env *Env, ds *datasets.MoleculeSet, cfg KGNNConfig) *KGNN {
 		hidden:      cfg.Hidden,
 		globalBatch: cfg.BatchSize,
 	}
-	for l := 0; l < cfg.Layers; l++ {
+	for l := 0; l < 2; l++ { // two layers per level
 		m.conv1 = append(m.conv1, nn.NewLinear(env.RNG, "kgnn.c1", cfg.Hidden, cfg.Hidden, false))
 		m.conv2 = append(m.conv2, nn.NewLinear(env.RNG, "kgnn.c2", cfg.Hidden, cfg.Hidden, false))
 		if cfg.K == 3 {
@@ -106,7 +98,7 @@ func NewKGNN(env *Env, ds *datasets.MoleculeSet, cfg KGNNConfig) *KGNN {
 	for _, c := range slices.Concat(m.conv1, m.conv2, m.conv3) {
 		mods = append(mods, c)
 	}
-	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), 0.005)
 	m.prepareBatches()
 
 	// Batch gi re-uploads pre-materialized batch gi % len: a staged copy of

@@ -203,12 +203,12 @@ func (env *Env) SimClock() float64 {
 	return env.E.SimClock()
 }
 
-// NewLoader builds an unbounded input loader with this Env's pipeline
-// configuration and registers it for Close. Workloads call it at
-// construction time; with Pipeline.Depth 0 the loader materializes batches
-// inline and spawns no goroutines.
+// NewLoader builds an input loader with this Env's pipeline configuration
+// and registers it for Close. Workloads call it at construction time; with
+// Pipeline.Depth 0 the loader materializes batches inline and spawns no
+// goroutines.
 func (env *Env) NewLoader(produce loader.Producer) *loader.Loader {
-	l := loader.New(loader.Config{Depth: env.Pipeline.Depth, Workers: env.Pipeline.Workers}, loader.Unbounded, produce)
+	l := loader.New(loader.Config{Depth: env.Pipeline.Depth, Workers: env.Pipeline.Workers}, produce)
 	env.loaders = append(env.loaders, l)
 	return l
 }

@@ -247,7 +247,7 @@ func (pc *partComms) spmm(t *autograd.Tape, op string, layer int, x *autograd.Va
 			bwdBytes += uint64(len(other.In[pc.rank].Src)) * uint64(dim) * 4
 		}
 	}
-	halo := t.Node(ext, true, func(dy *tensor.Tensor) {
+	halo := t.Node(ext, func(dy *tensor.Tensor) {
 		// Reverse exchange: every rank publishes its extended-row gradient;
 		// each rank folds the ghost slices peers pulled from it into its
 		// owned gradient, on top of the pass-through owned block.
@@ -285,7 +285,7 @@ func (pc *partComms) allRows(t *autograd.Tape, op string, x *autograd.Var) *auto
 	dim := x.Value.Dim(1)
 	remote := uint64(pc.plan.N-len(lp.Owned)) * uint64(dim) * 4
 	full := pc.assembleFull(kind, remote, x.Value)
-	return t.Node(full, true, func(dy *tensor.Tensor) {
+	return t.Node(full, func(dy *tensor.Tensor) {
 		grads := pc.c.Exchange(kind+".bwd", remote, dy)
 		dx := tensor.NewPooled(len(lp.Owned), dim)
 		// Sum every rank's full dZ in rank order, keeping only owned rows:
@@ -373,7 +373,7 @@ func (pc *partComms) meanPool(t *autograd.Tape, op string, h *autograd.Var, grap
 			row[j] *= inv
 		}
 	}
-	return t.Node(pooled, true, func(dy *tensor.Tensor) {
+	return t.Node(pooled, func(dy *tensor.Tensor) {
 		// dy is replicated (the head path runs identically on every
 		// rank): each owned node gathers its graph's gradient locally.
 		dx := tensor.NewPooled(len(lp.Owned), dim)
@@ -424,7 +424,7 @@ func (pc *partComms) batchNorm(t *autograd.Tape, op string, layer int, bn *nn.Ba
 	xhat := autograd.Standardize(x.Value, mean, variance, eps)
 	rows := len(lp.Owned)
 
-	return t.Node(out, true, func(dy *tensor.Tensor) {
+	return t.Node(out, func(dy *tensor.Tensor) {
 		grads := pc.c.Exchange(kind+".bwd", statsBytes, bnPair{dy: dy, xhat: xhat})
 		// Local backward kernel for timing realism; values discarded.
 		e.BatchNormBackward(xhat, dy, variance, gamma.Value, eps)

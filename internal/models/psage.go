@@ -56,13 +56,10 @@ func newSageLayer(env *Env, name string, in, out int) *sageLayer {
 
 // PSAGEConfig holds PinSAGE hyperparameters.
 type PSAGEConfig struct {
-	Hidden     int // embedding width (default 32)
-	BatchSize  int // seed items per batch (default 32)
-	Batches    int // batches per epoch (default 10)
-	NumWalks   int // random walks per seed (default 16)
-	WalkLength int // item-hops per walk (default 2)
-	TopK       int // neighbors kept per seed (default 5)
-	LR         float32
+	Hidden    int // embedding width (default 32)
+	BatchSize int // seed items per batch (default 32)
+	Batches   int // batches per epoch (default 10)
+	NumWalks  int // random walks per seed (default 48)
 }
 
 func (c *PSAGEConfig) defaults() {
@@ -78,15 +75,6 @@ func (c *PSAGEConfig) defaults() {
 	if c.NumWalks == 0 {
 		c.NumWalks = 48
 	}
-	if c.WalkLength == 0 {
-		c.WalkLength = 2
-	}
-	if c.TopK == 0 {
-		c.TopK = 5
-	}
-	if c.LR == 0 {
-		c.LR = 0.003
-	}
 }
 
 // NewPSAGE builds the workload on a bipartite dataset (MVL or NWP).
@@ -96,7 +84,7 @@ func NewPSAGE(env *Env, ds *datasets.Bipartite, cfg PSAGEConfig) *PSAGE {
 	m := &PSAGE{
 		trainer:   trainer{env: env},
 		ds:        ds,
-		sampler:   graph.NewRandomWalkSampler(ds.ItemUsers, ds.UserItems, cfg.NumWalks, cfg.WalkLength, cfg.TopK),
+		sampler:   graph.NewRandomWalkSampler(ds.ItemUsers, ds.UserItems, cfg.NumWalks, 2, 5), // 2 item-hops, top 5 kept
 		layer1:    newSageLayer(env, "psage.l1", f, cfg.Hidden),
 		layer2:    newSageLayer(env, "psage.l2", cfg.Hidden, cfg.Hidden),
 		batchSize: cfg.BatchSize,
@@ -104,7 +92,7 @@ func NewPSAGE(env *Env, ds *datasets.Bipartite, cfg PSAGEConfig) *PSAGE {
 		epochSeed: env.RNG.Int63(),
 		serveRNG:  rand.New(rand.NewSource(0)),
 	}
-	m.opt = nn.NewAdam(env.E, nn.CollectParams(m.layer1.self, m.layer1.neigh, m.layer2.self, m.layer2.neigh), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(m.layer1.self, m.layer1.neigh, m.layer2.self, m.layer2.neigh), 0.003)
 	return m
 }
 

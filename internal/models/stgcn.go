@@ -47,7 +47,6 @@ type STGCNConfig struct {
 	Channels  int // block channel width (default 24)
 	BatchSize int // windows per batch (default 8)
 	Batches   int // batches per epoch (default 8)
-	LR        float32
 }
 
 func (c *STGCNConfig) defaults() {
@@ -65,9 +64,6 @@ func (c *STGCNConfig) defaults() {
 	}
 	if c.Batches == 0 {
 		c.Batches = 8
-	}
-	if c.LR == 0 {
-		c.LR = 0.002
 	}
 }
 
@@ -100,7 +96,7 @@ func NewSTGCN(env *Env, ds *datasets.Traffic, cfg STGCNConfig) *STGCN {
 	for _, b := range m.blocks {
 		mods = append(mods, b.t1, b.spat, b.t2, b.bn)
 	}
-	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(mods...), 0.002)
 
 	maxStart := ds.Series.Dim(0) - cfg.Window - cfg.Horizon
 	total := cfg.Batches * m.batchSize

@@ -31,7 +31,6 @@ type TLSTMConfig struct {
 	EmbedDim  int // token embedding width (default 24)
 	Hidden    int // LSTM hidden width (default 24)
 	BatchSize int // trees per batch (default 16)
-	LR        float32
 }
 
 func (c *TLSTMConfig) defaults() {
@@ -43,9 +42,6 @@ func (c *TLSTMConfig) defaults() {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
-	}
-	if c.LR == 0 {
-		c.LR = 0.01
 	}
 }
 
@@ -61,7 +57,7 @@ func NewTLSTM(env *Env, ds *datasets.Sentiment, cfg TLSTMConfig) *TLSTM {
 		hidden:      cfg.Hidden,
 		globalBatch: cfg.BatchSize,
 	}
-	m.opt = nn.NewAdam(env.E, nn.CollectParams(m.embed, m.cell, m.head), cfg.LR)
+	m.opt = nn.NewAdam(env.E, nn.CollectParams(m.embed, m.cell, m.head), 0.01)
 	return m
 }
 

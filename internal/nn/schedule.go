@@ -2,13 +2,6 @@ package nn
 
 import "math"
 
-// LRSchedule computes a learning-rate multiplier per optimizer step.
-// Schedules compose with any Optimizer whose LR field they drive.
-type LRSchedule interface {
-	// Factor returns the multiplier for 1-based step number.
-	Factor(step int) float64
-}
-
 // Warmup ramps linearly from 0 to 1 over WarmupSteps, then decays with the
 // inverse square root of the step: the transformer schedule GraphWriter
 // trains with.
@@ -16,7 +9,7 @@ type Warmup struct {
 	WarmupSteps int
 }
 
-// Factor implements LRSchedule.
+// Factor returns the learning-rate multiplier for 1-based step number.
 func (w Warmup) Factor(step int) float64 {
 	ws := w.WarmupSteps
 	if ws <= 0 {
@@ -28,16 +21,16 @@ func (w Warmup) Factor(step int) float64 {
 	return math.Sqrt(float64(ws)) / math.Sqrt(float64(step))
 }
 
-// ScheduledAdam wraps Adam with a learning-rate schedule.
+// ScheduledAdam wraps Adam with a warmup learning-rate schedule.
 type ScheduledAdam struct {
 	*Adam
-	Schedule LRSchedule
+	Schedule Warmup
 	baseLR   float32
 	step     int
 }
 
 // NewScheduledAdam builds an Adam optimizer whose LR follows schedule.
-func NewScheduledAdam(inner *Adam, schedule LRSchedule) *ScheduledAdam {
+func NewScheduledAdam(inner *Adam, schedule Warmup) *ScheduledAdam {
 	return &ScheduledAdam{Adam: inner, Schedule: schedule, baseLR: inner.LR}
 }
 

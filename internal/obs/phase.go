@@ -25,31 +25,10 @@ func PhaseCounter(phase string) *Counter {
 	return GetCounter("phase." + phase + "_nanos")
 }
 
-// PhaseCapture is a point-in-time reading of the five phase counters plus
-// the wall clock; two captures bracket an epoch.
-type PhaseCapture struct {
-	WallNanos int64
-	DataLoad  int64
-	Forward   int64
-	Backward  int64
-	Optimizer int64
-	Allreduce int64
-}
-
-// CapturePhases reads the phase counters and the wall clock.
-func CapturePhases() PhaseCapture {
-	return PhaseCapture{
-		WallNanos: Nanos(),
-		DataLoad:  PhaseCounter(PhaseDataLoad).Value(),
-		Forward:   PhaseCounter(PhaseForward).Value(),
-		Backward:  PhaseCounter(PhaseBackward).Value(),
-		Optimizer: PhaseCounter(PhaseOptimizer).Value(),
-		Allreduce: PhaseCounter(PhaseAllreduce).Value(),
-	}
-}
-
 // PhaseBreakdown is the host wall-clock split of one epoch (or any
-// bracketed interval): how much of WallNanos each phase accounts for.
+// bracketed interval): how much of WallNanos each phase accounts for. As
+// CapturePhases reads it, it is a point-in-time reading instead: the wall
+// clock and the cumulative phase counters; two readings bracket an epoch.
 type PhaseBreakdown struct {
 	WallNanos int64
 	DataLoad  int64
@@ -59,16 +38,29 @@ type PhaseBreakdown struct {
 	Allreduce int64
 }
 
-// Delta returns the breakdown of the interval between capture c and the
-// later capture end.
-func (c PhaseCapture) Delta(end PhaseCapture) PhaseBreakdown {
+// CapturePhases reads the phase counters and the wall clock.
+func CapturePhases() PhaseBreakdown {
 	return PhaseBreakdown{
-		WallNanos: end.WallNanos - c.WallNanos,
-		DataLoad:  end.DataLoad - c.DataLoad,
-		Forward:   end.Forward - c.Forward,
-		Backward:  end.Backward - c.Backward,
-		Optimizer: end.Optimizer - c.Optimizer,
-		Allreduce: end.Allreduce - c.Allreduce,
+		WallNanos: Nanos(),
+		DataLoad:  PhaseCounter(PhaseDataLoad).Value(),
+		Forward:   PhaseCounter(PhaseForward).Value(),
+		Backward:  PhaseCounter(PhaseBackward).Value(),
+		Optimizer: PhaseCounter(PhaseOptimizer).Value(),
+		Allreduce: PhaseCounter(PhaseAllreduce).Value(),
+	}
+}
+
+// Delta returns the breakdown of the interval between reading b and the
+// later reading end: start.Delta(end), the opposite order of
+// ops.OpClassBreakdown.Delta.
+func (b PhaseBreakdown) Delta(end PhaseBreakdown) PhaseBreakdown {
+	return PhaseBreakdown{
+		WallNanos: end.WallNanos - b.WallNanos,
+		DataLoad:  end.DataLoad - b.DataLoad,
+		Forward:   end.Forward - b.Forward,
+		Backward:  end.Backward - b.Backward,
+		Optimizer: end.Optimizer - b.Optimizer,
+		Allreduce: end.Allreduce - b.Allreduce,
 	}
 }
 
@@ -129,7 +121,7 @@ func (b PhaseBreakdown) String() string {
 // false) unless obs was enabled at construction time.
 type PhaseMeter struct {
 	on   bool
-	last PhaseCapture
+	last PhaseBreakdown
 }
 
 // NewPhaseMeter snapshots the phase counters if obs is enabled.

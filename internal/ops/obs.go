@@ -102,34 +102,31 @@ func (e *Engine) MarkHostBoundary() {
 	}
 }
 
-// OpClassCapture is a point-in-time snapshot of the per-op-class host-time
-// attribution histograms (cumulative nanoseconds per class). Subtract two
-// captures to get the breakdown for the interval between them.
-type OpClassCapture [gpu.NumOpClasses]int64
+// OpClassBreakdown is attributed host nanoseconds per gpu.OpClass over some
+// interval (typically one epoch), or cumulative since start-up as
+// CaptureOpClasses reads it.
+type OpClassBreakdown struct {
+	Nanos [gpu.NumOpClasses]int64
+}
 
 // CaptureOpClasses snapshots the cumulative per-class attributed host time.
 // Returns zeros while observability is disabled.
-func CaptureOpClasses() OpClassCapture {
-	var c OpClassCapture
-	for i := range c {
-		c[i] = obsOpClassNanos[i].Sum()
-	}
-	return c
-}
-
-// Delta returns the per-class host time accumulated since prev.
-func (c OpClassCapture) Delta(prev OpClassCapture) OpClassBreakdown {
+func CaptureOpClasses() OpClassBreakdown {
 	var b OpClassBreakdown
-	for i := range c {
-		b.Nanos[i] = c[i] - prev[i]
+	for i := range b.Nanos {
+		b.Nanos[i] = obsOpClassNanos[i].Sum()
 	}
 	return b
 }
 
-// OpClassBreakdown is attributed host nanoseconds per gpu.OpClass over some
-// interval (typically one epoch).
-type OpClassBreakdown struct {
-	Nanos [gpu.NumOpClasses]int64
+// Delta returns the per-class host time accumulated between the earlier
+// capture prev and the later capture b: end.Delta(start), the opposite
+// order of obs.PhaseBreakdown.Delta.
+func (b OpClassBreakdown) Delta(prev OpClassBreakdown) OpClassBreakdown {
+	for i := range b.Nanos {
+		b.Nanos[i] -= prev.Nanos[i]
+	}
+	return b
 }
 
 // Total returns the host time attributed to any op class.

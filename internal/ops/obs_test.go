@@ -107,10 +107,10 @@ func TestOpClassBreakdownRendering(t *testing.T) {
 
 // TestCaptureDeltaArithmetic checks Delta is element-wise subtraction.
 func TestCaptureDeltaArithmetic(t *testing.T) {
-	var a, b OpClassCapture
-	a[gpu.OpGEMM] = 100
-	b[gpu.OpGEMM] = 350
-	b[gpu.OpScatter] = 40
+	var a, b OpClassBreakdown
+	a.Nanos[gpu.OpGEMM] = 100
+	b.Nanos[gpu.OpGEMM] = 350
+	b.Nanos[gpu.OpScatter] = 40
 	d := b.Delta(a)
 	if d.Nanos[gpu.OpGEMM] != 250 || d.Nanos[gpu.OpScatter] != 40 {
 		t.Fatalf("Delta wrong: %+v", d.Nanos)

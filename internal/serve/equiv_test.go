@@ -145,7 +145,6 @@ func TestMicroBatchingDoublesQPS(t *testing.T) {
 
 	run := func(maxBatch int) Stats {
 		reps := newPSAGEReplicas(t, 1, w)
-		defer closeReplicas(reps)
 		s := New(Config{
 			Endpoint:       "accept",
 			MaxBatch:       maxBatch,
@@ -180,7 +179,6 @@ func TestCacheReducesDeviceTime(t *testing.T) {
 
 	run := func(cacheRows int) Stats {
 		reps := newPSAGEReplicas(t, 1, w)
-		defer closeReplicas(reps)
 		s := New(Config{Endpoint: "cache", MaxBatch: 8, MaxWaitSeconds: 0.002, CacheRows: cacheRows}, reps)
 		st, err := s.Run(NewSliceSource(reqs))
 		if err != nil {
@@ -203,7 +201,7 @@ func TestCacheReducesDeviceTime(t *testing.T) {
 
 // TestServingOpClassTimeWithinWall: the event loop runs one batch at a time,
 // so the host time attributed to op classes across all replicas cannot
-// exceed the run's wall. It did before Replica.serveOne marked a host
+// exceed the run's wall. It did before Replica.Serve marked a host
 // boundary: each replica's wait for its next batch — most of the run, with
 // three replicas taking turns — was charged to that batch's first kernel.
 func TestServingOpClassTimeWithinWall(t *testing.T) {
@@ -217,7 +215,6 @@ func TestServingOpClassTimeWithinWall(t *testing.T) {
 	frozen, _ := buildServable("PSAGE", backend.NewSerial(), 42)
 	w := freezeOf(t, frozen.Optimizer())
 	reps := newPSAGEReplicas(t, 3, w) // engines built while enabled carry a track
-	defer closeReplicas(reps)
 	_, d1, err := reps[0].Serve([]int32{1})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +247,6 @@ func TestRejectedItemLeavesReplicaFresh(t *testing.T) {
 	serve := func(bad []int32) (*tensor.Tensor, uint64, float64) {
 		m, e := buildServable("PSAGE", backend.NewSerial(), 42)
 		r := NewReplica(0, m, e.SimClock)
-		defer r.Close()
 		for _, id := range bad {
 			_, dev, err := r.Serve([]int32{3, id})
 			var ie *ItemError

@@ -46,7 +46,8 @@ func OpenArrivals(cfg LoadConfig) []Request {
 	return reqs
 }
 
-// SliceSource replays a fixed request slice in time order.
+// SliceSource replays a fixed request slice in time order: it feeds the
+// server's event loop its arrivals.
 type SliceSource struct {
 	reqs []Request
 	i    int
@@ -63,7 +64,7 @@ func NewSliceSource(reqs []Request) *SliceSource {
 	return &SliceSource{reqs: sorted}
 }
 
-// Peek implements Source.
+// Peek returns the earliest pending arrival's time.
 func (s *SliceSource) Peek() (float64, bool) {
 	if s.i >= len(s.reqs) {
 		return 0, false
@@ -71,7 +72,7 @@ func (s *SliceSource) Peek() (float64, bool) {
 	return s.reqs[s.i].Time, true
 }
 
-// Pop implements Source.
+// Pop removes and returns the earliest pending arrival.
 func (s *SliceSource) Pop() Request {
 	r := s.reqs[s.i]
 	s.i++

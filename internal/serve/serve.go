@@ -11,9 +11,9 @@
 //	queue   — AdmissionQueue: bounded FIFO with typed overload rejection.
 //	batcher — Server: dynamic micro-batching under a max-batch/max-wait
 //	          policy, dispatching to the earliest-free replica.
-//	engine  — Replica: a goroutine owning one model instance on its own
-//	          simulated device; request cost is the device-clock delta of
-//	          the forward pass.
+//	engine  — Replica: one model instance on its own simulated device,
+//	          run on the event loop's goroutine; request cost is the
+//	          device-clock delta of the forward pass.
 //	cache   — EmbedCache: LRU over finished item embeddings, hit at
 //	          admission (skipping queue and compute entirely).
 //
@@ -54,45 +54,23 @@ type Request struct {
 }
 
 // Replica owns one model instance on its own engine/device and serves
-// micro-batches sequentially on a dedicated goroutine. The event loop
-// dispatches a batch and waits for its device cost — sim-time parallelism
-// across replicas is modeled by their independent freeAt clocks, while the
-// goroutine hop keeps the -race detector watching the handoff.
+// micro-batches one at a time on the caller's goroutine: the event loop
+// waits for each batch's device cost anyway, and sim-time parallelism across
+// replicas is modeled by their independent freeAt clocks.
 type Replica struct {
 	rank  int
 	model Model
 	clock func() float64
-	in    chan replicaCall
-}
-
-type replicaCall struct {
-	ids   []int32
-	reply chan replicaResult
-}
-
-type replicaResult struct {
-	emb    *tensor.Tensor
-	device float64
-	err    error
 }
 
 // NewReplica wraps model (already loaded with frozen weights) and its
-// device-clock reader, and starts the serving goroutine. rank breaks
-// scheduling ties deterministically.
+// device-clock reader. rank breaks scheduling ties deterministically.
 func NewReplica(rank int, model Model, clock func() float64) *Replica {
-	r := &Replica{rank: rank, model: model, clock: clock, in: make(chan replicaCall)}
-	go r.run()
-	return r
+	return &Replica{rank: rank, model: model, clock: clock}
 }
 
 // Rank returns the replica's scheduling rank.
 func (r *Replica) Rank() int { return r.rank }
-
-func (r *Replica) run() {
-	for call := range r.in {
-		call.reply <- r.serveOne(call.ids)
-	}
-}
 
 // ItemError is the typed rejection of a request for an item the model does
 // not have. The replica returns it before the model runs, so a bad id costs
@@ -107,36 +85,29 @@ func (e *ItemError) Error() string {
 	return fmt.Sprintf("serve: item %d out of range [0, %d)", e.Item, e.Items)
 }
 
-// serveOne runs one micro-batch. An out-of-range id is an *ItemError; a
-// model panic (corrupt weights) is converted into an error too, so one bad
-// request cannot kill the plane.
-func (r *Replica) serveOne(ids []int32) (res replicaResult) {
+// Serve embeds ids, returning the embedding rows and the simulated device
+// seconds the batch consumed. An out-of-range id is an *ItemError; a model
+// panic (corrupt weights) is converted into an error too, so one bad request
+// cannot kill the plane.
+func (r *Replica) Serve(ids []int32) (emb *tensor.Tensor, device float64, err error) {
 	for _, id := range ids {
 		if id < 0 || int(id) >= r.model.NumItems() {
-			return replicaResult{err: &ItemError{Item: id, Items: r.model.NumItems()}}
+			return nil, 0, &ItemError{Item: id, Items: r.model.NumItems()}
 		}
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			res = replicaResult{err: fmt.Errorf("serve: replica %d panicked: %v", r.rank, p)}
+			emb, device, err = nil, 0, fmt.Errorf("serve: replica %d panicked: %v", r.rank, p)
 		}
 	}()
-	// The replica sat idle on its channel since the last batch; without the
-	// boundary that wait would be charged to this batch's first kernel.
+	// The replica sat idle since its last batch; without the boundary the
+	// host time in between would be charged to this batch's first kernel.
 	r.model.MarkHostBoundary()
 	before := r.clock()
-	emb := r.model.ServeEmbed(ids)
-	return replicaResult{emb: emb, device: r.clock() - before}
+	emb = r.model.ServeEmbed(ids)
+	return emb, r.clock() - before, nil
 }
 
-// Serve embeds ids on the replica's goroutine, returning the embedding rows
-// and the simulated device seconds the batch consumed.
-func (r *Replica) Serve(ids []int32) (*tensor.Tensor, float64, error) {
-	reply := make(chan replicaResult)
-	r.in <- replicaCall{ids: ids, reply: reply}
-	res := <-reply
-	return res.emb, res.device, res.err
-}
-
-// Close stops the replica's goroutine. The replica must be idle.
-func (r *Replica) Close() { close(r.in) }
+// Close does nothing: a replica holds no goroutine or other resource. It
+// stays because the end-to-end benchmark calls it.
+func (r *Replica) Close() {}

@@ -26,13 +26,6 @@ type Config struct {
 	CacheRows int
 }
 
-// Source feeds the event loop its arrivals in simulated-time order. Peek
-// returns the earliest pending arrival's time; Pop removes and returns it.
-type Source interface {
-	Peek() (float64, bool)
-	Pop() Request
-}
-
 // Stats is one endpoint's measured serving behavior over a Run.
 type Stats struct {
 	Endpoint string
@@ -151,7 +144,7 @@ func (h *completionHeap) Pop() any {
 // arrivals, and batch formations fire in simulated-time order (ties resolve
 // completion, then arrival, then formation), so the outcome is a pure
 // function of (weights, source, policy) — reruns are bit-identical.
-func (s *Server) Run(src Source) (Stats, error) {
+func (s *Server) Run(src *SliceSource) (Stats, error) {
 	var (
 		comps     completionHeap
 		latencies []float64

@@ -41,15 +41,8 @@ func fakeReplicas(n int, fixed, perReq float64) []*Replica {
 	return reps
 }
 
-func closeReplicas(reps []*Replica) {
-	for _, r := range reps {
-		r.Close()
-	}
-}
-
 func TestServerBatchesUnderfullAtMaxWait(t *testing.T) {
 	reps := fakeReplicas(1, 0.001, 0.0001)
-	defer closeReplicas(reps)
 	s := New(Config{Endpoint: "t1", MaxBatch: 8, MaxWaitSeconds: 0.005}, reps)
 	src := NewSliceSource([]Request{
 		{Time: 0.000, Item: 1},
@@ -75,7 +68,6 @@ func TestServerBatchesUnderfullAtMaxWait(t *testing.T) {
 
 func TestServerFullBatchDispatchesEarly(t *testing.T) {
 	reps := fakeReplicas(1, 0.001, 0.0001)
-	defer closeReplicas(reps)
 	s := New(Config{Endpoint: "t2", MaxBatch: 2, MaxWaitSeconds: 1.0}, reps)
 	src := NewSliceSource([]Request{
 		{Time: 0.000, Item: 1},
@@ -116,7 +108,6 @@ func TestServerOverloadRejectsTyped(t *testing.T) {
 	// End to end: a slow replica and a tight queue under a fast open trace
 	// must reject, and accounting must balance.
 	reps := fakeReplicas(1, 0.010, 0.001)
-	defer closeReplicas(reps)
 	s := New(Config{Endpoint: "t3", MaxBatch: 4, MaxWaitSeconds: 0.001, QueueCap: 4}, reps)
 	var reqs []Request
 	for i := 0; i < 100; i++ {
@@ -141,7 +132,6 @@ func TestServerOverloadRejectsTyped(t *testing.T) {
 func TestServerCacheHitsSkipCompute(t *testing.T) {
 	run := func(cacheRows int) Stats {
 		reps := fakeReplicas(1, 0.001, 0.0001)
-		defer closeReplicas(reps)
 		s := New(Config{Endpoint: "t4", MaxBatch: 4, MaxWaitSeconds: 0.0005, CacheRows: cacheRows}, reps)
 		var reqs []Request
 		for i := 0; i < 60; i++ {
@@ -173,7 +163,6 @@ func TestServerCacheHitsSkipCompute(t *testing.T) {
 func TestServerMultiReplicaOverlapsInSimTime(t *testing.T) {
 	run := func(replicas int) Stats {
 		reps := fakeReplicas(replicas, 0.010, 0)
-		defer closeReplicas(reps)
 		s := New(Config{Endpoint: "t5", MaxBatch: 1}, reps)
 		var reqs []Request
 		for i := 0; i < 8; i++ {
@@ -197,7 +186,6 @@ func TestServerMultiReplicaOverlapsInSimTime(t *testing.T) {
 func TestServerDeterministic(t *testing.T) {
 	run := func() (Stats, []float32) {
 		reps := fakeReplicas(2, 0.002, 0.0002)
-		defer closeReplicas(reps)
 		s := New(Config{Endpoint: "t6", MaxBatch: 8, MaxWaitSeconds: 0.001, QueueCap: 16, CacheRows: 8}, reps)
 		st, err := s.Run(NewSliceSource(OpenArrivals(LoadConfig{Seed: 5, QPS: 3000, Duration: 0.5, Items: 40})))
 		if err != nil {
@@ -218,7 +206,6 @@ func TestServerDeterministic(t *testing.T) {
 func TestReplicaPanicBecomesError(t *testing.T) {
 	m := &fakeModel{items: 10, dim: 2}
 	r := NewReplica(0, panicModel{m}, func() float64 { return m.clock })
-	defer r.Close()
 	s := New(Config{Endpoint: "t7", MaxBatch: 1}, []*Replica{r})
 	_, err := s.Run(NewSliceSource([]Request{{Time: 0, Item: 1}}))
 	if err == nil {

@@ -31,6 +31,9 @@ type Event struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
+// maxEvents caps a recorder's events so long runs cannot exhaust memory.
+const maxEvents = 100_000
+
 // Recorder subscribes to a device and accumulates the kernel timeline.
 type Recorder struct {
 	events  []Event
@@ -39,14 +42,11 @@ type Recorder struct {
 	dropped int
 }
 
-// Attach subscribes a new recorder to dev. limit caps the recorded events
-// (0 = 100k) so long runs cannot exhaust memory; past the cap, kernels are
-// counted into the clock (and into Dropped) but not recorded.
-func Attach(dev *gpu.Device, limit int) *Recorder {
-	if limit <= 0 {
-		limit = 100_000
-	}
-	r := &Recorder{limit: limit}
+// Attach subscribes a new recorder to dev. It records at most maxEvents
+// events; past the cap, kernels are counted into the clock (and into
+// Dropped) but not recorded.
+func Attach(dev *gpu.Device) *Recorder {
+	r := &Recorder{limit: maxEvents}
 	dev.Subscribe(r.onKernel)
 	dev.SubscribeTransfers(r.onTransfer)
 	return r

@@ -12,7 +12,7 @@ func testDev() (*gpu.Device, *Recorder) {
 	cfg := gpu.V100()
 	cfg.MaxSampledWarps = 512
 	dev := gpu.New(cfg)
-	return dev, Attach(dev, 0)
+	return dev, Attach(dev)
 }
 
 func launch(dev *gpu.Device, class gpu.OpClass, n int) gpu.KernelStats {
@@ -55,7 +55,8 @@ func TestRecorderLimit(t *testing.T) {
 	cfg := gpu.V100()
 	cfg.MaxSampledWarps = 256
 	dev := gpu.New(cfg)
-	r := Attach(dev, 2)
+	r := Attach(dev)
+	r.limit = 2
 	for i := 0; i < 5; i++ {
 		launch(dev, gpu.OpElementWise, 1<<10)
 	}
