@@ -81,7 +81,7 @@ func init() {
 		{name: "kernels", summary: "per-kernel-name time breakdown of one training epoch (the calibration view)", flags: one("ARGA"), figure: "kernels"},
 		{name: "sweep", summary: "hyperparameter sweep", flags: []flagGroup{device, sweepFlags}, figure: "sweep"},
 		{name: "report", summary: "write the full characterization as an HTML page (-trace sets the path)",
-			flags: []flagGroup{device, traceOut}, run: runReport},
+			flags: []flagGroup{device, reportOut}, run: runReport},
 		{name: "datasets", summary: "structural statistics of every synthetic dataset", flags: []flagGroup{seed}, figure: "datasets"},
 		{name: "params", summary: "per-workload parameter and iteration counts", flags: []flagGroup{seed}, figure: "params"},
 	}
@@ -94,7 +94,7 @@ type options struct {
 	args  []string // operands after the flags
 	usage func()   // the command's own usage, for badOperands
 
-	traceOut              string          // traceOut
+	traceOut              string          // traceOut, reportOut
 	metricsOut, hostTrace string          // obsOut; main writes them once the command returns,
 	rec                   *trace.Recorder // with the device timeline
 	lanes                 []stream.Lane   // and the stream lanes `run` leaves here
@@ -155,6 +155,11 @@ func workloadFlags(def string) flagGroup {
 
 func traceOut(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.traceOut, "trace", "", "write a chrome://tracing timeline to this file")
+}
+
+// reportOut binds report's -trace: the same name, but the page's path.
+func reportOut(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.traceOut, "trace", "gnnmark-report.html", "write the HTML page to this file")
 }
 
 func obsOut(fs *flag.FlagSet, o *options) {

@@ -130,6 +130,14 @@ func TestCLI(t *testing.T) {
 		{args: "report -gpu a100 -epochs 1 -warps 64 -trace page.html", exit: 0, stdout: []string{"wrote page.html"},
 			file: "page.html", inFile: []string{"Simulated device: A100-SXM4-40GB.", "(A100 caching allocator)",
 				"Figure 8", "Figure 9", "<td>average</td>", "per-operation locality"}, notInFile: "V100"},
+		// -trace trained a second way beside `run`: one device whatever
+		// -gpus said, and no run summary.
+		{args: "run -workload DGCN -epochs 1 -warps 64 -pipeline-depth 2 -trace t.json", exit: 0,
+			stdout: []string{"losses [", "wrote"}, file: "t.json", inFile: []string{"stream: compute", "stream: copy engine"}},
+		{args: "run -workload ARGA -gpus 2 -parallelism partitioned -epochs 1 -warps 64 -trace t.json", exit: 0,
+			file: "t.json", inFile: []string{"stream: gpu1 halo"}},
+		{args: "run -workload TLSTM -gpus 2 -epochs 1 -warps 64 -trace t.json", exit: 1,
+			stderr: []string{"-host-trace"}, notStdout: "strong scaling"},
 		// Listed the keys in map order, different from run to run.
 		{args: "sweep -sweep nope -warps 64", exit: 1,
 			stderr: []string{`(have [DGCN/hidden DGCN/layers GW/dim PSAGE/walks STGCN/channels TLSTM/batch])`}},

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -16,29 +15,27 @@ import (
 	"gnnmark/internal/ops"
 	"gnnmark/internal/report"
 	"gnnmark/internal/serve"
-	"gnnmark/internal/stream"
 	"gnnmark/internal/trace"
 	"gnnmark/internal/vmem"
 )
 
 // runWorkload is `run`: one workload on one device, or on cfg.GPUs of them
-// under the DDP or the partitioned plane.
+// under the DDP or the partitioned plane. -trace writes the device rows and
+// the stream lanes on one device, the rank lanes on the partitioned plane.
 func runWorkload(o *options) {
 	cfg := o.cfg
-	if o.traceOut != "" {
-		runWithTrace(cfg, o.traceOut)
-		return
-	}
-	if cfg.GPUs > 1 && cfg.Parallelism == "partitioned" {
+	switch {
+	case cfg.GPUs > 1 && cfg.Parallelism == "partitioned":
 		res, err := core.RunPartitioned(cfg)
 		fail(err)
 		fmt.Print(bench.PartitionedRunFigure(cfg.Workload, res).Text())
 		// Halo-exchange lanes render as named threads beside the host
 		// spans: one "gpuN compute" / "gpuN halo" pair per rank.
 		o.lanes = trace.RankLanes(res.Lanes)
-		return
-	}
-	if cfg.GPUs > 1 {
+	case cfg.GPUs > 1:
+		if o.traceOut != "" {
+			fail(errors.New("run: -trace needs one device timeline, and DDP runs one per GPU; -host-trace writes the host plane"))
+		}
 		res, err := core.RunDDP(cfg)
 		fail(err)
 		fmt.Print(bench.StrongScalingFigure(cfg.Workload, res).Text())
@@ -47,12 +44,30 @@ func runWorkload(o *options) {
 				fmt.Printf("obs %d-gpu epoch %d: %s\n", r.GPUs, i+1, hp)
 			}
 		}
+	default:
+		runOneDevice(o)
+	}
+	if o.traceOut == "" {
 		return
 	}
-	if o.hostTrace != "" {
-		// Attach a device recorder before any kernels launch so the merged
-		// timeline carries both planes; under DDP (many devices) only the
-		// host plane is written.
+	var events []trace.Event
+	if o.rec != nil {
+		events = o.rec.TimelineEvents()
+	}
+	events = append(events, trace.StreamLaneEvents(o.lanes)...)
+	f, err := os.Create(o.traceOut)
+	fail(err)
+	fail(trace.WriteEvents(f, events))
+	fail(f.Close())
+	fmt.Printf("%s: wrote %d timeline events to %s (open in chrome://tracing)\n", cfg.Workload, len(events), o.traceOut)
+}
+
+// runOneDevice is `run` on one device.
+func runOneDevice(o *options) {
+	cfg := o.cfg
+	if o.traceOut != "" || o.hostTrace != "" {
+		// Attach a device recorder before any kernels launch, so the
+		// timelines carry the device rows.
 		cfg.OnDevice = func(dev *gpu.Device) { o.rec = trace.Attach(dev) }
 	}
 	r, err := core.Run(cfg)
@@ -110,12 +125,11 @@ func runAll(o *options) {
 func runReport(o *options) {
 	s := must(bench.Characterize(o.cfg))
 	figures := append(append([]bench.Figure{bench.Table1()}, s.Figures()...), bench.Fig9Figure(must(bench.Fig9(o.cfg))))
-	out := cmp.Or(o.traceOut, "gnnmark-report.html")
-	f, err := os.Create(out)
+	f, err := os.Create(o.traceOut)
 	fail(err)
 	defer f.Close()
 	fail(report.WriteHTML(f, s.Device.Name, figures))
-	fmt.Println("wrote", out)
+	fmt.Println("wrote", o.traceOut)
 }
 
 func runServeBench(o *options) {
@@ -158,44 +172,6 @@ func runServeBench(o *options) {
 		}
 		fmt.Println("serve-bench smoke: ok — nonzero QPS, zero rejects at low load")
 	}
-}
-
-// runWithTrace characterizes one workload while recording the kernel
-// timeline, then writes it in the Chrome trace-event format.
-func runWithTrace(cfg core.RunConfig, path string) {
-	var rec *trace.Recorder
-	cfg.OnDevice = func(dev *gpu.Device) { rec = trace.Attach(dev) }
-	rep, err := core.NewReplica(cfg, 0, 0, 1)
-	fail(err)
-	env := rep.Env
-	defer env.Close()
-	// The replica is not rebased, so the trace shows construction too. The
-	// overlapped timeline starts where training starts: lane slices are
-	// shifted by the construction offset to line up with the device rows
-	// above them.
-	pipeOrigin := rep.Dev.ElapsedSeconds()
-	for e := 0; e < max(1, cfg.Epochs); e++ {
-		_, err := rep.Epoch()
-		fail(err)
-	}
-	f, err := os.Create(path)
-	fail(err)
-	defer f.Close()
-	events := rec.TimelineEvents()
-	if lanes := env.E.StreamLanes(); len(lanes) > 0 {
-		for li := range lanes {
-			shifted := make([]stream.Slice, len(lanes[li].Slices))
-			copy(shifted, lanes[li].Slices)
-			for si := range shifted {
-				shifted[si].Start += pipeOrigin
-			}
-			lanes[li].Slices = shifted
-		}
-		events = append(events, trace.StreamLaneEvents(lanes)...)
-	}
-	fail(trace.WriteEvents(f, events))
-	fmt.Printf("%s: wrote %d timeline events to %s (open in chrome://tracing)\n",
-		rep.Spec.Key, len(events), path)
 }
 
 // runOpbench executes the per-op microbenchmark sweep and writes the

@@ -112,9 +112,6 @@ func (t *Tape) FromParam(p *Param) *Var {
 	return v
 }
 
-// NumNodes returns the number of recorded variables (diagnostics).
-func (t *Tape) NumNodes() int { return len(t.nodes) }
-
 // Backward runs reverse-mode differentiation from the scalar loss. It
 // panics when loss is not a size-1 tensor (programmer error).
 func (t *Tape) Backward(loss *Var) {

@@ -311,9 +311,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 	env, dev := rep.Env, rep.Dev
 	prof := profiler.Attach(dev)
 	env.OnIteration = prof.NextIteration
-	if obs.Enabled() {
-		obs.Reset()
-	}
 
 	res := RunResult{
 		Workload:   rep.Spec.Key,

@@ -92,7 +92,7 @@ type ReplicaFactory func(slot, rank, world int) (models.Workload, *models.Env, e
 // when Train fails (see Train).
 type ClusterResult struct {
 	GPUs       int
-	Replicated bool // DDP-incompatible sampler: full batch on every replica
+	Replicated bool // no Env.Shard call: full batch on every replica
 	Iterations int  // optimizer steps per epoch
 	Buckets    int  // reducer buckets per iteration
 	// GradBytesPerIt is the fp32 gradient payload all-reduced per iteration.
@@ -228,9 +228,9 @@ func (st *run) linkDeratedBandwidth(bw float64) float64 {
 // degenerates to plain single-device training (no hooks, no barriers) —
 // the baseline the speedup claims divide by. A failure once the replicas
 // are built — a *FleetFailure included — comes back with the header (GPUs
-// through GradBytesPerIt) and the epochs the round completed (EpochSeconds,
-// Losses, HostPhases); the totals are then partial, and Replicas is nil so
-// a dead fleet stays collectable.
+// through GradBytesPerIt; Replicated once an epoch finished) and the epochs
+// the round completed (EpochSeconds, Losses, HostPhases); the totals are
+// then partial, and Replicas is nil so a dead fleet stays collectable.
 func Train(factory ReplicaFactory, world, epochs int, cfg ClusterConfig) (ClusterResult, error) {
 	if world < 1 {
 		return ClusterResult{}, fmt.Errorf("ddp: invalid world size %d", world)
@@ -301,11 +301,7 @@ func Train(factory ReplicaFactory, world, epochs int, cfg ClusterConfig) (Cluste
 
 	w0 := reps[0].w
 	res := ClusterResult{
-		GPUs: world,
-		// A workload that cannot shard (paper §V-E, PSAGE) never calls
-		// Env.Shard, so every replica trains the full batch. Gradients still
-		// synchronize — all cost, no compute reduction.
-		Replicated:     world > 1 && !w0.DDPCompatible(),
+		GPUs:           world,
 		Iterations:     w0.IterationsPerEpoch(),
 		Buckets:        len(reps[0].buckets),
 		GradBytesPerIt: uint64(nn.ParamBytes(w0.Params())),
@@ -585,6 +581,11 @@ func (st *run) finishEpoch() error {
 		loss += rep.epochLosses[len(rep.epochLosses)-1]
 	}
 	st.epochCompute += tail
+	// A workload that never called Env.Shard (paper §V-E, PSAGE) trained the
+	// full batch at every rank: gradients still synchronize — all cost, no
+	// compute reduction. GW and TLSTM shard only inside TrainEpoch, so this
+	// is first known here.
+	res.Replicated = !st.reps[0].env.Sharded()
 	if res.Replicated {
 		extra := float64(len(st.reps)-1) * contention
 		res.CommSeconds += extra

@@ -105,9 +105,6 @@ func coalesceKeys(adj *graph.CSR) []int32 {
 	return keys
 }
 
-// DDPCompatible implements Workload: full-graph training does not shard.
-func (a *ARGA) DDPCompatible() bool { return false }
-
 // IterationsPerEpoch implements Workload.
 func (a *ARGA) IterationsPerEpoch() int { return 1 }
 

@@ -121,9 +121,6 @@ func (m *DGCN) prepareBatches() {
 	}
 }
 
-// DDPCompatible implements Workload.
-func (m *DGCN) DDPCompatible() bool { return true }
-
 // IterationsPerEpoch implements Workload.
 func (m *DGCN) IterationsPerEpoch() int { return len(m.batches) }
 

@@ -110,10 +110,6 @@ func NewDNN(env *Env, cfg DNNConfig) *DNN {
 	return m
 }
 
-// DDPCompatible implements Workload: every replica trains the whole image
-// set (the DNN never calls Env.Shard).
-func (m *DNN) DDPCompatible() bool { return false }
-
 // IterationsPerEpoch implements Workload.
 func (m *DNN) IterationsPerEpoch() int { return m.batches }
 

@@ -81,9 +81,6 @@ func NewGW(env *Env, ds *datasets.KGText, cfg GWConfig) *GW {
 	return m
 }
 
-// DDPCompatible implements Workload.
-func (m *GW) DDPCompatible() bool { return true }
-
 // IterationsPerEpoch implements Workload.
 func (m *GW) IterationsPerEpoch() int {
 	return (len(m.ds.Examples) + m.globalBatch - 1) / m.globalBatch

@@ -177,9 +177,6 @@ func (m *KGNN) prepareBatches() {
 	}
 }
 
-// DDPCompatible implements Workload.
-func (m *KGNN) DDPCompatible() bool { return true }
-
 // IterationsPerEpoch implements Workload.
 func (m *KGNN) IterationsPerEpoch() int { return len(m.batches) }
 

@@ -15,6 +15,7 @@ package models
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"gnnmark/internal/autograd"
 	"gnnmark/internal/gpu"
@@ -77,6 +78,9 @@ type Env struct {
 	// loaders tracks every loader built through NewLoader so Close can stop
 	// their workers.
 	loaders []*loader.Loader
+	// sharded latches the first Shard call. Atomic: with the input pipeline
+	// on, STGCN's batch producer shards on loader workers.
+	sharded atomic.Bool
 }
 
 // PipelineConfig selects the input-pipeline mode for an Env's workloads.
@@ -242,6 +246,7 @@ func (env *Env) Close() {
 // non-empty iteration and the lockstep allreduce never starves. With
 // World <= 1 it is the identity.
 func (env *Env) Shard(lo, hi int) (int, int) {
+	env.sharded.Store(true)
 	if env.World <= 1 || hi-lo <= 0 {
 		return lo, hi
 	}
@@ -261,9 +266,16 @@ func (env *Env) Shard(lo, hi int) (int, int) {
 	return start, start + size
 }
 
+// Sharded reports whether a workload built against this Env has called
+// Shard. One that never does — PSAGE's batch sampler (paper §V-E), ARGA's
+// full graph, the DNN — trains the whole batch at every rank, so under
+// data parallelism its input is replicated.
+func (env *Env) Sharded() bool { return env.sharded.Load() }
+
 // Workload is the uniform interface of all eight models. A model type writes
-// TrainEpoch, IterationsPerEpoch and DDPCompatible; Params and Optimizer come
-// from the trainer it embeds.
+// TrainEpoch and IterationsPerEpoch; Params and Optimizer come from the
+// trainer it embeds. Whether it shards under data parallelism is not
+// declared: Env.Sharded reports whether it called Env.Shard.
 type Workload interface {
 	// Params returns all trainable parameters, in the optimizer's order.
 	Params() []*autograd.Param
@@ -271,12 +283,6 @@ type Workload interface {
 	TrainEpoch() float64
 	// IterationsPerEpoch returns the number of optimizer steps per epoch.
 	IterationsPerEpoch() int
-	// DDPCompatible reports whether the workload's sampling strategy
-	// partitions cleanly under PyTorch-DDP-style data parallelism; PSAGE's
-	// batch sampler does not (paper §V-E), so its data is replicated. "Does
-	// not shard" means "never calls Env.Shard": the DDP cluster builds such a
-	// replica with its true (rank, world) and relies on it ignoring them.
-	DDPCompatible() bool
 	// Optimizer returns the live optimizer driving TrainEpoch. It holds all
 	// the trainable state there is — parameters, moments, step counters — so
 	// nn.Snapshot of it is what carries a trained model into a fresh replica.

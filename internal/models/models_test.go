@@ -130,28 +130,34 @@ func TestWorkloadKernelSignatures(t *testing.T) {
 	}
 }
 
-// TestDDPCompatibilityFlags holds each flag to what it means: a compatible
-// workload calls Env.Shard, so ranks 0 and 1 of a world of two, built from
-// one seed, train different data and report different losses; any other
-// workload trains the same data at every rank.
+// TestDDPCompatibilityFlags holds Env.Sharded to what it means: a workload
+// that called Env.Shard at ranks 0 and 1 of a world of two, built from one
+// seed, trains different data and reports different losses; any other
+// workload trains the same data at every rank. With the input pipeline on,
+// STGCN's producer shards on loader workers.
 func TestDDPCompatibilityFlags(t *testing.T) {
-	for _, name := range append([]string{"DNN"}, allWorkloads...) {
-		var losses [2]float64
-		var compat bool
-		for rank := range losses {
-			env := NewEnv(ops.New(nil), 9)
-			env.Rank, env.World = rank, 2
-			var w Workload
-			if name == "DNN" {
-				w = NewDNN(env, DNNConfig{ImageSize: 12, Channels: []int{8, 16}, BatchSize: 8, Batches: 2})
-			} else {
-				w = buildSmall(name, env)
+	for _, depth := range []int{0, 2} {
+		for _, name := range append([]string{"DNN"}, allWorkloads...) {
+			var losses [2]float64
+			var sharded bool
+			for rank := range losses {
+				env := NewEnv(ops.New(nil), 9)
+				env.Rank, env.World = rank, 2
+				env.Pipeline.Depth = depth
+				var w Workload
+				if name == "DNN" {
+					w = NewDNN(env, DNNConfig{ImageSize: 12, Channels: []int{8, 16}, BatchSize: 8, Batches: 2})
+				} else {
+					w = buildSmall(name, env)
+				}
+				losses[rank] = w.TrainEpoch()
+				sharded = env.Sharded()
+				env.Close()
 			}
-			compat, losses[rank] = w.DDPCompatible(), w.TrainEpoch()
-			env.Close()
-		}
-		if differ := losses[0] != losses[1]; differ != compat {
-			t.Errorf("%s: DDPCompatible() = %v, but ranks 0 and 1 of 2 trained to losses %v and %v", name, compat, losses[0], losses[1])
+			if differ := losses[0] != losses[1]; differ != sharded {
+				t.Errorf("%s at pipeline depth %d: Sharded() = %v, but ranks 0 and 1 of 2 trained to losses %v and %v",
+					name, depth, sharded, losses[0], losses[1])
+			}
 		}
 	}
 }
@@ -230,11 +236,14 @@ func TestWorkloadsDeterministicPerSeed(t *testing.T) {
 func TestDNNBaselineTrains(t *testing.T) {
 	env, prof := testEnv(20)
 	m := NewDNN(env, DNNConfig{ImageSize: 12, Channels: []int{8, 16}, BatchSize: 8, Batches: 2})
-	if m.DDPCompatible() || m.IterationsPerEpoch() != 2 {
+	if m.IterationsPerEpoch() != 2 {
 		t.Fatal("DNN metadata wrong")
 	}
 	prof.Reset()
 	first := m.TrainEpoch()
+	if env.Sharded() {
+		t.Fatal("the DNN trains the whole image set: it must not shard")
+	}
 	var last float64
 	for i := 0; i < 8; i++ {
 		last = m.TrainEpoch()

@@ -96,10 +96,6 @@ func NewPSAGE(env *Env, ds *datasets.Bipartite, cfg PSAGEConfig) *PSAGE {
 	return m
 }
 
-// DDPCompatible implements Workload: the DGL PinSAGE batch sampler does not
-// shard under DDP; data is replicated across devices (paper §V-E).
-func (m *PSAGE) DDPCompatible() bool { return false }
-
 // IterationsPerEpoch implements Workload.
 func (m *PSAGE) IterationsPerEpoch() int { return m.batches }
 

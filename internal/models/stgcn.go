@@ -138,9 +138,6 @@ func newSTBlock(env *Env, name string, cin, ch, kt int) *stBlock {
 	}
 }
 
-// DDPCompatible implements Workload.
-func (m *STGCN) DDPCompatible() bool { return true }
-
 // IterationsPerEpoch implements Workload.
 func (m *STGCN) IterationsPerEpoch() int { return len(m.starts) / m.batchSize }
 

@@ -61,9 +61,6 @@ func NewTLSTM(env *Env, ds *datasets.Sentiment, cfg TLSTMConfig) *TLSTM {
 	return m
 }
 
-// DDPCompatible implements Workload.
-func (m *TLSTM) DDPCompatible() bool { return true }
-
 // IterationsPerEpoch implements Workload.
 func (m *TLSTM) IterationsPerEpoch() int {
 	return (len(m.ds.Trees) + m.globalBatch - 1) / m.globalBatch

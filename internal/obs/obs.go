@@ -105,8 +105,9 @@ func Tracks() []TrackSnapshot {
 }
 
 // Reset zeroes every metric in the default registry and discards all
-// recorded spans (tracks stay registered and usable). Runs call it after
-// workload construction so measurements cover training only.
+// recorded spans (tracks stay registered and usable). A scenario execution
+// and the tests call it to start from nothing; a command does not, so its
+// metrics file covers everything it ran.
 func Reset() {
 	defaultRegistry.Reset()
 	tracksMu.Lock()

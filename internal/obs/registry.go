@@ -39,7 +39,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name, on: &r.on}
+	c := &Counter{on: &r.on}
 	r.counters[name] = c
 	return c
 }
@@ -51,7 +51,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	g := &Gauge{name: name, on: &r.on}
+	g := &Gauge{on: &r.on}
 	r.gauges[name] = g
 	return g
 }
@@ -71,7 +71,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		}
 	}
 	h := &Histogram{
-		name:    name,
 		on:      &r.on,
 		bounds:  append([]int64(nil), bounds...),
 		buckets: make([]atomic.Int64, len(bounds)+1),
@@ -112,13 +111,9 @@ func sortedNames[M any](m map[string]M) []string {
 // Counter is a monotonically increasing int64 metric. All methods are
 // race-safe; recording is a no-op while the owning registry is disabled.
 type Counter struct {
-	name string
-	on   *atomic.Bool
-	v    atomic.Int64
+	on *atomic.Bool
+	v  atomic.Int64
 }
-
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
@@ -141,13 +136,9 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a settable int64 metric (live bytes, pool depth, ...).
 type Gauge struct {
-	name string
-	on   *atomic.Bool
-	v    atomic.Int64
+	on *atomic.Bool
+	v  atomic.Int64
 }
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
 
 // Set stores v (no-op when disabled).
 func (g *Gauge) Set(v int64) {
@@ -193,16 +184,12 @@ func (g *Gauge) Value() int64 {
 // (including negative values — underflow) land in the first bucket, as in
 // the Prometheus exposition convention.
 type Histogram struct {
-	name    string
 	on      *atomic.Bool
 	bounds  []int64
 	buckets []atomic.Int64 // len(bounds)+1; last is overflow (+Inf)
 	count   atomic.Int64
 	sum     atomic.Int64
 }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records v (no-op when disabled).
 func (h *Histogram) Observe(v int64) {

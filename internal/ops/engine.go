@@ -37,11 +37,9 @@ type Engine struct {
 
 	// Host observability (internal/obs). track is nil unless obs was
 	// enabled when the engine was built; opMark is the host-clock cursor
-	// per-op spans are attributed from; obsBytes is this engine's
-	// contribution to the tensor.live_bytes gauge.
-	track    *obs.Track
-	opMark   int64
-	obsBytes int64
+	// per-op spans are attributed from.
+	track  *obs.Track
+	opMark int64
 
 	// pipe, when non-nil, routes kernels and input uploads through the
 	// two-stream overlap timeline (pipeline.go). The device's serialized
@@ -108,7 +106,6 @@ func (e *Engine) releaseAll() {
 		}
 	}
 	e.seq = e.seq[:0]
-	e.noteRelease(e.obsBytes)
 	clear(e.blocks)
 	clear(e.csrBlocks)
 	clear(e.intBlocks)
@@ -129,7 +126,6 @@ func (e *Engine) addr(t *tensor.Tensor) uint64 {
 	b := e.dev.AllocBlock(t.Size()*4, "tensor", shape...)
 	e.blocks[t] = b
 	e.seq = append(e.seq, b)
-	e.noteAlloc(int64(t.Size()) * 4)
 	return b.Addr()
 }
 
@@ -146,7 +142,6 @@ func (e *Engine) csrAddr(g *graph.CSR) (rowPtr, colIdx uint64) {
 	ci := e.dev.AllocBlock(len(g.ColIdx)*4, "csr.colidx")
 	e.csrBlocks[g] = [2]*vmem.Block{rp, ci}
 	e.seq = append(e.seq, rp, ci)
-	e.noteAlloc(int64(len(g.RowPtr)+len(g.ColIdx)) * 4)
 	return rp.Addr(), ci.Addr()
 }
 
@@ -163,7 +158,6 @@ func (e *Engine) intAddr(idx []int32) uint64 {
 	b := e.dev.AllocBlock(len(idx)*4, "int32.index")
 	e.intBlocks[key] = b
 	e.seq = append(e.seq, b)
-	e.noteAlloc(int64(len(idx)) * 4)
 	return b.Addr()
 }
 

@@ -20,13 +20,6 @@ var (
 	obsOpHostNanos = obs.GetHistogram("ops.host_nanos", obs.DurationBuckets())
 	// obsH2DBytesTotal counts modeled host-to-device payload bytes.
 	obsH2DBytesTotal = obs.GetCounter("ops.h2d_bytes_total")
-	// obsLiveBytes / obsPeakBytes track device-block bookkeeping: bytes
-	// currently tracked by engines and the process-wide high water. The
-	// allocator's own view (rounded blocks, segments) is under vmem.*.
-	obsLiveBytes = obs.GetGauge("tensor.live_bytes")
-	obsPeakBytes = obs.GetGauge("tensor.peak_bytes")
-	// obsDeviceAllocs counts device-block acquisitions (block map fills).
-	obsDeviceAllocs = obs.GetCounter("tensor.device_allocs_total")
 )
 
 // obsOpClassNanos attributes host wall-clock time to the GNNMark op-class
@@ -45,20 +38,6 @@ var obsOpClassNanos = func() (h [gpu.NumOpClasses]*obs.Histogram) {
 // disabled or when the engine predates obs.Enable). models.Env nests the
 // phase spans on it so per-op spans parent under their phase.
 func (e *Engine) Track() *obs.Track { return e.track }
-
-// noteAlloc records b newly tracked device bytes.
-func (e *Engine) noteAlloc(b int64) {
-	e.obsBytes += b
-	obsLiveBytes.Add(b)
-	obsPeakBytes.SetMax(obsLiveBytes.Value())
-	obsDeviceAllocs.Inc()
-}
-
-// noteRelease records b bytes leaving the engine's tracking.
-func (e *Engine) noteRelease(b int64) {
-	e.obsBytes -= b
-	obsLiveBytes.Add(-b)
-}
 
 // recordLaunch attributes the host interval since the previous op
 // boundary to the kernel just launched: a span named after the kernel in

@@ -69,9 +69,6 @@ func NewReplica(rank int, model Model, clock func() float64) *Replica {
 	return &Replica{rank: rank, model: model, clock: clock}
 }
 
-// Rank returns the replica's scheduling rank.
-func (r *Replica) Rank() int { return r.rank }
-
 // ItemError is the typed rejection of a request for an item the model does
 // not have. The replica returns it before the model runs, so a bad id costs
 // no device time and leaves the model's engine and sampler state as they

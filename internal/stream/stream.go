@@ -121,9 +121,6 @@ type Stream struct {
 	dropped int
 }
 
-// Name returns the stream's display name.
-func (s *Stream) Name() string { return s.name }
-
 // Cursor returns the finish time of the last enqueued item.
 func (s *Stream) Cursor() float64 { return s.cursor }
 

@@ -278,14 +278,8 @@ func (a *Allocator) ResetPeak() {
 	a.stats.PeakReserved = a.stats.Reserved
 }
 
-// TopLive returns the n largest live allocations (by usable size, ties by
-// address), for OOM reports and diagnostics.
-func (a *Allocator) TopLive(n int) []BlockInfo {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.topLiveLocked(n)
-}
-
+// topLiveLocked returns the n largest live allocations (by usable size,
+// ties by address), for OOM reports.
 func (a *Allocator) topLiveLocked(n int) []BlockInfo {
 	blocks := make([]*Block, 0, len(a.live))
 	for b := range a.live {
