@@ -302,6 +302,7 @@ func kernelsFigure(s Study) (Figure, error) {
 	if _, err := rep.Epoch(); err != nil {
 		return Figure{}, err
 	}
+	rep.Dev.Sync() // the listener hears the epoch's last kernels here
 	names := make([]string, 0, len(times))
 	for k := range times {
 		names = append(names, k)

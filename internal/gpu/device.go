@@ -10,8 +10,10 @@ import (
 
 // Device is a single simulated GPU. It owns a warm L2, a capacity-bounded
 // caching allocator assigning device addresses, and the running clock of
-// simulated time. A Device is not safe for concurrent use; GNNMark training
-// loops are sequential, as PyTorch CUDA streams are within one iteration.
+// simulated time. One goroutine drives a Device at a time, as PyTorch drives
+// a CUDA stream within one iteration; the kernels it submits are modelled
+// beside it (queue.go), so what the model writes — caches, clocks, counters —
+// is read only after Sync.
 type Device struct {
 	cfg Config
 	l1  *Cache
@@ -34,6 +36,8 @@ type Device struct {
 
 	kernelListeners   []func(KernelStats)
 	transferListeners []func(TransferStats)
+
+	q launchQueue
 }
 
 // Health is the device's hook into an injectable health plane (the fault
@@ -86,6 +90,7 @@ func New(cfg Config) *Device {
 // AttachHealth installs the device's health plane (nil detaches it and
 // restores healthy multipliers).
 func (d *Device) AttachHealth(h Health) {
+	d.Sync()
 	d.health = h
 	if h == nil {
 		d.kernelMult, d.transferMult = 1, 1
@@ -173,27 +178,42 @@ func (d *Device) Alloc(bytes int) uint64 {
 
 // Subscribe registers a callback invoked with the stats of every kernel
 // launch. The profiler uses this as its nvprof attach point.
-func (d *Device) Subscribe(fn func(KernelStats)) { d.kernelListeners = append(d.kernelListeners, fn) }
+// It hears kernels launched from here on, at the Sync that delivers them.
+func (d *Device) Subscribe(fn func(KernelStats)) {
+	d.Sync()
+	d.kernelListeners = append(d.kernelListeners, fn)
+}
 
 // SubscribeTransfers registers a callback for host-device copies.
 func (d *Device) SubscribeTransfers(fn func(TransferStats)) {
+	d.Sync()
 	d.transferListeners = append(d.transferListeners, fn)
 }
 
 // ElapsedSeconds returns total simulated time in seconds (kernels + launch
 // overheads + transfers) since construction or the last ResetClock.
-func (d *Device) ElapsedSeconds() float64 { return d.seconds + d.transferSecs }
+func (d *Device) ElapsedSeconds() float64 {
+	d.Sync()
+	return d.seconds + d.transferSecs
+}
 
 // KernelCount returns the number of kernels launched.
-func (d *Device) KernelCount() uint64 { return d.kernelCount }
+func (d *Device) KernelCount() uint64 {
+	d.Sync()
+	return d.kernelCount
+}
 
 // TransferSeconds returns the simulated host-device transfer time since the
 // last ResetClock.
-func (d *Device) TransferSeconds() float64 { return d.transferSecs }
+func (d *Device) TransferSeconds() float64 {
+	d.Sync()
+	return d.transferSecs
+}
 
 // ResetClock zeroes simulated time and the kernel counter but keeps caches
 // and allocations; used between measurement epochs.
 func (d *Device) ResetClock() {
+	d.Sync()
 	d.seconds = 0
 	d.transferSecs = 0
 	d.kernelCount = 0
@@ -217,6 +237,7 @@ func (d *Device) TransferCost(bytes uint64) float64 {
 // CopyH2D models a host-to-device copy of bytes with the given fraction of
 // zero values, advancing simulated time by the PCIe transfer cost.
 func (d *Device) CopyH2D(name string, bytes uint64, zeroFraction float64) TransferStats {
+	d.Sync()
 	d.pollHealth()
 	secs := d.CopyCost(bytes) * d.transferMult
 	ts := TransferStats{
@@ -233,17 +254,36 @@ func (d *Device) CopyH2D(name string, bytes uint64, zeroFraction float64) Transf
 	return ts
 }
 
-// Launch models the execution of one kernel: replays its memory stream
-// through the cache hierarchy, derives latency from a bottleneck timing
-// model, attributes stalls, advances the simulated clock, and notifies
-// subscribers. The returned stats are also delivered to listeners.
+// Launch models one kernel now, after every queued one: it replays the
+// kernel's memory stream through the cache hierarchy, derives latency from a
+// bottleneck timing model, attributes stalls, advances the simulated clock,
+// and notifies subscribers before it returns the stats. The op engine queues
+// its kernels with Submit instead.
 func (d *Device) Launch(k *Kernel) KernelStats {
+	d.Sync()
+	d.raisePending(k.Name)
+	d.pollHealth()
+	k.defaults()
+	stats := d.model(k)
+	for _, fn := range d.kernelListeners {
+		fn(stats)
+	}
+	return stats
+}
+
+// raisePending raises the OOM an allocation parked since the last launch,
+// naming the kernel that needed the memory.
+func (d *Device) raisePending(kernel string) {
 	if oom := d.pendingOOM; oom != nil {
 		d.pendingOOM = nil
-		oom.Kernel = k.Name
+		oom.Kernel = kernel
 		raise(oom)
 	}
-	d.pollHealth()
+}
+
+// defaults fills a kernel's unset launch parameters: one warp of threads, a
+// dependency chain of one, full efficiency.
+func (k *Kernel) defaults() {
 	if k.Threads <= 0 {
 		k.Threads = 32
 	}
@@ -253,7 +293,11 @@ func (d *Device) Launch(k *Kernel) KernelStats {
 	if k.Efficiency <= 0 || k.Efficiency > 1 {
 		k.Efficiency = 1
 	}
+}
 
+// model is the device model proper, run by a queue's worker or by Launch:
+// replay k's accesses, time it and advance the clock.
+func (d *Device) model(k *Kernel) KernelStats {
 	mem := d.replayMemory(k)
 
 	stats := KernelStats{
@@ -286,9 +330,6 @@ func (d *Device) Launch(k *Kernel) KernelStats {
 	stats.Launch = maxf(0, stats.Launch-stats.Seconds)
 	d.seconds += stats.Seconds + stats.Launch
 	d.kernelCount++
-	for _, fn := range d.kernelListeners {
-		fn(stats)
-	}
 	return stats
 }
 

@@ -83,25 +83,30 @@ func TestResetClockClearsTransferSeconds(t *testing.T) {
 // and hands back a placeholder; the next Launch raises it with the kernel's
 // name in the report, and the placeholder's Free is a no-op.
 func TestAllocBlockOOMPanicsAtLaunch(t *testing.T) {
-	cfg := testConfig()
-	cfg.HBMBytes = 4 << 20
-	d := New(cfg)
-	b := d.AllocBlock(8<<20, "huge.tensor")
-	if b == nil {
-		t.Fatal("AllocBlock must return a placeholder on OOM")
-	}
-	d.Free(b) // placeholder: no-op
-	err := Guard(func() {
-		d.Launch(&Kernel{Name: "doomed_kernel", Class: OpOther, Threads: 32, Mix: InstrMix{Int32: 32}})
-	})
-	oom, ok := err.(*vmem.OOMError)
-	if !ok {
-		t.Fatalf("Launch must raise a *vmem.OOMError, got %v", err)
-	}
-	if oom.Kernel != "doomed_kernel" {
-		t.Fatalf("OOM names kernel %q, want doomed_kernel", oom.Kernel)
-	}
-	if !strings.Contains(oom.Error(), "huge.tensor") {
-		t.Fatalf("OOM report missing failing tag:\n%s", oom.Error())
+	for _, launch := range []func(*Device, *Kernel){
+		func(d *Device, k *Kernel) { d.Launch(k) },
+		func(d *Device, k *Kernel) { d.Submit(k, nil) },
+	} {
+		cfg := testConfig()
+		cfg.HBMBytes = 4 << 20
+		d := New(cfg)
+		b := d.AllocBlock(8<<20, "huge.tensor")
+		if b == nil {
+			t.Fatal("AllocBlock must return a placeholder on OOM")
+		}
+		d.Free(b) // placeholder: no-op
+		err := Guard(func() {
+			launch(d, &Kernel{Name: "doomed_kernel", Class: OpOther, Threads: 32, Mix: InstrMix{Int32: 32}})
+		})
+		oom, ok := err.(*vmem.OOMError)
+		if !ok {
+			t.Fatalf("Launch must raise a *vmem.OOMError, got %v", err)
+		}
+		if oom.Kernel != "doomed_kernel" {
+			t.Fatalf("OOM names kernel %q, want doomed_kernel", oom.Kernel)
+		}
+		if !strings.Contains(oom.Error(), "huge.tensor") {
+			t.Fatalf("OOM report missing failing tag:\n%s", oom.Error())
+		}
 	}
 }

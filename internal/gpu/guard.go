@@ -10,7 +10,7 @@ type failure struct{ err error }
 func (f failure) Error() string { return f.err.Error() }
 
 // raise unwinds to the nearest Guard with err: a parked *vmem.OOMError
-// (Launch) or the health plane's fatal error (pollHealth).
+// (Launch or Submit) or the health plane's fatal error (pollHealth).
 func raise(err error) { panic(failure{err}) }
 
 // Guard runs f and returns the error a simulated device raised in it,

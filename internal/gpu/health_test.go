@@ -120,21 +120,27 @@ func TestThrottleActivatesMidRun(t *testing.T) {
 // raised at the next Launch as a *fault.FatalError naming the event — the
 // parked OOM protocol, reused for health.
 func TestFatalEventPanicsAtLaunch(t *testing.T) {
-	dev := New(V100())
-	dev.AttachHealth(fault.NewMonitor([]fault.Event{
-		{Slot: 3, Type: fault.XID, Code: 79, Msg: "GPU has fallen off the bus", At: 0},
-	}, false))
+	// Submit launches synchronously on a device with a health plane.
+	for _, launch := range []func(*Device, *Kernel){
+		func(d *Device, k *Kernel) { d.Launch(k) },
+		func(d *Device, k *Kernel) { d.Submit(k, nil) },
+	} {
+		dev := New(V100())
+		dev.AttachHealth(fault.NewMonitor([]fault.Event{
+			{Slot: 3, Type: fault.XID, Code: 79, Msg: "GPU has fallen off the bus", At: 0},
+		}, false))
 
-	err := Guard(func() { dev.Launch(healthKernel("doomed", 256)) })
-	if err == nil {
-		t.Fatal("Launch did not raise a due fatal event")
-	}
-	var fe *fault.FatalError
-	if !errors.As(err, &fe) {
-		t.Fatalf("raised error %v is not a *fault.FatalError", err)
-	}
-	if fe.Event.Type != fault.XID || fe.Event.Code != 79 || fe.Event.Slot != 3 {
-		t.Fatalf("fatal error lost event identity: %+v", fe.Event)
+		err := Guard(func() { launch(dev, healthKernel("doomed", 256)) })
+		if err == nil {
+			t.Fatal("Launch did not raise a due fatal event")
+		}
+		var fe *fault.FatalError
+		if !errors.As(err, &fe) {
+			t.Fatalf("raised error %v is not a *fault.FatalError", err)
+		}
+		if fe.Event.Type != fault.XID || fe.Event.Code != 79 || fe.Event.Slot != 3 {
+			t.Fatalf("fatal error lost event identity: %+v", fe.Event)
+		}
 	}
 }
 

@@ -175,7 +175,12 @@ func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, opt nn.Optimizer, cli
 	params := opt.Params()
 	nn.ZeroGrads(params)
 	env.beginPhase(obs.PhaseBackward, phaseBackwardC)
-	before := env.SimClock()
+	// Reading the clock waits for the device model to catch up, so only the
+	// DDP hook, which needs the backward pass's seconds, reads it.
+	var before float64
+	if env.OnGradients != nil {
+		before = env.SimClock()
+	}
 	t.Backward(loss)
 	if env.OnGradients != nil {
 		// Under ddp.Train the hook flattens gradients, waits at the

@@ -318,6 +318,7 @@ func TestOptimizerEmitsKernels(t *testing.T) {
 	opt.Step()
 	sgd := NewSGD(e, []*autograd.Param{p}, 0.01, 0.9, 1e-4)
 	sgd.Step()
+	dev.Sync() // the listener hears queued kernels here
 	if count != 2 {
 		t.Fatalf("optimizer steps emitted %d elementwise kernels, want 2", count)
 	}

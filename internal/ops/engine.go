@@ -181,7 +181,7 @@ func (e *Engine) launch(k *gpu.Kernel) {
 	if e.pipe != nil {
 		e.pipe.compute.Launch(k)
 	} else {
-		e.dev.Launch(k)
+		e.dev.Submit(k, nil)
 	}
 	e.recordLaunch(k.Name, k.Class)
 }

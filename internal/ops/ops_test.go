@@ -14,15 +14,16 @@ import (
 	"gnnmark/internal/vmem"
 )
 
-// recordingEngine returns an engine on a small device plus the slice of
-// launched kernel stats (filled as ops run).
-func recordingEngine() (*Engine, *[]gpu.KernelStats) {
+// recordingEngine returns an engine on a small device plus a function that
+// returns the stats of every kernel launched so far (it syncs the device,
+// which delivers them).
+func recordingEngine() (*Engine, func() []gpu.KernelStats) {
 	cfg := gpu.V100()
 	cfg.MaxSampledWarps = 1 << 10
 	dev := gpu.New(cfg)
 	var log []gpu.KernelStats
 	dev.Subscribe(func(ks gpu.KernelStats) { log = append(log, ks) })
-	return New(dev), &log
+	return New(dev), func() []gpu.KernelStats { dev.Sync(); return log }
 }
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -75,12 +76,13 @@ func TestMatMulShapePanics(t *testing.T) {
 }
 
 func TestMatMulEmitsGEMMKernel(t *testing.T) {
-	e, log := recordingEngine()
+	e, launched := recordingEngine()
 	e.MatMul(tensor.Full(1, 32, 32), tensor.Full(1, 32, 32))
-	if len(*log) != 1 {
-		t.Fatalf("launched %d kernels, want 1", len(*log))
+	log := launched()
+	if len(log) != 1 {
+		t.Fatalf("launched %d kernels, want 1", len(log))
 	}
-	ks := (*log)[0]
+	ks := log[0]
 	if ks.Class != gpu.OpGEMM {
 		t.Fatalf("class = %v, want GEMM", ks.Class)
 	}
@@ -122,15 +124,16 @@ func TestSpMMWeighted(t *testing.T) {
 }
 
 func TestSpMMEmitsSpMMKernelWithDivergence(t *testing.T) {
-	e, log := recordingEngine()
+	e, launched := recordingEngine()
 	rng := rand.New(rand.NewSource(3))
 	g := graph.RandomGNP(rng, 400, 0.02)
 	x := tensor.Rand(rng, 1, 400, 16)
 	e.SpMM(g, x)
 	var spmm *gpu.KernelStats
-	for i := range *log {
-		if (*log)[i].Class == gpu.OpSpMM {
-			spmm = &(*log)[i]
+	log := launched()
+	for i := range log {
+		if log[i].Class == gpu.OpSpMM {
+			spmm = &log[i]
 		}
 	}
 	if spmm == nil {
@@ -273,7 +276,7 @@ func TestGatherRowsPanicsOutOfRange(t *testing.T) {
 }
 
 func TestKernelClassesEmitted(t *testing.T) {
-	e, log := recordingEngine()
+	e, launched := recordingEngine()
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.Rand(rng, 1, 16, 8)
 	idx := []int32{1, 3, 5}
@@ -292,12 +295,13 @@ func TestKernelClassesEmitted(t *testing.T) {
 		gpu.OpGather, gpu.OpIndexSelect, gpu.OpScatter, gpu.OpEmbedding,
 		gpu.OpSort, gpu.OpReduction, gpu.OpReduction, gpu.OpBatchNorm, gpu.OpBatchNorm,
 	}
-	if len(*log) != len(want) {
-		t.Fatalf("launched %d kernels, want %d", len(*log), len(want))
+	log := launched()
+	if len(log) != len(want) {
+		t.Fatalf("launched %d kernels, want %d", len(log), len(want))
 	}
 	for i, w := range want {
-		if (*log)[i].Class != w {
-			t.Fatalf("kernel %d class = %v, want %v", i, (*log)[i].Class, w)
+		if log[i].Class != w {
+			t.Fatalf("kernel %d class = %v, want %v", i, log[i].Class, w)
 		}
 	}
 }
@@ -511,23 +515,25 @@ func TestConv2DGradientsNumerically(t *testing.T) {
 }
 
 func TestConv2DEmitsConvClass(t *testing.T) {
-	e, log := recordingEngine()
+	e, launched := recordingEngine()
 	x := tensor.Full(1, 1, 2, 8, 8)
 	w := tensor.Full(1, 4, 2, 1, 3)
 	e.Conv2D(x, w, 1, 1, 0, 1)
-	if len(*log) != 1 || (*log)[0].Class != gpu.OpConv {
-		t.Fatalf("conv kernel not emitted: %+v", *log)
+	log := launched()
+	if len(log) != 1 || log[0].Class != gpu.OpConv {
+		t.Fatalf("conv kernel not emitted: %+v", log)
 	}
 }
 
 func TestTransposeEmitsAndCorrect(t *testing.T) {
-	e, log := recordingEngine()
+	e, launched := recordingEngine()
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	y := e.Transpose2D(x)
 	if y.At(2, 1) != 6 || y.At(0, 0) != 1 {
 		t.Fatal("transpose wrong")
 	}
-	if len(*log) != 1 || (*log)[0].Class != gpu.OpElementWise {
+	log := launched()
+	if len(log) != 1 || log[0].Class != gpu.OpElementWise {
 		t.Fatal("transpose kernel not emitted")
 	}
 }

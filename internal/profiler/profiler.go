@@ -170,11 +170,17 @@ func (p *Profiler) EpochSeconds() []float64 {
 	return out
 }
 
-// Class returns the accumulated stats of one class.
-func (p *Profiler) Class(c gpu.OpClass) *ClassStats { return &p.perClass[c] }
+// Class returns the accumulated stats of one class, every kernel launched
+// so far included (it syncs the device).
+func (p *Profiler) Class(c gpu.OpClass) *ClassStats {
+	p.dev.Sync()
+	return &p.perClass[c]
+}
 
-// Reset clears all accumulated state (counters, transfers, epoch marks).
+// Reset clears all accumulated state (counters, transfers, epoch marks),
+// every kernel launched so far included.
 func (p *Profiler) Reset() {
+	p.dev.Sync()
 	p.perClass = [gpu.NumOpClasses]ClassStats{}
 	p.transfers = nil
 	p.epochs = nil

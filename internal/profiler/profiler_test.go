@@ -16,8 +16,10 @@ func testDevice() (*gpu.Device, *Profiler) {
 	return dev, Attach(dev)
 }
 
-func launchSample(dev *gpu.Device, class gpu.OpClass, fp, in uint64) gpu.KernelStats {
-	return dev.Launch(&gpu.Kernel{
+// launchSample queues a kernel the way the op engine does: the profiler's
+// readers must sync the device to see it.
+func launchSample(dev *gpu.Device, class gpu.OpClass, fp, in uint64) {
+	dev.Submit(&gpu.Kernel{
 		Name:  "k-" + class.String(),
 		Class: class, Threads: 1 << 14,
 		Mix:   gpu.InstrMix{Fp32: fp, Int32: in, Load: (fp + in) / 4},
@@ -26,7 +28,7 @@ func launchSample(dev *gpu.Device, class gpu.OpClass, fp, in uint64) gpu.KernelS
 			Kind: gpu.LoadAccess, Base: dev.Alloc(1 << 20), ElemBytes: 4,
 			Count: 1 << 14, Stride: 1,
 		}},
-	})
+	}, nil)
 }
 
 func TestProfilerAggregatesPerClass(t *testing.T) {

@@ -42,8 +42,10 @@ type Report struct {
 	Kernels       uint64
 }
 
-// Snapshot computes a Report from the current accumulated state.
+// Snapshot computes a Report from the current accumulated state, every
+// kernel launched so far included (it syncs the device).
 func (p *Profiler) Snapshot() Report {
+	p.dev.Sync()
 	var r Report
 	var total ClassStats
 	for c := range p.perClass {

@@ -15,6 +15,11 @@
 // and Sync models cudaDeviceSynchronize by advancing every stream to it.
 // One training run therefore yields both the synchronous epoch time
 // (Device.ElapsedSeconds) and the overlapped one (Timeline.Now).
+//
+// A kernel is queued to the device (gpu.Device.Submit) and reaches its
+// stream when the device delivers its stats; every method that reads,
+// fences or pushes onto a stream syncs the device first, so a stream sees
+// its items in the order they were issued.
 package stream
 
 import "gnnmark/internal/gpu"
@@ -42,6 +47,7 @@ func New(dev *gpu.Device) *Timeline {
 // NewStream adds a named stream starting at t = 0.
 func (tl *Timeline) NewStream(name string) *Stream {
 	s := &Stream{tl: tl, id: len(tl.streams), name: name}
+	s.ran = func(st gpu.KernelStats) { s.enqueue(st.Name, "kernel", st.Seconds+st.Launch, 0) }
 	tl.streams = append(tl.streams, s)
 	return s
 }
@@ -49,6 +55,7 @@ func (tl *Timeline) NewStream(name string) *Stream {
 // Now returns the makespan: the furthest cursor across streams. This is
 // the overlapped wall-clock of everything enqueued so far.
 func (tl *Timeline) Now() float64 {
+	tl.dev.Sync()
 	var t float64
 	for _, s := range tl.streams {
 		if s.cursor > t {
@@ -119,13 +126,23 @@ type Stream struct {
 
 	slices  []Slice
 	dropped int
+
+	// ran places a launched kernel on the stream once the device has
+	// modelled it.
+	ran func(gpu.KernelStats)
 }
 
 // Cursor returns the finish time of the last enqueued item.
-func (s *Stream) Cursor() float64 { return s.cursor }
+func (s *Stream) Cursor() float64 {
+	s.tl.dev.Sync()
+	return s.cursor
+}
 
 // Busy returns the total duration of items enqueued so far.
-func (s *Stream) Busy() float64 { return s.busy }
+func (s *Stream) Busy() float64 {
+	s.tl.dev.Sync()
+	return s.busy
+}
 
 // Event is a recorded point on a stream's timeline, used to order another
 // stream after it (cudaEventRecord / cudaStreamWaitEvent).
@@ -135,7 +152,7 @@ type Event struct{ at float64 }
 func (ev Event) At() float64 { return ev.at }
 
 // Record captures the stream's current completion point.
-func (s *Stream) Record() Event { return Event{at: s.cursor} }
+func (s *Stream) Record() Event { return Event{at: s.Cursor()} }
 
 // Wait fences the stream's next item to start no earlier than ev.
 func (s *Stream) Wait(ev Event) { s.WaitUntil(ev.at) }
@@ -143,6 +160,7 @@ func (s *Stream) Wait(ev Event) { s.WaitUntil(ev.at) }
 // WaitUntil fences the stream's next item to start no earlier than t.
 // Fences only ever move forward.
 func (s *Stream) WaitUntil(t float64) {
+	s.tl.dev.Sync()
 	if t > s.fence {
 		s.fence = t
 	}
@@ -172,17 +190,15 @@ func (s *Stream) enqueue(name, cat string, dur float64, bytes uint64) float64 {
 // NVLink halo copies — while reusing the stream's fencing, busy accounting,
 // and trace-lane export. Returns the item's start time.
 func (s *Stream) Push(name, cat string, dur float64, bytes uint64) float64 {
+	s.tl.dev.Sync()
 	return s.enqueue(name, cat, dur, bytes)
 }
 
-// Launch submits k to the device (advancing the serialized baseline clock
-// and all kernel accounting exactly as a direct Launch would) and enqueues
-// its duration on this stream's timeline.
-func (s *Stream) Launch(k *gpu.Kernel) gpu.KernelStats {
-	st := s.tl.dev.Launch(k)
-	s.enqueue(k.Name, "kernel", st.Seconds+st.Launch, 0)
-	return st
-}
+// Launch queues k on the device (which advances the serialized baseline
+// clock and all kernel accounting exactly as a direct Launch would) and,
+// when the device delivers k's stats, enqueues its duration on this
+// stream's timeline.
+func (s *Stream) Launch(k *gpu.Kernel) { s.tl.dev.Submit(k, s.ran) }
 
 // CopyH2D submits a host-to-device copy: the device records the RAW
 // payload (keeping the sparsity characterization and the serialized

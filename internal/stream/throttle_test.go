@@ -8,16 +8,21 @@ import (
 	"gnnmark/internal/gpu"
 )
 
-// heavyLaunch submits a kernel whose execution time dominates launch
-// overhead, so a throttle visibly scales the recorded slice.
+// heavyLaunch queues a kernel whose execution time dominates launch
+// overhead, so a throttle visibly scales the recorded slice, and returns the
+// stats the device delivers for it.
 func heavyLaunch(s *Stream) gpu.KernelStats {
+	var st gpu.KernelStats
+	s.tl.dev.Subscribe(func(ks gpu.KernelStats) { st = ks })
 	n := 1 << 14
-	return s.Launch(&gpu.Kernel{
+	s.Launch(&gpu.Kernel{
 		Name: "k", Class: gpu.OpGEMM, Threads: n,
 		Mix:      gpu.InstrMix{Fp32: uint64(n) * 4096, Load: uint64(n) * 8},
 		Flops:    uint64(n) * 8192,
 		Accesses: []gpu.Access{{Kind: gpu.LoadAccess, Base: 0, ElemBytes: 4, Count: n, Stride: 1}},
 	})
+	s.tl.dev.Sync()
+	return st
 }
 
 // throttled builds a timeline over a device with a thermal throttle and an

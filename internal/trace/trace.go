@@ -35,7 +35,9 @@ type Event struct {
 const maxEvents = 100_000
 
 // Recorder subscribes to a device and accumulates the kernel timeline.
+// Its readers sync the device first, so they see every kernel launched.
 type Recorder struct {
+	dev     *gpu.Device
 	events  []Event
 	clock   float64 // device-time cursor in seconds
 	limit   int
@@ -46,7 +48,7 @@ type Recorder struct {
 // events; past the cap, kernels are counted into the clock (and into
 // Dropped) but not recorded.
 func Attach(dev *gpu.Device) *Recorder {
-	r := &Recorder{limit: maxEvents}
+	r := &Recorder{dev: dev, limit: maxEvents}
 	dev.Subscribe(r.onKernel)
 	dev.SubscribeTransfers(r.onTransfer)
 	return r
@@ -97,14 +99,20 @@ func (r *Recorder) onTransfer(ts gpu.TransferStats) {
 }
 
 // Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return len(r.Events()) }
 
 // Dropped returns how many device events arrived after the recorder hit
 // its limit and were counted into the clock but not recorded.
-func (r *Recorder) Dropped() int { return r.dropped }
+func (r *Recorder) Dropped() int {
+	r.dev.Sync()
+	return r.dropped
+}
 
 // Events returns the recorded timeline events (shared slice; do not mutate).
-func (r *Recorder) Events() []Event { return r.events }
+func (r *Recorder) Events() []Event {
+	r.dev.Sync()
+	return r.events
+}
 
 // metaEvent builds a Chrome "M" metadata event.
 func metaEvent(name string, pid, tid int, args map[string]string) Event {
@@ -124,11 +132,12 @@ func (r *Recorder) TimelineEvents() []Event {
 		meta = append(meta, metaEvent("thread_name", DevicePID, int(c)+1,
 			map[string]string{"name": c.String()}))
 	}
+	events := r.Events()
 	if r.dropped > 0 {
 		meta = append(meta, metaEvent("device_events_dropped", DevicePID, 0,
 			map[string]string{"count": fmt.Sprintf("%d", r.dropped)}))
 	}
-	return append(meta, r.events...)
+	return append(meta, events...)
 }
 
 // WriteEvents writes any event slice as a Chrome trace-event document.

@@ -15,13 +15,15 @@ func testDev() (*gpu.Device, *Recorder) {
 	return dev, Attach(dev)
 }
 
-func launch(dev *gpu.Device, class gpu.OpClass, n int) gpu.KernelStats {
-	return dev.Launch(&gpu.Kernel{
+// launch queues a kernel the way the op engine does: the recorder's readers
+// must sync the device to see it.
+func launch(dev *gpu.Device, class gpu.OpClass, n int) {
+	dev.Submit(&gpu.Kernel{
 		Name: "k-" + class.String(), Class: class, Threads: n,
 		Mix:      gpu.InstrMix{Fp32: uint64(n) * 8, Load: uint64(n)},
 		Flops:    uint64(n) * 16,
 		Accesses: []gpu.Access{{Kind: gpu.LoadAccess, Base: dev.Alloc(4 * n), ElemBytes: 4, Count: n, Stride: 1}},
-	})
+	}, nil)
 }
 
 func TestRecorderBuildsOrderedTimeline(t *testing.T) {
