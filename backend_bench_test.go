@@ -24,7 +24,7 @@ func BenchmarkBackendOps(b *testing.B) {
 				b.Fatal(err)
 			}
 			run := c.Runner(1)
-			b.Run(c.Key()+"/"+name, func(b *testing.B) {
+			b.Run(c.Op+"/"+c.Shape+"/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(c.Bytes)
 				for i := 0; i < b.N; i++ {
@@ -45,7 +45,7 @@ func BenchmarkBackendSmoke(b *testing.B) {
 				b.Fatal(err)
 			}
 			run := c.Runner(1)
-			b.Run(c.Key()+"/"+name, func(b *testing.B) {
+			b.Run(c.Op+"/"+c.Shape+"/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(c.Bytes)
 				for i := 0; i < b.N; i++ {

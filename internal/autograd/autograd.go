@@ -44,9 +44,6 @@ type Var struct {
 	order    int
 }
 
-// Grad returns the accumulated gradient (nil before Backward reaches it).
-func (v *Var) Grad() *tensor.Tensor { return v.grad }
-
 // accum adds dy into v's gradient, allocating on first touch.
 func (v *Var) accum(dy *tensor.Tensor) {
 	if !v.needGrad {

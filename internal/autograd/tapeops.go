@@ -296,33 +296,12 @@ func (t *Tape) Permute4D(x *Var, perm [4]int) *Var {
 	})
 }
 
-// SumAll reduces to a (1) scalar.
-func (t *Tape) SumAll(x *Var) *Var {
-	out := t.E.SumAll(x.Value)
-	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
-		x.accum(tensor.Full(dy.At(0), x.Value.Shape()...))
-	})
-}
-
 // MeanAll reduces to the (1) scalar mean.
 func (t *Tape) MeanAll(x *Var) *Var {
 	out := t.E.MeanAll(x.Value)
 	n := float32(x.Value.Size())
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
 		x.accum(tensor.Full(dy.At(0)/n, x.Value.Shape()...))
-	})
-}
-
-// SumRows reduces (N,F) over rows to (F).
-func (t *Tape) SumRows(x *Var) *Var {
-	out := t.E.SumRows(x.Value)
-	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
-		n, f := x.Value.Dim(0), x.Value.Dim(1)
-		dx := tensor.New(n, f)
-		for i := 0; i < n; i++ {
-			copy(dx.Row(i), dy.Data())
-		}
-		x.accum(dx)
 	})
 }
 
@@ -358,27 +337,6 @@ func (t *Tape) Softmax(x *Var) *Var {
 			}
 			for j := 0; j < f; j++ {
 				xr[j] = or[j] * (dr[j] - float32(dot))
-			}
-		}
-		x.accum(dx)
-	})
-}
-
-// LogSoftmax applies a row-wise log-softmax.
-func (t *Tape) LogSoftmax(x *Var) *Var {
-	out := t.E.LogSoftmax(x.Value)
-	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
-		n, f := out.Dim(0), out.Dim(1)
-		soft := t.E.Softmax(x.Value)
-		dx := tensor.New(n, f)
-		for i := 0; i < n; i++ {
-			sr, dr, xr := soft.Row(i), dy.Row(i), dx.Row(i)
-			var sum float64
-			for j := 0; j < f; j++ {
-				sum += float64(dr[j])
-			}
-			for j := 0; j < f; j++ {
-				xr[j] = dr[j] - sr[j]*float32(sum)
 			}
 		}
 		x.accum(dx)

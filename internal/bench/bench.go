@@ -121,16 +121,6 @@ func (s *Suite) Figures() []Figure {
 	return []Figure{s.fig2(), s.fig3(), s.fig4(), s.fig5(), s.fig6(), s.fig7(), s.fig8(), s.figM()}
 }
 
-// Figure builds the figure with the given id ("fig2" ... "fig8", "figm").
-func (s *Suite) Figure(id string) (Figure, error) {
-	for _, f := range s.Figures() {
-		if f.ID == id {
-			return f, nil
-		}
-	}
-	return Figure{}, fmt.Errorf("bench: no figure %q", id)
-}
-
 // perWorkload fills f with one row per run and, when avg is given, the
 // "average" row of cross-workload means.
 func (s *Suite) perWorkload(f Figure, vals func(r *core.RunResult) []any, avg ...any) Figure {

@@ -24,7 +24,7 @@ type Evidence struct {
 // substrate is a model, not a V100 — but each pins the qualitative shape a
 // regression would break.
 type Claim struct {
-	Figure  string // figure id, as in Suite.Figure ("fig9" for the scaling study)
+	Figure  string // figure id, as in Study.Figure ("fig9" for the scaling study)
 	Text    string // the claim, in the paper's terms
 	Paper   string // the paper's value
 	Verdict string // the verdict while Check passes

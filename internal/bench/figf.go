@@ -100,11 +100,9 @@ func (res *FigFResult) Figure() Figure {
 			"so the gap is purely the recovery policy (seconds of re-shard vs minutes of replacement)."}}
 	wide := func(head string) Column { return Column{head, 16, "%.4f", false} }
 	count := func(head string, width int) Column { return Column{head, width, "%d", false} }
-	// "failstop goodput" is one wider than its column and has always pushed
-	// the heads after it one to the right; the space keeps them there.
 	columns := []Column{count("fatals", 8), count("degraded", 8),
 		wide("elastic goodput"), count("surv", 9), count("recov", 10),
-		wide(" failstop goodput"), count("surv", 9), count("recov", 10), {"advantage", 10, "%.2fx", false}}
+		wide("failstop goodput"), count("surv", 9), count("recov", 10), {"advantage", 10, "%.2fx", false}}
 	for _, wl := range res.Workloads {
 		p := Figure{Title: wl.Workload + ":", Columns: columns}
 		for _, lvl := range wl.Levels {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"testing"
+	"unicode/utf8"
 
 	"gnnmark/internal/core"
 )
@@ -42,5 +43,13 @@ func TestFigFElasticBeatsFailStop(t *testing.T) {
 	}
 	if len(churn.FailStop.Survivors) != res.GPUs {
 		t.Fatalf("fail-stop must keep the world at full size: %+v", churn.FailStop)
+	}
+	// Every head fits its column, so no head pushes the ones after it over.
+	for _, p := range res.Figure().Panels {
+		for _, c := range p.Columns {
+			if n := utf8.RuneCountInString(c.Head); n > max(c.Width, -c.Width) {
+				t.Errorf("figf head %q is %d wide in a %d-wide column", c.Head, n, c.Width)
+			}
+		}
 	}
 }

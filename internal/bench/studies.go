@@ -220,8 +220,7 @@ func inferenceFigure(rs []core.RunResult) Figure {
 	f.add("GEMM+SpMM share", 100*train.GEMMSpMMTimeShare(), 100*infer.GEMMSpMMTimeShare())
 	f.add("element-wise share", 100*train.TimeShare[gpu.OpElementWise], 100*infer.TimeShare[gpu.OpElementWise])
 	f.add("kernels", num("%.0f", float64(train.Kernels)), num("%.0f", float64(infer.Kernels)))
-	// This row has always printed one column short of its heads.
-	f.add("kernel ms", Cell{Text: fmt.Sprintf("%9.3f %9.3f", 1e3*train.KernelSeconds, 1e3*infer.KernelSeconds)})
+	f.add("kernel ms", num("%.3f", 1e3*train.KernelSeconds), num("%.3f", 1e3*infer.KernelSeconds))
 	return f
 }
 

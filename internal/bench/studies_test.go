@@ -83,6 +83,13 @@ func TestInferenceContrast(t *testing.T) {
 		t.Fatalf("inference GEMM+SpMM share (%.1f%%) should exceed training's (%.1f%%)",
 			100*infer.GEMMSpMMTimeShare(), 100*train.GEMMSpMMTimeShare())
 	}
+	// Every row of the printed figure has one cell under each column.
+	f := inferenceFigure(rs)
+	for _, row := range f.Rows {
+		if len(row) != len(f.Columns) {
+			t.Errorf("infer row %q has %d cells under %d columns", row[0].Text, len(row), len(f.Columns))
+		}
+	}
 }
 
 func TestL1BypassAblation(t *testing.T) {

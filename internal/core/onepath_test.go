@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -399,17 +400,19 @@ func TestOneWayAcrossABoundary(t *testing.T) {
 }
 
 // keptExports are the exported declarations under internal/ that no non-test
-// file names, each with the reason it stays. TestEveryExportHasACaller fails
-// on an entry that is gone or has found a caller, so the list only shrinks.
+// file uses, each with the reason it stays: an oracle, fixture or reference
+// half another package's tests need. TestEveryExportHasACaller fails on an
+// entry that is gone or has found a caller, so the list only shrinks.
 var keptExports = map[string]string{
 	"gpu.Cache.AccessLine":     "the byte-address entry point the cache oracle tests drive; touch is its line-indexed core",
 	"gpu.OpComm":               "a slot of the paper's op taxonomy: NumOpClasses and the per-class metric set are laid out over it",
 	"graph.CSR.HasEdge":        "accessor the graph and datasets tests read structure through",
+	"graph.CSR.Validate":       "the structural oracle the graph and datasets tests check every built adjacency with",
 	"graph.RandomGNP":          "fixture for seven test files in three packages",
+	"graph.Tree.Validate":      "the structural oracle the graph and datasets tests check every built parse tree with",
 	"loader.Decode":            "reference half of the batch codec: the round-trip tests compare Encode against it",
 	"nn.LoadParams":            "the parameters-only entry to the decoder and matcher: FuzzLoadParams and the mismatch tests drive them through it",
 	"nn.LoadTrainingFile":      "pairs the durable checkpoint writer; the crash tests read back what it wrote",
-	"nn.NewSGD":                "the SGD step is part of the Backend interface e2ebench wraps",
 	"nn.SaveParams":            "writes the parameters-only stream (one GNNMARK1 block) the decoder's round-trip tests read back",
 	"serve.FormatArrivalTrace": "reference half of the arrival-trace parser's round-trip test",
 	"tensor.Tensor.MaxAbs":     "accessor the nn, autograd and tensor tests observe values and gradients through",
@@ -423,73 +426,58 @@ var calledByStdlib = map[string]bool{
 }
 
 // TestEveryExportHasACaller keeps test-only code from growing back: every
-// package lives under internal/, so a declaration the binaries, the examples
-// and the root facade never name has no user. Each exported top-level
-// function, type, method, interface method (keyed pkg.Iface.Method),
-// variable and constant declared in a non-test file under internal/ must
-// have its name appear in some non-test file of the module outside its own
-// declaration, sit in keptExports, or be a method the standard library calls
-// (calledByStdlib). The match is by name (go/parser only, no type
-// information): the name of another top-level declaration, an interface's
-// method list and a method's receiver type do not count as appearances.
+// package lives under internal/, so a declaration the binaries, the examples,
+// the root facade and e2ebench never use has no user. Each exported top-level
+// function, type, variable and constant, method (of any type) and interface
+// method declared in a non-test file under internal/ must be used by some
+// non-test file of the module outside its own declaration, sit in
+// keptExports, or be a method the standard library calls (calledByStdlib).
+// Uses are matched by object through go/types, so a method or field of the
+// same name elsewhere does not hide one; a method's receiver type does not
+// count as a use of that type. A method is also called when it implements a
+// used interface method, through its type's method set with promoted methods
+// included (an embedded trainer's Optimizer counts through
+// models.Workload.Optimizer).
 func TestEveryExportHasACaller(t *testing.T) {
-	root := filepath.Join("..", "..")
-	type export struct {
-		key, name, at string
-		method        bool
-		pos, end      token.Pos
+	m := loadModule(t)
+	type decl struct {
+		key      string
+		pos, end token.Pos
 	}
-	var exports []export
-	seen := map[string][]token.Pos{} // identifier -> where it appears outside a declaring position
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	exports := map[types.Object]decl{} // keyed pkg.Name or pkg.Type.Method
+	receivers := map[*ast.Ident]bool{}
+	var named []*types.TypeName // every declared type: the candidates that implement a used interface
+	declare := func(id *ast.Ident, recv string, n ast.Node) {
+		if obj := m.info.Defs[id]; obj != nil && obj.Exported() && strings.HasPrefix(obj.Pkg().Path(), "gnnmark/internal/") {
+			exports[obj] = decl{obj.Pkg().Name() + "." + recv + id.Name, n.Pos(), n.End()}
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		declaring := map[*ast.Ident]bool{}
-		declare := func(id *ast.Ident, recv string, n ast.Node) {
-			declaring[id] = true
-			if strings.HasPrefix(rel, "internal/") && id.IsExported() {
-				exports = append(exports, export{file.Name.Name + "." + recv + id.Name, id.Name,
-					fset.Position(id.Pos()).String(), recv != "", n.Pos(), n.End()})
-			}
-		}
-		for _, decl := range file.Decls {
-			switch decl := decl.(type) {
+	}
+	for _, file := range m.files {
+		for _, d := range file.Decls {
+			switch d := d.(type) {
 			case *ast.FuncDecl:
 				recv := ""
-				if decl.Recv != nil {
-					ast.Inspect(decl.Recv.List[0].Type, func(n ast.Node) bool {
+				if d.Recv != nil {
+					ast.Inspect(d.Recv.List[0].Type, func(n ast.Node) bool {
 						if id, ok := n.(*ast.Ident); ok && recv == "" {
-							declaring[id], recv = true, id.Name+"."
+							receivers[id], recv = true, id.Name+"."
 						}
 						return true
 					})
 				}
-				declare(decl.Name, recv, decl)
+				declare(d.Name, recv, d)
 			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
+				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						declare(spec.Name, "", spec)
+						if tn, ok := m.info.Defs[spec.Name].(*types.TypeName); ok {
+							named = append(named, tn)
+						}
 						if iface, ok := spec.Type.(*ast.InterfaceType); ok {
-							for _, m := range iface.Methods.List {
-								for _, id := range m.Names {
-									declare(id, spec.Name.Name+".", m)
+							for _, f := range iface.Methods.List {
+								for _, id := range f.Names {
+									declare(id, spec.Name.Name+".", f)
 								}
 							}
 						}
@@ -501,41 +489,68 @@ func TestEveryExportHasACaller(t *testing.T) {
 				}
 			}
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declaring[id] {
-				seen[id.Name] = append(seen[id.Name], id.Pos())
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	uncalled := map[string]bool{}
-	for _, e := range exports {
-		called := e.method && calledByStdlib[e.name]
-		for _, pos := range seen[e.name] {
-			if pos < e.pos || pos >= e.end {
-				called = true
-				break
-			}
+
+	used := map[types.Object]bool{}
+	ifaces := map[*types.Interface][]*types.Func{} // interface -> its methods some file calls
+	for id, obj := range m.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
 		}
-		if called {
+		if d, ok := exports[obj]; receivers[id] || ok && id.Pos() >= d.pos && id.Pos() < d.end {
 			continue
 		}
-		uncalled[e.key] = true
-		if keptExports[e.key] == "" {
-			t.Errorf("%s: %s is named by no non-test file: delete it, or add it to keptExports with the reason it stays", e.at, e.key)
+		used[obj] = true
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok && !slices.Contains(ifaces[iface], fn) {
+					ifaces[iface] = append(ifaces[iface], fn)
+				}
+			}
+		}
+	}
+	for _, tn := range named {
+		typ := tn.Type()
+		if !types.IsInterface(typ) {
+			typ = types.NewPointer(typ)
+		}
+		mset := types.NewMethodSet(typ)
+		for iface, methods := range ifaces {
+			if !types.Implements(typ, iface) {
+				continue
+			}
+			for _, im := range methods {
+				if sel := mset.Lookup(im.Pkg(), im.Name()); sel != nil {
+					used[sel.Obj().(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+
+	uncalled := map[string]bool{}
+	var errs []string
+	for obj, d := range exports {
+		fn, method := obj.(*types.Func)
+		if used[obj] || method && fn.Type().(*types.Signature).Recv() != nil && calledByStdlib[obj.Name()] {
+			continue
+		}
+		uncalled[d.key] = true
+		if keptExports[d.key] == "" {
+			errs = append(errs, fmt.Sprintf("%s: %s is used by no non-test file: delete it, or add it to keptExports with the reason it stays",
+				m.fset.Position(obj.Pos()), d.key))
 		}
 	}
 	for key := range keptExports {
 		if !uncalled[key] {
-			t.Errorf("keptExports lists %s, which is gone or has a caller now: drop the entry", key)
+			errs = append(errs, fmt.Sprintf("keptExports lists %s, which is gone or has a caller now: drop the entry", key))
 		}
 	}
-	if len(keptExports) > 40 {
-		t.Errorf("keptExports holds %d names, want at most 40", len(keptExports))
+	slices.Sort(errs)
+	for _, e := range errs {
+		t.Error(e)
+	}
+	if len(keptExports) > 12 {
+		t.Errorf("keptExports holds %d names, want at most 12", len(keptExports))
 	}
 }
 
@@ -573,55 +588,14 @@ var keptOptions = map[string]string{
 // matched by their owning type through go/types, so two configs' fields of
 // one name are told apart.
 func TestEveryOptionIsSet(t *testing.T) {
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	m := &moduleChecker{
-		fset: fset,
-		dirs: map[string]string{},
-		done: map[string]*types.Package{},
-		std:  importer.ForCompiler(fset, "source", nil),
-		info: &types.Info{
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
-	}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		rel, err := filepath.Rel(root, path)
-		if rel == "." {
-			m.dirs["gnnmark"] = path
-		} else {
-			m.dirs["gnnmark/"+filepath.ToSlash(rel)] = path
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := make([]string, 0, len(m.dirs))
-	for path := range m.dirs {
-		paths = append(paths, path)
-	}
-	slices.Sort(paths)
-	for _, path := range paths {
-		var noGo *build.NoGoError
-		if _, err := m.Import(path); err != nil && !errors.As(err, &noGo) {
-			t.Fatalf("type-checking %s: %v", path, err)
-		}
-	}
+	m := loadModule(t)
+	fset := m.fset
 
 	// The options: exported fields of the exported *Config/*Options structs
 	// under internal/, keyed pkg.Type.Field.
 	owner, key := map[*types.Var]*types.TypeName{}, map[*types.Var]string{}
-	for _, path := range paths {
-		pkg := m.done[path]
-		if pkg == nil || !strings.HasPrefix(path, "gnnmark/internal/") {
+	for path, pkg := range m.done {
+		if !strings.HasPrefix(path, "gnnmark/internal/") {
 			continue
 		}
 		for _, name := range pkg.Scope().Names() {
@@ -745,6 +719,72 @@ func TestEveryOptionIsSet(t *testing.T) {
 		t.Errorf("keptOptions holds %d fields, want at most 16", len(keptOptions))
 	}
 	t.Logf("%d option fields, %d set by no non-test file", len(key), len(unset))
+}
+
+// module is the one type-checked load of the module both go/types guards
+// read: checking it, with the standard library from source, takes about a
+// second, so a test binary does it once.
+var module struct {
+	once sync.Once
+	m    *moduleChecker
+	err  error
+}
+
+// loadModule returns the shared load, type-checking the module on first use.
+func loadModule(t *testing.T) *moduleChecker {
+	t.Helper()
+	module.once.Do(func() { module.m, module.err = checkModule(filepath.Join("..", "..")) })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.m
+}
+
+// checkModule type-checks every package of the module rooted at root from
+// its non-test files, in import-path order.
+func checkModule(root string) (*moduleChecker, error) {
+	fset := token.NewFileSet()
+	m := &moduleChecker{
+		fset: fset,
+		dirs: map[string]string{},
+		done: map[string]*types.Package{},
+		std:  importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, path)
+		if rel == "." {
+			m.dirs["gnnmark"] = path
+		} else {
+			m.dirs["gnnmark/"+filepath.ToSlash(rel)] = path
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	paths := make([]string, 0, len(m.dirs))
+	for path := range m.dirs {
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	for _, path := range paths {
+		var noGo *build.NoGoError
+		if _, err := m.Import(path); err != nil && !errors.As(err, &noGo) {
+			return nil, fmt.Errorf("type-checking %s: %w", path, err)
+		}
+	}
+	return m, nil
 }
 
 // moduleChecker type-checks the module's packages from their non-test files

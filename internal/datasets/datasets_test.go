@@ -40,11 +40,8 @@ func TestBipartiteStructure(t *testing.T) {
 	if ds.ItemUsers.NNZ() != ds.UserItems.NNZ() {
 		t.Fatal("relations must mirror each other")
 	}
-	if err := ds.Hetero.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if ds.Hetero.NumNodes("item") != ds.Items || ds.Hetero.NumNodes("user") != ds.Users {
-		t.Fatal("hetero counts wrong")
+	if ds.ItemUsers.Rows != ds.Items || ds.ItemUsers.Cols != ds.Users {
+		t.Fatal("relation shape disagrees with the node counts")
 	}
 	// Popularity skew: the most popular item has far more interactions than
 	// the median.

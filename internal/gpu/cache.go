@@ -109,21 +109,6 @@ func (c *Cache) touch(line uint64) bool {
 	return hit
 }
 
-// Hits returns the hit counter.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the miss counter.
-func (c *Cache) Misses() uint64 { return c.misses }
-
-// HitRate returns hits/(hits+misses), or zero when no accesses occurred.
-func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
 // ResetCounters zeroes the hit/miss counters but keeps cache contents,
 // allowing per-kernel accounting over a warm cache.
 func (c *Cache) ResetCounters() { c.hits, c.misses = 0, 0 }

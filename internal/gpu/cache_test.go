@@ -307,8 +307,8 @@ func TestCacheColdMissThenHit(t *testing.T) {
 	if c.AccessLine(64) {
 		t.Fatal("next line must miss")
 	}
-	if c.Hits() != 2 || c.Misses() != 2 {
-		t.Fatalf("counters = %d/%d, want 2/2", c.Hits(), c.Misses())
+	if c.hits != 2 || c.misses != 2 {
+		t.Fatalf("counters = %d/%d, want 2/2", c.hits, c.misses)
 	}
 }
 
@@ -341,8 +341,8 @@ func TestCacheWorkingSetFits(t *testing.T) {
 		}
 	}
 	wantMisses := uint64(lines)
-	if c.Misses() != wantMisses {
-		t.Fatalf("misses = %d, want %d (cold only)", c.Misses(), wantMisses)
+	if c.misses != wantMisses {
+		t.Fatalf("misses = %d, want %d (cold only)", c.misses, wantMisses)
 	}
 }
 
@@ -353,8 +353,8 @@ func TestCacheStreamingThrashes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.AccessLine(uint64(i * 64))
 	}
-	if c.Hits() != 0 {
-		t.Fatalf("streaming pass produced %d hits, want 0", c.Hits())
+	if c.hits != 0 {
+		t.Fatalf("streaming pass produced %d hits, want 0", c.hits)
 	}
 }
 
@@ -362,7 +362,7 @@ func TestCacheResetCountersKeepsContents(t *testing.T) {
 	c := NewCache(1024, 64, 2)
 	c.AccessLine(0)
 	c.ResetCounters()
-	if c.Hits() != 0 || c.Misses() != 0 {
+	if c.hits != 0 || c.misses != 0 {
 		t.Fatal("counters not reset")
 	}
 	if !c.AccessLine(0) {
@@ -410,11 +410,11 @@ func TestCacheHitRateBounds(t *testing.T) {
 		for _, a := range addrs {
 			c.AccessLine(uint64(a))
 		}
-		total := c.Hits() + c.Misses()
+		total := c.hits + c.misses
 		if total != uint64(len(addrs)) {
 			return false
 		}
-		hr := c.HitRate()
+		hr := KernelStats{L1Hits: c.hits, L1Misses: c.misses}.L1HitRate()
 		return hr >= 0 && hr <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -434,7 +434,7 @@ func TestCacheDeterminism(t *testing.T) {
 		for _, a := range stream {
 			c.AccessLine(a)
 		}
-		return c.Hits(), c.Misses()
+		return c.hits, c.misses
 	}
 	h1, m1 := run()
 	h2, m2 := run()

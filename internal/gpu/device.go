@@ -169,13 +169,6 @@ func (d *Device) Mem() *vmem.Allocator { return d.mem }
 // MemStats returns a snapshot of the device-memory allocator counters.
 func (d *Device) MemStats() vmem.Stats { return d.mem.Stats() }
 
-// Alloc reserves bytes of simulated device memory and returns the base
-// address, leaking the block. It exists for tests and scratch callers that
-// never release memory; tensor-lifetime code uses AllocBlock/Free.
-func (d *Device) Alloc(bytes int) uint64 {
-	return d.AllocBlock(bytes, "scratch").Addr()
-}
-
 // Subscribe registers a callback invoked with the stats of every kernel
 // launch. The profiler uses this as its nvprof attach point.
 // It hears kernels launched from here on, at the Sync that delivers them.

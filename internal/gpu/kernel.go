@@ -27,24 +27,6 @@ func (m *InstrMix) Add(other InstrMix) {
 	m.Special += other.Special
 }
 
-// IntShare returns the fraction of instructions that are int32.
-func (m InstrMix) IntShare() float64 {
-	t := m.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(m.Int32) / float64(t)
-}
-
-// FpShare returns the fraction of instructions that are fp32+fp16.
-func (m InstrMix) FpShare() float64 {
-	t := m.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(m.Fp32+m.Fp16) / float64(t)
-}
-
 // AccessKind distinguishes loads from stores in an access pattern.
 type AccessKind uint8
 
@@ -210,15 +192,6 @@ func (ks KernelStats) L1HitRate() float64 {
 		return 0
 	}
 	return float64(ks.L1Hits) / float64(t)
-}
-
-// L2HitRate returns the L2 hit rate for this launch.
-func (ks KernelStats) L2HitRate() float64 {
-	t := ks.L2Hits + ks.L2Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(ks.L2Hits) / float64(t)
 }
 
 // DivergenceRate returns the fraction of load warps that were divergent.

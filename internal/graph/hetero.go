@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Relation names one edge type of a heterogeneous graph as a
 // (source node type, edge type, destination node type) triple, DGL-style.
@@ -38,9 +35,6 @@ func (h *Hetero) AddNodeType(name string, count int) {
 	h.nodeCounts[name] = count
 }
 
-// NumNodes returns the node count of a type (0 when undeclared).
-func (h *Hetero) NumNodes(nodeType string) int { return h.nodeCounts[nodeType] }
-
 // AddRelation installs the adjacency of one relation. The CSR's rows must
 // equal the destination type's node count and columns the source type's.
 func (h *Hetero) AddRelation(rel Relation, adj *CSR) {
@@ -54,23 +48,4 @@ func (h *Hetero) AddRelation(rel Relation, adj *CSR) {
 			rel, adj.Rows, adj.Cols, nd, ns))
 	}
 	h.relations[rel] = adj
-}
-
-// Adj returns the adjacency of a relation, or nil when absent.
-func (h *Hetero) Adj(rel Relation) *CSR { return h.relations[rel] }
-
-// Validate checks all relation adjacencies, in sorted relation order so the
-// first error reported does not depend on map iteration.
-func (h *Hetero) Validate() error {
-	rels := make([]Relation, 0, len(h.relations))
-	for r := range h.relations {
-		rels = append(rels, r)
-	}
-	sort.Slice(rels, func(i, j int) bool { return rels[i].String() < rels[j].String() })
-	for _, rel := range rels {
-		if err := h.relations[rel].Validate(); err != nil {
-			return fmt.Errorf("relation %v: %w", rel, err)
-		}
-	}
-	return nil
 }

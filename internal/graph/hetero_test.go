@@ -21,17 +21,16 @@ func buildBipartite(t *testing.T) (*Hetero, Relation, Relation) {
 
 func TestHeteroBasics(t *testing.T) {
 	h, liked, _ := buildBipartite(t)
-	if h.NumNodes("user") != 3 || h.NumNodes("item") != 4 {
-		t.Fatal("node counts wrong")
+	if h.nodeCounts["user"] != 3 || h.nodeCounts["item"] != 4 || len(h.nodeCounts) != 2 {
+		t.Fatalf("node counts %v", h.nodeCounts)
 	}
-	if h.NumNodes("missing") != 0 {
-		t.Fatal("undeclared type must have 0 nodes")
-	}
-	if h.Adj(liked) == nil {
+	if h.relations[liked] == nil {
 		t.Fatal("relation lost")
 	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
+	for rel, adj := range h.relations {
+		if err := adj.Validate(); err != nil {
+			t.Fatalf("relation %v: %v", rel, err)
+		}
 	}
 	if got := liked.String(); got != "user:liked:item" {
 		t.Fatalf("relation renders as %q", got)

@@ -50,8 +50,8 @@ func DefaultWorkers(depth int) int { return min(depth, 4) }
 // index: no shared RNG, no writes outside b.
 type Producer func(index int, b *Batch)
 
-// Batch carries one iteration's staged inputs: named tensors (pooled
-// staging buffers or borrowed statics) and int32 index buffers.
+// Batch carries one iteration's staged inputs: named pooled staging
+// tensors and int32 index buffers.
 type Batch struct {
 	// Index is the global batch sequence number.
 	Index int
@@ -85,10 +85,6 @@ func (b *Batch) StageFrom(name string, src *tensor.Tensor) *tensor.Tensor {
 	t.CopyFrom(src)
 	return t
 }
-
-// Put registers a borrowed tensor (not pooled, not recycled) under name —
-// for static inputs that are reused across batches.
-func (b *Batch) Put(name string, t *tensor.Tensor) { b.tensors[name] = t }
 
 // PutInts registers an int32 index buffer under name.
 func (b *Batch) PutInts(name string, v []int32) { b.ints[name] = v }

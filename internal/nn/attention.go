@@ -40,12 +40,6 @@ func (a *MultiHeadAttention) Params() []*autograd.Param {
 	return CollectParams(a.Wq, a.Wk, a.Wv, a.Wo)
 }
 
-// Forward attends queries q (Nq,dim) over keys/values kv (Nk,dim).
-// Self-attention passes the same Var for both.
-func (a *MultiHeadAttention) Forward(t *autograd.Tape, q, kv *autograd.Var) *autograd.Var {
-	return a.ForwardMasked(t, q, kv, nil)
-}
-
 // ForwardMasked attends with an optional additive attention mask (Nq,Nk):
 // 0 where attention is allowed, a large negative value where it is not.
 // Block-diagonal masks batch independent examples through one attention
@@ -138,11 +132,6 @@ func NewTransformerBlock(rng *rand.Rand, name string, dim, heads, ffHidden int) 
 // Params implements Module.
 func (b *TransformerBlock) Params() []*autograd.Param {
 	return CollectParams(b.Attn, b.FF, b.N1, b.N2)
-}
-
-// Forward applies the block to x (N,dim).
-func (b *TransformerBlock) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
-	return b.ForwardMasked(t, x, nil)
 }
 
 // ForwardMasked applies the block with an additive self-attention mask

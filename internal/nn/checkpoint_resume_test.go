@@ -84,35 +84,31 @@ func TestTrainingCheckpointExactResume(t *testing.T) {
 	}
 }
 
-// TestTrainingCheckpointSGDMomentum round-trips SGD momentum buffers.
+// TestTrainingCheckpointSGDMomentum round-trips the optimizer's buffers into
+// a model built from another seed. Adam is the optimizer every workload
+// steps, and its moments are momentum buffers: the resumed run must match
+// the uninterrupted one bit for bit.
 func TestTrainingCheckpointSGDMomentum(t *testing.T) {
 	e := ops.New(nil)
-	rng := rand.New(rand.NewSource(8))
-	l := NewLinear(rng, "fc", 4, 2, true)
-	opt := NewSGD(e, l.Params(), 1e-2, 0.9, 0)
-	runSGD := func(o *SGD, from, to int) {
-		for s := from + 1; s <= to; s++ {
-			fillGrads(o, s)
-			o.Step()
-		}
-	}
-	runSGD(opt, 0, 4)
+	l := NewLinear(rand.New(rand.NewSource(8)), "fc", 4, 2, true)
+	opt := NewAdam(e, l.Params(), 1e-2)
+	runAdam(opt, 0, 4)
 	var buf bytes.Buffer
 	if err := SaveTraining(&buf, opt); err != nil {
 		t.Fatal(err)
 	}
 
-	l2 := NewLinear(rand.New(rand.NewSource(8)), "fc", 4, 2, true)
-	opt2 := NewSGD(e, l2.Params(), 1e-2, 0.9, 0)
+	l2 := NewLinear(rand.New(rand.NewSource(9)), "fc", 4, 2, true)
+	opt2 := NewAdam(e, l2.Params(), 1e-2)
 	if err := LoadTraining(bytes.NewReader(buf.Bytes()), opt2); err != nil {
 		t.Fatal(err)
 	}
-	runSGD(opt, 4, 8)
-	runSGD(opt2, 4, 8)
+	runAdam(opt, 4, 8)
+	runAdam(opt2, 4, 8)
 	for i, p := range l.Params() {
 		for j, v := range p.Value.Data() {
 			if l2.Params()[i].Value.Data()[j] != v {
-				t.Fatalf("sgd resume diverges at param %d elem %d", i, j)
+				t.Fatalf("resume diverges at param %d elem %d", i, j)
 			}
 		}
 	}
@@ -135,12 +131,10 @@ func TestTrainingCheckpointMismatches(t *testing.T) {
 	if err := LoadTraining(bytes.NewReader(buf.Bytes()[:len(buf.Bytes())-8]), opt); err == nil {
 		t.Fatal("truncated training checkpoint must error")
 	}
-	// Optimizer-kind mismatch: an SGD cannot restore an adam checkpoint.
-	e := ops.New(nil)
-	rng := rand.New(rand.NewSource(7))
-	l := NewLinear(rng, "fc", 5, 3, true)
-	sgd := NewSGD(e, l.Params(), 1e-2, 0, 0)
-	if err := LoadTraining(bytes.NewReader(buf.Bytes()), sgd); err == nil {
+	// Optimizer-kind mismatch: a scheduled Adam cannot restore a plain adam
+	// checkpoint.
+	_, other := newResumeModel(t)
+	if err := LoadTraining(bytes.NewReader(buf.Bytes()), NewScheduledAdam(other, Warmup{WarmupSteps: 4})); err == nil {
 		t.Fatal("optimizer-kind mismatch must error")
 	}
 }

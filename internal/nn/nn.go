@@ -200,9 +200,6 @@ func (e *Embedding) Forward(t *autograd.Tape, ids []int32) *autograd.Var {
 	return t.Embedding(t.FromParam(e.Table), ids)
 }
 
-// Dim returns the embedding dimension.
-func (e *Embedding) Dim() int { return e.Table.Value.Dim(1) }
-
 func mustPositive(name string, v int) {
 	if v <= 0 {
 		panic(fmt.Sprintf("nn: %s must be positive, got %d", name, v))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gnnmark/internal/autograd"
+	"gnnmark/internal/backend"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/tensor"
@@ -81,7 +82,7 @@ func TestLayerNormRows(t *testing.T) {
 func TestEmbeddingForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	emb := NewEmbedding(rng, "emb", 10, 6)
-	if emb.Dim() != 6 {
+	if emb.Table.Value.Dim(1) != 6 {
 		t.Fatal("dim wrong")
 	}
 	e := ops.New(nil)
@@ -154,7 +155,7 @@ func TestAttentionShapesAndGradients(t *testing.T) {
 	tp := autograd.NewTape(e)
 	q := tp.Const(tensor.Randn(rng, 1, 5, 16))
 	kv := tp.Const(tensor.Randn(rng, 1, 7, 16))
-	out := attn.Forward(tp, q, kv)
+	out := attn.ForwardMasked(tp, q, kv, nil)
 	if out.Value.Dim(0) != 5 || out.Value.Dim(1) != 16 {
 		t.Fatalf("attention output %v", out.Value.Shape())
 	}
@@ -182,7 +183,7 @@ func TestTransformerBlock(t *testing.T) {
 	e := ops.New(nil)
 	tp := autograd.NewTape(e)
 	x := tp.Const(tensor.Randn(rng, 1, 6, 8))
-	y := blk.Forward(tp, x)
+	y := blk.ForwardMasked(tp, x, nil)
 	if !y.Value.SameShape(x.Value) {
 		t.Fatal("transformer block must preserve shape")
 	}
@@ -217,7 +218,13 @@ func TestSGDReducesLoss(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		target.Set(x.At(i, 0)*2-x.At(i, 1), i, 0)
 	}
-	opt := NewSGD(e, l.Params(), 0.1, 0.9, 0)
+	// No optimizer type steps SGD; this drives the backend's momentum SGD
+	// kernel over the layer's parameters directly.
+	be := backend.NewSerial()
+	bufs := make([][]float32, len(l.Params()))
+	for i, p := range l.Params() {
+		bufs[i] = make([]float32, p.Value.Size())
+	}
 	var first, last float32
 	for it := 0; it < 100; it++ {
 		tp := autograd.NewTape(e)
@@ -228,7 +235,9 @@ func TestSGDReducesLoss(t *testing.T) {
 		last = loss.Value.At(0)
 		ZeroGrads(l.Params())
 		tp.Backward(loss)
-		opt.Step()
+		for i, p := range l.Params() {
+			be.SGDStep(p.Value.Data(), p.Grad.Data(), bufs[i], 0.1, 0.9, 0)
+		}
 	}
 	if last > first/10 {
 		t.Fatalf("SGD failed to fit linear data: %g -> %g", first, last)
@@ -316,8 +325,7 @@ func TestOptimizerEmitsKernels(t *testing.T) {
 	p := autograd.NewParam("p", tensor.Full(1, 8))
 	opt := NewAdam(e, []*autograd.Param{p}, 0.01)
 	opt.Step()
-	sgd := NewSGD(e, []*autograd.Param{p}, 0.01, 0.9, 1e-4)
-	sgd.Step()
+	NewScheduledAdam(opt, Warmup{WarmupSteps: 4}).Step()
 	dev.Sync() // the listener hears queued kernels here
 	if count != 2 {
 		t.Fatalf("optimizer steps emitted %d elementwise kernels, want 2", count)

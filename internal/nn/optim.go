@@ -21,53 +21,6 @@ type Optimizer interface {
 	state() optState
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay.
-type SGD struct {
-	E           *ops.Engine
-	LR          float32
-	Momentum    float32
-	WeightDecay float32
-
-	params []*autograd.Param
-	bufs   []*tensor.Tensor
-}
-
-// NewSGD builds an SGD optimizer over params.
-func NewSGD(e *ops.Engine, params []*autograd.Param, lr, momentum, weightDecay float32) *SGD {
-	s := &SGD{E: e, LR: lr, Momentum: momentum, WeightDecay: weightDecay, params: params}
-	if momentum != 0 {
-		s.bufs = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.bufs[i] = tensor.New(p.Value.Shape()...)
-		}
-	}
-	return s
-}
-
-// Params implements Optimizer.
-func (s *SGD) Params() []*autograd.Param { return s.params }
-
-// state implements Optimizer: the momentum buffers, when there are any.
-func (s *SGD) state() optState {
-	st := optState{kind: "sgd"}
-	for i, b := range s.bufs {
-		st.bufs = append(st.bufs, entry{s.params[i].Name + ".momentum", b})
-	}
-	return st
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		var buf *tensor.Tensor
-		if s.bufs != nil {
-			buf = s.bufs[i]
-		}
-		s.E.SGDStep(p.Value, p.Grad, buf, s.LR, s.Momentum, s.WeightDecay)
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba), the default for the paper's
 // workloads.
 type Adam struct {

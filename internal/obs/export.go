@@ -29,7 +29,7 @@ type GaugeSnapshot struct {
 // HistogramSnapshot is one histogram's state. Counts has one entry per
 // bound plus a final overflow bucket; entries are non-cumulative. P50/P95/
 // P99 are the interpolated quantile estimates at snapshot time (see
-// Histogram.Quantile); serving latency SLOs read them directly from the
+// QuantileFromBuckets); serving latency SLOs read them directly from the
 // export.
 type HistogramSnapshot struct {
 	Name   string  `json:"name"`
@@ -43,7 +43,7 @@ type HistogramSnapshot struct {
 }
 
 // Quantile computes the interpolated q-quantile of the snapshotted
-// distribution (the frozen-counts analogue of Histogram.Quantile).
+// distribution.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return QuantileFromBuckets(h.Bounds, h.Counts, q)
 }

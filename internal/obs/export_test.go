@@ -9,7 +9,7 @@ import (
 func exportTestRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("ops.kernels_total").Add(42)
-	r.Gauge("vmem.live_bytes").Set(1024)
+	r.Gauge("vmem.live_bytes").Add(1024)
 	h := r.Histogram("backend.task_nanos", []int64{10, 100})
 	h.Observe(5)
 	h.Observe(50)

@@ -140,14 +140,6 @@ type Gauge struct {
 	v  atomic.Int64
 }
 
-// Set stores v (no-op when disabled).
-func (g *Gauge) Set(v int64) {
-	if g == nil || !g.on.Load() {
-		return
-	}
-	g.v.Store(v)
-}
-
 // Add adds delta, which may be negative (no-op when disabled).
 func (g *Gauge) Add(delta int64) {
 	if g == nil || !g.on.Load() {
@@ -216,34 +208,12 @@ func (h *Histogram) bucketIndex(v int64) int {
 	return lo
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of the observed
-// distribution from the bucket counts, interpolating linearly inside the
-// bucket that holds the target rank. The estimate is exact at bucket
-// boundaries and degrades with bucket width in between; serving-latency
-// dashboards call it for p50/p95/p99. Observations in the overflow bucket
-// clamp to the last bound (the histogram cannot see past it), and an empty
-// histogram returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return QuantileFromBuckets(h.bounds, h.BucketCounts(), q)
 }
 
 // QuantileFromBuckets computes the interpolated q-quantile of a bucketed

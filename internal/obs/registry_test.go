@@ -30,8 +30,8 @@ func TestHistogramBucketing(t *testing.T) {
 			t.Fatalf("bucket[%d] = %d, want %d (all: %v)", i, got[i], want[i], got)
 		}
 	}
-	if h.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", h.Count())
+	if h.count.Load() != 8 {
+		t.Fatalf("Count = %d, want 8", h.count.Load())
 	}
 	if wantSum := int64(-5 + 0 + 10 + 11 + 100 + 999 + 1001 + 1<<40); h.Sum() != wantSum {
 		t.Fatalf("Sum = %d, want %d", h.Sum(), wantSum)
@@ -72,8 +72,8 @@ func TestCountersConcurrent(t *testing.T) {
 	if g.Value() != workers*per {
 		t.Fatalf("gauge = %d, want %d", g.Value(), workers*per)
 	}
-	if h.Count() != workers*per {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
+	if h.count.Load() != workers*per {
+		t.Fatalf("histogram count = %d, want %d", h.count.Load(), workers*per)
 	}
 }
 
@@ -98,11 +98,11 @@ func TestDisabledRegistryRecordsNothing(t *testing.T) {
 	h := r.Histogram("h", []int64{1})
 	r.on.Store(false)
 	c.Add(7)
-	g.Set(7)
+	g.Add(7)
 	g.SetMax(7)
 	h.Observe(7)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("disabled registry recorded: c=%d g=%d h=%d", c.Value(), g.Value(), h.Count())
+	if c.Value() != 0 || g.Value() != 0 || h.count.Load() != 0 {
+		t.Fatalf("disabled registry recorded: c=%d g=%d h=%d", c.Value(), g.Value(), h.count.Load())
 	}
 	// Handles created before disable keep working after re-enable.
 	r.on.Store(true)
@@ -119,17 +119,23 @@ func TestResetKeepsHandlesValid(t *testing.T) {
 	c.Add(3)
 	h.Observe(1)
 	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("reset left values: c=%d h=%d", c.Value(), h.Count())
+	if c.Value() != 0 || h.count.Load() != 0 {
+		t.Fatalf("reset left values: c=%d h=%d", c.Value(), h.count.Load())
 	}
 	c.Inc()
 	h.Observe(2)
-	if c.Value() != 1 || h.Count() != 1 {
-		t.Fatalf("handles dead after reset: c=%d h=%d", c.Value(), h.Count())
+	if c.Value() != 1 || h.count.Load() != 1 {
+		t.Fatalf("handles dead after reset: c=%d h=%d", c.Value(), h.count.Load())
 	}
 	if r.Counter("c") != c {
 		t.Fatal("Counter() returned a new handle after reset")
 	}
+}
+
+// quantile is h's q-quantile as a snapshot reports it: QuantileFromBuckets
+// over the histogram's bounds and current counts.
+func quantile(h *Histogram, q float64) float64 {
+	return QuantileFromBuckets(h.bounds, h.BucketCounts(), q)
 }
 
 func TestHistogramQuantile(t *testing.T) {
@@ -147,15 +153,15 @@ func TestHistogramQuantile(t *testing.T) {
 		{0, 10}, {0.5, 15}, {0.95, 19.5}, {1, 20},
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
+		if got := quantile(h, c.q); got != c.want {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 	// Out-of-range q clamps rather than extrapolating.
-	if got := h.Quantile(1.5); got != 20 {
+	if got := quantile(h, 1.5); got != 20 {
 		t.Errorf("Quantile(1.5) = %v, want 20", got)
 	}
-	if got := h.Quantile(-1); got != 10 {
+	if got := quantile(h, -1); got != 10 {
 		t.Errorf("Quantile(-1) = %v, want 10", got)
 	}
 }
@@ -164,12 +170,11 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	r := NewRegistry()
 
 	empty := r.Histogram("empty", []int64{10, 20})
-	if got := empty.Quantile(0.99); got != 0 {
+	if got := quantile(empty, 0.99); got != 0 {
 		t.Errorf("empty Quantile = %v, want 0", got)
 	}
-	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
-		t.Errorf("nil Quantile = %v, want 0", got)
+	if got := QuantileFromBuckets(nil, nil, 0.5); got != 0 {
+		t.Errorf("bucketless Quantile = %v, want 0", got)
 	}
 
 	// Overflow observations clamp to the last bound: the histogram cannot
@@ -177,7 +182,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	over := r.Histogram("over", []int64{10, 20})
 	over.Observe(1_000_000)
 	over.Observe(2_000_000)
-	if got := over.Quantile(0.99); got != 20 {
+	if got := quantile(over, 0.99); got != 20 {
 		t.Errorf("overflow Quantile = %v, want 20", got)
 	}
 
@@ -185,7 +190,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	// the lower edge instead of inventing mass below it.
 	neg := r.Histogram("neg", []int64{-5, 10})
 	neg.Observe(-7)
-	if got := neg.Quantile(0.5); got != -5 {
+	if got := quantile(neg, 0.5); got != -5 {
 		t.Errorf("negative-bucket Quantile = %v, want -5", got)
 	}
 
@@ -194,10 +199,10 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	for _, v := range []int64{5, 5, 35, 35} {
 		multi.Observe(v)
 	}
-	if got := multi.Quantile(0.25); got != 5 {
+	if got := quantile(multi, 0.25); got != 5 {
 		t.Errorf("multi Quantile(0.25) = %v, want 5", got)
 	}
-	if got := multi.Quantile(1); got != 40 {
+	if got := quantile(multi, 1); got != 40 {
 		t.Errorf("multi Quantile(1) = %v, want 40", got)
 	}
 }

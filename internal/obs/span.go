@@ -112,16 +112,6 @@ func (t *Track) Len() int {
 	return len(t.spans)
 }
 
-// Dropped returns the number of spans discarded at the track's cap.
-func (t *Track) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // reset discards recorded spans and the open-span stack.
 func (t *Track) reset() {
 	if t == nil {

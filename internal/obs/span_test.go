@@ -60,11 +60,8 @@ func TestTrackLimitCountsDropped(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tr.Len())
 	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", tr.Dropped())
-	}
-	if tr.snapshot().Dropped != 2 {
-		t.Fatal("snapshot lost the dropped count")
+	if got := tr.snapshot().Dropped; got != 2 {
+		t.Fatalf("Dropped = %d, want 2", got)
 	}
 }
 
@@ -73,7 +70,7 @@ func TestNilTrackNoOps(t *testing.T) {
 	sc := tr.Begin("x", "t")
 	sc.End()
 	tr.Record("y", "t", 0, 1)
-	if tr.Len() != 0 || tr.Dropped() != 0 {
+	if tr.Len() != 0 {
 		t.Fatal("nil track reported data")
 	}
 }

@@ -55,11 +55,6 @@ type Case struct {
 	setup func(rng *rand.Rand) func(be backend.Backend)
 }
 
-// Key is the stable identity trajectory points are matched on: op/shape.
-// Backends are recorded beside it in Result, so one key compares across
-// both backends and across BENCH_*.json generations.
-func (c Case) Key() string { return c.Op + "/" + c.Shape }
-
 // Runner materializes the case's seeded inputs and returns the closure the
 // harness times. The same seed always yields byte-identical inputs.
 func (c Case) Runner(seed int64) func(backend.Backend) {

@@ -116,15 +116,6 @@ func (e *Engine) AddScalar(a *tensor.Tensor, s float32) *tensor.Tensor {
 	return out
 }
 
-// AddScaled returns a + s*b elementwise (axpy).
-func (e *Engine) AddScaled(a, b *tensor.Tensor, s float32) *tensor.Tensor {
-	sameShape("AddScaled", a, b)
-	out := tensor.New(a.Shape()...)
-	e.be.AddScaled(out.Data(), a.Data(), b.Data(), s)
-	e.launchElementWise("ew_axpy", 2, out.Size(), []*tensor.Tensor{a, b}, out)
-	return out
-}
-
 // ReLU returns max(x, 0).
 func (e *Engine) ReLU(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
@@ -163,14 +154,6 @@ func (e *Engine) Tanh(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	e.be.Tanh(out.Data(), x.Data())
 	e.launchActivation("tanh", out.Size(), x, out)
-	return out
-}
-
-// Exp returns exp(x).
-func (e *Engine) Exp(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	e.be.Exp(out.Data(), x.Data())
-	e.launchActivation("exp", out.Size(), x, out)
 	return out
 }
 

@@ -121,33 +121,3 @@ func (e *Engine) AddBiasRows(x, bias *tensor.Tensor) *tensor.Tensor {
 	e.launchElementWise("add_bias", 2, out.Size(), []*tensor.Tensor{x, bias}, out)
 	return out
 }
-
-// Transpose2D returns xᵀ as a new tensor; lowered as a strided-copy kernel.
-func (e *Engine) Transpose2D(x *tensor.Tensor) *tensor.Tensor {
-	n, f := check2D("Transpose2D", x)
-	out := tensor.New(f, n)
-	e.be.Transpose2D(out.Data(), x.Data(), n, f)
-	if e.dev != nil {
-		elem := e.fpElem()
-		e.launch(&gpu.Kernel{
-			Name:    "transpose",
-			Class:   gpu.OpElementWise,
-			Threads: x.Size(),
-			Mix: gpu.InstrMix{
-				Int32: uint64(x.Size()) * 3,
-				Load:  uint64(x.Size()),
-				Store: uint64(x.Size()),
-			},
-			Iops: uint64(x.Size()) * 2,
-			Accesses: []gpu.Access{
-				{Kind: gpu.LoadAccess, Base: e.addr(x), ElemBytes: elem, Count: x.Size(), Stride: 1},
-				// Column-major writes: lane i writes element (i%n)*f+(i/n);
-				// approximated by stride-f, the worst-coalescing direction.
-				{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: x.Size(), Stride: f},
-			},
-			CodeBytes: 2 << 10,
-			DepChain:  1.1,
-		})
-	}
-	return out
-}

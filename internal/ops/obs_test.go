@@ -41,21 +41,27 @@ func TestRecordLaunchAttributesToClass(t *testing.T) {
 		t.Fatal("engine built while enabled must carry a track")
 	}
 	before := CaptureOpClasses()
-	gemmCount := obsOpClassNanos[gpu.OpGEMM].Count()
-	spmmCount := obsOpClassNanos[gpu.OpSpMM].Count()
+	observations := func(c gpu.OpClass) (n int64) {
+		for _, k := range obsOpClassNanos[c].BucketCounts() {
+			n += k
+		}
+		return n
+	}
+	gemmCount := observations(gpu.OpGEMM)
+	spmmCount := observations(gpu.OpSpMM)
 
 	e.MarkHostBoundary()
 	e.recordLaunch("gemm.fwd", gpu.OpGEMM)
 	e.recordLaunch("spmm.agg", gpu.OpSpMM)
 	e.recordH2D("features", obs.Nanos(), 1<<20)
 
-	if got := obsOpClassNanos[gpu.OpGEMM].Count() - gemmCount; got != 1 {
+	if got := observations(gpu.OpGEMM) - gemmCount; got != 1 {
 		t.Fatalf("GEMM class observations = %d, want 1", got)
 	}
-	if got := obsOpClassNanos[gpu.OpSpMM].Count() - spmmCount; got != 1 {
+	if got := observations(gpu.OpSpMM) - spmmCount; got != 1 {
 		t.Fatalf("SpMM class observations = %d, want 1", got)
 	}
-	if obsOpClassNanos[gpu.OpTransfer].Count() == 0 {
+	if observations(gpu.OpTransfer) == 0 {
 		t.Fatal("H2D copy not attributed to the Transfer class")
 	}
 	delta := CaptureOpClasses().Delta(before)

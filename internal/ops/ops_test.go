@@ -56,13 +56,36 @@ func TestMatMulTransposedVariantsAgree(t *testing.T) {
 	b := tensor.Rand(rng, 1, 6, 5)
 	want := e.MatMul(a, b)
 
-	at := e.Transpose2D(a) // (6,4)
+	at := transpose(a) // (6,4)
 	got1 := e.MatMulTA(at, b)
 	tensorsAlmostEqual(t, got1, want, 1e-4)
 
-	bt := e.Transpose2D(b) // (5,6)
+	bt := transpose(b) // (5,6)
 	got2 := e.MatMulTB(a, bt)
 	tensorsAlmostEqual(t, got2, want, 1e-4)
+}
+
+// sum adds x's elements in float64: the scalar loss the finite-difference
+// gradient checks perturb.
+func sum(x *tensor.Tensor) float64 {
+	var s float64
+	for _, v := range x.Data() {
+		s += float64(v)
+	}
+	return s
+}
+
+// transpose returns xᵀ for a 2-D x: the reference the transposed-operand
+// GEMMs are compared against.
+func transpose(x *tensor.Tensor) *tensor.Tensor {
+	n, f := x.Shape()[0], x.Shape()[1]
+	out := tensor.New(f, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < f; j++ {
+			out.Set(x.At(i, j), j, i)
+		}
+	}
+	return out
 }
 
 func TestMatMulShapePanics(t *testing.T) {
@@ -89,7 +112,7 @@ func TestMatMulEmitsGEMMKernel(t *testing.T) {
 	if ks.Flops != 2*32*32*32 {
 		t.Fatalf("flops = %d", ks.Flops)
 	}
-	if ks.Mix.FpShare() <= ks.Mix.IntShare() {
+	if ks.Mix.Fp32+ks.Mix.Fp16 <= ks.Mix.Int32 {
 		t.Fatal("GEMM must be fp-dominated")
 	}
 }
@@ -154,7 +177,6 @@ func TestElementwiseOps(t *testing.T) {
 	tensorsAlmostEqual(t, e.Mul(a, b), tensor.FromSlice([]float32{4, -10, -18}, 3), 1e-6)
 	tensorsAlmostEqual(t, e.Scale(a, 2), tensor.FromSlice([]float32{2, -4, 6}, 3), 1e-6)
 	tensorsAlmostEqual(t, e.AddScalar(a, 1), tensor.FromSlice([]float32{2, -1, 4}, 3), 1e-6)
-	tensorsAlmostEqual(t, e.AddScaled(a, b, 0.5), tensor.FromSlice([]float32{3, 0.5, 0}, 3), 1e-6)
 	tensorsAlmostEqual(t, e.ReLU(a), tensor.FromSlice([]float32{1, 0, 3}, 3), 1e-6)
 	tensorsAlmostEqual(t, e.PReLU(a, 0.1), tensor.FromSlice([]float32{1, -0.2, 3}, 3), 1e-6)
 
@@ -165,10 +187,6 @@ func TestElementwiseOps(t *testing.T) {
 	th := e.Tanh(tensor.FromSlice([]float32{0.5}, 1))
 	if !almostEq(float64(th.At(0)), math.Tanh(0.5), 1e-6) {
 		t.Fatalf("tanh(0.5) = %g", th.At(0))
-	}
-	ex := e.Exp(tensor.FromSlice([]float32{1}, 1))
-	if !almostEq(float64(ex.At(0)), math.E, 1e-5) {
-		t.Fatalf("exp(1) = %g", ex.At(0))
 	}
 }
 
@@ -360,11 +378,6 @@ func TestReductions(t *testing.T) {
 	}
 	tensorsAlmostEqual(t, e.SumRows(x), tensor.FromSlice([]float32{5, 7, 9}, 3), 1e-6)
 	tensorsAlmostEqual(t, e.SumCols(x), tensor.FromSlice([]float32{6, 15}, 2), 1e-6)
-	maxv, arg := e.MaxCols(x)
-	tensorsAlmostEqual(t, maxv, tensor.FromSlice([]float32{3, 6}, 2), 1e-6)
-	if arg[0] != 2 || arg[1] != 2 {
-		t.Fatalf("argmax = %v", arg)
-	}
 }
 
 func TestSoftmaxRowsSumToOne(t *testing.T) {
@@ -478,7 +491,7 @@ func TestConv2DGradientsNumerically(t *testing.T) {
 	w := tensor.Rand(rng, 1, 2, 2, 2, 2)
 	sh, sw, ph, pw := 1, 1, 1, 1
 
-	loss := func() float64 { return e.Conv2D(x, w, sh, sw, ph, pw).Sum() }
+	loss := func() float64 { return sum(e.Conv2D(x, w, sh, sw, ph, pw)) }
 
 	dy := tensor.Full(1, 1, 2, 3, 4) // d(sum)/dy = 1... shape of conv output
 	y := e.Conv2D(x, w, sh, sw, ph, pw)
@@ -525,11 +538,13 @@ func TestConv2DEmitsConvClass(t *testing.T) {
 	}
 }
 
+// TestTransposeEmitsAndCorrect drives the engine's one layout transpose,
+// Permute4D, as a 2-D transpose of the trailing dimensions.
 func TestTransposeEmitsAndCorrect(t *testing.T) {
 	e, launched := recordingEngine()
-	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := e.Transpose2D(x)
-	if y.At(2, 1) != 6 || y.At(0, 0) != 1 {
+	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 1, 1, 2, 3)
+	y := e.Permute4D(x, [4]int{0, 1, 3, 2})
+	if y.At(0, 0, 2, 1) != 6 || y.At(0, 0, 0, 0) != 1 {
 		t.Fatal("transpose wrong")
 	}
 	log := launched()

@@ -31,18 +31,6 @@ func (e *Engine) PadColsGrad(dy *tensor.Tensor, f, from int) *tensor.Tensor {
 	return out
 }
 
-// SGDStep applies one SGD update in place: with momentum buffer buf (may be
-// nil for plain SGD), p -= lr * (momentum*buf + g + wd*p). One fused
-// element-wise kernel, as a framework optimizer would launch.
-func (e *Engine) SGDStep(p, g, buf *tensor.Tensor, lr, momentum, weightDecay float32) {
-	var bd []float32
-	if buf != nil {
-		bd = buf.Data()
-	}
-	e.be.SGDStep(p.Data(), g.Data(), bd, lr, momentum, weightDecay)
-	e.launchElementWise("sgd_step", 2, p.Size(), []*tensor.Tensor{p, g}, p)
-}
-
 // AdamStep applies one Adam update in place, maintaining first/second moment
 // estimates m and v; step is the 1-based iteration count for bias
 // correction. One fused element-wise kernel.

@@ -154,8 +154,8 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	f := func(seed int64, rRaw, cRaw uint8) bool {
 		r := int(rRaw%7) + 1
 		c := int(cRaw%7) + 1
-		x := tensor.Rand(rand.New(rand.NewSource(seed)), 1, r, c)
-		y := e.Transpose2D(e.Transpose2D(x))
+		x := tensor.Rand(rand.New(rand.NewSource(seed)), 1, 1, 1, r, c)
+		y := e.Permute4D(e.Permute4D(x, [4]int{0, 1, 3, 2}), [4]int{0, 1, 3, 2})
 		for i := range x.Data() {
 			if y.Data()[i] != x.Data()[i] {
 				return false

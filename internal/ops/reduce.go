@@ -72,16 +72,6 @@ func (e *Engine) SumCols(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// MaxCols returns the row-wise maximum of x (N,F) as (N) plus argmax ids.
-func (e *Engine) MaxCols(x *tensor.Tensor) (*tensor.Tensor, []int32) {
-	n, f := check2D("MaxCols", x)
-	out := tensor.New(n)
-	arg := make([]int32, n)
-	e.be.MaxCols(x.Data(), out.Data(), arg, n, f)
-	e.launchReduction("reduce_max_cols", x.Size(), n, x, out)
-	return out, arg
-}
-
 // Softmax returns the row-wise softmax of x (N,F), numerically stabilized.
 func (e *Engine) Softmax(x *tensor.Tensor) *tensor.Tensor {
 	n, f := check2D("Softmax", x)

@@ -25,7 +25,7 @@ func launchSample(dev *gpu.Device, class gpu.OpClass, fp, in uint64) {
 		Mix:   gpu.InstrMix{Fp32: fp, Int32: in, Load: (fp + in) / 4},
 		Flops: 2 * fp, Iops: in,
 		Accesses: []gpu.Access{{
-			Kind: gpu.LoadAccess, Base: dev.Alloc(1 << 20), ElemBytes: 4,
+			Kind: gpu.LoadAccess, Base: dev.AllocBlock(1<<20, "scratch").Addr(), ElemBytes: 4,
 			Count: 1 << 14, Stride: 1,
 		}},
 	}, nil)
@@ -74,8 +74,15 @@ func TestSnapshotSharesSumToOne(t *testing.T) {
 	if math.Abs(stalls-1) > 1e-9 {
 		t.Fatalf("stall shares sum to %g", stalls)
 	}
-	if r.IntShare+r.FpShare+r.OtherShare > 1.0001 {
-		t.Fatal("mix shares exceed 1")
+	// launchSample's mix is fp + in + (fp+in)/4 instructions.
+	var fp, in, total float64
+	for _, k := range [][2]float64{{1 << 22, 1 << 20}, {1 << 18, 1 << 19}, {1 << 16, 1 << 18}} {
+		fp, in, total = fp+k[0], in+k[1], total+k[0]+k[1]+math.Floor((k[0]+k[1])/4)
+	}
+	if math.Abs(r.IntShare-in/total) > 1e-9 || math.Abs(r.FpShare-fp/total) > 1e-9 ||
+		math.Abs(r.IntShare+r.FpShare+r.OtherShare-1) > 1e-9 {
+		t.Fatalf("mix shares int %g fp %g other %g, want %g %g and a sum of 1",
+			r.IntShare, r.FpShare, r.OtherShare, in/total, fp/total)
 	}
 	if r.GFLOPS <= 0 || r.GIOPS <= 0 || r.IPC <= 0 {
 		t.Fatalf("rates must be positive: %+v", r)

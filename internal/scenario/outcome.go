@@ -19,8 +19,8 @@ import (
 type Outcome struct {
 	Scenario string
 	Seed     int64
-	// World is the fleet slot count; Plane the executor branch taken
-	// ("single", "ddp", or "partitioned").
+	// World is the fleet slot count; Plane the executor branch taken (the
+	// name of its trainPlanes row).
 	World int
 	Plane string
 
@@ -124,7 +124,7 @@ func (o *Outcome) Summary() string {
 		}
 		b.WriteString("\n")
 	}
-	if o.Recoveries > 0 || o.Plane == "ddp" && o.World > 1 {
+	if p := planeNamed(o.Plane); o.Recoveries > 0 || p != nil && p.offers&elastic != 0 && o.World > 1 {
 		fmt.Fprintf(&b, "  elastic: goodput %.4f, %d recovery(ies), survivors %v, overhead %.3fs, lost %.6fs\n",
 			o.Goodput, o.Recoveries, o.Survivors, o.OverheadSeconds, o.LostSeconds)
 	}

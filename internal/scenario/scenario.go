@@ -325,11 +325,9 @@ func (sc *Scenario) validate(cfg core.RunConfig) (*trainPlane, error) {
 	}
 	plane := &trainPlanes[0]
 	if world > 1 {
-		i := slices.IndexFunc(trainPlanes, func(p trainPlane) bool { return p.name == w.Parallelism })
-		if i < 1 {
+		if plane = planeNamed(w.Parallelism); plane == nil || plane == &trainPlanes[0] {
 			return nil, errf(w.Line, "workload: no train plane runs parallelism %q", w.Parallelism)
 		}
-		plane = &trainPlanes[i]
 	} else if w.Parallelism != core.Parallelisms()[0] {
 		return nil, errf(w.Line, "%s training needs a fleet with more than one device", w.Parallelism)
 	}

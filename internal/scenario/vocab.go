@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gnnmark/internal/core"
@@ -111,6 +112,16 @@ var trainPlanes = []trainPlane{
 	{name: "single", offers: oneDevice | pipelines | freezable, run: (*Scenario).runSingle},
 	{name: "ddp", offers: elastic | pipelines | freezable, run: (*Scenario).runElastic},
 	{name: "partitioned", offers: overlaps, run: (*Scenario).runPartitioned},
+}
+
+// planeNamed returns the train plane called name (an Outcome.Plane or a
+// parallelism), or nil.
+func planeNamed(name string) *trainPlane {
+	i := slices.IndexFunc(trainPlanes, func(p trainPlane) bool { return p.name == name })
+	if i < 0 {
+		return nil
+	}
+	return &trainPlanes[i]
 }
 
 // row is what an event type and an assertion kind share: a name, the

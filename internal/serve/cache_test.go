@@ -70,7 +70,4 @@ func TestAdmissionQueueFIFO(t *testing.T) {
 	if q.MaxDepth() != 5 {
 		t.Fatalf("MaxDepth = %d, want 5", q.MaxDepth())
 	}
-	if q.Rejected() != 0 {
-		t.Fatalf("Rejected = %d, want 0", q.Rejected())
-	}
 }

@@ -22,7 +22,6 @@ type AdmissionQueue struct {
 	cap      int
 	reqs     []Request
 	maxDepth int
-	rejected int64
 }
 
 // NewAdmissionQueue returns a queue admitting at most capacity waiting
@@ -34,7 +33,6 @@ func NewAdmissionQueue(capacity int) *AdmissionQueue {
 // Push admits r, or returns *OverloadError when the queue is full.
 func (q *AdmissionQueue) Push(r Request) error {
 	if q.cap > 0 && len(q.reqs) >= q.cap {
-		q.rejected++
 		return &OverloadError{Depth: len(q.reqs), Cap: q.cap}
 	}
 	q.reqs = append(q.reqs, r)
@@ -60,6 +58,3 @@ func (q *AdmissionQueue) Take(n int) []Request {
 
 // MaxDepth returns the high-watermark of waiting requests.
 func (q *AdmissionQueue) MaxDepth() int { return q.maxDepth }
-
-// Rejected returns the number of overload rejections.
-func (q *AdmissionQueue) Rejected() int64 { return q.rejected }

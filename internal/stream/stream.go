@@ -148,9 +148,6 @@ func (s *Stream) Busy() float64 {
 // stream after it (cudaEventRecord / cudaStreamWaitEvent).
 type Event struct{ at float64 }
 
-// At returns the simulated time the event fires.
-func (ev Event) At() float64 { return ev.at }
-
 // Record captures the stream's current completion point.
 func (s *Stream) Record() Event { return Event{at: s.Cursor()} }
 

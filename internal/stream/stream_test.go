@@ -21,7 +21,7 @@ func launch(s *Stream, n int) float64 {
 		Name: "k", Class: gpu.OpGEMM, Threads: n,
 		Mix:      gpu.InstrMix{Fp32: uint64(n) * 8, Load: uint64(n)},
 		Flops:    uint64(n) * 16,
-		Accesses: []gpu.Access{{Kind: gpu.LoadAccess, Base: dev.Alloc(4 * n), ElemBytes: 4, Count: n, Stride: 1}},
+		Accesses: []gpu.Access{{Kind: gpu.LoadAccess, Base: dev.AllocBlock(4*n, "scratch").Addr(), ElemBytes: 4, Count: n, Stride: 1}},
 	})
 	dev.Sync()
 	return s.slices[len(s.slices)-1].Dur
@@ -67,8 +67,8 @@ func TestEventOrdersStreams(t *testing.T) {
 	if len(compute.slices) != 1 {
 		t.Fatalf("slices = %d", len(compute.slices))
 	}
-	if got := compute.slices[0].Start; !close1(got, ev.At()) {
-		t.Fatalf("fenced kernel started at %g, want %g", got, ev.At())
+	if got := compute.slices[0].Start; !close1(got, ev.at) {
+		t.Fatalf("fenced kernel started at %g, want %g", got, ev.at)
 	}
 }
 

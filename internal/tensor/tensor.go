@@ -201,23 +201,6 @@ func (t *Tensor) ZeroFraction() float64 {
 	return float64(z) / float64(len(t.data))
 }
 
-// Sum returns the sum of all elements in float64 precision.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean, or 0 for empty tensors.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
 // MaxAbs returns the maximum absolute element, or 0 for empty tensors.
 func (t *Tensor) MaxAbs() float64 {
 	var m float64

@@ -125,18 +125,27 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// sum adds x's elements in float64.
+func sum(x *Tensor) float64 {
+	var s float64
+	for _, v := range x.Data() {
+		s += float64(v)
+	}
+	return s
+}
+
 func TestFillZeroCopyFrom(t *testing.T) {
 	x := Full(3, 2, 2)
-	if x.Sum() != 12 {
-		t.Fatalf("Full: sum = %g", x.Sum())
+	if sum(x) != 12 {
+		t.Fatalf("Full: sum = %g", sum(x))
 	}
 	x.Zero()
-	if x.Sum() != 0 {
+	if sum(x) != 0 {
 		t.Fatal("Zero failed")
 	}
 	y := Full(2, 2, 2)
 	x.CopyFrom(y)
-	if x.Sum() != 8 {
+	if sum(x) != 8 {
 		t.Fatal("CopyFrom failed")
 	}
 }
@@ -146,14 +155,11 @@ func TestStatsHelpers(t *testing.T) {
 	if got := x.ZeroFraction(); got != 0.5 {
 		t.Fatalf("ZeroFraction = %g, want 0.5", got)
 	}
-	if got := x.Mean(); got != 0.5 {
-		t.Fatalf("Mean = %g", got)
-	}
 	if got := x.MaxAbs(); got != 4 {
 		t.Fatalf("MaxAbs = %g", got)
 	}
 	var empty = New(0)
-	if empty.ZeroFraction() != 0 || empty.Mean() != 0 || empty.MaxAbs() != 0 {
+	if empty.ZeroFraction() != 0 || empty.MaxAbs() != 0 {
 		t.Fatal("empty tensor stats must be 0")
 	}
 }

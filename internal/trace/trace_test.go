@@ -22,7 +22,7 @@ func launch(dev *gpu.Device, class gpu.OpClass, n int) {
 		Name: "k-" + class.String(), Class: class, Threads: n,
 		Mix:      gpu.InstrMix{Fp32: uint64(n) * 8, Load: uint64(n)},
 		Flops:    uint64(n) * 16,
-		Accesses: []gpu.Access{{Kind: gpu.LoadAccess, Base: dev.Alloc(4 * n), ElemBytes: 4, Count: n, Stride: 1}},
+		Accesses: []gpu.Access{{Kind: gpu.LoadAccess, Base: dev.AllocBlock(4*n, "scratch").Addr(), ElemBytes: 4, Count: n, Stride: 1}},
 	}, nil)
 }
 

@@ -102,9 +102,6 @@ type Block struct {
 // Addr returns the block's simulated device address.
 func (b *Block) Addr() uint64 { return b.addr }
 
-// Size returns the usable (class-rounded) byte size.
-func (b *Block) Size() int64 { return b.size }
-
 // Placeholder returns a detached block that is not backed by any allocator:
 // the fallback gpu.Device hands out after a failed allocation so kernel
 // lowering can reach the launch fence (where the OOM is raised with the

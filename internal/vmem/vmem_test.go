@@ -40,8 +40,8 @@ func TestAllocBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.Size() != 512 {
-		t.Fatalf("size = %d, want 512", b1.Size())
+	if b1.size != 512 {
+		t.Fatalf("size = %d, want 512", b1.size)
 	}
 	if b1.Addr()%MinBlockSize != 0 {
 		t.Fatalf("addr %#x not %d-aligned", b1.Addr(), MinBlockSize)
