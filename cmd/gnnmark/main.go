@@ -53,7 +53,7 @@ func init() {
 		{name: "fig7", summary: "Figure 7: host-to-device transfer sparsity", flags: suite, figure: "fig7"},
 		{name: "fig8", summary: "Figure 8: per-iteration transfer-sparsity timeline", flags: suite, figure: "fig8"},
 		{name: "figm", summary: "per-workload device-memory footprint table", flags: suite, figure: "figm"},
-		{name: "fig9", summary: "Figure 9: multi-GPU strong scaling on the executed DDP engine (1/2/4 GPUs)", flags: suite, figure: "fig9"},
+		{name: "fig9", summary: "Figure 9: multi-GPU strong scaling on the executed DDP engine (1/2/4 GPUs)", flags: []flagGroup{hardware}, figure: "fig9"},
 		{name: "figp", summary: "asynchronous-input-pipeline study: sync vs overlapped epoch time (depth 4 unless set)",
 			flags: []flagGroup{device, pipeline, obsOut}, figure: "figp"},
 		{name: "figpart", summary: "executed DDP vs graph-partitioned training: scaling, comm volume, edge-cut sweep (4 GPUs unless set)",
@@ -73,12 +73,9 @@ func init() {
 		{name: "ablate-fp16", summary: "half-precision storage ablation", flags: suite, figure: "ablate-fp16"},
 		{name: "ablate-l1bypass", summary: "L1 cache bypass ablation", flags: suite, figure: "ablate-l1bypass"},
 		{name: "gpucompare", summary: "characterize one workload on P100/V100/A100", flags: one("ARGA"), figure: "gpucompare"},
-		{name: "ttt", summary: "MLPerf-style time-to-train", flags: []flagGroup{device, workloadFlags("ARGA"), pipeline, tttFlags},
-			run: func(o *options) {
-				fmt.Print(bench.TTTFigure(must(core.TimeToTrain(o.cfg, o.target, o.maxEpochs))).Text())
-			}},
+		{name: "ttt", summary: "MLPerf-style time-to-train", flags: []flagGroup{hardware, workloadFlags("ARGA"), pipeline, tttFlags}, figure: "ttt"},
 		{name: "roofline", summary: "per-operation roofline placement", flags: one("ARGA"), figure: "roofline"},
-		{name: "kernels", summary: "per-kernel-name time breakdown of one training epoch (the calibration view)", flags: one("ARGA"), figure: "kernels"},
+		{name: "kernels", summary: "per-kernel-name time breakdown of one training epoch (the calibration view)", flags: []flagGroup{hardware, workloadFlags("ARGA")}, figure: "kernels"},
 		{name: "sweep", summary: "hyperparameter sweep", flags: []flagGroup{device, sweepFlags}, figure: "sweep"},
 		{name: "report", summary: "write the full characterization as an HTML page (-trace sets the path)",
 			flags: []flagGroup{device, reportOut}, run: runReport},
@@ -98,8 +95,6 @@ type options struct {
 	metricsOut, hostTrace string          // obsOut; main writes them once the command returns,
 	rec                   *trace.Recorder // with the device timeline
 	lanes                 []stream.Lane   // and the stream lanes `run` leaves here
-	target                float64
-	maxEpochs             int
 	sweepKey, sweepVals   string
 	smoke                 bool // opbenchFlags and serving
 	benchOut, backends    string
@@ -119,9 +114,15 @@ func seed(fs *flag.FlagSet, o *options) {
 	fs.Int64Var(&o.cfg.Seed, "seed", 1, "random seed")
 }
 
+// device binds hardware and -epochs; a command that sets the epoch count
+// itself binds hardware alone.
 func device(fs *flag.FlagSet, o *options) {
-	seed(fs, o)
+	hardware(fs, o)
 	fs.IntVar(&o.cfg.Epochs, "epochs", 3, "training epochs per workload")
+}
+
+func hardware(fs *flag.FlagSet, o *options) {
+	seed(fs, o)
 	fs.IntVar(&o.cfg.SampledWarps, "warps", 4096, "max sampled warps per kernel (model fidelity/speed)")
 	fs.StringVar(&o.cfg.GPU, "gpu", "v100", "device preset: v100, p100, a100, h100")
 	fs.StringVar(&o.cfg.Backend, "backend", "serial", "CPU numerics backend: serial or parallel (identical results; parallel is faster on large workloads)")
@@ -168,8 +169,8 @@ func obsOut(fs *flag.FlagSet, o *options) {
 }
 
 func tttFlags(fs *flag.FlagSet, o *options) {
-	fs.Float64Var(&o.target, "target", 0.5, "loss target")
-	fs.IntVar(&o.maxEpochs, "max-epochs", 50, "epoch cutoff")
+	fs.Float64Var(&o.cfg.TargetLoss, "target", 0.5, "loss target")
+	fs.IntVar(&o.cfg.Epochs, "max-epochs", 50, "epoch cutoff")
 }
 
 func sweepFlags(fs *flag.FlagSet, o *options) {

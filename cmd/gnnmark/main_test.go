@@ -138,6 +138,14 @@ func TestCLI(t *testing.T) {
 			file: "t.json", inFile: []string{"stream: gpu1 halo"}},
 		{args: "run -workload TLSTM -gpus 2 -epochs 1 -warps 64 -trace t.json", exit: 1,
 			stderr: []string{"-host-trace"}, notStdout: "strong scaling"},
+		// Accepted and ignored: each of these sets its own epoch count
+		// (ttt's cutoff is -max-epochs).
+		{args: "ttt -epochs 7 -warps 64", exit: 2,
+			stderr: []string{"flag provided but not defined: -epochs", "usage: gnnmark ttt [flags]"}},
+		{args: "kernels -epochs 4 -warps 64", exit: 2,
+			stderr: []string{"flag provided but not defined: -epochs", "usage: gnnmark kernels [flags]"}},
+		{args: "fig9 -epochs 5 -warps 64", exit: 2,
+			stderr: []string{"flag provided but not defined: -epochs", "usage: gnnmark fig9 [flags]"}},
 		// Listed the keys in map order, different from run to run.
 		{args: "sweep -sweep nope -warps 64", exit: 1,
 			stderr: []string{`(have [DGCN/hidden DGCN/layers GW/dim PSAGE/walks STGCN/channels TLSTM/batch])`}},

@@ -341,17 +341,14 @@ type ScalingResult struct {
 // configuration: large global batches over few iterations, so per-iteration
 // compute dominates launch overhead as it does at the paper's production
 // scale. Small-batch configs would make every workload look launch-bound.
-var fig9Rows = []struct {
-	workload string
-	config   any
-}{
-	{"PSAGE", models.PSAGEConfig{BatchSize: 64, Batches: 2}},
-	{"STGCN", models.STGCNConfig{Channels: 32, BatchSize: 48, Batches: 1}},
-	{"DGCN", models.DGCNConfig{BatchSize: 160, Layers: 7, Hidden: 128}},
-	{"GW", models.GWConfig{BatchSize: 48, Dim: 192, MaxDecode: 16}},
-	{"KGNNL", models.KGNNConfig{K: 2, BatchSize: 120, Hidden: 64}},
-	{"KGNNH", models.KGNNConfig{K: 3, BatchSize: 120, Hidden: 48}},
-	{"TLSTM", models.TLSTMConfig{BatchSize: 100}},
+var fig9Rows = []core.RunConfig{
+	{Workload: "PSAGE", Model: models.PSAGEConfig{BatchSize: 64, Batches: 2}},
+	{Workload: "STGCN", Model: models.STGCNConfig{Channels: 32, BatchSize: 48, Batches: 1}},
+	{Workload: "DGCN", Model: models.DGCNConfig{BatchSize: 160, Layers: 7, Hidden: 128}},
+	{Workload: "GW", Model: models.GWConfig{BatchSize: 48, Dim: 192, MaxDecode: 16}},
+	{Workload: "KGNNL", Model: models.KGNNConfig{K: 2, BatchSize: 120, Hidden: 64}},
+	{Workload: "KGNNH", Model: models.KGNNConfig{K: 3, BatchSize: 120, Hidden: 48}},
+	{Workload: "TLSTM", Model: models.TLSTMConfig{BatchSize: 100}},
 }
 
 // Fig9 runs the DDP strong-scaling study on 1/2/4 GPUs with the executed
@@ -361,21 +358,12 @@ var fig9Rows = []struct {
 func Fig9(cfg core.RunConfig) ([]ScalingResult, error) {
 	var out []ScalingResult
 	for _, row := range fig9Rows {
-		spec, err := core.Lookup(row.workload)
+		cfg.Workload, cfg.Dataset, cfg.Model = row.Workload, "", row.Model
+		res, err := ddp.ExecutedStrongScaling(core.DDPFactory(cfg), []int{1, 2, 4})
 		if err != nil {
 			return nil, err
 		}
-		// Every replica runs on slot 0's device model: the study scales the
-		// paper's homogeneous node.
-		factory := func(_, rank, world int) (w models.Workload, env *models.Env, err error) {
-			env, err = cfg.Build(0, rank, world, func(env *models.Env) { w = spec.New(env, spec.Datasets[0], row.config) })
-			return w, env, err
-		}
-		res, err := ddp.ExecutedStrongScaling(factory, []int{1, 2, 4})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ScalingResult{Workload: row.workload, Results: res})
+		out = append(out, ScalingResult{Workload: row.Workload, Results: res})
 	}
 	return out, nil
 }

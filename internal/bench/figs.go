@@ -64,19 +64,18 @@ type FigSResult struct {
 	Rows            []FigSRow
 }
 
-// trainAndFreeze trains one instance and freezes it through the checkpoint
-// stream — the same bytes a training run would leave on disk. Only the
-// snapshot, item count and resolved dataset name outlive the trainer.
+// trainAndFreeze trains one instance through core.Run's step and freezes it
+// through the checkpoint stream — the same bytes a training run would leave
+// on disk. Only the snapshot, item count and resolved dataset name outlive
+// the trainer.
 func trainAndFreeze(run core.RunConfig) (w *serve.Weights, items int, dataset string, err error) {
 	trainer, rep, err := core.NewServable(run, 0, nil)
 	if err != nil {
 		return nil, 0, "", err
 	}
 	defer rep.Env.Close()
-	for e := 0; e < run.Epochs; e++ {
-		if _, err := rep.Epoch(); err != nil {
-			return nil, 0, "", err
-		}
+	if _, err := rep.Train(run); err != nil {
+		return nil, 0, "", err
 	}
 	w, err = core.Freeze(trainer)
 	return w, trainer.NumItems(), rep.Dataset, err

@@ -47,6 +47,7 @@ var studies = []struct {
 	{"ablate-fp16", figured(contrast(core.RunSuite, arm{}, fp16Arm), fp16Figure)},
 	{"ablate-l1bypass", figured(contrast(core.RunSuite, arm{}, l1BypassArm), l1BypassFigure)},
 	{"gpucompare", figured(contrast(core.Run, gpuArms...), gpuCompareFigure)},
+	{"ttt", tttFigure},
 	{"roofline", rooflineFigure},
 	{"kernels", kernelsFigure},
 	{"sweep", sweepFigure},
@@ -240,11 +241,19 @@ func gpuCompareFigure(rs []core.RunResult) Figure {
 // DNNBaseline trains the conventional-CNN comparator under the same
 // profiler and returns its report: the DNN side of the paper's "GNN
 // training differs greatly from a typical DNN" contrast. The DNN is the one
-// model outside the registry, so this is the one study that constructs its
-// model itself and cannot be an arm of contrast.
+// model outside the registry, so this is the one study that builds its
+// replica itself and cannot be an arm of contrast.
 func DNNBaseline(cfg core.RunConfig) (profiler.Report, error) {
-	p, err := profile(cfg, cmp.Or(cfg.Epochs, 2), func(env *models.Env) models.Workload { return models.NewDNN(env, models.DNNConfig{}) })
-	return p.Report, err
+	cfg.Epochs = cmp.Or(cfg.Epochs, 2)
+	rep := &core.Replica{}
+	env, err := cfg.Build(0, 0, 1, func(env *models.Env) { rep.W = models.NewDNN(env, models.DNNConfig{}) })
+	if err != nil {
+		return profiler.Report{}, err
+	}
+	defer env.Close()
+	rep.Env, rep.Dev = env, env.E.Device()
+	res, err := rep.Train(cfg)
+	return res.Report, err
 }
 
 // dnnContrast is the GNN-suite-vs-DNN operation-mix comparison.
@@ -280,28 +289,28 @@ func convShare(s *Suite) float64 {
 
 // kernelsFigure is where one training epoch's simulated time goes, by kernel
 // name — the view the kernel recipes were calibrated against the paper's
-// figures with, kept for model debugging.
+// figures with, kept for model debugging. Its listener hears the device
+// from construction on; no registry workload launches a kernel while it is
+// built, so the breakdown is the epoch's.
 func kernelsFigure(s Study) (Figure, error) {
-	rep, err := core.NewReplica(s.RunConfig, 0, 0, 1)
-	if err != nil {
-		return Figure{}, err
-	}
-	defer rep.Env.Close()
-	// Subscribing after construction leaves its kernels out: the breakdown
-	// is one training epoch.
 	times := map[string]float64{}
 	counts := map[string]int{}
 	var tot float64
-	rep.Dev.Subscribe(func(ks gpu.KernelStats) {
-		k := fmt.Sprintf("%-12s %s", ks.Class, ks.Name)
-		times[k] += ks.Seconds
-		counts[k]++
-		tot += ks.Seconds
-	})
-	if _, err := rep.Epoch(); err != nil {
+	cfg := s.RunConfig
+	cfg.Epochs = 1
+	cfg.OnDevice = func(dev *gpu.Device) {
+		dev.Subscribe(func(ks gpu.KernelStats) {
+			k := fmt.Sprintf("%-12s %s", ks.Class, ks.Name)
+			times[k] += ks.Seconds
+			counts[k]++
+			tot += ks.Seconds
+		})
+	}
+	// Run syncs the device before it returns: the listener has heard the
+	// epoch's last kernels.
+	if _, err := core.Run(cfg); err != nil {
 		return Figure{}, err
 	}
-	rep.Dev.Sync() // the listener hears the epoch's last kernels here
 	names := make([]string, 0, len(times))
 	for k := range times {
 		names = append(names, k)
@@ -320,17 +329,27 @@ func kernelsFigure(s Study) (Figure, error) {
 	return f, nil
 }
 
-// TTTFigure is a time-to-train result: the MLPerf-style metric the paper
-// planned to adopt.
-func TTTFigure(res core.TTTResult) Figure {
+// tttFigure is time-to-train, the MLPerf-style metric the paper planned to
+// adopt: one run that stops at the first epoch whose loss reaches
+// TargetLoss, Epochs being the cutoff.
+func tttFigure(s Study) (Figure, error) {
+	res, err := core.Run(s.RunConfig)
+	if err != nil {
+		return Figure{}, err
+	}
+	return tttTable(s.TargetLoss, res), nil
+}
+
+// tttTable is a time-to-train run against its loss target.
+func tttTable(target float64, res core.RunResult) Figure {
 	status := "converged"
-	if !res.Converged {
+	if res.Losses[len(res.Losses)-1] > target {
 		status = "cutoff"
 	}
 	return Figure{ID: "ttt",
 		Title: fmt.Sprintf("%s time-to-train(loss<=%.3f): %d epochs, %.3f ms simulated GPU time (%s)",
-			res.Workload, res.TargetLoss, res.Epochs, 1e3*res.SimSeconds, status),
-		Notes: []string{fmt.Sprintf("loss curve: %.4v", res.LossCurve)}}
+			res.Workload, target, len(res.Losses), 1e3*res.SimSeconds, status),
+		Notes: []string{fmt.Sprintf("loss curve: %.4v", res.Losses)}}
 }
 
 // datasetsFigure is every synthetic dataset's structural statistics: size,

@@ -311,7 +311,7 @@ func TestFigPartShardsWhatDDPReplicates(t *testing.T) {
 
 // everyFigure builds the canonical record (Table I, Figures 2-9 and M), every
 // other figure of the index, and the views that are figures without a row in
-// it (`ttt`, `serve-bench`, `run -gpus N` on either plane): from a real run
+// it (`serve-bench`, `run -gpus N` on either plane): from a real run
 // where that costs under a second, else from the shared fixtures or
 // hand-made results.
 func everyFigure(t *testing.T) []Figure {
@@ -341,7 +341,7 @@ func everyFigure(t *testing.T) []Figure {
 		inferenceFigure(runs), dnnContrastFigure(ev.Suite, runs[1].Report), fp16Figure(pairs), l1BypassFigure(pairs), gpuCompareFigure(runs),
 		rooflineTable(runs[0].Label(), Roofline(runs[0], ev.Suite.Device), ev.Suite.Device),
 		datasetsFigure(1),
-		TTTFigure(core.TTTResult{Workload: "ARGA", TargetLoss: 1.9, Epochs: 3, SimSeconds: 2.27e-3, LossCurve: []float64{2.24, 2.19, 2.123}}),
+		tttTable(1.9, core.RunResult{Workload: "ARGA", SimSeconds: 2.27e-3, Losses: []float64{2.24, 2.19, 2.123}}),
 		figS.Figure(), StrongScalingFigure("PSAGE", ev.at("PSAGE")), PartitionedRunFigure("ARGA", part.Workloads[1].Part[1]))
 	for _, id := range []string{"kernels", "sweep", "params"} {
 		f, err := small.Figure(id)

@@ -50,43 +50,19 @@ func Sweep(key string, values []int, cfg core.RunConfig) ([]SweepPoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown sweep %q (have %v)", key, SweepParams())
 	}
-	workload, _, _ := strings.Cut(key, "/")
-	spec, err := core.Lookup(workload)
-	if err != nil {
-		return nil, err
-	}
+	cfg.Workload, _, _ = strings.Cut(key, "/")
+	cfg.Dataset = ""
+	cfg.Epochs = cmp.Or(cfg.Epochs, 1)
 	var out []SweepPoint
 	for _, v := range values {
-		p, err := profile(cfg, cmp.Or(cfg.Epochs, 1), func(env *models.Env) models.Workload { return spec.New(env, spec.Datasets[0], config(v)) })
+		cfg.Model = config(v)
+		res, err := core.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		p.Value = v
-		out = append(out, p)
+		out = append(out, SweepPoint{Value: v, Report: res.Report, EpochSeconds: res.SimSeconds / float64(len(res.Losses))})
 	}
 	return out, nil
-}
-
-// profile builds a workload of the study's own making on cfg's device and
-// trains it for epochs under the profiler. Construction may launch
-// preprocessing kernels; the profile and the clock cover training only.
-func profile(cfg core.RunConfig, epochs int, construct func(env *models.Env) models.Workload) (SweepPoint, error) {
-	var w models.Workload
-	env, err := cfg.Build(0, 0, 1, func(env *models.Env) { w = construct(env) })
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	defer env.Close()
-	dev := env.E.Device()
-	prof := profiler.Attach(dev)
-	env.OnIteration = prof.NextIteration
-	dev.ResetClock()
-	for e := 0; e < epochs; e++ {
-		if _, err := env.Epoch(w); err != nil {
-			return SweepPoint{}, err
-		}
-	}
-	return SweepPoint{Report: prof.Snapshot(), EpochSeconds: dev.ElapsedSeconds() / float64(epochs)}, nil
 }
 
 // sweepFigure runs the study's sweep and tabulates it.

@@ -13,7 +13,6 @@ import (
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/graph"
 	"gnnmark/internal/models"
-	"gnnmark/internal/nn"
 	"gnnmark/internal/obs"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
@@ -40,9 +39,8 @@ type Spec struct {
 	// New constructs the workload on the given dataset from its model's
 	// config struct (models.PSAGEConfig for PSAGE, models.KGNNConfig for both
 	// k-GNNs, and so on; zero fields take the model's defaults): the one
-	// constructor behind the suite's runs (Build), the scaling study's
-	// large-batch configurations and the hyperparameter sweeps. Another
-	// model's config is a programming error and panics.
+	// constructor behind every replica, handed RunConfig.Model or, when that
+	// is nil, the suite's config (Build). Resolve rejects another model's.
 	New func(env *models.Env, dataset string, cfg any) models.Workload
 	// config is what Build hands New: the suite's setting of the model.
 	config any
@@ -183,8 +181,16 @@ type RunConfig struct {
 	// default).
 	Workload string
 	Dataset  string
-	// Epochs is the number of training epochs (default 3).
+	// Epochs is the number of training epochs (default 3; a run with a
+	// TargetLoss has no default: Epochs is its cutoff).
 	Epochs int
+	// TargetLoss, when nonzero, stops a single-device run after the first
+	// epoch whose loss is at or below it: the time-to-train rule.
+	TargetLoss float64
+	// Model is the config Spec.New builds the workload from: the model's
+	// own config struct (models.DGCNConfig for DGCN, ...), nil for the
+	// suite's. Resolve rejects another model's config.
+	Model any
 	// Seed drives all randomness (default 1).
 	Seed int64
 	// SampledWarps overrides the device's cache-replay budget (default
@@ -244,13 +250,13 @@ type RunConfig struct {
 	// (zero-run / bitmap codec) instead of raw; requires PipelineDepth > 0.
 	CompressH2D bool
 	// OnDevice, when non-nil, is invoked with each simulated device right
-	// after construction — the hook the CLI uses to attach a trace.Recorder
-	// before any kernels launch.
+	// after construction — the hook the CLI attaches a trace.Recorder and
+	// the kernels study its listener through, before any kernels launch.
 	OnDevice func(*gpu.Device)
 }
 
 func (c *RunConfig) defaults() {
-	if c.Epochs == 0 {
+	if c.Epochs == 0 && c.TargetLoss == 0 {
 		c.Epochs = 3
 	}
 	if c.Seed == 0 {
@@ -272,6 +278,9 @@ type RunResult struct {
 	EpochSeconds []float64
 	// Losses is the mean training loss per epoch.
 	Losses []float64
+	// SimSeconds is the simulated training time: the engine's clock (the
+	// overlapped makespan under the input pipeline) after the last epoch.
+	SimSeconds float64
 	// ParamCount is the model's trainable parameter count.
 	ParamCount int
 	// PerClass carries the per-op-class stats for Figures 5/6 per-op views.
@@ -295,9 +304,9 @@ type RunResult struct {
 	StreamLanes []stream.Lane
 }
 
-// Run executes one characterization run: build the replica, attach the
-// profiler, train, snapshot. A workload whose footprint exceeds the
-// device-memory budget returns a *vmem.OOMError (the simulated-OOM report).
+// Run executes one characterization run: build the replica and Train it.
+// A workload whose footprint exceeds the device-memory budget returns a
+// *vmem.OOMError (the simulated-OOM report).
 func Run(cfg RunConfig) (RunResult, error) {
 	cfg.defaults()
 	rep, err := NewReplica(cfg, 0, 0, 1)
@@ -305,49 +314,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		return RunResult{}, err
 	}
 	defer rep.Env.Close()
-	// Construction may launch preprocessing kernels; measure training only.
-	// The profiler attaches after construction for the same reason.
-	rep.Rebase()
-	env, dev := rep.Env, rep.Dev
-	prof := profiler.Attach(dev)
-	env.OnIteration = prof.NextIteration
-
-	res := RunResult{
-		Workload:   rep.Spec.Key,
-		Dataset:    rep.Dataset,
-		ParamCount: nn.NumParams(rep.W.Params()),
-	}
-	phases := obs.NewPhaseMeter()
-	lastOpCap := ops.CaptureOpClasses()
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		loss, err := rep.Epoch()
-		if err != nil {
-			return RunResult{}, err
-		}
-		res.Losses = append(res.Losses, loss)
-		if b, ok := phases.Epoch(1); ok {
-			res.HostPhases = append(res.HostPhases, b)
-			opCap := ops.CaptureOpClasses()
-			res.HostOpClasses = append(res.HostOpClasses, opCap.Delta(lastOpCap))
-			lastOpCap = opCap
-		}
-		prof.MarkEpoch()
-		if pe, ok := env.E.EpochPipeStats(); ok {
-			res.Pipe = append(res.Pipe, pe)
-		}
-	}
-	res.StreamLanes = env.E.StreamLanes()
-	res.Report = prof.Snapshot()
-	res.SparsityTimeline = prof.SparsityTimeline()
-	res.EpochSeconds = prof.EpochSeconds()
-	res.Mem = dev.MemStats()
-	res.PerClass = map[gpu.OpClass]profiler.ClassStats{}
-	for _, c := range gpu.AllOpClasses() {
-		if cs := prof.Class(c); cs.Kernels > 0 {
-			res.PerClass[c] = *cs
-		}
-	}
-	return res, nil
+	return rep.Train(cfg)
 }
 
 // DeviceConfig resolves the device model for one fleet slot: the explicit

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gnnmark/internal/gpu"
+	"gnnmark/internal/models"
 	"gnnmark/internal/obs"
 )
 
@@ -161,43 +162,92 @@ func TestHalfPrecisionRunIsFaster(t *testing.T) {
 	}
 }
 
+// finalLoss is a run's last epoch loss.
+func finalLoss(res RunResult) float64 { return res.Losses[len(res.Losses)-1] }
+
 func TestTimeToTrainConverges(t *testing.T) {
 	// STGCN's forecast MSE falls fast; a loose target converges quickly.
-	res, err := TimeToTrain(RunConfig{Workload: "STGCN", SampledWarps: 256, Seed: 4}, 0.5, 20)
+	cfg := RunConfig{Workload: "STGCN", SampledWarps: 256, Seed: 4, TargetLoss: 0.5, Epochs: 20}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
-		t.Fatalf("did not converge in %d epochs: %v", res.Epochs, res.LossCurve)
+	if finalLoss(res) > cfg.TargetLoss {
+		t.Fatalf("did not converge in %d epochs: %v", len(res.Losses), res.Losses)
 	}
-	if res.SimSeconds <= 0 || res.Epochs < 1 {
+	if res.SimSeconds <= 0 || len(res.Losses) < 1 {
 		t.Fatalf("bad TTT result: %+v", res)
 	}
-	if res.FinalLoss > res.TargetLoss {
-		t.Fatal("converged but final loss above target")
+	for i, loss := range res.Losses[:len(res.Losses)-1] {
+		if loss <= cfg.TargetLoss {
+			t.Fatalf("epoch %d reached the target (%v) but the run went on: %v", i+1, loss, res.Losses)
+		}
 	}
 	// A stricter target costs at least as many epochs and simulated time.
-	strict, err := TimeToTrain(RunConfig{Workload: "STGCN", SampledWarps: 256, Seed: 4}, 0.2, 20)
+	cfg.TargetLoss = 0.2
+	strict, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strict.Epochs < res.Epochs || strict.SimSeconds < res.SimSeconds {
-		t.Fatalf("stricter target was cheaper: %+v vs %+v", strict, res)
+	if len(strict.Losses) < len(res.Losses) || strict.SimSeconds < res.SimSeconds {
+		t.Fatalf("stricter target was cheaper: %d epochs, %vs vs %d epochs, %vs",
+			len(strict.Losses), strict.SimSeconds, len(res.Losses), res.SimSeconds)
 	}
 }
 
 func TestTimeToTrainCutoff(t *testing.T) {
-	res, err := TimeToTrain(RunConfig{Workload: "TLSTM", SampledWarps: 256}, 0.0001, 2)
+	res, err := Run(RunConfig{Workload: "TLSTM", SampledWarps: 256, TargetLoss: 0.0001, Epochs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Converged || res.Epochs != 2 {
-		t.Fatalf("impossible target should hit the cutoff: %+v", res)
+	if finalLoss(res) <= 0.0001 || len(res.Losses) != 2 {
+		t.Fatalf("impossible target should hit the cutoff: %v", res.Losses)
 	}
-	if _, err := TimeToTrain(RunConfig{Workload: "TLSTM"}, 0.1, 0); err == nil {
-		t.Fatal("want error for non-positive maxEpochs")
+	const noCutoff = "core: TargetLoss 0.1 needs an Epochs cutoff"
+	if _, err := Run(RunConfig{Workload: "TLSTM", TargetLoss: 0.1}); err == nil || err.Error() != noCutoff {
+		t.Fatalf("a target without an epoch cutoff: got %v, want %s", err, noCutoff)
 	}
-	if _, err := TimeToTrain(RunConfig{Workload: "nope"}, 0.1, 1); err == nil {
+	if _, err := Run(RunConfig{Workload: "nope", TargetLoss: 0.1, Epochs: 1}); err == nil {
 		t.Fatal("want error for unknown workload")
+	}
+}
+
+// TestModelIsTheWorkloadsConfig pins that a Model of another workload's
+// config type is a core error from Resolve on every plane, where Spec.New
+// would panic on the type assertion.
+func TestModelIsTheWorkloadsConfig(t *testing.T) {
+	cfg := RunConfig{Workload: "DGCN", Model: models.GWConfig{}, Epochs: 1, SampledWarps: 64, GPUs: 2}
+	const want = "core: workload DGCN takes a models.DGCNConfig, not a models.GWConfig"
+	for name, run := range map[string]func() error{
+		"Run":            func() error { _, err := Run(cfg); return err },
+		"RunDDP":         func() error { _, err := RunDDP(cfg); return err },
+		"RunPartitioned": func() error { _, err := RunPartitioned(cfg); return err },
+	} {
+		if err := run(); err == nil || err.Error() != want {
+			t.Errorf("%s: got %v, want %s", name, err, want)
+		}
+	}
+	cfg.Model = models.DGCNConfig{Layers: 2}
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("the workload's own config: %v", err)
+	}
+}
+
+// TestConstructionLaunchesNothing holds the condition the kernels study and
+// `run -trace` rely on: they listen from the device's construction on, and
+// report one epoch and a training-only trace only because no registry
+// workload launches a kernel or a copy while it is built.
+func TestConstructionLaunchesNothing(t *testing.T) {
+	for _, spec := range Registry() {
+		for _, dataset := range spec.Datasets {
+			rep, err := NewReplica(RunConfig{Workload: spec.Key, Dataset: dataset, SampledWarps: 64}, 0, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, s := rep.Dev.KernelCount(), rep.Dev.TransferSeconds(); n != 0 || s != 0 {
+				t.Errorf("%s/%s: building it launched %d kernels and %vs of copies", spec.Key, dataset, n, s)
+			}
+			rep.Env.Close()
+		}
 	}
 }

@@ -32,6 +32,14 @@ import (
 	"gnnmark/internal/vmem"
 )
 
+// timeToTrain builds the `ttt` study on cfg with a loss target of 0.1: the
+// time-to-train path.
+func timeToTrain(cfg core.RunConfig) error {
+	cfg.TargetLoss = 0.1
+	_, err := bench.Study{RunConfig: cfg}.Figure("ttt")
+	return err
+}
+
 // TestUnknownDatasetRejectedEverywhere pins that every entry point builds
 // through core.NewReplica's resolution: an unknown dataset is the same
 // error from all of them, never a panic out of a dataset constructor.
@@ -41,7 +49,7 @@ func TestUnknownDatasetRejectedEverywhere(t *testing.T) {
 		"Run":            func() error { _, err := core.Run(cfg); return err },
 		"RunDDP":         func() error { _, err := core.RunDDP(cfg); return err },
 		"RunPartitioned": func() error { _, err := core.RunPartitioned(cfg); return err },
-		"TimeToTrain":    func() error { _, err := core.TimeToTrain(cfg, 0.1, 1); return err },
+		"TimeToTrain":    func() error { return timeToTrain(cfg) },
 		"FigS":           func() error { _, err := bench.FigS(bench.ServeConfig{Run: cfg}); return err },
 	}
 	const want = `core: workload ARGA has no dataset "bogus" (have [cora citeseer pubmed])`
@@ -52,11 +60,11 @@ func TestUnknownDatasetRejectedEverywhere(t *testing.T) {
 	}
 }
 
-// TestTimeToTrainHonoursHBMBudget pins that TimeToTrain resolves its device
-// through RunConfig.DeviceConfig like Run does: a budget far below the
-// footprint is the simulated-OOM report, not a silently ignored flag.
+// TestTimeToTrainHonoursHBMBudget pins that the `ttt` study resolves its
+// device through RunConfig.DeviceConfig like Run does: a budget far below
+// the footprint is the simulated-OOM report, not a silently ignored flag.
 func TestTimeToTrainHonoursHBMBudget(t *testing.T) {
-	_, err := core.TimeToTrain(core.RunConfig{Workload: "TLSTM", HBMGB: 1e-5, SampledWarps: 64}, 0.1, 1)
+	err := timeToTrain(core.RunConfig{Workload: "TLSTM", HBMGB: 1e-5, SampledWarps: 64, Epochs: 1})
 	var oom *vmem.OOMError
 	if !errors.As(err, &oom) {
 		t.Fatalf("want *vmem.OOMError, got %v", err)
@@ -77,7 +85,7 @@ func TestOOMIsAnErrorOnEveryPlane(t *testing.T) {
 		ranked bool
 	}{
 		"Run":            {func() error { _, err := core.Run(cfg); return err }, false},
-		"TimeToTrain":    {func() error { _, err := core.TimeToTrain(cfg, 0.1, 1); return err }, false},
+		"TimeToTrain":    {func() error { return timeToTrain(cfg) }, false},
 		"RunDDP":         {func() error { _, err := core.RunDDP(cfg); return err }, true},
 		"RunPartitioned": {func() error { _, err := core.RunPartitioned(cfg); return err }, true},
 		"Train(2)": {func() error {
@@ -104,12 +112,16 @@ func TestOOMIsAnErrorOnEveryPlane(t *testing.T) {
 // crash barrier) and internal/serve (request-input safety); or call a
 // workload's TrainEpoch() directly outside internal/models — every plane
 // trains through models.Env.Epoch, which returns device failures as errors.
-// And there is one CLI: one package main under cmd/, one flag.NewFlagSet
-// call site (each command's set comes out of the command table), and
-// os.Args read in main() only.
+// One replica trains one way: profiler.Attach has one call site, in
+// internal/core (Replica.Train, the body of core.Run), and nothing under
+// internal/bench calls an Epoch method — a study trains through core.Run or
+// Replica.Train. And there is one CLI: one package main under cmd/, one
+// flag.NewFlagSet call site (each command's set comes out of the command
+// table), and os.Args read in main() only.
 func TestOneConstructionPath(t *testing.T) {
 	root := filepath.Join("..", "..")
 	mainDirs, flagSets := map[string]bool{}, 0
+	var attaches []string
 	under := func(rel string, dirs ...string) bool {
 		for _, d := range dirs {
 			if strings.HasPrefix(rel, "internal/"+d+"/") {
@@ -159,6 +171,12 @@ func TestOneConstructionPath(t *testing.T) {
 					if fun.Sel.Name == "TrainEpoch" && len(call.Args) == 0 && !under(rel, "models") {
 						t.Errorf("%s calls .TrainEpoch() directly: train through models.Env.Epoch", rel)
 					}
+					if isPkgSel(fun, "profiler", "Attach") {
+						attaches = append(attaches, rel)
+					}
+					if fun.Sel.Name == "Epoch" && under(rel, "bench") {
+						t.Errorf("%s trains its own epoch loop: train through core.Run or Replica.Train", rel)
+					}
 				case *ast.Ident:
 					if fun.Name == "recover" && !under(rel, "gpu", "exec", "serve") {
 						t.Errorf("%s calls recover(): a device failure is the error gpu.Guard returns", rel)
@@ -171,6 +189,9 @@ func TestOneConstructionPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if len(attaches) != 1 || !strings.HasPrefix(attaches[0], "internal/core/") {
+		t.Errorf("profiler.Attach is called from %v, want once, in internal/core (Replica.Train)", attaches)
 	}
 	if len(mainDirs) != 1 || flagSets != 1 {
 		t.Errorf("cmd/ holds %d package main directories (%v) and %d flag.NewFlagSet call sites, want one of each",
@@ -240,10 +261,10 @@ func TestOneForwardPerModel(t *testing.T) {
 // Figure.Text and internal/report); and a model or dataset constructor
 // (models.New*, any function of internal/datasets) is called only from
 // internal/models, internal/datasets and internal/core — a study names a
-// registry row and hands core.Spec.New a config — except for models.NewDNN,
-// the comparator outside the registry.
+// registry row and sets RunConfig.Model to the model's config — except for
+// models.NewDNN, the comparator outside the registry.
 func TestStudiesAreRows(t *testing.T) {
-	notTables := []string{"run", "all", "scenario", "opbench", "benchdiff", "report", "serve-bench", "ttt"}
+	notTables := []string{"run", "all", "scenario", "opbench", "benchdiff", "report", "serve-bench"}
 	root := filepath.Join("..", "..")
 	rows, figures := 0, 0
 	for _, dir := range []string{"cmd", "internal"} {
@@ -303,8 +324,8 @@ func TestStudiesAreRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(notTables) > 8 || figures < 20 || rows != figures+len(notTables) {
-		t.Errorf("%d command rows, %d with a figure id, %d allowed without; want at least 20 figures and at most 8 others",
+	if len(notTables) > 7 || figures < 20 || rows != figures+len(notTables) {
+		t.Errorf("%d command rows, %d with a figure id, %d allowed without; want at least 20 figures and at most 7 others",
 			rows, figures, len(notTables))
 	}
 }

@@ -32,13 +32,13 @@ func PartitionedFactory(cfg RunConfig, partition Partitioner) (partitioned.Facto
 	// serialized device clock.
 	cfg.PipelineDepth = 0
 
-	// Rank = fleet slot under this plane. The workload is the registry's
+	// Rank = fleet slot under this plane. The workload is NewReplica's
 	// build, made as rank 0 of 1 — models.Partition splits its graphs by
 	// (rank, world), and the Env must not shard the batches under it as well.
 	return func(rank, world int) (w models.PartWorkload, env *models.Env, err error) {
 		var perr error
 		env, err = cfg.Build(rank, 0, 1, func(env *models.Env) {
-			w, perr = models.Partition(spec.Build(env, dataset, 1), env, rank, world, partition)
+			w, perr = models.Partition(spec.New(env, dataset, cmp.Or(cfg.Model, spec.config)), env, rank, world, partition)
 		})
 		return w, env, cmp.Or(err, perr)
 	}, nil

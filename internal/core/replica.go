@@ -3,19 +3,23 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 
 	"gnnmark/internal/backend"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
+	"gnnmark/internal/nn"
+	"gnnmark/internal/obs"
 	"gnnmark/internal/ops"
+	"gnnmark/internal/profiler"
 )
 
 // Replica is one workload constructed on its own simulated device. Every
-// execution path — single-device runs, DDP and elastic replicas, scenario
-// segments, serving replicas, the trace tools — builds it through
-// NewReplica, so a workload is the same object whichever plane trains it.
+// plane builds its registry workloads through NewReplica, so a workload is
+// the same object whichever plane trains it; the DNN baseline, outside the
+// registry, fills one in from RunConfig.Build to train it through Train.
 type Replica struct {
 	Spec    Spec
 	Dataset string
@@ -29,9 +33,11 @@ type Replica struct {
 func Parallelisms() []string { return []string{"ddp", "partitioned"} }
 
 // Resolve returns c's workload spec and dataset (empty = the spec's
-// default), rejecting a dataset the workload does not have, a parallelism
-// that names no strategy and a negative count or budget — values a front
-// end would otherwise read as "unset" and silently run something else.
+// default), rejecting a dataset the workload does not have, a Model that is
+// not the workload's config type, a parallelism that names no strategy, a
+// negative count or budget — values a front end would otherwise read as
+// "unset" and silently run something else — and a TargetLoss without an
+// Epochs cutoff.
 func (c *RunConfig) Resolve() (Spec, string, error) {
 	spec, err := Lookup(c.Workload)
 	if err != nil {
@@ -50,6 +56,12 @@ func (c *RunConfig) Resolve() (Spec, string, error) {
 		if f.v < 0 {
 			return Spec{}, "", fmt.Errorf("core: negative %s %v", f.name, f.v)
 		}
+	}
+	if c.TargetLoss != 0 && c.Epochs == 0 {
+		return Spec{}, "", fmt.Errorf("core: TargetLoss %v needs an Epochs cutoff", c.TargetLoss)
+	}
+	if c.Model != nil && reflect.TypeOf(c.Model) != reflect.TypeOf(spec.config) {
+		return Spec{}, "", fmt.Errorf("core: workload %s takes a %T, not a %T", spec.Key, spec.config, c.Model)
 	}
 	dataset := c.Dataset
 	if dataset == "" {
@@ -72,10 +84,9 @@ func (c *RunConfig) Resolve() (Spec, string, error) {
 // under gpu.Guard: the footprint includes preprocessing, so a build can OOM,
 // and a device failure raised mid-construction is returned as the error
 // with the half-built Env closed, so its loader workers do not outlive it.
-// Callers that build something other than a registry workload
-// (hyperparameter sweeps, the DNN baseline, partition workloads, the scaling
-// study's large-batch configs) call this; everything else goes through
-// NewReplica. The device is env.E.Device().
+// NewReplica and PartitionedFactory call this for registry workloads; the
+// DNN baseline, the one model outside the registry, calls it itself. The
+// device is env.E.Device().
 func (c *RunConfig) Build(slot, rank, world int, construct func(env *models.Env)) (*models.Env, error) {
 	devCfg, err := c.DeviceConfig(slot)
 	if err != nil {
@@ -106,9 +117,10 @@ func (c *RunConfig) Build(slot, rank, world int, construct func(env *models.Env)
 
 // NewReplica constructs replica `rank` of a `world`-replica run of cfg's
 // workload on the device model of fleet slot `slot` (single-device callers
-// pass 0, 0, 1): resolve the spec and dataset, Build the workload, then
-// enable the stream timeline — after construction, so construction kernels
-// stay on the classic serialized path.
+// pass 0, 0, 1): resolve the spec and dataset, Build the workload from
+// cfg.Model (nil = the suite's config), then enable the stream timeline —
+// after construction, so construction kernels stay on the classic
+// serialized path.
 //
 // The replica is NOT rebased: its clock and peak memory still include
 // construction. Planes that measure training only call Rebase next.
@@ -119,7 +131,7 @@ func NewReplica(cfg RunConfig, slot, rank, world int) (*Replica, error) {
 		return nil, err
 	}
 	rep := &Replica{Spec: spec, Dataset: dataset}
-	rep.Env, err = cfg.Build(slot, rank, world, func(env *models.Env) { rep.W = spec.Build(env, dataset, 1) })
+	rep.Env, err = cfg.Build(slot, rank, world, func(env *models.Env) { rep.W = spec.New(env, dataset, cmp.Or(cfg.Model, spec.config)) })
 	if err != nil {
 		return nil, err
 	}
@@ -154,4 +166,59 @@ func (r *Replica) Epoch() (float64, error) {
 		r.Env.E.Reset()
 	}
 	return loss, err
+}
+
+// Train is the one training step of a single-device run: Rebase, attach the
+// profiler, train cfg.Epochs epochs — stopping after the first whose loss
+// is at or below a nonzero cfg.TargetLoss — and snapshot what the run
+// measured. Run calls it on the replica it builds; a study that builds its
+// replica another way (the DNN baseline, the serving trainer) calls it too.
+func (r *Replica) Train(cfg RunConfig) (RunResult, error) {
+	// Construction may launch preprocessing kernels; measure training only.
+	// The profiler attaches after construction for the same reason.
+	r.Rebase()
+	env, dev := r.Env, r.Dev
+	prof := profiler.Attach(dev)
+	env.OnIteration = prof.NextIteration
+
+	res := RunResult{
+		Workload:   r.Spec.Key,
+		Dataset:    r.Dataset,
+		ParamCount: nn.NumParams(r.W.Params()),
+	}
+	phases := obs.NewPhaseMeter()
+	lastOpCap := ops.CaptureOpClasses()
+	for ep := 0; ep < cfg.Epochs; ep++ {
+		loss, err := r.Epoch()
+		if err != nil {
+			return RunResult{}, err
+		}
+		res.Losses = append(res.Losses, loss)
+		if b, ok := phases.Epoch(1); ok {
+			res.HostPhases = append(res.HostPhases, b)
+			opCap := ops.CaptureOpClasses()
+			res.HostOpClasses = append(res.HostOpClasses, opCap.Delta(lastOpCap))
+			lastOpCap = opCap
+		}
+		prof.MarkEpoch()
+		if pe, ok := env.E.EpochPipeStats(); ok {
+			res.Pipe = append(res.Pipe, pe)
+		}
+		if cfg.TargetLoss != 0 && loss <= cfg.TargetLoss {
+			break
+		}
+	}
+	res.SimSeconds = env.SimClock()
+	res.StreamLanes = env.E.StreamLanes()
+	res.Report = prof.Snapshot()
+	res.SparsityTimeline = prof.SparsityTimeline()
+	res.EpochSeconds = prof.EpochSeconds()
+	res.Mem = dev.MemStats()
+	res.PerClass = map[gpu.OpClass]profiler.ClassStats{}
+	for _, c := range gpu.AllOpClasses() {
+		if cs := prof.Class(c); cs.Kernels > 0 {
+			res.PerClass[c] = *cs
+		}
+	}
+	return res, nil
 }

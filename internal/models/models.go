@@ -150,7 +150,8 @@ func (env *Env) FinishPhase() {
 // inside the epoch is returned as the error — the very *vmem.OOMError or
 // *fault.FatalError the device raised — and the Env's device is then dead.
 // E.Reset stays with the caller, because the planes place it differently (a
-// DDP worker resets after its epoch barrier, a sweep never does).
+// DDP worker resets after its epoch barrier, Replica.Epoch right after the
+// epoch).
 func (env *Env) Epoch(w interface{ TrainEpoch() float64 }) (loss float64, err error) {
 	err = gpu.Guard(func() {
 		scope := env.E.Track().Begin("epoch", obs.CatPhase)
