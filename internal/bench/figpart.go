@@ -137,13 +137,13 @@ func (res *FigPartResult) Figure() Figure {
 					ddpComm = vmem.FormatBytes(int64(ddpEpochComm(dr)))
 				}
 			}
-			partEp := pr.TotalSeconds / float64(max(1, pr.Epochs))
+			partEp := pr.TotalSeconds / float64(max(1, len(pr.Losses)))
 			speedup := 0.0
 			if partEp > 0 {
 				speedup = base / partEp
 			}
 			p.add(pr.GPUs, ddpMS, ddpComm, 1e3*partEp,
-				vmem.FormatBytes(int64(pr.HaloBytes/uint64(max(1, pr.Epochs)))), pr.EdgeCut, speedup)
+				vmem.FormatBytes(int64(pr.HaloBytes/uint64(max(1, len(pr.Losses))))), pr.EdgeCut, speedup)
 		}
 		// Capacity: partitioning shards the footprint; DDP replicates it.
 		if n := len(wl.Part); n > 1 {
@@ -172,7 +172,7 @@ func (res *FigPartResult) Figure() Figure {
 func PartitionedRunFigure(workload string, res *partitioned.Result) Figure {
 	f := Figure{Title: fmt.Sprintf("%s executed partitioned training on %d simulated GPUs", workload, res.GPUs),
 		Lead: []string{
-			fmt.Sprintf("epoch losses: %v", res.EpochLosses),
+			fmt.Sprintf("epoch losses: %v", res.Losses),
 			fmt.Sprintf("epoch seconds (simulated): %v", res.EpochSeconds),
 			fmt.Sprintf("compute %.3f ms, halo %.3f ms (%.3f exposed, %.3f hidden), grad sync %.3f ms",
 				1e3*res.ComputeSeconds, 1e3*res.HaloSeconds,

@@ -9,6 +9,7 @@ import (
 	"gnnmark/internal/core"
 	"gnnmark/internal/ddp"
 	"gnnmark/internal/gpu"
+	"gnnmark/internal/models"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/serve"
 )
@@ -341,7 +342,7 @@ func everyFigure(t *testing.T) []Figure {
 		inferenceFigure(runs), dnnContrastFigure(ev.Suite, runs[1].Report), fp16Figure(pairs), l1BypassFigure(pairs), gpuCompareFigure(runs),
 		rooflineTable(runs[0].Label(), Roofline(runs[0], ev.Suite.Device), ev.Suite.Device),
 		datasetsFigure(1),
-		tttTable(1.9, core.RunResult{Workload: "ARGA", SimSeconds: 2.27e-3, Losses: []float64{2.24, 2.19, 2.123}}),
+		tttTable(1.9, core.RunResult{Workload: "ARGA", SimSeconds: 2.27e-3, EpochLog: models.EpochLog{Losses: []float64{2.24, 2.19, 2.123}}}),
 		figS.Figure(), StrongScalingFigure("PSAGE", ev.at("PSAGE")), PartitionedRunFigure("ARGA", part.Workloads[1].Part[1]))
 	for _, id := range []string{"kernels", "sweep", "params"} {
 		f, err := small.Figure(id)

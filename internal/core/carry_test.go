@@ -115,13 +115,9 @@ func TestPartitionedWorldOneIsOneDevice(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rep.Env.Close()
-			var losses []float64
-			for ep := 0; ep < epochs; ep++ {
-				loss, err := rep.Epoch()
-				if err != nil {
-					t.Fatal(err)
-				}
-				losses = append(losses, loss)
+			one, err := rep.Env.Train(rep.W, epochs, nil, func(int, float64, float64) (bool, error) { return false, nil })
+			if err != nil {
+				t.Fatal(err)
 			}
 			factory, err := PartitionedFactory(cfg, nil)
 			if err != nil {
@@ -131,8 +127,8 @@ func TestPartitionedWorldOneIsOneDevice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(res.EpochLosses, losses) {
-				t.Errorf("losses: partitioned %v, one device %v", res.EpochLosses, losses)
+			if !slices.Equal(res.Losses, one.Losses) {
+				t.Errorf("losses: partitioned %v, one device %v", res.Losses, one.Losses)
 			}
 			if !bytes.Equal(nn.Snapshot(res.Workers[0].Optimizer()), nn.Snapshot(rep.W.Optimizer())) {
 				t.Error("the optimizer snapshots differ")

@@ -253,11 +253,11 @@ func TestChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("degraded event aborted the run: %v", err)
 				}
-				if len(res.EpochLosses) != len(partBase.EpochLosses) {
-					t.Fatalf("loss count %d, want %d", len(res.EpochLosses), len(partBase.EpochLosses))
+				if len(res.Losses) != len(partBase.Losses) {
+					t.Fatalf("loss count %d, want %d", len(res.Losses), len(partBase.Losses))
 				}
-				for i := range res.EpochLosses {
-					if res.EpochLosses[i] != partBase.EpochLosses[i] {
+				for i := range res.Losses {
+					if res.Losses[i] != partBase.Losses[i] {
 						t.Fatalf("epoch %d loss differs from healthy run — degraded events must not touch numerics", i)
 					}
 				}

@@ -13,7 +13,6 @@ import (
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/graph"
 	"gnnmark/internal/models"
-	"gnnmark/internal/obs"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 	"gnnmark/internal/stream"
@@ -274,10 +273,9 @@ type RunResult struct {
 	Report   profiler.Report
 	// SparsityTimeline is the per-iteration H2D zero fraction (Figure 8).
 	SparsityTimeline []float64
-	// EpochSeconds is simulated time per epoch.
-	EpochSeconds []float64
-	// Losses is the mean training loss per epoch.
-	Losses []float64
+	// EpochLog holds the per-epoch losses, simulated seconds (of the
+	// serialized device clock) and host phases.
+	models.EpochLog
 	// SimSeconds is the simulated training time: the engine's clock (the
 	// overlapped makespan under the input pipeline) after the last epoch.
 	SimSeconds float64
@@ -285,9 +283,6 @@ type RunResult struct {
 	ParamCount int
 	// PerClass carries the per-op-class stats for Figures 5/6 per-op views.
 	PerClass map[gpu.OpClass]profiler.ClassStats
-	// HostPhases is the per-epoch host wall-clock phase breakdown; empty
-	// unless obs.Enabled during the run.
-	HostPhases []obs.PhaseBreakdown
 	// HostOpClasses is the per-epoch host-time attribution by gpu.OpClass
 	// (the engine's per-op interval accounting); empty unless obs.Enabled
 	// during the run. Index-aligned with HostPhases.

@@ -128,7 +128,7 @@ func chaosDigest(res ddp.ElasticResult) string {
 func partitionedDigest(res *partitioned.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "gpus=%d losses=[", res.GPUs)
-	for _, l := range res.EpochLosses {
+	for _, l := range res.Losses {
 		fmt.Fprintf(&b, "%x ", l)
 	}
 	fmt.Fprintf(&b, "] secs=[")

@@ -109,19 +109,19 @@ func TestOOMIsAnErrorOnEveryPlane(t *testing.T) {
 // Non-test files under cmd/ and internal/ may not: construct a device
 // (gpu.New) outside internal/core; call recover() outside internal/gpu
 // (Guard, the one recover for a device failure), internal/exec (the worker
-// crash barrier) and internal/serve (request-input safety); or call a
-// workload's TrainEpoch() directly outside internal/models — every plane
-// trains through models.Env.Epoch, which returns device failures as errors.
-// One replica trains one way: profiler.Attach has one call site, in
-// internal/core (Replica.Train, the body of core.Run), and nothing under
-// internal/bench calls an Epoch method — a study trains through core.Run or
-// Replica.Train. And there is one CLI: one package main under cmd/, one
-// flag.NewFlagSet call site (each command's set comes out of the command
-// table), and os.Args read in main() only.
+// crash barrier) and internal/serve (request-input safety). There is one
+// epoch loop: exactly one for/range statement calls a workload's
+// TrainEpoch() in its body, in internal/models (models.Env.Train, which
+// returns device failures as errors), and no TrainEpoch() call sits outside
+// it — every plane trains through Env.Train with its own end hook. One
+// replica trains one way: profiler.Attach has one call site, in
+// internal/core (Replica.Train, the body of core.Run). And there is one CLI:
+// one package main under cmd/, one flag.NewFlagSet call site (each command's
+// set comes out of the command table), and os.Args read in main() only.
 func TestOneConstructionPath(t *testing.T) {
 	root := filepath.Join("..", "..")
 	mainDirs, flagSets := map[string]bool{}, 0
-	var attaches []string
+	var attaches, epochLoops []string
 	under := func(rel string, dirs ...string) bool {
 		for _, d := range dirs {
 			if strings.HasPrefix(rel, "internal/"+d+"/") {
@@ -136,7 +136,8 @@ func TestOneConstructionPath(t *testing.T) {
 				return err
 			}
 			rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
-			file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			fset := token.NewFileSet()
+			file, err := parser.ParseFile(fset, path, nil, 0)
 			if err != nil {
 				return err
 			}
@@ -155,10 +156,32 @@ func TestOneConstructionPath(t *testing.T) {
 					})
 				}
 			}
+			// The loops whose body calls .TrainEpoch(); a call outside them
+			// would be a second way to train an epoch.
+			var loops []ast.Node
+			ast.Inspect(file, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch loop := n.(type) {
+				case *ast.ForStmt:
+					body = loop.Body
+				case *ast.RangeStmt:
+					body = loop.Body
+				default:
+					return true
+				}
+				if callsTrainEpoch(body) {
+					loops = append(loops, n)
+					epochLoops = append(epochLoops, fmt.Sprintf("%s:%d", rel, fset.Position(n.Pos()).Line))
+				}
+				return true
+			})
 			ast.Inspect(file, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
+				}
+				if isTrainEpochCall(call) && !slices.ContainsFunc(loops, func(l ast.Node) bool { return l.Pos() <= call.Pos() && call.End() <= l.End() }) {
+					t.Errorf("%s:%d calls .TrainEpoch() outside a loop: train through models.Env.Train", rel, fset.Position(call.Pos()).Line)
 				}
 				switch fun := call.Fun.(type) {
 				case *ast.SelectorExpr:
@@ -168,14 +191,8 @@ func TestOneConstructionPath(t *testing.T) {
 					if isPkgSel(fun, "gpu", "New") && !under(rel, "core") {
 						t.Errorf("%s calls gpu.New: build through core.NewReplica or RunConfig.Build", rel)
 					}
-					if fun.Sel.Name == "TrainEpoch" && len(call.Args) == 0 && !under(rel, "models") {
-						t.Errorf("%s calls .TrainEpoch() directly: train through models.Env.Epoch", rel)
-					}
 					if isPkgSel(fun, "profiler", "Attach") {
 						attaches = append(attaches, rel)
-					}
-					if fun.Sel.Name == "Epoch" && under(rel, "bench") {
-						t.Errorf("%s trains its own epoch loop: train through core.Run or Replica.Train", rel)
 					}
 				case *ast.Ident:
 					if fun.Name == "recover" && !under(rel, "gpu", "exec", "serve") {
@@ -189,6 +206,9 @@ func TestOneConstructionPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if len(epochLoops) != 1 || !strings.HasPrefix(epochLoops[0], "internal/models/") {
+		t.Errorf("loops whose body calls .TrainEpoch(): %v, want one, in internal/models (models.Env.Train)", epochLoops)
 	}
 	if len(attaches) != 1 || !strings.HasPrefix(attaches[0], "internal/core/") {
 		t.Errorf("profiler.Attach is called from %v, want once, in internal/core (Replica.Train)", attaches)
@@ -882,6 +902,24 @@ func TestDesignInventoryNamesEveryPackage(t *testing.T) {
 }
 
 // isPkgSel reports whether sel is the qualified identifier pkg.name.
+// isTrainEpochCall reports whether call is a workload's x.TrainEpoch().
+func isTrainEpochCall(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "TrainEpoch" && len(call.Args) == 0
+}
+
+// callsTrainEpoch reports whether n contains a .TrainEpoch() call.
+func callsTrainEpoch(n ast.Node) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isTrainEpochCall(call) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 func isPkgSel(sel *ast.SelectorExpr, pkg, name string) bool {
 	x, ok := sel.X.(*ast.Ident)
 	return ok && x.Name == pkg && sel.Sel.Name == name

@@ -156,18 +156,6 @@ func (r *Replica) Rebase() {
 	r.Env.E.EnablePipeline(r.Env.Pipeline.Depth, r.Env.Pipeline.CompressH2D)
 }
 
-// Epoch trains one epoch through the shared epoch step (models.Env.Epoch)
-// and drops the engine's dead per-tensor bookkeeping. A simulated OOM or a
-// fatal health event during the epoch is returned as the error; the replica
-// is then dead and must not be trained further.
-func (r *Replica) Epoch() (float64, error) {
-	loss, err := r.Env.Epoch(r.W)
-	if err == nil {
-		r.Env.E.Reset()
-	}
-	return loss, err
-}
-
 // Train is the one training step of a single-device run: Rebase, attach the
 // profiler, train cfg.Epochs epochs — stopping after the first whose loss
 // is at or below a nonzero cfg.TargetLoss — and snapshot what the run
@@ -186,33 +174,28 @@ func (r *Replica) Train(cfg RunConfig) (RunResult, error) {
 		Dataset:    r.Dataset,
 		ParamCount: nn.NumParams(r.W.Params()),
 	}
-	phases := obs.NewPhaseMeter()
 	lastOpCap := ops.CaptureOpClasses()
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		loss, err := r.Epoch()
-		if err != nil {
-			return RunResult{}, err
-		}
-		res.Losses = append(res.Losses, loss)
-		if b, ok := phases.Epoch(1); ok {
-			res.HostPhases = append(res.HostPhases, b)
+	// Epoch seconds are differences of the serialized device clock, also
+	// under the input pipeline (Pipe carries the overlapped view).
+	log, err := env.Train(r.W, cfg.Epochs, dev.ElapsedSeconds, func(_ int, loss, _ float64) (bool, error) {
+		if obs.Enabled() {
 			opCap := ops.CaptureOpClasses()
 			res.HostOpClasses = append(res.HostOpClasses, opCap.Delta(lastOpCap))
 			lastOpCap = opCap
 		}
-		prof.MarkEpoch()
 		if pe, ok := env.E.EpochPipeStats(); ok {
 			res.Pipe = append(res.Pipe, pe)
 		}
-		if cfg.TargetLoss != 0 && loss <= cfg.TargetLoss {
-			break
-		}
+		return cfg.TargetLoss != 0 && loss <= cfg.TargetLoss, nil
+	})
+	if err != nil {
+		return RunResult{}, err
 	}
+	res.EpochLog = log
 	res.SimSeconds = env.SimClock()
 	res.StreamLanes = env.E.StreamLanes()
 	res.Report = prof.Snapshot()
 	res.SparsityTimeline = prof.SparsityTimeline()
-	res.EpochSeconds = prof.EpochSeconds()
 	res.Mem = dev.MemStats()
 	res.PerClass = map[gpu.OpClass]profiler.ClassStats{}
 	for _, c := range gpu.AllOpClasses() {

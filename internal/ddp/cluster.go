@@ -63,7 +63,8 @@ type ClusterConfig struct {
 	// rank order, against each rank's simulated clock at the gradient
 	// barrier — a deterministic point, so the set of dead ranks per
 	// iteration is a pure function of the schedule, never of goroutine
-	// interleaving. On detection the round aborts with a *FleetFailure; the
+	// interleaving (at world 1, by runSingle's end hook at each epoch
+	// boundary). On detection the round aborts with a *FleetFailure; the
 	// elastic controller (RunElastic) books the epochs Train's result still
 	// carries, re-shards and resumes.
 	Monitors []*fault.Monitor
@@ -97,9 +98,11 @@ type ClusterResult struct {
 	Buckets    int  // reducer buckets per iteration
 	// GradBytesPerIt is the fp32 gradient payload all-reduced per iteration.
 	GradBytesPerIt uint64
-	// EpochSeconds is the modeled wall time per epoch: per-iteration
-	// max-replica compute plus exposed (non-overlapped) communication.
-	EpochSeconds []float64
+	// EpochLog is the per-epoch record: Losses averaged over replicas,
+	// EpochSeconds the modeled wall time (per-iteration max-replica compute
+	// plus exposed, non-overlapped communication) and HostPhases the mean
+	// per replica (empty unless obs.Enabled at run time).
+	models.EpochLog
 	// TotalSeconds sums EpochSeconds.
 	TotalSeconds float64
 	// Speedup is the first entry's TotalSeconds over this one's within an
@@ -115,11 +118,6 @@ type ClusterResult struct {
 	// backward compute; OverlappedCommSeconds is the hidden remainder.
 	ExposedCommSeconds    float64
 	OverlappedCommSeconds float64
-	// Losses is the per-epoch mean loss averaged over replicas.
-	Losses []float64
-	// HostPhases is the per-epoch host wall-clock phase breakdown (mean
-	// per replica); empty unless obs.Enabled at run time.
-	HostPhases []obs.PhaseBreakdown
 	// Replicas exposes the trained workloads (index = rank) so callers can
 	// verify weight equivalence against single-device training.
 	Replicas []models.Workload
@@ -136,7 +134,7 @@ type replica struct {
 	buckets []nn.GradBucket
 	flat    [][]float32 // per-bucket flattened local gradients
 
-	epochLosses []float64
+	loss float64 // the epoch in flight's mean loss
 }
 
 // run is the data-parallel strategy state layered on the exec core; the
@@ -235,9 +233,6 @@ func Train(factory ReplicaFactory, world, epochs int, cfg ClusterConfig) (Cluste
 	if world < 1 {
 		return ClusterResult{}, fmt.Errorf("ddp: invalid world size %d", world)
 	}
-	if epochs < 1 {
-		epochs = 1
-	}
 	if cfg.BucketCapBytes == 0 {
 		cfg.BucketCapBytes = DefaultBucketCapBytes
 	}
@@ -293,7 +288,7 @@ func Train(factory ReplicaFactory, world, epochs int, cfg ClusterConfig) (Cluste
 			dev.ResetClock()
 			if cfg.Monitors != nil {
 				// Deferred monitors only throttle; fatality is decided at
-				// deterministic points (checkFatal, runSingle's epoch ends).
+				// deterministic points (checkFatal, runSingle's end hook).
 				dev.AttachHealth(cfg.Monitors[rep.Rank])
 			}
 		}
@@ -327,44 +322,39 @@ func Train(factory ReplicaFactory, world, epochs int, cfg ClusterConfig) (Cluste
 }
 
 // runSingle is the world == 1 path. Its epoch seconds are differences of
-// the device clock, not sums of per-iteration deltas like runFleet's, and
+// the replica's clock, not sums of per-iteration deltas like runFleet's, and
 // Fig. 9's baseline and one-survivor elastic rounds are pinned to those
 // bits. It still honors the fault plane (a one-survivor elastic round must
 // keep throttling and can still die): degraded events throttle through the
-// attached monitor, and fatal events are checked at epoch boundaries
-// against the simulated clock.
+// attached monitor, and its end hook checks fatal events against the
+// simulated clock at each epoch boundary, before the epoch is booked.
 func runSingle(rep *replica, epochs int, cfg ClusterConfig, res *ClusterResult) error {
 	var mon *fault.Monitor
 	if cfg.Monitors != nil {
 		mon = cfg.Monitors[0]
 	}
-	phases := obs.NewPhaseMeter()
-	last := 0.0
-	for e := 0; e < epochs; e++ {
-		loss, err := rep.env.Epoch(rep.w)
-		if err != nil {
-			return &exec.RankError{Rank: 0, Err: err}
-		}
-		now := rep.Clock()
+	now := 0.0
+	log, err := rep.env.Train(rep.w, epochs, rep.Clock, func(ep int, _, secs float64) (bool, error) {
+		now = rep.Clock()
 		if mon != nil {
 			if ev := mon.FatalBy(mon.Origin() + now); ev != nil {
-				return &FleetFailure{DeadRanks: []int{0}, Events: []fault.Event{*ev}, LostSeconds: now - last}
+				return false, &FleetFailure{DeadRanks: []int{0}, Events: []fault.Event{*ev}, LostSeconds: secs}
 			}
 		}
-		res.Losses = append(res.Losses, loss)
-		if b, ok := phases.Epoch(1); ok {
-			res.HostPhases = append(res.HostPhases, b)
-		}
-		res.EpochSeconds = append(res.EpochSeconds, now-last)
-		last = now
-		rep.env.E.Reset()
 		if cfg.OnEpochEnd != nil {
-			cfg.OnEpochEnd(e + 1)
+			cfg.OnEpochEnd(ep + 1)
 		}
+		return false, nil
+	})
+	res.EpochLog = log
+	switch err.(type) {
+	case nil:
+		res.ComputeSeconds, res.TotalSeconds = now, now
+		return nil
+	case *FleetFailure:
+		return err
 	}
-	res.ComputeSeconds = last
-	res.TotalSeconds = last
-	return nil
+	return &exec.RankError{Rank: 0, Err: err}
 }
 
 // runFleet trains world >= 2 replicas in lockstep, one worker goroutine
@@ -407,18 +397,12 @@ func runFleet(reps []*replica, epochs int, cfg ClusterConfig, res *ClusterResult
 			}
 		}
 		st.g.Go(rep.Rank, func() error {
-			for e := 0; e < epochs; e++ {
-				loss, err := rep.env.Epoch(rep.w)
-				if err != nil {
-					return err
-				}
-				rep.epochLosses = append(rep.epochLosses, loss)
-				if err := st.g.Barrier(st.finishEpoch); err != nil {
-					return nil // already latched
-				}
-				rep.env.E.Reset()
-			}
-			return nil
+			_, err := rep.env.Train(rep.w, epochs, nil, func(_ int, loss, _ float64) (bool, error) {
+				rep.loss = loss
+				// A failed barrier is already latched: stop without an error.
+				return st.g.Barrier(st.finishEpoch) != nil, nil
+			})
+			return err
 		})
 	}
 	if err := st.g.Wait(); err != nil {
@@ -578,7 +562,7 @@ func (st *run) finishEpoch() error {
 		if d := rep.TransferDelta(); d > contention {
 			contention = d
 		}
-		loss += rep.epochLosses[len(rep.epochLosses)-1]
+		loss += rep.loss
 	}
 	st.epochCompute += tail
 	// A workload that never called Env.Shard (paper §V-E, PSAGE) trained the

@@ -284,6 +284,9 @@ func TestClusterFailuresAreErrors(t *testing.T) {
 	if _, err := Train(healthy, 0, 1, ClusterConfig{}); err == nil {
 		t.Fatal("world 0 trained; want an error")
 	}
+	if cr, err := Train(healthy, 1, 0, ClusterConfig{}); err != nil || cr.Losses != nil || cr.EpochSeconds != nil || cr.TotalSeconds != 0 {
+		t.Fatalf("zero epochs: losses %v, seconds %v, total %v, err %v; want no epochs and no error", cr.Losses, cr.EpochSeconds, cr.TotalSeconds, err)
+	}
 
 	// 1 MiB cannot hold the allocator's first 2 MiB segment: construction
 	// (host-only for TLSTM) passes, the first training kernel cannot run.

@@ -13,7 +13,7 @@
 // file holds the interconnect model.
 //
 // Failure is a returned error throughout: a ReplicaFactory's own, a
-// simulated device failure from construction or from a worker's epoch step
+// simulated device failure from construction or from a worker's epoch loop
 // (gpu.Guard; the exec core names the rank), or the *FleetFailure the
 // gradient-barrier leader returns, which RunElastic recovers from. Past
 // construction, Train's result carries the epochs the round completed

@@ -112,9 +112,6 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 	if world < 1 {
 		return ElasticResult{}, fmt.Errorf("ddp: invalid world size %d", world)
 	}
-	if epochs < 1 {
-		epochs = 1
-	}
 	maxRecoveries := 2 * world // a schedule cannot kill more often than that
 
 	alive := make([]int, world)

@@ -94,7 +94,7 @@ func (g *Group) Err() error {
 // RankError wraps an error with the rank it originated on, so strategies
 // above the latch (elastic DDP, the chaos harness) can attribute a failure
 // to a specific worker. Unwrap exposes the cause to errors.As — e.g. the
-// *fault.FatalError a worker's epoch step returned stays reachable.
+// *fault.FatalError a worker's epoch loop returned stays reachable.
 type RankError struct {
 	Rank int
 	Err  error
@@ -142,7 +142,7 @@ func (g *Group) fail(rank int, err error) {
 
 // Go spawns one worker goroutine. An error body returns — a simulated
 // device failure arrives this way, never as a panic: the worker trains
-// through models.Env.Epoch (gpu.Guard inside) — is latched by fail. A
+// through models.Env.Train (gpu.Guard inside) — is latched by fail. A
 // controlled Abort unwinds silently. Any other panic is a bug; it is latched
 // too, formatted and rank-attributed, so the remaining workers' barriers
 // release instead of deadlocking behind the crashed one.

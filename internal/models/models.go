@@ -132,7 +132,7 @@ func (env *Env) beginPhase(name string, ctr *obs.Counter) {
 }
 
 // FinishPhase closes the currently open host phase, crediting its wall
-// time. Epoch calls it at epoch boundaries to close the trailing data_load
+// time. Train calls it at epoch boundaries to close the trailing data_load
 // window; it is a no-op when no phase is open.
 func (env *Env) FinishPhase() {
 	if env.phaseCtr == nil {
@@ -144,22 +144,65 @@ func (env *Env) FinishPhase() {
 	env.phaseScope = obs.Scope{}
 }
 
-// Epoch is the one epoch step every execution plane trains through: an
-// "epoch" span on the engine's track, w.TrainEpoch, and the trailing host
-// phase closed, all under gpu.Guard. A simulated OOM or a fatal health event
-// inside the epoch is returned as the error — the very *vmem.OOMError or
-// *fault.FatalError the device raised — and the Env's device is then dead.
-// E.Reset stays with the caller, because the planes place it differently (a
-// DDP worker resets after its epoch barrier, Replica.Epoch right after the
-// epoch).
-func (env *Env) Epoch(w interface{ TrainEpoch() float64 }) (loss float64, err error) {
-	err = gpu.Guard(func() {
-		scope := env.E.Track().Begin("epoch", obs.CatPhase)
-		loss = w.TrainEpoch()
-		env.FinishPhase()
-		scope.End()
-	})
-	return loss, err
+// EpochLog is the per-epoch record of a run, one entry per booked epoch,
+// whichever plane trained it.
+type EpochLog struct {
+	// Losses is the mean training loss per epoch.
+	Losses []float64
+	// EpochSeconds is simulated time per epoch.
+	EpochSeconds []float64
+	// HostPhases is the per-epoch host wall-clock phase breakdown; empty
+	// unless obs.Enabled when training began.
+	HostPhases []obs.PhaseBreakdown
+}
+
+// Train is the one epoch loop every execution plane trains through. Each of
+// up to `epochs` epochs is an "epoch" span on the engine's track around
+// w.TrainEpoch and the trailing host phase, all under gpu.Guard, followed by
+// E.Reset. The epoch's seconds are the difference of two clock readings,
+// the first epoch's taken from zero (a nil clock books none). end sees the
+// epoch's index, loss and seconds before the epoch is booked: an error fails
+// the run with it unbooked, stop ends the run with it booked. Train returns
+// the booked epochs with any error — end's, or the simulated OOM or fatal
+// health event the device raised inside an epoch (the very *vmem.OOMError
+// or *fault.FatalError), after which the Env's device is dead.
+func (env *Env) Train(w interface{ TrainEpoch() float64 }, epochs int, clock func() float64,
+	end func(ep int, loss, secs float64) (stop bool, err error)) (EpochLog, error) {
+	var log EpochLog
+	phases := obs.NewPhaseMeter()
+	last := 0.0
+	for ep := 0; ep < epochs; ep++ {
+		var loss float64
+		if err := gpu.Guard(func() {
+			scope := env.E.Track().Begin("epoch", obs.CatPhase)
+			loss = w.TrainEpoch()
+			env.FinishPhase()
+			scope.End()
+		}); err != nil {
+			return log, err
+		}
+		env.E.Reset()
+		var secs float64
+		if clock != nil {
+			now := clock()
+			secs, last = now-last, now
+		}
+		stop, err := end(ep, loss, secs)
+		if err != nil {
+			return log, err
+		}
+		log.Losses = append(log.Losses, loss)
+		if clock != nil {
+			log.EpochSeconds = append(log.EpochSeconds, secs)
+		}
+		if b, ok := phases.Epoch(1); ok {
+			log.HostPhases = append(log.HostPhases, b)
+		}
+		if stop {
+			break
+		}
+	}
+	return log, nil
 }
 
 // Step finishes one iteration: in training mode it zeroes the gradients of

@@ -62,13 +62,12 @@ type Factory func(rank, world int) (models.PartWorkload, *models.Env, error)
 
 // Result is the outcome of an executed partitioned training run.
 type Result struct {
-	GPUs   int
-	Epochs int
+	GPUs int
 
-	// EpochLosses folds per-rank losses per the workload's PartLossMode.
-	EpochLosses []float64
-	// EpochSeconds is the global per-epoch makespan (slowest rank).
-	EpochSeconds []float64
+	// EpochLog's Losses fold per-rank losses per the workload's
+	// PartLossMode; its EpochSeconds are the global per-epoch makespan
+	// (slowest rank). It books no HostPhases.
+	models.EpochLog
 	TotalSeconds float64
 
 	// ComputeSeconds / HaloSeconds are the slowest rank's busy totals.
@@ -149,8 +148,7 @@ type worker struct {
 	gradSecs  float64
 	prevMax   float64 // previous epoch's global makespan cursor
 
-	losses    []float64
-	epochSecs []float64
+	log models.EpochLog // the fleet's epochs, as this rank gathered them
 }
 
 // Rank implements models.PartComm.
@@ -279,19 +277,16 @@ func snapshot(src []float32) []float32 {
 }
 
 // runEpochs is one worker goroutine's body. A device failure comes back
-// from the epoch step as an error (the acceptance demo trains a graph that
+// from the epoch loop as an error (the acceptance demo trains a graph that
 // fits partitioned but not on one device) and the exec core names the rank.
+// Its end hook gathers every rank's loss and timeline position into wk.log;
+// the loop's own log, of this rank's losses, is dropped.
 func (wk *worker) runEpochs(epochs int) error {
-	for ep := 0; ep < epochs; ep++ {
-		loss, err := wk.env.Epoch(wk.w)
-		if err != nil {
-			return err
-		}
+	_, err := wk.env.Train(wk.w, epochs, nil, func(_ int, loss, _ float64) (bool, error) {
 		wk.closeComputeSpan("epoch.tail")
-
 		msgs, err := wk.eng.gather.Run(wk.rank, epochMsg{loss: loss, at: wk.tl.Sync()})
 		if err != nil {
-			return err
+			return false, err
 		}
 		combined, maxAt := 0.0, 0.0
 		for r, m := range msgs {
@@ -308,11 +303,12 @@ func (wk *worker) runEpochs(epochs int) error {
 				maxAt = em.at
 			}
 		}
-		wk.losses = append(wk.losses, combined)
-		wk.epochSecs = append(wk.epochSecs, maxAt-wk.prevMax)
+		wk.log.Losses = append(wk.log.Losses, combined)
+		wk.log.EpochSeconds = append(wk.log.EpochSeconds, maxAt-wk.prevMax)
 		wk.prevMax = maxAt
-	}
-	return nil
+		return false, nil
+	})
+	return err
 }
 
 // Train runs executed graph-partitioned training across world simulated
@@ -374,10 +370,9 @@ func Train(factory Factory, world, epochs int, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{GPUs: world, Epochs: epochs}
+	res := &Result{GPUs: world}
 	w0 := eng.workers[0]
-	res.EpochLosses = w0.losses
-	res.EpochSeconds = w0.epochSecs
+	res.EpochLog = w0.log
 	for _, s := range res.EpochSeconds {
 		res.TotalSeconds += s
 	}

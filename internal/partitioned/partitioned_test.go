@@ -112,9 +112,9 @@ func TestPartitionedARGAEquivalence(t *testing.T) {
 		t.Fatalf("partitioned ARGA: %v", err)
 	}
 	for ep := 0; ep < epochs; ep++ {
-		d := math.Abs(res.EpochLosses[ep] - singleLosses[ep])
+		d := math.Abs(res.Losses[ep] - singleLosses[ep])
 		if d > 1e-5*(1+math.Abs(singleLosses[ep])) {
-			t.Fatalf("epoch %d loss: partitioned %v vs single %v", ep, res.EpochLosses[ep], singleLosses[ep])
+			t.Fatalf("epoch %d loss: partitioned %v vs single %v", ep, res.Losses[ep], singleLosses[ep])
 		}
 	}
 	if worst := maxRelDiff(t, res.Workers[0].Params(), single.Params()); worst > 1 {
@@ -137,9 +137,9 @@ func TestPartitionedARGAEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
-	for ep := range res.EpochLosses {
-		if res.EpochLosses[ep] != res2.EpochLosses[ep] {
-			t.Fatalf("rerun loss drift at epoch %d: %v vs %v", ep, res.EpochLosses[ep], res2.EpochLosses[ep])
+	for ep := range res.Losses {
+		if res.Losses[ep] != res2.Losses[ep] {
+			t.Fatalf("rerun loss drift at epoch %d: %v vs %v", ep, res.Losses[ep], res2.Losses[ep])
 		}
 		if res.EpochSeconds[ep] != res2.EpochSeconds[ep] {
 			t.Fatalf("rerun timing drift at epoch %d", ep)
@@ -167,9 +167,9 @@ func TestPartitionedDGCNEquivalence(t *testing.T) {
 		t.Fatalf("partitioned DGCN: %v", err)
 	}
 	for ep := 0; ep < epochs; ep++ {
-		d := math.Abs(res.EpochLosses[ep] - singleLosses[ep])
+		d := math.Abs(res.Losses[ep] - singleLosses[ep])
 		if d > 1e-5*(1+math.Abs(singleLosses[ep])) {
-			t.Fatalf("epoch %d loss: partitioned %v vs single %v", ep, res.EpochLosses[ep], singleLosses[ep])
+			t.Fatalf("epoch %d loss: partitioned %v vs single %v", ep, res.Losses[ep], singleLosses[ep])
 		}
 	}
 	if worst := maxRelDiff(t, res.Workers[0].Params(), single.Params()); worst > 1 {
@@ -194,8 +194,8 @@ func TestOverlapHidesHaloTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("overlapped: %v", err)
 	}
-	for ep := range ser.EpochLosses {
-		if ser.EpochLosses[ep] != ovl.EpochLosses[ep] {
+	for ep := range ser.Losses {
+		if ser.Losses[ep] != ovl.Losses[ep] {
 			t.Fatalf("schedule changed numerics at epoch %d", ep)
 		}
 	}

@@ -114,10 +114,11 @@ func failOutcome(out *Outcome, err error) {
 	out.FailMsg = err.Error()
 }
 
-// runSingle executes the single-device branch by hand: it is the only
-// branch that supports loader kills, which checkpoint the run at an
-// epoch boundary, tear the pipeline down, and rebuild it with one fewer
-// loader worker — the degraded-input-pipeline arm of the chaos matrix.
+// runSingle executes the single-device branch, one models.Env.Train call
+// per segment: it is the only branch that supports loader kills, which
+// checkpoint the run at an epoch boundary, tear the pipeline down, and
+// rebuild it with one fewer loader worker — the degraded-input-pipeline arm
+// of the chaos matrix.
 func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 	health := sc.faultSchedule(PlaneTrain)
 	kills := sc.lowered(toLoaderKill)
@@ -151,40 +152,41 @@ func (sc *Scenario) runSingle(cfg core.RunConfig, out *Outcome) error {
 	}
 	defer func() { rep.Env.Close() }()
 
-	cum := 0.0      // training-relative fleet time across segments
-	segClock := 0.0 // current segment's clock at the last epoch boundary
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		loss, err := rep.Epoch()
+	// A segment trains until the run is done or a loader kill is due at an
+	// epoch boundary before the last, timed on its own replica's SimClock.
+	cum := 0.0 // training-relative fleet time across segments
+	for {
+		log, err := rep.Env.Train(rep.W, cfg.Epochs-out.CompletedEpochs, rep.Env.SimClock, func(ep int, _, secs float64) (bool, error) {
+			cum += secs
+			return len(kills) > 0 && cum >= kills[0].At && out.CompletedEpochs+ep+1 < cfg.Epochs, nil
+		})
 		out.PeakBytes = max(out.PeakBytes, rep.Dev.MemStats().PeakLive)
+		out.Losses = append(out.Losses, log.Losses...)
+		out.EpochSeconds = append(out.EpochSeconds, log.EpochSeconds...)
+		out.CompletedEpochs += len(log.Losses)
 		if err != nil {
 			failOutcome(out, err)
 			return nil
 		}
-		now := rep.Env.SimClock()
-		epochSec := now - segClock
-		segClock = now
-		cum += epochSec
-		out.Losses = append(out.Losses, loss)
-		out.EpochSeconds = append(out.EpochSeconds, epochSec)
-		out.CompletedEpochs++
+		if out.CompletedEpochs == cfg.Epochs {
+			break
+		}
 
 		// A due loader kill rebuilds the pipeline at this epoch boundary
 		// with one fewer worker: checkpoint, tear down, rebuild, restore.
-		if len(kills) > 0 && cum >= kills[0].At && ep+1 < cfg.Epochs {
-			kills = kills[1:]
-			ckpt := nn.Snapshot(rep.W.Optimizer())
-			rep.Env.Close()
-			if cfg.LoaderWorkers > 1 {
-				cfg.LoaderWorkers--
-			}
-			next, err := build(cum)
-			if next == nil {
-				return err
-			}
-			rep, segClock = next, 0
-			if err := nn.Restore(rep.W.Optimizer(), ckpt); err != nil {
-				return fmt.Errorf("scenario: restore after a loader kill: %w", err)
-			}
+		kills = kills[1:]
+		ckpt := nn.Snapshot(rep.W.Optimizer())
+		rep.Env.Close()
+		if cfg.LoaderWorkers > 1 {
+			cfg.LoaderWorkers--
+		}
+		next, err := build(cum)
+		if next == nil {
+			return err
+		}
+		rep = next
+		if err := nn.Restore(rep.W.Optimizer(), ckpt); err != nil {
+			return fmt.Errorf("scenario: restore after a loader kill: %w", err)
 		}
 	}
 	out.TotalSeconds = cum
@@ -240,9 +242,9 @@ func (sc *Scenario) runPartitioned(cfg core.RunConfig, out *Outcome) error {
 		failOutcome(out, runErr)
 		return nil
 	}
-	out.Losses = res.EpochLosses
+	out.Losses = res.Losses
 	out.EpochSeconds = res.EpochSeconds
-	out.CompletedEpochs = res.Epochs
+	out.CompletedEpochs = len(res.Losses)
 	out.TotalSeconds = res.TotalSeconds
 	out.UsefulSeconds = res.TotalSeconds
 	out.Goodput = 1
