@@ -38,25 +38,37 @@ type Var struct {
 
 	grad     *tensor.Tensor
 	needGrad bool
-	back     func(dy *tensor.Tensor)
-	param    *Param
-	tape     *Tape
-	order    int
+	// keep holds grad until the engine's iteration boundary instead of
+	// releasing it once back has run: set on nodes whose backward hands dy
+	// to someone who reads it later (LSTMCell's h, the custom nodes of
+	// Tape.Node, whose collectives publish dy to other workers).
+	keep  bool
+	back  func(dy *tensor.Tensor)
+	param *Param
+	tape  *Tape
+	order int
 }
 
-// accum adds dy into v's gradient, allocating on first touch.
+// accum adds dy into v's gradient, taking it from the arena on first touch.
 func (v *Var) accum(dy *tensor.Tensor) {
 	if !v.needGrad {
 		return
 	}
-	if v.grad == nil {
-		// Gradients are transient (one per node per iteration): draw them
-		// from the host buffer pool and return them in ReleaseGrads.
-		v.grad = tensor.NewPooled(v.Value.Shape()...)
+	first := v.grad == nil
+	if first {
+		v.grad = v.tape.E.Arena().Empty(v.Value.Shape()...)
 	}
 	gd, dd := v.grad.Data(), dy.Data()
 	if len(gd) != len(dd) {
 		panic(fmt.Sprintf("autograd: gradient size %d for value %v", len(dd), v.Value.Shape()))
+	}
+	if first {
+		// The buffer is unzeroed: dy + 0 has the bits of 0 + dy (-0 becomes
+		// +0; NaN, subnormals and infinities pass unchanged).
+		for i := range gd {
+			gd[i] = dd[i] + 0
+		}
+		return
 	}
 	for i := range gd {
 		gd[i] += dd[i]
@@ -82,18 +94,21 @@ func (t *Tape) node(val *tensor.Tensor, needGrad bool, back func(dy *tensor.Tens
 
 // Node registers a custom operation result that needs a gradient on the
 // tape: val is the forward output, back (optional) receives dLoss/dval
-// during Backward. This is the extension point for operations composed
-// outside this package — e.g. the partitioned-training collectives (halo
-// exchange, all-gather) whose backward pass must route gradients across
-// workers.
+// during Backward and may publish it, so the node keeps its gradient until
+// the engine's next iteration boundary. This is the extension point for
+// operations composed outside this package — e.g. the partitioned-training
+// collectives (halo exchange, all-gather) whose backward pass must route
+// gradients across workers.
 func (t *Tape) Node(val *tensor.Tensor, back func(dy *tensor.Tensor)) *Var {
-	return t.node(val, true, back)
+	v := t.node(val, true, back)
+	v.keep = true
+	return v
 }
 
-// Accum adds dy into v's gradient, allocating it on first touch. Custom
-// backward closures registered via Node use it to deposit gradients into
-// upstream variables (Backward's reverse-order walk guarantees the
-// upstream node's own backward has not run yet).
+// Accum adds dy into v's gradient, taking it from the arena on first
+// touch. Custom backward closures registered via Node use it to deposit
+// gradients into upstream variables (Backward's reverse-order walk
+// guarantees the upstream node's own backward has not run yet).
 func (v *Var) Accum(dy *tensor.Tensor) { v.accum(dy) }
 
 // Const introduces a non-trainable input (features, targets).
@@ -109,13 +124,19 @@ func (t *Tape) FromParam(p *Param) *Var {
 	return v
 }
 
-// Backward runs reverse-mode differentiation from the scalar loss. It
+// Backward runs reverse-mode differentiation from the scalar loss. A node's
+// gradient goes back to the engine's arena as soon as its backward closure
+// has run and it has been added to its parameter, unless the node keeps it
+// to the iteration boundary; a closure must not keep dy otherwise. It
 // panics when loss is not a size-1 tensor (programmer error).
 func (t *Tape) Backward(loss *Var) {
 	if loss.Value.Size() != 1 {
 		panic(fmt.Sprintf("autograd: Backward requires scalar loss, got %v", loss.Value.Shape()))
 	}
-	loss.accum(tensor.Full(1, loss.Value.Shape()...))
+	arena := t.E.Arena()
+	seed := arena.Empty(loss.Value.Shape()...)
+	seed.Data()[0] = 1
+	loss.accum(seed)
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		v := t.nodes[i]
 		if v.grad == nil {
@@ -130,18 +151,8 @@ func (t *Tape) Backward(loss *Var) {
 				pg[j] += vg[j]
 			}
 		}
-	}
-}
-
-// ReleaseGrads recycles every node gradient into the host buffer pool and
-// detaches them from the tape. Call it once the iteration's gradients have
-// been consumed (after the optimizer step); Var.Grad returns nil afterwards.
-// Tapes are per-iteration, so this is the natural end of the gradients'
-// lifetime — parameter gradients (Param.Grad) are unaffected.
-func (t *Tape) ReleaseGrads() {
-	for _, v := range t.nodes {
-		if v.grad != nil {
-			tensor.Recycle(v.grad)
+		if !v.keep {
+			arena.Release(v.grad)
 			v.grad = nil
 		}
 	}

@@ -468,3 +468,72 @@ func TestLSTMCellUnusedCellStillPropagates(t *testing.T) {
 		t.Fatal("gate gradients lost when cell output unused")
 	}
 }
+
+// TestFirstGradientMatchesZeroThenAdd pins accum's first touch, which writes
+// dy + 0 into an unzeroed buffer, to the bits of adding dy to zeros: -0
+// becomes +0, NaN, subnormals and infinities pass unchanged.
+func TestFirstGradientMatchesZeroThenAdd(t *testing.T) {
+	cases := []struct {
+		name string
+		v    float32
+	}{
+		{"-0", float32(math.Copysign(0, -1))},
+		{"+0", 0},
+		{"NaN", float32(math.NaN())},
+		{"subnormal", math.Float32frombits(1)},
+		{"-subnormal", -math.Float32frombits(0x7ff)},
+		{"+Inf", float32(math.Inf(1))},
+		{"-Inf", float32(math.Inf(-1))},
+	}
+	e := ops.New(nil)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tp := NewTape(e)
+			v := tp.Node(tensor.New(1), nil)
+			dirty := e.Arena().Empty(1)
+			dirty.Data()[0] = 42 // a dirty buffer the next request reuses
+			e.Arena().Release(dirty)
+			v.Accum(tensor.FromSlice([]float32{c.v}, 1))
+			zeros := tensor.New(1)
+			zeros.Data()[0] += c.v
+			if got, want := math.Float32bits(v.grad.Data()[0]), math.Float32bits(zeros.Data()[0]); got != want {
+				t.Fatalf("first gradient %#08x, zero-then-add %#08x", got, want)
+			}
+			v.Accum(tensor.FromSlice([]float32{c.v}, 1))
+			zeros.Data()[0] += c.v
+			if got, want := math.Float32bits(v.grad.Data()[0]), math.Float32bits(zeros.Data()[0]); got != want {
+				t.Fatalf("second gradient %#08x, zero-then-add %#08x", got, want)
+			}
+		})
+	}
+}
+
+// TestLSTMCellKeepsStagedHiddenGradient pins that h's gradient, which h's
+// node stages for c's, survives until c's node runs: the gate gradients
+// equal the fused backward fed dH directly, and h still holds it after
+// Backward. Releasing it early leaves an empty dH, which the engine reads as
+// "no gradient".
+func TestLSTMCellKeepsStagedHiddenGradient(t *testing.T) {
+	e := ops.New(nil)
+	rng := rand.New(rand.NewSource(16))
+	gates := NewParam("gates", tensor.Rand(rng, 1, 3, 8))
+	cPrev := tensor.Rand(rng, 1, 3, 2)
+	tp := NewTape(e)
+	h, _ := tp.LSTMCell(tp.FromParam(gates), tp.Const(cPrev))
+	// dH is 3/6 everywhere: the gradient of h's own node, which Backward
+	// would release once h's closure has run.
+	loss := tp.MeanAll(tp.Scale(h, 3))
+	tp.Backward(loss)
+	if h.grad == nil || h.grad.Size() != 6 {
+		t.Fatal("h's staged gradient was released before the iteration boundary")
+	}
+
+	_, _, cache := e.LSTMCellForward(gates.Value, cPrev)
+	dH := tensor.Full(3/6.0, 3, 2)
+	want, _ := e.LSTMCellBackward(cache, dH, tensor.New(3, 2))
+	for i, g := range gates.Grad.Data() {
+		if math.Float32bits(g) != math.Float32bits(want.Data()[i]) {
+			t.Fatalf("gates grad[%d] = %v, fused backward with dH gives %v", i, g, want.Data()[i])
+		}
+	}
+}

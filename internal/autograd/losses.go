@@ -26,7 +26,7 @@ func (t *Tape) CrossEntropy(logits *Var, labels []int32) *Var {
 	return t.node(loss, logits.needGrad, func(dy *tensor.Tensor) {
 		soft := t.E.Softmax(logits.Value)
 		g := dy.At(0) / float32(n)
-		dx := tensor.New(n, c)
+		dx := t.empty(n, c)
 		for i := 0; i < n; i++ {
 			sr, xr := soft.Row(i), dx.Row(i)
 			for j := 0; j < c; j++ {

@@ -9,6 +9,9 @@ import (
 	"gnnmark/internal/tensor"
 )
 
+// empty returns an arena tensor the caller overwrites in full.
+func (t *Tape) empty(shape ...int) *tensor.Tensor { return t.E.Arena().Empty(shape...) }
+
 // MatMul returns a @ b with gradients dA = dY @ Bᵀ and dB = Aᵀ @ dY.
 func (t *Tape) MatMul(a, b *Var) *Var {
 	out := t.E.MatMul(a.Value, b.Value)
@@ -137,9 +140,10 @@ func (t *Tape) PReLU(x, alpha *Var) *Var {
 	out := t.E.PReLU(x.Value, a)
 	return t.node(out, x.needGrad || alpha.needGrad, func(dy *tensor.Tensor) {
 		if x.needGrad {
-			dx := dy.Clone()
-			xd, dd := x.Value.Data(), dx.Data()
+			dx := t.empty(dy.Shape()...)
+			xd, dd, gd := x.Value.Data(), dx.Data(), dy.Data()
 			for i := range dd {
+				dd[i] = gd[i]
 				if xd[i] <= 0 {
 					dd[i] *= a
 				}
@@ -154,7 +158,9 @@ func (t *Tape) PReLU(x, alpha *Var) *Var {
 					s += float64(dd[i]) * float64(xd[i])
 				}
 			}
-			alpha.accum(tensor.FromSlice([]float32{float32(s)}, 1))
+			da := t.empty(1)
+			da.Data()[0] = float32(s)
+			alpha.accum(da)
 		}
 	})
 }
@@ -163,7 +169,7 @@ func (t *Tape) PReLU(x, alpha *Var) *Var {
 func (t *Tape) Sigmoid(x *Var) *Var {
 	out := t.E.Sigmoid(x.Value)
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
-		dx := tensor.New(out.Shape()...)
+		dx := t.empty(out.Shape()...)
 		od, dd, xd := out.Data(), dy.Data(), dx.Data()
 		for i := range xd {
 			xd[i] = dd[i] * od[i] * (1 - od[i])
@@ -176,7 +182,7 @@ func (t *Tape) Sigmoid(x *Var) *Var {
 func (t *Tape) Tanh(x *Var) *Var {
 	out := t.E.Tanh(x.Value)
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
-		dx := tensor.New(out.Shape()...)
+		dx := t.empty(out.Shape()...)
 		od, dd, xd := out.Data(), dy.Data(), dx.Data()
 		for i := range xd {
 			xd[i] = dd[i] * (1 - od[i]*od[i])
@@ -203,7 +209,7 @@ func (t *Tape) GatherRows(x *Var, idx []int32) *Var {
 	out := t.E.GatherRows(x.Value, idx)
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
 		if x.needGrad {
-			dx := tensor.New(x.Value.Shape()...)
+			dx := t.E.Arena().New(x.Value.Shape()...)
 			t.E.ScatterAddRows(dx, dy, idx)
 			x.accum(dx)
 		}
@@ -215,7 +221,7 @@ func (t *Tape) IndexSelectRows(x *Var, idx []int32) *Var {
 	out := t.E.IndexSelectRows(x.Value, idx)
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
 		if x.needGrad {
-			dx := tensor.New(x.Value.Shape()...)
+			dx := t.E.Arena().New(x.Value.Shape()...)
 			t.E.ScatterAddRows(dx, dy, idx)
 			x.accum(dx)
 		}
@@ -225,7 +231,7 @@ func (t *Tape) IndexSelectRows(x *Var, idx []int32) *Var {
 // ScatterAddRows scatters src rows into a zero (rows,F) tensor at idx; the
 // forward aggregation of PyG-style message passing and Tree-LSTM child sums.
 func (t *Tape) ScatterAddRows(rows int, src *Var, idx []int32) *Var {
-	dst := tensor.New(rows, src.Value.Dim(1))
+	dst := t.E.Arena().New(rows, src.Value.Dim(1))
 	t.E.ScatterAddRows(dst, src.Value, idx)
 	return t.node(dst, src.needGrad, func(dy *tensor.Tensor) {
 		if src.needGrad {
@@ -239,7 +245,7 @@ func (t *Tape) Embedding(table *Var, ids []int32) *Var {
 	out := t.E.EmbeddingLookup(table.Value, ids)
 	return t.node(out, table.needGrad, func(dy *tensor.Tensor) {
 		if table.needGrad {
-			dt := tensor.New(table.Value.Shape()...)
+			dt := t.E.Arena().New(table.Value.Shape()...)
 			t.E.ScatterAddRows(dt, dy, ids)
 			table.accum(dt)
 		}
@@ -280,9 +286,11 @@ func (t *Tape) SliceCols(x *Var, from, to int) *Var {
 
 // Reshape changes the logical shape (no kernel; metadata only).
 func (t *Tape) Reshape(x *Var, shape ...int) *Var {
-	out := x.Value.Clone().Reshape(shape...)
+	out := t.empty(x.Value.Shape()...)
+	copy(out.Data(), x.Value.Data())
+	out = out.Reshape(shape...)
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
-		x.accum(dy.Clone().Reshape(x.Value.Shape()...))
+		x.accum(dy)
 	})
 }
 
@@ -301,7 +309,12 @@ func (t *Tape) MeanAll(x *Var) *Var {
 	out := t.E.MeanAll(x.Value)
 	n := float32(x.Value.Size())
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
-		x.accum(tensor.Full(dy.At(0)/n, x.Value.Shape()...))
+		dx := t.empty(x.Value.Shape()...)
+		g, dd := dy.At(0)/n, dx.Data()
+		for i := range dd {
+			dd[i] = g
+		}
+		x.accum(dx)
 	})
 }
 
@@ -311,7 +324,7 @@ func (t *Tape) SumCols(x *Var) *Var {
 	out := t.E.SumCols(x.Value)
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
 		n, f := x.Value.Dim(0), x.Value.Dim(1)
-		dx := tensor.New(n, f)
+		dx := t.empty(n, f)
 		for i := 0; i < n; i++ {
 			g := dy.At(i)
 			row := dx.Row(i)
@@ -328,7 +341,7 @@ func (t *Tape) Softmax(x *Var) *Var {
 	out := t.E.Softmax(x.Value)
 	return t.node(out, x.needGrad, func(dy *tensor.Tensor) {
 		n, f := out.Dim(0), out.Dim(1)
-		dx := tensor.New(n, f)
+		dx := t.empty(n, f)
 		for i := 0; i < n; i++ {
 			or, dr, xr := out.Row(i), dy.Row(i), dx.Row(i)
 			var dot float64
@@ -370,11 +383,13 @@ func (t *Tape) LSTMCell(gates, cPrev *Var) (h, c *Var) {
 	// Seed c with a zero gradient so its backward always fires even when
 	// the final cell state is unused.
 	if need {
-		c.accum(tensor.New(cVal.Shape()...))
+		c.accum(t.E.Arena().New(cVal.Shape()...))
 	}
+	// h's backward stages dy for c's: h keeps it to the iteration boundary.
 	h = t.node(hVal, need, func(dy *tensor.Tensor) {
 		dh = dy
 	})
+	h.keep = true
 	return h, c
 }
 

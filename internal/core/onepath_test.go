@@ -118,6 +118,9 @@ func TestOOMIsAnErrorOnEveryPlane(t *testing.T) {
 // internal/core (Replica.Train, the body of core.Run). And there is one CLI:
 // one package main under cmd/, one flag.NewFlagSet call site (each command's
 // set comes out of the command table), and os.Args read in main() only.
+// Host tensors have one allocation path on the training hot path: no
+// tensor.New or tensor.NewPooled call in internal/ops or inside a function
+// literal (a backward closure) in internal/autograd.
 func TestOneConstructionPath(t *testing.T) {
 	root := filepath.Join("..", "..")
 	mainDirs, flagSets := map[string]bool{}, 0
@@ -175,10 +178,26 @@ func TestOneConstructionPath(t *testing.T) {
 				}
 				return true
 			})
+			// Host tensors of ops and of the tape's backward closures come
+			// from the engine's arena (Engine.Arena), which releases them where
+			// their device blocks go.
+			var closures []ast.Node
+			ast.Inspect(file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok && under(rel, "autograd") {
+					closures = append(closures, lit)
+				}
+				return true
+			})
 			ast.Inspect(file, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (isPkgSel(sel, "tensor", "New") || isPkgSel(sel, "tensor", "NewPooled")) {
+					inClosure := slices.ContainsFunc(closures, func(l ast.Node) bool { return l.Pos() <= call.Pos() && call.End() <= l.End() })
+					if under(rel, "ops") || inClosure {
+						t.Errorf("%s:%d calls tensor.%s: take op outputs and gradients from the engine's arena", rel, fset.Position(call.Pos()).Line, sel.Sel.Name)
+					}
 				}
 				if isTrainEpochCall(call) && !slices.ContainsFunc(loops, func(l ast.Node) bool { return l.Pos() <= call.Pos() && call.End() <= l.End() }) {
 					t.Errorf("%s:%d calls .TrainEpoch() outside a loop: train through models.Env.Train", rel, fset.Position(call.Pos()).Line)

@@ -15,6 +15,7 @@ package models
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 
 	"gnnmark/internal/autograd"
@@ -238,9 +239,6 @@ func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, opt nn.Optimizer, cli
 		nn.ClipGradNorm(params, clipNorm)
 	}
 	opt.Step()
-	// The iteration's node gradients are consumed: recycle their buffers
-	// into the host pool for the next tape.
-	t.ReleaseGrads()
 	// Until the next iter() the host is selecting/assembling the next
 	// batch (or closing the epoch).
 	env.beginPhase(obs.PhaseDataLoad, phaseDataC)
@@ -277,13 +275,21 @@ func (env *Env) NextBatch(l *loader.Loader) *loader.Batch {
 	return b
 }
 
-// Close stops the workers of every loader built through NewLoader. Safe to
-// call more than once; a no-op for synchronous Envs.
+// Close stops the workers of every loader built through NewLoader and drops
+// the engine's host arena. Safe to call more than once; a no-op for a
+// synchronous Env that never ran an op.
 func (env *Env) Close() {
 	for _, l := range env.loaders {
 		l.Close()
 	}
 	env.loaders = nil
+	// The arena held a whole iteration's tensors, and the GC goal rose to
+	// match. Left to the pacer, that dead memory would stay in use while
+	// whatever the process builds next faults in fresh pages; collected now,
+	// it is free for it.
+	if env.E != nil && env.E.Arena().Drop() {
+		runtime.GC()
+	}
 }
 
 // Shard returns this replica's contiguous sub-range of the half-open global

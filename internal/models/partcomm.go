@@ -252,7 +252,7 @@ func (pc *partComms) spmm(t *autograd.Tape, op string, layer int, x *autograd.Va
 		// each rank folds the ghost slices peers pulled from it into its
 		// owned gradient, on top of the pass-through owned block.
 		grads := pc.c.Exchange(kind+".bwd", bwdBytes, dy)
-		dx := tensor.NewPooled(owned, dim)
+		dx := t.E.Arena().Empty(owned, dim)
 		for i := 0; i < owned; i++ {
 			copy(dx.Row(i), dy.Row(i))
 		}
@@ -270,7 +270,6 @@ func (pc *partComms) spmm(t *autograd.Tape, op string, layer int, x *autograd.Va
 			}
 		}
 		x.Accum(dx)
-		tensor.Recycle(dx)
 	})
 	return t.SpMM(lp.Adj, lp.AdjT, halo)
 }
@@ -287,7 +286,7 @@ func (pc *partComms) allRows(t *autograd.Tape, op string, x *autograd.Var) *auto
 	full := pc.assembleFull(kind, remote, x.Value)
 	return t.Node(full, func(dy *tensor.Tensor) {
 		grads := pc.c.Exchange(kind+".bwd", remote, dy)
-		dx := tensor.NewPooled(len(lp.Owned), dim)
+		dx := t.E.Arena().New(len(lp.Owned), dim)
 		// Sum every rank's full dZ in rank order, keeping only owned rows:
 		// the same association on every rank, so the reduced gradient is
 		// bitwise-identical cluster-wide.
@@ -301,7 +300,6 @@ func (pc *partComms) allRows(t *autograd.Tape, op string, x *autograd.Var) *auto
 			}
 		}
 		x.Accum(dx)
-		tensor.Recycle(dx)
 	})
 }
 
@@ -376,7 +374,7 @@ func (pc *partComms) meanPool(t *autograd.Tape, op string, h *autograd.Var, grap
 	return t.Node(pooled, func(dy *tensor.Tensor) {
 		// dy is replicated (the head path runs identically on every
 		// rank): each owned node gathers its graph's gradient locally.
-		dx := tensor.NewPooled(len(lp.Owned), dim)
+		dx := t.E.Arena().Empty(len(lp.Owned), dim)
 		for i, g := range lp.Owned {
 			gi := int(graphID[g])
 			dst, src := dx.Row(i), dy.Row(gi)
@@ -386,7 +384,6 @@ func (pc *partComms) meanPool(t *autograd.Tape, op string, h *autograd.Var, grap
 			}
 		}
 		h.Accum(dx)
-		tensor.Recycle(dx)
 	})
 }
 
@@ -434,19 +431,16 @@ func (pc *partComms) batchNorm(t *autograd.Tape, op string, layer int, bn *nn.Ba
 		// The single-device kernel over the global rows: dgamma and dbeta are
 		// its sums, dx its owned rows.
 		fullDx := tensor.New(n, f)
-		dgamma := tensor.NewPooled(f)
-		dbeta := tensor.NewPooled(f)
+		dgamma := e.Arena().New(f)
+		dbeta := e.Arena().New(f)
 		e.Backend().BatchNormBackward(fullXhat.Data(), fullDy.Data(), variance.Data(), gamma.Value.Data(),
 			fullDx.Data(), dgamma.Data(), dbeta.Data(), n, f, eps)
-		dx := tensor.NewPooled(rows, f)
+		dx := e.Arena().Empty(rows, f)
 		for i, g := range lp.Owned {
 			copy(dx.Row(i), fullDx.Row(int(g)))
 		}
 		x.Accum(dx)
 		gamma.Accum(dgamma)
 		beta.Accum(dbeta)
-		tensor.Recycle(dx)
-		tensor.Recycle(dgamma)
-		tensor.Recycle(dbeta)
 	})
 }

@@ -34,7 +34,7 @@ func conv2DDims(x, w *tensor.Tensor, strideH, strideW, padH, padW int) backend.C
 // w (Cout,Cin,KH,KW), the temporal-convolution workhorse of STGCN.
 func (e *Engine) Conv2D(x, w *tensor.Tensor, strideH, strideW, padH, padW int) *tensor.Tensor {
 	p := conv2DDims(x, w, strideH, strideW, padH, padW)
-	out := tensor.New(p.N, p.Cout, p.OH, p.OW)
+	out := e.arena.New(p.N, p.Cout, p.OH, p.OW)
 	e.be.Conv2D(x.Data(), w.Data(), out.Data(), p)
 	e.launchConv("conv2d_fwd", x, w, out, uint64(p.N*p.Cout*p.OH*p.OW)*uint64(p.Cin*p.KH*p.KW))
 	return out
@@ -42,7 +42,7 @@ func (e *Engine) Conv2D(x, w *tensor.Tensor, strideH, strideW, padH, padW int) *
 
 // Conv2DGradInput computes the input gradient of Conv2D.
 func (e *Engine) Conv2DGradInput(dy, w *tensor.Tensor, xShape []int, strideH, strideW, padH, padW int) *tensor.Tensor {
-	dx := tensor.New(xShape...)
+	dx := e.arena.New(xShape...)
 	p := backend.ConvParams{
 		N: xShape[0], Cin: xShape[1], H: xShape[2], W: xShape[3],
 		Cout: w.Dim(0), KH: w.Dim(2), KW: w.Dim(3),
@@ -56,7 +56,7 @@ func (e *Engine) Conv2DGradInput(dy, w *tensor.Tensor, xShape []int, strideH, st
 
 // Conv2DGradWeight computes the filter gradient of Conv2D.
 func (e *Engine) Conv2DGradWeight(x, dy *tensor.Tensor, wShape []int, strideH, strideW, padH, padW int) *tensor.Tensor {
-	dw := tensor.New(wShape...)
+	dw := e.arena.New(wShape...)
 	p := backend.ConvParams{
 		N: x.Dim(0), Cin: x.Dim(1), H: x.Dim(2), W: x.Dim(3),
 		Cout: wShape[0], KH: wShape[2], KW: wShape[3],
@@ -80,7 +80,7 @@ func (e *Engine) MaxPool2D(x *tensor.Tensor, k int) (*tensor.Tensor, []int32) {
 	if oh < 1 || ow < 1 {
 		panic("ops: MaxPool2D window larger than input")
 	}
-	out := tensor.New(n, c, oh, ow)
+	out := e.arena.New(n, c, oh, ow)
 	arg := make([]int32, out.Size())
 	e.be.MaxPool2D(x.Data(), out.Data(), arg, n, c, h, w, k)
 	if e.dev != nil {
@@ -112,7 +112,7 @@ func (e *Engine) MaxPool2D(x *tensor.Tensor, k int) (*tensor.Tensor, []int32) {
 
 // MaxPool2DBackward scatters dy back to the argmax positions.
 func (e *Engine) MaxPool2DBackward(dy *tensor.Tensor, arg []int32, xShape []int) *tensor.Tensor {
-	dx := tensor.New(xShape...)
+	dx := e.arena.New(xShape...)
 	e.be.ScatterAdd(dx.Data(), dy.Data(), arg)
 	if e.dev != nil {
 		elem := e.fpElem()
@@ -148,7 +148,7 @@ func (e *Engine) AddChannelBias(x, bias *tensor.Tensor) *tensor.Tensor {
 		shapePanic("AddChannelBias", x, bias)
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := tensor.New(n, c, h, w)
+	out := e.arena.New(n, c, h, w)
 	e.be.AddChannelBias(out.Data(), x.Data(), bias.Data(), n, c, h*w)
 	e.launchElementWise("add_channel_bias", 2, out.Size(), []*tensor.Tensor{x, bias}, out)
 	return out
@@ -158,7 +158,7 @@ func (e *Engine) AddChannelBias(x, bias *tensor.Tensor) *tensor.Tensor {
 // bias gradient of a convolution, a reduction kernel.
 func (e *Engine) ChannelBiasGrad(dy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := dy.Dim(0), dy.Dim(1), dy.Dim(2), dy.Dim(3)
-	out := tensor.New(c)
+	out := e.arena.New(c)
 	e.be.ChannelBiasGrad(dy.Data(), out.Data(), n, c, h*w)
 	e.launchReduction("conv_bias_grad", dy.Size(), c, dy, out)
 	return out

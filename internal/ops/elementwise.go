@@ -76,7 +76,7 @@ func (e *Engine) launchActivation(name string, n int, in, out *tensor.Tensor) {
 // Add returns a + b elementwise.
 func (e *Engine) Add(a, b *tensor.Tensor) *tensor.Tensor {
 	sameShape("Add", a, b)
-	out := tensor.New(a.Shape()...)
+	out := e.arena.New(a.Shape()...)
 	e.be.Add(out.Data(), a.Data(), b.Data())
 	e.launchElementWise("ew_add", 2, out.Size(), []*tensor.Tensor{a, b}, out)
 	return out
@@ -85,7 +85,7 @@ func (e *Engine) Add(a, b *tensor.Tensor) *tensor.Tensor {
 // Sub returns a - b elementwise.
 func (e *Engine) Sub(a, b *tensor.Tensor) *tensor.Tensor {
 	sameShape("Sub", a, b)
-	out := tensor.New(a.Shape()...)
+	out := e.arena.New(a.Shape()...)
 	e.be.Sub(out.Data(), a.Data(), b.Data())
 	e.launchElementWise("ew_sub", 2, out.Size(), []*tensor.Tensor{a, b}, out)
 	return out
@@ -94,7 +94,7 @@ func (e *Engine) Sub(a, b *tensor.Tensor) *tensor.Tensor {
 // Mul returns a * b elementwise (Hadamard product).
 func (e *Engine) Mul(a, b *tensor.Tensor) *tensor.Tensor {
 	sameShape("Mul", a, b)
-	out := tensor.New(a.Shape()...)
+	out := e.arena.New(a.Shape()...)
 	e.be.Mul(out.Data(), a.Data(), b.Data())
 	e.launchElementWise("ew_mul", 2, out.Size(), []*tensor.Tensor{a, b}, out)
 	return out
@@ -102,7 +102,7 @@ func (e *Engine) Mul(a, b *tensor.Tensor) *tensor.Tensor {
 
 // Scale returns a * s elementwise.
 func (e *Engine) Scale(a *tensor.Tensor, s float32) *tensor.Tensor {
-	out := tensor.New(a.Shape()...)
+	out := e.arena.New(a.Shape()...)
 	e.be.Scale(out.Data(), a.Data(), s)
 	e.launchElementWise("ew_scale", 1, out.Size(), []*tensor.Tensor{a}, out)
 	return out
@@ -110,7 +110,7 @@ func (e *Engine) Scale(a *tensor.Tensor, s float32) *tensor.Tensor {
 
 // AddScalar returns a + s elementwise.
 func (e *Engine) AddScalar(a *tensor.Tensor, s float32) *tensor.Tensor {
-	out := tensor.New(a.Shape()...)
+	out := e.arena.New(a.Shape()...)
 	e.be.AddScalar(out.Data(), a.Data(), s)
 	e.launchElementWise("ew_adds", 1, out.Size(), []*tensor.Tensor{a}, out)
 	return out
@@ -118,7 +118,7 @@ func (e *Engine) AddScalar(a *tensor.Tensor, s float32) *tensor.Tensor {
 
 // ReLU returns max(x, 0).
 func (e *Engine) ReLU(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := e.arena.New(x.Shape()...)
 	e.be.ReLU(out.Data(), x.Data())
 	e.launchElementWise("relu", 1, out.Size(), []*tensor.Tensor{x}, out)
 	return out
@@ -127,7 +127,7 @@ func (e *Engine) ReLU(x *tensor.Tensor) *tensor.Tensor {
 // ReLUBackward returns dy masked by x > 0.
 func (e *Engine) ReLUBackward(x, dy *tensor.Tensor) *tensor.Tensor {
 	sameShape("ReLUBackward", x, dy)
-	out := tensor.New(x.Shape()...)
+	out := e.arena.New(x.Shape()...)
 	e.be.ReLUBackward(out.Data(), x.Data(), dy.Data())
 	e.launchElementWise("relu_bwd", 2, out.Size(), []*tensor.Tensor{x, dy}, out)
 	return out
@@ -135,7 +135,7 @@ func (e *Engine) ReLUBackward(x, dy *tensor.Tensor) *tensor.Tensor {
 
 // PReLU returns x where positive, alpha*x otherwise (scalar alpha).
 func (e *Engine) PReLU(x *tensor.Tensor, alpha float32) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := e.arena.New(x.Shape()...)
 	e.be.PReLU(out.Data(), x.Data(), alpha)
 	e.launchElementWise("prelu", 1, out.Size(), []*tensor.Tensor{x}, out)
 	return out
@@ -143,7 +143,7 @@ func (e *Engine) PReLU(x *tensor.Tensor, alpha float32) *tensor.Tensor {
 
 // Sigmoid returns 1/(1+exp(-x)).
 func (e *Engine) Sigmoid(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := e.arena.New(x.Shape()...)
 	e.be.Sigmoid(out.Data(), x.Data())
 	e.launchActivation("sigmoid", out.Size(), x, out)
 	return out
@@ -151,7 +151,7 @@ func (e *Engine) Sigmoid(x *tensor.Tensor) *tensor.Tensor {
 
 // Tanh returns tanh(x).
 func (e *Engine) Tanh(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := e.arena.New(x.Shape()...)
 	e.be.Tanh(out.Data(), x.Data())
 	e.launchActivation("tanh", out.Size(), x, out)
 	return out
@@ -163,8 +163,8 @@ func (e *Engine) Dropout(x *tensor.Tensor, p float32, rng *rand.Rand) (out, mask
 	if p < 0 || p >= 1 {
 		panic("ops: Dropout requires 0 <= p < 1")
 	}
-	out = tensor.New(x.Shape()...)
-	mask = tensor.New(x.Shape()...)
+	out = e.arena.New(x.Shape()...)
+	mask = e.arena.New(x.Shape()...)
 	e.be.Dropout(x.Data(), out.Data(), mask.Data(), p, rng)
 	e.launchElementWise("dropout", 2, out.Size(), []*tensor.Tensor{x, mask}, out)
 	return out, mask
@@ -177,7 +177,7 @@ func (e *Engine) Concat2D(a, b *tensor.Tensor) *tensor.Tensor {
 	if an != bn {
 		shapePanic("Concat2D", a, b)
 	}
-	out := tensor.New(an, af+bf)
+	out := e.arena.New(an, af+bf)
 	for i := 0; i < an; i++ {
 		copy(out.Row(i)[:af], a.Row(i))
 		copy(out.Row(i)[af:], b.Row(i))
@@ -193,7 +193,7 @@ func (e *Engine) ConcatRows2D(a, b *tensor.Tensor) *tensor.Tensor {
 	if af != bf {
 		shapePanic("ConcatRows2D", a, b)
 	}
-	out := tensor.New(an+bn, af)
+	out := e.arena.New(an+bn, af)
 	copy(out.Data()[:an*af], a.Data())
 	copy(out.Data()[an*af:], b.Data())
 	e.launchElementWise("concat_rows", 2, out.Size(), []*tensor.Tensor{a, b}, out)
@@ -207,8 +207,8 @@ func (e *Engine) SplitRows(x *tensor.Tensor, na int) (a, b *tensor.Tensor) {
 	if na < 0 || na > n {
 		shapePanic("SplitRows", x)
 	}
-	a = tensor.New(na, f)
-	b = tensor.New(n-na, f)
+	a = e.arena.New(na, f)
+	b = e.arena.New(n-na, f)
 	copy(a.Data(), x.Data()[:na*f])
 	copy(b.Data(), x.Data()[na*f:])
 	e.launchElementWise("split_rows", 1, x.Size(), []*tensor.Tensor{x}, a)
@@ -222,8 +222,8 @@ func (e *Engine) SplitCols(x *tensor.Tensor, fa int) (a, b *tensor.Tensor) {
 	if fa < 0 || fa > f {
 		shapePanic("SplitCols", x)
 	}
-	a = tensor.New(n, fa)
-	b = tensor.New(n, f-fa)
+	a = e.arena.New(n, fa)
+	b = e.arena.New(n, f-fa)
 	for i := 0; i < n; i++ {
 		copy(a.Row(i), x.Row(i)[:fa])
 		copy(b.Row(i), x.Row(i)[fa:])

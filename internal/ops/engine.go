@@ -34,6 +34,10 @@ type Engine struct {
 	// deterministically (map iteration order would perturb the allocator's
 	// free lists run to run and break golden determinism).
 	seq []*vmem.Block
+	// arena serves every op output and tape gradient on the host and takes
+	// them back where the blocks above are freed: the host mirror of the
+	// caching allocator.
+	arena tensor.Arena
 
 	// Host observability (internal/obs). track is nil unless obs was
 	// enabled when the engine was built; opMark is the host-clock cursor
@@ -73,21 +77,27 @@ func NewWith(dev *gpu.Device, be backend.Backend) *Engine {
 // Device returns the attached device (possibly nil).
 func (e *Engine) Device() *gpu.Device { return e.dev }
 
+// Arena returns the host arena the engine's outputs come from, for tape
+// gradients and collectives: a tensor from it lives until the engine's
+// next BeginIteration or Reset, or until released earlier.
+func (e *Engine) Arena() *tensor.Arena { return &e.arena }
+
 // Backend returns the numerics backend, for collectives that run a kernel's
 // arithmetic over rows no single device holds (models/partcomm.go).
 func (e *Engine) Backend() backend.Backend { return e.be }
 
 // Reset returns every tracked device block to the caching allocator and
-// clears the per-tensor, per-CSR, and per-index-buffer bookkeeping.
-// Training loops call it between epochs; still-live tensors are
-// transparently re-assigned blocks on next use, with the free lists
-// reissuing the same addresses.
+// every arena tensor to the arena, and clears the per-tensor, per-CSR, and
+// per-index-buffer bookkeeping. Training loops call it between epochs;
+// still-live tensors not from the arena are transparently re-assigned
+// blocks on next use, with the free lists reissuing the same addresses.
 func (e *Engine) Reset() { e.releaseAll() }
 
 // BeginIteration marks the start of a training iteration: every device
-// block acquired so far is returned to the allocator, modeling the end of
-// the previous iteration's activation lifetimes (PyTorch frees activations
-// when the backward graph is consumed). Peak-live memory therefore measures
+// block acquired so far is returned to the allocator, and every arena
+// tensor (op outputs, gradients kept to the boundary) to the arena,
+// modeling the end of the previous iteration's activation lifetimes
+// (PyTorch frees activations when the backward graph is consumed). Peak-live memory therefore measures
 // the true per-iteration footprint, and the free lists hand the next
 // iteration the same addresses — keeping the cache model's view of reuse
 // intact.
@@ -96,9 +106,10 @@ func (e *Engine) BeginIteration() {
 	e.pipeBeginIteration()
 }
 
-// releaseAll frees every tracked block in allocation order (deterministic)
-// and clears the bookkeeping maps.
+// releaseAll frees every tracked block in allocation order (deterministic),
+// clears the bookkeeping maps and releases the arena's tensors.
 func (e *Engine) releaseAll() {
+	e.arena.ReleaseAll()
 	if e.dev != nil {
 		for _, b := range e.seq {
 			// Free is a no-op for blocks already released via Release.

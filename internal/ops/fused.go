@@ -15,8 +15,8 @@ func (e *Engine) GLU4D(x *tensor.Tensor) (out, gate *tensor.Tensor) {
 	}
 	b, c2, s, tw := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	c := c2 / 2
-	out = tensor.New(b, c, s, tw)
-	gate = tensor.New(b, c, s, tw)
+	out = e.arena.New(b, c, s, tw)
+	gate = e.arena.New(b, c, s, tw)
 	e.be.GLU4D(x.Data(), out.Data(), gate.Data(), b, c, s*tw)
 	if e.dev != nil {
 		elem := e.fpElem()
@@ -52,7 +52,7 @@ func (e *Engine) GLU4DBackward(x, gate, dy *tensor.Tensor) *tensor.Tensor {
 	b, c2 := x.Dim(0), x.Dim(1)
 	c := c2 / 2
 	s, tw := x.Dim(2), x.Dim(3)
-	dx := tensor.New(b, c2, s, tw)
+	dx := e.arena.New(b, c2, s, tw)
 	e.be.GLU4DBackward(x.Data(), gate.Data(), dy.Data(), dx.Data(), b, c, s*tw)
 	e.launchElementWise("glu_bwd", 3, x.Size(), []*tensor.Tensor{x, gate, dy}, dx)
 	return dx
@@ -76,11 +76,11 @@ func (e *Engine) LSTMCellForward(gates, cPrev *tensor.Tensor) (h, c *tensor.Tens
 		shapePanic("LSTMCellForward", gates, cPrev)
 	}
 	cache = &LSTMCache{
-		I: tensor.New(b, hd), F: tensor.New(b, hd),
-		G: tensor.New(b, hd), O: tensor.New(b, hd),
-		CPrev: cPrev, CNew: tensor.New(b, hd),
+		I: e.arena.New(b, hd), F: e.arena.New(b, hd),
+		G: e.arena.New(b, hd), O: e.arena.New(b, hd),
+		CPrev: cPrev, CNew: e.arena.New(b, hd),
 	}
-	h = tensor.New(b, hd)
+	h = e.arena.New(b, hd)
 	e.be.LSTMCellForward(gates.Data(), cPrev.Data(),
 		cache.I.Data(), cache.F.Data(), cache.G.Data(), cache.O.Data(),
 		cache.CNew.Data(), h.Data(), b, hd)
@@ -120,8 +120,8 @@ func (e *Engine) LSTMCellForward(gates, cPrev *tensor.Tensor) (h, c *tensor.Tens
 // kernel.
 func (e *Engine) LSTMCellBackward(cache *LSTMCache, dH, dC *tensor.Tensor) (dGates, dCPrev *tensor.Tensor) {
 	b, hd := cache.I.Dim(0), cache.I.Dim(1)
-	dGates = tensor.New(b, 4*hd)
-	dCPrev = tensor.New(b, hd)
+	dGates = e.arena.New(b, 4*hd)
+	dCPrev = e.arena.New(b, hd)
 	var dHd, dCd []float32
 	if dH != nil {
 		dHd = dH.Data()
@@ -144,9 +144,9 @@ func (e *Engine) BatchNorm2DForward(x, gamma, beta *tensor.Tensor, eps float32) 
 		shapePanic("BatchNorm2DForward", x, gamma)
 	}
 	b, c, s, tw := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out = tensor.New(b, c, s, tw)
-	xhat = tensor.New(b, c, s, tw)
-	variance = tensor.New(c)
+	out = e.arena.New(b, c, s, tw)
+	xhat = e.arena.New(b, c, s, tw)
+	variance = e.arena.New(c)
 	e.be.BatchNorm2D(x.Data(), gamma.Data(), beta.Data(),
 		out.Data(), xhat.Data(), variance.Data(), b, c, s*tw, eps)
 	e.launchBatchNorm("batchnorm2d_fwd", x, out)
@@ -156,9 +156,9 @@ func (e *Engine) BatchNorm2DForward(x, gamma, beta *tensor.Tensor, eps float32) 
 // BatchNorm2DBackward computes gradients of BatchNorm2DForward.
 func (e *Engine) BatchNorm2DBackward(xhat, dy, variance, gamma *tensor.Tensor, eps float32) (dx, dgamma, dbeta *tensor.Tensor) {
 	b, c, s, tw := xhat.Dim(0), xhat.Dim(1), xhat.Dim(2), xhat.Dim(3)
-	dx = tensor.New(b, c, s, tw)
-	dgamma = tensor.New(c)
-	dbeta = tensor.New(c)
+	dx = e.arena.New(b, c, s, tw)
+	dgamma = e.arena.New(c)
+	dbeta = e.arena.New(c)
 	e.be.BatchNorm2DBackward(xhat.Data(), dy.Data(), variance.Data(), gamma.Data(),
 		dx.Data(), dgamma.Data(), dbeta.Data(), b, c, s*tw, eps)
 	e.launchBatchNorm("batchnorm2d_bwd", xhat, dx)

@@ -33,7 +33,7 @@ func (e *Engine) IndexSelectRows(x *tensor.Tensor, idx []int32) *tensor.Tensor {
 func (e *Engine) gatherRows(name string, class gpu.OpClass, x *tensor.Tensor, idx []int32) *tensor.Tensor {
 	n, f := check2D(name, x)
 	checkRowIndices(name, idx, n)
-	out := tensor.New(len(idx), f)
+	out := e.arena.New(len(idx), f)
 	e.be.GatherRows(x.Data(), out.Data(), idx, f)
 	if e.dev != nil {
 		elem := e.fpElem()
@@ -111,7 +111,7 @@ func (e *Engine) ScatterAddRows(dst, src *tensor.Tensor, idx []int32) *tensor.Te
 func (e *Engine) EmbeddingLookup(table *tensor.Tensor, ids []int32) *tensor.Tensor {
 	v, f := check2D("EmbeddingLookup", table)
 	checkRowIndices("EmbeddingLookup", ids, v)
-	out := tensor.New(len(ids), f)
+	out := e.arena.New(len(ids), f)
 	e.be.GatherRows(table.Data(), out.Data(), ids, f)
 	if e.dev != nil {
 		elem := e.fpElem()

@@ -43,7 +43,7 @@ func (e *Engine) matmul(a, b *tensor.Tensor, transA, transB bool) *tensor.Tensor
 		shapePanic("MatMul", a, b)
 	}
 
-	out := tensor.New(m, n)
+	out := e.arena.New(m, n)
 	switch {
 	case !transA && !transB:
 		e.be.MatMul(a.Data(), b.Data(), out.Data(), m, n, k)
@@ -116,7 +116,7 @@ func (e *Engine) AddBiasRows(x, bias *tensor.Tensor) *tensor.Tensor {
 	if bias.Size() != f {
 		shapePanic("AddBiasRows", x, bias)
 	}
-	out := tensor.New(n, f)
+	out := e.arena.New(n, f)
 	e.be.AddBiasRows(out.Data(), x.Data(), bias.Data(), n, f)
 	e.launchElementWise("add_bias", 2, out.Size(), []*tensor.Tensor{x, bias}, out)
 	return out

@@ -14,7 +14,7 @@ func (e *Engine) BCEWithLogitsForward(logits, targets *tensor.Tensor) *tensor.Te
 	if logits.Size() != targets.Size() {
 		shapePanic("BCEWithLogitsForward", logits, targets)
 	}
-	out := tensor.New(logits.Shape()...)
+	out := e.arena.New(logits.Shape()...)
 	e.be.BCEWithLogits(logits.Data(), targets.Data(), out.Data())
 	e.launchActivation("bce_with_logits", out.Size(), logits, out)
 	return out
@@ -23,7 +23,7 @@ func (e *Engine) BCEWithLogitsForward(logits, targets *tensor.Tensor) *tensor.Te
 // BCEWithLogitsBackward returns d(loss sum)/d(logits) scaled by g: the
 // fused (sigmoid(x) - y) * g kernel.
 func (e *Engine) BCEWithLogitsBackward(logits, targets *tensor.Tensor, g float32) *tensor.Tensor {
-	dx := tensor.New(logits.Shape()...)
+	dx := e.arena.New(logits.Shape()...)
 	e.be.BCEWithLogitsBackward(logits.Data(), targets.Data(), dx.Data(), g)
 	e.launchElementWise("bce_with_logits_bwd", 2, dx.Size(), []*tensor.Tensor{logits, targets}, dx)
 	return dx

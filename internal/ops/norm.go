@@ -9,9 +9,9 @@ import (
 // dx, dgamma, dbeta.
 func (e *Engine) BatchNormBackward(xhat, dy, variance, gamma *tensor.Tensor, eps float32) (dx, dgamma, dbeta *tensor.Tensor) {
 	n, f := check2D("BatchNormBackward", xhat)
-	dx = tensor.New(n, f)
-	dgamma = tensor.New(f)
-	dbeta = tensor.New(f)
+	dx = e.arena.New(n, f)
+	dgamma = e.arena.New(f)
+	dbeta = e.arena.New(f)
 	e.be.BatchNormBackward(xhat.Data(), dy.Data(), variance.Data(), gamma.Data(),
 		dx.Data(), dgamma.Data(), dbeta.Data(), n, f, eps)
 	e.launchBatchNorm("batchnorm_bwd", xhat, dx)
@@ -27,9 +27,9 @@ func (e *Engine) LayerNormForward(x, gamma, beta *tensor.Tensor, eps float32) (o
 	if gamma.Size() != f || beta.Size() != f {
 		shapePanic("LayerNormForward", x, gamma)
 	}
-	out = tensor.New(n, f)
-	xhat = tensor.New(n, f)
-	invStd = tensor.New(n)
+	out = e.arena.New(n, f)
+	xhat = e.arena.New(n, f)
+	invStd = e.arena.New(n)
 	e.be.LayerNormForward(x.Data(), gamma.Data(), beta.Data(),
 		out.Data(), xhat.Data(), invStd.Data(), n, f, eps)
 	e.launchBatchNorm("layernorm_fwd", x, out)
@@ -39,9 +39,9 @@ func (e *Engine) LayerNormForward(x, gamma, beta *tensor.Tensor, eps float32) (o
 // LayerNormBackward computes the gradients of LayerNormForward.
 func (e *Engine) LayerNormBackward(xhat, invStd, dy, gamma *tensor.Tensor) (dx, dgamma, dbeta *tensor.Tensor) {
 	n, f := check2D("LayerNormBackward", xhat)
-	dx = tensor.New(n, f)
-	dgamma = tensor.New(f)
-	dbeta = tensor.New(f)
+	dx = e.arena.New(n, f)
+	dgamma = e.arena.New(f)
+	dbeta = e.arena.New(f)
 	e.be.LayerNormBackward(xhat.Data(), invStd.Data(), dy.Data(), gamma.Data(),
 		dx.Data(), dgamma.Data(), dbeta.Data(), n, f)
 	e.launchBatchNorm("layernorm_bwd", xhat, dx)

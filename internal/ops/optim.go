@@ -11,7 +11,7 @@ func (e *Engine) SliceCols2D(x *tensor.Tensor, from, to int) *tensor.Tensor {
 	if from < 0 || to > f || from >= to {
 		shapePanic("SliceCols2D", x)
 	}
-	out := tensor.New(n, to-from)
+	out := e.arena.New(n, to-from)
 	for i := 0; i < n; i++ {
 		copy(out.Row(i), x.Row(i)[from:to])
 	}
@@ -23,7 +23,7 @@ func (e *Engine) SliceCols2D(x *tensor.Tensor, from, to int) *tensor.Tensor {
 // zero (N,F) tensor at column offset from.
 func (e *Engine) PadColsGrad(dy *tensor.Tensor, f, from int) *tensor.Tensor {
 	n, w := check2D("PadColsGrad", dy)
-	out := tensor.New(n, f)
+	out := e.arena.New(n, f)
 	for i := 0; i < n; i++ {
 		copy(out.Row(i)[from:from+w], dy.Row(i))
 	}

@@ -24,7 +24,7 @@ func (e *Engine) Permute4D(x *tensor.Tensor, perm [4]int) *tensor.Tensor {
 	in := x.Shape()
 	inDims := [4]int{in[0], in[1], in[2], in[3]}
 	outShape := []int{in[perm[0]], in[perm[1]], in[perm[2]], in[perm[3]]}
-	out := tensor.New(outShape...)
+	out := e.arena.New(outShape...)
 	e.be.Permute4D(x.Data(), out.Data(), inDims, perm)
 	if e.dev != nil {
 		elem := e.fpElem()

@@ -40,7 +40,8 @@ func (e *Engine) launchReduction(name string, n, m int, in, out *tensor.Tensor) 
 // SumAll returns the scalar sum of x as a (1) tensor.
 func (e *Engine) SumAll(x *tensor.Tensor) *tensor.Tensor {
 	s := e.be.SumAll(x.Data())
-	out := tensor.FromSlice([]float32{float32(s)}, 1)
+	out := e.arena.Empty(1)
+	out.Data()[0] = float32(s)
 	e.launchReduction("reduce_sum_all", x.Size(), 1, x, out)
 	return out
 }
@@ -57,7 +58,7 @@ func (e *Engine) MeanAll(x *tensor.Tensor) *tensor.Tensor {
 // SumRows reduces x (N,F) over rows to (F).
 func (e *Engine) SumRows(x *tensor.Tensor) *tensor.Tensor {
 	n, f := check2D("SumRows", x)
-	out := tensor.New(f)
+	out := e.arena.New(f)
 	e.be.SumRows(x.Data(), out.Data(), n, f)
 	e.launchReduction("reduce_sum_rows", x.Size(), f, x, out)
 	return out
@@ -66,7 +67,7 @@ func (e *Engine) SumRows(x *tensor.Tensor) *tensor.Tensor {
 // SumCols reduces x (N,F) over columns to (N).
 func (e *Engine) SumCols(x *tensor.Tensor) *tensor.Tensor {
 	n, f := check2D("SumCols", x)
-	out := tensor.New(n)
+	out := e.arena.New(n)
 	e.be.SumCols(x.Data(), out.Data(), n, f)
 	e.launchReduction("reduce_sum_cols", x.Size(), n, x, out)
 	return out
@@ -75,7 +76,7 @@ func (e *Engine) SumCols(x *tensor.Tensor) *tensor.Tensor {
 // Softmax returns the row-wise softmax of x (N,F), numerically stabilized.
 func (e *Engine) Softmax(x *tensor.Tensor) *tensor.Tensor {
 	n, f := check2D("Softmax", x)
-	out := tensor.New(n, f)
+	out := e.arena.New(n, f)
 	e.be.Softmax(x.Data(), out.Data(), n, f)
 	e.launchSoftmax("softmax", x, out)
 	return out
@@ -84,7 +85,7 @@ func (e *Engine) Softmax(x *tensor.Tensor) *tensor.Tensor {
 // LogSoftmax returns the row-wise log-softmax of x (N,F).
 func (e *Engine) LogSoftmax(x *tensor.Tensor) *tensor.Tensor {
 	n, f := check2D("LogSoftmax", x)
-	out := tensor.New(n, f)
+	out := e.arena.New(n, f)
 	e.be.LogSoftmax(x.Data(), out.Data(), n, f)
 	e.launchSoftmax("log_softmax", x, out)
 	return out
@@ -124,8 +125,8 @@ func (e *Engine) launchSoftmax(name string, x, out *tensor.Tensor) {
 // BatchNorm-class kernel; used by the nn.BatchNorm layer.
 func (e *Engine) BatchNormStats(x *tensor.Tensor) (mean, variance *tensor.Tensor) {
 	n, f := check2D("BatchNormStats", x)
-	mean = tensor.New(f)
-	variance = tensor.New(f)
+	mean = e.arena.New(f)
+	variance = e.arena.New(f)
 	e.be.BatchNormStats(x.Data(), mean.Data(), variance.Data(), n, f)
 	e.launchBatchNorm("batchnorm_stats", x, mean)
 	return mean, variance
@@ -138,7 +139,7 @@ func (e *Engine) BatchNormApply(x, mean, variance, gamma, beta *tensor.Tensor, e
 	if mean.Size() != f || variance.Size() != f || gamma.Size() != f || beta.Size() != f {
 		shapePanic("BatchNormApply", x, mean)
 	}
-	out := tensor.New(n, f)
+	out := e.arena.New(n, f)
 	e.be.BatchNormApply(x.Data(), mean.Data(), variance.Data(), gamma.Data(), beta.Data(), out.Data(), n, f, eps)
 	e.launchBatchNorm("batchnorm_apply", x, out)
 	return out

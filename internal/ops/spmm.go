@@ -20,7 +20,7 @@ func (e *Engine) SpMM(a *graph.CSR, x *tensor.Tensor) *tensor.Tensor {
 	if xr != a.Cols {
 		panic("ops: SpMM dimension mismatch: adjacency cols != feature rows")
 	}
-	out := tensor.New(a.Rows, f)
+	out := e.arena.New(a.Rows, f)
 	e.be.SpMM(a.RowPtr, a.ColIdx, a.Vals, x.Data(), out.Data(), a.Rows, f)
 	e.launchSpMM("spmm_csr", a, x, out, f)
 	return out

@@ -7,9 +7,10 @@ import (
 	"gnnmark/internal/vmem"
 )
 
-// Host-side buffer pool for transient tensors (activation gradients, DDP
-// flatten buffers): backing slices recycle through sync.Pool instances
-// keyed by the same 512-byte size classes the device allocator uses
+// Process-wide host buffer pool for transient tensors that cross goroutines
+// (the loader's staged batches; an engine's own outputs and gradients come
+// from its Arena): backing slices recycle through sync.Pool instances keyed
+// by the same 512-byte size classes the device allocator uses
 // (vmem.RoundSize), so a recycled buffer serves every request in its class.
 // Pooled tensors are zero-filled on reuse, keeping results bitwise
 // identical to freshly allocated ones; the win is allocation rate, not
@@ -19,10 +20,11 @@ import (
 // class/4. sync.Map: classes are few and stabilize quickly, reads dominate.
 var pools sync.Map
 
-// PoolStats counts pool traffic process-wide.
+// PoolStats counts pool and arena traffic process-wide.
 type PoolStats struct {
-	// Gets counts NewPooled calls; Hits the subset served by a recycled
-	// buffer; Puts the buffers accepted back by Recycle.
+	// Gets counts NewPooled calls and arena requests; Hits the subset
+	// served by a recycled buffer; Puts the buffers accepted back by
+	// Recycle and by arena releases.
 	Gets, Hits, Puts uint64
 }
 
