@@ -635,10 +635,76 @@ func lstmCellBackwardRange(gi, gf, gg, go_, cPrev, cNew, dH, dC, dGates, dCPrev 
 
 // --- losses ---
 
-// bceWithLogitsRange writes the stabilized BCE for elements [lo,hi).
+// The exact BCE expressions cost a math.Exp (and, forward, a math.Log1p)
+// per element, yet ARGA's decoder logits sit almost all within a quarter of
+// zero, where short series give the same float64 values to well within the
+// float32 rounding of the result. Each kernel evaluates its series there and
+// keeps the result only when a rounding test proves it equal, bit for bit,
+// to what the exact expression (the fallback, and the whole kernel outside
+// the band) returns:
+//
+//   - The exact expression's float64 value R is within a few float64 ulp of
+//     the true value: math.Exp and math.Log1p err by about one ulp
+//     (~1e-16), and the rest is a few rounded adds. The series value r'
+//     is within 2^-50 of the true value, roundings included. So |R - r'|
+//     is below 2^-48 times the operands' scale, and the slack d, bceSlack
+//     times that scale, is 64x wider: R lies in [r'-d, r'+d].
+//   - Rounding to float32 is monotone, so float32(r'-d) <= float32(R) <=
+//     float32(r'+d). When both ends round to the same float32, that float32
+//     is float32(R), whatever R's last float64 bits are.
+//   - Otherwise R may sit too close to a float32 rounding boundary to tell,
+//     and the kernel evaluates the exact expression.
+//
+// The band and the slack are constants: moving either changes speed, never
+// bits. TestBCESeriesBound holds both series, and the exact expressions,
+// to 2^-50 of a 160-bit reference over the band; TestBCEFastPathBits sweeps
+// float32 logits across it against the exact expressions.
+const (
+	bceBand  = 0.25    // |x| at or below which the series are tried
+	bceSlack = 0x1p-42 // half-width of the rounding test per unit of scale
+)
+
+// log1pExpSeries returns ln(1+e^-|x|) for |x| <= bceBand. With z = |x|/2,
+// ln(1+e^-|x|) = ln2 - z + ln cosh z, and ln cosh z is the even series
+// sum 2^2n (2^2n - 1) B_2n z^2n / (2n (2n)!) over Bernoulli numbers B_2n;
+// its first omitted term is below 2^-53 for z <= 1/8.
+func log1pExpSeries(x float64) float64 {
+	w := x * x / 4 // z², exact
+	lc := w * (1.0/2 + w*(-1.0/12+w*(1.0/45+w*(-17.0/2520+w*(31.0/14175+w*(-691.0/935550))))))
+	return math.Ln2 + (lc - math.Abs(x)/2)
+}
+
+// sigmoidSeries returns 1/(1+e^-x) for |x| <= bceBand. With u = x/2,
+// 1/(1+e^-x) = 1/2 + tanh(u)/2, and tanh u is the odd series
+// sum 2^2n (2^2n - 1) B_2n u^(2n-1) / (2n)!; with the halving folded into
+// the coefficients, its first omitted term is below 2^-55 for u <= 1/8.
+func sigmoidSeries(x float64) float64 {
+	v := x * x / 4 // u², exact
+	return 0.5 + x*(1.0/4+v*(-1.0/12+v*(1.0/30+v*(-17.0/1260+v*(31.0/5670+v*(-691.0/311850+v*(5461.0/6081075)))))))
+}
+
+// pinned returns float32(v-d) and whether float32(v+d) has the same bits,
+// that is, whether every value within d of v rounds to the same float32.
+func pinned(v, d float64) (float32, bool) {
+	lo, hi := float32(v-d), float32(v+d)
+	return lo, math.Float32bits(lo) == math.Float32bits(hi)
+}
+
+// bceWithLogitsRange writes the stabilized BCE for elements [lo,hi). The
+// rounding argument is about finite values, so a non-finite target takes
+// the exact expression too: with a NaN one, both ends of the rounding test
+// would be NaN and pass it on the hardware's NaN propagation alone.
 func bceWithLogitsRange(logits, targets, out []float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		x, y := float64(logits[i]), float64(targets[i])
+		if math.Abs(x) <= bceBand && math.Abs(y) <= math.MaxFloat32 {
+			m := max(x, 0)
+			r := log1pExpSeries(x) + m - x*y
+			if v, ok := pinned(r, bceSlack*(1+m+math.Abs(x*y))); ok {
+				out[i] = v
+				continue
+			}
+		}
 		out[i] = float32(math.Log1p(math.Exp(-math.Abs(x))) + math.Max(x, 0) - x*y)
 	}
 }
@@ -646,8 +712,13 @@ func bceWithLogitsRange(logits, targets, out []float32, lo, hi int) {
 // bceWithLogitsBackwardRange writes (sigmoid(x)-y)*g for elements [lo,hi).
 func bceWithLogitsBackwardRange(logits, targets, dx []float32, g float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		sig := 1 / (1 + math.Exp(-float64(logits[i])))
-		dx[i] = (float32(sig) - targets[i]) * g
+		if x := float64(logits[i]); math.Abs(x) <= bceBand {
+			if sig, ok := pinned(sigmoidSeries(x), bceSlack); ok {
+				dx[i] = (sig - targets[i]) * g
+				continue
+			}
+		}
+		dx[i] = (sigmoid32(logits[i]) - targets[i]) * g
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -58,7 +59,7 @@ func FromEdges(rows, cols int, edges []Edge) *CSR {
 func (g *CSR) sortRows() {
 	for i := 0; i < g.Rows; i++ {
 		row := g.ColIdx[g.RowPtr[i]:g.RowPtr[i+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		slices.Sort(row)
 	}
 }
 

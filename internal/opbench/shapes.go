@@ -16,6 +16,7 @@ package opbench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"gnnmark/internal/backend"
@@ -329,6 +330,51 @@ func ewCase(label, kind string, n int, smoke bool) Case {
 	}
 }
 
+// bceCase builds a BCE-with-logits case of n elements against 0/1 targets
+// at the adjacency density of cora (0.17 %): kind "fwd" is the per-element
+// loss, "bwd" its gradient. wide=false draws the logits ARGA's inner-product
+// decoder issues, magnitudes log-uniform in [2^-16, 2^-2) and 99 % positive,
+// which the kernels' series fast path takes; wide=true draws them uniform in
+// [-8, 8), where almost every element takes the exact fallback.
+func bceCase(label, kind string, n int, wide bool) Case {
+	return Case{
+		Op:    OpElementWise,
+		Shape: fmt.Sprintf("%s:bce.%s.n%d", label, kind, n),
+		Bytes: 4 * int64(3*n),
+		Flops: int64(4 * n),
+		setup: func(rng *rand.Rand) func(be backend.Backend) {
+			logits := make([]float32, n)
+			targets := make([]float32, n)
+			for i := range logits {
+				if wide {
+					logits[i] = rng.Float32()*16 - 8
+				} else {
+					logits[i] = float32(math.Exp2(-16 + 14*rng.Float64()))
+					if rng.Float64() < 0.01 {
+						logits[i] = -logits[i]
+					}
+				}
+				if rng.Float64() < 0.0017 {
+					targets[i] = 1
+				}
+			}
+			out := make([]float32, n)
+			switch kind {
+			case "fwd":
+				return func(be backend.Backend) {
+					be.BCEWithLogits(logits, targets, out)
+				}
+			case "bwd":
+				return func(be backend.Backend) {
+					be.BCEWithLogitsBackward(logits, targets, out, 1.0/float32(n))
+				}
+			default:
+				panic("opbench: unknown BCE kind " + kind)
+			}
+		},
+	}
+}
+
 // Cases returns the full sweep in fixed definition order. Shape classes are
 // drawn from the suite:
 //
@@ -357,7 +403,9 @@ func ewCase(label, kind string, n int, smoke bool) Case {
 //   - Reduction: bias-gradient row reduction, per-node sums, scalar loss
 //     reduction.
 //   - ElementWise: optimizer-step-sized axpy, cora-sized ReLU, gate
-//     sigmoids, and the Tree-LSTM-sized small op.
+//     sigmoids, and the Tree-LSTM-sized small op; then ARGA's
+//     reconstruction loss on cora (2400 x 2400 decoder logits) and the
+//     same loss on wide logits, each forward and backward.
 func Cases() []Case {
 	return []Case{
 		// GEMM — m,n,k from actual layer dims.
@@ -405,6 +453,10 @@ func Cases() []Case {
 		ewCase("cora.relu", "relu", 2400*358, false),
 		ewCase("gate.sigmoid", "sigmoid", 1<<18, false),
 		ewCase("tlstm.small", "axpy", 4096, true),
+		bceCase("arga.recon", "fwd", 2400*2400, false),
+		bceCase("arga.recon", "bwd", 2400*2400, false),
+		bceCase("wide.logits", "fwd", 1<<18, true),
+		bceCase("wide.logits", "bwd", 1<<18, true),
 	}
 }
 

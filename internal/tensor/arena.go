@@ -51,30 +51,42 @@ func classCap(k int) int {
 }
 
 // New returns a zero-filled tensor of the given shape that lives until the
-// owner releases it.
+// owner releases it. A buffer allocated on a miss is already zero; only a
+// reused one is cleared.
 func (a *Arena) New(shape ...int) *Tensor {
-	t := a.Empty(shape...)
-	clear(t.data)
+	t, fresh := a.get(shape)
+	if !fresh {
+		clear(t.data)
+	}
 	return t
 }
 
 // Empty returns a tensor of the given shape whose contents are unspecified:
 // the caller writes every element before reading any.
 func (a *Arena) Empty(shape ...int) *Tensor {
+	t, _ := a.get(shape)
+	return t
+}
+
+// get returns a tensor of the given shape and whether its buffer was just
+// allocated, and so is zero.
+func (a *Arena) get(shape []int) (*Tensor, bool) {
 	n := checkShape(shape)
 	t := &Tensor{shape: append([]int(nil), shape...)}
 	if n == 0 {
 		t.data = []float32{}
-		return t
+		return t, true
 	}
-	t.data = a.take(n)
+	var fresh bool
+	t.data, fresh = a.take(n)
 	a.live = append(a.live, t)
-	return t
+	return t, fresh
 }
 
 // take returns an n-element slice of a free buffer of n's class, else of
-// one up to four classes (2x) above it, else of a new buffer of n's class.
-func (a *Arena) take(n int) []float32 {
+// one up to four classes (2x) above it, else of a new buffer of n's class;
+// it reports whether the buffer is new.
+func (a *Arena) take(n int) ([]float32, bool) {
 	k := classOf(n)
 	poolGets.Add(1)
 	for c := k; c <= k+4 && c < len(a.free); c++ {
@@ -87,9 +99,9 @@ func (a *Arena) take(n int) []float32 {
 		a.free[c] = s[:len(s)-1]
 		a.low[c] = min(a.low[c], len(s)-1)
 		poolHits.Add(1)
-		return buf[:n]
+		return buf[:n], false
 	}
-	return make([]float32, classCap(k))[:n]
+	return make([]float32, classCap(k))[:n], true
 }
 
 // Release returns t's buffer to the arena before the next ReleaseAll and

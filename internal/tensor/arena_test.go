@@ -105,3 +105,36 @@ func TestArenaDropForgetsWithoutPoisoning(t *testing.T) {
 		t.Fatal("Drop does not reset what the arena served")
 	}
 }
+
+func TestArenaNewIsZeroOnMissAndHit(t *testing.T) {
+	zero := func(what string, x *Tensor) {
+		t.Helper()
+		for i, v := range x.Data() {
+			if v != 0 {
+				t.Fatalf("%s: element %d is %v", what, i, v)
+			}
+		}
+	}
+	fill := func(x *Tensor) {
+		for i := range x.Data() {
+			x.Data()[i] = float32(i + 1)
+		}
+	}
+	var a Arena
+	before := GetPoolStats()
+	x := a.New(90)
+	if s := GetPoolStats(); s.Hits != before.Hits {
+		t.Fatal("the first request of an empty arena hit")
+	}
+	zero("miss", x)
+	fill(x)
+	a.Release(x)
+	y := a.New(90)
+	if s := GetPoolStats(); s.Hits-before.Hits != 1 {
+		t.Fatal("a request of a released class missed")
+	}
+	zero("hit", y)
+	fill(y)
+	a.Release(y)
+	zero("hit from a larger class", a.New(60))
+}
