@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -149,6 +150,12 @@ func TestCLI(t *testing.T) {
 		// Listed the keys in map order, different from run to run.
 		{args: "sweep -sweep nope -warps 64", exit: 1,
 			stderr: []string{`(have [DGCN/hidden DGCN/layers GW/dim PSAGE/walks STGCN/channels TLSTM/batch])`}},
+		// Panicked with a goroutine dump (-1), measured the default config
+		// under the label 0, or printed an empty table and exited 0.
+		{args: "sweep -sweep GW/dim -values 8,-1 -warps 64", exit: 1,
+			stderr: []string{"gnnmark: bench: sweep GW/dim: value -1 must be at least 1"}, notStderr: "goroutine", notStdout: "value"},
+		{args: "sweep -values= -warps 64", exit: 1,
+			stderr: []string{"gnnmark: bench: sweep DGCN/layers: no values"}, notStderr: "goroutine"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			dir := t.TempDir()
@@ -362,5 +369,55 @@ func TestDocsInvokeTheTable(t *testing.T) {
 	}
 	if seen < 60 {
 		t.Errorf("found %d documented invocations, expected the 60-odd the docs carry: is the extraction broken?", seen)
+	}
+}
+
+// TestEveryFuzzTargetRunsInCI holds ci.yml's fuzz step to the tree: every
+// func FuzzX in a _test.go file has exactly one `-fuzz '^FuzzX$' ... ./pkg`
+// line naming its package, and every such line names a target declared in
+// that package.
+func TestEveryFuzzTargetRunsInCI(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	declared := map[string]bool{} // "./pkg FuzzX"
+	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != repoRoot && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(repoRoot, filepath.Dir(path))
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			declared["./"+filepath.ToSlash(rel)+" "+m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := os.ReadFile(filepath.Join(repoRoot, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]int{}
+	for _, m := range regexp.MustCompile(`(?m)-fuzz '\^(\w+)\$' .* (\./\S+)\s*$`).FindAllStringSubmatch(string(ci), -1) {
+		runs[m[2]+" "+m[1]]++
+	}
+	for target := range declared {
+		if runs[target] != 1 {
+			t.Errorf("%s: ci.yml's fuzz step runs it %d times, want once", target, runs[target])
+		}
+	}
+	for target := range runs {
+		if !declared[target] {
+			t.Errorf("ci.yml fuzzes %s, which no _test.go file in that package declares", target)
+		}
 	}
 }

@@ -46,7 +46,6 @@ type Var struct {
 	back  func(dy *tensor.Tensor)
 	param *Param
 	tape  *Tape
-	order int
 }
 
 // accum adds dy into v's gradient, taking it from the arena on first touch.
@@ -87,7 +86,7 @@ func NewTape(e *ops.Engine) *Tape { return &Tape{E: e} }
 
 // node registers a new variable produced by an operation.
 func (t *Tape) node(val *tensor.Tensor, needGrad bool, back func(dy *tensor.Tensor)) *Var {
-	v := &Var{Value: val, needGrad: needGrad, back: back, tape: t, order: len(t.nodes)}
+	v := &Var{Value: val, needGrad: needGrad, back: back, tape: t}
 	t.nodes = append(t.nodes, v)
 	return v
 }

@@ -21,8 +21,7 @@ import (
 // (PSAGE on both datasets), shared by all figures.
 type Suite struct {
 	Results []core.RunResult
-	Config  core.RunConfig
-	// Device is the device model the runs used (Config's slot 0).
+	// Device is the device model the runs used (the run config's slot 0).
 	Device gpu.Config
 }
 
@@ -36,7 +35,7 @@ func Characterize(cfg core.RunConfig) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Suite{Results: results, Config: cfg, Device: dev}, nil
+	return &Suite{Results: results, Device: dev}, nil
 }
 
 // Averages holds the unweighted cross-workload means the paper quotes in

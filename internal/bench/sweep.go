@@ -44,11 +44,20 @@ func SweepParams() []string {
 }
 
 // Sweep profiles one workload across a hyperparameter's values. key is
-// "WORKLOAD/param" (see SweepParams).
+// "WORKLOAD/param" (see SweepParams). Every value must be at least 1: a zero
+// would take the model's default and a negative one cannot be built.
 func Sweep(key string, values []int, cfg core.RunConfig) ([]SweepPoint, error) {
 	config, ok := sweepConfigs[key]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown sweep %q (have %v)", key, SweepParams())
+	}
+	if len(values) == 0 {
+		return nil, fmt.Errorf("bench: sweep %s: no values", key)
+	}
+	for _, v := range values {
+		if v < 1 {
+			return nil, fmt.Errorf("bench: sweep %s: value %d must be at least 1", key, v)
+		}
 	}
 	cfg.Workload, _, _ = strings.Cut(key, "/")
 	cfg.Dataset = ""

@@ -30,9 +30,6 @@ type Spec struct {
 	Framework string
 	// Domain is the application domain.
 	Domain string
-	// GraphKind is the graph-data category (homogeneous, heterogeneous,
-	// dynamic, trees, batched small graphs).
-	GraphKind string
 	// Datasets lists usable dataset keys; the first is the default.
 	Datasets []string
 	// New constructs the workload on the given dataset from its model's
@@ -62,7 +59,7 @@ type Partitioner = func(g *graph.CSR, k int) ([]int32, int)
 var registry = []Spec{
 	{
 		Key: "PSAGE", Model: "PinSAGE", Framework: "DGL",
-		Domain: "Recommendation systems", GraphKind: "heterogeneous bipartite",
+		Domain:   "Recommendation systems",
 		Datasets: []string{"MVL", "NWP"}, Servable: true, config: models.PSAGEConfig{},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			gen := datasets.MovieLens
@@ -74,7 +71,7 @@ var registry = []Spec{
 	},
 	{
 		Key: "STGCN", Model: "Spatio-Temporal GCN", Framework: "PyTorch",
-		Domain: "Traffic forecasting", GraphKind: "dynamic (spatio-temporal)",
+		Domain:   "Traffic forecasting",
 		Datasets: []string{"METR-LA"}, config: models.STGCNConfig{},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewSTGCN(env, datasets.METRLA(env.RNG), cfg.(models.STGCNConfig))
@@ -82,7 +79,7 @@ var registry = []Spec{
 	},
 	{
 		Key: "DGCN", Model: "DeepGCN", Framework: "PyG",
-		Domain: "Molecular property prediction", GraphKind: "batched molecule graphs",
+		Domain:   "Molecular property prediction",
 		Datasets: []string{"ogbg-molhiv"}, Partitioned: true, config: models.DGCNConfig{},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewDGCN(env, datasets.MolHIV(env.RNG), cfg.(models.DGCNConfig))
@@ -90,7 +87,7 @@ var registry = []Spec{
 	},
 	{
 		Key: "GW", Model: "GraphWriter", Framework: "PyTorch",
-		Domain: "Text generation from knowledge graphs", GraphKind: "knowledge graphs",
+		Domain:   "Text generation from knowledge graphs",
 		Datasets: []string{"AGENDA"}, config: models.GWConfig{},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewGW(env, datasets.AGENDA(env.RNG), cfg.(models.GWConfig))
@@ -98,7 +95,7 @@ var registry = []Spec{
 	},
 	{
 		Key: "KGNNL", Model: "k-GNN (1-2-GNN)", Framework: "PyG",
-		Domain: "Protein classification", GraphKind: "batched small graphs",
+		Domain:   "Protein classification",
 		Datasets: []string{"PROTEINS"}, config: models.KGNNConfig{K: 2},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewKGNN(env, datasets.Proteins(env.RNG), cfg.(models.KGNNConfig))
@@ -106,7 +103,7 @@ var registry = []Spec{
 	},
 	{
 		Key: "KGNNH", Model: "k-GNN (1-2-3-GNN)", Framework: "PyG",
-		Domain: "Protein classification", GraphKind: "batched small graphs",
+		Domain:   "Protein classification",
 		Datasets: []string{"PROTEINS"}, config: models.KGNNConfig{K: 3},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewKGNN(env, datasets.Proteins(env.RNG), cfg.(models.KGNNConfig))
@@ -114,7 +111,7 @@ var registry = []Spec{
 	},
 	{
 		Key: "ARGA", Model: "Adversarially Regularized Graph Autoencoder", Framework: "PyG",
-		Domain: "Node clustering / graph embedding", GraphKind: "homogeneous citation graphs",
+		Domain:   "Node clustering / graph embedding",
 		Datasets: []string{"cora", "citeseer", "pubmed"}, Servable: true, Partitioned: true, config: models.ARGAConfig{},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewARGA(env, datasets.NewCitation(env.RNG, dataset), cfg.(models.ARGAConfig))
@@ -122,7 +119,7 @@ var registry = []Spec{
 	},
 	{
 		Key: "TLSTM", Model: "Child-Sum Tree-LSTM", Framework: "DGL",
-		Domain: "Sentiment classification", GraphKind: "batched trees",
+		Domain:   "Sentiment classification",
 		Datasets: []string{"SST"}, config: models.TLSTMConfig{},
 		New: func(env *models.Env, dataset string, cfg any) models.Workload {
 			return models.NewTLSTM(env, datasets.SST(env.RNG), cfg.(models.TLSTMConfig))

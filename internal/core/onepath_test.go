@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"maps"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -781,6 +782,178 @@ func TestEveryOptionIsSet(t *testing.T) {
 	t.Logf("%d option fields, %d set by no non-test file", len(key), len(unset))
 }
 
+// keptFields are the struct fields under internal/ and cmd/ that no non-test
+// file reads, each with the reason it stays. TestEveryFieldIsRead fails on an
+// entry that is gone or has found a reader, so the list only shrinks.
+var keptFields = map[string]string{
+	"datasets.Bipartite.Hetero":  "the one non-test user of graph.Hetero, whose tests the tier-1 floor lists",
+	"datasets.Bipartite.Users":   "drawn from the dataset RNG stream: dropping the draw would move every later value",
+	"datasets.Citation.Labels":   "drawn from the dataset RNG stream: dropping the draw would move every later value",
+	"datasets.KGExample.Rel":     "drawn from the dataset RNG stream: dropping the draw would move every later value",
+	"ddp.ElasticResult.Rounds":   "the elastic tests check when a failure struck, and the chaos golden digest prints its length",
+	"ddp.Round.Epochs":           "the elastic tests check how many epochs a round completed before its failure",
+	"ddp.Round.Failure":          "the elastic tests check which slot and event ended a round",
+	"exec.abortPanic.err":        "the panic value: Go prints it if an abort ever escapes a worker",
+	"graph.NeighborSample.Seed":  "names the node a sample was drawn for; the sampler tests check it",
+	"graph.PartitionPlan.Parts":  "the partitioner's label per node; the plan tests hold the local parts to it",
+	"obs.Span.Parent":            "the nesting the span tests check",
+	"partitioned.Result.Workers": "the trained ranks the equivalence tests compare with one device, parameter for parameter",
+	"serve.Request.Seq":          "the arrival number the admission-queue and trace tests identify requests by",
+	"tensor.PoolStats.Puts":      "the pool tests observe which buffers Recycle accepts through it",
+	"vmem.OOMError.Requested":    "payload of a returned error: the unrounded size a caller asked for",
+	"vmem.Stats.Coalesces":       "the allocator tests observe coalescing through it",
+	"vmem.Stats.Frees":           "the allocator tests count frees through it",
+	"vmem.Stats.SegmentsFreed":   "the allocator tests observe cached segments released under pressure through it",
+	"vmem.Stats.Splits":          "the allocator tests observe splitting through it",
+}
+
+// TestEveryFieldIsRead keeps write-only state from growing back: every
+// non-embedded field of every package-level struct type (aliases skipped)
+// declared in a non-test file under internal/ or cmd/ must be read by some
+// non-test file of the module, or sit in keptFields. Fields are matched by
+// object through go/types. A selector is a write, not a read, when it is the
+// left-hand side of an assignment, the operand of ++ or --, or the first
+// argument of a self-append (x.f = append(x.f, ...)); a composite-literal key
+// is a write too. encoding/json (Marshal, MarshalIndent, Encoder.Encode) and
+// the template packages' Execute read by reflection: every exported field of
+// every struct type reachable from the static type of such an argument,
+// through pointers, slices, arrays, maps and exported or embedded fields,
+// counts as read.
+func TestEveryFieldIsRead(t *testing.T) {
+	m := loadModule(t)
+
+	key := map[*types.Var]string{}
+	for p, pkg := range m.done {
+		if !strings.HasPrefix(p, "gnnmark/internal/") && !strings.HasPrefix(p, "gnnmark/cmd/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); !f.Embedded() {
+						key[f] = path.Base(p) + "." + name + "." + f.Name()
+					}
+				}
+			}
+		}
+	}
+
+	field := func(e ast.Expr) (*ast.SelectorExpr, *types.Var) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := m.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return sel, s.Obj().(*types.Var).Origin()
+			}
+		}
+		return nil, nil
+	}
+	read, seen := map[*types.Var]bool{}, map[types.Type]bool{}
+	var reach func(typ types.Type)
+	reach = func(typ types.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch u := typ.Underlying().(type) {
+		case *types.Pointer:
+			reach(u.Elem())
+		case *types.Slice:
+			reach(u.Elem())
+		case *types.Array:
+			reach(u.Elem())
+		case *types.Map:
+			reach(u.Key())
+			reach(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); f.Exported() || f.Embedded() {
+					read[f.Origin()] = true
+					reach(f.Type())
+				}
+			}
+		}
+	}
+	writes := map[*ast.SelectorExpr]bool{}
+	for _, file := range m.files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					sel, v := field(lhs)
+					if sel == nil {
+						continue
+					}
+					writes[sel] = true
+					if len(n.Rhs) != len(n.Lhs) {
+						continue
+					}
+					if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && len(call.Args) > 0 {
+						if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && m.info.Uses[fn] == types.Universe.Lookup("append") {
+							if arg, w := field(call.Args[0]); w == v {
+								writes[arg] = true
+							}
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, _ := field(n.X); sel != nil {
+					writes[sel] = true
+				}
+			case *ast.CallExpr:
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok || len(n.Args) == 0 {
+					break
+				}
+				fn, ok := m.info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					break
+				}
+				switch pkg, name := fn.Pkg().Path(), fn.Name(); {
+				case pkg == "encoding/json" && (name == "Marshal" || name == "MarshalIndent" || name == "Encode"):
+					reach(m.info.TypeOf(n.Args[0]))
+				case (pkg == "text/template" || pkg == "html/template") && name == "Execute":
+					reach(m.info.TypeOf(n.Args[len(n.Args)-1]))
+				}
+			}
+			return true
+		})
+	}
+	for sel, s := range m.info.Selections {
+		if s.Kind() == types.FieldVal && !writes[sel] {
+			read[s.Obj().(*types.Var).Origin()] = true
+		}
+	}
+
+	unread := map[string]bool{}
+	var errs []string
+	for v, k := range key {
+		if read[v] {
+			continue
+		}
+		unread[k] = true
+		if keptFields[k] == "" {
+			errs = append(errs, fmt.Sprintf("%s: %s is read by no non-test file: delete it with the code that fills it, or add it to keptFields with the reason it stays",
+				m.fset.Position(v.Pos()), k))
+		}
+	}
+	for k := range keptFields {
+		if !unread[k] {
+			errs = append(errs, fmt.Sprintf("keptFields lists %s, which is gone or has a reader now: drop the entry", k))
+		}
+	}
+	slices.Sort(errs)
+	for _, e := range errs {
+		t.Error(e)
+	}
+	if len(keptFields) > 19 {
+		t.Errorf("keptFields holds %d fields, want at most 19", len(keptFields))
+	}
+	t.Logf("%d struct fields, %d read by no non-test file", len(key), len(unread))
+}
+
 // module is the one type-checked load of the module both go/types guards
 // read: checking it, with the standard library from source, takes about a
 // second, so a test binary does it once.
@@ -811,6 +984,7 @@ func checkModule(root string) (*moduleChecker, error) {
 		std:  importer.ForCompiler(fset, "source", nil),
 		info: &types.Info{
 			Defs:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},

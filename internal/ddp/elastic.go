@@ -65,8 +65,6 @@ const (
 
 // Round records one cluster incarnation of an elastic run.
 type Round struct {
-	// Slots are the fleet slots that participated (index = rank).
-	Slots []int
 	// Epochs is the number of epochs the round completed.
 	Epochs int
 	// Failure is the failure that ended the round, nil for the last round.
@@ -181,7 +179,7 @@ func RunElastic(factory ReplicaFactory, world, epochs int, opts ElasticOptions) 
 		}
 		res.Losses = append(res.Losses, cr.Losses...)
 		res.EpochsCompleted += len(cr.EpochSeconds)
-		res.Rounds = append(res.Rounds, Round{Slots: append([]int(nil), alive...), Epochs: len(cr.EpochSeconds), Failure: ff})
+		res.Rounds = append(res.Rounds, Round{Epochs: len(cr.EpochSeconds), Failure: ff})
 		if ff == nil {
 			res.Replicas = cr.Replicas
 			break

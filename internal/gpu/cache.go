@@ -6,7 +6,6 @@ package gpu
 // write-allocate behavior of GPU L1/L2 sector caches).
 type Cache struct {
 	lineBytes int
-	numSets   int
 	ways      int
 	lineShift uint
 	setMask   uint64
@@ -22,9 +21,6 @@ type Cache struct {
 	// for the whole cache.
 	gen   []uint64
 	epoch uint64
-
-	hits   uint64
-	misses uint64
 }
 
 const invalidTag = ^uint64(0)
@@ -54,7 +50,6 @@ func NewCache(sizeBytes, lineBytes, ways int) *Cache {
 	}
 	c := &Cache{
 		lineBytes: lineBytes,
-		numSets:   numSets,
 		ways:      ways,
 		lineShift: shift,
 		setMask:   uint64(numSets - 1),
@@ -89,7 +84,6 @@ func (c *Cache) touch(line uint64) bool {
 		}
 	}
 	if tags[0] == line {
-		c.hits++
 		return true
 	}
 
@@ -98,24 +92,14 @@ func (c *Cache) touch(line uint64) bool {
 		w++
 	}
 	hit := w < len(tags)
-	if hit {
-		c.hits++
-	} else {
+	if !hit {
 		w--
-		c.misses++
 	}
 	copy(tags[1:w+1], tags[:w])
 	tags[0] = line
 	return hit
 }
 
-// ResetCounters zeroes the hit/miss counters but keeps cache contents,
-// allowing per-kernel accounting over a warm cache.
-func (c *Cache) ResetCounters() { c.hits, c.misses = 0, 0 }
-
-// Invalidate empties the cache and zeroes the counters, in constant time:
-// every set goes stale at once (see gen).
-func (c *Cache) Invalidate() {
-	c.epoch++
-	c.ResetCounters()
-}
+// Invalidate empties the cache in constant time: every set goes stale at
+// once (see gen).
+func (c *Cache) Invalidate() { c.epoch++ }

@@ -24,8 +24,8 @@ func TestNewCacheGeometry(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			c := NewCache(tt.size, tt.line, tt.ways)
-			if c.numSets != tt.wantSets {
-				t.Errorf("sets = %d, want %d", c.numSets, tt.wantSets)
+			if len(c.gen) != tt.wantSets {
+				t.Errorf("sets = %d, want %d", len(c.gen), tt.wantSets)
 			}
 			if c.ways != tt.wantWay {
 				t.Errorf("ways = %d, want %d", c.ways, tt.wantWay)
@@ -66,12 +66,11 @@ func TestCachePanicsOnBadGeometry(t *testing.T) {
 // used line after. It invalidates by clearing every way on the spot, so it
 // never holds a stale set.
 type refCache struct {
-	ways         int
-	lineShift    uint
-	setMask      uint64
-	tags, order  []uint64
-	clock        uint64
-	hits, misses uint64
+	ways        int
+	lineShift   uint
+	setMask     uint64
+	tags, order []uint64
+	clock       uint64
 }
 
 // newRefCache builds a reference cache of NewCache's geometry.
@@ -102,7 +101,6 @@ func (c *refCache) accessLineRef(addr uint64) bool {
 		idx := base + w
 		if c.tags[idx] == line {
 			c.order[idx] = c.clock
-			c.hits++
 			return true
 		}
 		if c.order[idx] < lruStamp {
@@ -113,7 +111,6 @@ func (c *refCache) accessLineRef(addr uint64) bool {
 	idx := base + lruWay
 	c.tags[idx] = line
 	c.order[idx] = c.clock
-	c.misses++
 	return false
 }
 
@@ -125,10 +122,7 @@ func (c *refCache) invalidateRef() {
 		c.order[i] = 0
 	}
 	c.clock = 0
-	c.resetCounters()
 }
-
-func (c *refCache) resetCounters() { c.hits, c.misses = 0, 0 }
 
 // lists returns every set's ways most recently used first — by falling
 // stamp, the empty ways (stamp 0) last — which is the form Cache stores.
@@ -170,9 +164,9 @@ func (c *Cache) lists() []uint64 {
 }
 
 // sameState reports whether a cache and its reference hold the same
-// most-recent-first list in every set and the same counters.
+// most-recent-first list in every set.
 func sameState(a *Cache, b *refCache) bool {
-	return slices.Equal(a.lists(), b.lists()) && a.hits == b.hits && a.misses == b.misses
+	return slices.Equal(a.lists(), b.lists())
 }
 
 // TestCacheAccessMatchesReference drives twin caches with the same address
@@ -202,7 +196,7 @@ func TestCacheAccessMatchesReference(t *testing.T) {
 // FuzzCacheEquivalence holds Cache to refCache on a fuzzed geometry — 1 to
 // 16 ways, line sizes 1 to 256 B, set counts that round down — and a fuzzed
 // stream of accesses near zero and near the top of the address space with
-// Invalidate and ResetCounters interleaved, comparing after every step: run
+// Invalidate interleaved, comparing after every step: run
 // the committed corpus with `go test`, mutate with
 // `go test -run '^$' -fuzz '^FuzzCacheEquivalence$' -fuzztime 10s ./internal/gpu`.
 func FuzzCacheEquivalence(f *testing.F) {
@@ -226,9 +220,6 @@ func FuzzCacheEquivalence(f *testing.F) {
 			case 0:
 				got.Invalidate()
 				want.invalidateRef()
-			case 1:
-				got.ResetCounters()
-				want.resetCounters()
 			default:
 				addr := uint64(next())*uint64(line) + uint64(op>>4&3)
 				if op&64 != 0 {
@@ -239,7 +230,7 @@ func FuzzCacheEquivalence(f *testing.F) {
 				}
 			}
 			if !sameState(got, want) {
-				t.Fatalf("%d B, %d B lines, %d ways: step %d (op %#x): lists or counters differ", size, line, ways, i, op)
+				t.Fatalf("%d B, %d B lines, %d ways: step %d (op %#x): lists differ", size, line, ways, i, op)
 			}
 		}
 	})
@@ -307,16 +298,13 @@ func TestCacheColdMissThenHit(t *testing.T) {
 	if c.AccessLine(64) {
 		t.Fatal("next line must miss")
 	}
-	if c.hits != 2 || c.misses != 2 {
-		t.Fatalf("counters = %d/%d, want 2/2", c.hits, c.misses)
-	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	// 2-way, line 64, 2 sets => set 0 holds lines {0, 2, 4, ...}.
 	c := NewCache(256, 64, 2)
-	if c.numSets != 2 {
-		t.Fatalf("sets = %d, want 2", c.numSets)
+	if len(c.gen) != 2 {
+		t.Fatalf("sets = %d, want 2", len(c.gen))
 	}
 	c.AccessLine(0 * 64) // set 0, miss
 	c.AccessLine(2 * 64) // set 0, miss
@@ -335,14 +323,16 @@ func TestCacheWorkingSetFits(t *testing.T) {
 	// after the first (cold) pass, regardless of access order.
 	c := NewCache(64<<10, 128, 4)
 	lines := 256 // 32 KB working set in a 64 KB cache
+	misses := 0
 	for pass := 0; pass < 4; pass++ {
 		for i := 0; i < lines; i++ {
-			c.AccessLine(uint64(i * 128))
+			if !c.AccessLine(uint64(i * 128)) {
+				misses++
+			}
 		}
 	}
-	wantMisses := uint64(lines)
-	if c.misses != wantMisses {
-		t.Fatalf("misses = %d, want %d (cold only)", c.misses, wantMisses)
+	if misses != lines {
+		t.Fatalf("misses = %d, want %d (cold only)", misses, lines)
 	}
 }
 
@@ -350,23 +340,37 @@ func TestCacheStreamingThrashes(t *testing.T) {
 	// A stream 16x the cache size must miss on (almost) every line.
 	c := NewCache(4<<10, 64, 4)
 	n := 16 * 4 << 10 / 64
+	hits := 0
 	for i := 0; i < n; i++ {
-		c.AccessLine(uint64(i * 64))
+		if c.AccessLine(uint64(i * 64)) {
+			hits++
+		}
 	}
-	if c.hits != 0 {
-		t.Fatalf("streaming pass produced %d hits, want 0", c.hits)
+	if hits != 0 {
+		t.Fatalf("streaming pass produced %d hits, want 0", hits)
 	}
 }
 
+// TestCacheResetCountersKeepsContents: a kernel's cache counters start from
+// zero while the L2 keeps its contents across launches. The second launch of
+// the same loads misses the L1 (emptied per kernel) and hits the warm L2, and
+// counts none of the first launch's misses.
 func TestCacheResetCountersKeepsContents(t *testing.T) {
-	c := NewCache(1024, 64, 2)
-	c.AccessLine(0)
-	c.ResetCounters()
-	if c.hits != 0 || c.misses != 0 {
-		t.Fatal("counters not reset")
+	d := New(testConfig())
+	launch := func() KernelStats {
+		return d.Launch(&Kernel{
+			Name: "k", Class: OpGather, Threads: 1024,
+			Mix:      InstrMix{Load: 1024},
+			Accesses: []Access{{Kind: LoadAccess, Base: 1 << 20, ElemBytes: 4, Count: 1024, Stride: 1}},
+		})
 	}
-	if !c.AccessLine(0) {
-		t.Fatal("contents should survive ResetCounters")
+	cold, warm := launch(), launch()
+	if cold.L2Misses == 0 || cold.L2Hits != 0 {
+		t.Fatalf("cold launch: L2 %d hits, %d misses, want misses only", cold.L2Hits, cold.L2Misses)
+	}
+	if warm.L1Hits != cold.L1Hits || warm.L2Hits != cold.L2Misses || warm.L2Misses != 0 {
+		t.Fatalf("warm launch: L1 %d hits, L2 %d hits, %d misses; want the cold launch's %d L1 hits and its %d L2 misses as hits",
+			warm.L1Hits, warm.L2Hits, warm.L2Misses, cold.L1Hits, cold.L2Misses)
 	}
 }
 
@@ -403,18 +407,16 @@ func TestCacheInvalidateMatchesReference(t *testing.T) {
 }
 
 func TestCacheHitRateBounds(t *testing.T) {
-	// Property: hit rate is always within [0,1] and hits+misses equals the
-	// number of accesses.
+	// Property: hit rate is always within [0,1].
 	f := func(addrs []uint16) bool {
 		c := NewCache(2048, 64, 2)
+		var hits uint64
 		for _, a := range addrs {
-			c.AccessLine(uint64(a))
+			if c.AccessLine(uint64(a)) {
+				hits++
+			}
 		}
-		total := c.hits + c.misses
-		if total != uint64(len(addrs)) {
-			return false
-		}
-		hr := KernelStats{L1Hits: c.hits, L1Misses: c.misses}.L1HitRate()
+		hr := KernelStats{L1Hits: hits, L1Misses: uint64(len(addrs)) - hits}.L1HitRate()
 		return hr >= 0 && hr <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -429,17 +431,16 @@ func TestCacheDeterminism(t *testing.T) {
 	for i := range stream {
 		stream[i] = uint64(rng.Intn(1 << 16))
 	}
-	run := func() (uint64, uint64) {
+	run := func() []bool {
 		c := NewCache(8<<10, 64, 4)
-		for _, a := range stream {
-			c.AccessLine(a)
+		hits := make([]bool, len(stream))
+		for i, a := range stream {
+			hits[i] = c.AccessLine(a)
 		}
-		return c.hits, c.misses
+		return hits
 	}
-	h1, m1 := run()
-	h2, m2 := run()
-	if h1 != h2 || m1 != m2 {
-		t.Fatalf("nondeterministic cache: (%d,%d) vs (%d,%d)", h1, m1, h2, m2)
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatal("nondeterministic cache: the same stream hit differently")
 	}
 }
 
@@ -465,7 +466,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 				c := NewCache(g.size, g.line, g.ways)
 				addrs := make([]uint64, s.lines)
 				for i := range addrs {
-					addrs[i] = uint64(i*c.numSets*g.line) + 1<<20
+					addrs[i] = uint64(i*len(c.gen)*g.line) + 1<<20
 				}
 				for _, a := range addrs {
 					c.AccessLine(a)

@@ -296,7 +296,6 @@ func (d *Device) model(k *Kernel) KernelStats {
 	stats := KernelStats{
 		Name:           k.Name,
 		Class:          k.Class,
-		Threads:        k.Threads,
 		Mix:            k.Mix,
 		Flops:          k.Flops,
 		Iops:           k.Iops,
@@ -312,8 +311,8 @@ func (d *Device) model(k *Kernel) KernelStats {
 	d.timeKernel(k, mem, &stats)
 
 	// A thermal clamp stretches execution time without changing the work:
-	// the same cycles run at a lower clock, so Seconds scales while Cycles,
-	// IPC, and every cache/instruction counter stay bitwise identical.
+	// the same cycles run at a lower clock, so Seconds scales while IPC and
+	// every cache/instruction counter stay bitwise identical.
 	stats.Seconds *= d.kernelMult
 
 	// Host dispatch runs asynchronously ahead of the GPU: launch overhead
@@ -332,8 +331,6 @@ type memResult struct {
 	l2Hits, l2Misses uint64
 	loadWarps        uint64
 	divergentLoads   uint64
-	// warpTransactions is the number of line-level transactions issued.
-	warpTransactions uint64
 	// latencyCycles is the sum of per-transaction service latencies.
 	latencyCycles float64
 }
@@ -357,7 +354,6 @@ func (d *Device) replayMemory(k *Kernel) memResult {
 	scale := uint64(sample)
 	l1, l2 := d.l1For(sample), d.l2
 	l1.Invalidate()
-	l2.ResetCounters()
 
 	// An L1 line number becomes an L2 line number by the difference of the
 	// two shifts; one of up and down is zero.
@@ -425,7 +421,6 @@ func (d *Device) replayMemory(k *Kernel) memResult {
 					}
 				}
 				for _, line := range lineBuf[:nLines] {
-					res.warpTransactions += scale
 					if useL1 && l1.touch(line) {
 						res.l1Hits += scale
 						res.latencyCycles += l1Lat
@@ -499,7 +494,7 @@ func (a *Access) coalescesToRun(lanes, lineBytes int) bool {
 	return step == 0 || uint64(lanes-1) <= (math.MaxUint64-a.Base)/step
 }
 
-// timeKernel fills Seconds, Launch, Cycles, Stalls, and IPC. The latency
+// timeKernel fills Seconds, Launch, Stalls, and IPC. The latency
 // model is a bottleneck ("roofline with exposure") formulation:
 //
 //	cycles = max(compute, L2 BW, DRAM BW, fetch) + exposed memory latency
@@ -616,7 +611,6 @@ func (d *Device) timeKernel(k *Kernel, mem memResult, st *KernelStats) {
 	}
 	st.Stalls.Normalize()
 
-	st.Cycles = cycles
 	st.Seconds = cycles / cfg.ClockHz()
 	st.Launch = cfg.LaunchOverheadUS * 1e-6
 	// IPC per active SM (nvprof's executed_ipc is per-SM over SMs with

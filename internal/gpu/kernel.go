@@ -155,13 +155,11 @@ func (s *StallBreakdown) Normalize() {
 // KernelStats is the per-launch counter set the profiler consumes: the
 // synthetic equivalent of one nvprof row plus NVBit divergence data.
 type KernelStats struct {
-	Name    string
-	Class   OpClass
-	Threads int
+	Name  string
+	Class OpClass
 
 	Seconds float64 // modeled kernel latency (excludes launch overhead)
 	Launch  float64 // modeled launch overhead in seconds
-	Cycles  float64
 
 	Mix   InstrMix
 	Flops uint64

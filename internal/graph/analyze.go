@@ -8,10 +8,7 @@ import (
 // DegreeStats summarizes a CSR's in-degree distribution: the knobs that
 // drive GNN kernel behavior (SpMM row lengths, gather fan-in, load balance).
 type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-	// P50, P90, P99 are degree percentiles.
-	P50, P90, P99 int
+	Max int
 	// Gini is the degree Gini coefficient in [0,1]: 0 = perfectly regular,
 	// near 1 = extremely skewed (scale-free graphs score high).
 	Gini float64
@@ -29,15 +26,7 @@ func Degrees(g *CSR) DegreeStats {
 		sum += ds[i]
 	}
 	sort.Ints(ds)
-	pct := func(p float64) int { return ds[int(p*float64(len(ds)-1))] }
-	st := DegreeStats{
-		Min:  ds[0],
-		Max:  ds[len(ds)-1],
-		Mean: float64(sum) / float64(g.Rows),
-		P50:  pct(0.50),
-		P90:  pct(0.90),
-		P99:  pct(0.99),
-	}
+	st := DegreeStats{Max: ds[len(ds)-1]}
 	// Gini over the sorted degree sequence.
 	if sum > 0 {
 		var cum float64

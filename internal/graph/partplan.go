@@ -20,7 +20,6 @@ import (
 // activations match single-device training exactly; only cross-partition
 // gradient accumulation reassociates.
 type PartitionPlan struct {
-	K       int
 	N       int     // global node count
 	Parts   []int32 // part id per global node
 	EdgeCut int
@@ -96,7 +95,7 @@ func NewPartitionPlan(g *CSR, parts []int32, k int) *PartitionPlan {
 		panic(fmt.Sprintf("graph: %d labels for %d nodes", len(parts), g.Rows))
 	}
 	n := g.Rows
-	plan := &PartitionPlan{K: k, N: n, Parts: parts, EdgeCut: countCut(g, parts), Local: make([]*LocalPart, k)}
+	plan := &PartitionPlan{N: n, Parts: parts, EdgeCut: countCut(g, parts), Local: make([]*LocalPart, k)}
 	for p := 0; p < k; p++ {
 		plan.Local[p] = &LocalPart{localOf: make([]int32, n)}
 		for i := range plan.Local[p].localOf {

@@ -24,7 +24,6 @@ type DNN struct {
 	labels []int32
 
 	imgSize   int
-	channels  []int
 	batch     int
 	batches   int
 	flatWidth int
@@ -58,11 +57,10 @@ func (c *DNNConfig) defaults() {
 func NewDNN(env *Env, cfg DNNConfig) *DNN {
 	cfg.defaults()
 	m := &DNN{
-		trainer:  trainer{env: env},
-		imgSize:  cfg.ImageSize,
-		channels: cfg.Channels,
-		batch:    cfg.BatchSize,
-		batches:  cfg.Batches,
+		trainer: trainer{env: env},
+		imgSize: cfg.ImageSize,
+		batch:   cfg.BatchSize,
+		batches: cfg.Batches,
 	}
 	in := 3
 	for i, ch := range cfg.Channels {

@@ -11,17 +11,15 @@ import (
 // the i,f,g,o gate layout.
 type LSTMCell struct {
 	Wx, Wh, B *autograd.Param
-	Hidden    int
 }
 
 // NewLSTMCell builds an LSTM cell mapping in -> hidden.
 func NewLSTMCell(rng *rand.Rand, name string, in, hidden int) *LSTMCell {
 	mustPositive("hidden", hidden)
 	return &LSTMCell{
-		Wx:     autograd.NewParam(name+".wx", glorot(rng, in, 4*hidden, in, 4*hidden)),
-		Wh:     autograd.NewParam(name+".wh", glorot(rng, hidden, 4*hidden, hidden, 4*hidden)),
-		B:      autograd.NewParam(name+".b", tensor.New(4*hidden)),
-		Hidden: hidden,
+		Wx: autograd.NewParam(name+".wx", glorot(rng, in, 4*hidden, in, 4*hidden)),
+		Wh: autograd.NewParam(name+".wh", glorot(rng, hidden, 4*hidden, hidden, 4*hidden)),
+		B:  autograd.NewParam(name+".b", tensor.New(4*hidden)),
 	}
 }
 

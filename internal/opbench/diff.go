@@ -50,7 +50,6 @@ type Row struct {
 	Op, Shape, Backend string
 	OldMedianNs        int64
 	NewMedianNs        int64
-	OldMADNs, NewMADNs int64
 	Ratio              float64
 	Significant        bool
 	Verdict            Verdict
@@ -104,7 +103,6 @@ func Compare(old, new *Report, cfg DiffConfig) (*Diff, error) {
 		row := Row{
 			Op: o.Op, Shape: o.Shape, Backend: o.Backend,
 			OldMedianNs: o.MedianNs, NewMedianNs: n.MedianNs,
-			OldMADNs: o.MADNs, NewMADNs: n.MADNs,
 			Verdict: VerdictUnchanged,
 		}
 		if o.MedianNs > 0 {

@@ -97,7 +97,6 @@ type Result struct {
 }
 
 type engine struct {
-	g      *exec.Group
 	gather *exec.Gather
 	cfg    Config
 	world  int
@@ -321,7 +320,7 @@ func Train(factory Factory, world, epochs int, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("partitioned: %d monitors for world size %d", len(cfg.Monitors), world)
 	}
 	g := exec.NewGroup(world)
-	eng := &engine{g: g, gather: exec.NewGather(g), cfg: cfg, world: world}
+	eng := &engine{gather: exec.NewGather(g), cfg: cfg, world: world}
 	// Stop every rank's loader workers once the run is over.
 	defer func() {
 		for _, wk := range eng.workers {

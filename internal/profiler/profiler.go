@@ -95,7 +95,6 @@ func (c *ClassStats) GIOPS() float64 {
 // TransferSample is one recorded host-to-device copy.
 type TransferSample struct {
 	Iteration int
-	Name      string
 	Bytes     uint64
 	ZeroFrac  float64
 }
@@ -142,7 +141,6 @@ func (p *Profiler) onTransfer(ts gpu.TransferStats) {
 	}
 	p.transfers = append(p.transfers, TransferSample{
 		Iteration: p.iteration,
-		Name:      ts.Name,
 		Bytes:     ts.Bytes,
 		ZeroFrac:  ts.ZeroFraction,
 	})

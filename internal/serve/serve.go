@@ -45,8 +45,7 @@ type Model interface {
 }
 
 // Request is one inference query: embed item Item, arriving at sim time
-// Time (seconds). Seq is a global arrival sequence number used only for
-// deterministic tie-breaks.
+// Time (seconds). Seq is its arrival sequence number.
 type Request struct {
 	Time float64
 	Item int32

@@ -28,8 +28,6 @@ type Config struct {
 
 // Stats is one endpoint's measured serving behavior over a Run.
 type Stats struct {
-	Endpoint string
-
 	Arrived   int64
 	Completed int64 // served (computed or cache hit)
 	Rejected  int64 // admission overload
@@ -148,7 +146,7 @@ func (s *Server) Run(src *SliceSource) (Stats, error) {
 	var (
 		comps     completionHeap
 		latencies []float64
-		st        = Stats{Endpoint: s.cfg.Endpoint}
+		st        Stats
 		seq       int
 	)
 	record := func(lat float64) {

@@ -46,7 +46,7 @@ func New(dev *gpu.Device) *Timeline {
 
 // NewStream adds a named stream starting at t = 0.
 func (tl *Timeline) NewStream(name string) *Stream {
-	s := &Stream{tl: tl, id: len(tl.streams), name: name}
+	s := &Stream{tl: tl, name: name}
 	s.ran = func(st gpu.KernelStats) { s.enqueue(st.Name, "kernel", st.Seconds+st.Launch, 0) }
 	tl.streams = append(tl.streams, s)
 	return s
@@ -84,32 +84,20 @@ type Slice struct {
 	Bytes      uint64 // wire bytes for copies, 0 for kernels
 }
 
-// Lane is the export view of one stream: its accounting plus the recorded
-// slices, consumed by the Chrome-trace writer.
+// Lane is the export view of one stream: its recorded slices, consumed by
+// the Chrome-trace writer.
 type Lane struct {
-	Name       string
-	Busy, Idle float64
-	Slices     []Slice
-	Dropped    int
+	Name    string
+	Slices  []Slice
+	Dropped int
 }
 
-// Lanes snapshots every stream for trace export. Idle is measured against
-// the current makespan.
+// Lanes snapshots every stream for trace export.
 func (tl *Timeline) Lanes() []Lane {
-	now := tl.Now()
+	tl.dev.Sync()
 	lanes := make([]Lane, 0, len(tl.streams))
 	for _, s := range tl.streams {
-		idle := now - s.busy
-		if idle < 0 {
-			idle = 0
-		}
-		lanes = append(lanes, Lane{
-			Name:    s.name,
-			Busy:    s.busy,
-			Idle:    idle,
-			Slices:  s.slices,
-			Dropped: s.dropped,
-		})
+		lanes = append(lanes, Lane{Name: s.name, Slices: s.slices, Dropped: s.dropped})
 	}
 	return lanes
 }
@@ -118,7 +106,6 @@ func (tl *Timeline) Lanes() []Lane {
 // clock, starting no earlier than any fence installed by Wait/WaitUntil.
 type Stream struct {
 	tl     *Timeline
-	id     int
 	name   string
 	cursor float64 // when the last enqueued item finishes
 	fence  float64 // earliest start for the next item (cross-stream deps)

@@ -109,7 +109,7 @@ func TestWireBytesShrinkStreamTime(t *testing.T) {
 	}
 }
 
-// Lanes snapshot busy/idle against the makespan and carry the slices.
+// Lanes carry every stream's slices.
 func TestLanesAccounting(t *testing.T) {
 	tl := New(testDev())
 	compute := tl.NewStream("compute")
@@ -121,11 +121,7 @@ func TestLanesAccounting(t *testing.T) {
 	if len(lanes) != 2 {
 		t.Fatalf("lanes = %d", len(lanes))
 	}
-	now := tl.Now()
 	for _, ln := range lanes {
-		if !close1(ln.Busy+ln.Idle, now) {
-			t.Fatalf("lane %s: busy %g + idle %g != makespan %g", ln.Name, ln.Busy, ln.Idle, now)
-		}
 		if len(ln.Slices) != 1 || ln.Dropped != 0 {
 			t.Fatalf("lane %s: %d slices, %d dropped", ln.Name, len(ln.Slices), ln.Dropped)
 		}

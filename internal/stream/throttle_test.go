@@ -109,7 +109,7 @@ func TestThrottleKeepsDigestInputsIdentical(t *testing.T) {
 	a := heavyLaunch(base.NewStream("c"))
 	b := heavyLaunch(hot.NewStream("c"))
 	if a.L1Hits != b.L1Hits || a.L2Misses != b.L2Misses || a.DRAMBytes != b.DRAMBytes ||
-		a.Mix != b.Mix || a.Cycles != b.Cycles || a.IPC != b.IPC {
+		a.Mix != b.Mix || a.IPC != b.IPC {
 		t.Fatalf("counters diverged under throttle:\n%+v\nvs\n%+v", a, b)
 	}
 	if b.Seconds <= a.Seconds {

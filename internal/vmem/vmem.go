@@ -90,7 +90,6 @@ type segment struct {
 type Block struct {
 	addr       uint64
 	size       int64 // usable (rounded) bytes
-	requested  int64 // bytes the caller asked for
 	tag        string
 	shape      []int // with tag, names the block in an OOM report (see label)
 	seg        *segment
@@ -112,17 +111,15 @@ func Placeholder(addr uint64, size int64) *Block {
 
 // Stats is a snapshot of allocator counters.
 type Stats struct {
-	// Capacity is the HBM budget; Reserved the bytes held in segments;
-	// Live the bytes in handed-out blocks; the peaks are high-water marks
-	// (reset with ResetPeak).
-	Capacity, Reserved, Live int64
-	PeakLive, PeakReserved   int64
-	Allocs, Frees            uint64
-	ReuseHits                uint64 // allocations served from the free lists
-	Splits, Coalesces        uint64
-	SegmentsAllocated        uint64
-	SegmentsFreed            uint64 // cached segments released under pressure
-	OOMs                     uint64
+	// Reserved is the bytes held in segments; Live the bytes in handed-out
+	// blocks; the peaks are high-water marks (reset with ResetPeak).
+	Reserved, Live         int64
+	PeakLive, PeakReserved int64
+	Allocs, Frees          uint64
+	ReuseHits              uint64 // allocations served from the free lists
+	Splits, Coalesces      uint64
+	SegmentsFreed          uint64 // cached segments released under pressure
+	OOMs                   uint64
 }
 
 // ReuseRate returns the fraction of allocations served without reserving
@@ -172,7 +169,6 @@ func New(capacity int64) *Allocator {
 		capacity: capacity,
 		cursor:   SmallSegment, // leave page zero unmapped, like a real driver
 		live:     map[*Block]struct{}{},
-		stats:    Stats{Capacity: capacity},
 	}
 }
 
@@ -195,7 +191,7 @@ func (a *Allocator) Alloc(bytes int64, tag string, shape ...int) (*Block, error)
 	if b := a.takeFree(pool, rounded); b != nil {
 		a.stats.ReuseHits++
 		obsReuse.Inc()
-		return a.commit(b, rounded, bytes, tag, shape), nil
+		return a.commit(b, rounded, tag, shape), nil
 	}
 
 	segSize := SegmentSize(rounded)
@@ -210,7 +206,7 @@ func (a *Allocator) Alloc(bytes int64, tag string, shape ...int) (*Block, error)
 		return nil, a.oomLocked(bytes, rounded, segSize, label(tag, shape))
 	}
 	b := a.reserveSegment(segSize, pool == 0)
-	return a.commit(b, rounded, bytes, tag, shape), nil
+	return a.commit(b, rounded, tag, shape), nil
 }
 
 // Free returns a block to its free list, coalescing with free neighbors.
@@ -355,7 +351,7 @@ func (a *Allocator) removeFree(b *Block) {
 
 // commit splits b down to the rounded size when worthwhile, marks it live,
 // and updates the gauges.
-func (a *Allocator) commit(b *Block, rounded, requested int64, tag string, shape []int) *Block {
+func (a *Allocator) commit(b *Block, rounded int64, tag string, shape []int) *Block {
 	if b.size-rounded >= MinBlockSize {
 		rem := &Block{
 			addr: b.addr + uint64(rounded),
@@ -374,7 +370,6 @@ func (a *Allocator) commit(b *Block, rounded, requested int64, tag string, shape
 		a.stats.Splits++
 	}
 	b.free = false
-	b.requested = requested
 	b.tag, b.shape = tag, shape
 	a.live[b] = struct{}{}
 	a.stats.Allocs++
@@ -397,7 +392,6 @@ func (a *Allocator) reserveSegment(size int64, small bool) *Block {
 	if a.stats.Reserved > a.stats.PeakReserved {
 		a.stats.PeakReserved = a.stats.Reserved
 	}
-	a.stats.SegmentsAllocated++
 	obsReserved.Add(size)
 	return &Block{addr: seg.base, size: size, seg: seg}
 }
