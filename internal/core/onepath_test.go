@@ -30,6 +30,7 @@ import (
 	"gnnmark/internal/loader"
 	"gnnmark/internal/models"
 	"gnnmark/internal/ops"
+	"gnnmark/internal/serve"
 	"gnnmark/internal/vmem"
 )
 
@@ -93,6 +94,19 @@ func TestOOMIsAnErrorOnEveryPlane(t *testing.T) {
 			_, err := ddp.Train(core.DDPFactory(cfg), 2, 1, ddp.ClusterConfig{})
 			return err
 		}, true},
+		"Serve": {func() error {
+			m, rep, err := core.NewServable(core.RunConfig{Workload: "PSAGE", SampledWarps: 64, HBMGB: 2.0 / 1024}, 0, nil)
+			if err != nil {
+				return err
+			}
+			defer rep.Env.Close()
+			ids := make([]int32, 64)
+			for i := range ids {
+				ids[i] = int32(i)
+			}
+			_, _, err = serve.NewReplica(0, m, rep.Env.SimClock).Serve(ids)
+			return err
+		}, false},
 	} {
 		err := tc.run()
 		var oom *vmem.OOMError

@@ -21,6 +21,10 @@ type Cache struct {
 	// for the whole cache.
 	gen   []uint64
 	epoch uint64
+
+	// evictions counts the misses that dropped a line rather than an empty
+	// way; the replay compares it across one rep of a repeated access.
+	evictions uint64
 }
 
 const invalidTag = ^uint64(0)
@@ -72,7 +76,8 @@ func (c *Cache) AccessLine(addr uint64) bool {
 // (addr >> lineShift). A hit at the front of the set's list returns at once;
 // a deeper hit moves its line to the front. A miss shifts the whole list down
 // one way, which drops the last way (an empty one if the set has any, else
-// the least recently used line), and puts the new line at the front.
+// the least recently used line, an eviction), and puts the new line at the
+// front.
 func (c *Cache) touch(line uint64) bool {
 	set := int(line & c.setMask)
 	base := set * c.ways
@@ -94,6 +99,9 @@ func (c *Cache) touch(line uint64) bool {
 	hit := w < len(tags)
 	if !hit {
 		w--
+		if tags[w] != invalidTag {
+			c.evictions++
+		}
 	}
 	copy(tags[1:w+1], tags[:w])
 	tags[0] = line

@@ -345,8 +345,10 @@ type memResult struct {
 // state depends on. For a strided access whose byte step is non-negative and
 // at most one line, lane addresses never decrease and never skip a line, so
 // that order is the ascending run firstLine..lastLine and needs no per-lane
-// work; every other access walks its lanes. replayMemoryRef in
-// device_test.go is the lane-by-lane walk this must equal field for field.
+// work; every other access walks its lanes. The reps of a repeated access
+// after one that evicts nothing are counted, not walked (DESIGN.md §3).
+// replayMemoryRef in device_test.go is the lane-by-lane walk this must equal
+// field for field.
 func (d *Device) replayMemory(k *Kernel) memResult {
 	var res memResult
 
@@ -368,6 +370,12 @@ func (d *Device) replayMemory(k *Kernel) memResult {
 	l1Lat := float64(scale) * d.cfg.L1LatencyCycles
 	l2Lat := float64(scale) * d.cfg.L2LatencyCycles
 	dramLat := float64(scale) * d.cfg.DRAMLatencyCycles
+	// entry is the level every touch reaches first. A line number of all
+	// ones reads as an empty way, so one-byte lines never settle.
+	entry, entryLat, entryHits := l1, l1Lat, &res.l1Hits
+	if !useL1 {
+		entry, entryLat, entryHits = l2, l2Lat, &res.l2Hits
+	}
 	var lineBuf [32]uint64
 
 	for i := range k.Accesses {
@@ -381,7 +389,9 @@ func (d *Device) replayMemory(k *Kernel) memResult {
 		elem := uint64(a.ElemBytes)
 		step := uint64(a.Stride) * elem
 		run := a.coalescesToRun(lanes, l1.lineBytes)
-		for rep := a.repeats(); rep > 0; rep-- {
+		for rep, reps := 1, a.repeats(); rep <= reps; rep++ {
+			evictions, loadWarps, divergentLoads := entry.evictions, res.loadWarps, res.divergentLoads
+			touches := 0
 			for w := 0; w < warps; w += sample {
 				startLane := w * 32
 				endLane := min(startLane+32, lanes)
@@ -420,6 +430,7 @@ func (d *Device) replayMemory(k *Kernel) memResult {
 						res.divergentLoads += scale
 					}
 				}
+				touches += nLines
 				for _, line := range lineBuf[:nLines] {
 					if useL1 && l1.touch(line) {
 						res.l1Hits += scale
@@ -435,6 +446,22 @@ func (d *Device) replayMemory(k *Kernel) memResult {
 						res.latencyCycles += dramLat
 					}
 				}
+			}
+			if left := reps - rep; left > 0 && entry.lineShift > 0 && entry.evictions == evictions {
+				// Every line the rep touched is still in entry, so each later
+				// rep hits on every touch and leaves the LRU order as it is.
+				// Latency goes in per touch, as the walk adds it.
+				hits := uint64(left*touches) * scale
+				if !useL1 {
+					res.l1Misses += hits
+				}
+				*entryHits += hits
+				res.loadWarps += uint64(left) * (res.loadWarps - loadWarps)
+				res.divergentLoads += uint64(left) * (res.divergentLoads - divergentLoads)
+				for n := left * touches; n > 0; n-- {
+					res.latencyCycles += entryLat
+				}
+				break
 			}
 		}
 	}

@@ -543,6 +543,35 @@ func benchmarkReplay(b *testing.B, maxWarps int, k *Kernel) {
 func BenchmarkReplayStrided(b *testing.B) { benchmarkReplay(b, 1<<14, stridedKernel(1<<17)) }
 func BenchmarkReplayGather(b *testing.B)  { benchmarkReplay(b, 1<<14, gatherKernel(1<<17)) }
 
+// BenchmarkReplayRepeated replays Repeat: 4 streams shaped like the kernels
+// serving launches most: a radix sort's key reads and key-derived scatter,
+// and a gather of a few hundred 128-float rows. The sort's first rep evicts
+// nothing from L1, so its later three are settled rather than walked; the
+// gather's rows reach only even sets and its first rep evicts a few lines,
+// so it settles after its second.
+func BenchmarkReplayRepeated(b *testing.B) {
+	const n = 480
+	scatter, rows := make([]int32, n), make([]int32, n)
+	for i := range scatter {
+		key := int32((i * 2654435761) % 1682)
+		scatter[i] = (key&0xff)*(n/256+1) + int32(i)%(n/256+1)
+		rows[i] = key * 64
+	}
+	b.Run("sort", func(b *testing.B) {
+		benchmarkReplay(b, 512, &Kernel{Name: "radix_sort", Class: OpSort, Threads: n, Accesses: []Access{
+			{Kind: LoadAccess, Base: 1 << 20, ElemBytes: 4, Count: n, Stride: 1, Repeat: 4},
+			{Kind: StoreAccess, Base: 1<<20 + 1<<16, ElemBytes: 4, Indices: scatter, Repeat: 4},
+		}})
+	})
+	b.Run("gather", func(b *testing.B) {
+		benchmarkReplay(b, 512, &Kernel{Name: "gather_rows", Class: OpGather, Threads: n * 32 * 4, Accesses: []Access{
+			{Kind: LoadAccess, Base: 1 << 20, ElemBytes: 4, Count: n, Stride: 1},
+			{Kind: LoadAccess, Base: 8 << 20, ElemBytes: 4, Indices: rows, Repeat: 4},
+			{Kind: StoreAccess, Base: 16 << 20, ElemBytes: 4, Count: n, Stride: 1},
+		}})
+	})
+}
+
 // BenchmarkReplaySampled replays the strided kernel at a sampling factor of
 // 23, through the scaled-down L1.
 func BenchmarkReplaySampled(b *testing.B) { benchmarkReplay(b, 512, stridedKernel(1<<17)) }

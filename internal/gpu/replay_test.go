@@ -144,6 +144,35 @@ func TestReplayMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRepeatedTopLineNeverSettles: with one-byte lines the line at the top
+// of the address space has the empty ways' tag, so a rep that drops it from
+// a full set evicts a line the cache does not count. The replay must keep
+// walking such a stream rather than settle on it: a rep that touches that
+// line and then exactly fills its set would settle, and the next rep misses.
+func TestRepeatedTopLineNeverSettles(t *testing.T) {
+	for _, bypass := range []bool{false, true} {
+		cfg := smallCaches(32, 32)
+		cfg.L1LineBytes, cfg.L2LineBytes, cfg.BypassL1 = 1, 1, bypass
+		d := New(cfg)
+		first := d.l1
+		if bypass {
+			first = d.l2
+		}
+		sets := int32(first.setMask + 1)
+		idx := []int32{0}
+		for w := int32(1); w <= int32(first.ways); w++ {
+			idx = append(idx, -w*sets) // the top line's set, a new line each
+		}
+		k := &Kernel{Name: "top-line", Accesses: []Access{
+			{Kind: LoadAccess, Base: math.MaxUint64, ElemBytes: 1, Indices: idx, Repeat: 3},
+		}}
+		tw := replayTwins{fast: d, ref: newRefDevice(cfg)}
+		if diff := tw.replay(k); diff != "" {
+			t.Fatalf("bypass=%v: %s", bypass, diff)
+		}
+	}
+}
+
 // TestAppendingAKernelKeepsEarlierStats: replaying kernels k1..kn and then
 // k(n+1) leaves k1..kn's memResult as a replay of k1..kn alone has them, for
 // every n — a launch reads only the state its predecessors left.

@@ -36,6 +36,12 @@ var (
 	phaseOptimizerC = obs.PhaseCounter(obs.PhaseOptimizer)
 	phaseAllreduceC = obs.PhaseCounter(obs.PhaseAllreduce)
 	iterationsC     = obs.GetCounter("phase.iterations_total")
+
+	// PSAGE's serving memo (serve.go): sampled requests answered from it,
+	// sampled afresh, and the items it came to keep.
+	memoHitsC   = obs.GetCounter("psage.serve.memo.hits")
+	memoMissesC = obs.GetCounter("psage.serve.memo.misses")
+	memoKeptC   = obs.GetCounter("psage.serve.memo.kept")
 )
 
 // Env bundles what a workload needs to run: the op engine (device-attached

@@ -41,6 +41,11 @@ type PSAGE struct {
 	walk       []int32
 	ends       []int
 	hop1, hop2 hopSamples
+
+	// The serving memo (serve.go), built on the first request: the kept
+	// neighbourhoods by item id, and a bit per item requested before.
+	served map[int32]*servedItem
+	seen   []uint64
 }
 
 type sageLayer struct {
@@ -172,16 +177,26 @@ func (m *PSAGE) sampleHop(rng *rand.Rand, nodes, prevNodes []int32, prev, out *h
 }
 
 // add appends the aggregation of dsts' ranked neighbors (h is parallel to
-// dsts) as positions in the sorted node list nodes, shifted by off.
-func (g *sageEdges) add(nodes []int32, off int32, dsts []int32, h *hopSamples) {
+// dsts) as positions in the sorted node list nodes.
+func (g *sageEdges) add(nodes, dsts []int32, h *hopSamples) {
 	g.src, g.dst = slices.Grow(g.src, len(h.nbr)), slices.Grow(g.dst, len(h.nbr))
 	for i, v := range dsts {
 		nb, _ := h.of(i)
-		p := off + posIn(nodes, v)
+		p := posIn(nodes, v)
 		for _, u := range nb {
-			g.src = append(g.src, off+posIn(nodes, u))
+			g.src = append(g.src, posIn(nodes, u))
 			g.dst = append(g.dst, p)
 		}
+	}
+	g.w = append(g.w, h.w...)
+}
+
+// addShifted appends h's aggregation with every position shifted by off.
+func (g *sageEdges) addShifted(h sageEdges, off int32) {
+	g.src, g.dst = slices.Grow(g.src, len(h.src)), slices.Grow(g.dst, len(h.dst))
+	for i, s := range h.src {
+		g.src = append(g.src, off+s)
+		g.dst = append(g.dst, off+h.dst[i])
 	}
 	g.w = append(g.w, h.w...)
 }
@@ -238,8 +253,8 @@ func (m *PSAGE) sampleBlock(rng *rand.Rand, seeds []int32) *psageBlock {
 	b := &psageBlock{nodes: dedupeSorted(e, slices.Concat(m.hop2.nbr, layer1Nodes))}
 
 	// Layer 1 aggregates into every layer1 node; layer 2 into the frontier.
-	b.l1.add(b.nodes, 0, layer1Nodes, &m.hop2)
-	b.l2.add(b.nodes, 0, dedupeSorted(e, frontier), &m.hop1)
+	b.l1.add(b.nodes, layer1Nodes, &m.hop2)
+	b.l2.add(b.nodes, dedupeSorted(e, frontier), &m.hop1)
 	b.seedPos, b.posPos, b.negPos = positionsIn(b.nodes, seeds), positionsIn(b.nodes, pos), positionsIn(b.nodes, neg)
 	return b
 }

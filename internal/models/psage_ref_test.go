@@ -281,11 +281,17 @@ func TestSampleBlocksMatchReference(t *testing.T) {
 // traces from creeping back into a served request: a batch-1 ServeEmbed,
 // engine, tape and device model included, measured 237 allocations when the
 // bound was set (540 before the sampler was rebuilt and block tags went lazy).
+// A repeated id is answered from the neighbourhood memo (209 allocations), so
+// the sampling path is measured on a model that has forgotten its memo (226).
 func TestServeEmbedAllocCeiling(t *testing.T) {
 	m := servePSAGE(t, 3)
 	ids := []int32{17}
 	m.ServeEmbed(ids)
 	if got := testing.AllocsPerRun(20, func() { m.ServeEmbed(ids) }); got > 250 {
 		t.Fatalf("batch-1 ServeEmbed made %.0f allocations, ceiling 250", got)
+	}
+	sampled := func() { m.served, m.seen = nil, nil; m.ServeEmbed(ids) }
+	if got := testing.AllocsPerRun(20, sampled); got > 250 {
+		t.Fatalf("batch-1 ServeEmbed sampling afresh made %.0f allocations, ceiling 250", got)
 	}
 }

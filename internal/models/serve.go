@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"gnnmark/internal/autograd"
+	"gnnmark/internal/ops"
 	"gnnmark/internal/tensor"
 )
 
@@ -46,27 +47,78 @@ func serveSeed(modelSeed int64, id int32) int64 {
 // NumItems implements Servable: PSAGE serves item embeddings.
 func (m *PSAGE) NumItems() int { return m.ds.Items }
 
-// sampleServeBlock samples the two-hop neighborhood of one item with an RNG
-// seeded only by (epochSeed, id) — the per-request analogue of sampleBlock
-// without positives/negatives, so repeated requests for an item resample
-// the identical subgraph — and appends it to the micro-batch's block b,
-// positions offset past the requests already there.
+// servedItem is one item's sampled neighbourhood at offset 0, with the
+// item's position among its nodes and, once the memo keeps it, the record
+// (ops.RecordSort) of each radix_sort launch sampling it issued, in order.
+type servedItem struct {
+	nodes  []int32
+	l1, l2 sageEdges
+	seed   int32
+	sorts  [4][]byte
+}
+
+// sampleServeBlock appends item id's sampled neighbourhood to the
+// micro-batch's block b, positions offset past the requests already there.
+// Guarantee 1 makes it a pure function of (epochSeed, id), so the model keeps
+// it from the item's second request on (most of a Zipf stream's tail comes
+// once). A kept item skips the reseed, the walks, the host sorts and the
+// dedupe, but relaunches the sorts in order, each on a fresh device block
+// as sampling's fresh key buffers have (DESIGN.md §13).
 func (m *PSAGE) sampleServeBlock(b *psageBlock, id int32) {
+	if m.served == nil {
+		m.served = map[int32]*servedItem{}
+		m.seen = make([]uint64, (m.ds.Items+63)/64)
+	}
+	it := m.served[id]
+	if it != nil {
+		memoHitsC.Inc()
+		for _, low := range it.sorts {
+			m.env.E.RelaunchSort(low)
+		}
+	} else {
+		memoMissesC.Inc()
+		word, bit := id/64, uint64(1)<<(id%64)
+		keep := m.seen[word]&bit != 0
+		m.seen[word] |= bit
+		it = m.sampleServed(id, keep)
+		if keep {
+			m.served[id] = it
+			memoKeptC.Inc()
+		}
+	}
+
+	off := int32(len(b.nodes))
+	b.nodes = append(b.nodes, it.nodes...)
+	b.l1.addShifted(it.l1, off)
+	b.l2.addShifted(it.l2, off)
+	b.seedPos = append(b.seedPos, off+it.seed)
+}
+
+// sampleServed samples the two-hop neighbourhood of one item with an RNG
+// seeded only by (epochSeed, id) — the per-request analogue of sampleBlock
+// without positives/negatives — recording its sorts when record is set.
+func (m *PSAGE) sampleServed(id int32, record bool) *servedItem {
 	e, rng := m.env.E, m.serveRNG
 	rng.Seed(serveSeed(m.epochSeed, id))
 	visits := m.sampler.NumWalks * m.sampler.WalkLength // the most one node's walks make
 
 	seed := []int32{id}
-	m.sampleHop(rng, seed, nil, nil, &m.hop1, make([]int32, 0, visits))
-	layer1Nodes := dedupeSorted(e, slices.Concat(m.hop1.nbr, seed))
-	m.sampleHop(rng, layer1Nodes, seed, &m.hop1, &m.hop2, make([]int32, 0, (len(layer1Nodes)-1)*visits))
-	nodes := dedupeSorted(e, slices.Concat(m.hop2.nbr, layer1Nodes))
+	trace1 := m.sampleHop(rng, seed, nil, nil, &m.hop1, make([]int32, 0, visits))
+	keys1 := slices.Concat(m.hop1.nbr, seed)
+	layer1Nodes := dedupeSorted(e, keys1)
+	trace2 := m.sampleHop(rng, layer1Nodes, seed, &m.hop1, &m.hop2, make([]int32, 0, (len(layer1Nodes)-1)*visits))
+	keys2 := slices.Concat(m.hop2.nbr, layer1Nodes)
+	nodes := dedupeSorted(e, keys2)
 
-	off := int32(len(b.nodes))
-	b.nodes = append(b.nodes, nodes...)
-	b.l1.add(nodes, off, layer1Nodes, &m.hop2)
-	b.l2.add(nodes, off, seed, &m.hop1)
-	b.seedPos = append(b.seedPos, off+posIn(nodes, id))
+	it := &servedItem{nodes: nodes, seed: posIn(nodes, id)}
+	it.l1.add(nodes, layer1Nodes, &m.hop2)
+	it.l2.add(nodes, seed, &m.hop1)
+	if record {
+		for i, keys := range [...][]int32{trace1, keys1, trace2, keys2} {
+			it.sorts[i] = ops.RecordSort(keys)
+		}
+	}
+	return it
 }
 
 // ServeEmbed implements Servable for PSAGE: per-request random-walk

@@ -1,9 +1,14 @@
 package models
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gnnmark/internal/datasets"
+	"gnnmark/internal/gpu"
+	"gnnmark/internal/obs"
 	"gnnmark/internal/tensor"
 )
 
@@ -78,5 +83,83 @@ func TestServeEmbedDeterministicAcrossModels(t *testing.T) {
 		if !rowsEqual(ea, i, eb, i) {
 			t.Fatalf("id %d: same-seed models served different embeddings", ids[i])
 		}
+	}
+}
+
+// zipfBatches returns n micro-batches of 1 to 16 ids drawn Zipf-skewed over
+// items, as the serving plane's arrival streams are; every fourth batch
+// repeats its first id at its end.
+func zipfBatches(seed int64, items, n int) [][]int32 {
+	z := rand.NewZipf(rand.New(rand.NewSource(seed)), 1.1, 1, uint64(items-1))
+	batches := make([][]int32, n)
+	for b := range batches {
+		ids := make([]int32, 1+b%16)
+		for i := range ids {
+			ids[i] = int32(z.Uint64())
+		}
+		if b%4 == 1 {
+			ids = append(ids, ids[0])
+		}
+		batches[b] = ids
+	}
+	return batches
+}
+
+// TestServeMemoIsInvisible: serving from the neighbourhood memo is serving
+// without it, bit for bit, to the host and to the device. Twin servables
+// take the same Zipf micro-batch stream; one forgets its memo and seen-set
+// before every call. Batches repeat an id within themselves, whose sorts
+// must still land on blocks of their own. Embeddings, every kernel's stats,
+// the clock and the allocator's counters must agree after every call, and
+// the memo must have answered some requests.
+func TestServeMemoIsInvisible(t *testing.T) {
+	twin := func() (*PSAGE, func() []gpu.KernelStats) {
+		m := servePSAGE(t, 9)
+		dev := m.env.E.Device()
+		var log []gpu.KernelStats
+		dev.Subscribe(func(ks gpu.KernelStats) { log = append(log, ks) })
+		return m, func() []gpu.KernelStats { dev.Sync(); return log }
+	}
+	memo, memoLog := twin()
+	fresh, freshLog := twin()
+	for call, ids := range zipfBatches(4, memo.NumItems(), 60) {
+		fresh.served, fresh.seen = nil, nil
+		got, want := memo.ServeEmbed(ids), fresh.ServeEmbed(ids)
+		for i, v := range want.Data() {
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("call %d %v: element %d = %v from the memo, %v sampled", call, ids, i, got.Data()[i], v)
+			}
+		}
+		if g, w := memoLog(), freshLog(); !slices.Equal(g, w) {
+			t.Fatalf("call %d %v: the memo's %d kernels differ from sampling's %d", call, ids, len(g), len(w))
+		}
+		gd, wd := memo.env.E.Device(), fresh.env.E.Device()
+		if gd.ElapsedSeconds() != wd.ElapsedSeconds() || gd.MemStats() != wd.MemStats() {
+			t.Fatalf("call %d %v: the memo left %x s and %+v, sampling %x s and %+v",
+				call, ids, gd.ElapsedSeconds(), gd.MemStats(), wd.ElapsedSeconds(), wd.MemStats())
+		}
+	}
+	if len(memo.served) == 0 {
+		t.Fatal("the memo kept no item: the comparison tested sampling against itself")
+	}
+}
+
+// TestServeMemoCounters: every sampled request is a memo hit or a miss, and
+// the memo keeps what the kept counter says.
+func TestServeMemoCounters(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	hits, misses, kept := obs.GetCounter("psage.serve.memo.hits"), obs.GetCounter("psage.serve.memo.misses"), obs.GetCounter("psage.serve.memo.kept")
+	h0, m0, k0 := hits.Value(), misses.Value(), kept.Value()
+
+	m := servePSAGE(t, 5)
+	requests := 0
+	for _, ids := range zipfBatches(6, m.NumItems(), 40) {
+		m.ServeEmbed(ids)
+		requests += len(ids)
+	}
+	h, ms, k := hits.Value()-h0, misses.Value()-m0, kept.Value()-k0
+	if h+ms != int64(requests) || k != int64(len(m.served)) || h == 0 {
+		t.Fatalf("%d hits + %d misses over %d requests, %d kept of %d held", h, ms, requests, k, len(m.served))
 	}
 }

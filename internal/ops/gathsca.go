@@ -178,18 +178,52 @@ func (e *Engine) launchSort(name string, keys []int32) {
 	if e.dev == nil || len(keys) == 0 {
 		return
 	}
-	n := uint64(len(keys))
-	const passes = 4 // 8-bit radix over int32
-	// Scatter destinations are key-derived: real data skew shapes the
-	// store pattern.
-	scatterIdx := make([]int32, len(keys))
+	e.launchSortAt(name, e.intAddr(keys), sortScatter(keys))
+}
+
+// RecordSort returns what a radix_sort launch over keys reads of them, one
+// low byte per key, for RelaunchSort.
+func RecordSort(keys []int32) []byte {
+	low := make([]byte, len(keys))
 	for i, k := range keys {
-		scatterIdx[i] = (k&0xff)*int32(len(keys)/256+1) + int32(i)%int32(len(keys)/256+1)
+		low[i] = byte(k)
 	}
+	return low
+}
+
+// RelaunchSort issues the radix_sort launch SortInt32Segments makes over
+// keys whose RecordSort record is low, without sorting anything: the device
+// sees the same kernel on a freshly allocated block, as it does for a fresh
+// key buffer.
+func (e *Engine) RelaunchSort(low []byte) {
+	if e.dev == nil || len(low) == 0 {
+		return
+	}
+	b := e.dev.AllocBlock(len(low)*4, "int32.index")
+	e.seq = append(e.seq, b)
+	e.launchSortAt("radix_sort", b.Addr(), sortScatter(low))
+}
+
+// sortScatter returns the radix passes' scatter destinations: each key's
+// low byte picks its bucket, so real data skew shapes the store pattern.
+func sortScatter[K byte | int32](keys []K) []int32 {
+	out := make([]int32, len(keys))
+	bucket := int32(len(keys)/256 + 1)
+	for i, k := range keys {
+		out[i] = (int32(k)&0xff)*bucket + int32(i)%bucket
+	}
+	return out
+}
+
+// launchSortAt launches a radix sort over the keys at device address keys
+// whose passes store to scatter.
+func (e *Engine) launchSortAt(name string, keys uint64, scatter []int32) {
+	n := uint64(len(scatter))
+	const passes = 4 // 8-bit radix over int32
 	e.launch(&gpu.Kernel{
 		Name:    name,
 		Class:   gpu.OpSort,
-		Threads: len(keys),
+		Threads: len(scatter),
 		Mix: gpu.InstrMix{
 			Int32:   n * 6 * passes,
 			Load:    n * 2 * passes,
@@ -198,8 +232,8 @@ func (e *Engine) launchSort(name string, keys []int32) {
 		},
 		Iops: n * 6 * passes,
 		Accesses: []gpu.Access{
-			{Kind: gpu.LoadAccess, Base: e.intAddr(keys), ElemBytes: 4, Count: len(keys), Stride: 1, Repeat: passes},
-			{Kind: gpu.StoreAccess, Base: e.intAddr(keys) + 1<<16, ElemBytes: 4, Indices: scatterIdx, Repeat: passes},
+			{Kind: gpu.LoadAccess, Base: keys, ElemBytes: 4, Count: len(scatter), Stride: 1, Repeat: passes},
+			{Kind: gpu.StoreAccess, Base: keys + 1<<16, ElemBytes: 4, Indices: scatter, Repeat: passes},
 		},
 		CodeBytes: 4 << 10,
 		DepChain:  1.8,

@@ -367,6 +367,46 @@ func TestSortsMatchReflectionSorts(t *testing.T) {
 	}
 }
 
+// TestRelaunchMatchesSort: to the device, a radix_sort relaunched from its
+// RecordSort record is the launch SortInt32Segments made over the keys.
+// Twin engines, one sorting and one relaunching, see random key buffers —
+// empty, short, longer than 256 (several keys to a bucket), negative, cut
+// into segments — with iteration boundaries between some of them, and must
+// log the same kernel stats and hold the same device clock and allocator
+// counters after every launch.
+func TestRelaunchMatchesSort(t *testing.T) {
+	sorting, sorted := recordingEngine()
+	relaunching, relaunched := recordingEngine()
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 80; trial++ {
+		if trial%5 == 0 {
+			sorting.BeginIteration()
+			relaunching.BeginIteration()
+		}
+		keys := make([]int32, []int{0, 1, 255, 256, 257, 2000}[trial%6]+rng.Intn(trial+1))
+		for i := range keys {
+			keys[i] = rng.Int31n(1<<20) - 1<<19
+		}
+		var ends []int
+		for lo := 0; lo < len(keys); {
+			lo = min(len(keys), lo+1+rng.Intn(100))
+			ends = append(ends, lo)
+		}
+		sorting.SortInt32Segments(keys, ends)
+		relaunching.RelaunchSort(RecordSort(keys))
+
+		want, got := sorted(), relaunched()
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d keys): relaunch logged %+v, sort %+v", trial, len(keys), got, want)
+		}
+		ws, gs := sorting.Device(), relaunching.Device()
+		if ws.ElapsedSeconds() != gs.ElapsedSeconds() || ws.MemStats() != gs.MemStats() {
+			t.Fatalf("trial %d (%d keys): relaunch left %x s and %+v, sort %x s and %+v",
+				trial, len(keys), gs.ElapsedSeconds(), gs.MemStats(), ws.ElapsedSeconds(), ws.MemStats())
+		}
+	}
+}
+
 func TestReductions(t *testing.T) {
 	e := New(nil)
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)

@@ -28,6 +28,7 @@ package serve
 import (
 	"fmt"
 
+	"gnnmark/internal/gpu"
 	"gnnmark/internal/tensor"
 )
 
@@ -82,9 +83,10 @@ func (e *ItemError) Error() string {
 }
 
 // Serve embeds ids, returning the embedding rows and the simulated device
-// seconds the batch consumed. An out-of-range id is an *ItemError; a model
-// panic (corrupt weights) is converted into an error too, so one bad request
-// cannot kill the plane.
+// seconds the batch consumed. An out-of-range id is an *ItemError; a
+// simulated device failure keeps its type (gpu.Guard) and leaves the device
+// dead; any other model panic (corrupt weights) is converted into an error
+// too, so one bad request cannot kill the plane.
 func (r *Replica) Serve(ids []int32) (emb *tensor.Tensor, device float64, err error) {
 	for _, id := range ids {
 		if id < 0 || int(id) >= r.model.NumItems() {
@@ -100,7 +102,9 @@ func (r *Replica) Serve(ids []int32) (emb *tensor.Tensor, device float64, err er
 	// host time in between would be charged to this batch's first kernel.
 	r.model.MarkHostBoundary()
 	before := r.clock()
-	emb = r.model.ServeEmbed(ids)
+	if err := gpu.Guard(func() { emb = r.model.ServeEmbed(ids) }); err != nil {
+		return nil, 0, fmt.Errorf("serve: replica %d: %w", r.rank, err)
+	}
 	return emb, r.clock() - before, nil
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"sort"
 
@@ -227,6 +228,9 @@ func (s *Server) Run(src *SliceSource) (Stats, error) {
 		}
 	}
 
+	if err := conserved(s.cfg.Endpoint, st, s.queue.Len(), len(comps)); err != nil {
+		return st, err
+	}
 	st.CacheHits = s.cache.Hits()
 	st.CacheMisses = s.cache.Misses()
 	st.MaxQueueDepth = s.queue.MaxDepth()
@@ -250,6 +254,17 @@ func (s *Server) Run(src *SliceSource) (Stats, error) {
 		st.QPS = float64(st.Completed) / st.Makespan
 	}
 	return st, nil
+}
+
+// conserved is the serving plane's first law, checked when the event loop
+// has run dry: every arrival was completed or rejected, and no request waits
+// in the queue or rides a batch in flight.
+func conserved(endpoint string, st Stats, queued, inflight int) error {
+	if st.Arrived == st.Completed+st.Rejected && queued == 0 && inflight == 0 {
+		return nil
+	}
+	return fmt.Errorf("serve: endpoint %s lost requests: %d arrived, %d completed + %d rejected, %d queued, %d batches in flight",
+		endpoint, st.Arrived, st.Completed, st.Rejected, queued, inflight)
 }
 
 // formationTime returns the simulated time the next micro-batch should

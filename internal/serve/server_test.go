@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gnnmark/internal/tensor"
@@ -216,3 +217,27 @@ func TestReplicaPanicBecomesError(t *testing.T) {
 type panicModel struct{ *fakeModel }
 
 func (panicModel) ServeEmbed([]int32) *tensor.Tensor { panic("corrupt id") }
+
+// TestConservationIsChecked: the first law Run checks when its loop runs
+// dry holds on balanced books and names the endpoint and the gap otherwise:
+// a request neither completed nor rejected, one left queued, or a batch
+// still in flight.
+func TestConservationIsChecked(t *testing.T) {
+	balanced := Stats{Arrived: 5, Completed: 4, Rejected: 1}
+	if err := conserved("e", balanced, 0, 0); err != nil {
+		t.Fatalf("balanced books: %v", err)
+	}
+	for _, tc := range []struct {
+		st               Stats
+		queued, inflight int
+	}{
+		{Stats{Arrived: 5, Completed: 3, Rejected: 1}, 0, 0},
+		{balanced, 1, 0},
+		{balanced, 0, 1},
+	} {
+		err := conserved("e", tc.st, tc.queued, tc.inflight)
+		if err == nil || !strings.HasPrefix(err.Error(), "serve: endpoint e lost requests") {
+			t.Errorf("%+v, %d queued, %d in flight: got %v", tc.st, tc.queued, tc.inflight, err)
+		}
+	}
+}
