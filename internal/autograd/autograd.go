@@ -77,18 +77,35 @@ func (v *Var) accum(dy *tensor.Tensor) {
 // Tape records operations for one forward/backward cycle. Create a fresh
 // tape per training iteration; parameters persist outside the tape.
 type Tape struct {
-	E     *ops.Engine
-	nodes []*Var
+	E *ops.Engine
+	// nodes is the chunk being filled and full the chunks before it, in
+	// registration order. A full chunk is followed by one twice its size
+	// (up to maxChunk nodes), never grown, so every *Var stays valid.
+	nodes []Var
+	full  [][]Var
 }
+
+// Node chunk sizes: a serving forward records tens, training thousands.
+const (
+	firstChunk = 64
+	maxChunk   = 1024
+)
 
 // NewTape returns a tape bound to an ops engine.
 func NewTape(e *ops.Engine) *Tape { return &Tape{E: e} }
 
 // node registers a new variable produced by an operation.
 func (t *Tape) node(val *tensor.Tensor, needGrad bool, back func(dy *tensor.Tensor)) *Var {
-	v := &Var{Value: val, needGrad: needGrad, back: back, tape: t}
-	t.nodes = append(t.nodes, v)
-	return v
+	if len(t.nodes) == cap(t.nodes) {
+		size := firstChunk
+		if t.nodes != nil {
+			t.full = append(t.full, t.nodes)
+			size = min(2*cap(t.nodes), maxChunk)
+		}
+		t.nodes = make([]Var, 0, size)
+	}
+	t.nodes = append(t.nodes, Var{Value: val, needGrad: needGrad, back: back, tape: t})
+	return &t.nodes[len(t.nodes)-1]
 }
 
 // Node registers a custom operation result that needs a gradient on the
@@ -136,23 +153,29 @@ func (t *Tape) Backward(loss *Var) {
 	seed := arena.Empty(loss.Value.Shape()...)
 	seed.Data()[0] = 1
 	loss.accum(seed)
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		v := t.nodes[i]
-		if v.grad == nil {
-			continue
+	for c := len(t.full); c >= 0; c-- {
+		nodes := t.nodes
+		if c < len(t.full) {
+			nodes = t.full[c]
 		}
-		if v.back != nil {
-			v.back(v.grad)
-		}
-		if v.param != nil {
-			pg, vg := v.param.Grad.Data(), v.grad.Data()
-			for j := range pg {
-				pg[j] += vg[j]
+		for i := len(nodes) - 1; i >= 0; i-- {
+			v := &nodes[i]
+			if v.grad == nil {
+				continue
 			}
-		}
-		if !v.keep {
-			arena.Release(v.grad)
-			v.grad = nil
+			if v.back != nil {
+				v.back(v.grad)
+			}
+			if v.param != nil {
+				pg, vg := v.param.Grad.Data(), v.grad.Data()
+				for j := range pg {
+					pg[j] += vg[j]
+				}
+			}
+			if !v.keep {
+				arena.Release(v.grad)
+				v.grad = nil
+			}
 		}
 	}
 }

@@ -537,3 +537,31 @@ func TestLSTMCellKeepsStagedHiddenGradient(t *testing.T) {
 		}
 	}
 }
+
+// TestTapeAcrossChunks: a tape of thousands of nodes spans chunks of every
+// size; each *Var handed out keeps its value, and Backward visits every
+// node in reverse: a parameter added in 2500 times receives 2500.
+func TestTapeAcrossChunks(t *testing.T) {
+	e := ops.New(nil)
+	p := NewParam("p", tensor.FromSlice([]float32{3}, 1, 1))
+	tp := NewTape(e)
+	x := tp.FromParam(p)
+	var vars []*Var
+	sum := tp.Const(tensor.New(1, 1))
+	for i := 0; i < 2500; i++ {
+		sum = tp.Add(sum, x)
+		vars = append(vars, sum)
+	}
+	if len(tp.full) < 5 || cap(tp.nodes) != maxChunk {
+		t.Fatalf("%d full chunks, the last of %d nodes: the chunk sizes were not exercised", len(tp.full), cap(tp.nodes))
+	}
+	for i, v := range vars {
+		if want := float32(3 * (i + 1)); v.Value.At(0, 0) != want {
+			t.Fatalf("node %d reads %v, want %v", i, v.Value.At(0, 0), want)
+		}
+	}
+	tp.Backward(sumAll(tp, sum))
+	if p.Grad.At(0, 0) != 2500 {
+		t.Fatalf("grad = %g, want 2500", p.Grad.At(0, 0))
+	}
+}

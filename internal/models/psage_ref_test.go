@@ -279,19 +279,28 @@ func TestSampleBlocksMatchReference(t *testing.T) {
 
 // TestServeEmbedAllocCeiling keeps maps, per-request RNG tables and grown
 // traces from creeping back into a served request: a batch-1 ServeEmbed,
-// engine, tape and device model included, measured 237 allocations when the
-// bound was set (540 before the sampler was rebuilt and block tags went lazy).
-// A repeated id is answered from the neighbourhood memo (209 allocations), so
-// the sampling path is measured on a model that has forgotten its memo (226).
+// engine, tape and device model included, measured 237 allocations when a
+// ceiling was first set (540 before the sampler was rebuilt and block tags
+// went lazy). A repeated id is answered from the neighbourhood memo, so the
+// sampling path is measured on a model that has forgotten its memo. Since
+// tensor headers, tape nodes, access lists and split device blocks come from
+// owner-held storage the two measure 49 and 66 (209 and 226 before), and 53
+// and 76 under the race detector, whose instrumentation keeps less off the
+// heap (slices.Grow's scratch slice among it). Each ceiling is its count
+// plus 10 %.
 func TestServeEmbedAllocCeiling(t *testing.T) {
+	memo, sampling := 54.0, 73.0
+	if raceBuild {
+		memo, sampling = 58, 84
+	}
 	m := servePSAGE(t, 3)
 	ids := []int32{17}
 	m.ServeEmbed(ids)
-	if got := testing.AllocsPerRun(20, func() { m.ServeEmbed(ids) }); got > 250 {
-		t.Fatalf("batch-1 ServeEmbed made %.0f allocations, ceiling 250", got)
+	if got := testing.AllocsPerRun(20, func() { m.ServeEmbed(ids) }); got > memo {
+		t.Fatalf("batch-1 ServeEmbed made %.0f allocations, ceiling %.0f", got, memo)
 	}
 	sampled := func() { m.served, m.seen = nil, nil; m.ServeEmbed(ids) }
-	if got := testing.AllocsPerRun(20, sampled); got > 250 {
-		t.Fatalf("batch-1 ServeEmbed sampling afresh made %.0f allocations, ceiling 250", got)
+	if got := testing.AllocsPerRun(20, sampled); got > sampling {
+		t.Fatalf("batch-1 ServeEmbed sampling afresh made %.0f allocations, ceiling %.0f", got, sampling)
 	}
 }

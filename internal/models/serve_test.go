@@ -9,6 +9,7 @@ import (
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/obs"
+	"gnnmark/internal/serve"
 	"gnnmark/internal/tensor"
 )
 
@@ -161,5 +162,53 @@ func TestServeMemoCounters(t *testing.T) {
 	h, ms, k := hits.Value()-h0, misses.Value()-m0, kept.Value()-k0
 	if h+ms != int64(requests) || k != int64(len(m.served)) || h == 0 {
 		t.Fatalf("%d hits + %d misses over %d requests, %d kept of %d held", h, ms, requests, k, len(m.served))
+	}
+}
+
+// forgetful serves like its PSAGE after forgetting the neighbourhood memo
+// and the seen-set before every batch.
+type forgetful struct{ *PSAGE }
+
+func (f forgetful) ServeEmbed(ids []int32) *tensor.Tensor {
+	f.served, f.seen = nil, nil
+	return f.PSAGE.ServeEmbed(ids)
+}
+
+// TestServeMemoThroughTheServer: the memo is invisible to the serving plane
+// too. Two servers with two replicas each run one Zipf trace with repeated
+// items and no embedding cache, so repeats reach the models: one over PSAGE
+// replicas, one over twins that forget their memo before every batch. Their
+// Stats (latencies, QPS, device seconds) must match bit for bit, and the
+// memo must have answered requests.
+func TestServeMemoThroughTheServer(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	hits := obs.GetCounter("psage.serve.memo.hits")
+	run := func(wrap func(*PSAGE) serve.Model) serve.Stats {
+		var reps []*serve.Replica
+		items := 0
+		for r := 0; r < 2; r++ {
+			m := servePSAGE(t, 11)
+			reps = append(reps, serve.NewReplica(r, wrap(m), m.env.SimClock))
+			items = m.NumItems()
+		}
+		reqs := serve.OpenArrivals(serve.LoadConfig{Seed: 5, QPS: 40000, Duration: 0.004, Items: items, ZipfS: 1.1})
+		st, err := serve.New(serve.Config{Endpoint: "memo", MaxBatch: 4, MaxWaitSeconds: 50e-6}, reps).Run(serve.NewSliceSource(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	h0 := hits.Value()
+	memo := run(func(m *PSAGE) serve.Model { return m })
+	if hits.Value() == h0 {
+		t.Fatal("the memo answered no request: the comparison tested sampling against itself")
+	}
+	fresh := run(func(m *PSAGE) serve.Model { return forgetful{m} })
+	if memo != fresh {
+		t.Fatalf("served with the memo:\n%+v\nwithout:\n%+v", memo, fresh)
+	}
+	if memo.Completed == 0 {
+		t.Fatal("nothing was served")
 	}
 }

@@ -99,10 +99,10 @@ func (e *Engine) MaxPool2D(x *tensor.Tensor, k int) (*tensor.Tensor, []int32) {
 			},
 			Flops: un,
 			Iops:  un * 2,
-			Accesses: []gpu.Access{
+			Accesses: e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: e.addr(x), ElemBytes: elem, Count: x.Size(), Stride: 1},
 				{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-			},
+			}),
 			CodeBytes: 2 << 10,
 			DepChain:  2.0,
 		})
@@ -130,10 +130,10 @@ func (e *Engine) MaxPool2DBackward(dy *tensor.Tensor, arg []int32, xShape []int)
 			},
 			Flops: un,
 			Iops:  un * 4,
-			Accesses: []gpu.Access{
+			Accesses: e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: e.addr(dy), ElemBytes: elem, Count: dy.Size(), Stride: 1},
 				{Kind: gpu.StoreAccess, Base: e.addr(dx), ElemBytes: elem, Indices: arg},
-			},
+			}),
 			CodeBytes: 1 << 10,
 			DepChain:  2.0,
 		})
@@ -203,11 +203,11 @@ func (e *Engine) launchConv(name string, a, b, out *tensor.Tensor, macs uint64) 
 		},
 		Flops: 2 * macs,
 		Iops:  macs / 3,
-		Accesses: []gpu.Access{
+		Accesses: e.accesses([]gpu.Access{
 			{Kind: gpu.LoadAccess, Base: e.addr(a), ElemBytes: elem, Count: a.Size(), Stride: 1, Repeat: repA},
 			{Kind: gpu.LoadAccess, Base: e.addr(b), ElemBytes: elem, Count: b.Size(), Stride: 1, Repeat: repB},
 			{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-		},
+		}),
 		// cuDNN implicit-GEMM kernels are heavily unrolled: large SASS.
 		CodeBytes: 48 << 10,
 		DepChain:  1.25,

@@ -14,13 +14,13 @@ func (e *Engine) launchElementWise(name string, arity, n int, ins []*tensor.Tens
 		return
 	}
 	elem := e.fpElem()
-	accesses := make([]gpu.Access, 0, len(ins)+1)
+	accesses := e.acc[:0] // the access scratch (see accesses)
 	for _, in := range ins {
 		accesses = append(accesses, gpu.Access{
 			Kind: gpu.LoadAccess, Base: e.addr(in), ElemBytes: elem, Count: in.Size(), Stride: 1,
 		})
 	}
-	accesses = append(accesses, gpu.Access{
+	e.acc = append(accesses, gpu.Access{
 		Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1,
 	})
 	un := uint64(n)
@@ -37,7 +37,7 @@ func (e *Engine) launchElementWise(name string, arity, n int, ins []*tensor.Tens
 		},
 		Flops:     un,
 		Iops:      un * 5,
-		Accesses:  accesses,
+		Accesses:  e.acc,
 		CodeBytes: 1 << 10,
 		DepChain:  1.15,
 	})
@@ -64,10 +64,10 @@ func (e *Engine) launchActivation(name string, n int, in, out *tensor.Tensor) {
 		},
 		Flops: un * 4,
 		Iops:  un * 4,
-		Accesses: []gpu.Access{
+		Accesses: e.accesses([]gpu.Access{
 			{Kind: gpu.LoadAccess, Base: e.addr(in), ElemBytes: elem, Count: n, Stride: 1},
 			{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: n, Stride: 1},
-		},
+		}),
 		CodeBytes: 2 << 10,
 		DepChain:  1.3,
 	})

@@ -38,6 +38,10 @@ type Engine struct {
 	// them back where the blocks above are freed: the host mirror of the
 	// caching allocator.
 	arena tensor.Arena
+	// acc is the access list of the kernel being lowered (see accesses),
+	// and gemmNames the engine's sgemm_MxKxN kernel names.
+	acc       []gpu.Access
+	gemmNames map[[3]int]string
 
 	// Host observability (internal/obs). track is nil unless obs was
 	// enabled when the engine was built; opMark is the host-clock cursor
@@ -69,6 +73,7 @@ func NewWith(dev *gpu.Device, be backend.Backend) *Engine {
 		blocks:    map[*tensor.Tensor]*vmem.Block{},
 		csrBlocks: map[*graph.CSR][2]*vmem.Block{},
 		intBlocks: map[*int32]*vmem.Block{},
+		gemmNames: map[[3]int]string{},
 		track:     obs.NewTrack("engine"),
 		opMark:    obs.Nanos(),
 	}
@@ -107,14 +112,17 @@ func (e *Engine) BeginIteration() {
 }
 
 // releaseAll frees every tracked block in allocation order (deterministic),
-// clears the bookkeeping maps and releases the arena's tensors.
+// hands them all back to the allocator, which may then reuse the ones the
+// frees merged away, clears the bookkeeping maps and releases the arena's
+// tensors.
 func (e *Engine) releaseAll() {
 	e.arena.ReleaseAll()
 	if e.dev != nil {
 		for _, b := range e.seq {
-			// Free is a no-op for blocks already released via Release.
+			// Free is a no-op for blocks the frees before it merged away.
 			e.dev.Free(b)
 		}
+		e.dev.Mem().Reclaim(e.seq)
 	}
 	e.seq = e.seq[:0]
 	clear(e.blocks)
@@ -179,6 +187,15 @@ func (e *Engine) fpElem() int {
 		return 4
 	}
 	return e.dev.FpElemBytes()
+}
+
+// accesses copies list into the engine's scratch, for a kernel's Accesses:
+// as the device keeps a kernel's name, whatever a kernel points at escapes,
+// and a list literal there would be an allocation per launch. launch
+// consumes the list before it returns (DESIGN.md §8 "Host mirror").
+func (e *Engine) accesses(list []gpu.Access) []gpu.Access {
+	e.acc = append(e.acc[:0], list...)
+	return e.acc
 }
 
 // launch submits a kernel when a device is attached.

@@ -35,10 +35,10 @@ func (e *Engine) GLU4D(x *tensor.Tensor) (out, gate *tensor.Tensor) {
 			},
 			Flops: n * 2,
 			Iops:  n,
-			Accesses: []gpu.Access{
+			Accesses: e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: e.addr(x), ElemBytes: elem, Count: x.Size(), Stride: 1},
 				{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-			},
+			}),
 			CodeBytes: 2 << 10,
 			DepChain:  1.3,
 		})
@@ -101,12 +101,12 @@ func (e *Engine) LSTMCellForward(gates, cPrev *tensor.Tensor) (h, c *tensor.Tens
 			},
 			Flops: un * 3,
 			Iops:  un * 2,
-			Accesses: []gpu.Access{
+			Accesses: e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: e.addr(gates), ElemBytes: elem, Count: gates.Size(), Stride: 1},
 				{Kind: gpu.LoadAccess, Base: e.addr(cPrev), ElemBytes: elem, Count: cPrev.Size(), Stride: 1},
 				{Kind: gpu.StoreAccess, Base: e.addr(h), ElemBytes: elem, Count: h.Size(), Stride: 1},
 				{Kind: gpu.StoreAccess, Base: e.addr(cache.CNew), ElemBytes: elem, Count: cache.CNew.Size(), Stride: 1},
-			},
+			}),
 			CodeBytes: 3 << 10,
 			DepChain:  1.6,
 		})

@@ -50,11 +50,11 @@ func (e *Engine) gatherRows(name string, class gpu.OpClass, x *tensor.Tensor, id
 				Control: m * uint64(chunks),
 			},
 			Iops: m * uint64(4+4*chunks),
-			Accesses: []gpu.Access{
+			Accesses: e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: e.intAddr(idx), ElemBytes: 4, Count: len(idx), Stride: 1},
 				{Kind: gpu.LoadAccess, Base: e.addr(x), ElemBytes: elem, Indices: rowIndexStream(idx, f), Repeat: chunks},
 				{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-			},
+			}),
 			CodeBytes: 1 << 10,
 			DepChain:  1.8,
 		})
@@ -91,13 +91,13 @@ func (e *Engine) ScatterAddRows(dst, src *tensor.Tensor, idx []int32) *tensor.Te
 			},
 			Flops: m * uint64(sf),
 			Iops:  m * uint64(4+4*chunks),
-			Accesses: []gpu.Access{
+			Accesses: e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: e.intAddr(idx), ElemBytes: 4, Count: len(idx), Stride: 1},
 				{Kind: gpu.LoadAccess, Base: e.addr(src), ElemBytes: elem, Count: src.Size(), Stride: 1},
 				// Atomic read-modify-write on scattered destination rows.
 				{Kind: gpu.LoadAccess, Base: e.addr(dst), ElemBytes: elem, Indices: rowIndexStream(idx, df), Repeat: chunks},
 				{Kind: gpu.StoreAccess, Base: e.addr(dst), ElemBytes: elem, Indices: rowIndexStream(idx, df), Repeat: chunks},
-			},
+			}),
 			CodeBytes: 1 << 10,
 			// Atomic contention serializes colliding updates.
 			DepChain: 2.5,
@@ -128,11 +128,11 @@ func (e *Engine) EmbeddingLookup(table *tensor.Tensor, ids []int32) *tensor.Tens
 				Control: m * uint64(chunks),
 			},
 			Iops: m * uint64(3+4*chunks),
-			Accesses: []gpu.Access{
+			Accesses: e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: e.intAddr(ids), ElemBytes: 4, Count: len(ids), Stride: 1},
 				{Kind: gpu.LoadAccess, Base: e.addr(table), ElemBytes: elem, Indices: rowIndexStream(ids, f), Repeat: chunks},
 				{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-			},
+			}),
 			CodeBytes: 1 << 10,
 			DepChain:  1.6,
 		})
@@ -231,10 +231,10 @@ func (e *Engine) launchSortAt(name string, keys uint64, scatter []int32) {
 			Control: n * 2 * passes,
 		},
 		Iops: n * 6 * passes,
-		Accesses: []gpu.Access{
+		Accesses: e.accesses([]gpu.Access{
 			{Kind: gpu.LoadAccess, Base: keys, ElemBytes: 4, Count: len(scatter), Stride: 1, Repeat: passes},
 			{Kind: gpu.StoreAccess, Base: keys + 1<<16, ElemBytes: 4, Indices: scatter, Repeat: passes},
-		},
+		}),
 		CodeBytes: 4 << 10,
 		DepChain:  1.8,
 		Barriers:  2 * passes,

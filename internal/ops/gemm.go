@@ -55,15 +55,20 @@ func (e *Engine) matmul(a, b *tensor.Tensor, transA, transB bool) *tensor.Tensor
 		panic("ops: MatMul with both operands transposed is not used")
 	}
 
-	e.launchGEMM(fmt.Sprintf("sgemm_%dx%dx%d", m, k, n), m, n, k, a, b, out)
+	e.launchGEMM(m, n, k, a, b, out)
 	return out
 }
 
-// launchGEMM emits the GEMM kernel recipe for an (m,n,k) product reading
-// tensors a and b and writing out.
-func (e *Engine) launchGEMM(name string, m, n, k int, a, b, out *tensor.Tensor) {
+// launchGEMM emits the GEMM kernel recipe, named sgemm_MxKxN, for an
+// (m,n,k) product reading tensors a and b and writing out.
+func (e *Engine) launchGEMM(m, n, k int, a, b, out *tensor.Tensor) {
 	if e.dev == nil {
 		return
+	}
+	name, ok := e.gemmNames[[3]int{m, k, n}]
+	if !ok {
+		name = fmt.Sprintf("sgemm_%dx%dx%d", m, k, n)
+		e.gemmNames[[3]int{m, k, n}] = name
 	}
 	mnk := uint64(m) * uint64(n) * uint64(k)
 	elem := e.fpElem()
@@ -96,11 +101,11 @@ func (e *Engine) launchGEMM(name string, m, n, k int, a, b, out *tensor.Tensor) 
 		},
 		Flops: 2 * mnk,
 		Iops:  mnk / 3,
-		Accesses: []gpu.Access{
+		Accesses: e.accesses([]gpu.Access{
 			{Kind: gpu.LoadAccess, Base: e.addr(a), ElemBytes: elem, Count: a.Size(), Stride: 1, Repeat: repA},
 			{Kind: gpu.LoadAccess, Base: e.addr(b), ElemBytes: elem, Count: b.Size(), Stride: 1, Repeat: repB},
 			{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-		},
+		}),
 		CodeBytes: 24 << 10,
 		DepChain:  1.2,
 		// Shallow-K products underfill the MMA tiles.

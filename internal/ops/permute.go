@@ -50,10 +50,10 @@ func (e *Engine) Permute4D(x *tensor.Tensor, perm [4]int) *tensor.Tensor {
 				Store: uint64(n),
 			},
 			Iops: uint64(n) * 3,
-			Accesses: []gpu.Access{
+			Accesses: e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: e.addr(x), ElemBytes: elem, Count: n, Stride: stride},
 				{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: n, Stride: 1},
-			},
+			}),
 			CodeBytes: 2 << 10,
 			DepChain:  1.3,
 			Barriers:  2,

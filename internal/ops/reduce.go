@@ -26,10 +26,10 @@ func (e *Engine) launchReduction(name string, n, m int, in, out *tensor.Tensor) 
 		},
 		Flops: un,
 		Iops:  un * 4,
-		Accesses: []gpu.Access{
+		Accesses: e.accesses([]gpu.Access{
 			{Kind: gpu.LoadAccess, Base: e.addr(in), ElemBytes: elem, Count: n, Stride: 1},
 			{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: m, Stride: 1},
-		},
+		}),
 		CodeBytes: 2 << 10,
 		// Tree reductions are dependency-bound within a warp.
 		DepChain: 3.0,
@@ -111,10 +111,10 @@ func (e *Engine) launchSoftmax(name string, x, out *tensor.Tensor) {
 		},
 		Flops: un * 4,
 		Iops:  un * 4,
-		Accesses: []gpu.Access{
+		Accesses: e.accesses([]gpu.Access{
 			{Kind: gpu.LoadAccess, Base: e.addr(x), ElemBytes: elem, Count: x.Size(), Stride: 1, Repeat: 2},
 			{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-		},
+		}),
 		CodeBytes: 3 << 10,
 		DepChain:  2.5,
 		Barriers:  3,
@@ -165,10 +165,10 @@ func (e *Engine) launchBatchNorm(name string, x, out *tensor.Tensor) {
 		},
 		Flops: un * 4,
 		Iops:  un * 4,
-		Accesses: []gpu.Access{
+		Accesses: e.accesses([]gpu.Access{
 			{Kind: gpu.LoadAccess, Base: e.addr(x), ElemBytes: elem, Count: x.Size(), Stride: 1, Repeat: 2},
 			{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-		},
+		}),
 		CodeBytes: 3 << 10,
 		DepChain:  2.2,
 		Barriers:  4,

@@ -56,12 +56,12 @@ func (e *Engine) launchSpMM(name string, a *graph.CSR, x, out *tensor.Tensor, f 
 		Iops:  nnz*8 + nnz*uint64(f),
 		Accesses: func() []gpu.Access {
 			rp, ci := e.csrAddr(a)
-			return []gpu.Access{
+			return e.accesses([]gpu.Access{
 				{Kind: gpu.LoadAccess, Base: rp, ElemBytes: 4, Count: a.Rows + 1, Stride: 1},
 				{Kind: gpu.LoadAccess, Base: ci, ElemBytes: 4, Count: a.NNZ(), Stride: 1},
 				{Kind: gpu.LoadAccess, Base: e.addr(x), ElemBytes: elem, Indices: gatherIdx, Repeat: chunks},
 				{Kind: gpu.StoreAccess, Base: e.addr(out), ElemBytes: elem, Count: out.Size(), Stride: 1},
-			}
+			})
 		}(),
 		CodeBytes: 8 << 10,
 		DepChain:  2.0,

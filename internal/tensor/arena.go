@@ -23,7 +23,12 @@ type Arena struct {
 	free [][][]float32 // class -> stack of free buffers, each of the class's capacity
 	low  []int         // class -> fewest free buffers since the last ReleaseAll
 	live []*Tensor     // tensors handed out since the last ReleaseAll
+	slab []Tensor      // the rest of the current chunk of headers
 }
+
+// slabTensors is the number of headers in a chunk. A chunk is never reused,
+// even after Drop, so a released tensor stays poisoned while it is held.
+const slabTensors = 64
 
 // minClassElems is the capacity of the smallest class.
 const minClassElems = 16
@@ -72,7 +77,11 @@ func (a *Arena) Empty(shape ...int) *Tensor {
 // allocated, and so is zero.
 func (a *Arena) get(shape []int) (*Tensor, bool) {
 	n := checkShape(shape)
-	t := &Tensor{shape: append([]int(nil), shape...)}
+	if len(a.slab) == 0 {
+		a.slab = make([]Tensor, slabTensors)
+	}
+	t := a.slab[0].setShape(shape)
+	a.slab = a.slab[1:]
 	if n == 0 {
 		t.data = []float32{}
 		return t, true

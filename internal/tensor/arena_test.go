@@ -138,3 +138,29 @@ func TestArenaNewIsZeroOnMissAndHit(t *testing.T) {
 	a.Release(y)
 	zero("hit from a larger class", a.New(60))
 }
+
+// TestArenaNeverReusesAHeader: headers come from chunks that are never
+// reused, so a released tensor stays poisoned through any number of later
+// requests, and after Drop.
+func TestArenaNeverReusesAHeader(t *testing.T) {
+	var a Arena
+	x := a.New(4, 4)
+	a.Release(x)
+	seen := map[*Tensor]bool{x: true}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 2*slabTensors; i++ {
+			y := a.New(4, 4)
+			if seen[y] {
+				t.Fatalf("round %d request %d: a header was handed out twice", round, i)
+			}
+			seen[y] = true
+		}
+		a.ReleaseAll()
+		if x.Shape() != nil || x.Data() != nil {
+			t.Fatalf("round %d: a released tensor came back to life as %v", round, x.Shape())
+		}
+		if round == 1 {
+			a.Drop()
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense row-major float32 array with a shape. The zero value is
@@ -15,13 +16,31 @@ import (
 type Tensor struct {
 	shape []int
 	data  []float32
+	// dims holds the shape of a tensor of at most four dimensions, so the
+	// header and its shape are one allocation; shape is then dims[:n:n],
+	// whose full capacity makes an append to Shape() copy.
+	dims [4]int
+}
+
+// setShape stores a copy of shape as t's and returns t. A scalar's shape
+// stays nil.
+func (t *Tensor) setShape(shape []int) *Tensor {
+	switch n := len(shape); {
+	case n == 0:
+	case n <= len(t.dims):
+		t.shape = t.dims[:n:n]
+		copy(t.shape, shape)
+	default:
+		t.shape = append([]int(nil), shape...)
+	}
+	return t
 }
 
 // New returns a zero-filled tensor of the given shape. A zero-dimensional
 // call returns a scalar tensor of size 1.
 func New(shape ...int) *Tensor {
 	n := checkShape(shape)
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
+	return (&Tensor{data: make([]float32, n)}).setShape(shape)
 }
 
 // FromSlice wraps data (not copied) with shape. It panics when the element
@@ -29,9 +48,9 @@ func New(shape ...int) *Tensor {
 func FromSlice(data []float32, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", shape, n, len(data)))
+		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", slices.Clone(shape), n, len(data)))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: data}
+	return (&Tensor{data: data}).setShape(shape)
 }
 
 // Full returns a tensor of the given shape with every element set to v.
@@ -67,7 +86,10 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, s := range shape {
 		if s < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			// Every panic of this file formats a clone of a variadic
+			// argument: formatting it would make it escape, and so make
+			// every call allocate it.
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", slices.Clone(shape)))
 		}
 		n *= s
 	}
@@ -99,7 +121,8 @@ func (t *Tensor) Clone() *Tensor {
 // Reshape returns a tensor sharing t's data with a new shape of equal size.
 // One dimension may be -1, which is inferred.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	out := append([]int(nil), shape...)
+	r := (&Tensor{data: t.data}).setShape(shape)
+	out := r.shape
 	infer := -1
 	known := 1
 	for i, s := range out {
@@ -111,21 +134,21 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 			continue
 		}
 		if s < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", slices.Clone(shape)))
 		}
 		known *= s
 	}
 	if infer >= 0 {
 		if known == 0 || t.Size()%known != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
+			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, slices.Clone(shape)))
 		}
 		out[infer] = t.Size() / known
 		known *= out[infer]
 	}
 	if known != t.Size() {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v changes size", t.shape, shape))
+		panic(fmt.Sprintf("tensor: reshape %v -> %v changes size", t.shape, slices.Clone(shape)))
 	}
-	return &Tensor{shape: out, data: t.data}
+	return r
 }
 
 // offset computes the flat index for a multi-dimensional index.
@@ -136,7 +159,7 @@ func (t *Tensor) offset(idx []int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", slices.Clone(idx), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +227,44 @@ func TestZeroFractionProperty(t *testing.T) {
 func TestString(t *testing.T) {
 	if got := New(2, 3).String(); got != "Tensor[2 3]" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestAtSetDoNotAllocate: the bounds panic formats a copy of the index, so
+// the variadic index of an in-bounds At or Set stays on the caller's stack.
+// Formatting the index itself made every call allocate it.
+func TestAtSetDoNotAllocate(t *testing.T) {
+	m, v := New(3, 4), New(2, 3, 4, 5)
+	got := testing.AllocsPerRun(100, func() {
+		m.Set(m.At(2, 3)+1, 1, 2)
+		v.Set(v.At(1, 2, 3, 4)+1, 0, 1, 2, 3)
+	})
+	if got != 0 {
+		t.Fatalf("2-D and 4-D At and Set made %.0f allocations, want 0", got)
+	}
+}
+
+// TestShapeIsOwnedAndFull: a shape of up to four dimensions lives in the
+// tensor's header, copied from the caller's slice, with no spare capacity
+// for an append to write into the header; a longer one is copied to a slice
+// of its own. A scalar's shape stays nil.
+func TestShapeIsOwnedAndFull(t *testing.T) {
+	for _, shape := range [][]int{{7}, {2, 3}, {2, 3, 4, 5}, {1, 2, 1, 2, 1}} {
+		in := append([]int(nil), shape...)
+		for _, x := range []*Tensor{New(in...), FromSlice(make([]float32, checkShape(in)), in...), new(Arena).New(in...), New(checkShape(in)).Reshape(in...)} {
+			in[0] = 99
+			s := x.Shape()
+			if !slices.Equal(s, shape) || len(s) <= 4 && cap(s) != len(s) {
+				t.Fatalf("shape %v (cap %d), want %v at full capacity", s, cap(s), shape)
+			}
+			_ = append(s, 9)
+			if s2 := x.Shape(); !slices.Equal(s2, shape) {
+				t.Fatalf("an append to Shape() wrote into the tensor: %v", s2)
+			}
+			in[0] = shape[0]
+		}
+	}
+	if New().Shape() != nil || new(Arena).New().Shape() != nil {
+		t.Fatal("a scalar's shape is not nil")
 	}
 }

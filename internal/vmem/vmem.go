@@ -95,7 +95,10 @@ type Block struct {
 	seg        *segment
 	prev, next *Block
 	free       bool
-	dead       bool // merged away during coalescing; never reused
+	dead       bool // merged away: reused only once Reclaim takes it back
+	// holds counts the times the block was handed out less those Reclaim
+	// was told of: a holder may keep a pointer past Free.
+	holds int
 }
 
 // Addr returns the block's simulated device address.
@@ -158,6 +161,10 @@ type Allocator struct {
 	free  [2][]*Block
 	live  map[*Block]struct{}
 	stats Stats
+	// dead holds the blocks merged away (coalesced, or a released cached
+	// segment's) and not yet reclaimed; spare the reclaimed ones, which
+	// splits and segment reservations reuse instead of allocating.
+	dead, spare []*Block
 }
 
 // New returns an allocator with the given capacity budget in bytes.
@@ -237,6 +244,7 @@ func (a *Allocator) Free(b *Block) {
 			n.next.prev = b
 		}
 		n.dead = true
+		a.dead = append(a.dead, n)
 		a.stats.Coalesces++
 	}
 	if p := b.prev; p != nil && p.free {
@@ -247,10 +255,44 @@ func (a *Allocator) Free(b *Block) {
 			b.next.prev = p
 		}
 		b.dead = true
+		a.dead = append(a.dead, b)
 		b = p
 		a.stats.Coalesces++
 	}
 	a.insertFree(b)
+}
+
+// Reclaim records that the caller dropped its pointers to dropped (one
+// entry per time it was handed a block) and makes every dead block nobody
+// holds reusable; until then a Free through a stale pointer to a dead block
+// does nothing. An ops.Engine calls it with all its blocks at the end of
+// its bulk release, so another owner's blocks stay out of reuse.
+func (a *Allocator) Reclaim(dropped []*Block) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, b := range dropped {
+		b.holds--
+	}
+	held := a.dead[:0]
+	for _, b := range a.dead {
+		if b.holds > 0 {
+			held = append(held, b)
+		} else {
+			a.spare = append(a.spare, b)
+		}
+	}
+	clear(a.dead[len(held):])
+	a.dead = held
+}
+
+// newBlock returns a block to fill: a reclaimed one when there is one.
+func (a *Allocator) newBlock() *Block {
+	if n := len(a.spare); n > 0 {
+		b := a.spare[n-1]
+		a.spare = a.spare[:n-1]
+		return b
+	}
+	return new(Block)
 }
 
 // Stats returns a snapshot of the allocator counters.
@@ -353,7 +395,8 @@ func (a *Allocator) removeFree(b *Block) {
 // and updates the gauges.
 func (a *Allocator) commit(b *Block, rounded int64, tag string, shape []int) *Block {
 	if b.size-rounded >= MinBlockSize {
-		rem := &Block{
+		rem := a.newBlock()
+		*rem = Block{
 			addr: b.addr + uint64(rounded),
 			size: b.size - rounded,
 			seg:  b.seg,
@@ -370,6 +413,7 @@ func (a *Allocator) commit(b *Block, rounded int64, tag string, shape []int) *Bl
 		a.stats.Splits++
 	}
 	b.free = false
+	b.holds++
 	b.tag, b.shape = tag, shape
 	a.live[b] = struct{}{}
 	a.stats.Allocs++
@@ -393,7 +437,9 @@ func (a *Allocator) reserveSegment(size int64, small bool) *Block {
 		a.stats.PeakReserved = a.stats.Reserved
 	}
 	obsReserved.Add(size)
-	return &Block{addr: seg.base, size: size, seg: seg}
+	b := a.newBlock()
+	*b = Block{addr: seg.base, size: size, seg: seg}
+	return b
 }
 
 // releaseCachedLocked drops every cached segment that is entirely free (its
@@ -408,6 +454,7 @@ func (a *Allocator) releaseCachedLocked() {
 				a.stats.SegmentsFreed++
 				obsReserved.Add(-b.seg.size)
 				b.dead = true
+				a.dead = append(a.dead, b)
 				continue
 			}
 			kept = append(kept, b)
