@@ -19,7 +19,7 @@ import (
 func BenchmarkBackendOps(b *testing.B) {
 	for _, c := range opbench.Cases() {
 		for _, name := range backend.Names() {
-			be, err := backend.New(name)
+			be, err := backend.New(name, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func BenchmarkBackendOps(b *testing.B) {
 func BenchmarkBackendSmoke(b *testing.B) {
 	for _, c := range opbench.SmokeCases() {
 		for _, name := range backend.Names() {
-			be, err := backend.New(name)
+			be, err := backend.New(name, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -239,9 +239,9 @@ func main() {
 	fs.Parse(os.Args[2:]) // ExitOnError: exits 0 on -h, 2 on a bad flag
 	o.args, o.usage = fs.Args(), fs.Usage
 	// Only the commands that bind obsOut can switch the measurement on, and
-	// each of them gets its files written.
+	// each of them gets its files written from the one run it records into.
 	if o.metricsOut != "" || o.hostTrace != "" {
-		obs.Enable()
+		o.cfg.Obs = obs.NewRun()
 	}
 	if c.figure != "" {
 		study := bench.Study{RunConfig: o.cfg, Sweep: o.sweepKey, Values: parseInts(o.sweepVals)}

@@ -10,7 +10,6 @@ import (
 	"gnnmark/internal/bench"
 	"gnnmark/internal/core"
 	"gnnmark/internal/gpu"
-	"gnnmark/internal/obs"
 	"gnnmark/internal/opbench"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/report"
@@ -247,12 +246,12 @@ func (o *options) writeObsOutputs() {
 	if o.metricsOut != "" {
 		f, err := os.Create(o.metricsOut)
 		fail(err)
-		fail(obs.WriteMetricsJSON(f))
+		fail(o.cfg.Obs.WriteJSON(f))
 		fail(f.Close())
 		fmt.Println("wrote host metrics to", o.metricsOut)
 	}
 	if o.hostTrace != "" {
-		events := trace.HostEvents()
+		events := trace.HostEvents(o.cfg.Obs)
 		if len(o.lanes) > 0 {
 			events = append(trace.StreamLaneEvents(o.lanes), events...)
 		}

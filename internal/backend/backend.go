@@ -17,6 +17,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"gnnmark/internal/obs"
 )
 
 // ConvParams carries the geometry of a 2-D convolution over NCHW tensors.
@@ -155,14 +157,15 @@ type Backend interface {
 	AdamStep(p, g, m, v []float32, lr, beta1, beta2, eps float32, step int)
 }
 
-// New returns the backend registered under name. The empty string selects
-// the default (serial) backend.
-func New(name string) (Backend, error) {
+// New returns the backend registered under name ("" is serial), recording
+// its worker pool into run. Parallel instances share one process-wide pool;
+// results are bitwise identical to serial.
+func New(name string, run *obs.Run) (Backend, error) {
 	switch name {
 	case "", "serial":
-		return NewSerial(), nil
+		return cpuBackend{math.MaxInt, newPoolMetrics(run)}, nil
 	case "parallel":
-		return NewParallel(), nil
+		return cpuBackend{minParallelWork, newPoolMetrics(run)}, nil
 	}
 	names := Names()
 	sort.Strings(names)
@@ -178,8 +181,4 @@ func Default() Backend { return NewSerial() }
 
 // NewSerial returns the single-threaded reference backend: a cutoff no
 // kernel's work count reaches.
-func NewSerial() Backend { return cpuBackend{math.MaxInt} }
-
-// NewParallel returns the worker-pool backend. It shares one process-wide
-// pool across instances; results are bitwise identical to serial.
-func NewParallel() Backend { return cpuBackend{minParallelWork} }
+func NewSerial() Backend { return cpuBackend{cutoff: math.MaxInt} }

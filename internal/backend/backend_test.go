@@ -61,7 +61,7 @@ func eachTiled(t *testing.T, f func(t *testing.T, s, p Backend)) {
 	for _, arm := range []struct {
 		name string
 		be   Backend
-	}{{"parallel", NewParallel()}, {"cutoff1", cpuBackend{cutoff: 1}}} {
+	}{{"parallel", cpuBackend{cutoff: minParallelWork}}, {"cutoff1", cpuBackend{cutoff: 1}}} {
 		t.Run(arm.name, func(t *testing.T) {
 			eachBody(t, func() { f(t, NewSerial(), arm.be) })
 		})
@@ -653,7 +653,7 @@ func testParallelBitwiseIdentity(t *testing.T, s, p Backend) {
 // the -race target).
 func TestConcurrentUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	p := NewParallel()
+	p := cpuBackend{cutoff: minParallelWork}
 	s := NewSerial()
 	const m, n, k = 64, 64, 64
 	a := rnd(rng, m*k)
@@ -686,7 +686,7 @@ func TestConcurrentUse(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	for _, name := range []string{"", "serial", "parallel"} {
-		be, err := New(name)
+		be, err := New(name, nil)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
@@ -694,7 +694,7 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("New(%q).Name() = %q", name, be.Name())
 		}
 	}
-	if _, err := New("cuda"); err == nil {
+	if _, err := New("cuda", nil); err == nil {
 		t.Fatal("New(cuda) should fail")
 	}
 	if got := Default().Name(); got != "serial" {
@@ -879,7 +879,7 @@ func rndSparse(rng *rand.Rand, n int, zeroFrac float64) []float32 {
 	return s
 }
 
-var bothBackends = []Backend{NewSerial(), NewParallel()}
+var bothBackends = []Backend{NewSerial(), cpuBackend{cutoff: minParallelWork}}
 
 // sub32 subtracts at run time: a call the compiler cannot inline is one it
 // cannot fold into a constant of its own choosing.

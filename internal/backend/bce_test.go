@@ -157,7 +157,7 @@ func TestBCEFastPathBits(t *testing.T) {
 	for _, arm := range []struct {
 		name string
 		be   Backend
-	}{{"serial", NewSerial()}, {"parallel", NewParallel()}, {"cutoff1", cpuBackend{cutoff: 1}}} {
+	}{{"serial", NewSerial()}, {"parallel", cpuBackend{cutoff: minParallelWork}}, {"cutoff1", cpuBackend{cutoff: 1}}} {
 		arm.be.BCEWithLogits(logits, targets, got)
 		for i := range got {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {

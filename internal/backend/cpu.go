@@ -15,8 +15,12 @@ import "math"
 // Every parallel decomposition partitions the serial loop nest so that each
 // output element is produced by exactly one worker with the same
 // accumulation order as the serial kernel — results are bitwise identical,
-// which keeps the characterization figures backend-independent.
-type cpuBackend struct{ cutoff int }
+// which keeps the characterization figures backend-independent. m holds
+// the pool metrics of the run the backend was built for (nil: none).
+type cpuBackend struct {
+	cutoff int
+	m      poolMetrics
+}
 
 func (be cpuBackend) Name() string {
 	if be.cutoff == math.MaxInt {
@@ -32,7 +36,7 @@ func (be cpuBackend) MatMul(a, b, out []float32, m, n, k int) {
 		gemmRange(a, b, out, n, k, k, 1, 0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) { gemmRange(a, b, out, n, k, k, 1, lo, hi) })
+	be.parallelFor(m, func(lo, hi int) { gemmRange(a, b, out, n, k, k, 1, lo, hi) })
 }
 
 func (be cpuBackend) MatMulTA(a, b, out []float32, m, n, k int) {
@@ -40,7 +44,7 @@ func (be cpuBackend) MatMulTA(a, b, out []float32, m, n, k int) {
 		gemmRange(a, b, out, n, k, 1, m, 0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) { gemmRange(a, b, out, n, k, 1, m, lo, hi) })
+	be.parallelFor(m, func(lo, hi int) { gemmRange(a, b, out, n, k, 1, m, lo, hi) })
 }
 
 func (be cpuBackend) MatMulTB(a, b, out []float32, m, n, k int) {
@@ -51,7 +55,7 @@ func (be cpuBackend) MatMulTB(a, b, out []float32, m, n, k int) {
 		gemmTBRange(a, bt, out, n, k, false, 0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) { gemmTBRange(a, bt, out, n, k, false, lo, hi) })
+	be.parallelFor(m, func(lo, hi int) { gemmTBRange(a, bt, out, n, k, false, lo, hi) })
 }
 
 // --- sparse (destination-row tiles) ---
@@ -61,7 +65,7 @@ func (be cpuBackend) SpMM(rowPtr, colIdx []int32, vals []float32, x, out []float
 		spMMRange(rowPtr, colIdx, vals, x, out, f, 0, rows)
 		return
 	}
-	parallelFor(rows, func(lo, hi int) { spMMRange(rowPtr, colIdx, vals, x, out, f, lo, hi) })
+	be.parallelFor(rows, func(lo, hi int) { spMMRange(rowPtr, colIdx, vals, x, out, f, lo, hi) })
 }
 
 // --- convolution ---
@@ -71,7 +75,7 @@ func (be cpuBackend) Conv2D(x, w, out []float32, p ConvParams) {
 		conv2DRange(x, w, out, p, 0, p.N*p.Cout)
 		return
 	}
-	parallelFor(p.N*p.Cout, func(lo, hi int) { conv2DRange(x, w, out, p, lo, hi) })
+	be.parallelFor(p.N*p.Cout, func(lo, hi int) { conv2DRange(x, w, out, p, lo, hi) })
 }
 
 func (be cpuBackend) Conv2DGradInput(dy, w, dx []float32, p ConvParams) {
@@ -79,7 +83,7 @@ func (be cpuBackend) Conv2DGradInput(dy, w, dx []float32, p ConvParams) {
 		conv2DGradInputRange(dy, w, dx, p, 0, p.N*p.Cin)
 		return
 	}
-	parallelFor(p.N*p.Cin, func(lo, hi int) { conv2DGradInputRange(dy, w, dx, p, lo, hi) })
+	be.parallelFor(p.N*p.Cin, func(lo, hi int) { conv2DGradInputRange(dy, w, dx, p, lo, hi) })
 }
 
 func (be cpuBackend) Conv2DGradWeight(x, dy, dw []float32, p ConvParams) {
@@ -87,7 +91,7 @@ func (be cpuBackend) Conv2DGradWeight(x, dy, dw []float32, p ConvParams) {
 		conv2DGradWeightRange(x, dy, dw, p, 0, p.Cout)
 		return
 	}
-	parallelFor(p.Cout, func(lo, hi int) { conv2DGradWeightRange(x, dy, dw, p, lo, hi) })
+	be.parallelFor(p.Cout, func(lo, hi int) { conv2DGradWeightRange(x, dy, dw, p, lo, hi) })
 }
 
 func (be cpuBackend) MaxPool2D(x, out []float32, arg []int32, n, c, h, w, k int) {
@@ -95,7 +99,7 @@ func (be cpuBackend) MaxPool2D(x, out []float32, arg []int32, n, c, h, w, k int)
 		maxPool2DRange(x, out, arg, h, w, k, 0, n*c)
 		return
 	}
-	parallelFor(n*c, func(lo, hi int) { maxPool2DRange(x, out, arg, h, w, k, lo, hi) })
+	be.parallelFor(n*c, func(lo, hi int) { maxPool2DRange(x, out, arg, h, w, k, lo, hi) })
 }
 
 // --- gather / scatter rows ---
@@ -105,7 +109,7 @@ func (be cpuBackend) GatherRows(x, out []float32, idx []int32, f int) {
 		gatherRowsRange(x, out, idx, f, 0, len(idx))
 		return
 	}
-	parallelFor(len(idx), func(lo, hi int) { gatherRowsRange(x, out, idx, f, lo, hi) })
+	be.parallelFor(len(idx), func(lo, hi int) { gatherRowsRange(x, out, idx, f, lo, hi) })
 }
 
 // ScatterAddRows partitions feature columns, not rows: idx may name the
@@ -116,7 +120,7 @@ func (be cpuBackend) ScatterAddRows(dst, src []float32, idx []int32, f int) {
 		scatterAddRowsRange(dst, src, idx, f, 0, f)
 		return
 	}
-	parallelFor(f, func(lo, hi int) { scatterAddRowsRange(dst, src, idx, f, lo, hi) })
+	be.parallelFor(f, func(lo, hi int) { scatterAddRowsRange(dst, src, idx, f, lo, hi) })
 }
 
 // --- reductions (SumAll never tiles: serial.go) ---
@@ -126,7 +130,7 @@ func (be cpuBackend) SumRows(x, out []float32, n, f int) {
 		sumRowsRange(x, out, n, f, 0, f)
 		return
 	}
-	parallelFor(f, func(lo, hi int) { sumRowsRange(x, out, n, f, lo, hi) })
+	be.parallelFor(f, func(lo, hi int) { sumRowsRange(x, out, n, f, lo, hi) })
 }
 
 func (be cpuBackend) SumCols(x, out []float32, n, f int) {
@@ -134,7 +138,7 @@ func (be cpuBackend) SumCols(x, out []float32, n, f int) {
 		sumColsRange(x, out, f, 0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { sumColsRange(x, out, f, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { sumColsRange(x, out, f, lo, hi) })
 }
 
 func (be cpuBackend) MaxCols(x, out []float32, arg []int32, n, f int) {
@@ -142,7 +146,7 @@ func (be cpuBackend) MaxCols(x, out []float32, arg []int32, n, f int) {
 		maxColsRange(x, out, arg, f, 0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { maxColsRange(x, out, arg, f, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { maxColsRange(x, out, arg, f, lo, hi) })
 }
 
 func (be cpuBackend) Softmax(x, out []float32, n, f int) {
@@ -150,7 +154,7 @@ func (be cpuBackend) Softmax(x, out []float32, n, f int) {
 		softmaxRange(x, out, f, 0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { softmaxRange(x, out, f, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { softmaxRange(x, out, f, lo, hi) })
 }
 
 func (be cpuBackend) LogSoftmax(x, out []float32, n, f int) {
@@ -158,7 +162,7 @@ func (be cpuBackend) LogSoftmax(x, out []float32, n, f int) {
 		logSoftmaxRange(x, out, f, 0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { logSoftmaxRange(x, out, f, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { logSoftmaxRange(x, out, f, lo, hi) })
 }
 
 // --- element-wise (flat chunk tiles) ---
@@ -168,7 +172,7 @@ func (be cpuBackend) Add(out, a, b []float32) {
 		addRange(out, a, b, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { addRange(out, a, b, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { addRange(out, a, b, lo, hi) })
 }
 
 func (be cpuBackend) Sub(out, a, b []float32) {
@@ -176,7 +180,7 @@ func (be cpuBackend) Sub(out, a, b []float32) {
 		subRange(out, a, b, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { subRange(out, a, b, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { subRange(out, a, b, lo, hi) })
 }
 
 func (be cpuBackend) Mul(out, a, b []float32) {
@@ -184,7 +188,7 @@ func (be cpuBackend) Mul(out, a, b []float32) {
 		mulRange(out, a, b, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { mulRange(out, a, b, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { mulRange(out, a, b, lo, hi) })
 }
 
 func (be cpuBackend) Scale(out, a []float32, s float32) {
@@ -192,7 +196,7 @@ func (be cpuBackend) Scale(out, a []float32, s float32) {
 		scaleRange(out, a, s, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { scaleRange(out, a, s, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { scaleRange(out, a, s, lo, hi) })
 }
 
 func (be cpuBackend) AddScalar(out, a []float32, s float32) {
@@ -200,7 +204,7 @@ func (be cpuBackend) AddScalar(out, a []float32, s float32) {
 		addScalarRange(out, a, s, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { addScalarRange(out, a, s, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { addScalarRange(out, a, s, lo, hi) })
 }
 
 func (be cpuBackend) AddScaled(out, a, b []float32, s float32) {
@@ -208,7 +212,7 @@ func (be cpuBackend) AddScaled(out, a, b []float32, s float32) {
 		addScaledRange(out, a, b, s, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { addScaledRange(out, a, b, s, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { addScaledRange(out, a, b, s, lo, hi) })
 }
 
 func (be cpuBackend) ReLU(out, x []float32) {
@@ -216,7 +220,7 @@ func (be cpuBackend) ReLU(out, x []float32) {
 		reluRange(out, x, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { reluRange(out, x, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { reluRange(out, x, lo, hi) })
 }
 
 func (be cpuBackend) ReLUBackward(out, x, dy []float32) {
@@ -224,7 +228,7 @@ func (be cpuBackend) ReLUBackward(out, x, dy []float32) {
 		reluBackwardRange(out, x, dy, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { reluBackwardRange(out, x, dy, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { reluBackwardRange(out, x, dy, lo, hi) })
 }
 
 func (be cpuBackend) PReLU(out, x []float32, alpha float32) {
@@ -232,7 +236,7 @@ func (be cpuBackend) PReLU(out, x []float32, alpha float32) {
 		preluRange(out, x, alpha, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { preluRange(out, x, alpha, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { preluRange(out, x, alpha, lo, hi) })
 }
 
 func (be cpuBackend) Sigmoid(out, x []float32) {
@@ -240,7 +244,7 @@ func (be cpuBackend) Sigmoid(out, x []float32) {
 		sigmoidRange(out, x, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { sigmoidRange(out, x, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { sigmoidRange(out, x, lo, hi) })
 }
 
 func (be cpuBackend) Tanh(out, x []float32) {
@@ -248,7 +252,7 @@ func (be cpuBackend) Tanh(out, x []float32) {
 		tanhRange(out, x, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { tanhRange(out, x, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { tanhRange(out, x, lo, hi) })
 }
 
 func (be cpuBackend) Exp(out, x []float32) {
@@ -256,7 +260,7 @@ func (be cpuBackend) Exp(out, x []float32) {
 		expRange(out, x, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { expRange(out, x, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { expRange(out, x, lo, hi) })
 }
 
 // --- bias / layout ---
@@ -266,7 +270,7 @@ func (be cpuBackend) AddBiasRows(out, x, bias []float32, n, f int) {
 		addBiasRowsRange(out, x, bias, f, 0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { addBiasRowsRange(out, x, bias, f, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { addBiasRowsRange(out, x, bias, f, lo, hi) })
 }
 
 func (be cpuBackend) Transpose2D(out, x []float32, n, f int) {
@@ -274,7 +278,7 @@ func (be cpuBackend) Transpose2D(out, x []float32, n, f int) {
 		transpose2DRange(out, x, n, f, 0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { transpose2DRange(out, x, n, f, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { transpose2DRange(out, x, n, f, lo, hi) })
 }
 
 func (be cpuBackend) AddChannelBias(out, x, bias []float32, n, c, plane int) {
@@ -282,7 +286,7 @@ func (be cpuBackend) AddChannelBias(out, x, bias []float32, n, c, plane int) {
 		addChannelBiasRange(out, x, bias, c, plane, 0, n*c)
 		return
 	}
-	parallelFor(n*c, func(lo, hi int) { addChannelBiasRange(out, x, bias, c, plane, lo, hi) })
+	be.parallelFor(n*c, func(lo, hi int) { addChannelBiasRange(out, x, bias, c, plane, lo, hi) })
 }
 
 func (be cpuBackend) ChannelBiasGrad(dy, out []float32, n, c, plane int) {
@@ -290,7 +294,7 @@ func (be cpuBackend) ChannelBiasGrad(dy, out []float32, n, c, plane int) {
 		channelBiasGradRange(dy, out, n, c, plane, 0, c)
 		return
 	}
-	parallelFor(c, func(lo, hi int) { channelBiasGradRange(dy, out, n, c, plane, lo, hi) })
+	be.parallelFor(c, func(lo, hi int) { channelBiasGradRange(dy, out, n, c, plane, lo, hi) })
 }
 
 // --- norms ---
@@ -300,7 +304,7 @@ func (be cpuBackend) BatchNormStats(x, mean, variance []float32, n, f int) {
 		batchNormStatsRange(x, mean, variance, n, f, 0, f)
 		return
 	}
-	parallelFor(f, func(lo, hi int) { batchNormStatsRange(x, mean, variance, n, f, lo, hi) })
+	be.parallelFor(f, func(lo, hi int) { batchNormStatsRange(x, mean, variance, n, f, lo, hi) })
 }
 
 func (be cpuBackend) BatchNormApply(x, mean, variance, gamma, beta, out []float32, n, f int, eps float32) {
@@ -309,7 +313,7 @@ func (be cpuBackend) BatchNormApply(x, mean, variance, gamma, beta, out []float3
 		batchNormApplyRange(x, mean, inv, gamma, beta, out, f, 0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { batchNormApplyRange(x, mean, inv, gamma, beta, out, f, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { batchNormApplyRange(x, mean, inv, gamma, beta, out, f, lo, hi) })
 }
 
 func (be cpuBackend) BatchNormBackward(xhat, dy, variance, gamma, dx, dgamma, dbeta []float32, n, f int, eps float32) {
@@ -317,7 +321,7 @@ func (be cpuBackend) BatchNormBackward(xhat, dy, variance, gamma, dx, dgamma, db
 		batchNormBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta, n, f, eps, 0, f)
 		return
 	}
-	parallelFor(f, func(lo, hi int) {
+	be.parallelFor(f, func(lo, hi int) {
 		batchNormBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta, n, f, eps, lo, hi)
 	})
 }
@@ -327,7 +331,7 @@ func (be cpuBackend) LayerNormForward(x, gamma, beta, out, xhat, invStd []float3
 		layerNormForwardRange(x, gamma, beta, out, xhat, invStd, f, eps, 0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { layerNormForwardRange(x, gamma, beta, out, xhat, invStd, f, eps, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { layerNormForwardRange(x, gamma, beta, out, xhat, invStd, f, eps, lo, hi) })
 }
 
 func (be cpuBackend) LayerNormBackward(xhat, invStd, dy, gamma, dx, dgamma, dbeta []float32, n, f int) {
@@ -336,12 +340,12 @@ func (be cpuBackend) LayerNormBackward(xhat, invStd, dy, gamma, dx, dgamma, dbet
 		layerNormDParamsRange(xhat, dy, dgamma, dbeta, n, f, 0, f)
 		return
 	}
-	parallelFor(n, func(lo, hi int) { layerNormDXRange(xhat, invStd, dy, gamma, dx, f, lo, hi) })
+	be.parallelFor(n, func(lo, hi int) { layerNormDXRange(xhat, invStd, dy, gamma, dx, f, lo, hi) })
 	if f < 2 {
 		layerNormDParamsRange(xhat, dy, dgamma, dbeta, n, f, 0, f)
 		return
 	}
-	parallelFor(f, func(lo, hi int) { layerNormDParamsRange(xhat, dy, dgamma, dbeta, n, f, lo, hi) })
+	be.parallelFor(f, func(lo, hi int) { layerNormDParamsRange(xhat, dy, dgamma, dbeta, n, f, lo, hi) })
 }
 
 func (be cpuBackend) BatchNorm2D(x, gamma, beta, out, xhat, variance []float32, b, c, plane int, eps float32) {
@@ -349,7 +353,7 @@ func (be cpuBackend) BatchNorm2D(x, gamma, beta, out, xhat, variance []float32, 
 		batchNorm2DRange(x, gamma, beta, out, xhat, variance, b, c, plane, eps, 0, c)
 		return
 	}
-	parallelFor(c, func(lo, hi int) {
+	be.parallelFor(c, func(lo, hi int) {
 		batchNorm2DRange(x, gamma, beta, out, xhat, variance, b, c, plane, eps, lo, hi)
 	})
 }
@@ -359,7 +363,7 @@ func (be cpuBackend) BatchNorm2DBackward(xhat, dy, variance, gamma, dx, dgamma, 
 		batchNorm2DBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta, b, c, plane, eps, 0, c)
 		return
 	}
-	parallelFor(c, func(lo, hi int) {
+	be.parallelFor(c, func(lo, hi int) {
 		batchNorm2DBackwardRange(xhat, dy, variance, gamma, dx, dgamma, dbeta, b, c, plane, eps, lo, hi)
 	})
 }
@@ -371,7 +375,7 @@ func (be cpuBackend) GLU4D(x, out, gate []float32, b, c, plane int) {
 		glu4DRange(x, out, gate, c, plane, 0, b*c)
 		return
 	}
-	parallelFor(b*c, func(lo, hi int) { glu4DRange(x, out, gate, c, plane, lo, hi) })
+	be.parallelFor(b*c, func(lo, hi int) { glu4DRange(x, out, gate, c, plane, lo, hi) })
 }
 
 func (be cpuBackend) GLU4DBackward(x, gate, dy, dx []float32, b, c, plane int) {
@@ -379,7 +383,7 @@ func (be cpuBackend) GLU4DBackward(x, gate, dy, dx []float32, b, c, plane int) {
 		glu4DBackwardRange(x, gate, dy, dx, c, plane, 0, b*c)
 		return
 	}
-	parallelFor(b*c, func(lo, hi int) { glu4DBackwardRange(x, gate, dy, dx, c, plane, lo, hi) })
+	be.parallelFor(b*c, func(lo, hi int) { glu4DBackwardRange(x, gate, dy, dx, c, plane, lo, hi) })
 }
 
 func (be cpuBackend) LSTMCellForward(gates, cPrev, gi, gf, gg, go_, cNew, h []float32, b, hd int) {
@@ -387,7 +391,7 @@ func (be cpuBackend) LSTMCellForward(gates, cPrev, gi, gf, gg, go_, cNew, h []fl
 		lstmCellForwardRange(gates, cPrev, gi, gf, gg, go_, cNew, h, hd, 0, b)
 		return
 	}
-	parallelFor(b, func(lo, hi int) { lstmCellForwardRange(gates, cPrev, gi, gf, gg, go_, cNew, h, hd, lo, hi) })
+	be.parallelFor(b, func(lo, hi int) { lstmCellForwardRange(gates, cPrev, gi, gf, gg, go_, cNew, h, hd, lo, hi) })
 }
 
 func (be cpuBackend) LSTMCellBackward(gi, gf, gg, go_, cPrev, cNew, dH, dC, dGates, dCPrev []float32, b, hd int) {
@@ -395,7 +399,7 @@ func (be cpuBackend) LSTMCellBackward(gi, gf, gg, go_, cPrev, cNew, dH, dC, dGat
 		lstmCellBackwardRange(gi, gf, gg, go_, cPrev, cNew, dH, dC, dGates, dCPrev, hd, 0, b)
 		return
 	}
-	parallelFor(b, func(lo, hi int) {
+	be.parallelFor(b, func(lo, hi int) {
 		lstmCellBackwardRange(gi, gf, gg, go_, cPrev, cNew, dH, dC, dGates, dCPrev, hd, lo, hi)
 	})
 }
@@ -407,7 +411,7 @@ func (be cpuBackend) BCEWithLogits(logits, targets, out []float32) {
 		bceWithLogitsRange(logits, targets, out, 0, n)
 		return
 	}
-	parallelFor(len(out), func(lo, hi int) { bceWithLogitsRange(logits, targets, out, lo, hi) })
+	be.parallelFor(len(out), func(lo, hi int) { bceWithLogitsRange(logits, targets, out, lo, hi) })
 }
 
 func (be cpuBackend) BCEWithLogitsBackward(logits, targets, dx []float32, g float32) {
@@ -415,7 +419,7 @@ func (be cpuBackend) BCEWithLogitsBackward(logits, targets, dx []float32, g floa
 		bceWithLogitsBackwardRange(logits, targets, dx, g, 0, n)
 		return
 	}
-	parallelFor(len(dx), func(lo, hi int) { bceWithLogitsBackwardRange(logits, targets, dx, g, lo, hi) })
+	be.parallelFor(len(dx), func(lo, hi int) { bceWithLogitsBackwardRange(logits, targets, dx, g, lo, hi) })
 }
 
 // --- optimizer steps ---
@@ -425,7 +429,7 @@ func (be cpuBackend) SGDStep(p, g, buf []float32, lr, momentum, weightDecay floa
 		sgdStepRange(p, g, buf, lr, momentum, weightDecay, 0, n)
 		return
 	}
-	parallelFor(len(p), func(lo, hi int) { sgdStepRange(p, g, buf, lr, momentum, weightDecay, lo, hi) })
+	be.parallelFor(len(p), func(lo, hi int) { sgdStepRange(p, g, buf, lr, momentum, weightDecay, lo, hi) })
 }
 
 func (be cpuBackend) AdamStep(p, g, m, v []float32, lr, beta1, beta2, eps float32, step int) {
@@ -434,5 +438,5 @@ func (be cpuBackend) AdamStep(p, g, m, v []float32, lr, beta1, beta2, eps float3
 		adamStepRange(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2, 0, n)
 		return
 	}
-	parallelFor(len(p), func(lo, hi int) { adamStepRange(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2, lo, hi) })
+	be.parallelFor(len(p), func(lo, hi int) { adamStepRange(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2, lo, hi) })
 }

@@ -7,26 +7,29 @@ import (
 	"gnnmark/internal/obs"
 )
 
-// Host-observability handles for the worker pool: per-task wall time, the
-// task and dispatch counts, and the serial fallbacks taken by kernels too
-// small to amortize a dispatch. Recording no-ops until obs.Enable.
-var (
-	obsTaskNanos       = obs.GetHistogram("backend.task_nanos", obs.DurationBuckets())
-	obsTasksTotal      = obs.GetCounter("backend.tasks_total")
-	obsDispatchesTotal = obs.GetCounter("backend.dispatches_total")
-	obsInlineRunsTotal = obs.GetCounter("backend.inline_runs_total")
-)
+// poolMetrics are a backend's worker-pool handles in its run (nil without
+// one): per-task wall time, the task and dispatch counts, and the serial
+// fallbacks taken by kernels too small to amortize a dispatch.
+type poolMetrics struct {
+	taskNanos                     *obs.Histogram
+	tasks, dispatches, inlineRuns *obs.Counter
+}
 
-// runTask executes one chunk, timing it when observability is on.
-func runTask(f func(lo, hi int), lo, hi int) {
-	if !obs.Enabled() {
+func newPoolMetrics(run *obs.Run) poolMetrics {
+	return poolMetrics{run.Histogram("backend.task_nanos", obs.DurationBuckets()), run.Counter("backend.tasks_total"),
+		run.Counter("backend.dispatches_total"), run.Counter("backend.inline_runs_total")}
+}
+
+// runTask executes one chunk, timing it when there is a run to record into.
+func (m poolMetrics) runTask(f func(lo, hi int), lo, hi int) {
+	if m.tasks == nil {
 		f(lo, hi)
 		return
 	}
 	start := obs.Nanos()
 	f(lo, hi)
-	obsTaskNanos.Observe(obs.Nanos() - start)
-	obsTasksTotal.Inc()
+	m.taskNanos.Observe(obs.Nanos() - start)
+	m.tasks.Inc()
 }
 
 // The parallel backend dispatches onto one process-wide worker pool:
@@ -39,6 +42,7 @@ type poolTask struct {
 	f      func(lo, hi int)
 	lo, hi int
 	wg     *sync.WaitGroup
+	m      poolMetrics // the dispatcher's: a task records into its run
 }
 
 var (
@@ -53,7 +57,7 @@ func startPool() {
 	for i := 0; i < poolSize; i++ {
 		go func() {
 			for t := range poolTasks {
-				runTask(t.f, t.lo, t.hi)
+				t.m.runTask(t.f, t.lo, t.hi)
 				t.wg.Done()
 			}
 		}()
@@ -69,8 +73,9 @@ const minParallelWork = 1 << 15
 // over the chunks on the shared pool; the calling goroutine executes the
 // final chunk itself, so the pool is never a hard dependency. f must
 // tolerate concurrent invocations on disjoint ranges. Kernel tasks never
-// submit nested parallelFor calls, so pool workers cannot deadlock.
-func parallelFor(n int, f func(lo, hi int)) {
+// submit nested parallelFor calls, so pool workers cannot deadlock. The
+// dispatch and its tasks record into be's run.
+func (be cpuBackend) parallelFor(n int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -80,19 +85,19 @@ func parallelFor(n int, f func(lo, hi int)) {
 		chunks = n
 	}
 	if chunks <= 1 {
-		obsInlineRunsTotal.Inc()
+		be.m.inlineRuns.Inc()
 		f(0, n)
 		return
 	}
-	obsDispatchesTotal.Inc()
+	be.m.dispatches.Inc()
 	size := (n + chunks - 1) / chunks
 	var wg sync.WaitGroup
 	lo := 0
 	for lo+size < n {
 		wg.Add(1)
-		poolTasks <- poolTask{f: f, lo: lo, hi: lo + size, wg: &wg}
+		poolTasks <- poolTask{f: f, lo: lo, hi: lo + size, wg: &wg, m: be.m}
 		lo += size
 	}
-	runTask(f, lo, n)
+	be.m.runTask(f, lo, n)
 	wg.Wait()
 }

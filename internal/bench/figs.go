@@ -162,6 +162,7 @@ func FigS(cfg ServeConfig) (*FigSResult, error) {
 				MaxWaitSeconds: cfg.MaxWaitSeconds,
 				QueueCap:       cfg.QueueCap,
 				CacheRows:      cache,
+				Obs:            cfg.Run.Obs,
 			}, pool.Serving)
 			st, err := s.Run(serve.NewSliceSource(reqs))
 			pool.Close()

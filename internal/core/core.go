@@ -13,6 +13,7 @@ import (
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/graph"
 	"gnnmark/internal/models"
+	"gnnmark/internal/obs"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 	"gnnmark/internal/stream"
@@ -249,6 +250,9 @@ type RunConfig struct {
 	// after construction — the hook the CLI attaches a trace.Recorder and
 	// the kernels study its listener through, before any kernels launch.
 	OnDevice func(*gpu.Device)
+	// Obs is the run every plane built from this configuration records its
+	// host metrics and spans into (DESIGN.md §7); nil records nothing.
+	Obs *obs.Run
 }
 
 func (c *RunConfig) defaults() {
@@ -281,8 +285,8 @@ type RunResult struct {
 	// PerClass carries the per-op-class stats for Figures 5/6 per-op views.
 	PerClass map[gpu.OpClass]profiler.ClassStats
 	// HostOpClasses is the per-epoch host-time attribution by gpu.OpClass
-	// (the engine's per-op interval accounting); empty unless obs.Enabled
-	// during the run. Index-aligned with HostPhases.
+	// (the engine's per-op interval accounting); empty unless the run
+	// records into RunConfig.Obs. Index-aligned with HostPhases.
 	HostOpClasses []ops.OpClassBreakdown
 	// Mem snapshots the device allocator after training: peak-live is the
 	// per-iteration footprint high-water mark (the memory figure's input).
@@ -336,6 +340,7 @@ func (c *RunConfig) DeviceConfig(slot int) (gpu.Config, error) {
 	}
 	devCfg.HalfPrecision = c.HalfPrecision
 	devCfg.BypassL1 = c.BypassL1
+	devCfg.Obs = c.Obs
 	return devCfg, nil
 }
 

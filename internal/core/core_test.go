@@ -72,12 +72,8 @@ func TestRunARGA(t *testing.T) {
 // the host time the phase spans measure (the op stream is where engine host
 // time goes), and ARGA's dominant classes must be present.
 func TestRunAttributesHostTimeToOpClasses(t *testing.T) {
-	obs.Enable()
-	defer func() {
-		obs.Reset()
-		obs.Disable()
-	}()
-	res, err := Run(RunConfig{Workload: "ARGA", Epochs: 2, SampledWarps: 512})
+	t.Parallel()
+	res, err := Run(RunConfig{Workload: "ARGA", Epochs: 2, SampledWarps: 512, Obs: obs.NewRun()})
 	if err != nil {
 		t.Fatal(err)
 	}

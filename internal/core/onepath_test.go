@@ -968,6 +968,91 @@ func TestEveryFieldIsRead(t *testing.T) {
 	t.Logf("%d struct fields, %d read by no non-test file", len(key), len(unread))
 }
 
+// TestNoProcessGlobalObs keeps runs apart. A package-level variable outside
+// internal/obs that holds an obs handle (*obs.Counter, *obs.Gauge,
+// *obs.Histogram or *obs.Track; in an array, slice, map or struct too)
+// belongs to no run, so every run in the process would record into it; a
+// handle is a field its owner resolves from the run it is built for. And the
+// switches over the process-global run (obs.Enable, Disable, Enabled, Reset,
+// CapturePhases, ops.CaptureOpClasses) are kept for the frozen e2ebench
+// harness alone: no non-test file under cmd/ or internal/ (but obs itself)
+// calls them.
+func TestNoProcessGlobalObs(t *testing.T) {
+	m := loadModule(t)
+	const obsPath = "gnnmark/internal/obs"
+	var holds func(typ types.Type, seen map[types.Type]bool) bool
+	holds = func(typ types.Type, seen map[types.Type]bool) bool {
+		if seen[typ] {
+			return false
+		}
+		seen[typ] = true
+		switch u := typ.(type) {
+		case *types.Pointer:
+			if n, ok := u.Elem().(*types.Named); ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == obsPath &&
+				slices.Contains([]string{"Counter", "Gauge", "Histogram", "Track"}, n.Obj().Name()) {
+				return true
+			}
+			return holds(u.Elem(), seen)
+		case *types.Named: // a *obs.Run is the run itself, not a handle outside one
+			return (u.Obj().Pkg() == nil || u.Obj().Pkg().Path() != obsPath) && holds(u.Underlying(), seen)
+		case *types.Array:
+			return holds(u.Elem(), seen)
+		case *types.Slice:
+			return holds(u.Elem(), seen)
+		case *types.Map:
+			return holds(u.Elem(), seen)
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if holds(u.Field(i).Type(), seen) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var errs []string
+	for p, pkg := range m.done {
+		if p == obsPath {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			if v, ok := pkg.Scope().Lookup(name).(*types.Var); ok && holds(v.Type(), map[types.Type]bool{}) {
+				errs = append(errs, fmt.Sprintf("%s: package-level %s.%s holds an obs handle outside any run: make it a field its owner resolves from its run",
+					m.fset.Position(v.Pos()), pkg.Name(), name))
+			}
+		}
+	}
+	shims := map[string]bool{obsPath + ".Enable": true, obsPath + ".Disable": true, obsPath + ".Enabled": true,
+		obsPath + ".Reset": true, obsPath + ".CapturePhases": true, "gnnmark/internal/ops.CaptureOpClasses": true}
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, obj := range m.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil || !shims[fn.Pkg().Path()+"."+fn.Name()] {
+			continue
+		}
+		pos := m.fset.Position(id.Pos())
+		abs, err := filepath.Abs(pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := filepath.Rel(root, abs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dir := filepath.ToSlash(filepath.Dir(rel)); dir != "internal/obs" && (strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "internal/")) {
+			errs = append(errs, fmt.Sprintf("%s: calls %s.%s, a switch of the process-global run kept for e2ebench: record into the run this code is built for",
+				pos, fn.Pkg().Name(), fn.Name()))
+		}
+	}
+	slices.Sort(errs)
+	for _, e := range errs {
+		t.Error(e)
+	}
+}
+
 // module is the one type-checked load of the module both go/types guards
 // read: checking it, with the standard library from source, takes about a
 // second, so a test binary does it once.

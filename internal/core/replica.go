@@ -11,7 +11,6 @@ import (
 	"gnnmark/internal/gpu"
 	"gnnmark/internal/models"
 	"gnnmark/internal/nn"
-	"gnnmark/internal/obs"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 )
@@ -92,7 +91,7 @@ func (c *RunConfig) Build(slot, rank, world int, construct func(env *models.Env)
 	if err != nil {
 		return nil, err
 	}
-	be, err := backend.New(c.Backend)
+	be, err := backend.New(c.Backend, c.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -174,12 +173,12 @@ func (r *Replica) Train(cfg RunConfig) (RunResult, error) {
 		Dataset:    r.Dataset,
 		ParamCount: nn.NumParams(r.W.Params()),
 	}
-	lastOpCap := ops.CaptureOpClasses()
+	lastOpCap := env.E.OpClasses()
 	// Epoch seconds are differences of the serialized device clock, also
 	// under the input pipeline (Pipe carries the overlapped view).
 	log, err := env.Train(r.W, cfg.Epochs, dev.ElapsedSeconds, func(_ int, loss, _ float64) (bool, error) {
-		if obs.Enabled() {
-			opCap := ops.CaptureOpClasses()
+		if env.E.Obs() != nil {
+			opCap := env.E.OpClasses()
 			res.HostOpClasses = append(res.HostOpClasses, opCap.Delta(lastOpCap))
 			lastOpCap = opCap
 		}

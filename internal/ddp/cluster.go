@@ -11,19 +11,6 @@ import (
 	"gnnmark/internal/obs"
 )
 
-// Host-observability handles for the executed DDP engine. Recording
-// no-ops until obs.Enable.
-var (
-	// obsBucketExposedNanos is the per-bucket exposed (non-overlapped)
-	// communication time on the modeled timeline, in nanoseconds.
-	obsBucketExposedNanos = obs.GetHistogram("ddp.bucket_exposed_nanos", obs.DurationBuckets())
-	// obsReduceHostNanos is the leader's real host wall time per
-	// reduce-iteration (ring reduction + write-back across replicas).
-	obsReduceHostNanos = obs.GetHistogram("ddp.reduce_host_nanos", obs.DurationBuckets())
-	obsIterationsTotal = obs.GetCounter("ddp.iterations_total")
-	obsAllreduceBytes  = obs.GetCounter("ddp.allreduce_bytes_total")
-)
-
 // This file is the executed replication engine: Train really trains G
 // replicas of the workload on G simulated devices — one goroutine each —
 // and really averages their gradients through a bucketed ring-allreduce,
@@ -101,7 +88,7 @@ type ClusterResult struct {
 	// EpochLog is the per-epoch record: Losses averaged over replicas,
 	// EpochSeconds the modeled wall time (per-iteration max-replica compute
 	// plus exposed, non-overlapped communication) and HostPhases the mean
-	// per replica (empty unless obs.Enabled at run time).
+	// per replica (empty unless the replicas record into a run).
 	models.EpochLog
 	// TotalSeconds sums EpochSeconds.
 	TotalSeconds float64
@@ -159,9 +146,13 @@ type run struct {
 	epochExposed float64
 	scratch      []float32 // reduce buffer, sized to largest bucket
 
-	// Host observability (leader-written under the group mutex).
-	track  *obs.Track // spans of the leader's reduction work
-	phases *obs.PhaseMeter
+	// Host observability in the replicas' run, leader-written under the
+	// group mutex: reduction spans, the phase meter, each bucket's exposed
+	// (modeled) comm time and each reduce-iteration's host wall time.
+	track                      *obs.Track
+	phases                     *obs.PhaseMeter
+	bucketExposed, reduceHost  *obs.Histogram
+	iterations, allreduceBytes *obs.Counter
 }
 
 // checkFatal is the leader's fatal-event sweep at a gradient barrier: it
@@ -363,15 +354,20 @@ func runSingle(rep *replica, epochs int, cfg ClusterConfig, res *ClusterResult) 
 // leader books it into res (finishEpoch).
 func runFleet(reps []*replica, epochs int, cfg ClusterConfig, res *ClusterResult) error {
 	world := len(reps)
+	o := reps[0].env.E.Obs() // the replicas' run
 	st := &run{
-		cfg:      cfg,
-		g:        exec.NewGroup(world),
-		reps:     reps,
-		res:      res,
-		backward: make([]float64, world),
-		compute:  make([]float64, world),
-		track:    obs.NewTrack("ddp-reduce"),
-		phases:   obs.NewPhaseMeter(),
+		cfg:            cfg,
+		g:              exec.NewGroup(world),
+		reps:           reps,
+		res:            res,
+		backward:       make([]float64, world),
+		compute:        make([]float64, world),
+		track:          o.Track("ddp-reduce"),
+		phases:         obs.NewPhaseMeter(o),
+		bucketExposed:  o.Histogram("ddp.bucket_exposed_nanos", obs.DurationBuckets()),
+		reduceHost:     o.Histogram("ddp.reduce_host_nanos", obs.DurationBuckets()),
+		iterations:     o.Counter("ddp.iterations_total"),
+		allreduceBytes: o.Counter("ddp.allreduce_bytes_total"),
 	}
 	maxElems := 0
 	for _, b := range reps[0].buckets {
@@ -491,7 +487,7 @@ func (st *run) reduceIteration() error {
 		}
 		// This bucket's contribution to exposed (non-overlapped) comm on
 		// the modeled timeline.
-		obsBucketExposedNanos.Observe(int64((expAfter - expBefore) * 1e9))
+		st.bucketExposed.Observe(int64((expAfter - expBefore) * 1e9))
 		commBusy += t
 	}
 
@@ -507,12 +503,12 @@ func (st *run) reduceIteration() error {
 	st.res.CommSeconds += commBusy
 	st.res.ExposedCommSeconds += exposed
 	st.epochExposed += exposed
-	obsIterationsTotal.Inc()
-	obsAllreduceBytes.Add(int64(totalBytes))
+	st.iterations.Inc()
+	st.allreduceBytes.Add(int64(totalBytes))
 	if st.track != nil {
 		now := obs.Nanos()
 		st.track.Record("reduce_iteration", "comm", hostStart, now-hostStart)
-		obsReduceHostNanos.Observe(now - hostStart)
+		st.reduceHost.Observe(now - hostStart)
 	}
 	return nil
 }

@@ -30,7 +30,7 @@ func clusterFactoryHBM(name, backendName string, hbmBytes int64) ReplicaFactory 
 		cfg.MaxSampledWarps = 256
 		cfg.HBMBytes = hbmBytes
 		dev := gpu.New(cfg)
-		be, err := backend.New(backendName)
+		be, err := backend.New(backendName, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,5 +1,7 @@
 package gpu
 
+import "gnnmark/internal/obs"
+
 // Config holds every parameter of the device model. The zero value is not
 // usable; start from V100() (or another preset) and override fields.
 type Config struct {
@@ -80,6 +82,10 @@ type Config struct {
 	// cache-bypass mitigation the paper suggests for workloads whose L1 hit
 	// rates are too low to pay for the lookup.
 	BypassL1 bool
+
+	// Obs is the run the device's allocator and engine record into; New
+	// binds obs.Process() (off unless e2ebench switched it on) for nil.
+	Obs *obs.Run
 }
 
 // V100 returns the model of the NVIDIA Tesla V100-SXM2-16GB used in the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"gnnmark/internal/obs"
 	"gnnmark/internal/vmem"
 )
 
@@ -76,12 +77,15 @@ func New(cfg Config) *Device {
 	if hbm == 0 {
 		hbm = DefaultHBMBytes
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.Process()
+	}
 	return &Device{
 		cfg:          cfg,
 		l1:           NewCache(cfg.L1SizeKB<<10, cfg.L1LineBytes, cfg.L1Ways),
 		l2:           NewCache(cfg.L2SizeKB<<10, cfg.L2LineBytes, cfg.L2Ways),
 		scaledL1:     map[int]*Cache{},
-		mem:          vmem.New(hbm),
+		mem:          vmem.New(hbm, cfg.Obs),
 		kernelMult:   1,
 		transferMult: 1,
 	}

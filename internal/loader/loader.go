@@ -22,13 +22,6 @@ import (
 	"gnnmark/internal/tensor"
 )
 
-// Observability handles (no-ops until obs.Enable).
-var (
-	obsBatches   = obs.GetCounter("loader.batches_total")
-	obsWaitNanos = obs.GetCounter("loader.wait_nanos_total")
-	obsStaged    = obs.GetCounter("loader.staged_bytes_total")
-)
-
 // Config sizes the pipeline.
 type Config struct {
 	// Depth is the number of batches staged ahead of the consumer. 0 (or
@@ -39,6 +32,8 @@ type Config struct {
 	// DefaultWorkers(Depth), capped at Depth). It affects scheduling only,
 	// never content or delivery order.
 	Workers int
+	// Obs is the run the loader counts batches, waits and bytes into.
+	Obs *obs.Run
 }
 
 // DefaultWorkers is the number of producer goroutines a loader of the given
@@ -59,13 +54,15 @@ type Batch struct {
 	tensors map[string]*tensor.Tensor
 	ints    map[string][]int32
 	pooled  []*tensor.Tensor
+	staged  *obs.Counter // the loader's loader.staged_bytes_total
 }
 
-func newBatch(index int) *Batch {
+func (l *Loader) newBatch(index int) *Batch {
 	return &Batch{
 		Index:   index,
 		tensors: map[string]*tensor.Tensor{},
 		ints:    map[string][]int32{},
+		staged:  l.staged,
 	}
 }
 
@@ -75,7 +72,7 @@ func (b *Batch) Stage(name string, shape ...int) *tensor.Tensor {
 	t := tensor.NewPooled(shape...)
 	b.pooled = append(b.pooled, t)
 	b.tensors[name] = t
-	obsStaged.Add(int64(t.Size()) * 4)
+	b.staged.Add(int64(t.Size()) * 4)
 	return t
 }
 
@@ -131,6 +128,8 @@ type Loader struct {
 
 	next int
 	last *Batch
+
+	batches, waitNanos, staged *obs.Counter
 }
 
 // New builds a loader. With cfg.Depth > 0 workers start prefetching
@@ -139,7 +138,11 @@ func New(cfg Config, produce Producer) *Loader {
 	if produce == nil {
 		panic("loader: nil producer")
 	}
-	l := &Loader{cfg: cfg, produce: produce, quit: make(chan struct{})}
+	l := &Loader{cfg: cfg, produce: produce, quit: make(chan struct{}),
+		batches:   cfg.Obs.Counter("loader.batches_total"),
+		waitNanos: cfg.Obs.Counter("loader.wait_nanos_total"),
+		staged:    cfg.Obs.Counter("loader.staged_bytes_total"),
+	}
 	if cfg.Depth <= 0 {
 		return l // inline mode: no goroutines
 	}
@@ -170,7 +173,7 @@ func (l *Loader) worker(w int) {
 			return
 		default:
 		}
-		b := newBatch(i)
+		b := l.newBatch(i)
 		l.produce(i, b)
 		select {
 		case l.chans[w] <- b:
@@ -196,19 +199,19 @@ func (l *Loader) Next() *Batch {
 	}
 	var b *Batch
 	if l.cfg.Depth <= 0 {
-		b = newBatch(l.next)
+		b = l.newBatch(l.next)
 		l.produce(l.next, b)
 	} else {
 		start := obs.Nanos()
 		b = <-l.chans[l.next%len(l.chans)]
-		obsWaitNanos.Add(obs.Nanos() - start)
+		l.waitNanos.Add(obs.Nanos() - start)
 		if b.Index != l.next {
 			panic(fmt.Sprintf("loader: batch %d delivered out of order (want %d)", b.Index, l.next))
 		}
 	}
 	l.next++
 	l.last = b
-	obsBatches.Inc()
+	l.batches.Inc()
 	return b
 }
 

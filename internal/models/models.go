@@ -26,24 +26,6 @@ import (
 	"gnnmark/internal/ops"
 )
 
-// Phase counters: total host nanoseconds per training phase, accumulated
-// across iterations (and, under DDP, across replicas). Recording no-ops
-// until obs.Enable.
-var (
-	phaseDataC      = obs.PhaseCounter(obs.PhaseDataLoad)
-	phaseForwardC   = obs.PhaseCounter(obs.PhaseForward)
-	phaseBackwardC  = obs.PhaseCounter(obs.PhaseBackward)
-	phaseOptimizerC = obs.PhaseCounter(obs.PhaseOptimizer)
-	phaseAllreduceC = obs.PhaseCounter(obs.PhaseAllreduce)
-	iterationsC     = obs.GetCounter("phase.iterations_total")
-
-	// PSAGE's serving memo (serve.go): sampled requests answered from it,
-	// sampled afresh, and the items it came to keep.
-	memoHitsC   = obs.GetCounter("psage.serve.memo.hits")
-	memoMissesC = obs.GetCounter("psage.serve.memo.misses")
-	memoKeptC   = obs.GetCounter("psage.serve.memo.kept")
-)
-
 // Env bundles what a workload needs to run: the op engine (device-attached
 // or nil), a seeded RNG, and an iteration hook the profiler uses to tag
 // transfer samples per training iteration.
@@ -76,8 +58,10 @@ type Env struct {
 	// bytes. Zero value means synchronous (inline) loading.
 	Pipeline PipelineConfig
 
-	// Host-phase accounting (internal/obs): the currently open phase's
-	// counter, its start stamp, and its span scope on the engine's track.
+	// Host-phase accounting (internal/obs): the Env's handles in its
+	// engine's run, the currently open phase's counter, its start stamp,
+	// and its span scope on the engine's track.
+	m          envMetrics
 	phaseCtr   *obs.Counter
 	phaseStart int64
 	phaseScope obs.Scope
@@ -101,9 +85,29 @@ type PipelineConfig struct {
 	CompressH2D bool
 }
 
-// NewEnv builds an Env with a fresh seeded RNG, in training mode.
+// envMetrics are an Env's handles in its run (nil without one): host
+// nanoseconds per training phase (summed over DDP replicas), iterations,
+// and PSAGE's serving memo hits, misses and kept items (serve.go).
+type envMetrics struct {
+	dataLoad, forward, backward, optimizer, allreduce, iterations *obs.Counter
+	memoHits, memoMisses, memoKept                                *obs.Counter
+}
+
+// NewEnv builds an Env with a fresh seeded RNG, in training mode,
+// recording into e's run.
 func NewEnv(e *ops.Engine, seed int64) *Env {
-	return &Env{E: e, RNG: rand.New(rand.NewSource(seed)), Training: true}
+	run := e.Obs()
+	return &Env{E: e, RNG: rand.New(rand.NewSource(seed)), Training: true, m: envMetrics{
+		dataLoad:   run.Phase(obs.PhaseDataLoad),
+		forward:    run.Phase(obs.PhaseForward),
+		backward:   run.Phase(obs.PhaseBackward),
+		optimizer:  run.Phase(obs.PhaseOptimizer),
+		allreduce:  run.Phase(obs.PhaseAllreduce),
+		iterations: run.Counter("phase.iterations_total"),
+		memoHits:   run.Counter("psage.serve.memo.hits"),
+		memoMisses: run.Counter("psage.serve.memo.misses"),
+		memoKept:   run.Counter("psage.serve.memo.kept"),
+	}}
 }
 
 func (env *Env) iter() {
@@ -118,15 +122,15 @@ func (env *Env) iter() {
 	}
 	// The open phase here is the data_load tail begun at the previous
 	// Step (batch selection between iterations); forward work starts now.
-	iterationsC.Inc()
-	env.beginPhase(obs.PhaseForward, phaseForwardC)
+	env.m.iterations.Inc()
+	env.beginPhase(obs.PhaseForward, env.m.forward)
 }
 
 // beginPhase closes the open phase (if any) and opens the named one:
 // its wall time accrues to ctr and a span nests on the engine's track.
-// A single atomic load when observability is disabled.
+// A no-op when the Env records into no run.
 func (env *Env) beginPhase(name string, ctr *obs.Counter) {
-	if !obs.Enabled() {
+	if env.E.Obs() == nil {
 		return
 	}
 	env.FinishPhase()
@@ -159,7 +163,7 @@ type EpochLog struct {
 	// EpochSeconds is simulated time per epoch.
 	EpochSeconds []float64
 	// HostPhases is the per-epoch host wall-clock phase breakdown; empty
-	// unless obs.Enabled when training began.
+	// unless the Env records into a run.
 	HostPhases []obs.PhaseBreakdown
 }
 
@@ -176,7 +180,7 @@ type EpochLog struct {
 func (env *Env) Train(w interface{ TrainEpoch() float64 }, epochs int, clock func() float64,
 	end func(ep int, loss, secs float64) (stop bool, err error)) (EpochLog, error) {
 	var log EpochLog
-	phases := obs.NewPhaseMeter()
+	phases := obs.NewPhaseMeter(env.E.Obs())
 	last := 0.0
 	for ep := 0; ep < epochs; ep++ {
 		var loss float64
@@ -220,12 +224,12 @@ func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, opt nn.Optimizer, cli
 	if !env.Training {
 		// Forward-only mode: the iteration ends here; time until the next
 		// iter() is batch selection.
-		env.beginPhase(obs.PhaseDataLoad, phaseDataC)
+		env.beginPhase(obs.PhaseDataLoad, env.m.dataLoad)
 		return
 	}
 	params := opt.Params()
 	nn.ZeroGrads(params)
-	env.beginPhase(obs.PhaseBackward, phaseBackwardC)
+	env.beginPhase(obs.PhaseBackward, env.m.backward)
 	// Reading the clock waits for the device model to catch up, so only the
 	// DDP hook, which needs the backward pass's seconds, reads it.
 	var before float64
@@ -237,17 +241,17 @@ func (env *Env) Step(t *autograd.Tape, loss *autograd.Var, opt nn.Optimizer, cli
 		// Under ddp.Train the hook flattens gradients, waits at the
 		// lockstep barrier, and receives the averaged buckets — the host
 		// analogue of the allreduce.
-		env.beginPhase(obs.PhaseAllreduce, phaseAllreduceC)
+		env.beginPhase(obs.PhaseAllreduce, env.m.allreduce)
 		env.OnGradients(env.SimClock() - before)
 	}
-	env.beginPhase(obs.PhaseOptimizer, phaseOptimizerC)
+	env.beginPhase(obs.PhaseOptimizer, env.m.optimizer)
 	if clipNorm > 0 {
 		nn.ClipGradNorm(params, clipNorm)
 	}
 	opt.Step()
 	// Until the next iter() the host is selecting/assembling the next
 	// batch (or closing the epoch).
-	env.beginPhase(obs.PhaseDataLoad, phaseDataC)
+	env.beginPhase(obs.PhaseDataLoad, env.m.dataLoad)
 }
 
 // SimClock returns the engine's simulated elapsed seconds — the overlapped
@@ -265,7 +269,7 @@ func (env *Env) SimClock() float64 {
 // Pipeline.Depth 0 the loader materializes batches inline and spawns no
 // goroutines.
 func (env *Env) NewLoader(produce loader.Producer) *loader.Loader {
-	l := loader.New(loader.Config{Depth: env.Pipeline.Depth, Workers: env.Pipeline.Workers}, produce)
+	l := loader.New(loader.Config{Depth: env.Pipeline.Depth, Workers: env.Pipeline.Workers, Obs: env.E.Obs()}, produce)
 	env.loaders = append(env.loaders, l)
 	return l
 }

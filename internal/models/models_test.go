@@ -6,14 +6,19 @@ import (
 
 	"gnnmark/internal/datasets"
 	"gnnmark/internal/gpu"
+	"gnnmark/internal/obs"
 	"gnnmark/internal/ops"
 	"gnnmark/internal/profiler"
 )
 
 // testEnv returns an Env on a small sampled device plus its profiler.
-func testEnv(seed int64) (*Env, *profiler.Profiler) {
+func testEnv(seed int64) (*Env, *profiler.Profiler) { return testEnvIn(seed, nil) }
+
+// testEnvIn is testEnv recording into run.
+func testEnvIn(seed int64, run *obs.Run) (*Env, *profiler.Profiler) {
 	cfg := gpu.V100()
 	cfg.MaxSampledWarps = 512
+	cfg.Obs = run
 	dev := gpu.New(cfg)
 	prof := profiler.Attach(dev)
 	env := NewEnv(ops.New(dev), seed)

@@ -71,19 +71,19 @@ func (m *PSAGE) sampleServeBlock(b *psageBlock, id int32) {
 	}
 	it := m.served[id]
 	if it != nil {
-		memoHitsC.Inc()
+		m.env.m.memoHits.Inc()
 		for _, low := range it.sorts {
 			m.env.E.RelaunchSort(low)
 		}
 	} else {
-		memoMissesC.Inc()
+		m.env.m.memoMisses.Inc()
 		word, bit := id/64, uint64(1)<<(id%64)
 		keep := m.seen[word]&bit != 0
 		m.seen[word] |= bit
 		it = m.sampleServed(id, keep)
 		if keep {
 			m.served[id] = it
-			memoKeptC.Inc()
+			m.env.m.memoKept.Inc()
 		}
 	}
 

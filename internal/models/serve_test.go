@@ -13,9 +13,12 @@ import (
 	"gnnmark/internal/tensor"
 )
 
-func servePSAGE(t *testing.T, seed int64) *PSAGE {
+func servePSAGE(t *testing.T, seed int64) *PSAGE { return servePSAGEIn(t, seed, nil) }
+
+// servePSAGEIn is servePSAGE recording into run.
+func servePSAGEIn(t *testing.T, seed int64, run *obs.Run) *PSAGE {
 	t.Helper()
-	env, _ := testEnv(seed)
+	env, _ := testEnvIn(seed, run)
 	return NewPSAGE(env, datasets.MovieLens(env.RNG), PSAGEConfig{Hidden: 16, BatchSize: 8, Batches: 3})
 }
 
@@ -148,12 +151,12 @@ func TestServeMemoIsInvisible(t *testing.T) {
 // TestServeMemoCounters: every sampled request is a memo hit or a miss, and
 // the memo keeps what the kept counter says.
 func TestServeMemoCounters(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	hits, misses, kept := obs.GetCounter("psage.serve.memo.hits"), obs.GetCounter("psage.serve.memo.misses"), obs.GetCounter("psage.serve.memo.kept")
+	t.Parallel()
+	run := obs.NewRun()
+	hits, misses, kept := run.Counter("psage.serve.memo.hits"), run.Counter("psage.serve.memo.misses"), run.Counter("psage.serve.memo.kept")
 	h0, m0, k0 := hits.Value(), misses.Value(), kept.Value()
 
-	m := servePSAGE(t, 5)
+	m := servePSAGEIn(t, 5, run)
 	requests := 0
 	for _, ids := range zipfBatches(6, m.NumItems(), 40) {
 		m.ServeEmbed(ids)
@@ -181,14 +184,14 @@ func (f forgetful) ServeEmbed(ids []int32) *tensor.Tensor {
 // Stats (latencies, QPS, device seconds) must match bit for bit, and the
 // memo must have answered requests.
 func TestServeMemoThroughTheServer(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	hits := obs.GetCounter("psage.serve.memo.hits")
+	t.Parallel()
+	o := obs.NewRun()
+	hits := o.Counter("psage.serve.memo.hits")
 	run := func(wrap func(*PSAGE) serve.Model) serve.Stats {
 		var reps []*serve.Replica
 		items := 0
 		for r := 0; r < 2; r++ {
-			m := servePSAGE(t, 11)
+			m := servePSAGEIn(t, 11, o)
 			reps = append(reps, serve.NewReplica(r, wrap(m), m.env.SimClock))
 			items = m.NumItems()
 		}

@@ -6,7 +6,7 @@ import (
 	"io"
 )
 
-// Snapshot is a point-in-time copy of a registry's metrics, shaped for
+// Snapshot is a point-in-time copy of a run's metrics, shaped for
 // JSON export. Entries are sorted by name so exports are deterministic.
 type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters"`
@@ -48,11 +48,14 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return QuantileFromBuckets(h.Bounds, h.Counts, q)
 }
 
-// Snapshot copies the registry's current metric values.
-func (r *Registry) Snapshot() Snapshot {
+// Snapshot copies the run's current metric values (empty on a nil run).
+func (r *Run) Snapshot() Snapshot {
+	var s Snapshot
+	if r == nil {
+		return s
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var s Snapshot
 	for _, n := range sortedNames(r.counters) {
 		s.Counters = append(s.Counters, CounterSnapshot{Name: n, Value: r.counters[n].v.Load()})
 	}
@@ -78,8 +81,8 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// WriteJSON writes the registry's metrics as an indented JSON snapshot.
-func (r *Registry) WriteJSON(w io.Writer) error {
+// WriteJSON writes the run's metrics as an indented JSON snapshot.
+func (r *Run) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(r.Snapshot()); err != nil {
@@ -87,6 +90,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteMetricsJSON writes the default registry's metrics as JSON.
-func WriteMetricsJSON(w io.Writer) error { return defaultRegistry.WriteJSON(w) }

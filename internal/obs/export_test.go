@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-func exportTestRegistry() *Registry {
-	r := NewRegistry()
+func exportTestRegistry() *Run {
+	r := NewRun()
 	r.Counter("ops.kernels_total").Add(42)
 	r.Gauge("vmem.live_bytes").Add(1024)
 	h := r.Histogram("backend.task_nanos", []int64{10, 100})

@@ -1,7 +1,7 @@
-// Overhead guard for the observability layer: with obs disabled (the
-// default), instrumented hot paths must not allocate at all beyond what
-// the uninstrumented computation allocates, and the disabled train step
-// must cost the same as before instrumentation existed (benchmarked).
+// Overhead guard for the observability layer: with no run (the default),
+// instrumented hot paths must not allocate at all beyond what the
+// uninstrumented computation allocates, and the unobserved train step must
+// cost the same as before instrumentation existed (benchmarked).
 // External test package: obs cannot import ops/models itself.
 package obs_test
 
@@ -19,11 +19,11 @@ import (
 )
 
 func TestPrimitivesZeroAllocsWhenDisabled(t *testing.T) {
-	obs.Disable()
-	c := obs.GetCounter("benchtest.counter")
-	g := obs.GetGauge("benchtest.gauge")
-	h := obs.GetHistogram("benchtest.hist", obs.DurationBuckets())
-	tr := obs.NewTrack("benchtest") // nil while disabled
+	var off *obs.Run // nil handles throughout
+	c := off.Counter("benchtest.counter")
+	g := off.Gauge("benchtest.gauge")
+	h := off.Histogram("benchtest.hist", obs.DurationBuckets())
+	tr := off.Track("benchtest")
 
 	if n := testing.AllocsPerRun(200, func() {
 		c.Inc()
@@ -38,12 +38,9 @@ func TestPrimitivesZeroAllocsWhenDisabled(t *testing.T) {
 		t.Fatalf("disabled obs primitives allocate: %.1f allocs/op", n)
 	}
 
-	// Enabled metric recording is atomics-only: also allocation-free.
-	obs.Enable()
-	defer func() {
-		obs.Reset()
-		obs.Disable()
-	}()
+	// Recording into a run is atomics-only: also allocation-free.
+	run := obs.NewRun()
+	c, g, h = run.Counter("benchtest.counter"), run.Gauge("benchtest.gauge"), run.Histogram("benchtest.hist", obs.DurationBuckets())
 	if n := testing.AllocsPerRun(200, func() {
 		c.Inc()
 		g.SetMax(5)
@@ -56,7 +53,6 @@ func TestPrimitivesZeroAllocsWhenDisabled(t *testing.T) {
 var escapeSink []*tensor.Tensor
 
 func TestOpPathZeroAllocsWhenDisabled(t *testing.T) {
-	obs.Disable()
 	be := backend.Default()
 	e := ops.NewWith(nil, be) // deviceless: pure host numerics path
 	const n, f = 64, 32
@@ -84,29 +80,29 @@ func TestOpPathZeroAllocsWhenDisabled(t *testing.T) {
 }
 
 // TestOpClassHistogramsZeroAllocsWhenDisabled checks the per-op-class
-// attribution histograms (registered by internal/ops at init, one per
-// gpu.OpClass) record alloc-free on both sides of the gate — the histogram
-// array is indexed by class, so no metric-name strings are built either.
+// attribution histograms (resolved by each engine from its run, one per
+// gpu.OpClass) record alloc-free with and without a run — the engine keeps
+// them in an array indexed by class, so no metric-name strings are built
+// either.
 func TestOpClassHistogramsZeroAllocsWhenDisabled(t *testing.T) {
-	obs.Disable()
-	hists := make([]*obs.Histogram, 0, gpu.NumOpClasses)
-	for _, c := range gpu.AllOpClasses() {
-		hists = append(hists, obs.GetHistogram("ops.class."+c.String()+".host_nanos", obs.DurationBuckets()))
+	hists := func(run *obs.Run) []*obs.Histogram {
+		hs := make([]*obs.Histogram, 0, gpu.NumOpClasses)
+		for _, c := range gpu.AllOpClasses() {
+			hs = append(hs, run.Histogram("ops.class."+c.String()+".host_nanos", obs.DurationBuckets()))
+		}
+		return hs
 	}
+	off := hists(nil)
 	if n := testing.AllocsPerRun(200, func() {
-		for _, h := range hists {
+		for _, h := range off {
 			h.Observe(1234)
 		}
 	}); n != 0 {
 		t.Fatalf("disabled per-class histograms allocate: %.1f allocs/op", n)
 	}
-	obs.Enable()
-	defer func() {
-		obs.Reset()
-		obs.Disable()
-	}()
+	on := hists(obs.NewRun())
 	if n := testing.AllocsPerRun(200, func() {
-		for _, h := range hists {
+		for _, h := range on {
 			h.Observe(1234)
 		}
 	}); n != 0 {
@@ -115,15 +111,12 @@ func TestOpClassHistogramsZeroAllocsWhenDisabled(t *testing.T) {
 }
 
 // TestConcurrentEngineEpochsRace trains independent replicas on separate
-// goroutines with observability enabled: each engine records spans and
-// per-class attribution into the shared registry concurrently. Run under
-// -race (CI does), this pins the lock-free recording paths.
+// goroutines recording into one run: each engine records spans and
+// per-class attribution into the shared run concurrently. Run under -race
+// (CI does), this pins the lock-free recording paths.
 func TestConcurrentEngineEpochsRace(t *testing.T) {
-	obs.Enable()
-	defer func() {
-		obs.Reset()
-		obs.Disable()
-	}()
+	t.Parallel()
+	run := obs.NewRun()
 	const replicas = 4
 	var wg sync.WaitGroup
 	errs := make([]error, replicas)
@@ -137,6 +130,7 @@ func TestConcurrentEngineEpochsRace(t *testing.T) {
 				return
 			}
 			cfg.MaxSampledWarps = 64
+			cfg.Obs = run
 			env := models.NewEnv(ops.NewWith(gpu.New(cfg), backend.Default()), int64(rank+1))
 			defer env.Close()
 			w := models.NewARGA(env, datasets.NewCitation(env.RNG, "cora"), models.ARGAConfig{})
@@ -149,7 +143,7 @@ func TestConcurrentEngineEpochsRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, h := range obs.Default().Snapshot().Histograms {
+	for _, h := range run.Snapshot().Histograms {
 		if h.Name == "ops.class.GEMM.host_nanos" && h.Count > 0 {
 			return
 		}
@@ -157,18 +151,21 @@ func TestConcurrentEngineEpochsRace(t *testing.T) {
 	t.Fatal("concurrent epochs recorded no GEMM attribution")
 }
 
-// benchWorkload builds a deviceless ARGA instance: the training step runs
-// the full host numerics path (the part obs instruments) without the
-// simulated-device modeling, isolating the instrumentation cost.
-func benchWorkload(b *testing.B) models.Workload {
+// benchWorkload builds an ARGA instance recording into run (nil: none) on
+// a device replaying 64 sampled warps, so the training step runs the full
+// host numerics path (the part obs instruments) with as little
+// simulated-device modeling as an engine with a run can have.
+func benchWorkload(b *testing.B, run *obs.Run) models.Workload {
 	b.Helper()
-	env := models.NewEnv(ops.NewWith(nil, backend.Default()), 1)
+	cfg := gpu.V100()
+	cfg.MaxSampledWarps = 64
+	cfg.Obs = run
+	env := models.NewEnv(ops.NewWith(gpu.New(cfg), backend.Default()), 1)
 	return models.NewARGA(env, datasets.NewCitation(env.RNG, "cora"), models.ARGAConfig{})
 }
 
 func BenchmarkTrainEpochObsDisabled(b *testing.B) {
-	obs.Disable()
-	w := benchWorkload(b)
+	w := benchWorkload(b, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.TrainEpoch()
@@ -176,12 +173,7 @@ func BenchmarkTrainEpochObsDisabled(b *testing.B) {
 }
 
 func BenchmarkTrainEpochObsEnabled(b *testing.B) {
-	obs.Enable()
-	defer func() {
-		obs.Reset()
-		obs.Disable()
-	}()
-	w := benchWorkload(b)
+	w := benchWorkload(b, obs.NewRun())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.TrainEpoch()

@@ -19,15 +19,9 @@ const (
 // CatPhase is the span category used for phase-level spans.
 const CatPhase = "phase"
 
-// PhaseCounter returns the default-registry counter accumulating total
-// nanoseconds spent in the named phase ("phase.<name>_nanos").
-func PhaseCounter(phase string) *Counter {
-	return GetCounter("phase." + phase + "_nanos")
-}
-
 // PhaseBreakdown is the host wall-clock split of one epoch (or any
 // bracketed interval): how much of WallNanos each phase accounts for. As
-// CapturePhases reads it, it is a point-in-time reading instead: the wall
+// a PhaseMeter reads it, it is a point-in-time reading instead: the wall
 // clock and the cumulative phase counters; two readings bracket an epoch.
 type PhaseBreakdown struct {
 	WallNanos int64
@@ -38,15 +32,15 @@ type PhaseBreakdown struct {
 	Allreduce int64
 }
 
-// CapturePhases reads the phase counters and the wall clock.
-func CapturePhases() PhaseBreakdown {
+// capturePhases reads the run's phase counters and the wall clock.
+func (r *Run) capturePhases() PhaseBreakdown {
 	return PhaseBreakdown{
 		WallNanos: Nanos(),
-		DataLoad:  PhaseCounter(PhaseDataLoad).Value(),
-		Forward:   PhaseCounter(PhaseForward).Value(),
-		Backward:  PhaseCounter(PhaseBackward).Value(),
-		Optimizer: PhaseCounter(PhaseOptimizer).Value(),
-		Allreduce: PhaseCounter(PhaseAllreduce).Value(),
+		DataLoad:  r.Phase(PhaseDataLoad).Value(),
+		Forward:   r.Phase(PhaseForward).Value(),
+		Backward:  r.Phase(PhaseBackward).Value(),
+		Optimizer: r.Phase(PhaseOptimizer).Value(),
+		Allreduce: r.Phase(PhaseAllreduce).Value(),
 	}
 }
 
@@ -117,29 +111,25 @@ func (b PhaseBreakdown) String() string {
 	return sb.String()
 }
 
-// PhaseMeter captures phase-counter deltas per epoch. It no-ops (ok =
-// false) unless obs was enabled at construction time.
+// PhaseMeter captures a run's phase-counter deltas per epoch. On a nil run
+// it no-ops (ok = false).
 type PhaseMeter struct {
-	on   bool
+	run  *Run
 	last PhaseBreakdown
 }
 
-// NewPhaseMeter snapshots the phase counters if obs is enabled.
-func NewPhaseMeter() *PhaseMeter {
-	m := &PhaseMeter{on: Enabled()}
-	if m.on {
-		m.last = CapturePhases()
-	}
-	return m
+// NewPhaseMeter snapshots r's phase counters.
+func NewPhaseMeter(r *Run) *PhaseMeter {
+	return &PhaseMeter{run: r, last: r.capturePhases()}
 }
 
 // Epoch returns the phase breakdown since the previous Epoch call, with
 // counter sums divided by div (the per-worker mean for div = world).
 func (m *PhaseMeter) Epoch(div int) (PhaseBreakdown, bool) {
-	if !m.on {
+	if m.run == nil {
 		return PhaseBreakdown{}, false
 	}
-	cur := CapturePhases()
+	cur := m.run.capturePhases()
 	b := m.last.Delta(cur).Scale(div)
 	m.last = cur
 	return b, true

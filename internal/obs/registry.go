@@ -2,101 +2,8 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 )
-
-// Registry holds named metrics. Metric creation takes a lock; recording is
-// lock-free (atomics), so handles are safe to share across goroutines and
-// cheap enough for per-op hot paths. The zero Registry is not usable;
-// construct with NewRegistry.
-type Registry struct {
-	// on gates recording for every metric created from this registry.
-	on atomic.Bool
-
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-}
-
-// NewRegistry returns an empty, enabled registry. (The process-wide
-// Default registry starts disabled instead; Enable turns it on.)
-func NewRegistry() *Registry {
-	r := &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
-	}
-	r.on.Store(true)
-	return r
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{on: &r.on}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{on: &r.on}
-	r.gauges[name] = g
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given bucket
-// upper bounds (ascending) on first use. Later calls return the existing
-// histogram; the bounds argument is then ignored.
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.histograms[name]; ok {
-		return h
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly ascending: " + name)
-		}
-	}
-	h := &Histogram{
-		on:      &r.on,
-		bounds:  append([]int64(nil), bounds...),
-		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
-	r.histograms[name] = h
-	return h
-}
-
-// Reset zeroes every metric's value, keeping all handles valid.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.histograms {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-	}
-}
 
 // sortedNames returns map keys in sorted order (deterministic exports).
 func sortedNames[M any](m map[string]M) []string {
@@ -109,21 +16,19 @@ func sortedNames[M any](m map[string]M) []string {
 }
 
 // Counter is a monotonically increasing int64 metric. All methods are
-// race-safe; recording is a no-op while the owning registry is disabled.
+// race-safe, and a nil *Counter (from a nil Run) records nothing.
 type Counter struct {
-	on *atomic.Bool
-	v  atomic.Int64
+	v atomic.Int64
 }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n (no-op when disabled).
+// Add adds n.
 func (c *Counter) Add(n int64) {
-	if c == nil || !c.on.Load() {
-		return
+	if c != nil {
+		c.v.Add(n)
 	}
-	c.v.Add(n)
 }
 
 // Value returns the current count.
@@ -136,22 +41,20 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a settable int64 metric (live bytes, pool depth, ...).
 type Gauge struct {
-	on *atomic.Bool
-	v  atomic.Int64
+	v atomic.Int64
 }
 
-// Add adds delta, which may be negative (no-op when disabled).
+// Add adds delta, which may be negative.
 func (g *Gauge) Add(delta int64) {
-	if g == nil || !g.on.Load() {
-		return
+	if g != nil {
+		g.v.Add(delta)
 	}
-	g.v.Add(delta)
 }
 
 // SetMax raises the gauge to v if v exceeds the current value — a
 // race-safe high-watermark update (peak bytes, max depth).
 func (g *Gauge) SetMax(v int64) {
-	if g == nil || !g.on.Load() {
+	if g == nil {
 		return
 	}
 	for {
@@ -176,16 +79,15 @@ func (g *Gauge) Value() int64 {
 // (including negative values — underflow) land in the first bucket, as in
 // the Prometheus exposition convention.
 type Histogram struct {
-	on      *atomic.Bool
 	bounds  []int64
 	buckets []atomic.Int64 // len(bounds)+1; last is overflow (+Inf)
 	count   atomic.Int64
 	sum     atomic.Int64
 }
 
-// Observe records v (no-op when disabled).
+// Observe records v.
 func (h *Histogram) Observe(v int64) {
-	if h == nil || !h.on.Load() {
+	if h == nil {
 		return
 	}
 	h.buckets[h.bucketIndex(v)].Add(1)
@@ -268,6 +170,9 @@ func QuantileFromBuckets(bounds []int64, counts []int64, q float64) float64 {
 // BucketCounts returns the per-bucket observation counts, non-cumulative;
 // the final entry is the overflow bucket.
 func (h *Histogram) BucketCounts() []int64 {
+	if h == nil {
+		return nil
+	}
 	out := make([]int64, len(h.buckets))
 	for i := range h.buckets {
 		out[i] = h.buckets[i].Load()

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistogramBucketing(t *testing.T) {
-	r := NewRegistry()
+	r := NewRun()
 	h := r.Histogram("h", []int64{10, 100, 1000})
 
 	// Underflow (negative and below first bound) lands in bucket 0; bounds
@@ -44,11 +44,11 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 			t.Fatal("no panic on non-ascending bounds")
 		}
 	}()
-	NewRegistry().Histogram("bad", []int64{10, 10})
+	NewRun().Histogram("bad", []int64{10, 10})
 }
 
 func TestCountersConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := NewRun()
 	c := r.Counter("c")
 	h := r.Histogram("h", DurationBuckets())
 	g := r.Gauge("g")
@@ -78,7 +78,7 @@ func TestCountersConcurrent(t *testing.T) {
 }
 
 func TestGaugeSetMax(t *testing.T) {
-	r := NewRegistry()
+	r := NewRun()
 	g := r.Gauge("peak")
 	g.SetMax(10)
 	g.SetMax(5)
@@ -92,33 +92,37 @@ func TestGaugeSetMax(t *testing.T) {
 }
 
 func TestDisabledRegistryRecordsNothing(t *testing.T) {
-	r := NewRegistry()
+	// A nil run is observability off: it hands out nil handles, which
+	// record nothing and read zero.
+	var r *Run
 	c := r.Counter("c")
 	g := r.Gauge("g")
 	h := r.Histogram("h", []int64{1})
-	r.on.Store(false)
 	c.Add(7)
 	g.Add(7)
 	g.SetMax(7)
 	h.Observe(7)
-	if c.Value() != 0 || g.Value() != 0 || h.count.Load() != 0 {
-		t.Fatalf("disabled registry recorded: c=%d g=%d h=%d", c.Value(), g.Value(), h.count.Load())
+	if c.Value() != 0 || g.Value() != 0 || h.Sum() != 0 || h.BucketCounts() != nil {
+		t.Fatalf("nil run recorded: c=%d g=%d h=%d", c.Value(), g.Value(), h.Sum())
 	}
-	// Handles created before disable keep working after re-enable.
-	r.on.Store(true)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatalf("re-enabled counter = %d, want 1", c.Value())
+	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+		t.Fatalf("nil run snapshot = %+v, want empty", s)
+	}
+	// Two runs in one process keep apart what they record.
+	a, b := NewRun(), NewRun()
+	a.Counter("c").Inc()
+	if b.Counter("c").Value() != 0 || a.Counter("c").Value() != 1 {
+		t.Fatalf("runs share a counter: a=%d b=%d", a.Counter("c").Value(), b.Counter("c").Value())
 	}
 }
 
 func TestResetKeepsHandlesValid(t *testing.T) {
-	r := NewRegistry()
+	r := NewRun()
 	c := r.Counter("c")
 	h := r.Histogram("h", []int64{1, 2})
 	c.Add(3)
 	h.Observe(1)
-	r.Reset()
+	r.reset()
 	if c.Value() != 0 || h.count.Load() != 0 {
 		t.Fatalf("reset left values: c=%d h=%d", c.Value(), h.count.Load())
 	}
@@ -139,7 +143,7 @@ func quantile(h *Histogram, q float64) float64 {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
+	r := NewRun()
 	h := r.Histogram("q", []int64{10, 20, 40})
 	// 10 observations in (10,20]: quantiles interpolate linearly across
 	// that bucket, so pN lands at 10 + N/10 of the bucket width.
@@ -167,7 +171,7 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
-	r := NewRegistry()
+	r := NewRun()
 
 	empty := r.Histogram("empty", []int64{10, 20})
 	if got := quantile(empty, 0.99); got != 0 {

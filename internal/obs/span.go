@@ -102,16 +102,6 @@ func (t *Track) parentLocked() int32 {
 	return -1
 }
 
-// Len returns the number of recorded spans.
-func (t *Track) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // reset discards recorded spans and the open-span stack.
 func (t *Track) reset() {
 	if t == nil {

@@ -57,8 +57,8 @@ func TestTrackLimitCountsDropped(t *testing.T) {
 	tr.Record("c", "t", 0, 1) // over the cap
 	sc2 := tr.Begin("d", "t") // over the cap
 	sc2.End()                 // End of a dropped Begin must no-op
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tr.Len())
+	if n := len(tr.snapshot().Spans); n != 2 {
+		t.Fatalf("spans = %d, want 2", n)
 	}
 	if got := tr.snapshot().Dropped; got != 2 {
 		t.Fatalf("Dropped = %d, want 2", got)
@@ -70,8 +70,9 @@ func TestNilTrackNoOps(t *testing.T) {
 	sc := tr.Begin("x", "t")
 	sc.End()
 	tr.Record("y", "t", 0, 1)
-	if tr.Len() != 0 {
-		t.Fatal("nil track reported data")
+	var off *Run
+	if off.Track("z") != nil || off.Tracks() != nil {
+		t.Fatal("a nil run handed out a track or reported spans")
 	}
 }
 

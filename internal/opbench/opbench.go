@@ -234,7 +234,7 @@ func Run(cfg Config) (*Report, error) {
 	var ms []*meas
 	for _, c := range cases {
 		for _, name := range cfg.Backends {
-			be, err := backend.New(name)
+			be, err := backend.New(name, nil)
 			if err != nil {
 				return nil, err
 			}

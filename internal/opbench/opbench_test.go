@@ -164,7 +164,7 @@ func TestRobustStats(t *testing.T) {
 // backend takes its serial fallback on the small shapes).
 func TestEveryCaseRunsOnEveryBackend(t *testing.T) {
 	for _, name := range backend.Names() {
-		be, err := backend.New(name)
+		be, err := backend.New(name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,9 +43,10 @@ type Engine struct {
 	acc       []gpu.Access
 	gemmNames map[[3]int]string
 
-	// Host observability (internal/obs). track is nil unless obs was
-	// enabled when the engine was built; opMark is the host-clock cursor
-	// per-op spans are attributed from.
+	// Host observability (internal/obs): the engine's run, its handles and
+	// span track there (nil without one), and the per-op span cursor.
+	run    *obs.Run
+	m      metrics
 	track  *obs.Track
 	opMark int64
 
@@ -62,10 +63,15 @@ func New(dev *gpu.Device) *Engine {
 }
 
 // NewWith returns an engine bound to dev (which may be nil) computing its
-// numerics on be.
+// numerics on be. It records into dev's run, or into obs.Process() (off
+// unless e2ebench switched it on) without a device.
 func NewWith(dev *gpu.Device, be backend.Backend) *Engine {
 	if be == nil {
 		be = backend.Default()
+	}
+	run := obs.Process()
+	if dev != nil {
+		run = dev.Config().Obs
 	}
 	return &Engine{
 		dev:       dev,
@@ -74,7 +80,9 @@ func NewWith(dev *gpu.Device, be backend.Backend) *Engine {
 		csrBlocks: map[*graph.CSR][2]*vmem.Block{},
 		intBlocks: map[*int32]*vmem.Block{},
 		gemmNames: map[[3]int]string{},
-		track:     obs.NewTrack("engine"),
+		run:       run,
+		m:         newMetrics(run),
+		track:     run.Track("engine"),
 		opMark:    obs.Nanos(),
 	}
 }

@@ -9,50 +9,65 @@ import (
 	"gnnmark/internal/obs"
 )
 
-// Host-observability handles for the op engine. Handles are always valid;
-// recording no-ops (without allocating) until obs.Enable, so the hot op
-// path carries no conditional wiring.
-var (
-	// obsKernelsTotal counts kernels launched on the simulated device.
-	obsKernelsTotal = obs.GetCounter("ops.kernels_total")
-	// obsOpHostNanos is the host wall-clock interval attributed to each
-	// launched kernel (numerics + lowering since the previous launch).
-	obsOpHostNanos = obs.GetHistogram("ops.host_nanos", obs.DurationBuckets())
-	// obsH2DBytesTotal counts modeled host-to-device payload bytes.
-	obsH2DBytesTotal = obs.GetCounter("ops.h2d_bytes_total")
-)
+// metrics are an engine's handles in its run, all nil without one: kernel
+// and H2D-byte counts; the host interval attributed to each launch, in all
+// and per gpu.OpClass (indexed by class: the hot path builds no name); and
+// the pipeline's simulated per-stream time and raw-vs-encoded H2D bytes.
+type metrics struct {
+	kernels, h2dBytes                                     *obs.Counter
+	opHost                                                *obs.Histogram
+	class                                                 [gpu.NumOpClasses]*obs.Histogram
+	computeBusy, copyBusy, hiddenCopy, h2dRaw, h2dEncoded *obs.Counter
+}
 
-// obsOpClassNanos attributes host wall-clock time to the GNNMark op-class
-// taxonomy: one histogram per gpu.OpClass, indexed directly by class so the
-// hot path never builds a metric name. The histograms live in the default
-// registry (ops.class.<Name>.host_nanos), so both exporters pick them up
-// with no extra wiring, and recording is alloc-free and self-gated.
-var obsOpClassNanos = func() (h [gpu.NumOpClasses]*obs.Histogram) {
-	for _, c := range gpu.AllOpClasses() {
-		h[c] = obs.GetHistogram("ops.class."+c.String()+".host_nanos", obs.DurationBuckets())
+func newMetrics(run *obs.Run) metrics {
+	m := metrics{
+		kernels:     run.Counter("ops.kernels_total"),
+		h2dBytes:    run.Counter("ops.h2d_bytes_total"),
+		opHost:      run.Histogram("ops.host_nanos", obs.DurationBuckets()),
+		computeBusy: run.Counter("stream.compute_busy_simnanos"),
+		copyBusy:    run.Counter("stream.copy_busy_simnanos"),
+		hiddenCopy:  run.Counter("stream.hidden_copy_simnanos"),
+		h2dRaw:      run.Counter("h2d.raw_bytes_total"),
+		h2dEncoded:  run.Counter("h2d.encoded_bytes_total"),
 	}
-	return h
-}()
+	for c := gpu.OpClass(0); run != nil && int(c) < gpu.NumOpClasses; c++ { // no names built for no run
+		m.class[c] = run.Histogram("ops.class."+c.String()+".host_nanos", obs.DurationBuckets())
+	}
+	return m
+}
 
-// Track returns the engine's host span track (nil while observability is
-// disabled or when the engine predates obs.Enable). models.Env nests the
-// phase spans on it so per-op spans parent under their phase.
+// opClasses reads the cumulative per-class attributed host time.
+func (m metrics) opClasses() OpClassBreakdown {
+	var b OpClassBreakdown
+	for i, h := range m.class {
+		b.Nanos[i] = h.Sum()
+	}
+	return b
+}
+
+// Obs returns the run the engine records into (nil: none).
+func (e *Engine) Obs() *obs.Run { return e.run }
+
+// Track returns the engine's host span track (nil when the engine records
+// into no run). models.Env nests the phase spans on it so per-op spans
+// parent under their phase.
 func (e *Engine) Track() *obs.Track { return e.track }
 
 // recordLaunch attributes the host interval since the previous op
 // boundary to the kernel just launched: a span named after the kernel in
 // its op-class category, plus the per-class attribution histogram.
 func (e *Engine) recordLaunch(name string, class gpu.OpClass) {
-	obsKernelsTotal.Inc()
+	e.m.kernels.Inc()
 	if e.track == nil {
 		return
 	}
 	now := obs.Nanos()
 	d := now - e.opMark
 	e.track.Record(name, class.String(), e.opMark, d)
-	obsOpHostNanos.Observe(d)
-	if int(class) < len(obsOpClassNanos) {
-		obsOpClassNanos[class].Observe(d)
+	e.m.opHost.Observe(d)
+	if int(class) < len(e.m.class) {
+		e.m.class[class].Observe(d)
 	}
 	e.opMark = now
 }
@@ -61,13 +76,13 @@ func (e *Engine) recordLaunch(name string, class gpu.OpClass) {
 // scan and transfer modeling) to the data_load category and the Transfer
 // op class.
 func (e *Engine) recordH2D(name string, start int64, bytes int64) {
-	obsH2DBytesTotal.Add(bytes)
+	e.m.h2dBytes.Add(bytes)
 	if e.track == nil {
 		return
 	}
 	now := obs.Nanos()
 	e.track.Record(name, "data_load", start, now-start)
-	obsOpClassNanos[gpu.OpTransfer].Observe(now - start)
+	e.m.class[gpu.OpTransfer].Observe(now - start)
 	e.opMark = now
 }
 
@@ -82,21 +97,19 @@ func (e *Engine) MarkHostBoundary() {
 }
 
 // OpClassBreakdown is attributed host nanoseconds per gpu.OpClass over some
-// interval (typically one epoch), or cumulative since start-up as
-// CaptureOpClasses reads it.
+// interval (typically one epoch), or cumulative over a run as
+// Engine.OpClasses reads it.
 type OpClassBreakdown struct {
 	Nanos [gpu.NumOpClasses]int64
 }
 
-// CaptureOpClasses snapshots the cumulative per-class attributed host time.
-// Returns zeros while observability is disabled.
-func CaptureOpClasses() OpClassBreakdown {
-	var b OpClassBreakdown
-	for i := range b.Nanos {
-		b.Nanos[i] = obsOpClassNanos[i].Sum()
-	}
-	return b
-}
+// OpClasses snapshots the cumulative per-class attributed host time of the
+// engine's run (every engine of the run, under DDP): zeros without a run.
+func (e *Engine) OpClasses() OpClassBreakdown { return e.m.opClasses() }
+
+// CaptureOpClasses is OpClasses over the process-global run, kept for the
+// frozen e2ebench harness; nothing under cmd/ or internal/ calls it.
+func CaptureOpClasses() OpClassBreakdown { return newMetrics(obs.Process()).opClasses() }
 
 // Delta returns the per-class host time accumulated between the earlier
 // capture prev and the later capture b: end.Delta(start), the opposite

@@ -13,10 +13,9 @@ import (
 // wiring — allocates nothing while observability is disabled. This is the
 // contract that lets the hooks stay always-on.
 func TestRecordPathsZeroAllocsWhenDisabled(t *testing.T) {
-	obs.Disable()
-	e := New(nil) // track is nil: built while disabled
+	e := New(nil) // track is nil: built into no run
 	if e.track != nil {
-		t.Fatal("engine built while disabled must have a nil track")
+		t.Fatal("engine built into no run must have a nil track")
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		e.recordLaunch("bench.kernel", gpu.OpGEMM)
@@ -28,21 +27,18 @@ func TestRecordPathsZeroAllocsWhenDisabled(t *testing.T) {
 }
 
 // TestRecordLaunchAttributesToClass checks the per-class histograms receive
-// the op-to-op interval and that CaptureOpClasses/Delta report it.
+// the op-to-op interval and that OpClasses/Delta report it.
 func TestRecordLaunchAttributesToClass(t *testing.T) {
-	obs.Enable()
-	defer func() {
-		obs.Reset()
-		obs.Disable()
-	}()
-	obs.Reset()
-	e := New(nil)
+	t.Parallel()
+	cfg := gpu.V100()
+	cfg.Obs = obs.NewRun()
+	e := New(gpu.New(cfg))
 	if e.track == nil {
-		t.Fatal("engine built while enabled must carry a track")
+		t.Fatal("engine built into a run must carry a track")
 	}
-	before := CaptureOpClasses()
+	before := e.OpClasses()
 	observations := func(c gpu.OpClass) (n int64) {
-		for _, k := range obsOpClassNanos[c].BucketCounts() {
+		for _, k := range e.m.class[c].BucketCounts() {
 			n += k
 		}
 		return n
@@ -64,7 +60,7 @@ func TestRecordLaunchAttributesToClass(t *testing.T) {
 	if observations(gpu.OpTransfer) == 0 {
 		t.Fatal("H2D copy not attributed to the Transfer class")
 	}
-	delta := CaptureOpClasses().Delta(before)
+	delta := e.OpClasses().Delta(before)
 	if delta.Total() < 0 {
 		t.Fatalf("negative attributed time: %d", delta.Total())
 	}

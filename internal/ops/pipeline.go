@@ -2,20 +2,8 @@ package ops
 
 import (
 	"gnnmark/internal/loader"
-	"gnnmark/internal/obs"
 	"gnnmark/internal/stream"
 	"gnnmark/internal/tensor"
-)
-
-// Pipeline observability handles: simulated per-stream time (nanoseconds
-// of device time, not host wall-clock) and the raw-vs-encoded H2D byte
-// split. No-ops until obs.Enable.
-var (
-	obsComputeBusy = obs.GetCounter("stream.compute_busy_simnanos")
-	obsCopyBusy    = obs.GetCounter("stream.copy_busy_simnanos")
-	obsHiddenCopy  = obs.GetCounter("stream.hidden_copy_simnanos")
-	obsH2DRaw      = obs.GetCounter("h2d.raw_bytes_total")
-	obsH2DEncoded  = obs.GetCounter("h2d.encoded_bytes_total")
 )
 
 // pipeState is the engine's view of the asynchronous input pipeline: the
@@ -215,11 +203,11 @@ func (e *Engine) EpochPipeStats() (PipeEpoch, bool) {
 	p.lastComputeBusy, p.lastCopyBusy = p.compute.Busy(), p.copy.Busy()
 	p.rawBytes, p.encodedBytes = 0, 0
 
-	obsComputeBusy.Add(int64(pe.ComputeBusy * 1e9))
-	obsCopyBusy.Add(int64(pe.CopyBusy * 1e9))
-	obsHiddenCopy.Add(int64((pe.CopyBusy - pe.ExposedCopySeconds()) * 1e9))
-	obsH2DRaw.Add(int64(pe.RawBytes))
-	obsH2DEncoded.Add(int64(pe.EncodedBytes))
+	e.m.computeBusy.Add(int64(pe.ComputeBusy * 1e9))
+	e.m.copyBusy.Add(int64(pe.CopyBusy * 1e9))
+	e.m.hiddenCopy.Add(int64((pe.CopyBusy - pe.ExposedCopySeconds()) * 1e9))
+	e.m.h2dRaw.Add(int64(pe.RawBytes))
+	e.m.h2dEncoded.Add(int64(pe.EncodedBytes))
 	return pe, true
 }
 

@@ -31,13 +31,6 @@ import (
 	"gnnmark/internal/stream"
 )
 
-// Halo-traffic metrics (no-ops until obs.Enable).
-var (
-	haloBytesC     = obs.GetCounter("halo.bytes_total")
-	haloExchangesC = obs.GetCounter("halo.exchanges_total")
-	haloExposedH   = obs.GetHistogram("halo.exposed_nanos", obs.DurationBuckets())
-)
-
 // Config parameterizes the partitioned plane.
 type Config struct {
 	// Overlap selects boundary-first overlapped halo exchange; false
@@ -147,6 +140,10 @@ type worker struct {
 	gradSecs  float64
 	prevMax   float64 // previous epoch's global makespan cursor
 
+	// Halo-traffic metrics in the rank's run (nil without one).
+	haloBytesC, haloExchangesC *obs.Counter
+	haloExposedH               *obs.Histogram
+
 	log models.EpochLog // the fleet's epochs, as this rank gathered them
 }
 
@@ -205,10 +202,10 @@ func (wk *worker) Exchange(kind string, wireBytes uint64, payload any) []any {
 	copyEnd := wk.halo.Cursor()
 	wk.compute.Wait(wk.halo.Record())
 	wk.haloBytes += wireBytes
-	haloBytesC.Add(int64(wireBytes))
-	haloExchangesC.Inc()
+	wk.haloBytesC.Add(int64(wireBytes))
+	wk.haloExchangesC.Inc()
 	if exposed := copyEnd - end; exposed > 0 {
-		haloExposedH.Observe(int64(exposed * 1e9))
+		wk.haloExposedH.Observe(int64(exposed * 1e9))
 	}
 
 	out := make([]any, len(msgs))
@@ -344,7 +341,12 @@ func Train(factory Factory, world, epochs int, cfg Config) (*Result, error) {
 			cfg.Monitors[rank].SetOrigin(-dev.ElapsedSeconds())
 			dev.AttachHealth(cfg.Monitors[rank])
 		}
-		wk := &worker{eng: eng, rank: rank, w: w, env: env, dev: dev}
+		o := env.E.Obs()
+		wk := &worker{eng: eng, rank: rank, w: w, env: env, dev: dev,
+			haloBytesC:     o.Counter("halo.bytes_total"),
+			haloExchangesC: o.Counter("halo.exchanges_total"),
+			haloExposedH:   o.Histogram("halo.exposed_nanos", obs.DurationBuckets()),
+		}
 		wk.tl = stream.New(dev)
 		wk.compute = wk.tl.NewStream("compute")
 		wk.halo = wk.tl.NewStream("halo")

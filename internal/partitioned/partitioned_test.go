@@ -22,7 +22,7 @@ func newEnv(hbmBytes int64) *models.Env {
 		cfg.HBMBytes = hbmBytes
 	}
 	dev := gpu.New(cfg)
-	be, err := backend.New("serial")
+	be, err := backend.New("serial", nil)
 	if err != nil {
 		panic(err)
 	}

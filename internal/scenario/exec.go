@@ -65,21 +65,17 @@ func (sc *Scenario) runConfig(slots []gpu.Config) core.RunConfig {
 // parallelism), then the serving phase when declared. The entire run is a
 // pure function of (scenario file, seed): reruns produce byte-identical
 // digests. Assertions are NOT checked here — see Run.
-func Execute(sc *Scenario) (*Outcome, error) {
+func Execute(sc *Scenario) (*Outcome, error) { return sc.execute(obs.NewRun()) }
+
+// execute is Execute recording into run. Every plane records into the
+// execution's own run, so metric assertions have data and concurrent
+// executions share no number. Nothing obs records feeds the digest.
+func (sc *Scenario) execute(run *obs.Run) (*Outcome, error) {
 	sc, plane, cfg, err := sc.resolve()
 	if err != nil {
 		return nil, err
 	}
-
-	// Observability is on for the whole run so metric assertions have data;
-	// prior state is restored afterwards. Nothing obs records feeds the
-	// digest.
-	wasEnabled := obs.Enabled()
-	obs.Enable()
-	obs.Reset()
-	if !wasEnabled {
-		defer obs.Disable()
-	}
+	cfg.Obs = run
 
 	out := &Outcome{Scenario: sc.Name, Seed: sc.Seed, World: len(cfg.Devices), Plane: plane.name}
 	if err := plane.run(sc, cfg, out); err != nil {
@@ -95,7 +91,7 @@ func Execute(sc *Scenario) (*Outcome, error) {
 	// keeps must not pin its model, dataset and device state with it.
 	out.trained = nil
 
-	out.Metrics = obs.Default().Snapshot()
+	out.Metrics = cfg.Obs.Snapshot()
 	out.Digest = out.ComputeDigest()
 	return out, nil
 }

@@ -58,8 +58,8 @@ type Outcome struct {
 	Serve                *serve.Stats
 	ServeBatchOneSeconds float64
 
-	// Metrics snapshots the obs registry after the run, for the metric
-	// assertions. EXCLUDED from the digest: host counters are
+	// Metrics snapshots the execution's own obs run at its end, for the
+	// metric assertions. EXCLUDED from the digest: host counters are
 	// wall-clock and scheduler-dependent.
 	Metrics obs.Snapshot
 

@@ -319,7 +319,7 @@ func (sc *Scenario) validate(cfg core.RunConfig) (*trainPlane, error) {
 		return nil, errf(w.Line, "workload: %s", strings.TrimPrefix(err.Error(), "core: "))
 	}
 	if w.Backend != "" {
-		if _, err := backend.New(w.Backend); err != nil {
+		if _, err := backend.New(w.Backend, nil); err != nil {
 			return nil, errf(w.Line, "%v", err)
 		}
 	}

@@ -102,6 +102,7 @@ func (sc *Scenario) runServe(cfg core.RunConfig, out *Outcome) error {
 		MaxWaitSeconds: spec.MaxWaitFactor * d1,
 		QueueCap:       spec.QueueCap,
 		CacheRows:      spec.CacheRows,
+		Obs:            cfg.Obs,
 	}, pool.Serving).Run(serve.NewSliceSource(reqs))
 	if err != nil {
 		return err

@@ -287,7 +287,7 @@ func reference() string {
 	}
 	preset, _ := gpu.Preset("")
 	v100, _ := gpu.Preset("v100")
-	be, _ := backend.New("")
+	be, _ := backend.New("", nil)
 	if preset.Name != v100.Name || be.Name() != "serial" {
 		panic("the preset or backend default moved: update reference()")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"gnnmark/internal/backend"
@@ -30,8 +31,14 @@ func freezeOf(t *testing.T, opt nn.Optimizer) *Weights {
 // buildServable constructs a workload instance on its own fresh device and
 // backend; identical (name, seed) arguments build identical models.
 func buildServable(name string, be backend.Backend, seed int64) (models.Servable, *ops.Engine) {
+	return buildServableIn(name, be, seed, nil)
+}
+
+// buildServableIn is buildServable recording into run.
+func buildServableIn(name string, be backend.Backend, seed int64, run *obs.Run) (models.Servable, *ops.Engine) {
 	cfg := gpu.V100()
 	cfg.MaxSampledWarps = 512
+	cfg.Obs = run
 	e := ops.NewWith(gpu.New(cfg), be)
 	env := models.NewEnv(e, seed)
 	switch name {
@@ -66,7 +73,7 @@ func TestFrozenForwardMatchesTraining(t *testing.T) {
 	for _, model := range []string{"PSAGE", "ARGA"} {
 		for _, beName := range []string{"serial", "parallel"} {
 			t.Run(model+"/"+beName, func(t *testing.T) {
-				be, err := backend.New(beName)
+				be, err := backend.New(beName, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +111,11 @@ func TestFrozenForwardMatchesTraining(t *testing.T) {
 // identical results) extends to the serving forward pass.
 func TestBackendsServeIdentically(t *testing.T) {
 	serial, _ := buildServable("PSAGE", backend.NewSerial(), 7)
-	parallel, _ := buildServable("PSAGE", backend.NewParallel(), 7)
+	be, err := backend.New("parallel", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, _ := buildServable("PSAGE", be, 7)
 	ids := []int32{1, 5, 9}
 	if !tensorsEqual(serial.ServeEmbed(ids), parallel.ServeEmbed(ids)) {
 		t.Fatal("serial and parallel backends served different embeddings")
@@ -114,10 +125,15 @@ func TestBackendsServeIdentically(t *testing.T) {
 // newPSAGEReplicas builds n frozen-weight PSAGE replicas, each on its own
 // device, all initialized from the same snapshot.
 func newPSAGEReplicas(t *testing.T, n int, w *Weights) []*Replica {
+	return newPSAGEReplicasIn(t, n, w, nil)
+}
+
+// newPSAGEReplicasIn is newPSAGEReplicas recording into run.
+func newPSAGEReplicasIn(t *testing.T, n int, w *Weights, run *obs.Run) []*Replica {
 	t.Helper()
 	reps := make([]*Replica, n)
 	for r := 0; r < n; r++ {
-		m, e := buildServable("PSAGE", backend.NewSerial(), 42)
+		m, e := buildServableIn("PSAGE", backend.NewSerial(), 42, run)
 		if err := w.LoadInto(m.Params()); err != nil {
 			t.Fatal(err)
 		}
@@ -205,31 +221,35 @@ func TestCacheReducesDeviceTime(t *testing.T) {
 // boundary: each replica's wait for its next batch — most of the run, with
 // three replicas taking turns — was charged to that batch's first kernel.
 func TestServingOpClassTimeWithinWall(t *testing.T) {
-	obs.Enable()
-	defer func() {
-		obs.Reset()
-		obs.Disable()
-	}()
-	obs.Reset()
-
+	t.Parallel()
+	run := obs.NewRun()
 	frozen, _ := buildServable("PSAGE", backend.NewSerial(), 42)
 	w := freezeOf(t, frozen.Optimizer())
-	reps := newPSAGEReplicas(t, 3, w) // engines built while enabled carry a track
+	reps := newPSAGEReplicasIn(t, 3, w, run) // engines built in a run carry a track
 	_, d1, err := reps[0].Serve([]int32{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := OpenArrivals(LoadConfig{Seed: 5, QPS: 2 / d1, Duration: 60 * d1, Items: frozen.NumItems()})
 
-	before := ops.CaptureOpClasses()
+	// The run's op-class histograms sum every replica's attribution.
+	attributedNanos := func() (n int64) {
+		for _, h := range run.Snapshot().Histograms {
+			if strings.HasPrefix(h.Name, "ops.class.") {
+				n += h.Sum
+			}
+		}
+		return n
+	}
+	before := attributedNanos()
 	start := obs.Nanos()
-	s := New(Config{Endpoint: "opclass", MaxBatch: 2, MaxWaitSeconds: d1 / 2, QueueCap: 64}, reps)
+	s := New(Config{Endpoint: "opclass", MaxBatch: 2, MaxWaitSeconds: d1 / 2, QueueCap: 64, Obs: run}, reps)
 	st, err := s.Run(NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wall := obs.Nanos() - start
-	attributed := ops.CaptureOpClasses().Delta(before).Total()
+	attributed := attributedNanos() - before
 	if st.Completed == 0 || attributed <= 0 {
 		t.Fatalf("nothing served or attributed: completed %d, attributed %d ns", st.Completed, attributed)
 	}

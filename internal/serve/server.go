@@ -25,6 +25,8 @@ type Config struct {
 	QueueCap int
 	// CacheRows is the embedding-cache capacity in rows (0: no cache).
 	CacheRows int
+	// Obs is the run the server records into (nil: obs.Process()).
+	Obs *obs.Run
 }
 
 // Stats is one endpoint's measured serving behavior over a Run.
@@ -92,21 +94,24 @@ func New(cfg Config, replicas []*Replica) *Server {
 	if cfg.Endpoint == "" {
 		cfg.Endpoint = "default"
 	}
-	p := "serve." + cfg.Endpoint + "."
+	if cfg.Obs == nil {
+		cfg.Obs = obs.Process()
+	}
+	p, run := "serve."+cfg.Endpoint+".", cfg.Obs
 	return &Server{
 		cfg:        cfg,
 		replicas:   replicas,
 		freeAt:     make([]float64, len(replicas)),
 		queue:      NewAdmissionQueue(cfg.QueueCap),
 		cache:      NewEmbedCache(cfg.CacheRows),
-		arrivedC:   obs.GetCounter(p + "requests_total"),
-		completedC: obs.GetCounter(p + "completed_total"),
-		rejectedC:  obs.GetCounter(p + "rejected_total"),
-		hitsC:      obs.GetCounter(p + "cache.hits_total"),
-		missesC:    obs.GetCounter(p + "cache.misses_total"),
-		depthG:     obs.GetGauge(p + "queue_depth_max"),
-		batchH:     obs.GetHistogram(p+"batch_size", batchSizeBuckets),
-		latencyH:   obs.GetHistogram(p+"latency_nanos", obs.DurationBuckets()),
+		arrivedC:   run.Counter(p + "requests_total"),
+		completedC: run.Counter(p + "completed_total"),
+		rejectedC:  run.Counter(p + "rejected_total"),
+		hitsC:      run.Counter(p + "cache.hits_total"),
+		missesC:    run.Counter(p + "cache.misses_total"),
+		depthG:     run.Gauge(p + "queue_depth_max"),
+		batchH:     run.Histogram(p+"batch_size", batchSizeBuckets),
+		latencyH:   run.Histogram(p+"latency_nanos", obs.DurationBuckets()),
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // view, one row per track (the engine's phase/op spans, the DDP reducer).
 const HostPID = 2
 
-// HostEvents converts every registered obs track into Chrome trace
+// HostEvents converts every track of the run into Chrome trace
 // events under HostPID: a process_name row, a thread_name row per track,
 // one "X" slice per span (nesting drawn from span containment), and a
 // host_spans_dropped metadata event per track that hit its span cap.
@@ -22,8 +22,8 @@ const HostPID = 2
 // start, while device events live on the simulated device clock; both
 // start near zero, so the merged view lines the two planes up without
 // pretending they share a clock.
-func HostEvents() []Event {
-	tracks := obs.Tracks()
+func HostEvents(run *obs.Run) []Event {
+	tracks := run.Tracks()
 	if len(tracks) == 0 {
 		return nil
 	}

@@ -11,16 +11,11 @@ import (
 )
 
 func TestHostEventsMergeAsSecondProcess(t *testing.T) {
-	obs.Enable()
-	defer func() {
-		obs.Reset()
-		obs.Disable()
-	}()
-	obs.Reset()
-
-	tr := obs.NewTrack("host-test")
+	t.Parallel()
+	run := obs.NewRun()
+	tr := run.Track("host-test")
 	if tr == nil {
-		t.Fatal("NewTrack returned nil with obs enabled")
+		t.Fatal("Track returned nil on a run")
 	}
 	outer := tr.Begin("epoch", "phase")
 	tr.Record("op", "GEMM", obs.Nanos(), 10)
@@ -29,7 +24,7 @@ func TestHostEventsMergeAsSecondProcess(t *testing.T) {
 	dev, r := testDev()
 	launch(dev, gpu.OpGEMM, 1<<12)
 
-	merged := append(r.TimelineEvents(), HostEvents()...)
+	merged := append(r.TimelineEvents(), HostEvents(run)...)
 	var buf bytes.Buffer
 	if err := WriteEvents(&buf, merged); err != nil {
 		t.Fatal(err)

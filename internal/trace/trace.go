@@ -98,9 +98,6 @@ func (r *Recorder) onTransfer(ts gpu.TransferStats) {
 	r.clock += ts.Seconds
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.Events()) }
-
 // Dropped returns how many device events arrived after the recorder hit
 // its limit and were counted into the clock but not recorded.
 func (r *Recorder) Dropped() int {

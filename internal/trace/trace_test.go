@@ -62,8 +62,8 @@ func TestRecorderLimit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		launch(dev, gpu.OpElementWise, 1<<10)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("limit not enforced: %d events", r.Len())
+	if n := len(r.Events()); n != 2 {
+		t.Fatalf("limit not enforced: %d events", n)
 	}
 	if r.Dropped() != 3 {
 		t.Fatalf("Dropped() = %d, want 3", r.Dropped())

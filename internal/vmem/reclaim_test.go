@@ -65,7 +65,7 @@ type owner struct {
 func TestReclaimMatchesNeverReclaiming(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, ref := New(48<<20), New(48<<20)
+		got, ref := New(48<<20, nil), New(48<<20, nil)
 		var gotOwners, refOwners [2]owner
 		release := func(a *Allocator, o *owner, reclaim bool) {
 			for _, b := range o.seq {
@@ -134,7 +134,7 @@ func TestReclaimMatchesNeverReclaiming(t *testing.T) {
 // stays dead while its holder keeps the pointer, though the allocator hands
 // its range out again twice: a Free through the stale pointer does nothing.
 func TestStaleFreeOfAMergedBlock(t *testing.T) {
-	a := New(1 << 30)
+	a := New(1<<30, nil)
 	var held []*Block
 	alloc := func() *Block {
 		b, err := a.Alloc(512, "t")

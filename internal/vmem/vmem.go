@@ -41,19 +41,6 @@ const (
 	RoundLarge    = 2 << 20
 )
 
-// Host-observability handles (no-ops until obs.Enable). Gauges aggregate
-// across all allocators in the process — under DDP that is the fleet-wide
-// device-memory view.
-var (
-	obsLive     = obs.GetGauge("vmem.live_bytes")
-	obsPeak     = obs.GetGauge("vmem.peak_bytes")
-	obsReserved = obs.GetGauge("vmem.reserved_bytes")
-	obsAllocs   = obs.GetCounter("vmem.allocs_total")
-	obsFrees    = obs.GetCounter("vmem.frees_total")
-	obsReuse    = obs.GetCounter("vmem.reuse_hits_total")
-	obsOOMs     = obs.GetCounter("vmem.oom_total")
-)
-
 // RoundSize rounds a request up to the allocator's size class: the next
 // multiple of MinBlockSize. The host tensor pool shares this rounding so
 // host buffers recycle across the same class boundaries device blocks do.
@@ -165,10 +152,18 @@ type Allocator struct {
 	// segment's) and not yet reclaimed; spare the reclaimed ones, which
 	// splits and segment reservations reuse instead of allocating.
 	dead, spare []*Block
+	m           metrics
 }
 
-// New returns an allocator with the given capacity budget in bytes.
-func New(capacity int64) *Allocator {
+// metrics are the allocator's handles in its run (nil without one); the
+// gauges sum the run's allocators, under DDP the fleet-wide view.
+type metrics struct {
+	live, peak, reserved           *obs.Gauge
+	allocs, frees, reuseHits, ooms *obs.Counter
+}
+
+// New returns an allocator of capacity bytes that records into run.
+func New(capacity int64, run *obs.Run) *Allocator {
 	if capacity <= 0 {
 		panic("vmem: capacity must be positive")
 	}
@@ -176,6 +171,15 @@ func New(capacity int64) *Allocator {
 		capacity: capacity,
 		cursor:   SmallSegment, // leave page zero unmapped, like a real driver
 		live:     map[*Block]struct{}{},
+		m: metrics{
+			live:      run.Gauge("vmem.live_bytes"),
+			peak:      run.Gauge("vmem.peak_bytes"),
+			reserved:  run.Gauge("vmem.reserved_bytes"),
+			allocs:    run.Counter("vmem.allocs_total"),
+			frees:     run.Counter("vmem.frees_total"),
+			reuseHits: run.Counter("vmem.reuse_hits_total"),
+			ooms:      run.Counter("vmem.oom_total"),
+		},
 	}
 }
 
@@ -197,7 +201,7 @@ func (a *Allocator) Alloc(bytes int64, tag string, shape ...int) (*Block, error)
 	}
 	if b := a.takeFree(pool, rounded); b != nil {
 		a.stats.ReuseHits++
-		obsReuse.Inc()
+		a.m.reuseHits.Inc()
 		return a.commit(b, rounded, tag, shape), nil
 	}
 
@@ -209,7 +213,7 @@ func (a *Allocator) Alloc(bytes int64, tag string, shape ...int) (*Block, error)
 	}
 	if a.stats.Reserved+segSize > a.capacity {
 		a.stats.OOMs++
-		obsOOMs.Inc()
+		a.m.ooms.Inc()
 		return nil, a.oomLocked(bytes, rounded, segSize, label(tag, shape))
 	}
 	b := a.reserveSegment(segSize, pool == 0)
@@ -230,8 +234,8 @@ func (a *Allocator) Free(b *Block) {
 	}
 	a.stats.Frees++
 	a.stats.Live -= b.size
-	obsFrees.Inc()
-	obsLive.Add(-b.size)
+	a.m.frees.Inc()
+	a.m.live.Add(-b.size)
 	delete(a.live, b)
 	b.free = true
 	b.tag, b.shape = "", nil
@@ -421,9 +425,9 @@ func (a *Allocator) commit(b *Block, rounded int64, tag string, shape []int) *Bl
 	if a.stats.Live > a.stats.PeakLive {
 		a.stats.PeakLive = a.stats.Live
 	}
-	obsAllocs.Inc()
-	obsLive.Add(b.size)
-	obsPeak.SetMax(obsLive.Value())
+	a.m.allocs.Inc()
+	a.m.live.Add(b.size)
+	a.m.peak.SetMax(a.m.live.Value())
 	return b
 }
 
@@ -436,7 +440,7 @@ func (a *Allocator) reserveSegment(size int64, small bool) *Block {
 	if a.stats.Reserved > a.stats.PeakReserved {
 		a.stats.PeakReserved = a.stats.Reserved
 	}
-	obsReserved.Add(size)
+	a.m.reserved.Add(size)
 	b := a.newBlock()
 	*b = Block{addr: seg.base, size: size, seg: seg}
 	return b
@@ -452,7 +456,7 @@ func (a *Allocator) releaseCachedLocked() {
 			if b.size == b.seg.size {
 				a.stats.Reserved -= b.seg.size
 				a.stats.SegmentsFreed++
-				obsReserved.Add(-b.seg.size)
+				a.m.reserved.Add(-b.seg.size)
 				b.dead = true
 				a.dead = append(a.dead, b)
 				continue

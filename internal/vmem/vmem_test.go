@@ -35,7 +35,7 @@ func TestSegmentSize(t *testing.T) {
 }
 
 func TestAllocBasics(t *testing.T) {
-	a := New(1 << 30)
+	a := New(1<<30, nil)
 	b1, err := a.Alloc(100, "t1")
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestAllocBasics(t *testing.T) {
 }
 
 func TestFreeReuseSameAddress(t *testing.T) {
-	a := New(1 << 30)
+	a := New(1<<30, nil)
 	b, _ := a.Alloc(4096, "x")
 	addr := b.Addr()
 	a.Free(b)
@@ -79,7 +79,7 @@ func TestFreeReuseSameAddress(t *testing.T) {
 }
 
 func TestCoalesce(t *testing.T) {
-	a := New(1 << 30)
+	a := New(1<<30, nil)
 	// Three adjacent blocks from one segment; free middle, then neighbors.
 	b1, _ := a.Alloc(SmallSize/2, "a")
 	b2, _ := a.Alloc(SmallSize/2, "b")
@@ -103,7 +103,7 @@ func TestCoalesce(t *testing.T) {
 }
 
 func TestDoubleFreeAndPlaceholderAreNoOps(t *testing.T) {
-	a := New(1 << 30)
+	a := New(1<<30, nil)
 	b, _ := a.Alloc(100, "x")
 	a.Free(b)
 	frees := a.Stats().Frees
@@ -116,7 +116,7 @@ func TestDoubleFreeAndPlaceholderAreNoOps(t *testing.T) {
 }
 
 func TestOOMAndDump(t *testing.T) {
-	a := New(4 << 20) // two small segments only
+	a := New(4<<20, nil) // two small segments only
 	var blocks []*Block
 	for i := 0; i < 4; i++ {
 		b, err := a.Alloc(SmallSize, "chunk")
@@ -152,7 +152,7 @@ func TestOOMAndDump(t *testing.T) {
 // report is built, and reads there as "tensor%v" did when the caller
 // formatted it per allocation — a scalar's empty shape included.
 func TestOOMReportNamesShapes(t *testing.T) {
-	a := New(2 << 20)
+	a := New(2<<20, nil)
 	shape := []int{128, 64}
 	for _, alloc := range []struct {
 		bytes int64
@@ -181,7 +181,7 @@ func TestEmptyCacheRetryAvoidsOOM(t *testing.T) {
 	// segment leave no room for a fresh 20MiB reservation, and the 20MiB
 	// request fits no cached block — the allocator must release the
 	// fully-free cached segments and succeed.
-	a := New(24 << 20)
+	a := New(24<<20, nil)
 	small, _ := a.Alloc(100, "small")
 	a.Free(small)
 	big, _ := a.Alloc(18<<20, "big1")
@@ -195,7 +195,7 @@ func TestEmptyCacheRetryAvoidsOOM(t *testing.T) {
 }
 
 func TestPeakAndReset(t *testing.T) {
-	a := New(1 << 30)
+	a := New(1<<30, nil)
 	b1, _ := a.Alloc(8<<20, "x")
 	a.Free(b1)
 	s := a.Stats()
@@ -224,7 +224,7 @@ func TestStatsDerived(t *testing.T) {
 // these addresses, and the suite's golden-determinism test depends on it.
 func TestDeterministicAddresses(t *testing.T) {
 	run := func() []uint64 {
-		a := New(1 << 30)
+		a := New(1<<30, nil)
 		var addrs []uint64
 		var live []*Block
 		sizes := []int64{100, 4096, SmallSize, 3 << 20, 512, 12 << 20, 2048}
@@ -257,7 +257,7 @@ func TestDeterministicAddresses(t *testing.T) {
 
 // TestConcurrentAllocFree exercises the mutex under -race.
 func TestConcurrentAllocFree(t *testing.T) {
-	a := New(1 << 30)
+	a := New(1<<30, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
